@@ -124,12 +124,12 @@ void BM_ChainForwardedWrite(benchmark::State& state) {
   std::uint64_t tick = 0;
   for (auto _ : state) {
     const auto ack =
-        chain.leaf().submit(std::vector<RouteService::Delta>{
+        chain.leaf().submit_deltas(std::vector<RouteService::Delta>{
             RouteService::Delta::cost_change(
                 static_cast<NodeId>(tick % 24),
                 Cost{static_cast<Cost::rep>(1 + tick % 9)})});
     ++tick;
-    if (ack.status != net::Backend::SubmitOutcome::Status::kOk) {
+    if (!ack.ok()) {
       state.SkipWithError("forwarded write failed");
       continue;
     }

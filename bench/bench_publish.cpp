@@ -10,12 +10,12 @@
 //   * BM_ShardedPublishCycle — the end-to-end service path: one cost
 //                              delta -> reconverge -> dirty diff -> CoW
 //                              export -> per-shard publish;
-//   * BM_PublishSerial /     — PR 7's staged fan-out vs the inline
-//     BM_PublishPipelined      incremental publish, shards x dirty-fraction
-//                              sweep (the headline: the pipeline never
-//                              costs more than the serial path at small
-//                              dirty fractions, and overlaps exports when
-//                              several shards are dirty).
+//   * BM_PublishSerial /     — PublishPipeline::run's incremental publish
+//     BM_PublishPipelined      without a pool and with the pool widened to
+//                              the hardware width, shards x dirty-fraction
+//                              sweep (the pool parallelizes the export
+//                              across dirty rows; the store swaps the
+//                              dirty shards in one publish).
 //
 // scripts/bench_baseline.sh runs this binary and records
 // BENCH_publish.json so successive publication PRs have a trajectory.
@@ -138,14 +138,11 @@ BENCHMARK(BM_ShardedPublishCycle)
 /// Args: {n, shards, dirty_pct}. One converged session, one fixed dirty
 /// set striped across the destination space (so it spans as many shards as
 /// the fraction allows), published over and over through
-/// PublishPipeline::run — the serial variant with no pool (PR 6's inline
-/// incremental export), the pipelined variant with the pool widened to the
-/// hardware width, exactly as a deployed route_server would run it. On a
-/// single-core host that gate keeps the pipeline on the inline path
-/// (staged=0 in the counters) — fanning out two export threads over one
-/// core only adds switching cost; with real cores the staged per-shard
-/// fan-out engages wherever more than one shard is dirty.
-void publish_pipeline_cycle(benchmark::State& state, bool pipelined) {
+/// PublishPipeline::run — the serial variant with no pool, the pooled
+/// variant with the engine pool widened to the hardware width. The
+/// benchmark names predate the removal of the staged per-shard fan-out;
+/// every committed BM_PublishPipelined row measured this same inline path.
+void publish_pipeline_cycle(benchmark::State& state, bool pooled) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t shards = static_cast<std::size_t>(state.range(1));
   const std::size_t pct = static_cast<std::size_t>(state.range(2));
@@ -153,7 +150,7 @@ void publish_pipeline_cycle(benchmark::State& state, bool pipelined) {
   pricing::Session session(g, pricing::Protocol::kPriceVector);
   session.run();
   util::ThreadPool* pool =
-      pipelined
+      pooled
           ? session.engine().ensure_pool(util::ThreadPool::hardware_threads())
           : nullptr;
   const std::uint64_t epoch = session.engine().converged_epochs();
@@ -177,9 +174,6 @@ void publish_pipeline_cycle(benchmark::State& state, bool pipelined) {
   state.counters["rows_rebuilt"] = static_cast<double>(stats.rows_rebuilt);
   state.counters["shards_swapped"] =
       static_cast<double>(stats.shards_swapped);
-  state.counters["staged"] = stats.pipelined ? 1.0 : 0.0;
-  state.counters["inflight_max"] =
-      static_cast<double>(stats.max_exports_inflight);
 }
 
 void BM_PublishSerial(benchmark::State& state) {

@@ -14,11 +14,10 @@
 //   drain           wait for the updater to drain; prints the version
 //   republish       submit a republish delta (forces a fresh publish)
 //
-// The data path runs through net::RemoteQueryBackend — the same unified
-// service::QueryBackend surface the examples and chain tests use — so a
-// primary, a replica, or a deep chain tier all answer through one code
-// path (writes included: `republish` against a forwarding replica relays
-// upstream transparently).
+// The data path runs through net::RemoteQueryBackend, so a primary, a
+// replica, or a deep chain tier all answer through one code path (writes
+// included: `republish` against a forwarding replica relays upstream
+// transparently).
 //
 // Every routed answer is printed with the snapshot version it came from
 // and that snapshot's age at answer time — the staleness the RCU serving
@@ -69,9 +68,9 @@ const char* status_name(service::Status status) {
   return "unknown";
 }
 
-int run_request(service::QueryBackend& backend,
+int run_request(net::RemoteQueryBackend& backend,
                 const service::Request& request) {
-  const auto result = backend.query_one(request);
+  const auto result = backend.query_batch({&request, 1});
   if (!result.ok()) {
     std::printf("query failed: %s\n", result.error.c_str());
     return 1;
@@ -181,7 +180,7 @@ int main(int argc, char** argv) {
     return run_request(client, request);
   }
   if (command == "counters" && operands == 0) {
-    const auto result = client.full_counters();
+    const auto result = client.counters();
     if (!result.ok()) {
       std::printf("counters failed: %s\n", result.error.message.c_str());
       return 1;
@@ -206,8 +205,6 @@ int main(int argc, char** argv) {
                                       static_cast<double>(c.publishes) / 1e6
                                 : 0.0,
                 static_cast<double>(c.max_publish_ns) / 1e6);
-    std::printf("shard exports in flight (max) %" PRIu64 "\n",
-                c.shard_exports_inflight_max);
     std::printf("checkpoints %" PRIu64 "  checkpoint bytes %" PRIu64
                 "  journal patches %" PRIu64 "  compactions %" PRIu64 "\n",
                 c.checkpoints_written, c.checkpoint_bytes_written,
@@ -253,8 +250,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (command == "republish" && operands == 0) {
-    const auto submitted =
-        client.submit_delta(service::RouteService::Delta::republish());
+    const service::Delta republish = service::Delta::republish();
+    const auto submitted = client.submit_deltas({&republish, 1});
     if (!submitted.ok()) {
       std::printf("submit failed: %s\n", submitted.error.c_str());
       return 1;

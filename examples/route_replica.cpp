@@ -11,8 +11,8 @@
 // then churns the primary through several re-convergence cycles and, after
 // each one, waits for the replica to catch up *push-driven* (no polling —
 // every sync is caused by a kPublishNotify) and checks a batch of queries
-// through both servers for bit-identical answers. Both sides are driven
-// through the unified service::QueryBackend surface; the final cycle
+// through both servers for bit-identical answers, both over the wire
+// through net::RemoteQueryBackend; the final cycle
 // exercises the write path end to end: a delta submitted at the *replica*
 // front is forwarded to the primary, whose ack's publish count then lets
 // the submitter read its own write back through the replica.
@@ -98,12 +98,10 @@ void print_replication_counters(const net::ReplicaCounters& c) {
       static_cast<unsigned long long>(c.forward_rejected));
 }
 
-/// Queries both backends with the same randomized batch (every request
-/// kind, including out-of-range nodes) and compares every answer. Written
-/// once against QueryBackend: the same check runs over a local service, a
-/// replica, or either's wire connection.
-bool compare_answers(service::QueryBackend& primary,
-                     service::QueryBackend& replica, NodeId n,
+/// Queries both daemons with the same randomized batch (every request
+/// kind, including out-of-range nodes) and compares every answer.
+bool compare_answers(net::RemoteQueryBackend& primary,
+                     net::RemoteQueryBackend& replica, NodeId n,
                      std::uint64_t seed) {
   util::Rng rng(seed);
   std::vector<service::Request> batch;
@@ -181,10 +179,11 @@ int run_daemon(std::vector<net::ClientConfig> upstreams,
 
   const auto& first = config.upstreams.front();
   if (replica.wait_until_ready(10000)) {
+    const auto served = replica.snapshot();
     std::printf("route_replica: serving v%llu (%zu nodes) from %s:%u "
                 "(hop %u, %zu upstream%s)\n",
-                static_cast<unsigned long long>(replica.version()),
-                replica.node_count(), first.host.c_str(), first.port,
+                static_cast<unsigned long long>(served->version()),
+                served->node_count(), first.host.c_str(), first.port,
                 replica.hop_count(), config.upstreams.size(),
                 config.upstreams.size() == 1 ? "" : "s");
   } else {
@@ -301,7 +300,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("replica: bootstrapped at v%llu (hop %u)\n",
-              static_cast<unsigned long long>(replica.version()),
+              static_cast<unsigned long long>(replica.snapshot()->version()),
               replica.hop_count());
 
   net::ServerConfig replica_server_config;
@@ -352,8 +351,8 @@ int main(int argc, char** argv) {
   // forwarder relay it to the primary, then use the ack's publish count to
   // read the write back through the replica — the read-your-write
   // contract, exercised over two wire hops.
-  const auto forwarded = replica_backend.submit_delta(
-      service::RouteService::Delta::cost_change(0, Cost{5}));
+  const service::Delta write = service::Delta::cost_change(0, Cost{5});
+  const auto forwarded = replica_backend.submit_deltas({&write, 1});
   bool forward_ok = forwarded.ok() && forwarded.accepted == 1;
   if (!forward_ok) {
     std::printf("forwarded write failed: %s\n", forwarded.error.c_str());
@@ -372,7 +371,7 @@ int main(int argc, char** argv) {
 
   // The counters frame a monitoring client sees carries the replication
   // section too — fetch it over the wire from the replica's server.
-  const auto remote_counters = replica_backend.full_counters();
+  const auto remote_counters = replica_backend.counters();
   const bool counters_ok = remote_counters.ok() && remote_counters.has_replica;
   if (counters_ok) print_replication_counters(remote_counters.replica);
 

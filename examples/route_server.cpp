@@ -51,7 +51,6 @@
 #include "net/client.h"
 #include "net/remote_backend.h"
 #include "net/server.h"
-#include "service/query_backend.h"
 #include "service/service.h"
 #include "service/snapshot.h"
 #include "util/rng.h"
@@ -102,9 +101,7 @@ void reader_loop(const service::RouteService& svc, std::uint64_t seed,
 
 /// Remote-vs-local equivalence over the loopback: every request kind
 /// (including deliberately bad ones) through a real socket must match the
-/// in-process answer on every field but age_ns. Both sides run through the
-/// unified service::QueryBackend surface (its wire and in-process
-/// adapters), the same seam the replica chain tests compare across.
+/// in-process answer on every field but age_ns.
 bool loopback_check(service::RouteService& svc) {
   net::ServerConfig server_config;
   server_config.workers = 2;
@@ -120,7 +117,6 @@ bool loopback_check(service::RouteService& svc) {
     std::printf("loopback: connect failed: %s\n", err.message.c_str());
     return false;
   }
-  service::ServiceQueryBackend local_backend(svc);
 
   const NodeId n = static_cast<NodeId>(svc.node_count());
   std::vector<service::Request> batch;
@@ -145,16 +141,15 @@ bool loopback_check(service::RouteService& svc) {
     std::printf("loopback: query failed: %s\n", remote.error.c_str());
     return false;
   }
-  const auto local = local_backend.query_batch(batch);
-  if (!local.ok() || remote.replies.size() != local.replies.size())
-    return false;
-  for (std::size_t q = 0; q < local.replies.size(); ++q)
-    if (!service::same_answer(remote.replies[q], local.replies[q])) {
+  const auto local = svc.query(batch);
+  if (remote.replies.size() != local.size()) return false;
+  for (std::size_t q = 0; q < local.size(); ++q)
+    if (!service::same_answer(remote.replies[q], local[q])) {
       std::printf("loopback: answer %zu diverged\n", q);
       return false;
     }
   std::printf("loopback: %zu remote answers bit-identical to local query()\n",
-              local.replies.size());
+              local.size());
   return true;
 }
 

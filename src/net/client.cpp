@@ -330,7 +330,7 @@ CountersResult RouteClient::counters() {
 }
 
 SubmitResult RouteClient::submit_deltas(
-    std::span<const service::RouteService::Delta> deltas) {
+    std::span<const service::Delta> deltas) {
   SubmitResult result;
   result.error = send_frame(FrameType::kDeltaSubmit, encode_deltas(deltas));
   if (!result.error.ok()) return result;

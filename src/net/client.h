@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "net/wire.h"
+#include "service/backend.h"
 #include "service/protocol.h"
-#include "service/service.h"
 
 namespace fpss::net {
 
@@ -69,7 +69,7 @@ struct QueryResult {
 
 struct CountersResult {
   ClientError error;
-  service::RouteService::Counters counters;
+  service::Counters counters;
   /// The daemon's own frame totals and per-peer breakdown.
   ServerCounters server;
   /// Replication counters; meaningful iff has_replica (replica daemons).
@@ -148,7 +148,7 @@ class RouteClient {
   /// them upstream; a rejection surfaces as kServerError with wire_status
   /// kOverloaded (back-pressure) or kUpstreamDown (no upstream reachable).
   SubmitResult submit_deltas(
-      std::span<const service::RouteService::Delta> deltas);
+      std::span<const service::Delta> deltas);
   /// Blocks until the server's updater has drained; value = served version.
   U64Result drain();
 

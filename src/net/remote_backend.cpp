@@ -48,36 +48,30 @@ service::QueryOutcome RemoteQueryBackend::query_batch(
 }
 
 service::SubmitAck RemoteQueryBackend::submit_deltas(
-    std::span<const service::RouteService::Delta> deltas) {
+    std::span<const service::Delta> deltas) {
+  using Status = service::SubmitAck::Status;
   service::SubmitAck ack;
-  last_submit_status_.reset();
-  if (const auto err = ensure_data(); !err.ok()) {
-    ack.error = describe(err);
-    return ack;
+  ClientError err = ensure_data();
+  if (err.ok()) {
+    const SubmitResult result = data_.submit_deltas(deltas);
+    ack.accepted = result.accepted;
+    ack.publish_count = result.publish_count;
+    err = result.error;
   }
-  const auto result = data_.submit_deltas(deltas);
-  if (!result.ok()) {
-    ack.error = describe(result.error);
-    last_submit_status_ = result.error.wire_status;
-    return ack;
+  if (err.ok()) return ack;
+  ack.error = describe(err);
+  ack.status = Status::kFailed;
+  if (err.wire_status == WireStatus::kOverloaded) {
+    ack.status = Status::kOverloaded;
+  } else if (err.wire_status == WireStatus::kUpstreamDown) {
+    ack.status = Status::kUnavailable;
+  } else if (err.wire_status == WireStatus::kBadFrameType) {
+    ack.status = Status::kReadOnly;  // the server refuses the frame type
   }
-  ack.accepted = result.accepted;
-  ack.publish_count = result.publish_count;
   return ack;
 }
 
-service::CountersOutcome RemoteQueryBackend::counters() {
-  service::CountersOutcome outcome;
-  auto result = full_counters();
-  if (!result.ok()) {
-    outcome.error = describe(result.error);
-    return outcome;
-  }
-  outcome.counters = result.counters;
-  return outcome;
-}
-
-CountersResult RemoteQueryBackend::full_counters() {
+CountersResult RemoteQueryBackend::counters() {
   if (const auto err = ensure_data(); !err.ok()) {
     CountersResult result;
     result.error = err;

@@ -1,53 +1,49 @@
-// net::RemoteQueryBackend: a daemon connection behind the
-// service::QueryBackend seam.
+// net::RemoteQueryBackend: a client for a route daemon (primary or replica
+// front) speaking the same query/write/wait vocabulary as the in-process
+// service::Backend, with every failure reported as a value.
 //
 // Wraps two RouteClient connections to the same address: a request/reply
 // data connection (queries, writes, counters, drain) and a lazily-dialed
 // subscription connection that turns wait_for_publish_beyond into the
 // wire's push channel — a kSubscribe stream whose notify clock is the
-// server's publish count. Both reconnect on demand, so a backend pointed
-// at a replica front keeps working across the replica's own upstream
+// server's publish count. Both reconnect on demand, so a client pointed at
+// a replica front keeps working across the replica's own upstream
 // failovers (the replica's publish clock survives them).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "net/client.h"
-#include "service/query_backend.h"
+#include "service/backend.h"
 
 namespace fpss::net {
 
-class RemoteQueryBackend final : public service::QueryBackend {
+class RemoteQueryBackend {
  public:
   explicit RemoteQueryBackend(ClientConfig config);
-  ~RemoteQueryBackend() override;
+  ~RemoteQueryBackend();
 
   /// Dials the data connection eagerly (every operation also dials on
   /// demand; this exists so tools can surface a connect failure early).
   ClientError connect();
 
-  service::QueryOutcome query_batch(
-      std::span<const service::Request> batch) override;
-  service::SubmitAck submit_deltas(
-      std::span<const service::RouteService::Delta> deltas) override;
-  service::CountersOutcome counters() override;
-  std::uint64_t wait_for_publish_beyond(std::uint64_t count,
-                                        int timeout_ms) override;
-
-  // Wire-only extras (not part of the QueryBackend surface).
+  service::QueryOutcome query_batch(std::span<const service::Request> batch);
+  /// Applies (or, at a replica, forwards) deltas and publishes before
+  /// acknowledging. A typed server rejection maps to its SubmitAck status
+  /// (kOverloaded, kUnavailable, kReadOnly); any other failure is kFailed.
+  service::SubmitAck submit_deltas(std::span<const service::Delta> deltas);
   /// The full counters frame: service + server + replica sections.
-  CountersResult full_counters();
+  CountersResult counters();
+  /// Blocks until the server's publish clock exceeds `count` or the
+  /// timeout elapses; returns the clock at return.
+  std::uint64_t wait_for_publish_beyond(std::uint64_t count, int timeout_ms);
   /// Publish barrier on the server; value = served version.
   U64Result drain();
   /// Chain depth of the server's backend (0 = primary); valid once any
   /// operation has connected.
   std::uint32_t server_hop_count() const;
-  /// Last write rejection's wire code, when the server sent one
-  /// (kOverloaded / kUpstreamDown back-pressure signals).
-  std::optional<WireStatus> last_submit_status() const {
-    return last_submit_status_;
-  }
 
  private:
   ClientError ensure_data();
@@ -58,7 +54,6 @@ class RemoteQueryBackend final : public service::QueryBackend {
   /// notify clock (the server's publish count) persists across calls.
   std::unique_ptr<RouteClient> notify_;
   std::uint64_t notify_count_ = 0;
-  std::optional<WireStatus> last_submit_status_;
 };
 
 }  // namespace fpss::net

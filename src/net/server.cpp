@@ -96,19 +96,8 @@ bool write_all(int fd, std::string_view bytes, int timeout_ms) {
 
 }  // namespace
 
-RouteServer::RouteServer(Backend& backend, ServerConfig config)
+RouteServer::RouteServer(service::Backend& backend, ServerConfig config)
     : backend_(backend), config_(std::move(config)) {
-  start();
-}
-
-RouteServer::RouteServer(service::RouteService& service, ServerConfig config)
-    : owned_(std::make_unique<ServiceBackend>(service)),
-      backend_(*owned_),
-      config_(std::move(config)) {
-  start();
-}
-
-void RouteServer::start() {
   if (config_.workers == 0) config_.workers = 1;
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -333,10 +322,12 @@ bool RouteServer::serve_frame(int fd, const std::string& peer) {
                           "client wire version " +
                               std::to_string(hello.wire_version) +
                               " unsupported");
+      // Node count and version from one snapshot read, never two.
+      const auto snap = backend_.snapshot();
       HelloAck ack;
       ack.wire_version = kWireVersion;
-      ack.node_count = backend_.node_count();
-      ack.snapshot_version = backend_.version();
+      ack.node_count = snap == nullptr ? 0 : snap->node_count();
+      ack.snapshot_version = snap == nullptr ? 0 : snap->version();
       ack.max_batch = config_.limits.max_batch;
       ack.hop_count = backend_.hop_count();
       reply_frame = encode_frame(FrameType::kHelloAck, encode_hello_ack(ack));
@@ -375,19 +366,20 @@ bool RouteServer::serve_frame(int fd, const std::string& peer) {
       const DeltasResult deltas =
           decode_deltas(payload, config_.limits.max_batch);
       if (!deltas.ok()) return send_error(fd, peer, deltas.status, deltas.error);
-      const Backend::SubmitOutcome outcome = backend_.submit(deltas.deltas);
+      const service::SubmitAck outcome = backend_.submit_deltas(deltas.deltas);
+      using Status = service::SubmitAck::Status;
       switch (outcome.status) {
-        case Backend::SubmitOutcome::Status::kOk:
+        case Status::kOk:
           break;
-        case Backend::SubmitOutcome::Status::kReadOnly:
+        case Status::kReadOnly:
           return send_error(fd, peer, WireStatus::kBadFrameType,
-                            "delta submission disabled on this server");
-        case Backend::SubmitOutcome::Status::kOverloaded:
-          return send_error(fd, peer, WireStatus::kOverloaded,
-                            "forwarding queue full; retry later");
-        case Backend::SubmitOutcome::Status::kUnavailable:
+                            outcome.error);
+        case Status::kOverloaded:
+          return send_error(fd, peer, WireStatus::kOverloaded, outcome.error);
+        case Status::kUnavailable:
+        case Status::kFailed:
           return send_error(fd, peer, WireStatus::kUpstreamDown,
-                            "no upstream reachable; write not applied");
+                            outcome.error);
       }
       DeltaAck ack;
       ack.accepted = outcome.accepted;
@@ -431,15 +423,9 @@ bool RouteServer::serve_frame(int fd, const std::string& peer) {
 bool RouteServer::serve_snapshot_fetch(
     int fd, const std::string& peer,
     const std::vector<std::uint64_t>& known) {
-  // Keep the shared_ptr for the whole transfer: a replica backend may swap
-  // its store out concurrently, and this reference is what keeps the old
-  // one alive until the stream finishes.
-  const std::shared_ptr<const service::ShardedSnapshotStore> store =
-      backend_.store();
-  if (store == nullptr)
-    return send_error(fd, peer, WireStatus::kBadFrameType,
-                      "snapshot fetch unsupported by this backend");
-  const service::ShardedSnapshotStore::ExportCut cut = store->export_cut();
+  // The cut pins the snapshot it streams, so a replica backend swapping its
+  // store mid-transfer cannot pull the data out from under the stream.
+  const service::ShardedSnapshotStore::ExportCut cut = backend_.export_cut();
   if (cut.newest == nullptr)
     return send_error(fd, peer, WireStatus::kShuttingDown,
                       "no snapshot published yet");
@@ -456,7 +442,7 @@ bool RouteServer::serve_snapshot_fetch(
 
   for (const std::uint32_t s : dirty) {
     const std::vector<std::string> chunks = service::ReplicationCodec::
-        encode_shard(*cut.newest, s, store->shard_size(),
+        encode_shard(*cut.newest, s, cut.shard_size,
                      static_cast<std::uint32_t>(shard_count),
                      cut.shard_versions[s]);
     for (const std::string& chunk : chunks) {
@@ -502,9 +488,13 @@ bool RouteServer::serve_subscription(int fd, std::uint64_t since) {
         first ? backend_.publish_count()
               : backend_.wait_for_publish_beyond(last, 100);
     if (!first && count <= last) continue;  // slice elapsed; re-check peer
+    // Version and stamp from one snapshot read: two separate reads could
+    // straddle a publish and pair one snapshot's version with another's
+    // stamp.
+    const auto snap = backend_.snapshot();
     PublishNotify notify;
-    notify.snapshot_version = backend_.version();
-    notify.published_at_ns = backend_.published_at_ns();
+    notify.snapshot_version = snap == nullptr ? 0 : snap->version();
+    notify.published_at_ns = snap == nullptr ? 0 : snap->published_at_ns();
     notify.publish_count = count;
     notify.coalesced = count > last + 1 ? count - last - 1 : 0;
     if (!write_all(fd, encode_frame(FrameType::kPublishNotify,

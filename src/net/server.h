@@ -18,8 +18,8 @@
 //   * stop() is graceful: the listener closes first, workers finish the
 //     frame they are serving (in-flight batches drain), then join.
 //
-// The server fronts a net::Backend (see backend.h) — a local
-// RouteService via the ServiceBackend adapter, or a ReplicaService. Two
+// The server fronts a service::Backend (service/backend.h) — a local
+// RouteService or a ReplicaService, both implementing it directly. Two
 // frame types stream instead of request/reply: kSnapshotFetch elicits a
 // burst of kSnapshotChunk frames (the per-shard replication transfer),
 // and kSubscribe converts the connection into a push channel that holds
@@ -31,14 +31,12 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "net/backend.h"
 #include "net/wire.h"
-#include "service/service.h"
+#include "service/backend.h"
 #include "util/mutex.h"
 
 namespace fpss::net {
@@ -69,10 +67,7 @@ class RouteServer {
   /// cannot return the bind error, and a daemon that silently isn't
   /// listening is worse than one that reports why. The backend must
   /// outlive the server.
-  RouteServer(Backend& backend, ServerConfig config = {});
-  /// Convenience: fronts a local RouteService through an owned
-  /// ServiceBackend adapter.
-  RouteServer(service::RouteService& service, ServerConfig config = {});
+  RouteServer(service::Backend& backend, ServerConfig config = {});
   ~RouteServer();
 
   RouteServer(const RouteServer&) = delete;
@@ -104,8 +99,6 @@ class RouteServer {
   };
   static constexpr std::size_t kMaxPeers = 256;
 
-  /// Shared tail of both constructors: bind, listen, spawn threads.
-  void start();
   void accept_loop();
   void worker_loop();
   void serve_connection(int fd);
@@ -128,8 +121,7 @@ class RouteServer {
   PeerTally& peer_tally(const std::string& peer)
       FPSS_REQUIRES(peers_mutex_);
 
-  std::unique_ptr<Backend> owned_;  ///< the compat ctor's adapter, if any
-  Backend& backend_;
+  service::Backend& backend_;
   ServerConfig config_;
   std::string error_;
   int listen_fd_ = -1;

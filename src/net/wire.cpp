@@ -318,8 +318,8 @@ RepliesResult decode_replies(std::string_view payload,
 }
 
 std::string encode_deltas(
-    std::span<const service::RouteService::Delta> deltas) {
-  using Delta = service::RouteService::Delta;
+    std::span<const service::Delta> deltas) {
+  using Delta = service::Delta;
   std::string out;
   out.reserve(4 + kDeltaBytes * deltas.size());
   append_u32(out, static_cast<std::uint32_t>(deltas.size()));
@@ -348,7 +348,7 @@ std::string encode_deltas(
 }
 
 DeltasResult decode_deltas(std::string_view payload, std::uint32_t max_batch) {
-  using Delta = service::RouteService::Delta;
+  using Delta = service::Delta;
   DeltasResult result;
   BinReader in{payload};
   const std::uint32_t count = in.u32();
@@ -453,7 +453,7 @@ namespace {
 constexpr std::uint32_t kMaxPeerAddrBytes = 64;
 }  // namespace
 
-std::string encode_counters(const service::RouteService::Counters& counters,
+std::string encode_counters(const service::Counters& counters,
                             const ServerCounters& server,
                             const ReplicaCounters* replica) {
   std::string out;

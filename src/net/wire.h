@@ -37,8 +37,8 @@
 #include <string_view>
 #include <vector>
 
+#include "service/backend.h"
 #include "service/protocol.h"
-#include "service/service.h"
 
 namespace fpss::net {
 
@@ -200,10 +200,10 @@ RepliesResult decode_replies(std::string_view payload,
 /// Deltas: count:u32 then per delta kind:u8 u:u32 v:u32 cost:i64, with
 /// kind tags 1=cost_change 2=add_link 3=remove_link 4=republish.
 std::string encode_deltas(
-    std::span<const service::RouteService::Delta> deltas);
+    std::span<const service::Delta> deltas);
 
 struct DeltasResult {
-  std::vector<service::RouteService::Delta> deltas;
+  std::vector<service::Delta> deltas;
   WireStatus status = WireStatus::kMalformed;
   std::string error;
   bool ok() const { return error.empty(); }
@@ -268,46 +268,21 @@ struct ServerCounters {
   std::vector<PeerCounters> peers;    ///< sorted by peer address
 };
 
-/// A replica daemon's sync-side accounting, served locally and over the
-/// wire next to the service counters (absent on a primary).
-struct ReplicaCounters {
-  std::uint64_t full_syncs = 0;     ///< bootstraps fetching every shard
-  std::uint64_t delta_syncs = 0;    ///< catch-ups fetching only dirty shards
-  std::uint64_t shards_fetched = 0; ///< shard payloads received, cumulative
-  std::uint64_t chunks_fetched = 0; ///< kSnapshotChunk frames received
-  std::uint64_t bytes_fetched = 0;  ///< chunk payload bytes received
-  std::uint64_t blocks_adopted = 0; ///< wire blocks swapped for local ones
-  std::uint64_t notifies_received = 0;
-  /// Publishes learned about only through a notify's coalesced tally —
-  /// bursts the push path collapsed instead of queueing.
-  std::uint64_t notifies_coalesced = 0;
-  std::uint64_t resyncs = 0;        ///< upstream reconnects after a loss
-  /// Gauge: at the last sync, now - the adopted snapshot's publish stamp.
-  /// The stamp is the *primary's* publish time, so on a chain each tier's
-  /// lag already compounds every upstream hop's lag.
-  std::uint64_t sync_lag_ns = 0;
-  // Chain / forwarding fields (PR 9; appended on the wire, a shorter
-  // pre-chaining payload decodes with all five zero).
-  std::uint64_t hop_count = 0;  ///< chain depth (1 = directly on the primary)
-  /// Established upstream sessions lost (the degraded-to-last-cut events).
-  std::uint64_t upstream_disconnects = 0;
-  std::uint64_t deltas_forwarded = 0;  ///< deltas relayed upstream, accepted
-  std::uint64_t forward_retries = 0;   ///< forwarding attempts that failed
-  /// Writes rejected locally by the bounded in-flight gate (kOverloaded).
-  std::uint64_t forward_rejected = 0;
-};
+/// The replica section of the counters frame (defined with the backend
+/// interface, which serves it).
+using ReplicaCounters = service::ReplicaCounters;
 
 /// What a kCountersReply carries: the service's counters plus the serving
 /// daemon's own frame/peer accounting, plus (from a replica daemon) the
 /// replication counters.
 struct CountersFrame {
-  service::RouteService::Counters service;
+  service::Counters service;
   ServerCounters server;
   ReplicaCounters replica;
   bool has_replica = false;
 };
 
-/// Counters payload: the RouteService::Counters fields as u64 in
+/// Counters payload: the service::Counters fields as u64 in
 /// declaration order (queries .. charges, the PR 6 publication counters
 /// rows_rebuilt .. max_publish_ns, then the PR 7 pipeline/checkpoint
 /// counters shard_exports_inflight_max .. journal_compactions — new
@@ -318,7 +293,7 @@ struct CountersFrame {
 /// order when present). The replica section may be absent entirely —
 /// pre-replication encoders stop after the peers — and decoders accept
 /// that.
-std::string encode_counters(const service::RouteService::Counters& counters,
+std::string encode_counters(const service::Counters& counters,
                             const ServerCounters& server = {},
                             const ReplicaCounters* replica = nullptr);
 bool decode_counters(std::string_view payload, CountersFrame& out);

@@ -16,38 +16,22 @@ using service::ShardedSnapshotStore;
 
 namespace {
 
-std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
-
-void bump_max(std::atomic<std::uint64_t>& gauge, std::uint64_t value) {
-  std::uint64_t seen = gauge.load(std::memory_order_relaxed);
-  while (value > seen &&
-         !gauge.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
-  }
-}
-
-/// Same routing rule as RouteService's read side: destination-bearing
-/// kinds read from the shard holding j, everything else (notably payment
-/// totals, which are global arrays) from the composite.
-const RouteSnapshot& data_snapshot(const ShardedSnapshotStore::View& view,
-                                   const service::Request& request) {
-  switch (request.kind) {
-    case service::RequestKind::kCost:
-    case service::RequestKind::kPrice:
-    case service::RequestKind::kPairPayment:
-    case service::RequestKind::kNextHop:
-    case service::RequestKind::kPath:
-      if (request.j < view.newest->node_count())
-        return view.for_destination(request.j);
+/// A write this tier refuses, with the text the server relays to the peer.
+service::SubmitAck refusal(service::SubmitAck::Status status) {
+  service::SubmitAck ack;
+  ack.status = status;
+  switch (status) {
+    case service::SubmitAck::Status::kReadOnly:
+      ack.error = "delta submission disabled on this replica";
+      break;
+    case service::SubmitAck::Status::kOverloaded:
+      ack.error = "forwarding queue full; retry later";
       break;
     default:
+      ack.error = "no upstream reachable; write not applied";
       break;
   }
-  return *view.newest;
+  return ack;
 }
 
 }  // namespace
@@ -243,27 +227,21 @@ void ReplicaService::install(
                                                         result.shard_count);
     fresh->publish_all(snap);
     store_ = std::move(fresh);
-  } else if (result.shards_sent.empty()) {
-    if (store_->version() == snap->version() &&
-        store_->newest()->checksum() == snap->checksum()) {
-      // Nothing moved at all (e.g. the notify raced a sync that already
-      // caught up); adopt the negotiation state and skip the publish.
-      synced_versions_ = result.shard_versions;
-      return;
-    }
-    // Globals-only refresh (a republish: payment totals moved, no sink
-    // tree did). Swaps `newest` without touching any shard slot — the
-    // same thing the primary's store does for an empty dirty set.
-    store_->publish(snap,
-                    std::vector<bool>(store_->shard_count(), false));
+  } else if (result.shards_sent.empty() &&
+             store_->version() == snap->version() &&
+             store_->newest()->checksum() == snap->checksum()) {
+    // Nothing moved at all (e.g. the notify raced a sync that already
+    // caught up); adopt the negotiation state and skip the publish.
+    synced_versions_ = result.shard_versions;
+    return;
   } else {
-    // Dirty-shard catch-up through the epoch fence, mirroring the
-    // primary's staged publish: each fetched shard becomes readable as it
-    // lands, and fence_end restores the all-blocks-shared invariant.
-    store_->fence_begin(snap->version());
-    for (const std::uint32_t s : result.shards_sent)
-      store_->publish_shard(s, snap);
-    store_->fence_end(snap);
+    // Catch-up: one publish swapping exactly the fetched shards (none for
+    // a globals-only republish). The assembler shares the served blocks
+    // of every other shard, so clean slots stay block-identical to the
+    // new newest — the same invariant the primary's publish keeps.
+    std::vector<bool> fetched(store_->shard_count(), false);
+    for (const std::uint32_t s : result.shards_sent) fetched[s] = true;
+    store_->publish(snap, fetched);
   }
   synced_versions_ = result.shard_versions;
   ++installs_;
@@ -306,23 +284,25 @@ std::uint64_t ReplicaService::wait_for_publish_beyond(std::uint64_t count,
 
 // --- read side --------------------------------------------------------------
 
-std::size_t ReplicaService::node_count() const {
+std::shared_ptr<const service::ShardedSnapshotStore> ReplicaService::store()
+    const {
+  // An owning copy, not store_.get(): a layout-changing install swaps
+  // store_ under the mutex, and if this replica's copy was the last
+  // reference the store would be destroyed while the caller still reads
+  // it. The shared_ptr pins the displaced store until the caller is done.
   util::MutexLock lock(store_mutex_);
-  if (store_ == nullptr) return 0;
-  const auto snap = store_->newest();
-  return snap == nullptr ? 0 : snap->node_count();
+  return store_;
 }
 
-std::uint64_t ReplicaService::version() const {
-  util::MutexLock lock(store_mutex_);
-  return store_ == nullptr ? 0 : store_->version();
+std::shared_ptr<const RouteSnapshot> ReplicaService::snapshot() const {
+  const auto served = store();
+  return served == nullptr ? nullptr : served->newest();
 }
 
-std::uint64_t ReplicaService::published_at_ns() const {
-  util::MutexLock lock(store_mutex_);
-  if (store_ == nullptr) return 0;
-  const auto snap = store_->newest();
-  return snap == nullptr ? 0 : snap->published_at_ns();
+ShardedSnapshotStore::ExportCut ReplicaService::export_cut() const {
+  const auto served = store();
+  return served == nullptr ? ShardedSnapshotStore::ExportCut{}
+                           : served->export_cut();
 }
 
 std::uint64_t ReplicaService::publish_count() const {
@@ -332,53 +312,12 @@ std::uint64_t ReplicaService::publish_count() const {
 
 std::vector<service::Reply> ReplicaService::query(
     std::span<const service::Request> batch) const {
-  const auto start = std::chrono::steady_clock::now();
-  std::shared_ptr<ShardedSnapshotStore> store;
-  {
-    util::MutexLock lock(store_mutex_);
-    store = store_;
-  }
-  std::vector<service::Reply> replies;
-  replies.reserve(batch.size());
-  if (store == nullptr) {
-    // Nothing synced yet: every node is out of range of the (empty)
-    // network this replica currently knows.
-    for (std::size_t r = 0; r < batch.size(); ++r) {
-      service::Reply reply;
-      reply.status = service::Status::kBadNode;
-      replies.push_back(reply);
-    }
-    count_batch(batch.size(), elapsed_ns(start));
-    return replies;
-  }
-  const ShardedSnapshotStore::View view = store->acquire();
-  const std::uint64_t now_ns = util::wall_clock_ns();
-  const service::ReplyProvenance provenance{view.newest->version(),
-                                            view.newest->published_at_ns()};
-  bump_max(max_staleness_ns_,
-           util::age_from(provenance.published_at_ns, now_ns));
-  for (const service::Request& request : batch)
-    replies.push_back(service::answer(data_snapshot(view, request), provenance,
-                                      request, now_ns));
-  count_batch(batch.size(), elapsed_ns(start));
-  return replies;
+  return reads_.query(store().get(), batch);
 }
 
-void ReplicaService::count_batch(std::uint64_t queries,
-                                  std::uint64_t ns) const {
-  queries_.fetch_add(queries, std::memory_order_relaxed);
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  total_ns_.fetch_add(ns, std::memory_order_relaxed);
-  bump_max(max_batch_ns_, ns);
-}
-
-service::RouteService::Counters ReplicaService::counters() const {
-  service::RouteService::Counters c;
-  c.queries = queries_.load(std::memory_order_relaxed);
-  c.batches = batches_.load(std::memory_order_relaxed);
-  c.total_ns = total_ns_.load(std::memory_order_relaxed);
-  c.max_batch_ns = max_batch_ns_.load(std::memory_order_relaxed);
-  c.max_staleness_ns = max_staleness_ns_.load(std::memory_order_relaxed);
+service::Counters ReplicaService::counters() const {
+  service::Counters c;
+  reads_.fill(c);
   {
     // Local installs, not the chain-wide clock: "how many times did this
     // tier's store move" is the serving-health question counters answer.
@@ -409,13 +348,11 @@ net::ReplicaCounters ReplicaService::replication_counters() const {
   return c;
 }
 
-net::Backend::SubmitOutcome ReplicaService::submit(
-    const std::vector<service::RouteService::Delta>& deltas) {
-  SubmitOutcome outcome;
-  if (!config_.forward_deltas) {
-    outcome.status = SubmitOutcome::Status::kReadOnly;
-    return outcome;
-  }
+service::SubmitAck ReplicaService::submit_deltas(
+    std::span<const service::Delta> deltas) {
+  using Status = service::SubmitAck::Status;
+  if (!config_.forward_deltas) return refusal(Status::kReadOnly);
+  service::SubmitAck outcome;
   if (deltas.empty()) {
     outcome.publish_count = publish_count();
     return outcome;
@@ -427,11 +364,10 @@ net::Backend::SubmitOutcome ReplicaService::submit(
       config_.forward_inflight_limit) {
     forward_inflight_.fetch_sub(1, std::memory_order_acq_rel);
     forward_rejected_.fetch_add(1, std::memory_order_relaxed);
-    outcome.status = SubmitOutcome::Status::kOverloaded;
-    return outcome;
+    return refusal(Status::kOverloaded);
   }
 
-  outcome.status = SubmitOutcome::Status::kUnavailable;
+  outcome = refusal(Status::kUnavailable);
   util::MutexLock lock(forward_mutex_);
   const unsigned attempts = std::max(1u, config_.forward_attempts);
   for (unsigned attempt = 0; attempt < attempts; ++attempt) {
@@ -459,7 +395,7 @@ net::Backend::SubmitOutcome ReplicaService::submit(
     if (relayed.ok()) {
       deltas_forwarded_.fetch_add(relayed.accepted,
                                   std::memory_order_relaxed);
-      outcome.status = SubmitOutcome::Status::kOk;
+      outcome = {};
       outcome.accepted = relayed.accepted;
       outcome.publish_count = relayed.publish_count;
       break;
@@ -468,7 +404,7 @@ net::Backend::SubmitOutcome ReplicaService::submit(
         relayed.error.wire_status == net::WireStatus::kOverloaded) {
       // Upstream back-pressure: retrying immediately would pile on; hand
       // the typed refusal straight back to the writer instead.
-      outcome.status = SubmitOutcome::Status::kOverloaded;
+      outcome = refusal(Status::kOverloaded);
       forward_.reset();  // the server closed the connection after kError
       break;
     }
@@ -480,60 +416,9 @@ net::Backend::SubmitOutcome ReplicaService::submit(
   return outcome;
 }
 
-std::uint64_t ReplicaService::drain() { return version(); }
-
-std::shared_ptr<const service::ShardedSnapshotStore> ReplicaService::store()
-    const {
-  // An owning copy, not store_.get(): a layout-changing install swaps
-  // store_ under the mutex, and if this replica's copy was the last
-  // reference the store would be destroyed while a downstream fetch is
-  // still streaming export_cut() data out of it. The shared_ptr pins the
-  // displaced store until every in-flight transfer finishes.
-  util::MutexLock lock(store_mutex_);
-  return store_;
-}
-
-// --- ReplicaQueryBackend ----------------------------------------------------
-
-service::QueryOutcome ReplicaQueryBackend::query_batch(
-    std::span<const service::Request> batch) {
-  service::QueryOutcome outcome;
-  outcome.replies = replica_.query(batch);
-  return outcome;
-}
-
-service::SubmitAck ReplicaQueryBackend::submit_deltas(
-    std::span<const service::RouteService::Delta> deltas) {
-  service::SubmitAck ack;
-  const auto outcome = replica_.submit(std::vector<service::RouteService::Delta>(
-      deltas.begin(), deltas.end()));
-  switch (outcome.status) {
-    case net::Backend::SubmitOutcome::Status::kOk:
-      ack.accepted = outcome.accepted;
-      ack.publish_count = outcome.publish_count;
-      break;
-    case net::Backend::SubmitOutcome::Status::kReadOnly:
-      ack.error = "replica is read-only (forwarding disabled)";
-      break;
-    case net::Backend::SubmitOutcome::Status::kOverloaded:
-      ack.error = "forwarding queue full; retry later";
-      break;
-    case net::Backend::SubmitOutcome::Status::kUnavailable:
-      ack.error = "no upstream reachable; write not applied";
-      break;
-  }
-  return ack;
-}
-
-service::CountersOutcome ReplicaQueryBackend::counters() {
-  service::CountersOutcome outcome;
-  outcome.counters = replica_.counters();
-  return outcome;
-}
-
-std::uint64_t ReplicaQueryBackend::wait_for_publish_beyond(
-    std::uint64_t count, int timeout_ms) {
-  return replica_.wait_for_publish_beyond(count, timeout_ms);
+std::uint64_t ReplicaService::drain() {
+  const auto snap = snapshot();
+  return snap == nullptr ? 0 : snap->version();
 }
 
 }  // namespace fpss::replica

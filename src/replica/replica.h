@@ -19,14 +19,15 @@
 // N publishes behind transfers O(dirty shards), not O(all shards). The
 // reassembled snapshot (service::ReplicationCodec::Assembler — checksum
 // verified, torn chunks rejected wholesale) lands in the replica's own
-// ShardedSnapshotStore under an epoch fence, shard by shard, exactly like
-// the primary's staged publish pipeline.
+// ShardedSnapshotStore in one publish that swaps exactly the fetched
+// shards — the same single-lock install the primary's pipeline does, so a
+// replica's cuts meet the primary's every-block-shared invariant.
 //
 // Reads go through the same service::Request/Reply surface a primary
 // serves, so a query answered by a replica is bit-identical to the
 // primary's answer for the same snapshot version (the e2e equality tests
-// pin this). ReplicaService implements net::Backend, which is what lets a
-// net::RouteServer front it — replicas chain: primary -> replica ->
+// pin this). ReplicaService implements service::Backend, which is what
+// lets a net::RouteServer front it — replicas chain: primary -> replica ->
 // replica, each tier fanning reads out further.
 //
 // Warm start: with a checkpoint directory configured, a loaded base image
@@ -58,10 +59,9 @@
 #include <thread>
 #include <vector>
 
-#include "net/backend.h"
 #include "net/client.h"
+#include "service/backend.h"
 #include "service/protocol.h"
-#include "service/query_backend.h"
 #include "service/replication.h"
 #include "service/store.h"
 #include "util/mutex.h"
@@ -100,7 +100,7 @@ struct ReplicaConfig {
   std::size_t forward_inflight_limit = 16;
 };
 
-class ReplicaService final : public net::Backend {
+class ReplicaService final : public service::Backend {
  public:
   /// Starts the background sync loop immediately. If a checkpoint is
   /// configured and loads, its snapshot is served at once; otherwise reads
@@ -127,11 +127,17 @@ class ReplicaService final : public net::Backend {
 
   net::ReplicaCounters replication_counters() const;
 
-  // --- net::Backend --------------------------------------------------------
+  /// The replica's own store (null before the first sync or checkpoint
+  /// load). An *owning* copy: a concurrent layout-changing install may swap
+  /// store_ and drop the last internal reference, so handing out the raw
+  /// pointer would let the store die under the caller.
+  std::shared_ptr<const service::ShardedSnapshotStore> store() const
+      FPSS_EXCLUDES(store_mutex_);
 
-  std::size_t node_count() const override;
-  std::uint64_t version() const override;
-  std::uint64_t published_at_ns() const override;
+  // --- service::Backend ----------------------------------------------------
+
+  std::shared_ptr<const service::RouteSnapshot> snapshot() const override
+      FPSS_EXCLUDES(store_mutex_);
   /// The chain-wide publish clock: the *upstream's* publish count as of
   /// this replica's last completed sync (not a local install tally). Every
   /// tier reports the same clock the primary advances, which is what makes
@@ -139,7 +145,7 @@ class ReplicaService final : public net::Backend {
   std::uint64_t publish_count() const override;
   std::vector<service::Reply> query(
       std::span<const service::Request> batch) const override;
-  service::RouteService::Counters counters() const override;
+  service::Counters counters() const override;
   bool replica_counters(net::ReplicaCounters& out) const override {
     out = replication_counters();
     return true;
@@ -149,34 +155,31 @@ class ReplicaService final : public net::Backend {
   }
   /// Forwards the deltas upstream (see the file comment); kReadOnly when
   /// forwarding is disabled.
-  SubmitOutcome submit(
-      const std::vector<service::RouteService::Delta>& deltas) override;
+  service::SubmitAck submit_deltas(
+      std::span<const service::Delta> deltas) override;
   /// No local updater to drain; returns the served version.
   std::uint64_t drain() override;
-  /// The replica's own store — what lets a downstream replica sync from
-  /// this one. An *owning* copy: a concurrent layout-changing install may
-  /// swap store_ and drop the last internal reference, so handing out the
-  /// raw pointer would let the store die under the caller.
-  std::shared_ptr<const service::ShardedSnapshotStore> store() const override
-      FPSS_EXCLUDES(store_mutex_);
+  /// What lets a downstream replica sync from this one; empty before the
+  /// first sync, exactly like an unpublished primary.
+  service::ShardedSnapshotStore::ExportCut export_cut() const override;
   std::uint64_t wait_for_publish_beyond(std::uint64_t count, int timeout_ms)
       const override FPSS_EXCLUDES(store_mutex_);
 
  private:
-  /// One sync: fetch (full or dirty-only), reassemble, publish under a
-  /// fence. `server_count` is the upstream publish count this sync covers
+  /// One sync: fetch (full or dirty-only), reassemble, publish.
+  /// `server_count` is the upstream publish count this sync covers
   /// (the notify that caused it); the chain-wide clock is raised to it
   /// atomically with the install. Returns false when the connection
   /// failed or the stream was torn (triggers a resync; nothing partial is
   /// ever published).
   bool sync_once(std::uint64_t server_count);
   void sync_loop();
-  /// Publishes an assembled snapshot into the store (fence for a shard
-  /// catch-up, a fresh store for a bootstrap or layout change) and raises
-  /// the chain-wide clock to `server_count` under the same lock.
+  /// Publishes an assembled snapshot into the store (one publish swapping
+  /// the fetched shards for a catch-up, a fresh store for a bootstrap or
+  /// layout change) and raises the chain-wide clock to `server_count`
+  /// under the same lock.
   void install(const service::ReplicationCodec::Assembler::Result& result,
                std::uint64_t server_count);
-  void count_batch(std::uint64_t queries, std::uint64_t ns) const;
 
   // Shared reconnect state machine (sync loop + forwarder).
   std::size_t current_upstream_index() const;
@@ -229,12 +232,7 @@ class ReplicaService final : public net::Backend {
   std::atomic<bool> stop_{false};
   bool stopped_ = false;  ///< stop() completed (caller thread only)
 
-  // Read-side counters (any reader thread).
-  mutable std::atomic<std::uint64_t> queries_{0};
-  mutable std::atomic<std::uint64_t> batches_{0};
-  mutable std::atomic<std::uint64_t> total_ns_{0};
-  mutable std::atomic<std::uint64_t> max_batch_ns_{0};
-  mutable std::atomic<std::uint64_t> max_staleness_ns_{0};
+  service::ReadPath reads_;
   // Sync-side counters (sync thread writes, any thread reads).
   std::atomic<std::uint64_t> full_syncs_{0};
   std::atomic<std::uint64_t> delta_syncs_{0};
@@ -255,25 +253,6 @@ class ReplicaService final : public net::Backend {
   std::atomic<std::uint64_t> forward_rejected_{0};
 
   std::thread sync_;  ///< last member: joined before state tears down
-};
-
-/// The replica adapter for the unified query/write surface: reads answer
-/// locally, writes relay through the replica's forwarding path, and the
-/// publish-beyond wait runs against the chain-wide clock.
-class ReplicaQueryBackend final : public service::QueryBackend {
- public:
-  explicit ReplicaQueryBackend(ReplicaService& replica) : replica_(replica) {}
-
-  service::QueryOutcome query_batch(
-      std::span<const service::Request> batch) override;
-  service::SubmitAck submit_deltas(
-      std::span<const service::RouteService::Delta> deltas) override;
-  service::CountersOutcome counters() override;
-  std::uint64_t wait_for_publish_beyond(std::uint64_t count,
-                                        int timeout_ms) override;
-
- private:
-  ReplicaService& replica_;
 };
 
 }  // namespace fpss::replica

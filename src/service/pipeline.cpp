@@ -5,10 +5,7 @@
 #include "graph/graph.h"
 #include "payments/ledger.h"
 #include "pricing/session.h"
-#include "util/clock.h"
 #include "util/contract.h"
-#include "util/task_group.h"
-#include "util/thread_pool.h"
 
 namespace fpss::service {
 
@@ -19,14 +16,13 @@ std::shared_ptr<const RouteSnapshot> PublishPipeline::run(
     const pricing::Session& session, std::uint64_t version,
     const std::optional<std::vector<NodeId>>& dirty,
     const payments::Ledger* ledger, util::ThreadPool* pool,
-    PipelineStats* stats, const PipelineHooks* hooks) {
+    PipelineStats* stats) {
   FPSS_EXPECTS(session.engine().stats().converged);
   const graph::Graph& g = session.network().topology();
   const std::size_t n = g.node_count();
   PipelineStats local;
-  std::shared_ptr<const RouteSnapshot> result;
 
-  // The incremental paths need a CoW base from this session and a usable
+  // The incremental path needs a CoW base from this session and a usable
   // dirty set on the same topology generation; anything else is a full
   // parallel export with every shard flagged dirty.
   const bool incremental_ok = prev != nullptr && dirty.has_value() &&
@@ -63,96 +59,23 @@ std::shared_ptr<const RouteSnapshot> PublishPipeline::run(
       }
     }
     local.shards_swapped = store.publish(snap, shard_dirty);
-    result = std::move(snap);
     if (stats != nullptr) *stats = local;
-    return result;
+    return snap;
   }
 
-  // Dedup the dirty set and group it by shard — each export task owns one
-  // shard's slots exactly once.
-  std::vector<std::vector<NodeId>> by_shard(store.shard_count());
-  std::vector<bool> seen(n, false);
-  std::size_t unique = 0;
-  for (const NodeId j : *dirty) {
-    FPSS_EXPECTS(j < n);
-    if (!seen[j]) {
-      seen[j] = true;
-      by_shard[store.shard_of(j)].push_back(j);
-      ++unique;
-    }
-  }
-  std::size_t dirty_shards = 0;
-  for (const auto& ids : by_shard)
-    if (!ids.empty()) ++dirty_shards;
-
-  // The fan-out only pays off when there is more than one dirty shard AND
-  // more than one worker to overlap them on; otherwise the inline
-  // incremental export (which parallelizes across dirty *rows*) is the
-  // faster shape and keeps the store on the strict invariant throughout.
-  if (pool == nullptr || pool->width() <= 1 || dirty_shards <= 1) {
-    SnapshotExportStats es;
-    auto snap = RouteSnapshot::from_session_incremental(
-        prev, session, version, *dirty, ledger, pool, &es);
-    local.rows_rebuilt = es.rows_rebuilt;
-    local.rows_reused = es.rows_reused;
-    local.full_rebuild = es.full_rebuild;
-    std::vector<bool> shard_dirty(store.shard_count(), true);
-    if (!es.full_rebuild)
-      for (std::size_t s = 0; s < by_shard.size(); ++s)
-        shard_dirty[s] = !by_shard[s].empty();
-    local.shards_swapped = store.publish(snap, shard_dirty);
-    result = std::move(snap);
-    if (stats != nullptr) *stats = local;
-    return result;
-  }
-
-  // Staged fan-out. The merged snapshot's global state (node costs,
-  // payments, provenance) is fixed up front so the per-shard intermediates
-  // can copy it; its dirty blocks are written in place by the tasks (each
-  // owns disjoint slots) and everything else stays shared with prev.
-  auto merged = std::shared_ptr<RouteSnapshot>(new RouteSnapshot);
-  merged->n_ = n;
-  merged->version_ = version;
-  merged->graph_version_ = g.version();
-  merged->published_at_ns_ = util::wall_clock_ns();
-  merged->node_cost_.reserve(n);
-  for (NodeId v = 0; v < n; ++v) merged->node_cost_.push_back(g.cost(v));
-  merged->blocks_ = prev->blocks_;
-  if (ledger != nullptr) {
-    FPSS_EXPECTS(ledger->node_count() == n);
-    merged->owed_ = ledger->owed_all();
-    merged->settled_ = ledger->settled_all();
-  } else {
-    merged->owed_.assign(n, 0);
-    merged->settled_.assign(n, 0);
-  }
-
-  store.fence_begin(version);
-  util::TaskGroup group(pool);
-  for (std::size_t s = 0; s < by_shard.size(); ++s) {
-    if (by_shard[s].empty()) continue;
-    group.add([&, s] {
-      if (hooks != nullptr && hooks->before_export) hooks->before_export(s);
-      for (const NodeId j : by_shard[s])
-        merged->blocks_[j] = RouteSnapshot::extract_destination(session, j, n);
-      // The intermediate shares this shard's freshly built BlockPtrs with
-      // merged and prev's blocks for everything else — readers hitting the
-      // slot see exactly the rows fence_end will make canonical.
-      store.publish_shard(
-          s, RouteSnapshot::cow_replace(*prev, *merged, by_shard[s], version));
-      if (hooks != nullptr && hooks->after_shard_publish)
-        hooks->after_shard_publish(s);
-    });
-  }
-  local.max_exports_inflight = group.run_and_wait();
-  merged->seal();
-  local.shards_swapped = store.fence_end(merged);
-  local.rows_rebuilt = unique;
-  local.rows_reused = n - unique;
-  local.pipelined = true;
-  result = std::move(merged);
+  // The incremental export parallelizes across dirty rows; the store swaps
+  // only the shards holding a dirty destination.
+  SnapshotExportStats es;
+  auto snap = RouteSnapshot::from_session_incremental(
+      prev, session, version, *dirty, ledger, pool, &es);
+  local.rows_rebuilt = es.rows_rebuilt;
+  local.rows_reused = es.rows_reused;
+  local.full_rebuild = es.full_rebuild;
+  std::vector<bool> shard_dirty(store.shard_count(), es.full_rebuild);
+  for (const NodeId j : *dirty) shard_dirty[store.shard_of(j)] = true;
+  local.shards_swapped = store.publish(snap, shard_dirty);
   if (stats != nullptr) *stats = local;
-  return result;
+  return snap;
 }
 
 }  // namespace fpss::service

@@ -1,35 +1,23 @@
-// PublishPipeline: the staged export-and-publish path between a converged
-// pricing session and the ShardedSnapshotStore readers serve from.
+// PublishPipeline: the export-and-publish step between a converged pricing
+// session and the ShardedSnapshotStore readers serve from.
 //
-// PR 6 made export O(dirty); this stage makes publication O(one shard's
-// dirty rows) *in latency*. The updater's monolithic
-// export -> publish -> notify step becomes a fan-out:
+//   no usable CoW base / dirty set (first build, topology generation
+//   moved, warm start)   -> one full export (data-parallel on the pool),
+//                           every shard dirty;
+//   otherwise            -> incremental export: re-extract only the dirty
+//                           destinations (data-parallel across rows), swap
+//                           only the shards holding them.
 //
-//   reconverge ──► dirty set, grouped by shard
-//              ──► fence_begin(v)
-//              ──► per-dirty-shard export tasks on the thread pool
-//                    extract shard's dirty rows  ─► publish_shard(s, ...)
-//                    (each shard lands the moment ITS export completes)
-//              ──► join ──► fence_end(merged snapshot)
+// Either way the store sees one publish: readers move from one complete
+// epoch to the next under a single lock, and every reply's version stamp
+// names exactly the epoch whose rows answered it (DESIGN.md §11 records
+// why shards are not published one by one as their exports land).
 //
-// so a delta burst confined to shard 3 is readable as soon as shard 3's
-// rows are extracted, no matter how expensive shard 7's export is. The
-// fence (store.h) keeps acquire() consistent while shards land out of
-// order; the per-shard intermediates share every new BlockPtr with the
-// merged snapshot, so fence_end restores the strict all-blocks-shared
-// invariant without copying anything.
-//
-// The pipeline subsumes the older paths rather than adding a fourth mode:
-//   - no usable CoW base / dirty set (first build, topology generation
-//     moved, warm start) -> one full parallel export, every shard dirty;
-//   - a usable dirty set but no concurrency to win (single dirty shard,
-//     width-1 pool) -> PR 6's inline incremental export, swap dirty shards;
-//   - otherwise -> the staged fan-out above.
 // On a warm start the full build additionally *adopts* the loaded
 // snapshot's blocks wherever the per-block digests match — digest equality
 // is direct content proof, independent of Graph::version() — so only the
 // shards whose sink trees genuinely changed across the restart are
-// swapped (the warm-start satellite of this PR).
+// swapped.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +28,6 @@
 #include "service/snapshot.h"
 #include "service/store.h"
 #include "util/types.h"
-
-#include <functional>
 
 namespace fpss::payments {
 class Ledger;
@@ -63,25 +49,13 @@ struct PipelineStats {
   std::size_t shards_swapped = 0;  ///< shard slots the store actually moved
   /// Fell back to a full rebuild despite a previous export existing.
   bool full_rebuild = false;
-  /// The staged fan-out ran (false: single full/inline export).
-  bool pipelined = false;
-  /// High-water mark of export tasks in flight (staged path; else 0).
-  unsigned max_exports_inflight = 0;
-};
-
-/// Test seam: observers called from the export tasks themselves (i.e. from
-/// pool worker threads). The export-ordering tests use them to stall one
-/// shard's export and assert another shard still publishes.
-struct PipelineHooks {
-  std::function<void(std::size_t shard)> before_export;
-  std::function<void(std::size_t shard)> after_shard_publish;
 };
 
 class PublishPipeline {
  public:
   /// Exports the session's converged state as version `version` and
-  /// publishes it into `store` by whichever of the three paths applies
-  /// (see file comment); returns the merged snapshot (the store's new
+  /// publishes it into `store` by whichever of the two paths applies (see
+  /// file comment); returns the published snapshot (the store's new
   /// `newest`). `prev` is the previous export of this session or null;
   /// `warm_base` is the disk-loaded snapshot currently filling the store's
   /// slots (first real publish after a warm start) or null; `dirty` is
@@ -95,7 +69,7 @@ class PublishPipeline {
       const pricing::Session& session, std::uint64_t version,
       const std::optional<std::vector<NodeId>>& dirty,
       const payments::Ledger* ledger, util::ThreadPool* pool,
-      PipelineStats* stats = nullptr, const PipelineHooks* hooks = nullptr);
+      PipelineStats* stats = nullptr);
 };
 
 }  // namespace fpss::service

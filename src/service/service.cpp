@@ -29,8 +29,6 @@ RouteService::RouteService(const graph::Graph& g, ServiceConfig config)
   // Dirty sink-tree tracking powers the incremental exports; enable it
   // before the first convergence so that run doubles as the baseline.
   session_.track_dirty_destinations(true);
-  if (config_.export_threads > 1)
-    session_.engine().ensure_pool(config_.export_threads);
   if (!config_.checkpoint.directory.empty())
     checkpoint_ = std::make_unique<CheckpointWriter>(config_.checkpoint);
   // Initial convergence happens on the constructing thread, before the
@@ -52,8 +50,6 @@ RouteService::RouteService(const graph::Graph& g,
       ledger_(g.node_count()) {
   FPSS_EXPECTS(warm != nullptr && warm->node_count() == g.node_count());
   session_.track_dirty_destinations(true);
-  if (config_.export_threads > 1)
-    session_.engine().ensure_pool(config_.export_threads);
   if (!config_.checkpoint.directory.empty())
     checkpoint_ = std::make_unique<CheckpointWriter>(config_.checkpoint);
   // Serve the saved epoch immediately; convergence is deferred to the
@@ -214,13 +210,6 @@ void RouteService::publish_current() {
   while (ns > seen && !max_publish_ns_.compare_exchange_weak(
                           seen, ns, std::memory_order_relaxed)) {
   }
-  std::uint64_t inflight = stats.max_exports_inflight;
-  std::uint64_t seen_inflight =
-      shard_exports_inflight_max_.load(std::memory_order_relaxed);
-  while (inflight > seen_inflight &&
-         !shard_exports_inflight_max_.compare_exchange_weak(
-             seen_inflight, inflight, std::memory_order_relaxed)) {
-  }
 
   // Persistence rides after the readers are already on the new epoch: a
   // slow or broken disk delays the next checkpoint, never a publish.
@@ -245,113 +234,53 @@ void RouteService::publish_current() {
 
 namespace {
 
-/// Which snapshot of a sharded view answers `request`: destination-bearing
-/// kinds read from the shard holding j (in-range j only — answer() rejects
-/// the rest against any snapshot); everything else, notably kPayment
-/// (payment totals are global arrays, current only in the newest image),
-/// reads from the composite.
-const RouteSnapshot& data_snapshot(const ShardedSnapshotStore::View& view,
-                                   const Request& request) {
-  switch (request.kind) {
-    case RequestKind::kCost:
-    case RequestKind::kPrice:
-    case RequestKind::kPairPayment:
-    case RequestKind::kNextHop:
-    case RequestKind::kPath:
-      if (request.j < view.newest->node_count())
-        return view.for_destination(request.j);
-      break;
-    default:
-      break;
-  }
-  return *view.newest;
+/// One raw-convention read (the single-read conveniences) against a fresh
+/// cut, accounted as a batch of one.
+template <typename Read>
+auto read_one(const ShardedSnapshotStore& store, const ReadPath& reads,
+              Read read) {
+  const auto start = ReadPath::Clock::now();
+  const ShardedSnapshotStore::View view = store.acquire();
+  const std::uint64_t age_ns =
+      util::age_from(view.newest->published_at_ns(), util::wall_clock_ns());
+  auto value = read(view);
+  reads.record(1, age_ns, start);
+  return value;
 }
 
 }  // namespace
 
 std::vector<Reply> RouteService::query(std::span<const Request> batch) const {
-  const auto start = std::chrono::steady_clock::now();
-  const ShardedSnapshotStore::View view = store_.acquire();
-  // One wall-clock reading per batch: every reply reports the same age,
-  // and a remote server answering the same batch produces the same split
-  // between "answer" fields and provenance. Likewise one provenance — the
-  // composite version/stamp — regardless of which shard serves each reply.
-  const std::uint64_t now_ns = util::wall_clock_ns();
-  const ReplyProvenance provenance{view.newest->version(),
-                                   view.newest->published_at_ns()};
-  note_staleness(util::age_from(provenance.published_at_ns, now_ns));
-  std::vector<Reply> replies;
-  replies.reserve(batch.size());
-  for (const Request& request : batch)
-    replies.push_back(
-        answer(data_snapshot(view, request), provenance, request, now_ns));
-  count_batch(batch.size(), elapsed_ns(start));
-  return replies;
+  return reads_.query(&store_, batch);
 }
 
 Cost RouteService::price(NodeId k, NodeId i, NodeId j) const {
-  const auto start = std::chrono::steady_clock::now();
-  const ShardedSnapshotStore::View view = store_.acquire();
-  note_staleness(
-      util::age_from(view.newest->published_at_ns(), util::wall_clock_ns()));
-  const Cost p = view.for_destination(j).price(k, i, j);
-  count_batch(1, elapsed_ns(start));
-  return p;
+  return read_one(store_, reads_, [&](const ShardedSnapshotStore::View& v) {
+    return v.for_destination(j).price(k, i, j);
+  });
 }
 
 Cost RouteService::cost(NodeId i, NodeId j) const {
-  const auto start = std::chrono::steady_clock::now();
-  const ShardedSnapshotStore::View view = store_.acquire();
-  note_staleness(
-      util::age_from(view.newest->published_at_ns(), util::wall_clock_ns()));
-  const Cost c = view.for_destination(j).cost(i, j);
-  count_batch(1, elapsed_ns(start));
-  return c;
+  return read_one(store_, reads_, [&](const ShardedSnapshotStore::View& v) {
+    return v.for_destination(j).cost(i, j);
+  });
 }
 
 graph::Path RouteService::path(NodeId i, NodeId j) const {
-  const auto start = std::chrono::steady_clock::now();
-  const ShardedSnapshotStore::View view = store_.acquire();
-  note_staleness(
-      util::age_from(view.newest->published_at_ns(), util::wall_clock_ns()));
-  graph::Path p = view.for_destination(j).path(i, j);
-  count_batch(1, elapsed_ns(start));
-  return p;
+  return read_one(store_, reads_, [&](const ShardedSnapshotStore::View& v) {
+    return v.for_destination(j).path(i, j);
+  });
 }
 
 Cost::rep RouteService::payment(NodeId k) const {
-  const auto start = std::chrono::steady_clock::now();
-  const auto snap = snapshot();
-  note_staleness(util::age_from(snap->published_at_ns(), util::wall_clock_ns()));
-  const Cost::rep total = snap->payment_total(k);
-  count_batch(1, elapsed_ns(start));
-  return total;
-}
-
-void RouteService::count_batch(std::uint64_t queries, std::uint64_t ns) const {
-  queries_.fetch_add(queries, std::memory_order_relaxed);
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  total_ns_.fetch_add(ns, std::memory_order_relaxed);
-  std::uint64_t seen = max_batch_ns_.load(std::memory_order_relaxed);
-  while (ns > seen && !max_batch_ns_.compare_exchange_weak(
-                          seen, ns, std::memory_order_relaxed)) {
-  }
-}
-
-void RouteService::note_staleness(std::uint64_t age_ns) const {
-  std::uint64_t seen = max_staleness_ns_.load(std::memory_order_relaxed);
-  while (age_ns > seen && !max_staleness_ns_.compare_exchange_weak(
-                              seen, age_ns, std::memory_order_relaxed)) {
-  }
+  return read_one(store_, reads_, [&](const ShardedSnapshotStore::View& v) {
+    return v.newest->payment_total(k);
+  });
 }
 
 RouteService::Counters RouteService::counters() const {
   Counters c;
-  c.queries = queries_.load(std::memory_order_relaxed);
-  c.batches = batches_.load(std::memory_order_relaxed);
-  c.total_ns = total_ns_.load(std::memory_order_relaxed);
-  c.max_batch_ns = max_batch_ns_.load(std::memory_order_relaxed);
-  c.max_staleness_ns = max_staleness_ns_.load(std::memory_order_relaxed);
+  reads_.fill(c);
   c.publishes = store_.publish_count();
   c.deltas_applied = deltas_applied_.load(std::memory_order_relaxed);
   c.deltas_coalesced = deltas_coalesced_.load(std::memory_order_relaxed);
@@ -362,8 +291,6 @@ RouteService::Counters RouteService::counters() const {
   c.full_rebuilds = full_rebuilds_.load(std::memory_order_relaxed);
   c.publish_total_ns = publish_total_ns_.load(std::memory_order_relaxed);
   c.max_publish_ns = max_publish_ns_.load(std::memory_order_relaxed);
-  c.shard_exports_inflight_max =
-      shard_exports_inflight_max_.load(std::memory_order_relaxed);
   c.checkpoints_written = checkpoints_written_.load(std::memory_order_relaxed);
   c.checkpoint_bytes_written =
       checkpoint_bytes_written_.load(std::memory_order_relaxed);
@@ -393,7 +320,6 @@ util::Table RouteService::counters_table() const {
   t.add("mean publish latency (ns)",
         c.publishes == 0 ? 0 : c.publish_total_ns / c.publishes);
   t.add("max publish latency (ns)", c.max_publish_ns);
-  t.add("shard exports in flight (max)", c.shard_exports_inflight_max);
   t.add("checkpoints written", c.checkpoints_written);
   t.add("checkpoint bytes written", c.checkpoint_bytes_written);
   t.add("journal patches", c.journal_patches);
@@ -440,6 +366,14 @@ std::size_t RouteService::submit(const std::vector<Delta>& deltas) {
   }
   queue_cv_.notify_one();
   return accepted.size();
+}
+
+SubmitAck RouteService::submit_deltas(std::span<const Delta> deltas) {
+  SubmitAck ack;
+  ack.accepted = submit(std::vector<Delta>(deltas.begin(), deltas.end()));
+  if (ack.accepted > 0) drain();
+  ack.publish_count = publish_count();
+  return ack;
 }
 
 void RouteService::wait_for_publishes(std::uint64_t count) const {

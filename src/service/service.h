@@ -9,8 +9,8 @@
 //   readers ──► ShardedSnapshotStore::acquire() ──► consistent View
 //   updater ──► coalesce queued deltas ──► reconverge once per burst
 //           ──► dirty_destinations() ──► PublishPipeline::run
-//                 ├─ per-shard export tasks on the thread pool, each shard
-//                 │  published through an epoch fence as ITS export lands
+//                 ├─ CoW export of the dirty rows, one publish swapping
+//                 │  only the shards that hold them
 //                 └─ incremental checkpoint (base + patch journal) after
 //                    readers are on the new epoch
 //
@@ -36,6 +36,8 @@
 // Queries use the wire-stable service::Request/service::Reply model
 // (protocol.h), shared verbatim with the remote front end in src/net — a
 // local query() and a remote route_query return bit-identical answers.
+// RouteService implements service::Backend (backend.h) directly, so a
+// net::RouteServer fronts it with no adapter.
 //
 // A warm start (the snapshot-taking constructor) publishes a previously
 // saved snapshot as epoch 0 and serves it immediately; the session's first
@@ -58,6 +60,7 @@
 
 #include "payments/ledger.h"
 #include "pricing/session.h"
+#include "service/backend.h"
 #include "service/checkpoint.h"
 #include "service/pipeline.h"
 #include "service/protocol.h"
@@ -83,82 +86,15 @@ struct ServiceConfig {
   /// publish swaps only the shards whose destinations' sink trees changed;
   /// 1 degenerates to the whole-store swap of previous releases.
   std::size_t shards = 1;
-  /// Minimum thread-pool width for the publish pipeline's per-shard export
-  /// fan-out. 0 (or 1) reuses whatever pool the engine was configured
-  /// with; a larger value widens the engine pool (protocol results are
-  /// width-invariant) so exports overlap even when the protocol runs
-  /// serial.
-  unsigned export_threads = 0;
   /// Incremental checkpointing (fpss-snap v4 base + patch journal). The
   /// default (empty directory) disables it.
   CheckpointPolicy checkpoint;
 };
 
-class RouteService {
+class RouteService final : public Backend {
  public:
-  /// One topology/cost change, applied asynchronously by the updater.
-  struct Delta {
-    enum class Kind {
-      kCostChange,  ///< node u declares cost
-      kAddLink,     ///< link {u, v} comes up
-      kRemoveLink,  ///< link {u, v} goes down
-      kRepublish,   ///< no topology change; refresh payment totals
-    };
-    Kind kind = Kind::kRepublish;
-    NodeId u = kInvalidNode;
-    NodeId v = kInvalidNode;
-    Cost cost;
-
-    static Delta cost_change(NodeId node, Cost c) {
-      return {Kind::kCostChange, node, kInvalidNode, c};
-    }
-    static Delta add_link(NodeId a, NodeId b) {
-      return {Kind::kAddLink, a, b, Cost::zero()};
-    }
-    static Delta remove_link(NodeId a, NodeId b) {
-      return {Kind::kRemoveLink, a, b, Cost::zero()};
-    }
-    static Delta republish() { return {}; }
-  };
-
-  /// Aggregate read-side counters (monotone except the gauges;
-  /// relaxed-atomic maintained).
-  struct Counters {
-    std::uint64_t queries = 0;   ///< individual query answers produced
-    std::uint64_t batches = 0;   ///< query()/single-read calls served
-    std::uint64_t total_ns = 0;  ///< wall time summed over batches
-    std::uint64_t max_batch_ns = 0;
-    /// Worst snapshot age ever observed by a read (gauge, monotone max):
-    /// answer-time wall clock minus the served snapshot's publish stamp.
-    std::uint64_t max_staleness_ns = 0;
-    std::uint64_t publishes = 0;
-    std::uint64_t deltas_applied = 0;
-    /// Deltas that needed no reconvergence of their own because the
-    /// updater coalesced them into another delta of the same burst
-    /// (last-writer-wins per node/link; net no-ops dropped).
-    std::uint64_t deltas_coalesced = 0;
-    std::uint64_t charges = 0;  ///< charge() calls recorded
-    // Incremental-publication counters (PR 6). Cumulative over publishes.
-    std::uint64_t rows_rebuilt = 0;  ///< destination rows re-extracted
-    std::uint64_t rows_reused = 0;   ///< destination rows shared with prev
-    /// Shard slots actually swapped across all publishes (<= publishes *
-    /// shard count; the gap is the sharding win).
-    std::uint64_t shards_republished = 0;
-    /// Publishes that fell back to a full rebuild despite a previous
-    /// snapshot existing (topology generation moved, dirty tracking had no
-    /// usable answer). The unavoidable first build is not counted.
-    std::uint64_t full_rebuilds = 0;
-    std::uint64_t publish_total_ns = 0;  ///< export+publish wall time summed
-    std::uint64_t max_publish_ns = 0;
-    // Pipeline + checkpoint counters (PR 7).
-    /// High-water mark of per-shard export tasks concurrently in flight
-    /// (gauge, monotone max; 0 until a staged publish runs).
-    std::uint64_t shard_exports_inflight_max = 0;
-    std::uint64_t checkpoints_written = 0;  ///< bases + patch records
-    std::uint64_t checkpoint_bytes_written = 0;
-    std::uint64_t journal_patches = 0;  ///< per-destination block patches
-    std::uint64_t journal_compactions = 0;
-  };
+  using Delta = service::Delta;
+  using Counters = service::Counters;
 
   /// Converges the initial network on the calling thread, publishes
   /// snapshot #1, then starts the background updater.
@@ -176,7 +112,7 @@ class RouteService {
                std::shared_ptr<const RouteSnapshot> warm,
                ServiceConfig config = {});
 
-  ~RouteService();
+  ~RouteService() override;
 
   RouteService(const RouteService&) = delete;
   RouteService& operator=(const RouteService&) = delete;
@@ -187,7 +123,7 @@ class RouteService {
 
   /// The newest published snapshot — a full image of the latest epoch.
   /// Hold it to answer any number of queries against one consistent epoch.
-  std::shared_ptr<const RouteSnapshot> snapshot() const {
+  std::shared_ptr<const RouteSnapshot> snapshot() const override {
     return store_.newest();
   }
 
@@ -195,7 +131,7 @@ class RouteService {
   /// version and a publish stamp) and records batch latency + staleness
   /// into the counters. Malformed requests yield Status::kBadNode /
   /// kBadKind replies — never undefined behavior.
-  std::vector<Reply> query(std::span<const Request> batch) const;
+  std::vector<Reply> query(std::span<const Request> batch) const override;
 
   /// Single-read conveniences; each counts as a batch of one. These keep
   /// the raw snapshot conventions (infinite cost when unreachable, zero
@@ -205,7 +141,7 @@ class RouteService {
   graph::Path path(NodeId i, NodeId j) const;
   Cost::rep payment(NodeId k) const;
 
-  Counters counters() const;
+  Counters counters() const override;
   /// The counters as a stats-ready table (label/value rows), for the
   /// bench/example reports.
   util::Table counters_table() const;
@@ -233,8 +169,14 @@ class RouteService {
   std::size_t submit(Delta delta);
   std::size_t submit(const std::vector<Delta>& deltas)
       FPSS_EXCLUDES(queue_mutex_);
+  /// Submit-then-drain: returns once the accepted deltas are published, so
+  /// the ack carries the post-publish clock (the wire write contract).
+  /// Local callers that want bursts coalesced use submit() instead.
+  SubmitAck submit_deltas(std::span<const Delta> deltas) override;
 
-  std::uint64_t publish_count() const { return store_.publish_count(); }
+  std::uint64_t publish_count() const override {
+    return store_.publish_count();
+  }
   /// Composite version of the currently served state (the newest
   /// snapshot's version — what every reply in a batch reports).
   std::uint64_t version() const { return store_.version(); }
@@ -250,15 +192,17 @@ class RouteService {
   /// publish count either way. A subscription pusher polls this in slices
   /// so it can also observe connection teardown between publishes.
   std::uint64_t wait_for_publish_beyond(std::uint64_t count, int timeout_ms)
-      const FPSS_EXCLUDES(queue_mutex_);
+      const override FPSS_EXCLUDES(queue_mutex_);
 
-  /// The sharded publication store — the replication fetch path reads one
-  /// export_cut() from it per kSnapshotFetch.
+  /// The sharded publication store readers acquire from.
   const ShardedSnapshotStore& store() const { return store_; }
+  ShardedSnapshotStore::ExportCut export_cut() const override {
+    return store_.export_cut();
+  }
 
   /// Blocks until the delta queue is empty and everything submitted so far
   /// has been published; returns the served version.
-  std::uint64_t drain() FPSS_EXCLUDES(queue_mutex_);
+  std::uint64_t drain() override FPSS_EXCLUDES(queue_mutex_);
 
  private:
   void updater_loop();
@@ -268,8 +212,6 @@ class RouteService {
   bool delta_in_range(const Delta& delta) const;
   /// Builds a snapshot from the (converged) session and publishes it.
   void publish_current() FPSS_EXCLUDES(ledger_mutex_, queue_mutex_);
-  void count_batch(std::uint64_t queries, std::uint64_t ns) const;
-  void note_staleness(std::uint64_t age_ns) const;
 
   std::size_t node_count_;
   ServiceConfig config_;
@@ -317,12 +259,7 @@ class RouteService {
   bool stop_ FPSS_GUARDED_BY(queue_mutex_) = false;
   bool updater_busy_ FPSS_GUARDED_BY(queue_mutex_) = false;
 
-  // Read-side counters: relaxed atomics, written from any reader thread.
-  mutable std::atomic<std::uint64_t> queries_{0};
-  mutable std::atomic<std::uint64_t> batches_{0};
-  mutable std::atomic<std::uint64_t> total_ns_{0};
-  mutable std::atomic<std::uint64_t> max_batch_ns_{0};
-  mutable std::atomic<std::uint64_t> max_staleness_ns_{0};
+  ReadPath reads_;
   std::atomic<std::uint64_t> deltas_applied_{0};
   std::atomic<std::uint64_t> deltas_coalesced_{0};
   std::atomic<std::uint64_t> charges_{0};
@@ -334,7 +271,6 @@ class RouteService {
   std::atomic<std::uint64_t> full_rebuilds_{0};
   std::atomic<std::uint64_t> publish_total_ns_{0};
   std::atomic<std::uint64_t> max_publish_ns_{0};
-  std::atomic<std::uint64_t> shard_exports_inflight_max_{0};
   std::atomic<std::uint64_t> checkpoints_written_{0};
   std::atomic<std::uint64_t> checkpoint_bytes_written_{0};
   std::atomic<std::uint64_t> journal_patches_{0};

@@ -172,28 +172,6 @@ std::shared_ptr<const RouteSnapshot> RouteSnapshot::from_session_incremental(
   return snap;
 }
 
-std::shared_ptr<const RouteSnapshot> RouteSnapshot::cow_replace(
-    const RouteSnapshot& prev, const RouteSnapshot& donor,
-    std::span<const NodeId> take, std::uint64_t version) {
-  const std::size_t n = prev.n_;
-  FPSS_EXPECTS(donor.n_ == n);
-  auto snap = std::shared_ptr<RouteSnapshot>(new RouteSnapshot);
-  snap->n_ = n;
-  snap->version_ = version;
-  snap->graph_version_ = donor.graph_version_;
-  snap->published_at_ns_ = donor.published_at_ns_;
-  snap->node_cost_ = donor.node_cost_;
-  snap->blocks_ = prev.blocks_;
-  for (const NodeId j : take) {
-    FPSS_EXPECTS(j < n && donor.blocks_[j] != nullptr);
-    snap->blocks_[j] = donor.blocks_[j];
-  }
-  snap->owed_ = donor.owed_;
-  snap->settled_ = donor.settled_;
-  snap->seal();
-  return snap;
-}
-
 graph::Path RouteSnapshot::path(NodeId i, NodeId j) const {
   graph::Path p;
   if (i == j) return {i};

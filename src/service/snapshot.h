@@ -90,18 +90,6 @@ class RouteSnapshot {
       std::span<const NodeId> dirty, const payments::Ledger* ledger = nullptr,
       util::ThreadPool* pool = nullptr, SnapshotExportStats* stats = nullptr);
 
-  /// CoW surgery: a snapshot sharing every block of `prev` except the
-  /// destinations in `take`, whose blocks are shared from `donor` instead.
-  /// Global state (node costs, payment totals, graph version, publish
-  /// stamp) comes from `donor`; `version` labels the result. This is the
-  /// building block of the publish pipeline's per-shard intermediates (the
-  /// snapshot a shard slot serves while other shards are still exporting),
-  /// public so tests can fabricate fence-era views. Preconditions: equal
-  /// node counts, every id in `take` in range and non-null in `donor`.
-  static std::shared_ptr<const RouteSnapshot> cow_replace(
-      const RouteSnapshot& prev, const RouteSnapshot& donor,
-      std::span<const NodeId> take, std::uint64_t version);
-
   std::size_t node_count() const { return n_; }
   /// Converged-epoch label assigned at export.
   std::uint64_t version() const { return version_; }
@@ -168,7 +156,7 @@ class RouteSnapshot {
   friend struct CheckpointCodec;   ///< per-block patch journal (checkpoint.cpp)
   friend struct BlockCodec;        ///< shared v4 block encoding (blockio.h)
   friend struct ReplicationCodec;  ///< per-shard wire chunks (replication.h)
-  friend class PublishPipeline;    ///< writes dirty blocks in place (pipeline.cpp)
+  friend class PublishPipeline;    ///< adopts warm blocks (pipeline.cpp)
 
   /// Everything destination j's sink tree exports, immutable once built.
   /// The CSR is local (offset[0] == 0); `digest` folds the arrays once so
@@ -194,8 +182,8 @@ class RouteSnapshot {
   /// Common tail of both exports: payments, entry total, checksum.
   void finish(const payments::Ledger* ledger);
   /// The second half of finish(): entry total + checksum over blocks
-  /// already in place. The pipeline sets payments before its fan-out and
-  /// seals the merged snapshot after the per-shard tasks join.
+  /// already in place (the checkpoint and replication decoders fill the
+  /// blocks themselves and seal afterwards).
   void seal();
   /// Folds every field into the digest in serialization order.
   std::uint64_t compute_checksum() const;

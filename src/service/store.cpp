@@ -7,20 +7,6 @@
 
 namespace fpss::service {
 
-std::shared_ptr<const RouteSnapshot> SnapshotStore::publish(
-    std::shared_ptr<const RouteSnapshot> snapshot) {
-  FPSS_EXPECTS(snapshot != nullptr);
-  const std::uint64_t version = snapshot->version();
-  std::shared_ptr<const RouteSnapshot> previous;
-  {
-    util::MutexLock lock(mutex_);
-    previous = std::exchange(current_, std::move(snapshot));
-    ++publishes_;
-  }
-  FPSS_ASSERT(previous == nullptr || previous->version() <= version);
-  return previous;
-}
-
 namespace {
 
 std::size_t clamp_shards(std::size_t node_count, std::size_t shard_count) {
@@ -60,7 +46,6 @@ std::size_t ShardedSnapshotStore::publish(
   displaced.reserve(shard_count_ + 1);
   {
     util::MutexLock lock(mutex_);
-    FPSS_EXPECTS(!fence_open_);  // direct publish may not cross a fence
     FPSS_ASSERT(newest_ == nullptr || newest_->version() <= version);
     for (std::size_t s = 0; s < shard_count_; ++s) {
       if (!shard_dirty[s] && shards_[s] != nullptr) continue;
@@ -79,71 +64,15 @@ std::size_t ShardedSnapshotStore::publish_all(
                  std::vector<bool>(shard_count_, true));
 }
 
-void ShardedSnapshotStore::fence_begin(std::uint64_t version) {
-  util::MutexLock lock(mutex_);
-  FPSS_EXPECTS(!fence_open_);
-  FPSS_EXPECTS(newest_ == nullptr || newest_->version() <= version);
-  fence_open_ = true;
-  fence_version_ = version;
-  fence_touched_.assign(shard_count_, false);
-}
-
-void ShardedSnapshotStore::publish_shard(
-    std::size_t shard, std::shared_ptr<const RouteSnapshot> snapshot) {
-  FPSS_EXPECTS(snapshot != nullptr);
-  FPSS_EXPECTS(shard < shard_count_);
-  std::shared_ptr<const RouteSnapshot> displaced;
-  {
-    util::MutexLock lock(mutex_);
-    FPSS_EXPECTS(fence_open_);
-    FPSS_EXPECTS(snapshot->version() == fence_version_);
-    displaced = std::exchange(shards_[shard], std::move(snapshot));
-    fence_touched_[shard] = true;
-  }
-}
-
-std::size_t ShardedSnapshotStore::fence_end(
-    std::shared_ptr<const RouteSnapshot> merged) {
-  FPSS_EXPECTS(merged != nullptr);
-  std::size_t swapped = 0;
-  std::vector<std::shared_ptr<const RouteSnapshot>> displaced;
-  displaced.reserve(shard_count_ + 1);
-  {
-    util::MutexLock lock(mutex_);
-    FPSS_EXPECTS(fence_open_);
-    FPSS_EXPECTS(merged->version() == fence_version_);
-    for (std::size_t s = 0; s < shard_count_; ++s) {
-      if (!fence_touched_[s] && shards_[s] != nullptr) continue;
-      displaced.push_back(std::exchange(shards_[s], merged));
-      ++swapped;
-    }
-    displaced.push_back(std::exchange(newest_, std::move(merged)));
-    ++publishes_;
-    fence_open_ = false;
-    fence_touched_.clear();
-  }
-  return swapped;
-}
-
 ShardedSnapshotStore::ExportCut ShardedSnapshotStore::export_cut() const {
   ExportCut cut;
   cut.shard_versions.assign(shard_count_, 0);
+  cut.shard_size = shard_size_;
   util::MutexLock lock(mutex_);
   cut.newest = newest_;
-  const std::uint64_t ceiling =
-      newest_ == nullptr ? 0 : newest_->version();
   for (std::size_t s = 0; s < shard_count_; ++s)
-    if (shards_[s] != nullptr)
-      cut.shard_versions[s] = std::min(shards_[s]->version(), ceiling);
+    if (shards_[s] != nullptr) cut.shard_versions[s] = shards_[s]->version();
   return cut;
-}
-
-std::vector<std::uint64_t> ShardedSnapshotStore::shard_versions() const {
-  std::vector<std::uint64_t> versions(shard_count_, 0);
-  util::MutexLock lock(mutex_);
-  for (std::size_t s = 0; s < shard_count_; ++s)
-    if (shards_[s] != nullptr) versions[s] = shards_[s]->version();
-  return versions;
 }
 
 }  // namespace fpss::service

@@ -19,7 +19,7 @@
 // whole point of this store is to be provably torn-read-free under TSan
 // (see test_service.cpp / the CI tsan job). The mutex never serializes
 // readers against reconvergence — only against the nanoseconds-long
-// pointer swap itself; everything after current() is lock-free.
+// pointer swap itself; everything after acquire() is lock-free.
 #pragma once
 
 #include <cstdint>
@@ -31,40 +31,6 @@
 #include "util/types.h"
 
 namespace fpss::service {
-
-class SnapshotStore {
- public:
-  /// The latest published snapshot (null until the first publish). The
-  /// returned reference keeps that snapshot alive for as long as the
-  /// caller holds it, regardless of later publishes.
-  std::shared_ptr<const RouteSnapshot> current() const FPSS_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    return current_;
-  }
-
-  /// Atomically replaces the served snapshot; returns the one it displaced
-  /// (null on the first publish). Versions must be non-decreasing — an
-  /// updater must never publish a stale epoch over a newer one.
-  std::shared_ptr<const RouteSnapshot> publish(
-      std::shared_ptr<const RouteSnapshot> snapshot) FPSS_EXCLUDES(mutex_);
-
-  /// Number of publishes so far.
-  std::uint64_t publish_count() const FPSS_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    return publishes_;
-  }
-
-  /// Version of the served snapshot; 0 before the first publish.
-  std::uint64_t version() const {
-    const auto snap = current();
-    return snap == nullptr ? 0 : snap->version();
-  }
-
- private:
-  mutable util::Mutex mutex_;
-  std::shared_ptr<const RouteSnapshot> current_ FPSS_GUARDED_BY(mutex_);
-  std::uint64_t publishes_ FPSS_GUARDED_BY(mutex_) = 0;
-};
 
 /// The k-shard publication point: destinations are partitioned into k
 /// contiguous ranges ("shards", shard_of(j) = j / ceil(n/k)) and each
@@ -83,15 +49,13 @@ class SnapshotStore {
 /// composite provenance (version, publish stamp) every reply in a query
 /// batch reports, regardless of which slot served it.
 ///
-/// Same locking rationale as SnapshotStore: a mutex over k+1 refcount
-/// copies, deliberately not std::atomic<shared_ptr> (see the file
-/// comment), and additionally the only way k slots can be read as one
-/// atomic cut at all.
+/// The mutex (see the file comment) is also the only way k slots can be
+/// read as one atomic cut at all.
 class ShardedSnapshotStore {
  public:
   /// Partitions `node_count` destinations into `shard_count` contiguous
   /// shards. shard_count is clamped to [1, max(1, node_count)]; with one
-  /// shard this degenerates to SnapshotStore behaviour.
+  /// shard every publish is a whole-store pointer swap.
   ShardedSnapshotStore(std::size_t node_count, std::size_t shard_count);
 
   std::size_t shard_count() const { return shard_count_; }
@@ -139,41 +103,6 @@ class ShardedSnapshotStore {
   std::size_t publish_all(std::shared_ptr<const RouteSnapshot> snapshot)
       FPSS_EXCLUDES(mutex_);
 
-  /// Epoch fence: the out-of-order publication window used by the staged
-  /// publish pipeline. Between fence_begin(v) and fence_end(), export tasks
-  /// running on pool workers call publish_shard() in *completion* order —
-  /// a cheap shard's new rows become readable the moment its export
-  /// finishes, without waiting on any other shard.
-  ///
-  /// Read guarantee while a fence is open (the relaxation of the strict
-  /// contract above): acquire() still returns one locked cut, but its slots
-  /// may mix at most the two adjacent epochs v-1 and v — never anything
-  /// older, never a partial shard. Each slot that has landed serves its own
-  /// shard's destinations from exactly the blocks the merged epoch-v
-  /// snapshot will hold (the pipeline shares the BlockPtrs), so a
-  /// destination's answer is always internally consistent; `newest` keeps
-  /// reporting v-1 until fence_end, so the composite version a reader
-  /// stamps on replies is a correct lower bound. fence_end(merged) installs
-  /// the merged snapshot as `newest` and over every slot the fence touched
-  /// (block-identical to the intermediates it replaces), restoring the
-  /// strict every-block-shared-with-newest invariant.
-  ///
-  /// Ownership: one fence at a time, begun and ended by the updater;
-  /// publish_shard may be called from any thread while the fence is open.
-  /// A fence counts as one publish (tallied at fence_end).
-  void fence_begin(std::uint64_t version) FPSS_EXCLUDES(mutex_);
-  /// Installs `snapshot` (an epoch-`version` intermediate whose shard
-  /// `shard` rows are final) into that slot. Requires an open fence and
-  /// snapshot->version() == the fence's version.
-  void publish_shard(std::size_t shard,
-                     std::shared_ptr<const RouteSnapshot> snapshot)
-      FPSS_EXCLUDES(mutex_);
-  /// Closes the fence; returns the number of distinct shard slots swapped
-  /// across the whole fence (publish_shard landings + never-published slots
-  /// filled here).
-  std::size_t fence_end(std::shared_ptr<const RouteSnapshot> merged)
-      FPSS_EXCLUDES(mutex_);
-
   std::uint64_t publish_count() const FPSS_EXCLUDES(mutex_) {
     util::MutexLock lock(mutex_);
     return publishes_;
@@ -185,19 +114,14 @@ class ShardedSnapshotStore {
     return snap == nullptr ? 0 : snap->version();
   }
 
-  /// Per-shard snapshot versions (0 for never-published slots): how far
-  /// behind `version()` each shard's last-changed publish is. Diagnostics.
-  std::vector<std::uint64_t> shard_versions() const FPSS_EXCLUDES(mutex_);
-
-  /// One replication cut: `newest` plus the per-shard versions, read under
-  /// a single lock so they describe the same instant. Slot versions are
-  /// clamped to newest->version() — while a fence is open a landed slot
-  /// carries the *next* epoch, which must not leak into the negotiation
-  /// state a replica echoes back (it would mark the shard clean before the
-  /// merged snapshot exists).
+  /// One replication cut: `newest` plus the per-shard versions (0 for a
+  /// never-published slot: how far behind `newest` each shard's
+  /// last-changed publish is), read under a single lock so they describe
+  /// the same instant, plus the partition's shard size.
   struct ExportCut {
     std::shared_ptr<const RouteSnapshot> newest;  ///< null before 1st publish
     std::vector<std::uint64_t> shard_versions;
+    std::size_t shard_size = 1;
   };
   ExportCut export_cut() const FPSS_EXCLUDES(mutex_);
 
@@ -209,15 +133,6 @@ class ShardedSnapshotStore {
   std::vector<std::shared_ptr<const RouteSnapshot>> shards_
       FPSS_GUARDED_BY(mutex_);
   std::uint64_t publishes_ FPSS_GUARDED_BY(mutex_) = 0;
-  // The fence bookkeeping is mutex_-guarded like everything else; the fence
-  // *protocol* (one open fence, begun/ended by the updater, landings from
-  // pool workers) is a cross-thread handoff outside the analysis' lock-based
-  // model and stays runtime-asserted (FPSS_EXPECTS) + TSan-verified. See
-  // DESIGN.md §14.
-  bool fence_open_ FPSS_GUARDED_BY(mutex_) = false;
-  std::uint64_t fence_version_ FPSS_GUARDED_BY(mutex_) = 0;
-  /// Slots landed during the open fence.
-  std::vector<bool> fence_touched_ FPSS_GUARDED_BY(mutex_);
 };
 
 }  // namespace fpss::service

@@ -19,8 +19,8 @@
 #include "net/remote_backend.h"
 #include "net/server.h"
 #include "replica/replica.h"
+#include "service/backend.h"
 #include "service/protocol.h"
-#include "service/query_backend.h"
 #include "service/service.h"
 #include "util/rng.h"
 
@@ -229,7 +229,7 @@ TEST(ChainE2E, HopCountAndSyncLagCompoundDownTheChain) {
   EXPECT_EQ(mid_counters.replica.hop_count, 1u);
   EXPECT_GT(mid_counters.replica.sync_lag_ns, 0u);
 
-  const auto leaf_counters = leaf_backend.full_counters();
+  const auto leaf_counters = leaf_backend.counters();
   ASSERT_TRUE(leaf_counters.ok());
   ASSERT_TRUE(leaf_counters.has_replica);
   EXPECT_EQ(leaf_counters.replica.hop_count, 2u);
@@ -260,20 +260,19 @@ TEST(ChainFailover, FallbackListSkipsDeadUpstream) {
             primary.version());
 
   // A write entering this replica forwards through the live entry.
-  replica::ReplicaQueryBackend backend(replica);
-  const auto ack = backend.submit_delta(
-      RouteService::Delta::cost_change(0, Cost{6}));
+  const auto ack = replica.submit_deltas(std::vector<RouteService::Delta>{
+      RouteService::Delta::cost_change(0, Cost{6})});
   ASSERT_TRUE(ack.ok()) << ack.error;
   EXPECT_EQ(ack.accepted, 1u);
-  ASSERT_GE(backend.wait_for_publish_beyond(ack.publish_count - 1, 10000),
+  ASSERT_GE(replica.wait_for_publish_beyond(ack.publish_count - 1, 10000),
             ack.publish_count);
 
   const auto batch = random_batch(n, 94);
   const auto from_primary = primary.query(batch);
-  const auto local = backend.query_batch(batch);
-  ASSERT_TRUE(local.ok());
+  const auto local = replica.query(batch);
+  ASSERT_EQ(local.size(), batch.size());
   for (std::size_t q = 0; q < batch.size(); ++q)
-    EXPECT_TRUE(service::same_answer(from_primary[q], local.replies[q])) << q;
+    EXPECT_TRUE(service::same_answer(from_primary[q], local[q])) << q;
 
   EXPECT_GE(replica.replication_counters().deltas_forwarded, 1u);
 }
@@ -298,9 +297,9 @@ TEST(ChainFailover, PrimaryKillMidChurnDegradesThenRecovers) {
 
   // Pre-kill churn, including a forwarded write (so the forwarding
   // connection exists and must also fail over).
-  const auto pre_ack = replica.submit(std::vector<RouteService::Delta>{
+  const auto pre_ack = replica.submit_deltas(std::vector<RouteService::Delta>{
       RouteService::Delta::cost_change(1, Cost{3})});
-  ASSERT_EQ(pre_ack.status, net::Backend::SubmitOutcome::Status::kOk);
+  ASSERT_EQ(pre_ack.status, service::SubmitAck::Status::kOk);
   ASSERT_GE(replica.wait_for_publish_beyond(pre_ack.publish_count - 1, 10000),
             pre_ack.publish_count);
 
@@ -344,9 +343,9 @@ TEST(ChainFailover, PrimaryKillMidChurnDegradesThenRecovers) {
 
   // The forwarding path recovered too (its pre-kill connection is dead;
   // the retry loop re-dials through the shared cursor).
-  const auto post_ack = replica.submit(std::vector<RouteService::Delta>{
+  const auto post_ack = replica.submit_deltas(std::vector<RouteService::Delta>{
       RouteService::Delta::cost_change(2, Cost{5})});
-  EXPECT_EQ(post_ack.status, net::Backend::SubmitOutcome::Status::kOk);
+  EXPECT_EQ(post_ack.status, service::SubmitAck::Status::kOk);
   ASSERT_GE(replica.wait_for_publish_beyond(post_ack.publish_count - 1, 10000),
             post_ack.publish_count);
 
@@ -385,13 +384,12 @@ TEST(ChainBackpressure, InflightLimitZeroRejectsTypedOverTheWire) {
   ASSERT_TRUE(rejected.error.wire_status.has_value());
   EXPECT_EQ(*rejected.error.wire_status, net::WireStatus::kOverloaded);
 
-  // The unified backend surfaces the same code.
+  // The remote client surfaces the same code as a typed ack status.
   net::RemoteQueryBackend backend(to_port(front.port()));
-  const auto ack = backend.submit_delta(
-      RouteService::Delta::cost_change(0, Cost{2}));
+  const auto ack = backend.submit_deltas(std::vector<RouteService::Delta>{
+      RouteService::Delta::cost_change(0, Cost{2})});
   EXPECT_FALSE(ack.ok());
-  ASSERT_TRUE(backend.last_submit_status().has_value());
-  EXPECT_EQ(*backend.last_submit_status(), net::WireStatus::kOverloaded);
+  EXPECT_EQ(ack.status, service::SubmitAck::Status::kOverloaded);
 
   // Rejected means NOT applied: the chain clock never moved.
   EXPECT_EQ(replica.publish_count(), clock_before);
@@ -409,18 +407,11 @@ TEST(ChainBackpressure, DeadUpstreamFailsUnavailableWithinRetryBudget) {
   config.forward_backoff_ms = 1;
   ReplicaService replica(config);
 
-  const auto outcome = replica.submit(std::vector<RouteService::Delta>{
+  const auto outcome = replica.submit_deltas(std::vector<RouteService::Delta>{
       RouteService::Delta::cost_change(0, Cost{9})});
-  EXPECT_EQ(outcome.status, net::Backend::SubmitOutcome::Status::kUnavailable);
+  EXPECT_EQ(outcome.status, service::SubmitAck::Status::kUnavailable);
   EXPECT_EQ(outcome.accepted, 0u);
   EXPECT_GE(replica.replication_counters().forward_retries, 2u);
-
-  // The adapter turns the typed status into a telling error.
-  replica::ReplicaQueryBackend backend(replica);
-  const auto ack = backend.submit_delta(
-      RouteService::Delta::cost_change(0, Cost{9}));
-  EXPECT_FALSE(ack.ok());
-  EXPECT_NE(ack.error.find("upstream"), std::string::npos) << ack.error;
   replica.stop();
 }
 

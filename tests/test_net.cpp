@@ -10,8 +10,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -786,6 +788,84 @@ TEST(RouteServerNet, GracefulStopDrainsAndRefusesNewWork) {
   config.connect_attempts = 1;
   net::RouteClient late(config);
   EXPECT_FALSE(late.connect().ok());
+}
+
+// The hunt for torn notify metadata: under delta churn, every
+// kPublishNotify's (version, stamp) pair must belong to one snapshot the
+// primary actually published. Reading the two in separate calls lets a
+// publish land in between and pair one snapshot's version with the next
+// one's stamp.
+TEST(RouteServerNet, NotifyVersionAndStampComeFromOnePublishedSnapshot) {
+  const graph::Graph g = test::make_instance({"er", 12, 74, 6});
+  const NodeId n = static_cast<NodeId>(g.node_count());
+  RouteService svc(g);
+  constexpr std::size_t kSubscribers = 6;
+  net::ServerConfig server_config;
+  server_config.workers = kSubscribers + 1;
+  net::RouteServer server(svc, server_config);
+  ASSERT_TRUE(server.ok()) << server.error();
+  net::ClientConfig config;
+  config.port = server.port();
+
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> subscribed{0};
+  // Readers hammering the store, as serving readers do: their lock traffic
+  // is what stretches a pusher's gap between two separate reads.
+  std::vector<std::thread> threads;
+  for (int r = 0; r < 2; ++r)
+    threads.emplace_back([&] {
+      while (!done.load(std::memory_order_relaxed)) svc.snapshot();
+    });
+  std::vector<std::vector<net::PublishNotify>> notifies(kSubscribers);
+  for (std::size_t s = 0; s < kSubscribers; ++s)
+    threads.emplace_back([&, s] {
+      net::RouteClient client(config);
+      net::NotifyResult ack;
+      if (client.connect().ok()) ack = client.subscribe(0);
+      subscribed.fetch_add(1);
+      if (!client.subscribed()) return;
+      notifies[s].push_back(ack.notify);
+      while (!done.load(std::memory_order_relaxed)) {
+        const auto pushed = client.await_notify(20);
+        if (pushed.ok())
+          notifies[s].push_back(pushed.notify);
+        else if (pushed.error.status != net::ClientStatus::kTimeout)
+          return;
+      }
+    });
+  while (subscribed.load() < kSubscribers)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  // Every snapshot the primary publishes, by version: this thread is the
+  // only writer and drains each delta, so each publish is the newest
+  // snapshot until the next submit. Every delta is a real cost change, so
+  // each publish has a version of its own.
+  std::map<std::uint64_t, std::uint64_t> published;
+  const auto record = [&] {
+    const auto snap = svc.snapshot();
+    published.emplace(snap->version(), snap->published_at_ns());
+  };
+  record();
+  for (NodeId w = 0; w < 600; ++w) {
+    svc.submit(RouteService::Delta::cost_change(
+        w % n, Cost{static_cast<Cost::rep>(100 + w)}));
+    svc.drain();
+    record();
+  }
+  done.store(true, std::memory_order_relaxed);
+  for (auto& t : threads) t.join();
+
+  std::size_t total = 0;
+  for (const auto& list : notifies)
+    for (const net::PublishNotify& notify : list) {
+      ++total;
+      const auto found = published.find(notify.snapshot_version);
+      ASSERT_NE(found, published.end())
+          << "version " << notify.snapshot_version;
+      EXPECT_EQ(notify.published_at_ns, found->second)
+          << "version " << notify.snapshot_version;
+    }
+  EXPECT_GT(total, kSubscribers);
 }
 
 // --- warm start ------------------------------------------------------------

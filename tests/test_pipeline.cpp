@@ -1,25 +1,18 @@
-// Staged publish pipeline (PR 7): per-shard export tasks on the engine
-// thread pool, each shard published through the store's epoch fence the
-// moment its own export completes.
+// The publish pipeline: a converged session's export published into the
+// sharded store in one step — a full build (with warm-start digest
+// adoption) when no copy-on-write base is usable, otherwise an incremental
+// export of the dirty rows that swaps only their shards.
 //
 // The load-bearing properties:
-//   1. The staged fan-out is *logically identical* to the inline export —
-//      same content checksum, same self_check — for any dirty set.
-//   2. A shard's dirty burst becomes readable without waiting on any other
-//      shard's export (the acceptance criterion; pinned on real
-//      export-completion ordering via the pipeline hooks).
-//   3. While a fence is open, readers may observe at most the two adjacent
-//      epochs v-1/v in one acquired cut — never anything older, never a
-//      torn row. The reader-vs-fence test is part of the CI tsan job.
+//   1. A pooled incremental publish is *logically identical* to a full
+//      export — same content checksum, same self_check — for any dirty set,
+//      and leaves the store on the strict every-block-shared invariant.
+//   2. A warm start adopts the disk image's blocks wherever the digests
+//      match, so only genuinely changed shards are swapped.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common.h"
@@ -27,11 +20,9 @@
 #include "graph/graph.h"
 #include "pricing/session.h"
 #include "service/pipeline.h"
-#include "service/service.h"
 #include "service/snapshot.h"
 #include "service/store.h"
 #include "util/rng.h"
-#include "util/task_group.h"
 #include "util/thread_pool.h"
 
 namespace fpss {
@@ -39,12 +30,9 @@ namespace {
 
 using pricing::RestartPolicy;
 using pricing::Session;
-using service::PipelineHooks;
 using service::PipelineStats;
 using service::PublishPipeline;
-using service::RouteService;
 using service::RouteSnapshot;
-using service::ServiceConfig;
 using service::ShardedSnapshotStore;
 
 // Two disjoint 6-cycles (same shape as test_publish's fixture): a cost
@@ -61,36 +49,6 @@ graph::Graph two_cycles() {
   return g;
 }
 
-// --- util::TaskGroup -------------------------------------------------------
-
-TEST(TaskGroup, SerialFallbackRunsInOrder) {
-  util::TaskGroup group(nullptr);
-  EXPECT_EQ(group.run_and_wait(), 0u);  // empty group
-
-  std::vector<int> order;
-  for (int t = 0; t < 4; ++t)
-    group.add([&order, t] { order.push_back(t); });
-  EXPECT_EQ(group.size(), 4u);
-  EXPECT_EQ(group.run_and_wait(), 1u);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-  // The group is reusable after a run.
-  EXPECT_EQ(group.size(), 0u);
-}
-
-TEST(TaskGroup, PooledRunExecutesEveryTaskOnce) {
-  util::ThreadPool pool(3);
-  util::TaskGroup group(&pool);
-  constexpr std::size_t kTasks = 16;
-  std::vector<std::atomic<int>> runs(kTasks);
-  for (std::size_t t = 0; t < kTasks; ++t)
-    group.add([&runs, t] { runs[t].fetch_add(1, std::memory_order_relaxed); });
-  const unsigned high_water = group.run_and_wait();
-  EXPECT_GE(high_water, 1u);
-  EXPECT_LE(high_water, pool.width());
-  for (std::size_t t = 0; t < kTasks; ++t)
-    EXPECT_EQ(runs[t].load(), 1) << "t=" << t;
-}
-
 TEST(EnginePool, EnsurePoolWidensButNeverShrinks) {
   Session session(two_cycles(), pricing::Protocol::kPriceVector);
   ASSERT_TRUE(session.run().converged);
@@ -105,9 +63,9 @@ TEST(EnginePool, EnsurePoolWidensButNeverShrinks) {
           .converged);
 }
 
-// --- staged == inline ------------------------------------------------------
+// --- pooled incremental == full -------------------------------------------
 
-TEST(PublishPipeline, StagedFanOutEqualsInlineExport) {
+TEST(PublishPipeline, PooledExportEqualsFullExport) {
   const std::vector<test::InstanceSpec> specs = {
       {"er", 24, 211, 10},
       {"ba", 24, 212, 8},
@@ -131,7 +89,6 @@ TEST(PublishPipeline, StagedFanOutEqualsInlineExport) {
         store, nullptr, nullptr, session, prev_epoch, std::nullopt, nullptr,
         pool, &first);
     ASSERT_TRUE(prev->self_check());
-    EXPECT_FALSE(first.pipelined);
     EXPECT_FALSE(first.full_rebuild);
     EXPECT_EQ(first.rows_rebuilt, n);
     EXPECT_EQ(first.shards_swapped, store.shard_count());
@@ -163,19 +120,15 @@ TEST(PublishPipeline, StagedFanOutEqualsInlineExport) {
                                              &stats);
       const auto full = RouteSnapshot::from_session(session, epoch);
 
-      // Logically identical to a one-shot export no matter which path ran.
+      // Logically identical to a one-shot export.
       EXPECT_TRUE(snap->self_check());
       EXPECT_EQ(snap->content_checksum(), full->content_checksum());
-      EXPECT_EQ(stats.pipelined, dirty_shards > 1 && pool->width() > 1);
       EXPECT_FALSE(stats.full_rebuild);
       EXPECT_EQ(stats.rows_rebuilt, dirty->size());
       EXPECT_EQ(stats.rows_reused, n - dirty->size());
       EXPECT_EQ(stats.shards_swapped, dirty_shards);
-      if (stats.pipelined) {
-        EXPECT_GE(stats.max_exports_inflight, 1u);
-      }
 
-      // After fence_end the strict store invariant is restored: every
+      // The strict store invariant holds after every publish: every
       // destination's block in the acquired cut is the newest root's.
       const auto view = store.acquire();
       ASSERT_FALSE(view.empty());
@@ -187,204 +140,6 @@ TEST(PublishPipeline, StagedFanOutEqualsInlineExport) {
       prev_epoch = epoch;
     }
   }
-}
-
-// --- the acceptance criterion: no cross-shard waiting ----------------------
-
-// A burst dirtying two shards, with shard `slow`'s export stalled until
-// shard `fast` has *published*. If a shard's publish had to wait for the
-// whole fan-out (the pre-pipeline behaviour), this handshake would
-// deadlock; instead the test asserts on real completion ordering: fast's
-// rows were served mid-fence while slow's export had not even run.
-TEST(PublishPipeline, SingleShardBurstSwapsWithoutWaitingOnOtherExports) {
-  const graph::Graph g = two_cycles();
-  const std::size_t n = g.node_count();
-  Session session(g, pricing::Protocol::kPriceVector);
-  session.track_dirty_destinations(true);
-  ASSERT_TRUE(session.run().converged);
-  util::ThreadPool* pool = session.engine().ensure_pool(2);
-  ASSERT_GE(pool->width(), 2u);
-
-  // Shard 0 = destinations 0-5 (first cycle), shard 1 = 6-11 (second).
-  ShardedSnapshotStore store(n, 2);
-  ASSERT_EQ(store.shard_size(), 6u);
-  const std::uint64_t epoch0 = session.engine().converged_epochs();
-  const auto prev = PublishPipeline::run(store, nullptr, nullptr, session,
-                                         epoch0, std::nullopt, nullptr, pool);
-
-  // One big cost change per component: both shards dirty, one burst.
-  const std::vector<Session::Event> burst = {
-      Session::Event::cost_change(1, Cost{50}),
-      Session::Event::cost_change(7, Cost{60}),
-  };
-  ASSERT_TRUE(
-      session.apply_events(burst, RestartPolicy::kRestartBarrier).converged);
-  const std::uint64_t epoch1 = session.engine().converged_epochs();
-  const auto dirty = session.dirty_destinations(epoch0);
-  ASSERT_TRUE(dirty.has_value());
-  NodeId fast_dirty = kInvalidNode;
-  bool slow_shard_dirty = false;
-  for (const NodeId j : *dirty) {
-    if (store.shard_of(j) == 0 && fast_dirty == kInvalidNode) fast_dirty = j;
-    if (store.shard_of(j) == 1) slow_shard_dirty = true;
-  }
-  ASSERT_NE(fast_dirty, kInvalidNode);
-  ASSERT_TRUE(slow_shard_dirty);
-
-  constexpr std::size_t kFast = 0;  // shard 1 is the stalled ("slow") one
-  std::mutex m;
-  std::condition_variable cv;
-  bool slow_started = false, fast_published = false, slow_published = false;
-  bool fast_landed_before_slow_finished = false;
-  bool mid_fence_serves_fast_rows = false;
-  std::uint64_t mid_newest_version = 0, mid_fast_slot_version = 0;
-
-  PipelineHooks hooks;
-  hooks.before_export = [&](std::size_t shard) {
-    std::unique_lock<std::mutex> lock(m);
-    if (shard == kFast) {
-      // Both exports are in flight before either finishes: the overlap the
-      // high-water counter must report.
-      cv.wait(lock, [&] { return slow_started; });
-    } else {
-      slow_started = true;
-      cv.notify_all();
-      cv.wait(lock, [&] { return fast_published; });
-    }
-  };
-  hooks.after_shard_publish = [&](std::size_t shard) {
-    if (shard == kFast) {
-      // Mid-fence probe, taken while the slow export is provably stalled:
-      // the fast shard's fresh rows are already being served, the
-      // composite version still reports the previous epoch (lower bound).
-      const auto view = store.acquire();
-      std::unique_lock<std::mutex> lock(m);
-      fast_landed_before_slow_finished = !slow_published;
-      mid_newest_version = view.newest->version();
-      mid_fast_slot_version = view.shards[kFast]->version();
-      mid_fence_serves_fast_rows =
-          !view.shards[kFast]->shares_block_with(*prev, fast_dirty);
-      fast_published = true;
-      cv.notify_all();
-    } else {
-      std::lock_guard<std::mutex> lock(m);
-      slow_published = true;
-    }
-  };
-
-  PipelineStats stats;
-  const auto snap = PublishPipeline::run(store, prev, nullptr, session, epoch1,
-                                         dirty, nullptr, pool, &stats, &hooks);
-
-  EXPECT_TRUE(stats.pipelined);
-  EXPECT_EQ(stats.max_exports_inflight, 2u);
-  EXPECT_EQ(stats.shards_swapped, 2u);
-  EXPECT_TRUE(fast_landed_before_slow_finished);
-  EXPECT_TRUE(mid_fence_serves_fast_rows);
-  EXPECT_EQ(mid_newest_version, epoch0);
-  EXPECT_EQ(mid_fast_slot_version, epoch1);
-
-  // And the fence closed into a fully consistent, current state.
-  EXPECT_TRUE(snap->self_check());
-  EXPECT_EQ(snap->node_cost(1), Cost{50});
-  EXPECT_EQ(snap->node_cost(7), Cost{60});
-  EXPECT_EQ(store.version(), epoch1);
-  const auto full = RouteSnapshot::from_session(session, epoch1);
-  EXPECT_EQ(snap->content_checksum(), full->content_checksum());
-  const auto view = store.acquire();
-  for (NodeId j = 0; j < n; ++j)
-    EXPECT_TRUE(view.for_destination(j).shares_block_with(*snap, j));
-  // One fence = one publish.
-  EXPECT_EQ(store.publish_count(), 2u);
-}
-
-// --- readers vs. out-of-order shard landings (the TSan hunt) ---------------
-
-TEST(PublishPipeline, ReadersNeverMixNonAdjacentEpochsAcrossFences) {
-  const graph::Graph g = two_cycles();
-  const std::size_t n = g.node_count();
-  Session session(g, pricing::Protocol::kPriceVector);
-  session.track_dirty_destinations(true);
-  ASSERT_TRUE(session.run().converged);
-  util::ThreadPool* pool = session.engine().ensure_pool(3);
-
-  ShardedSnapshotStore store(n, 4);
-  std::uint64_t prev_epoch = session.engine().converged_epochs();
-  std::shared_ptr<const RouteSnapshot> prev = PublishPipeline::run(
-      store, nullptr, nullptr, session, prev_epoch, std::nullopt, nullptr,
-      pool);
-
-  std::atomic<bool> done{false};
-  std::atomic<std::uint64_t> views_checked{0};
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&store, &done, &views_checked, n] {
-      std::uint64_t last_version = 0;
-      while (!done.load(std::memory_order_relaxed)) {
-        const auto view = store.acquire();
-        if (view.empty()) continue;
-        const std::uint64_t newest = view.newest->version();
-        EXPECT_GE(newest, last_version);
-        last_version = newest;
-        std::uint64_t lead_version = 0;  // the one in-flight fence epoch
-        for (std::size_t s = 0; s < view.shards.size(); ++s) {
-          const auto& slot = view.shards[s];
-          ASSERT_NE(slot, nullptr);
-          if (slot->version() > newest) {
-            // While a fence is open, landed slots may lead `newest` — but
-            // only by the SINGLE epoch being fenced in. Two different
-            // leading versions in one cut would mean two mixed in-flight
-            // epochs: exactly the tear the fence forbids.
-            if (lead_version == 0) lead_version = slot->version();
-            ASSERT_EQ(slot->version(), lead_version) << "s=" << s;
-            continue;
-          }
-          // Non-fence slots obey the strict invariant: every destination
-          // they serve is block-identical to the newest root.
-          const std::size_t lo = s * view.shard_size;
-          const std::size_t hi = std::min(n, lo + view.shard_size);
-          for (std::size_t j = lo; j < hi; ++j)
-            ASSERT_TRUE(slot->shares_block_with(
-                *view.newest, static_cast<NodeId>(j)))
-                << "s=" << s << " j=" << j;
-        }
-        views_checked.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  // Slow every export a little so readers regularly land inside the fence.
-  PipelineHooks hooks;
-  hooks.before_export = [](std::size_t) {
-    std::this_thread::sleep_for(std::chrono::microseconds(300));
-  };
-
-  util::Rng rng(90210);
-  for (int round = 0; round < 10; ++round) {
-    // One change per component: at least two shards dirty, so the staged
-    // path engages and shards land out of order under the fence.
-    const std::vector<Session::Event> burst = {
-        Session::Event::cost_change(
-            static_cast<NodeId>(rng.below(6)),
-            Cost{static_cast<Cost::rep>(1 + rng.below(30))}),
-        Session::Event::cost_change(
-            static_cast<NodeId>(6 + rng.below(6)),
-            Cost{static_cast<Cost::rep>(1 + rng.below(30))}),
-    };
-    ASSERT_TRUE(
-        session.apply_events(burst, RestartPolicy::kRestartBarrier).converged);
-    const std::uint64_t epoch = session.engine().converged_epochs();
-    const auto dirty = session.dirty_destinations(prev_epoch);
-    ASSERT_TRUE(dirty.has_value());
-    PipelineStats stats;
-    prev = PublishPipeline::run(store, prev, nullptr, session, epoch, dirty,
-                                nullptr, pool, &stats, &hooks);
-    prev_epoch = epoch;
-  }
-  done.store(true, std::memory_order_relaxed);
-  for (auto& t : readers) t.join();
-  EXPECT_GT(views_checked.load(), 0u);
-  EXPECT_TRUE(store.newest()->self_check());
 }
 
 // --- warm-start digest adoption (the satellite fix) ------------------------
@@ -458,38 +213,6 @@ TEST(PublishPipeline, IdenticalRestartAdoptsEverythingAndSwapsNothing) {
     EXPECT_EQ(view.shards[s], warm) << "s=" << s;
   for (NodeId j = 0; j < g.node_count(); ++j)
     EXPECT_TRUE(snap->shares_block_with(*warm, j));
-  EXPECT_TRUE(snap->self_check());
-}
-
-// --- RouteService end to end ------------------------------------------------
-
-TEST(RouteServicePipeline, StagedPublishDrivesInflightCounter) {
-  ServiceConfig config;
-  config.shards = 4;
-  config.export_threads = 2;
-  RouteService svc(two_cycles(), config);
-  EXPECT_EQ(svc.counters().shard_exports_inflight_max, 0u);
-
-  // One batched burst dirtying both components: the updater coalesces it
-  // into a single reconvergence whose publish takes the staged path.
-  const std::vector<RouteService::Delta> burst = {
-      RouteService::Delta::cost_change(1, Cost{50}),
-      RouteService::Delta::cost_change(7, Cost{60}),
-  };
-  ASSERT_EQ(svc.submit(burst), 2u);
-  svc.drain();
-
-  const auto c = svc.counters();
-  EXPECT_EQ(c.publishes, 2u);
-  EXPECT_EQ(c.full_rebuilds, 0u);
-  EXPECT_GE(c.shard_exports_inflight_max, 1u);
-  EXPECT_LE(c.shard_exports_inflight_max, 2u);
-  EXPECT_GE(c.shards_republished, 5u);  // 4 (first) + at least 1 per cycle
-
-  // Served answers reflect the burst through the staged path.
-  const auto snap = svc.snapshot();
-  EXPECT_EQ(snap->node_cost(1), Cost{50});
-  EXPECT_EQ(snap->node_cost(7), Cost{60});
   EXPECT_TRUE(snap->self_check());
 }
 

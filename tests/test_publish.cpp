@@ -177,7 +177,8 @@ TEST(ShardedStore, PublishSwapsOnlyDirtyShards) {
   // First publish fills every (null) slot regardless of the dirty flags.
   EXPECT_EQ(store.publish_all(first), 4u);
   EXPECT_EQ(store.version(), epoch0);
-  EXPECT_EQ(store.shard_versions(), std::vector<std::uint64_t>(4, epoch0));
+  EXPECT_EQ(store.export_cut().shard_versions,
+            std::vector<std::uint64_t>(4, epoch0));
 
   // One cost change; only the shards holding dirty destinations swap.
   ASSERT_TRUE(
@@ -209,7 +210,7 @@ TEST(ShardedStore, PublishSwapsOnlyDirtyShards) {
   for (NodeId j = 0; j < n; ++j)
     EXPECT_TRUE(view.for_destination(j).shares_block_with(*second, j))
         << "j=" << j;
-  const auto versions = store.shard_versions();
+  const auto versions = store.export_cut().shard_versions;
   for (std::size_t s = 0; s < store.shard_count(); ++s)
     EXPECT_EQ(versions[s], shard_dirty[s] ? epoch1 : epoch0) << "s=" << s;
 }

@@ -605,11 +605,13 @@ TEST(ReplicaTsan, ReadersNeverObserveATornViewDuringSyncChurn) {
   ASSERT_TRUE(replica.wait_until_ready(10000));
   replica.wait_for_version_beyond(0, 10000);
 
-  // Readers hammer the replica's store mid-sync, checking the invariant
-  // that only holds inside one consistent cut: a stored route's cost is
-  // the sum of its transit nodes' stored costs.
+  // Readers hammer the replica's store mid-sync, checking the invariants
+  // that only hold inside one consistent cut: a stored route's cost is
+  // the sum of its transit nodes' stored costs, and (installs being one
+  // locked publish) the slot serving j shares j's block with `newest`.
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> torn{0};
+  std::atomic<std::uint64_t> unshared{0};
   std::vector<std::thread> readers;
   for (unsigned r = 0; r < 3; ++r) {
     readers.emplace_back([&, r] {
@@ -622,6 +624,8 @@ TEST(ReplicaTsan, ReadersNeverObserveATornViewDuringSyncChurn) {
         const NodeId i = static_cast<NodeId>(rng.below(n));
         const NodeId j = static_cast<NodeId>(rng.below(n));
         const auto& snap = view.for_destination(j);
+        if (!snap.shares_block_with(*view.newest, j))
+          unshared.fetch_add(1, std::memory_order_relaxed);
         const Cost c = snap.cost(i, j);
         if (c.is_infinite()) continue;
         Cost::rep along = 0;
@@ -643,6 +647,7 @@ TEST(ReplicaTsan, ReadersNeverObserveATornViewDuringSyncChurn) {
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : readers) t.join();
   EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(unshared.load(), 0u);
   EXPECT_EQ(replica.store()->newest()->checksum(),
             primary.snapshot()->checksum());
 }

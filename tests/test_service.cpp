@@ -1,5 +1,5 @@
 // The serving layer: RouteSnapshot export fidelity, binary persistence,
-// SnapshotStore publication, and the RouteService's concurrent
+// store publication, and the RouteService's concurrent
 // publish/read contract (the suite the CI TSan job runs).
 #include <gtest/gtest.h>
 
@@ -24,7 +24,7 @@ namespace {
 using service::RouteService;
 using service::RouteSnapshot;
 using service::ServiceConfig;
-using service::SnapshotStore;
+using service::ShardedSnapshotStore;
 
 std::shared_ptr<const RouteSnapshot> converge_and_export(
     const graph::Graph& g,
@@ -194,22 +194,25 @@ TEST(SnapshotStore, PublishesAtomicallyAndKeepsOldEpochsAlive) {
   pricing::Session session(f.g, pricing::Protocol::kPriceVector);
   ASSERT_TRUE(session.run().converged);
 
-  SnapshotStore store;
-  EXPECT_EQ(store.current(), nullptr);
+  // One shard: every publish is a whole-store pointer swap.
+  ShardedSnapshotStore store(f.g.node_count(), 1);
+  EXPECT_EQ(store.newest(), nullptr);
   EXPECT_EQ(store.version(), 0u);
 
   const auto v1 = RouteSnapshot::from_session(
       session, session.engine().converged_epochs());
-  store.publish(v1);
+  EXPECT_EQ(store.publish_all(v1), 1u);
   EXPECT_EQ(store.version(), 1u);
   EXPECT_EQ(store.publish_count(), 1u);
 
-  const auto held = store.current();  // a reader holding epoch 1
+  const auto held = store.newest();  // a reader holding epoch 1
   session.change_cost(f.d, Cost{7}, pricing::RestartPolicy::kRestartBarrier);
   const auto v2 = RouteSnapshot::from_session(
       session, session.engine().converged_epochs());
-  const auto displaced = store.publish(v2);
-  EXPECT_EQ(displaced, v1);
+  EXPECT_EQ(store.publish_all(v2), 1u);
+  const auto view = store.acquire();
+  EXPECT_EQ(view.newest, v2);
+  EXPECT_EQ(view.shards.front(), v2);
   EXPECT_GT(store.version(), 1u);
   EXPECT_EQ(store.publish_count(), 2u);
 
@@ -319,7 +322,7 @@ TEST(RouteService, BatchedQueriesShareOneEpochAndCount) {
   EXPECT_GT(counters.total_ns, 0u);
   EXPECT_GE(counters.max_batch_ns, counters.total_ns / counters.batches);
   const util::Table t = svc.counters_table();
-  EXPECT_EQ(t.row_count(), 20u);
+  EXPECT_EQ(t.row_count(), 19u);
 }
 
 TEST(RouteService, ChargesReachPaymentTotalsOnRepublish) {
