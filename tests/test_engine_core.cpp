@@ -11,11 +11,15 @@
 #include <vector>
 
 #include "bgp/engine.h"
+#include "bgp/hop_count_agent.h"
 #include "bgp/trace.h"
 #include "common.h"
 #include "mechanism/vcg.h"
+#include "policy/policy_agent.h"
+#include "policy/relationships.h"
 #include "pricing/session.h"
 #include "pricing/verify.h"
+#include "util/checksum.h"
 
 namespace fpss {
 namespace {
@@ -370,6 +374,301 @@ TEST(EventDynamics, FailAndRestoreNodeRoundTrips) {
       session.restore_node(failure.links, pricing::RestartPolicy::kRestartBarrier);
   ASSERT_TRUE(stats.converged);
   expect_exact(session, g, "event-scheduled crash+restore");
+}
+
+
+// ---------------------------------------------------------------------------
+// Golden behaviour: absolute values pinned from a reference run
+// ---------------------------------------------------------------------------
+//
+// The tests above compare runs with each other or with the centralized
+// mechanism. These pin absolute values, so a change to the agents' state
+// that keeps runs self-consistent and prices exact but moves one message,
+// entry or stage still fails. Each scenario runs a 64-node tiered graph
+// cold, then reconverges after one cost change, one link removal and the
+// link's return (pricing sessions under the restart barrier). Each step
+// yields one line: every RunStats field of the segment plus an FNV-1a
+// digest over every selected path, route cost and (for the pricing agents)
+// price.
+
+struct GoldenInstance {
+  graph::Graph g{3};
+  policy::Relationships relationships;
+  NodeId cost_node = kInvalidNode;
+  Cost new_cost;
+  NodeId link_u = kInvalidNode;
+  NodeId link_v = kInvalidNode;
+};
+
+const GoldenInstance& golden_instance() {
+  static const GoldenInstance instance = [] {
+    util::Rng rng(1402);
+    graphgen::TieredParams params;
+    params.core_count = 4;
+    params.mid_count = 16;
+    params.stub_count = 44;
+    auto tiered = graphgen::tiered_internet_annotated(params, rng);
+    graphgen::assign_random_costs(tiered.g, 1, 9, rng);
+    GoldenInstance out;
+    out.relationships = policy::Relationships::from_tiered(tiered);
+    out.g = tiered.g;
+    // A mid-tier AS raises its cost: a worsening event that reroutes.
+    out.cost_node = static_cast<NodeId>(params.core_count);
+    out.new_cost = out.g.cost(out.cost_node) + Cost{6};
+    // The first link whose loss keeps every price defined.
+    for (const auto& [u, v] : out.g.edges()) {
+      graph::Graph probe = out.g;
+      probe.remove_edge(u, v);
+      if (!graph::is_biconnected(probe)) continue;
+      out.link_u = u;
+      out.link_v = v;
+      break;
+    }
+    return out;
+  }();
+  return instance;
+}
+
+std::uint64_t route_digest(const bgp::Network& net) {
+  const auto fold_cost = [](util::Fnv1a64& fnv, Cost c) {
+    fnv.i64(c.is_finite() ? c.value() : -1);
+  };
+  util::Fnv1a64 fnv;
+  const std::size_t n = net.node_count();
+  for (NodeId i = 0; i < n; ++i) {
+    const auto& agent = static_cast<const bgp::PlainBgpAgent&>(net.agent(i));
+    const auto* priced = dynamic_cast<const pricing::PricingAgent*>(&agent);
+    for (NodeId j = 0; j < n; ++j) {
+      if (i == j) continue;
+      const bgp::SelectedRoute& route = agent.selected(j);
+      fnv.u64(route.path.size());
+      for (NodeId v : route.path) fnv.u32(v);
+      fold_cost(fnv, route.cost);
+      if (priced == nullptr) continue;
+      for (std::size_t t = 1; t + 1 < route.path.size(); ++t)
+        fold_cost(fnv, priced->price(j, route.path[t]));
+    }
+  }
+  return fnv.digest();
+}
+
+std::string golden_line(const bgp::RunStats& s, std::uint64_t digest) {
+  std::ostringstream out;
+  out << "stages=" << s.stages << " messages=" << s.messages
+      << " entries=" << s.traffic.entries
+      << " path_words=" << s.traffic.path_words
+      << " cost_words=" << s.traffic.cost_words
+      << " value_words=" << s.traffic.value_words
+      << " max_link=" << s.max_link_messages
+      << " route_stage=" << s.last_route_change_stage
+      << " value_stage=" << s.last_value_change_stage << " end=" << s.end_time
+      << " route_t=" << s.last_route_change_time
+      << " value_t=" << s.last_value_change_time
+      << " lost=" << s.lost_messages << " converged=" << s.converged
+      << " digest=" << std::hex << digest;
+  return out.str();
+}
+
+/// One line per step: cold run, cost change, link removal, link return.
+using GoldenRun = std::vector<std::string>;
+
+GoldenRun golden_session_run(Protocol protocol, const EngineConfig& config) {
+  const GoldenInstance& in = golden_instance();
+  Session session(in.g, protocol, config);
+  GoldenRun lines;
+  const auto record = [&](const bgp::RunStats& stats) {
+    lines.push_back(golden_line(stats, route_digest(session.network())));
+  };
+  const auto barrier = pricing::RestartPolicy::kRestartBarrier;
+  record(session.run());
+  record(session.change_cost(in.cost_node, in.new_cost, barrier));
+  record(session.remove_link(in.link_u, in.link_v, barrier));
+  record(session.add_link(in.link_u, in.link_v, barrier));
+  return lines;
+}
+
+GoldenRun golden_agent_run(const bgp::AgentFactory& factory) {
+  const GoldenInstance& in = golden_instance();
+  bgp::Network net(in.g, factory);
+  bgp::Engine engine(net);
+  GoldenRun lines;
+  const auto record = [&](const bgp::RunStats& stats) {
+    lines.push_back(golden_line(stats, route_digest(net)));
+  };
+  record(engine.run());
+  net.change_cost(in.cost_node, in.new_cost);
+  record(engine.run());
+  net.remove_link(in.link_u, in.link_v);
+  record(engine.run());
+  net.add_link(in.link_u, in.link_v);
+  record(engine.run());
+  return lines;
+}
+
+EngineConfig golden_event_config() {
+  ChannelConfig channel;
+  channel.delay = ChannelConfig::Delay::kUniform;
+  channel.min_delay = 0.1;
+  channel.max_delay = 1.0;
+  channel.mrai = 0.5;
+  channel.seed = 14;
+  return EngineConfig::event(channel);
+}
+
+void expect_golden(const GoldenRun& actual, const GoldenRun& expected,
+                   const std::string& label) {
+  static const char* const kSteps[] = {"cold run", "cost change",
+                                       "link removal", "link return"};
+  ASSERT_EQ(actual.size(), expected.size()) << label;
+  for (std::size_t step = 0; step < actual.size(); ++step)
+    EXPECT_EQ(actual[step], expected[step]) << label << ", " << kSteps[step];
+}
+
+TEST(GoldenBehaviour, InstanceIsBiconnectedWithARemovableLink) {
+  const GoldenInstance& in = golden_instance();
+  EXPECT_EQ(in.g.node_count(), 64u);
+  EXPECT_TRUE(graph::is_biconnected(in.g));
+  EXPECT_NE(in.link_u, kInvalidNode);
+}
+
+TEST(GoldenBehaviour, PriceVectorStageScheduler) {
+  const GoldenRun expected = {
+      "stages=8 messages=1613 entries=29815 path_words=103785"
+      " cost_words=135213 value_words=88890 max_link=7 route_stage=6"
+      " value_stage=7 end=8 route_t=6 value_t=7 lost=0 converged=1"
+      " digest=ea1cb556a9b5bb20",
+      "stages=11 messages=1439 entries=31533 path_words=119141"
+      " cost_words=152113 value_words=112764 max_link=10 route_stage=13"
+      " value_stage=18 end=19 route_t=13 value_t=18 lost=0 converged=1"
+      " digest=a7cf596416a0aa77",
+      "stages=10 messages=949 entries=25645 path_words=95532"
+      " cost_words=122126 value_words=89060 max_link=14 route_stage=23"
+      " value_stage=28 end=29 route_t=23 value_t=28 lost=0 converged=1"
+      " digest=72b4e220a3744e7a",
+      "stages=11 messages=1022 entries=27276 path_words=101172"
+      " cost_words=129470 value_words=93852 max_link=19 route_stage=34"
+      " value_stage=39 end=40 route_t=34 value_t=39 lost=0 converged=1"
+      " digest=a7cf596416a0aa77",
+  };
+  for (const unsigned threads : {1u, 2u})
+    expect_golden(golden_session_run(Protocol::kPriceVector,
+                                     EngineConfig::stage(threads)),
+                  expected, "threads " + std::to_string(threads));
+}
+
+TEST(GoldenBehaviour, AvoidanceVectorStageScheduler) {
+  const GoldenRun expected = {
+      "stages=8 messages=1613 entries=29815 path_words=103785"
+      " cost_words=135213 value_words=88890 max_link=7 route_stage=6"
+      " value_stage=7 end=8 route_t=6 value_t=7 lost=0 converged=1"
+      " digest=ea1cb556a9b5bb20",
+      "stages=11 messages=1420 entries=31433 path_words=118831"
+      " cost_words=151684 value_words=112544 max_link=10 route_stage=13"
+      " value_stage=18 end=19 route_t=13 value_t=18 lost=0 converged=1"
+      " digest=a7cf596416a0aa77",
+      "stages=10 messages=949 entries=25645 path_words=95532"
+      " cost_words=122126 value_words=89060 max_link=14 route_stage=23"
+      " value_stage=28 end=29 route_t=23 value_t=28 lost=0 converged=1"
+      " digest=72b4e220a3744e7a",
+      "stages=11 messages=1022 entries=27276 path_words=101172"
+      " cost_words=129470 value_words=93852 max_link=19 route_stage=34"
+      " value_stage=39 end=40 route_t=34 value_t=39 lost=0 converged=1"
+      " digest=a7cf596416a0aa77",
+  };
+  for (const unsigned threads : {1u, 2u})
+    expect_golden(golden_session_run(Protocol::kAvoidanceVector,
+                                     EngineConfig::stage(threads)),
+                  expected, "threads " + std::to_string(threads));
+}
+
+TEST(GoldenBehaviour, PriceVectorEventSchedulerWithMrai) {
+  const GoldenRun expected = {
+      "stages=0 messages=2478 entries=40618 path_words=148056"
+      " cost_words=191152 value_words=134220 max_link=11 route_stage=0"
+      " value_stage=0 end=6.32789 route_t=4.93694 value_t=5.43694 lost=0"
+      " converged=1 digest=ea1cb556a9b5bb20",
+      "stages=0 messages=1975 entries=33475 path_words=127514"
+      " cost_words=162964 value_words=121742 max_link=15 route_stage=0"
+      " value_stage=0 end=14.9972 route_t=9.80715 value_t=14.2914 lost=0"
+      " converged=1 digest=a7cf596416a0aa77",
+      "stages=0 messages=1212 entries=26800 path_words=100601"
+      " cost_words=128613 value_words=94578 max_link=22 route_stage=0"
+      " value_stage=0 end=20.9973 route_t=16.563 value_t=20.4697 lost=0"
+      " converged=1 digest=72b4e220a3744e7a",
+      "stages=0 messages=1401 entries=28569 path_words=106605"
+      " cost_words=136575 value_words=99546 max_link=29 route_stage=0"
+      " value_stage=0 end=28.8211 route_t=23.8013 value_t=27.8576 lost=0"
+      " converged=1 digest=a7cf596416a0aa77",
+  };
+  expect_golden(
+      golden_session_run(Protocol::kPriceVector, golden_event_config()),
+      expected, "event scheduler");
+}
+
+TEST(GoldenBehaviour, AvoidanceVectorEventSchedulerWithMrai) {
+  const GoldenRun expected = {
+      "stages=0 messages=2478 entries=40618 path_words=148056"
+      " cost_words=191152 value_words=134220 max_link=11 route_stage=0"
+      " value_stage=0 end=6.32789 route_t=4.93694 value_t=5.43694 lost=0"
+      " converged=1 digest=ea1cb556a9b5bb20",
+      "stages=0 messages=1834 entries=33085 path_words=125960"
+      " cost_words=160879 value_words=120194 max_link=15 route_stage=0"
+      " value_stage=0 end=14.7658 route_t=9.51706 value_t=13.833 lost=0"
+      " converged=1 digest=a7cf596416a0aa77",
+      "stages=0 messages=1221 entries=26802 path_words=100621"
+      " cost_words=128644 value_words=94610 max_link=22 route_stage=0"
+      " value_stage=0 end=21.0618 route_t=16.5234 value_t=20.2768 lost=0"
+      " converged=1 digest=72b4e220a3744e7a",
+      "stages=0 messages=1389 entries=28569 path_words=106727"
+      " cost_words=136685 value_words=99790 max_link=29 route_stage=0"
+      " value_stage=0 end=28.5503 route_t=23.6061 value_t=27.6208 lost=0"
+      " converged=1 digest=a7cf596416a0aa77",
+  };
+  expect_golden(
+      golden_session_run(Protocol::kAvoidanceVector, golden_event_config()),
+      expected, "event scheduler");
+}
+
+TEST(GoldenBehaviour, HopCountAgentFullTables) {
+  const GoldenRun expected = {
+      "stages=6 messages=1279 entries=38281 path_words=117700"
+      " cost_words=157260 value_words=0 max_link=5 route_stage=5"
+      " value_stage=0 end=6 route_t=5 value_t=0 lost=0 converged=1"
+      " digest=61b64ce5a808a599",
+      "stages=5 messages=290 entries=18560 path_words=62135 cost_words=80985"
+      " value_words=0 max_link=6 route_stage=10 value_stage=0 end=11"
+      " route_t=10 value_t=0 lost=0 converged=1 digest=c4e68611b0a95c86",
+      "stages=4 messages=115 entries=7360 path_words=24565 cost_words=32040"
+      " value_words=0 max_link=7 route_stage=14 value_stage=0 end=15"
+      " route_t=14 value_t=0 lost=0 converged=1 digest=3db17ef06a0c87e9",
+      "stages=5 messages=133 entries=8512 path_words=28151 cost_words=36796"
+      " value_words=0 max_link=8 route_stage=19 value_stage=0 end=20"
+      " route_t=19 value_t=0 lost=0 converged=1 digest=c4e68611b0a95c86",
+  };
+  expect_golden(golden_agent_run(bgp::make_hop_count_factory(
+                    bgp::UpdatePolicy::kFullTable)),
+                expected, "hop count");
+}
+
+TEST(GoldenBehaviour, GaoRexfordAgent) {
+  const GoldenRun expected = {
+      "stages=7 messages=979 entries=11257 path_words=36012 cost_words=48248"
+      " value_words=0 max_link=6 route_stage=7 value_stage=0 end=7 route_t=7"
+      " value_t=0 lost=0 converged=1 digest=d051c1e4fe70d9e3",
+      "stages=5 messages=194 entries=3521 path_words=12680 cost_words=16395"
+      " value_words=0 max_link=8 route_stage=12 value_stage=0 end=12"
+      " route_t=12 value_t=0 lost=0 converged=1 digest=976ee23967160ae1",
+      "stages=4 messages=70 entries=70 path_words=210 cost_words=350"
+      " value_words=0 max_link=9 route_stage=16 value_stage=0 end=16"
+      " route_t=16 value_t=0 lost=0 converged=1 digest=691f8992f4e1fb15",
+      "stages=5 messages=74 entries=1054 path_words=3400 cost_words=4528"
+      " value_words=0 max_link=10 route_stage=21 value_stage=0 end=21"
+      " route_t=21 value_t=0 lost=0 converged=1 digest=976ee23967160ae1",
+  };
+  expect_golden(golden_agent_run(policy::make_policy_factory(
+                    &golden_instance().relationships,
+                    bgp::UpdatePolicy::kIncremental)),
+                expected, "Gao-Rexford");
 }
 
 }  // namespace
