@@ -18,8 +18,11 @@
 #                         the leaf and leaf-submitted forwarded writes at
 #                         depth 1-4)
 #
-# Each output is the merged JSON of its binaries, annotated with host
-# context (cores, compiler, commit). Usage:
+# Each output is the merged JSON of its binaries. Its "context" carries
+# Google Benchmark's host fields plus this repository's own: build_type
+# (CMAKE_BUILD_TYPE of BUILD_DIR), cxx_compiler_id, cxx_compiler_version,
+# nproc and git_commit. (Google Benchmark's library_build_type describes
+# the benchmark library, not this code.) Usage:
 #
 #   scripts/bench_baseline.sh [scaling.json] [service.json] [publish.json] [replica.json] [chain.json]
 #
@@ -37,23 +40,35 @@ REPLICA_OUT=${4:-BENCH_replica.json}
 CHAIN_OUT=${5:-BENCH_chain.json}
 FILTER=${BENCH_FILTER:-.}
 
-# Refuse to record baselines from a build tree with instrumentation or
-# diagnostic options leaked in: sanitizers distort timings by integer
-# factors, and a non-Release build type measures the wrong thing. The
-# numbers would poison every future PR's comparison.
-if [[ -f "$BUILD_DIR/CMakeCache.txt" ]]; then
-  for opt in FPSS_SANITIZE FPSS_THREAD_SAFETY FPSS_FUZZ; do
-    val=$(sed -n "s/^${opt}:[A-Z]*=//p" "$BUILD_DIR/CMakeCache.txt")
-    if [[ -n "$val" && "$val" != "OFF" && "$val" != "0" && "$val" != "FALSE" ]]; then
-      echo "error: $BUILD_DIR was configured with $opt=$val — baselines must come from a plain Release build" >&2
-      exit 1
-    fi
-  done
-  build_type=$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$BUILD_DIR/CMakeCache.txt")
-  if [[ "$build_type" != "Release" ]]; then
-    echo "warning: $BUILD_DIR build type is '${build_type:-unset}', not Release — baselines for the committed trajectory should come from -DCMAKE_BUILD_TYPE=Release" >&2
-  fi
+# Refuse to record baselines from anything but a plain Release build tree:
+# sanitizers distort timings by integer factors, and any other build type
+# measures the wrong thing. The numbers would poison every future PR's
+# comparison.
+cache="$BUILD_DIR/CMakeCache.txt"
+if [[ ! -f "$cache" ]]; then
+  echo "error: $cache not found — configure with cmake -B $BUILD_DIR -S . -DCMAKE_BUILD_TYPE=Release" >&2
+  exit 1
 fi
+for opt in FPSS_SANITIZE FPSS_THREAD_SAFETY FPSS_FUZZ; do
+  val=$(sed -n "s/^${opt}:[A-Z]*=//p" "$cache")
+  if [[ -n "$val" && "$val" != "OFF" && "$val" != "0" && "$val" != "FALSE" ]]; then
+    echo "error: $BUILD_DIR was configured with $opt=$val — baselines must come from a plain Release build" >&2
+    exit 1
+  fi
+done
+build_type=$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$cache")
+if [[ "$build_type" != "Release" ]]; then
+  echo "error: $BUILD_DIR build type is '${build_type:-unset}', not Release — reconfigure with -DCMAKE_BUILD_TYPE=Release" >&2
+  exit 1
+fi
+compiler_file=$(ls "$BUILD_DIR"/CMakeFiles/*/CMakeCXXCompiler.cmake | head -n 1)
+compiler_field() { # compiler_field <CMAKE_CXX_COMPILER_ID|CMAKE_CXX_COMPILER_VERSION>
+  sed -n "s/^set($1 \"\(.*\)\")$/\1/p" "$compiler_file"
+}
+export FPSS_BUILD_TYPE=$build_type
+export FPSS_CXX_COMPILER_ID=$(compiler_field CMAKE_CXX_COMPILER_ID)
+export FPSS_CXX_COMPILER_VERSION=$(compiler_field CMAKE_CXX_COMPILER_VERSION)
+export FPSS_NPROC=$(nproc)
 
 for bin in bench_scaling bench_parallel bench_service bench_publish bench_replica bench_chain; do
   if [[ ! -x "$BUILD_DIR/bench/$bin" ]]; then
@@ -76,7 +91,7 @@ done
 
 merge() { # merge <output.json> <binary>...
   python3 - "$tmpdir" "$@" <<'EOF'
-import json, subprocess, sys
+import json, os, subprocess, sys
 
 tmpdir, out = sys.argv[1], sys.argv[2]
 merged = {"benchmarks": []}
@@ -97,7 +112,12 @@ try:
                             capture_output=True, text=True).stdout.strip()
 except OSError:
     commit = ""
-merged.setdefault("context", {})["git_commit"] = commit
+context = merged.setdefault("context", {})
+context["build_type"] = os.environ["FPSS_BUILD_TYPE"]
+context["cxx_compiler_id"] = os.environ["FPSS_CXX_COMPILER_ID"]
+context["cxx_compiler_version"] = os.environ["FPSS_CXX_COMPILER_VERSION"]
+context["nproc"] = int(os.environ["FPSS_NPROC"])
+context["git_commit"] = commit
 with open(out, "w") as f:
     json.dump(merged, f, indent=1)
     f.write("\n")

@@ -6,7 +6,11 @@ namespace fpss::bgp {
 
 PlainBgpAgent::PlainBgpAgent(NodeId self, std::size_t node_count,
                              Cost declared_cost, UpdatePolicy policy)
-    : rib_(self, node_count, declared_cost), policy_(policy) {}
+    : rib_(self, node_count, declared_cost),
+      policy_(policy),
+      pending_reselect_(node_count),
+      dirty_(node_count),
+      announced_(node_count, 0) {}
 
 void PlainBgpAgent::bootstrap() {
   // A router starts by announcing itself as a destination.
@@ -23,30 +27,25 @@ void PlainBgpAgent::receive(const TableMessage& msg) {
     mark_all_pending();
     if (was_known) note_sender_cost_change(msg.sender);
   }
-  std::vector<NodeId> refreshed;
-  refreshed.reserve(msg.entries.size());
   for (const RouteAdvert& advert : msg.entries) {
     rib_.ingest(msg.sender, msg.sender_cost, advert);
     pending_reselect_.insert(advert.destination);
-    refreshed.push_back(advert.destination);
+    note_refreshed(msg.sender, advert.destination);
   }
-  note_refreshed(msg.sender, refreshed);
 }
 
 std::optional<TableMessage> PlainBgpAgent::advertise() {
   // Local computation: reselect every destination touched by new input.
-  std::vector<NodeId> changed;
-  for (NodeId destination : pending_reselect_) {
-    if (reselect_destination(destination)) changed.push_back(destination);
+  changed_.clear();
+  for (NodeId destination : pending_reselect_.sorted()) {
+    if (reselect_destination(destination)) changed_.push_back(destination);
   }
   pending_reselect_.clear();
-  routes_changed_ = !changed.empty();
-  for (NodeId destination : changed) dirty_.insert(destination);
+  routes_changed_ = !changed_.empty();
+  for (NodeId destination : changed_) dirty_.insert(destination);
 
   // Extension (pricing) computation; value changes also require re-adverts.
-  const std::vector<NodeId> value_dirty = update_extension(changed);
-  values_changed_ = !value_dirty.empty();
-  for (NodeId destination : value_dirty) dirty_.insert(destination);
+  values_changed_ = update_extension(changed_, dirty_);
 
   if (dirty_.empty()) return std::nullopt;
 
@@ -55,25 +54,21 @@ std::optional<TableMessage> PlainBgpAgent::advertise() {
   msg.sender_cost = rib_.declared_cost();
   if (policy_ == UpdatePolicy::kFullTable) {
     // Worst-case BGP of footnote 6: any change resends the whole table.
+    msg.entries.reserve(rib_.node_count());
     for (NodeId j = 0; j < rib_.node_count(); ++j) {
-      if (rib_.selected(j).valid()) {
-        msg.entries.push_back(build_entry(j));
-        announced_.insert(j);
-      } else if (announced_.contains(j)) {
-        msg.entries.push_back(build_entry(j));  // withdrawal
-        announced_.erase(j);
+      const bool valid = rib_.selected(j).valid();
+      if (valid || announced_[j] != 0) {
+        msg.entries.push_back(build_entry(j));  // invalid: a withdrawal
+        announced_[j] = valid ? 1 : 0;
       }
     }
   } else {
-    for (NodeId j : dirty_) {
+    msg.entries.reserve(dirty_.size());
+    for (NodeId j : dirty_.sorted()) {
       const bool valid = rib_.selected(j).valid();
-      if (valid || announced_.contains(j)) {
+      if (valid || announced_[j] != 0) {
         msg.entries.push_back(build_entry(j));
-        if (valid) {
-          announced_.insert(j);
-        } else {
-          announced_.erase(j);
-        }
+        announced_[j] = valid ? 1 : 0;
       }
     }
   }
@@ -116,9 +111,7 @@ void PlainBgpAgent::request_full_readvertisement() {
     if (rib_.selected(j).valid()) dirty_.insert(j);
 }
 
-void PlainBgpAgent::mark_all_pending() {
-  for (NodeId j = 0; j < rib_.node_count(); ++j) pending_reselect_.insert(j);
-}
+void PlainBgpAgent::mark_all_pending() { pending_reselect_.insert_all(); }
 
 RouteAdvert PlainBgpAgent::build_entry(NodeId destination) {
   RouteAdvert advert;

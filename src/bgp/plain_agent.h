@@ -4,11 +4,12 @@
 // penalty" claims).
 #pragma once
 
+#include <cstdint>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "bgp/agent.h"
+#include "bgp/node_set.h"
 #include "bgp/rib.h"
 
 namespace fpss::bgp {
@@ -65,13 +66,15 @@ class PlainBgpAgent : public Agent {
   // --- extension hooks (used by the pricing agents) -----------------------
 
   /// Called by advertise() after routes were reselected; `changed` lists
-  /// the destinations whose selection changed this activation. Extensions
-  /// update their own state and return the destinations whose extension
-  /// values changed (these get re-advertised even if the route is stable).
-  virtual std::vector<NodeId> update_extension(
-      const std::vector<NodeId>& changed) {
+  /// the destinations whose selection changed this activation, ascending.
+  /// Extensions update their own state, insert into `readvertise` the
+  /// destinations whose extension values changed (these get re-advertised
+  /// even if the route is stable), and return true iff any value changed.
+  virtual bool update_extension(const std::vector<NodeId>& changed,
+                                NodeSet& readvertise) {
     (void)changed;
-    return {};
+    (void)readvertise;
+    return false;
   }
 
   /// Called while building an advert entry so extensions can attach their
@@ -81,13 +84,12 @@ class PlainBgpAgent : public Agent {
   /// Extension state footprint.
   virtual std::size_t extension_words() const { return 0; }
 
-  /// Destinations whose stored advert from `sender` was refreshed by the
-  /// message currently being received (extensions track these to know
+  /// The stored advert from `sender` about `destination` was refreshed by
+  /// the message currently being received (extensions track these to know
   /// which neighbor tables carry new information).
-  virtual void note_refreshed(NodeId sender,
-                              const std::vector<NodeId>& destinations) {
+  virtual void note_refreshed(NodeId sender, NodeId destination) {
     (void)sender;
-    (void)destinations;
+    (void)destination;
   }
 
   /// `sender`'s declared cost changed: every value derived from routes
@@ -111,9 +113,10 @@ class PlainBgpAgent : public Agent {
 
   Rib rib_;
   UpdatePolicy policy_;
-  std::set<NodeId> pending_reselect_;  ///< dests needing local recompute
-  std::set<NodeId> dirty_;            ///< dests needing (re)advertisement
-  std::set<NodeId> announced_;        ///< dests whose route we advertised
+  NodeSet pending_reselect_;             ///< dests needing local recompute
+  NodeSet dirty_;                        ///< dests needing (re)advertisement
+  std::vector<std::uint8_t> announced_;  ///< by dest: 1 iff route advertised
+  std::vector<NodeId> changed_;          ///< advertise() scratch
   bool routes_changed_ = false;
   bool values_changed_ = false;
 };

@@ -8,7 +8,10 @@
 namespace fpss::bgp {
 
 Rib::Rib(NodeId self, std::size_t node_count, Cost declared_cost)
-    : self_(self), declared_cost_(declared_cost), selected_(node_count) {
+    : self_(self),
+      declared_cost_(declared_cost),
+      selected_(node_count),
+      neighbors_(node_count) {
   FPSS_EXPECTS(self < node_count);
   FPSS_EXPECTS(declared_cost.is_finite());
   // A router always has the trivial route to itself.
@@ -22,35 +25,60 @@ void Rib::set_declared_cost(Cost c) {
   selected_[self_].node_costs = {c};  // keep the trivial self-route in sync
 }
 
+void Rib::forget(RouteAdvert& held) {
+  held.path.clear();
+  held.node_costs.clear();
+  held.transit_values.clear();
+}
+
+std::uint32_t Rib::hear(NodeId neighbor, Cost cost) {
+  Neighbor& nb = neighbors_[neighbor];
+  nb.cost = cost;
+  if (!nb.heard) {
+    nb.heard = true;
+    heard_.insert(std::upper_bound(heard_.begin(), heard_.end(), neighbor),
+                  neighbor);
+    if (nb.slot == kNoSlot) {
+      nb.slot = static_cast<std::uint32_t>(rib_in_.size() / node_count());
+      rib_in_.resize(rib_in_.size() + node_count());
+    }
+  }
+  return nb.slot;
+}
+
 void Rib::ingest(NodeId neighbor, Cost neighbor_cost,
                  const RouteAdvert& advert) {
   FPSS_EXPECTS(neighbor < node_count() && neighbor != self_);
   FPSS_EXPECTS(advert.destination < node_count());
-  neighbor_cost_[neighbor] = neighbor_cost;
+  RouteAdvert& held = entry(hear(neighbor, neighbor_cost),
+                            advert.destination);
   if (advert.is_withdrawal()) {
-    rib_in_.erase(key(neighbor, advert.destination));
+    forget(held);
     return;
   }
   FPSS_EXPECTS(advert.path.front() == neighbor);
   FPSS_EXPECTS(advert.path.back() == advert.destination);
   FPSS_EXPECTS(advert.node_costs.size() == advert.path.size());
-  rib_in_[key(neighbor, advert.destination)] = advert;
+  held = advert;  // copy-assign: reuses the capacity already in the slot
 }
 
 std::vector<NodeId> Rib::purge_neighbor(NodeId neighbor) {
   std::vector<NodeId> dropped;
+  if (!heard_from(neighbor)) return dropped;
+  Neighbor& nb = neighbors_[neighbor];
   for (NodeId j = 0; j < node_count(); ++j) {
-    if (rib_in_.erase(key(neighbor, j)) > 0) dropped.push_back(j);
+    RouteAdvert& held = entry(nb.slot, j);
+    if (held.path.empty()) continue;
+    forget(held);
+    dropped.push_back(j);
   }
-  neighbor_cost_.erase(neighbor);
+  nb.heard = false;
+  heard_.erase(std::lower_bound(heard_.begin(), heard_.end(), neighbor));
   return dropped;
 }
 
 void Rib::clear_stored_values() {
-  for (auto& [packed, advert] : rib_in_) {
-    (void)packed;
-    advert.transit_values.clear();
-  }
+  for (RouteAdvert& advert : rib_in_) advert.transit_values.clear();
 }
 
 bool Rib::reselect(NodeId destination) {
@@ -59,15 +87,15 @@ bool Rib::reselect(NodeId destination) {
 
   routing::RouteRank best = routing::no_route();
   const RouteAdvert* best_advert = nullptr;
-  for (const auto& [neighbor, cost] : neighbor_cost_) {
-    const auto it = rib_in_.find(key(neighbor, destination));
-    if (it == rib_in_.end()) continue;
-    const RouteAdvert& advert = it->second;
+  for (NodeId neighbor : heard_) {
+    const Neighbor& nb = neighbors_[neighbor];
+    const RouteAdvert& advert = entry(nb.slot, destination);
+    if (advert.path.empty()) continue;
     // Path-vector loop prevention: never use a route already through us.
     if (std::find(advert.path.begin(), advert.path.end(), self_) !=
         advert.path.end())
       continue;
-    const Cost step = (neighbor == destination) ? Cost::zero() : cost;
+    const Cost step = (neighbor == destination) ? Cost::zero() : nb.cost;
     const routing::RouteRank rank{
         advert.cost + step, static_cast<std::uint32_t>(advert.path.size()),
         neighbor};
@@ -76,37 +104,41 @@ bool Rib::reselect(NodeId destination) {
       best_advert = &advert;
     }
   }
-
-  SelectedRoute next;
-  if (best_advert != nullptr) {
-    next.path.reserve(best_advert->path.size() + 1);
-    next.path.push_back(self_);
-    next.path.insert(next.path.end(), best_advert->path.begin(),
-                     best_advert->path.end());
-    next.cost = best.cost;
-    next.node_costs.reserve(best_advert->node_costs.size() + 1);
-    next.node_costs.push_back(declared_cost_);
-    next.node_costs.insert(next.node_costs.end(),
-                           best_advert->node_costs.begin(),
-                           best_advert->node_costs.end());
-    next.next_hop = best.next_hop;
-  }
-
-  SelectedRoute& current = selected_[destination];
-  const bool changed = current.path != next.path || current.cost != next.cost ||
-                       current.node_costs != next.node_costs;
-  if (changed) current = std::move(next);
-  return changed;
+  return install(destination, best_advert, best.cost);
 }
 
-bool Rib::force_select(NodeId destination, SelectedRoute route) {
+bool Rib::install(NodeId destination, const RouteAdvert* winner, Cost cost) {
   FPSS_EXPECTS(destination < node_count() && destination != self_);
   SelectedRoute& current = selected_[destination];
-  const bool changed = current.path != route.path ||
-                       current.cost != route.cost ||
-                       current.node_costs != route.node_costs;
-  if (changed) current = std::move(route);
-  return changed;
+  if (winner == nullptr) {
+    // A route-less selection only ever comes from here, so its cost and
+    // node costs are already the defaults.
+    if (!current.valid()) return false;
+    current.path.clear();
+    current.cost = Cost::infinity();
+    current.node_costs.clear();
+    current.next_hop = kInvalidNode;
+    return true;
+  }
+  const graph::Path& tail = winner->path;
+  const std::vector<Cost>& tail_costs = winner->node_costs;
+  const bool same =
+      current.cost == cost && current.path.size() == tail.size() + 1 &&
+      current.node_costs.size() == tail_costs.size() + 1 &&
+      current.path.front() == self_ &&
+      current.node_costs.front() == declared_cost_ &&
+      std::equal(tail.begin(), tail.end(), current.path.begin() + 1) &&
+      std::equal(tail_costs.begin(), tail_costs.end(),
+                 current.node_costs.begin() + 1);
+  if (same) return false;
+  current.path.assign(1, self_);
+  current.path.insert(current.path.end(), tail.begin(), tail.end());
+  current.cost = cost;
+  current.node_costs.assign(1, declared_cost_);
+  current.node_costs.insert(current.node_costs.end(), tail_costs.begin(),
+                            tail_costs.end());
+  current.next_hop = tail.front();
+  return true;
 }
 
 const SelectedRoute& Rib::selected(NodeId destination) const {
@@ -115,31 +147,22 @@ const SelectedRoute& Rib::selected(NodeId destination) const {
 }
 
 const RouteAdvert* Rib::stored(NodeId neighbor, NodeId destination) const {
-  const auto it = rib_in_.find(key(neighbor, destination));
-  return it == rib_in_.end() ? nullptr : &it->second;
-}
-
-std::vector<NodeId> Rib::known_neighbors() const {
-  std::vector<NodeId> out;
-  out.reserve(neighbor_cost_.size());
-  for (const auto& [neighbor, cost] : neighbor_cost_) {
-    (void)cost;
-    out.push_back(neighbor);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  if (neighbor >= node_count() || destination >= node_count()) return nullptr;
+  const std::uint32_t slot = neighbors_[neighbor].slot;
+  if (slot == kNoSlot) return nullptr;
+  const RouteAdvert& advert = entry(slot, destination);
+  return advert.path.empty() ? nullptr : &advert;
 }
 
 void Rib::note_sender(NodeId neighbor, Cost neighbor_cost) {
   FPSS_EXPECTS(neighbor < node_count() && neighbor != self_);
   FPSS_EXPECTS(neighbor_cost.is_finite());
-  neighbor_cost_[neighbor] = neighbor_cost;
+  hear(neighbor, neighbor_cost);
 }
 
 Cost Rib::neighbor_cost(NodeId neighbor) const {
-  const auto it = neighbor_cost_.find(neighbor);
-  FPSS_EXPECTS(it != neighbor_cost_.end());
-  return it->second;
+  FPSS_EXPECTS(heard_from(neighbor));
+  return neighbors_[neighbor].cost;
 }
 
 std::size_t Rib::selected_words() const {
@@ -153,8 +176,8 @@ std::size_t Rib::selected_words() const {
 
 std::size_t Rib::adj_rib_in_words() const {
   std::size_t words = 0;
-  for (const auto& [packed, advert] : rib_in_) {
-    (void)packed;
+  for (const RouteAdvert& advert : rib_in_) {
+    if (advert.path.empty()) continue;
     words += advert.path.size() + advert.node_costs.size() + 1 +
              2 * advert.transit_values.size();
   }

@@ -5,8 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/message.h"
@@ -31,6 +29,12 @@ struct SelectedRoute {
 
 /// Routing state of one router. Owns no protocol logic beyond route
 /// selection; agents layer (re)advertisement policy and pricing on top.
+///
+/// Storage is dense: the Adj-RIB-In is one table with a row of
+/// node_count() adverts per neighbor slot (a slot is given to a neighbor
+/// the first time it is heard and kept across session teardowns), and
+/// neighbor costs sit in an array indexed by node id. After warm-up,
+/// storing an advert copies into the capacity its slot already holds.
 class Rib {
  public:
   Rib(NodeId self, std::size_t node_count, Cost declared_cost);
@@ -56,25 +60,32 @@ class Rib {
   /// Adj-RIB-In. Returns true iff the selection (path or cost) changed.
   bool reselect(NodeId destination);
 
-  /// Installs an externally computed selection (policy routing overrides
-  /// the canonical preference). Returns true iff it differs from the
-  /// current one. Precondition: destination != self.
-  bool force_select(NodeId destination, SelectedRoute route);
+  /// Makes `winner` (a stored advert, or nullptr for "no route") the
+  /// selection for `destination`: the route is this router followed by
+  /// `winner->path`, with transit cost `cost`. Compares with the current
+  /// selection in place and writes only when path, cost or node costs
+  /// differ. Returns true iff the selection changed. Every route selector
+  /// (the canonical rule here, and the policy overrides of agents) ends in
+  /// this call. Precondition: destination != self.
+  bool install(NodeId destination, const RouteAdvert* winner, Cost cost);
 
   const SelectedRoute& selected(NodeId destination) const;
 
   /// The neighbor's advert stored for (neighbor, destination), if any.
   const RouteAdvert* stored(NodeId neighbor, NodeId destination) const;
 
-  /// Neighbors we have heard from, ascending.
-  std::vector<NodeId> known_neighbors() const;
+  /// Neighbors we have heard from, ascending. The list is maintained in
+  /// place: the reference stays valid for the Rib's lifetime, but its
+  /// contents change on the next ingest, note_sender or purge_neighbor
+  /// that adds or drops a neighbor, so do not iterate it across those.
+  const std::vector<NodeId>& known_neighbors() const { return heard_; }
 
   /// Records `neighbor`'s declared cost without any route advert (every
   /// message carries the sender's cost, even a pure price refresh).
   void note_sender(NodeId neighbor, Cost neighbor_cost);
 
   bool heard_from(NodeId neighbor) const {
-    return neighbor_cost_.contains(neighbor);
+    return neighbor < node_count() && neighbors_[neighbor].heard;
   }
 
   /// Declared cost of `neighbor` as last heard. Precondition: heard from it.
@@ -86,15 +97,35 @@ class Rib {
   std::size_t adj_rib_in_words() const;
 
  private:
-  static std::uint64_t key(NodeId neighbor, NodeId destination) {
-    return (static_cast<std::uint64_t>(neighbor) << 32) | destination;
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// What this router knows about one other node as a neighbor.
+  struct Neighbor {
+    Cost cost;                     ///< declared cost, as last heard
+    std::uint32_t slot = kNoSlot;  ///< Adj-RIB-In row; kNoSlot = none yet
+    bool heard = false;            ///< session up and heard from
+  };
+
+  /// Marks `neighbor` heard at `cost`, giving it a row on first contact.
+  /// Returns the neighbor's row.
+  std::uint32_t hear(NodeId neighbor, Cost cost);
+  /// Empties a stored advert, keeping its capacity for the next one.
+  static void forget(RouteAdvert& held);
+  RouteAdvert& entry(std::uint32_t slot, NodeId destination) {
+    return rib_in_[slot * node_count() + destination];
+  }
+  const RouteAdvert& entry(std::uint32_t slot, NodeId destination) const {
+    return rib_in_[slot * node_count() + destination];
   }
 
   NodeId self_;
   Cost declared_cost_;
   std::vector<SelectedRoute> selected_;
-  std::unordered_map<std::uint64_t, RouteAdvert> rib_in_;
-  std::unordered_map<NodeId, Cost> neighbor_cost_;
+  std::vector<Neighbor> neighbors_;  ///< by node id
+  std::vector<NodeId> heard_;        ///< heard neighbors, ascending
+  /// Row-major by (slot, destination). An empty path marks "nothing
+  /// stored": a stored advert is never a withdrawal.
+  std::vector<RouteAdvert> rib_in_;
 };
 
 }  // namespace fpss::bgp

@@ -55,21 +55,7 @@ bool PolicyBgpAgent::reselect_destination(NodeId destination) {
     }
   }
 
-  bgp::SelectedRoute next;
-  if (best_advert != nullptr) {
-    next.path.reserve(best_advert->path.size() + 1);
-    next.path.push_back(id());
-    next.path.insert(next.path.end(), best_advert->path.begin(),
-                     best_advert->path.end());
-    next.cost = best.cost;
-    next.node_costs.reserve(best_advert->node_costs.size() + 1);
-    next.node_costs.push_back(rib().declared_cost());
-    next.node_costs.insert(next.node_costs.end(),
-                           best_advert->node_costs.begin(),
-                           best_advert->node_costs.end());
-    next.next_hop = best.next_hop;
-  }
-  return rib().force_select(destination, std::move(next));
+  return rib().install(destination, best_advert, best.cost);
 }
 
 int PolicyBgpAgent::learned_class(NodeId destination) const {

@@ -12,7 +12,8 @@ using bgp::SelectedRoute;
 PricingAgent::PricingAgent(NodeId self, std::size_t node_count,
                            Cost declared_cost, bgp::UpdatePolicy policy)
     : PlainBgpAgent(self, node_count, declared_cost, policy),
-      rows_(node_count) {}
+      rows_(node_count),
+      recompute_all_(node_count) {}
 
 bool PricingAgent::prices_complete() const {
   for (NodeId j = 0; j < rib().node_count(); ++j) {
@@ -26,17 +27,16 @@ bool PricingAgent::prices_complete() const {
 
 void PricingAgent::restart_values() {
   rib().clear_stored_values();
-  for (NodeId j = 0; j < rib().node_count(); ++j) {
+  for (NodeId j = 0; j < rib().node_count(); ++j)
     rows_[j].rekey(rib().selected(j), /*preserve=*/false);
-    recompute_all_.insert(j);
-  }
+  recompute_all_.insert_all();
   // Everyone re-advertises everything so rows can refill from post-restart
   // information only (a route-refresh wave).
   request_full_readvertisement();
 }
 
-std::vector<NodeId> PricingAgent::update_extension(
-    const std::vector<NodeId>& changed) {
+bool PricingAgent::update_extension(const std::vector<NodeId>& changed,
+                                    bgp::NodeSet& readvertise) {
   ++activations_;
   if (!changed.empty()) last_route_change_ = activations_;
 
@@ -51,21 +51,26 @@ std::vector<NodeId> PricingAgent::update_extension(
     recompute_all_.insert(j);
   }
 
-  std::set<NodeId> value_dirty;
-  for (NodeId j : recompute_all_) {
-    for (NodeId a : rib().known_neighbors()) {
-      if (apply_neighbor(j, a)) value_dirty.insert(j);
-    }
-  }
-  for (const auto& [a, j] : fresh_) {
-    if (recompute_all_.contains(j)) continue;
-    if (apply_neighbor(j, a)) value_dirty.insert(j);
-  }
+  bool lowered = false;
+  const auto apply = [&](NodeId j, NodeId a) {
+    if (!apply_neighbor(j, a)) return;
+    readvertise.insert(j);
+    lowered = true;
+  };
+  // apply_neighbor reads the Rib but never changes who was heard, so the
+  // neighbor list stays put for the whole loop.
+  const std::vector<NodeId>& neighbors = rib().known_neighbors();
+  for (NodeId j : recompute_all_.sorted())
+    for (NodeId a : neighbors) apply(j, a);
+  std::sort(fresh_.begin(), fresh_.end());
+  fresh_.erase(std::unique(fresh_.begin(), fresh_.end()), fresh_.end());
+  for (const auto& [a, j] : fresh_)
+    if (!recompute_all_.contains(j)) apply(j, a);
   fresh_.clear();
   recompute_all_.clear();
 
-  if (!value_dirty.empty()) last_value_change_ = activations_;
-  return {value_dirty.begin(), value_dirty.end()};
+  if (lowered) last_value_change_ = activations_;
+  return lowered;
 }
 
 void PricingAgent::decorate(RouteAdvert& advert) {
@@ -78,9 +83,8 @@ std::size_t PricingAgent::extension_words() const {
   return words;
 }
 
-void PricingAgent::note_refreshed(NodeId sender,
-                                  const std::vector<NodeId>& destinations) {
-  for (NodeId j : destinations) fresh_.emplace(sender, j);
+void PricingAgent::note_refreshed(NodeId sender, NodeId destination) {
+  fresh_.emplace_back(sender, destination);
 }
 
 void PricingAgent::note_sender_cost_change(NodeId sender) {
@@ -88,7 +92,7 @@ void PricingAgent::note_sender_cost_change(NodeId sender) {
   // re-derive every row from the stored tables (the row resets themselves
   // happen via route changes / the session's restart barrier).
   (void)sender;
-  for (NodeId j = 0; j < rib().node_count(); ++j) recompute_all_.insert(j);
+  recompute_all_.insert_all();
 }
 
 ValueRow& PricingAgent::row(NodeId destination) {

@@ -9,9 +9,10 @@
 // to nodes and fields to the existing routing messages.
 #pragma once
 
-#include <set>
+#include <utility>
 #include <vector>
 
+#include "bgp/node_set.h"
 #include "bgp/plain_agent.h"
 #include "pricing/value_row.h"
 
@@ -51,12 +52,11 @@ class PricingAgent : public bgp::PlainBgpAgent {
   virtual bool preserve_values_on_route_change() const = 0;
 
   // PlainBgpAgent extension hooks.
-  std::vector<NodeId> update_extension(
-      const std::vector<NodeId>& changed) override;
+  bool update_extension(const std::vector<NodeId>& changed,
+                        bgp::NodeSet& readvertise) override;
   void decorate(bgp::RouteAdvert& advert) override;
   std::size_t extension_words() const override;
-  void note_refreshed(NodeId sender,
-                      const std::vector<NodeId>& destinations) override;
+  void note_refreshed(NodeId sender, NodeId destination) override;
   void note_sender_cost_change(NodeId sender) override;
 
   ValueRow& row(NodeId destination);
@@ -64,10 +64,11 @@ class PricingAgent : public bgp::PlainBgpAgent {
 
  private:
   std::vector<ValueRow> rows_;
-  /// (neighbor, destination) adverts refreshed since the last compute.
-  std::set<std::pair<NodeId, NodeId>> fresh_;
+  /// (neighbor, destination) adverts refreshed since the last compute, in
+  /// arrival order with repeats; sorted and deduplicated once per compute.
+  std::vector<std::pair<NodeId, NodeId>> fresh_;
   /// Destinations needing re-derivation from every stored advert.
-  std::set<NodeId> recompute_all_;
+  bgp::NodeSet recompute_all_;
   Stage activations_ = 0;
   Stage last_route_change_ = 0;
   Stage last_value_change_ = 0;

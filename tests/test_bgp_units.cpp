@@ -1,14 +1,17 @@
 // Unit tests for the BGP substrate pieces below the agent level: the
-// message size accounting and the Rib's ingest/reselect/withdraw logic.
+// message size accounting, the dense NodeSet, and the Rib's
+// ingest/reselect/withdraw logic.
 #include <gtest/gtest.h>
 
 #include "bgp/message.h"
+#include "bgp/node_set.h"
 #include "bgp/rib.h"
 
 namespace fpss {
 namespace {
 
 using bgp::MessageSize;
+using bgp::NodeSet;
 using bgp::Rib;
 using bgp::RouteAdvert;
 using bgp::TableMessage;
@@ -158,16 +161,102 @@ TEST(RibTest, StateWordAccounting) {
   EXPECT_GT(rib.adj_rib_in_words(), 0u);
 }
 
-TEST(RibTest, ForceSelectInstallsAndReportsChange) {
+TEST(RibTest, InstallWritesOnlyOnChange) {
   Rib rib(0, 4, Cost{0});
-  bgp::SelectedRoute route;
-  route.path = {0, 2, 3};
-  route.cost = Cost{4};
-  route.node_costs = {Cost{0}, Cost{4}, Cost{0}};
-  route.next_hop = 2;
-  EXPECT_TRUE(rib.force_select(3, route));
-  EXPECT_FALSE(rib.force_select(3, route));  // idempotent
-  EXPECT_EQ(rib.selected(3).path, (graph::Path{0, 2, 3}));
+  rib.ingest(2, Cost{4}, make_advert(2, {2, 3}, {4, 0}));
+  const RouteAdvert* winner = rib.stored(2, 3);
+  ASSERT_NE(winner, nullptr);
+  EXPECT_TRUE(rib.install(3, winner, Cost{4}));
+  EXPECT_FALSE(rib.install(3, winner, Cost{4}));  // idempotent
+  const auto& route = rib.selected(3);
+  EXPECT_EQ(route.path, (graph::Path{0, 2, 3}));
+  EXPECT_EQ(route.node_costs,
+            (std::vector<Cost>{Cost{0}, Cost{4}, Cost{0}}));
+  EXPECT_EQ(route.next_hop, 2u);
+  // A new cost alone is a change; so is our own declared cost, which the
+  // route's first node cost carries.
+  EXPECT_TRUE(rib.install(3, winner, Cost{5}));
+  rib.set_declared_cost(Cost{7});
+  EXPECT_TRUE(rib.install(3, winner, Cost{5}));
+  EXPECT_EQ(rib.selected(3).node_costs.front(), Cost{7});
+  // No winner: the route goes away once, then stays gone.
+  EXPECT_TRUE(rib.install(3, nullptr, Cost::infinity()));
+  EXPECT_FALSE(rib.selected(3).valid());
+  EXPECT_EQ(rib.selected(3).next_hop, kInvalidNode);
+  EXPECT_FALSE(rib.install(3, nullptr, Cost::infinity()));
+}
+
+TEST(RibTest, KnownNeighborsAscendingAcrossPurgeAndReturn) {
+  Rib rib(0, 6, Cost{0});
+  rib.ingest(4, Cost{1}, make_advert(4, {4, 5}, {1, 0}));
+  rib.note_sender(2, Cost{3});
+  rib.ingest(5, Cost{2}, make_advert(5, {5}, {2}));
+  EXPECT_EQ(rib.known_neighbors(), (std::vector<NodeId>{2, 4, 5}));
+  EXPECT_EQ(rib.purge_neighbor(4), (std::vector<NodeId>{5}));
+  EXPECT_EQ(rib.known_neighbors(), (std::vector<NodeId>{2, 5}));
+  EXPECT_EQ(rib.stored(4, 5), nullptr);
+  // A returning neighbor starts from an empty table.
+  rib.note_sender(4, Cost{6});
+  EXPECT_EQ(rib.known_neighbors(), (std::vector<NodeId>{2, 4, 5}));
+  EXPECT_EQ(rib.stored(4, 5), nullptr);
+  EXPECT_EQ(rib.neighbor_cost(4), Cost{6});
+  // Out-of-range and unheard ids read as "nothing stored".
+  EXPECT_EQ(rib.stored(9, 5), nullptr);
+  EXPECT_EQ(rib.stored(1, 5), nullptr);
+  EXPECT_FALSE(rib.heard_from(9));
+  EXPECT_TRUE(rib.purge_neighbor(1).empty());
+}
+
+TEST(RibDeathTest, UnheardNeighborCostFailsTheContract) {
+  Rib rib(0, 4, Cost{0});
+  rib.note_sender(1, Cost{2});
+  EXPECT_DEATH((void)rib.neighbor_cost(2), "precondition");
+  EXPECT_DEATH((void)rib.neighbor_cost(7), "precondition");
+  EXPECT_DEATH(rib.note_sender(4, Cost{1}), "precondition");
+}
+
+TEST(NodeSetTest, InsertContainsClear) {
+  NodeSet set(8);
+  EXPECT_TRUE(set.empty());
+  set.insert(3);
+  set.insert(3);  // repeats are no-ops
+  set.insert(0);
+  EXPECT_EQ(set.size(), 2u);
+  EXPECT_TRUE(set.contains(3));
+  EXPECT_TRUE(set.contains(0));
+  EXPECT_FALSE(set.contains(7));
+  set.clear();
+  EXPECT_TRUE(set.empty());
+  EXPECT_FALSE(set.contains(3));
+  set.insert(7);
+  EXPECT_EQ(set.sorted(), (std::vector<NodeId>{7}));
+}
+
+TEST(NodeSetTest, SortedIsAscendingAfterOutOfOrderInserts) {
+  NodeSet set(10);
+  for (NodeId v : {6u, 2u, 9u, 2u, 0u, 5u}) set.insert(v);
+  EXPECT_EQ(set.sorted(), (std::vector<NodeId>{0, 2, 5, 6, 9}));
+  set.insert(1);
+  EXPECT_EQ(set.sorted(), (std::vector<NodeId>{0, 1, 2, 5, 6, 9}));
+}
+
+TEST(NodeSetTest, InsertAllCoversEveryIdOnce) {
+  NodeSet set(5);
+  set.insert(4);
+  set.insert(1);
+  set.insert_all();
+  EXPECT_EQ(set.size(), 5u);
+  EXPECT_EQ(set.sorted(), (std::vector<NodeId>{0, 1, 2, 3, 4}));
+  set.insert(2);
+  EXPECT_EQ(set.size(), 5u);
+  set.clear();
+  for (NodeId v = 0; v < 5; ++v) EXPECT_FALSE(set.contains(v));
+}
+
+TEST(NodeSetDeathTest, OutOfRangeIdFailsTheContract) {
+  NodeSet set(4);
+  EXPECT_DEATH(set.insert(4), "precondition");
+  EXPECT_DEATH((void)set.contains(9), "precondition");
 }
 
 }  // namespace
