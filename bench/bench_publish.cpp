@@ -163,7 +163,7 @@ void publish_pipeline_cycle(benchmark::State& state, bool pooled) {
   const std::optional<std::vector<NodeId>> dirty_opt(dirty);
 
   service::ShardedSnapshotStore store(n, shards);
-  store.publish_all(prev);
+  store.publish(prev);
   service::PipelineStats stats;
   for (auto _ : state) {
     auto snap = service::PublishPipeline::run(store, prev, nullptr, session,

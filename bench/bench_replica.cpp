@@ -21,6 +21,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.h"
@@ -118,9 +119,11 @@ void BM_BootstrapFetch(benchmark::State& state) {
     state.SkipWithError("connect failed");
     return;
   }
+  // The sink keeps nothing: this times the transfer, not the assembly.
+  const net::ChunkSink discard = [](std::string_view) { return true; };
   std::uint64_t bytes = 0;
   for (auto _ : state) {
-    const auto fetched = client.fetch_snapshot({});
+    const auto fetched = client.fetch_snapshot({}, discard);
     if (!fetched.ok()) state.SkipWithError(fetched.error.message.c_str());
     bytes += fetched.bytes;
     benchmark::DoNotOptimize(fetched);
@@ -152,13 +155,13 @@ void BM_DirtyCatchUpFetch(benchmark::State& state) {
   }
   // Bootstrap once, then mark the first `stale_shards` slots stale so
   // every iteration replays the identical partial catch-up.
-  const auto booted = client.fetch_snapshot({});
+  ReplicationCodec::Assembler assembler(nullptr, nullptr);
+  const auto booted = client.fetch_snapshot(
+      {}, [&](std::string_view chunk) { return assembler.feed(chunk); });
   if (!booted.ok()) {
     state.SkipWithError(booted.error.message.c_str());
     return;
   }
-  ReplicationCodec::Assembler assembler(nullptr, nullptr);
-  for (const auto& chunk : booted.chunks) assembler.feed(chunk);
   const auto base = assembler.finish();
   if (!base.ok()) {
     state.SkipWithError(base.error.c_str());
@@ -171,10 +174,10 @@ void BM_DirtyCatchUpFetch(benchmark::State& state) {
   std::uint64_t bytes = 0;
   std::uint64_t shards = 0;
   for (auto _ : state) {
-    const auto fetched = client.fetch_snapshot(known);
-    if (!fetched.ok()) state.SkipWithError(fetched.error.message.c_str());
     ReplicationCodec::Assembler catch_up(base.snapshot, nullptr);
-    for (const auto& chunk : fetched.chunks) catch_up.feed(chunk);
+    const auto fetched = client.fetch_snapshot(
+        known, [&](std::string_view chunk) { return catch_up.feed(chunk); });
+    if (!fetched.ok()) state.SkipWithError(fetched.error.message.c_str());
     const auto result = catch_up.finish();
     if (!result.ok()) state.SkipWithError(result.error.c_str());
     bytes += fetched.bytes;

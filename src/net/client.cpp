@@ -365,37 +365,30 @@ U64Result RouteClient::drain() {
 }
 
 SnapshotFetchResult RouteClient::fetch_snapshot(
-    std::span<const std::uint64_t> known_shard_versions) {
+    std::span<const std::uint64_t> known_shard_versions,
+    const ChunkSink& sink) {
   SnapshotFetchResult result;
   result.error = send_frame(FrameType::kSnapshotFetch,
                             encode_shard_versions(known_shard_versions));
   if (!result.error.ok()) return result;
-  // The response streams until a final chunk (kind byte 2). Cap the total
-  // at one max frame per possible request batch slot — far above any real
-  // transfer — so a confused server cannot make this loop collect forever.
-  const std::uint64_t cap = std::uint64_t{config_.limits.max_payload_bytes} *
-                            std::uint64_t{config_.limits.max_batch};
+  // The response streams until a final chunk (kind byte 2). The sink
+  // bounds it: a replica's Assembler accepts each destination once, so a
+  // server repeating or inventing chunks is cut off at the first bad one.
   for (;;) {
     std::string payload;
     result.error = receive_frame(FrameType::kSnapshotChunk, payload);
-    if (!result.error.ok()) {
-      result.chunks.clear();
-      return result;
-    }
+    if (!result.error.ok()) return result;
+    ++result.chunks;
     result.bytes += payload.size();
-    const bool final_chunk =
-        !payload.empty() &&
-        static_cast<std::uint8_t>(payload[0]) ==
-            service::ReplicationCodec::kFinalChunk;
-    result.chunks.push_back(std::move(payload));
-    if (final_chunk) return result;
-    if (result.bytes > cap) {
+    if (!sink(payload)) {
       close();
-      result.chunks.clear();
       result.error = make_error(ClientStatus::kProtocolError,
-                                "snapshot stream exceeded the transfer cap");
+                                "snapshot chunk rejected");
       return result;
     }
+    if (!payload.empty() && static_cast<std::uint8_t>(payload[0]) ==
+                                service::ReplicationCodec::kFinalChunk)
+      return result;
   }
 }
 

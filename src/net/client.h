@@ -13,8 +13,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/wire.h"
@@ -95,14 +97,17 @@ struct SubmitResult {
   bool ok() const { return error.ok(); }
 };
 
-/// One kSnapshotFetch exchange: every kSnapshotChunk payload the server
-/// streamed, in arrival order (data chunks then the final chunk). The
-/// client validates framing only; reassembly and content validation are
-/// service::ReplicationCodec::Assembler's job.
+/// Receives one kSnapshotChunk payload of a fetch, in arrival order (data
+/// chunks then the final chunk); false rejects it and ends the fetch.
+using ChunkSink = std::function<bool(std::string_view payload)>;
+
+/// One kSnapshotFetch exchange, as seen on the wire. The client validates
+/// framing only; reassembly and content validation are the sink's job
+/// (service::ReplicationCodec::Assembler::feed for a replica).
 struct SnapshotFetchResult {
   ClientError error;
-  std::vector<std::string> chunks;
-  std::uint64_t bytes = 0;  ///< total chunk payload bytes received
+  std::uint64_t chunks = 0;  ///< kSnapshotChunk frames received
+  std::uint64_t bytes = 0;   ///< total chunk payload bytes received
   bool ok() const { return error.ok(); }
 };
 
@@ -153,10 +158,13 @@ class RouteClient {
   U64Result drain();
 
   /// Per-shard snapshot transfer: sends the shard versions this side
-  /// already holds (empty = full bootstrap) and collects the streamed
-  /// chunk payloads through the final chunk.
+  /// already holds (empty = full bootstrap) and passes each streamed chunk
+  /// payload to `sink` as it arrives, through the final chunk. Nothing is
+  /// buffered beyond one frame. The first chunk `sink` rejects stops the
+  /// fetch with kProtocolError and closes the connection unread.
   SnapshotFetchResult fetch_snapshot(
-      std::span<const std::uint64_t> known_shard_versions);
+      std::span<const std::uint64_t> known_shard_versions,
+      const ChunkSink& sink);
 
   /// Converts this connection into a notify stream: after a successful
   /// subscribe the only valid operation is await_notify() (request/reply

@@ -430,10 +430,9 @@ bool RouteServer::serve_snapshot_fetch(
     return send_error(fd, peer, WireStatus::kShuttingDown,
                       "no snapshot published yet");
   const std::size_t shard_count = cut.shard_versions.size();
-  // The dirty set: shards whose slot version moved since the replica's
-  // last sync. A version vector of the wrong length (including the empty
-  // one a bootstrap sends) cannot be compared per slot, so everything is
-  // dirty.
+  // The dirty set: shards whose version moved since the replica's last
+  // sync. A version vector of the wrong length (including the empty one a
+  // bootstrap sends) cannot be compared per shard, so everything is dirty.
   const bool full = known.size() != shard_count;
   std::vector<std::uint32_t> dirty;
   for (std::size_t s = 0; s < shard_count; ++s)

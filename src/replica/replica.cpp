@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -50,7 +51,7 @@ ReplicaService::ReplicaService(ReplicaConfig config)
       // first wire sync shares memory with it instead of duplicating.
       auto warm = std::make_shared<ShardedSnapshotStore>(
           loaded.snapshot->node_count(), 1);
-      warm->publish_all(loaded.snapshot);
+      warm->publish(loaded.snapshot);
       util::MutexLock lock(store_mutex_);
       store_ = std::move(warm);
       adopt_donor_ = loaded.snapshot;
@@ -166,17 +167,20 @@ bool ReplicaService::sync_once(std::uint64_t server_count) {
   const std::shared_ptr<const RouteSnapshot> base =
       store == nullptr ? nullptr : store->newest();
 
-  const net::SnapshotFetchResult fetched = fetch_->fetch_snapshot(known);
-  if (!fetched.ok()) return false;
-  chunks_fetched_.fetch_add(fetched.chunks.size(), std::memory_order_relaxed);
-  bytes_fetched_.fetch_add(fetched.bytes, std::memory_order_relaxed);
-
+  // Chunks go straight into the assembler as they arrive, so a fetch holds
+  // one frame plus the assembly, and the first chunk it rejects ends it.
   ReplicationCodec::Assembler assembler(base, adopt);
-  for (const std::string& chunk : fetched.chunks)
-    if (!assembler.feed(chunk)) break;
+  const net::SnapshotFetchResult fetched = fetch_->fetch_snapshot(
+      known, [&assembler](std::string_view chunk) {
+        return assembler.feed(chunk);
+      });
+  chunks_fetched_.fetch_add(fetched.chunks, std::memory_order_relaxed);
+  bytes_fetched_.fetch_add(fetched.bytes, std::memory_order_relaxed);
+  if (!fetched.ok() && assembler.error().empty()) return false;
+
   ReplicationCodec::Assembler::Result result = assembler.finish();
   if (!result.ok()) {
-    // A torn or inconsistent stream publishes nothing. Drop the
+    // A torn, rejected or inconsistent stream publishes nothing. Drop the
     // negotiation state so the retry is a full bootstrap — the safe
     // answer to a server whose layout (or identity) changed under us.
     util::MutexLock lock(store_mutex_);
@@ -222,10 +226,10 @@ void ReplicaService::install(
   if (rebuild) {
     // Bootstrap, layout change, or upstream version regression (a primary
     // restarted from an older checkpoint): start a fresh store shaped
-    // like the server's and fill every slot.
+    // like the server's; its first publish stamps every shard.
     auto fresh = std::make_shared<ShardedSnapshotStore>(snap->node_count(),
                                                         result.shard_count);
-    fresh->publish_all(snap);
+    fresh->publish(snap);
     store_ = std::move(fresh);
   } else if (result.shards_sent.empty() &&
              store_->version() == snap->version() &&
@@ -235,13 +239,10 @@ void ReplicaService::install(
     synced_versions_ = result.shard_versions;
     return;
   } else {
-    // Catch-up: one publish swapping exactly the fetched shards (none for
-    // a globals-only republish). The assembler shares the served blocks
-    // of every other shard, so clean slots stay block-identical to the
-    // new newest — the same invariant the primary's publish keeps.
-    std::vector<bool> fetched(store_->shard_count(), false);
-    for (const std::uint32_t s : result.shards_sent) fetched[s] = true;
-    store_->publish(snap, fetched);
+    // Catch-up: one publish. The assembler shared the served blocks of
+    // every shard not fetched and adopted fetched blocks whose bytes did
+    // not change, so the store stamps only the shards that really moved.
+    store_->publish(snap);
   }
   synced_versions_ = result.shard_versions;
   ++installs_;

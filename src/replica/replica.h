@@ -15,13 +15,15 @@
 // The sync loop bootstraps with a full fetch (every shard), subscribes,
 // and thereafter fetches only on a push — no polling. Each catch-up sends
 // the shard-version vector from its previous sync's final chunk, so the
-// primary streams exactly the shards whose slot version moved: a replica
-// N publishes behind transfers O(dirty shards), not O(all shards). The
+// primary streams exactly the shards whose version moved: a replica N
+// publishes behind transfers O(dirty shards), not O(all shards). The
 // reassembled snapshot (service::ReplicationCodec::Assembler — checksum
-// verified, torn chunks rejected wholesale) lands in the replica's own
-// ShardedSnapshotStore in one publish that swaps exactly the fetched
-// shards — the same single-lock install the primary's pipeline does, so a
-// replica's cuts meet the primary's every-block-shared invariant.
+// verified, torn chunks rejected wholesale, fed chunk by chunk as they
+// arrive) lands in the replica's own ShardedSnapshotStore in one publish,
+// the same single-lock install the primary's pipeline does. The assembler
+// shares the served blocks of every shard not fetched and adopts fetched
+// blocks whose digest matches, so that publish stamps only the shards
+// whose bytes changed; a downstream replica then refetches only those.
 //
 // Reads go through the same service::Request/Reply surface a primary
 // serves, so a query answered by a replica is bit-identical to the
@@ -170,14 +172,13 @@ class ReplicaService final : public service::Backend {
   /// `server_count` is the upstream publish count this sync covers
   /// (the notify that caused it); the chain-wide clock is raised to it
   /// atomically with the install. Returns false when the connection
-  /// failed or the stream was torn (triggers a resync; nothing partial is
-  /// ever published).
+  /// failed or a chunk was rejected (triggers a resync; nothing partial is
+  /// ever published, and a rejection also drops the negotiation state).
   bool sync_once(std::uint64_t server_count);
   void sync_loop();
-  /// Publishes an assembled snapshot into the store (one publish swapping
-  /// the fetched shards for a catch-up, a fresh store for a bootstrap or
-  /// layout change) and raises the chain-wide clock to `server_count`
-  /// under the same lock.
+  /// Publishes an assembled snapshot into the store (a fresh store for a
+  /// bootstrap or layout change) and raises the chain-wide clock to
+  /// `server_count` under the same lock.
   void install(const service::ReplicationCodec::Assembler::Result& result,
                std::uint64_t server_count);
 

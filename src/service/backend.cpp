@@ -13,28 +13,6 @@ void bump_max(std::atomic<std::uint64_t>& gauge, std::uint64_t value) {
   }
 }
 
-/// Which snapshot of a sharded view answers `request`: destination-bearing
-/// kinds read from the shard holding j (in-range j only — answer() rejects
-/// the rest against any snapshot); everything else, notably kPayment
-/// (payment totals are global arrays, current only in the newest image),
-/// reads from the composite.
-const RouteSnapshot& data_snapshot(const ShardedSnapshotStore::View& view,
-                                   const Request& request) {
-  switch (request.kind) {
-    case RequestKind::kCost:
-    case RequestKind::kPrice:
-    case RequestKind::kPairPayment:
-    case RequestKind::kNextHop:
-    case RequestKind::kPath:
-      if (request.j < view.newest->node_count())
-        return view.for_destination(request.j);
-      break;
-    default:
-      break;
-  }
-  return *view.newest;
-}
-
 }  // namespace
 
 std::vector<Reply> ReadPath::query(const ShardedSnapshotStore* store,
@@ -54,16 +32,13 @@ std::vector<Reply> ReadPath::query(const ShardedSnapshotStore* store,
   }
   // One wall-clock reading per batch: every reply reports the same age,
   // and a remote server answering the same batch produces the same split
-  // between "answer" fields and provenance. Likewise one provenance — the
-  // composite version/stamp — regardless of which shard serves each reply.
+  // between "answer" fields and provenance.
   const std::uint64_t now_ns = util::wall_clock_ns();
-  const ReplyProvenance provenance{view.newest->version(),
-                                   view.newest->published_at_ns()};
+  const RouteSnapshot& snapshot = *view.newest;
   replies.reserve(batch.size());
   for (const Request& request : batch)
-    replies.push_back(
-        answer(data_snapshot(view, request), provenance, request, now_ns));
-  record(batch.size(), util::age_from(provenance.published_at_ns, now_ns),
+    replies.push_back(answer(snapshot, request, now_ns));
+  record(batch.size(), util::age_from(snapshot.published_at_ns(), now_ns),
          start);
   return replies;
 }

@@ -76,8 +76,8 @@ struct Counters {
   // Incremental-publication counters. Cumulative over publishes.
   std::uint64_t rows_rebuilt = 0;  ///< destination rows re-extracted
   std::uint64_t rows_reused = 0;   ///< destination rows shared with prev
-  /// Shard slots actually swapped across all publishes (<= publishes *
-  /// shard count; the gap is the sharding win).
+  /// Shards whose version a publish stamped, summed over publishes (<=
+  /// publishes * shard count; the gap is the sharding win).
   std::uint64_t shards_republished = 0;
   /// Publishes that fell back to a full rebuild despite a previous
   /// snapshot existing (topology generation moved, dirty tracking had no
@@ -200,12 +200,11 @@ class ReadPath {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// Answers `batch` against one acquired cut of `store`. Destination-
-  /// bearing kinds read from the shard holding j, everything else from the
-  /// composite; every reply carries the composite version and publish
-  /// stamp and one shared answer-time clock reading. A null or empty store
-  /// (nothing served yet) answers kBadNode throughout. Records the batch's
-  /// latency and staleness.
+  /// Answers `batch` from one acquired `newest` of `store`: every reply
+  /// carries that snapshot's version and publish stamp and one shared
+  /// answer-time clock reading. A null or empty store (nothing served yet)
+  /// answers kBadNode throughout. Records the batch's latency and
+  /// staleness.
   std::vector<Reply> query(const ShardedSnapshotStore* store,
                            std::span<const Request> batch) const;
   /// Records one batch of `queries` answers begun at `start`, served from

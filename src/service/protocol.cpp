@@ -12,17 +12,10 @@ bool valid_node(NodeId v, std::size_t n) { return v < n; }
 
 Reply answer(const RouteSnapshot& snapshot, const Request& request,
              std::uint64_t now_ns) {
-  return answer(snapshot,
-                ReplyProvenance{snapshot.version(), snapshot.published_at_ns()},
-                request, now_ns);
-}
-
-Reply answer(const RouteSnapshot& snapshot, const ReplyProvenance& provenance,
-             const Request& request, std::uint64_t now_ns) {
   Reply reply;
-  reply.snapshot_version = provenance.snapshot_version;
-  reply.published_at_ns = provenance.published_at_ns;
-  reply.age_ns = util::age_from(provenance.published_at_ns, now_ns);
+  reply.snapshot_version = snapshot.version();
+  reply.published_at_ns = snapshot.published_at_ns();
+  reply.age_ns = util::age_from(snapshot.published_at_ns(), now_ns);
   const std::size_t n = snapshot.node_count();
 
   switch (request.kind) {

@@ -68,28 +68,11 @@ struct Reply {
   friend bool operator==(const Reply&, const Reply&) = default;
 };
 
-/// The provenance stamped onto a reply, decoupled from the snapshot that
-/// supplied the data. The sharded store serves a destination from the
-/// snapshot that last *changed* it while the whole batch reports one
-/// composite (newest) version and publish stamp — sound because a clean
-/// destination's data blocks are pointer-identical across the two (the
-/// copy-on-write publication contract, see ShardedSnapshotStore).
-struct ReplyProvenance {
-  std::uint64_t snapshot_version = 0;
-  std::uint64_t published_at_ns = 0;
-};
-
 /// Evaluates one request against one snapshot — the single authority both
 /// the in-process and the remote path call. `now_ns` is the answer-time
 /// wall clock (passed in so a whole batch shares one reading).
 Reply answer(const RouteSnapshot& snapshot, const Request& request,
              std::uint64_t now_ns);
-
-/// Same evaluator, answering from `data` but stamping `provenance` — the
-/// sharded-view form. answer(s, q, now) == answer(s, {s.version(),
-/// s.published_at_ns()}, q, now).
-Reply answer(const RouteSnapshot& data, const ReplyProvenance& provenance,
-             const Request& request, std::uint64_t now_ns);
 
 /// True when two replies are the same answer — every field except age_ns,
 /// which measures *when* the question was asked, not what the answer is.

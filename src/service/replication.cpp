@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "service/blockio.h"
+#include "service/store.h"
 #include "util/binio.h"
 
 namespace fpss::service {
@@ -16,13 +17,6 @@ using util::append_u64;
 using util::append_u8;
 using util::BinReader;
 using util::encode_cost;
-
-/// The store's shard partition formula (ShardedSnapshotStore's ctor):
-/// contiguous ranges of ceil(n / shard_count) destinations.
-std::size_t shard_size_of(std::uint64_t n, std::uint64_t shard_count) {
-  const std::uint64_t nn = n == 0 ? 1 : n;
-  return static_cast<std::size_t>((nn + shard_count - 1) / shard_count);
-}
 
 /// Every data chunk's fixed fields after the kind byte.
 void append_data_header(std::string& out, const RouteSnapshot& snap,

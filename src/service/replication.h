@@ -60,7 +60,7 @@ struct ReplicationCodec {
 
   /// Encodes shard `shard` of `snap` (destinations [shard * shard_size,
   /// min(n, (shard+1) * shard_size))) as one or more data-chunk payloads.
-  /// `shard_version` is the store's version for that slot (echoed to the
+  /// `shard_version` is the store's version for that shard (echoed to the
   /// replica for its next negotiation).
   static std::vector<std::string> encode_shard(
       const RouteSnapshot& snap, std::size_t shard, std::size_t shard_size,

@@ -62,14 +62,14 @@ RouteService::RouteService(const graph::Graph& g,
     settled[k] = warm->payment_settled(k);
   }
   ledger_.restore(std::move(owed), std::move(settled));
-  // The warm snapshot fills every shard; it is NOT a CoW base for later
+  // The warm snapshot is served as is; it is NOT a CoW base for later
   // exports (its blocks came from disk, not from this session), so
   // last_published_ stays null and the first real publish rebuilds fully —
   // but it IS the digest-adoption donor: the pipeline keeps its blocks
   // wherever the fresh export reproduces them, so only genuinely-changed
-  // shards are swapped on that first publish.
+  // shards are stamped on that first publish.
   warm_base_ = warm;
-  store_.publish_all(std::move(warm));
+  store_.publish(std::move(warm));
   updater_ = std::thread([this] { updater_loop(); });
 }
 
@@ -234,16 +234,16 @@ void RouteService::publish_current() {
 
 namespace {
 
-/// One raw-convention read (the single-read conveniences) against a fresh
-/// cut, accounted as a batch of one.
+/// One raw-convention read (the single-read conveniences) against the
+/// newest snapshot, accounted as a batch of one.
 template <typename Read>
 auto read_one(const ShardedSnapshotStore& store, const ReadPath& reads,
               Read read) {
   const auto start = ReadPath::Clock::now();
-  const ShardedSnapshotStore::View view = store.acquire();
+  const std::shared_ptr<const RouteSnapshot> snap = store.newest();
   const std::uint64_t age_ns =
-      util::age_from(view.newest->published_at_ns(), util::wall_clock_ns());
-  auto value = read(view);
+      util::age_from(snap->published_at_ns(), util::wall_clock_ns());
+  auto value = read(*snap);
   reads.record(1, age_ns, start);
   return value;
 }
@@ -255,27 +255,23 @@ std::vector<Reply> RouteService::query(std::span<const Request> batch) const {
 }
 
 Cost RouteService::price(NodeId k, NodeId i, NodeId j) const {
-  return read_one(store_, reads_, [&](const ShardedSnapshotStore::View& v) {
-    return v.for_destination(j).price(k, i, j);
-  });
+  return read_one(store_, reads_,
+                  [&](const RouteSnapshot& s) { return s.price(k, i, j); });
 }
 
 Cost RouteService::cost(NodeId i, NodeId j) const {
-  return read_one(store_, reads_, [&](const ShardedSnapshotStore::View& v) {
-    return v.for_destination(j).cost(i, j);
-  });
+  return read_one(store_, reads_,
+                  [&](const RouteSnapshot& s) { return s.cost(i, j); });
 }
 
 graph::Path RouteService::path(NodeId i, NodeId j) const {
-  return read_one(store_, reads_, [&](const ShardedSnapshotStore::View& v) {
-    return v.for_destination(j).path(i, j);
-  });
+  return read_one(store_, reads_,
+                  [&](const RouteSnapshot& s) { return s.path(i, j); });
 }
 
 Cost::rep RouteService::payment(NodeId k) const {
-  return read_one(store_, reads_, [&](const ShardedSnapshotStore::View& v) {
-    return v.newest->payment_total(k);
-  });
+  return read_one(store_, reads_,
+                  [&](const RouteSnapshot& s) { return s.payment_total(k); });
 }
 
 RouteService::Counters RouteService::counters() const {

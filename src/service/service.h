@@ -6,10 +6,10 @@
 // pricing::Session plus a background updater thread and a
 // ShardedSnapshotStore:
 //
-//   readers ──► ShardedSnapshotStore::acquire() ──► consistent View
+//   readers ──► ShardedSnapshotStore::acquire() ──► newest snapshot
 //   updater ──► coalesce queued deltas ──► reconverge once per burst
 //           ──► dirty_destinations() ──► PublishPipeline::run
-//                 ├─ CoW export of the dirty rows, one publish swapping
+//                 ├─ CoW export of the dirty rows, one publish stamping
 //                 │  only the shards that hold them
 //                 └─ incremental checkpoint (base + patch journal) after
 //                    readers are on the new epoch
@@ -17,7 +17,8 @@
 // Publication is *incremental* end to end: the session fingerprints each
 // destination's sink tree per converged epoch, the export re-extracts only
 // the dirty destinations (copy-on-write against the previous snapshot),
-// and the store swaps only the shards containing them. A single cost delta
+// and the store stamps a new version only on the shards containing them,
+// so a replica's catch-up fetches only those. A single cost delta
 // costs O(changed sink trees), not O(n^2); the rows_reused /
 // shards_republished counters quantify it. Whenever the dirty set is
 // unknown (first publish, topology generation moved, warm start) the
@@ -83,8 +84,9 @@ struct ServiceConfig {
   /// pricing::RestartPolicy).
   pricing::RestartPolicy restart = pricing::RestartPolicy::kRestartBarrier;
   /// Shards of the publication store (clamped to [1, node_count]). A
-  /// publish swaps only the shards whose destinations' sink trees changed;
-  /// 1 degenerates to the whole-store swap of previous releases.
+  /// publish stamps a new version only on the shards whose destinations'
+  /// sink trees changed, and a replica catch-up fetches only those; 1
+  /// makes every change refetch the whole snapshot.
   std::size_t shards = 1;
   /// Incremental checkpointing (fpss-snap v4 base + patch journal). The
   /// default (empty directory) disables it.
@@ -177,8 +179,8 @@ class RouteService final : public Backend {
   std::uint64_t publish_count() const override {
     return store_.publish_count();
   }
-  /// Composite version of the currently served state (the newest
-  /// snapshot's version — what every reply in a batch reports).
+  /// Version of the served (newest) snapshot — what every reply in a
+  /// batch reports.
   std::uint64_t version() const { return store_.version(); }
   std::size_t shard_count() const { return store_.shard_count(); }
 
@@ -236,9 +238,9 @@ class RouteService final : public Backend {
   /// session), so the first real publish is a full build.
   std::shared_ptr<const RouteSnapshot> last_published_;
   std::uint64_t last_export_epoch_ = 0;
-  /// Warm-start digest-adoption donor: the disk snapshot currently filling
-  /// every store slot. Consumed by the first real publish (the pipeline
-  /// adopts its unchanged blocks so clean shards need no swap), then null.
+  /// Warm-start digest-adoption donor: the disk snapshot the store serves
+  /// until the first real publish, which consumes it (the pipeline adopts
+  /// its unchanged blocks so clean shards keep their version), then null.
   std::shared_ptr<const RouteSnapshot> warm_base_;
   /// Non-null iff config_.checkpoint names a directory. Updater-only.
   std::unique_ptr<CheckpointWriter> checkpoint_;

@@ -140,7 +140,9 @@ class RouteSnapshot {
   payments::PriceFn price_fn() const;
 
   /// True iff destination j's block is the same object in both snapshots —
-  /// the observable CoW contract (shared, not merely equal). Test hook.
+  /// the observable CoW contract (shared, not merely equal). Blocks are
+  /// immutable, so this is how ShardedSnapshotStore::publish finds the
+  /// shards a new snapshot changed.
   bool shares_block_with(const RouteSnapshot& other, NodeId j) const {
     return blocks_[j] == other.blocks_[j];
   }

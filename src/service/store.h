@@ -22,6 +22,7 @@
 // pointer swap itself; everything after acquire() is lock-free.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -32,75 +33,64 @@
 
 namespace fpss::service {
 
-/// The k-shard publication point: destinations are partitioned into k
-/// contiguous ranges ("shards", shard_of(j) = j / ceil(n/k)) and each
-/// shard slot holds the snapshot whose publish last *changed* that
-/// shard's sink trees. A publish swaps only the slots flagged dirty plus
-/// the `newest` slot, so steady-state churn touching few sink trees does
-/// k' + 1 refcount swaps, not k.
+/// The shard partition every store and every replication stream share:
+/// contiguous ranges of ceil(n / shard_count) destinations, so shard s
+/// holds [s * size, min(n, (s + 1) * size)). Precondition: shard_count >= 1.
+inline std::size_t shard_size_of(std::size_t node_count,
+                                 std::size_t shard_count) {
+  return (std::max<std::size_t>(node_count, 1) + shard_count - 1) /
+         shard_count;
+}
+
+/// The k-shard publication point: one snapshot (`newest`) plus one version
+/// per shard of destinations (shard_of(j) = j / shard_size()). A shard's
+/// version is the version of the publish that last *changed* one of its
+/// destinations, which is what a replica's fetch negotiates on: a catch-up
+/// transfers only the shards whose version moved.
 ///
-/// Consistency contract for readers: acquire() copies every slot under one
-/// lock into a View. Slots may reference different snapshot objects, but
-/// every destination's data block is *pointer-identical* across all of
-/// them — the updater only publishes copy-on-write descendants (a full
-/// rebuild flags every shard dirty), so a clean shard's rows in an old
-/// root are the same immutable blocks the newest root holds. A View is
-/// therefore one consistent cross-shard cut; `newest` supplies the
-/// composite provenance (version, publish stamp) every reply in a query
-/// batch reports, regardless of which slot served it.
+/// publish() finds the moved shards itself, by block identity: a
+/// destination moved iff its block is not the same object as in the
+/// previous `newest`. That is exact because blocks are immutable (the same
+/// object is the same content, changed content is always a new object) and
+/// every producer shares unchanged rows by pointer: an incremental export
+/// aliases every clean row, warm-start adoption and the replica's
+/// Assembler swap in the resident block wherever digests match, and a full
+/// export makes a new block per row, so every shard moves.
 ///
-/// The mutex (see the file comment) is also the only way k slots can be
-/// read as one atomic cut at all.
+/// Readers get `newest` and nothing else: every reply is answered from the
+/// snapshot whose version it carries.
 class ShardedSnapshotStore {
  public:
   /// Partitions `node_count` destinations into `shard_count` contiguous
   /// shards. shard_count is clamped to [1, max(1, node_count)]; with one
-  /// shard every publish is a whole-store pointer swap.
+  /// shard every publish that changes anything stamps the one version.
   ShardedSnapshotStore(std::size_t node_count, std::size_t shard_count);
 
   std::size_t shard_count() const { return shard_count_; }
   std::size_t shard_size() const { return shard_size_; }
   std::size_t shard_of(NodeId j) const { return j / shard_size_; }
 
-  /// One consistent cross-shard cut, alive as long as the caller holds it.
+  /// The served snapshot, alive as long as the caller holds it.
   struct View {
-    std::shared_ptr<const RouteSnapshot> newest;  ///< composite provenance
-    std::vector<std::shared_ptr<const RouteSnapshot>> shards;
-    std::size_t shard_size = 1;
+    std::shared_ptr<const RouteSnapshot> newest;
 
     bool empty() const { return newest == nullptr; }
-    /// The snapshot to answer a query about destination j from. Falls back
-    /// to `newest` for a never-published slot (pre-first-publish queries
-    /// are rejected upstream on `empty()`).
-    const RouteSnapshot& for_destination(NodeId j) const {
-      const auto& slot = shards[j / shard_size];
-      return slot != nullptr ? *slot : *newest;
-    }
   };
 
-  View acquire() const FPSS_EXCLUDES(mutex_);
+  View acquire() const FPSS_EXCLUDES(mutex_) { return View{newest()}; }
 
-  /// The newest published snapshot (null until the first publish) — the
-  /// full-image read used for persistence and version reporting.
+  /// The newest published snapshot (null until the first publish).
   std::shared_ptr<const RouteSnapshot> newest() const FPSS_EXCLUDES(mutex_) {
     util::MutexLock lock(mutex_);
     return newest_;
   }
 
-  /// Publishes `snapshot`: installs it as `newest` and into every shard
-  /// slot flagged in `shard_dirty` (plus any slot still null, so the first
-  /// publish fills the table). Returns the number of shard slots swapped.
-  /// Precondition: snapshot non-null, version non-decreasing,
-  /// shard_dirty.size() == shard_count(). The caller asserts that clean
-  /// shards' blocks are shared with the previous publish (CoW contract
-  /// above) — RouteService guarantees it by flagging every shard dirty on
-  /// a full rebuild.
-  std::size_t publish(std::shared_ptr<const RouteSnapshot> snapshot,
-                      const std::vector<bool>& shard_dirty)
-      FPSS_EXCLUDES(mutex_);
-
-  /// Full publish: every shard flagged dirty.
-  std::size_t publish_all(std::shared_ptr<const RouteSnapshot> snapshot)
+  /// Publishes `snapshot` as `newest` and stamps its version onto every
+  /// shard holding a destination whose block differs from the previous
+  /// newest's (every shard on the first publish). Returns the number of
+  /// shards stamped. Preconditions: snapshot non-null with this store's
+  /// node count, version non-decreasing, and one publisher per store.
+  std::size_t publish(std::shared_ptr<const RouteSnapshot> snapshot)
       FPSS_EXCLUDES(mutex_);
 
   std::uint64_t publish_count() const FPSS_EXCLUDES(mutex_) {
@@ -108,15 +98,14 @@ class ShardedSnapshotStore {
     return publishes_;
   }
 
-  /// Composite version (the newest snapshot's); 0 before the first publish.
+  /// The newest snapshot's version; 0 before the first publish.
   std::uint64_t version() const {
     const auto snap = newest();
     return snap == nullptr ? 0 : snap->version();
   }
 
-  /// One replication cut: `newest` plus the per-shard versions (0 for a
-  /// never-published slot: how far behind `newest` each shard's
-  /// last-changed publish is), read under a single lock so they describe
+  /// One replication cut: `newest` plus the per-shard versions (all 0
+  /// before the first publish), read under a single lock so they describe
   /// the same instant, plus the partition's shard size.
   struct ExportCut {
     std::shared_ptr<const RouteSnapshot> newest;  ///< null before 1st publish
@@ -126,12 +115,12 @@ class ShardedSnapshotStore {
   ExportCut export_cut() const FPSS_EXCLUDES(mutex_);
 
  private:
+  const std::size_t node_count_;
   const std::size_t shard_count_;
   const std::size_t shard_size_;
   mutable util::Mutex mutex_;
   std::shared_ptr<const RouteSnapshot> newest_ FPSS_GUARDED_BY(mutex_);
-  std::vector<std::shared_ptr<const RouteSnapshot>> shards_
-      FPSS_GUARDED_BY(mutex_);
+  std::vector<std::uint64_t> shard_versions_ FPSS_GUARDED_BY(mutex_);
   std::uint64_t publishes_ FPSS_GUARDED_BY(mutex_) = 0;
 };
 

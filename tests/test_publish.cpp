@@ -4,9 +4,9 @@
 // The load-bearing property: an incremental export built from a dirty
 // superset is *logically identical* to a full export of the same converged
 // state (same content checksum, same self_check), while physically sharing
-// every clean destination block with its predecessor. The concurrency
-// tests pin the sharded store's cross-shard consistency contract under
-// TSan (the CI tsan job runs this suite).
+// every clean destination block with its predecessor — which is how the
+// store tells which shards a publish moved. The concurrency tests hunt
+// for torn store reads under TSan (the CI tsan job runs this suite).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -174,13 +174,17 @@ TEST(ShardedStore, PublishSwapsOnlyDirtyShards) {
   EXPECT_TRUE(store.acquire().empty());
   EXPECT_EQ(store.version(), 0u);
 
-  // First publish fills every (null) slot regardless of the dirty flags.
-  EXPECT_EQ(store.publish_all(first), 4u);
+  EXPECT_EQ(store.export_cut().shard_versions,
+            std::vector<std::uint64_t>(4, 0));
+
+  // The first publish stamps every shard.
+  EXPECT_EQ(store.publish(first), 4u);
   EXPECT_EQ(store.version(), epoch0);
   EXPECT_EQ(store.export_cut().shard_versions,
             std::vector<std::uint64_t>(4, epoch0));
 
-  // One cost change; only the shards holding dirty destinations swap.
+  // One cost change; only the shards holding dirty destinations, which are
+  // exactly the re-extracted blocks, are stamped.
   ASSERT_TRUE(
       session.change_cost(0, Cost{40}, RestartPolicy::kRestartBarrier)
           .converged);
@@ -198,21 +202,43 @@ TEST(ShardedStore, PublishSwapsOnlyDirtyShards) {
       static_cast<std::size_t>(
           std::count(shard_dirty.begin(), shard_dirty.end(), true));
 
-  EXPECT_EQ(store.publish(second, shard_dirty), dirty_shards);
+  EXPECT_EQ(store.publish(second), dirty_shards);
   EXPECT_EQ(store.version(), epoch1);
   EXPECT_EQ(store.publish_count(), 2u);
-
-  // Readers: clean shards still reference the first snapshot object, yet
-  // every destination's block is pointer-identical to the newest root.
-  const auto view = store.acquire();
-  ASSERT_FALSE(view.empty());
-  EXPECT_EQ(view.newest, second);
-  for (NodeId j = 0; j < n; ++j)
-    EXPECT_TRUE(view.for_destination(j).shares_block_with(*second, j))
-        << "j=" << j;
+  EXPECT_EQ(store.acquire().newest, second);
   const auto versions = store.export_cut().shard_versions;
   for (std::size_t s = 0; s < store.shard_count(); ++s)
     EXPECT_EQ(versions[s], shard_dirty[s] ? epoch1 : epoch0) << "s=" << s;
+
+  // What a republish exports: every block shared with `newest`. No shard
+  // is stamped, yet newest, the version and the publish count advance.
+  const auto republished = RouteSnapshot::from_session_incremental(
+      second, session, epoch1 + 1, {}, nullptr, nullptr, nullptr);
+  for (NodeId j = 0; j < n; ++j)
+    ASSERT_TRUE(republished->shares_block_with(*second, j)) << "j=" << j;
+  EXPECT_EQ(store.publish(republished), 0u);
+  EXPECT_EQ(store.acquire().newest, republished);
+  EXPECT_EQ(store.version(), epoch1 + 1);
+  EXPECT_EQ(store.publish_count(), 3u);
+  EXPECT_EQ(store.export_cut().shard_versions, versions);
+
+  // A full export of the unchanged state makes a new block per row, so
+  // every shard is stamped: block identity decides, not content.
+  const auto full = RouteSnapshot::from_session(session, epoch1 + 2);
+  EXPECT_EQ(full->content_checksum(), republished->content_checksum());
+  EXPECT_EQ(store.publish(full), 4u);
+  EXPECT_EQ(store.export_cut().shard_versions,
+            std::vector<std::uint64_t>(4, epoch1 + 2));
+}
+
+TEST(ShardedStoreDeathTest, PublishOfAnotherNodeCountFailsTheContract) {
+  const auto f = graphgen::fig1();
+  Session session(f.g, pricing::Protocol::kPriceVector);
+  ASSERT_TRUE(session.run().converged);
+  const auto snap = RouteSnapshot::from_session(
+      session, session.engine().converged_epochs());
+  ShardedSnapshotStore store(f.g.node_count() + 1, 2);
+  EXPECT_DEATH(store.publish(snap), "precondition");
 }
 
 TEST(ShardedStore, ShardCountIsClamped) {
@@ -295,7 +321,7 @@ TEST(ShardedStore, ConcurrentReadersNeverSeeTornViews) {
       RouteSnapshot::from_session(session, prev_epoch);
 
   ShardedSnapshotStore store(n, 6);
-  store.publish_all(prev);
+  store.publish(prev);
 
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> views_checked{0};
@@ -306,13 +332,19 @@ TEST(ShardedStore, ConcurrentReadersNeverSeeTornViews) {
       while (!done.load(std::memory_order_relaxed)) {
         const auto view = store.acquire();
         if (view.empty()) continue;
-        // Versions move forward only, and every destination's block in
-        // the view is the newest root's block — one consistent cut even
-        // when the slots reference different snapshot objects.
-        EXPECT_GE(view.newest->version(), last_version);
-        last_version = view.newest->version();
-        for (NodeId j = 0; j < n; ++j)
-          ASSERT_TRUE(view.for_destination(j).shares_block_with(*view.newest, j));
+        // Versions move forward only, and every route read from the
+        // acquired snapshot costs the sum of its transit nodes' costs.
+        const RouteSnapshot& snap = *view.newest;
+        EXPECT_GE(snap.version(), last_version);
+        last_version = snap.version();
+        for (NodeId j = 1; j < n; ++j) {
+          const Cost c = snap.cost(0, j);
+          if (c.is_infinite()) continue;
+          Cost::rep along = 0;
+          for (const NodeId k : snap.path(0, j))
+            if (k != 0 && k != j) along += snap.node_cost(k).value();
+          ASSERT_EQ(Cost{along}, c) << "j=" << j;
+        }
         views_checked.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -330,9 +362,7 @@ TEST(ShardedStore, ConcurrentReadersNeverSeeTornViews) {
     ASSERT_TRUE(dirty.has_value());
     const auto next = RouteSnapshot::from_session_incremental(
         prev, session, epoch, *dirty, nullptr, nullptr, nullptr);
-    std::vector<bool> shard_dirty(store.shard_count(), false);
-    for (const NodeId j : *dirty) shard_dirty[store.shard_of(j)] = true;
-    store.publish(next, shard_dirty);
+    store.publish(next);
     prev = next;
     prev_epoch = epoch;
   }

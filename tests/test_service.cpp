@@ -196,12 +196,14 @@ TEST(SnapshotStore, PublishesAtomicallyAndKeepsOldEpochsAlive) {
 
   // One shard: every publish is a whole-store pointer swap.
   ShardedSnapshotStore store(f.g.node_count(), 1);
+  EXPECT_EQ(store.export_cut().shard_versions,
+            std::vector<std::uint64_t>{0});
   EXPECT_EQ(store.newest(), nullptr);
   EXPECT_EQ(store.version(), 0u);
 
   const auto v1 = RouteSnapshot::from_session(
       session, session.engine().converged_epochs());
-  EXPECT_EQ(store.publish_all(v1), 1u);
+  EXPECT_EQ(store.publish(v1), 1u);
   EXPECT_EQ(store.version(), 1u);
   EXPECT_EQ(store.publish_count(), 1u);
 
@@ -209,10 +211,11 @@ TEST(SnapshotStore, PublishesAtomicallyAndKeepsOldEpochsAlive) {
   session.change_cost(f.d, Cost{7}, pricing::RestartPolicy::kRestartBarrier);
   const auto v2 = RouteSnapshot::from_session(
       session, session.engine().converged_epochs());
-  EXPECT_EQ(store.publish_all(v2), 1u);
+  EXPECT_EQ(store.publish(v2), 1u);
   const auto view = store.acquire();
   EXPECT_EQ(view.newest, v2);
-  EXPECT_EQ(view.shards.front(), v2);
+  EXPECT_EQ(store.export_cut().shard_versions,
+            std::vector<std::uint64_t>{v2->version()});
   EXPECT_GT(store.version(), 1u);
   EXPECT_EQ(store.publish_count(), 2u);
 
