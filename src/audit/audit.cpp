@@ -84,8 +84,8 @@ std::vector<Violation> audit_network(const pricing::Session& session) {
           }
         }
 
-        // Price checks per advertised transit value.
-        for (const auto& [k, price] : advert->transit_values) {
+        // Price checks per advertised transit value still in force.
+        for (const auto& [k, price] : me.stored_values(a, j)) {
           if (price.is_infinite()) continue;  // still unknown: no claim made
 
           // (B) Theorem 1 floor: p^k >= c_k.

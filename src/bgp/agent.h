@@ -21,7 +21,7 @@ namespace fpss::bgp {
 /// Router state footprint in words, for the E5 overhead experiment.
 struct StateSize {
   std::size_t selected_words = 0;  ///< Loc-RIB: paths + costs
-  std::size_t rib_in_words = 0;    ///< Adj-RIB-In copies of neighbor tables
+  std::size_t rib_in_words = 0;    ///< Adj-RIB-In: stored neighbor tables
   std::size_t value_words = 0;     ///< pricing extension state
 
   std::size_t base_words() const { return selected_words + rib_in_words; }
@@ -39,8 +39,9 @@ class Agent {
   /// Prepare the initial advertisement (a node announces itself).
   virtual void bootstrap() = 0;
 
-  /// Ingest one update from a neighbor. No recomputation yet.
-  virtual void receive(const TableMessage& msg) = 0;
+  /// Ingest one update from a neighbor. No recomputation yet. The agent
+  /// may keep references into `msg` (it is immutable once sent).
+  virtual void receive(const MessageRef& msg) = 0;
 
   /// Local computation: reselect routes, update prices, and build the
   /// update to flood to all current neighbors (nullopt = nothing changed,

@@ -141,8 +141,6 @@ class StageScheduler final : public Scheduler {
   double now() const override { return eng_.stats_.stages; }
 
  private:
-  using MessageRef = Engine::MessageRef;
-
   Engine& eng_;
   // Stage buffers, reused across stages and runs (capacities stick).
   std::vector<std::vector<MessageRef>> inbox_;
@@ -174,7 +172,7 @@ RunStats StageScheduler::run(Stage max_stages) {
 
     auto compute_node = [&](std::size_t v_) {
       const NodeId v = static_cast<NodeId>(v_);
-      for (const MessageRef& msg : arriving_[v]) net.agent(v).receive(*msg);
+      for (const MessageRef& msg : arriving_[v]) net.agent(v).receive(msg);
       outputs_[v] = net.agent(v).advertise();
     };
     // Tracing never hears from this phase — every TraceSink callback fires
@@ -282,8 +280,6 @@ class EventScheduler final : public Scheduler {
   double now() const override { return now_; }
 
  private:
-  using MessageRef = Engine::MessageRef;
-
   struct Event {
     enum class Kind : std::uint8_t {
       kDeliver,        ///< msg arrives at node (from peer, session-stamped)
@@ -623,7 +619,7 @@ RunStats EventScheduler::run(Stage max_stages) {
             eng_.trace_->on_drop(tick_, ev.peer, ev.node);
           break;
         }
-        eng_.net_.agent(ev.node).receive(*ev.msg);
+        eng_.net_.agent(ev.node).receive(ev.msg);
         activate(ev.node);
         break;
       }

@@ -270,11 +270,6 @@ class Engine {
   friend class StageScheduler;
   friend class EventScheduler;
 
-  /// Messages are shared, immutable after send: when an agent's export
-  /// filter is the identity (filters_exports() == false) all neighbors
-  /// receive the same refcounted payload instead of per-neighbor copies.
-  using MessageRef = std::shared_ptr<const TableMessage>;
-
   /// Flat per-directed-link ledger: a CSR snapshot of the adjacency lists
   /// carrying the per-link message counters (E5's max_link_messages), the
   /// event scheduler's per-link FIFO clocks (BGP sessions run over TCP:

@@ -9,6 +9,9 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/path.h"
@@ -41,6 +44,9 @@ struct RouteAdvert {
   bool is_withdrawal() const { return path.empty(); }
 };
 
+/// A read-only view of an advert's transit_values.
+using TransitValues = std::span<const std::pair<NodeId, Cost>>;
+
 /// One routing update: the sender's changed (or full) table plus its own
 /// declared transit cost.
 struct TableMessage {
@@ -48,6 +54,12 @@ struct TableMessage {
   Cost sender_cost;  ///< declared c_sender, piggybacked on every exchange
   std::vector<RouteAdvert> entries;
 };
+
+/// A sent message is shared and immutable: when an agent's export filter is
+/// the identity (Agent::filters_exports() == false) every neighbor receives
+/// the same refcounted payload, and a receiver's Adj-RIB-In keeps pointing
+/// into it (Rib::ingest) instead of copying the entries out.
+using MessageRef = std::shared_ptr<const TableMessage>;
 
 /// Size accounting for the E5 communication-overhead experiment, in
 /// abstract "words" (one word per AS number or cost value).

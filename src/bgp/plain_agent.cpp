@@ -17,20 +17,23 @@ void PlainBgpAgent::bootstrap() {
   dirty_.insert(id());
 }
 
-void PlainBgpAgent::receive(const TableMessage& msg) {
-  FPSS_EXPECTS(msg.sender != id());
+void PlainBgpAgent::receive(const MessageRef& msg) {
+  const NodeId sender = msg->sender;
+  FPSS_EXPECTS(sender != id());
   // A changed declared cost at the sender re-rates every route through it.
-  if (!rib_.heard_from(msg.sender) ||
-      rib_.neighbor_cost(msg.sender) != msg.sender_cost) {
-    const bool was_known = rib_.heard_from(msg.sender);
-    rib_.note_sender(msg.sender, msg.sender_cost);
+  if (!rib_.heard_from(sender) ||
+      rib_.neighbor_cost(sender) != msg->sender_cost) {
+    const bool was_known = rib_.heard_from(sender);
+    rib_.note_sender(sender, msg->sender_cost);
     mark_all_pending();
-    if (was_known) note_sender_cost_change(msg.sender);
+    if (was_known) note_sender_cost_change(sender);
   }
-  for (const RouteAdvert& advert : msg.entries) {
-    rib_.ingest(msg.sender, msg.sender_cost, advert);
+  for (const RouteAdvert& advert : msg->entries) {
+    // Shares ownership of the message: the Rib keeps a pointer to the
+    // entry, not a copy.
+    rib_.ingest(sender, msg->sender_cost, {msg, &advert});
     pending_reselect_.insert(advert.destination);
-    note_refreshed(msg.sender, advert.destination);
+    note_refreshed(sender, advert.destination);
   }
 }
 

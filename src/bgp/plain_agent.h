@@ -26,7 +26,7 @@ class PlainBgpAgent : public Agent {
 
   NodeId id() const override { return rib_.self(); }
   void bootstrap() override;
-  void receive(const TableMessage& msg) override;
+  void receive(const MessageRef& msg) override;
   std::optional<TableMessage> advertise() override;
 
   void on_link_down(NodeId neighbor) override;
@@ -47,10 +47,14 @@ class PlainBgpAgent : public Agent {
   }
 
   /// Read-only introspection for monitoring/auditing: the latest advert
-  /// heard from `neighbor` about `destination` (nullptr if none), and the
+  /// heard from `neighbor` about `destination` (nullptr if none), its
+  /// transit values as they still count (see Rib::stored_values), and the
   /// neighbors heard from so far.
   const RouteAdvert* stored_advert(NodeId neighbor, NodeId destination) const {
     return rib_.stored(neighbor, destination);
+  }
+  TransitValues stored_values(NodeId neighbor, NodeId destination) const {
+    return rib_.stored_values(neighbor, destination);
   }
   std::vector<NodeId> heard_neighbors() const {
     return rib_.known_neighbors();

@@ -25,12 +25,6 @@ void Rib::set_declared_cost(Cost c) {
   selected_[self_].node_costs = {c};  // keep the trivial self-route in sync
 }
 
-void Rib::forget(RouteAdvert& held) {
-  held.path.clear();
-  held.node_costs.clear();
-  held.transit_values.clear();
-}
-
 std::uint32_t Rib::hear(NodeId neighbor, Cost cost) {
   Neighbor& nb = neighbors_[neighbor];
   nb.cost = cost;
@@ -47,19 +41,19 @@ std::uint32_t Rib::hear(NodeId neighbor, Cost cost) {
 }
 
 void Rib::ingest(NodeId neighbor, Cost neighbor_cost,
-                 const RouteAdvert& advert) {
+                 std::shared_ptr<const RouteAdvert> advert) {
   FPSS_EXPECTS(neighbor < node_count() && neighbor != self_);
-  FPSS_EXPECTS(advert.destination < node_count());
-  RouteAdvert& held = entry(hear(neighbor, neighbor_cost),
-                            advert.destination);
-  if (advert.is_withdrawal()) {
-    forget(held);
+  FPSS_EXPECTS(advert != nullptr && advert->destination < node_count());
+  Cell& held = cell(hear(neighbor, neighbor_cost), advert->destination);
+  if (advert->is_withdrawal()) {
+    held.advert.reset();
     return;
   }
-  FPSS_EXPECTS(advert.path.front() == neighbor);
-  FPSS_EXPECTS(advert.path.back() == advert.destination);
-  FPSS_EXPECTS(advert.node_costs.size() == advert.path.size());
-  held = advert;  // copy-assign: reuses the capacity already in the slot
+  FPSS_EXPECTS(advert->path.front() == neighbor);
+  FPSS_EXPECTS(advert->path.back() == advert->destination);
+  FPSS_EXPECTS(advert->node_costs.size() == advert->path.size());
+  held.advert = std::move(advert);
+  held.values_generation = values_generation_;
 }
 
 std::vector<NodeId> Rib::purge_neighbor(NodeId neighbor) {
@@ -67,18 +61,14 @@ std::vector<NodeId> Rib::purge_neighbor(NodeId neighbor) {
   if (!heard_from(neighbor)) return dropped;
   Neighbor& nb = neighbors_[neighbor];
   for (NodeId j = 0; j < node_count(); ++j) {
-    RouteAdvert& held = entry(nb.slot, j);
-    if (held.path.empty()) continue;
-    forget(held);
+    Cell& held = cell(nb.slot, j);
+    if (held.advert == nullptr) continue;
+    held.advert.reset();
     dropped.push_back(j);
   }
   nb.heard = false;
   heard_.erase(std::lower_bound(heard_.begin(), heard_.end(), neighbor));
   return dropped;
-}
-
-void Rib::clear_stored_values() {
-  for (RouteAdvert& advert : rib_in_) advert.transit_values.clear();
 }
 
 bool Rib::reselect(NodeId destination) {
@@ -89,19 +79,19 @@ bool Rib::reselect(NodeId destination) {
   const RouteAdvert* best_advert = nullptr;
   for (NodeId neighbor : heard_) {
     const Neighbor& nb = neighbors_[neighbor];
-    const RouteAdvert& advert = entry(nb.slot, destination);
-    if (advert.path.empty()) continue;
+    const RouteAdvert* advert = cell(nb.slot, destination).advert.get();
+    if (advert == nullptr) continue;
     // Path-vector loop prevention: never use a route already through us.
-    if (std::find(advert.path.begin(), advert.path.end(), self_) !=
-        advert.path.end())
+    if (std::find(advert->path.begin(), advert->path.end(), self_) !=
+        advert->path.end())
       continue;
     const Cost step = (neighbor == destination) ? Cost::zero() : nb.cost;
     const routing::RouteRank rank{
-        advert.cost + step, static_cast<std::uint32_t>(advert.path.size()),
+        advert->cost + step, static_cast<std::uint32_t>(advert->path.size()),
         neighbor};
     if (rank < best) {
       best = rank;
-      best_advert = &advert;
+      best_advert = advert;
     }
   }
   return install(destination, best_advert, best.cost);
@@ -146,12 +136,26 @@ const SelectedRoute& Rib::selected(NodeId destination) const {
   return selected_[destination];
 }
 
-const RouteAdvert* Rib::stored(NodeId neighbor, NodeId destination) const {
+const Rib::Cell* Rib::find(NodeId neighbor, NodeId destination) const {
   if (neighbor >= node_count() || destination >= node_count()) return nullptr;
   const std::uint32_t slot = neighbors_[neighbor].slot;
-  if (slot == kNoSlot) return nullptr;
-  const RouteAdvert& advert = entry(slot, destination);
-  return advert.path.empty() ? nullptr : &advert;
+  return slot == kNoSlot ? nullptr : &cell(slot, destination);
+}
+
+TransitValues Rib::values(const Cell& held) const {
+  if (held.advert == nullptr || held.values_generation != values_generation_)
+    return {};
+  return held.advert->transit_values;
+}
+
+const RouteAdvert* Rib::stored(NodeId neighbor, NodeId destination) const {
+  const Cell* held = find(neighbor, destination);
+  return held == nullptr ? nullptr : held->advert.get();
+}
+
+TransitValues Rib::stored_values(NodeId neighbor, NodeId destination) const {
+  const Cell* held = find(neighbor, destination);
+  return held == nullptr ? TransitValues{} : values(*held);
 }
 
 void Rib::note_sender(NodeId neighbor, Cost neighbor_cost) {
@@ -176,10 +180,11 @@ std::size_t Rib::selected_words() const {
 
 std::size_t Rib::adj_rib_in_words() const {
   std::size_t words = 0;
-  for (const RouteAdvert& advert : rib_in_) {
-    if (advert.path.empty()) continue;
-    words += advert.path.size() + advert.node_costs.size() + 1 +
-             2 * advert.transit_values.size();
+  for (const Cell& held : rib_in_) {
+    if (held.advert == nullptr) continue;
+    // Retired values count zero, as if the barrier had erased them.
+    words += held.advert->path.size() + held.advert->node_costs.size() + 1 +
+             2 * values(held).size();
   }
   return words;
 }

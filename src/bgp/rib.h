@@ -1,10 +1,11 @@
-// Per-router routing information base: the Adj-RIB-In copies of neighbor
-// tables (footnote 6: "Nodes keep the routing tables received from each of
-// their neighbors") and the selected route per destination, recomputed by
-// the canonical preference order of routing/route.h.
+// Per-router routing information base: the Adj-RIB-In of neighbor tables
+// (footnote 6: "Nodes keep the routing tables received from each of their
+// neighbors") and the selected route per destination, recomputed by the
+// canonical preference order of routing/route.h.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "bgp/message.h"
@@ -31,10 +32,13 @@ struct SelectedRoute {
 /// selection; agents layer (re)advertisement policy and pricing on top.
 ///
 /// Storage is dense: the Adj-RIB-In is one table with a row of
-/// node_count() adverts per neighbor slot (a slot is given to a neighbor
-/// the first time it is heard and kept across session teardowns), and
-/// neighbor costs sit in an array indexed by node id. After warm-up,
-/// storing an advert copies into the capacity its slot already holds.
+/// node_count() cells per neighbor slot (a slot is given to a neighbor the
+/// first time it is heard and kept across session teardowns), and neighbor
+/// costs sit in an array indexed by node id. A cell does not copy the
+/// advert: it shares ownership of the immutable message the advert arrived
+/// in and points at the entry, so storing one costs a reference count. A
+/// stored advert is never written; the restart barrier retires its values
+/// by generation instead (clear_stored_values).
 class Rib {
  public:
   Rib(NodeId self, std::size_t node_count, Cost declared_cost);
@@ -44,17 +48,23 @@ class Rib {
   Cost declared_cost() const { return declared_cost_; }
   void set_declared_cost(Cost c);
 
-  /// Latest advert heard from `neighbor` about `destination` (withdrawals
-  /// erase the entry). Also records the neighbor's declared cost.
-  void ingest(NodeId neighbor, Cost neighbor_cost, const RouteAdvert& advert);
+  /// Stores the latest advert heard from `neighbor` about
+  /// `advert->destination` (a withdrawal empties the cell). Also records
+  /// the neighbor's declared cost. The cell keeps `advert` alive; callers
+  /// pass an entry of the received message through shared_ptr's aliasing
+  /// constructor, so the message lives while any of its entries is stored.
+  void ingest(NodeId neighbor, Cost neighbor_cost,
+              std::shared_ptr<const RouteAdvert> advert);
 
   /// Forgets everything heard from `neighbor` (session teardown). Returns
   /// the destinations whose stored advert was dropped.
   std::vector<NodeId> purge_neighbor(NodeId neighbor);
 
-  /// Drops the pricing payload of every stored advert (restart barrier:
-  /// price state must refill from post-restart messages only).
-  void clear_stored_values();
+  /// Retires the pricing payload of every stored advert (restart barrier:
+  /// price state must refill from post-restart messages only). The adverts
+  /// stay as they are; stored_values() reads a cell stored before the call
+  /// as empty until a fresh advert replaces it.
+  void clear_stored_values() { ++values_generation_; }
 
   /// Recomputes the selected route for `destination` from the current
   /// Adj-RIB-In. Returns true iff the selection (path or cost) changed.
@@ -72,7 +82,14 @@ class Rib {
   const SelectedRoute& selected(NodeId destination) const;
 
   /// The neighbor's advert stored for (neighbor, destination), if any.
+  /// Read its transit values through stored_values(), never directly. The
+  /// pointer (and the view below) stays valid until the cell changes: the
+  /// next ingest for the pair or purge of the neighbor.
   const RouteAdvert* stored(NodeId neighbor, NodeId destination) const;
+
+  /// The stored advert's transit values; empty if nothing is stored or the
+  /// advert was stored before the last clear_stored_values().
+  TransitValues stored_values(NodeId neighbor, NodeId destination) const;
 
   /// Neighbors we have heard from, ascending. The list is maintained in
   /// place: the reference stays valid for the Rib's lifetime, but its
@@ -106,26 +123,36 @@ class Rib {
     bool heard = false;            ///< session up and heard from
   };
 
+  /// One Adj-RIB-In cell: a stored advert, pointing into its message.
+  struct Cell {
+    std::shared_ptr<const RouteAdvert> advert;  ///< null = nothing stored
+    /// values_generation_ when stored; older cells' values read as empty.
+    std::uint64_t values_generation = 0;
+  };
+
   /// Marks `neighbor` heard at `cost`, giving it a row on first contact.
   /// Returns the neighbor's row.
   std::uint32_t hear(NodeId neighbor, Cost cost);
-  /// Empties a stored advert, keeping its capacity for the next one.
-  static void forget(RouteAdvert& held);
-  RouteAdvert& entry(std::uint32_t slot, NodeId destination) {
+  Cell& cell(std::uint32_t slot, NodeId destination) {
     return rib_in_[slot * node_count() + destination];
   }
-  const RouteAdvert& entry(std::uint32_t slot, NodeId destination) const {
+  const Cell& cell(std::uint32_t slot, NodeId destination) const {
     return rib_in_[slot * node_count() + destination];
   }
+  /// The cell for (neighbor, destination); nullptr if the neighbor never
+  /// had a row or an id is out of range.
+  const Cell* find(NodeId neighbor, NodeId destination) const;
+  TransitValues values(const Cell& held) const;
 
   NodeId self_;
   Cost declared_cost_;
   std::vector<SelectedRoute> selected_;
   std::vector<Neighbor> neighbors_;  ///< by node id
   std::vector<NodeId> heard_;        ///< heard neighbors, ascending
-  /// Row-major by (slot, destination). An empty path marks "nothing
-  /// stored": a stored advert is never a withdrawal.
-  std::vector<RouteAdvert> rib_in_;
+  /// Row-major by (slot, destination). A stored advert is never a
+  /// withdrawal.
+  std::vector<Cell> rib_in_;
+  std::uint64_t values_generation_ = 0;
 };
 
 }  // namespace fpss::bgp

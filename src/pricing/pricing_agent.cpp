@@ -124,6 +124,7 @@ bool PriceVectorAgent::apply_neighbor(NodeId destination, NodeId a) {
   FPSS_ASSERT(mine.valid());
   const RouteAdvert* advert = rib().stored(a, j);
   if (advert == nullptr) return false;
+  const bgp::TransitValues values = rib().stored_values(a, j);
 
   const Cost c_a = rib().neighbor_cost(a);
   const Cost c_i = rib().declared_cost();
@@ -146,10 +147,10 @@ bool PriceVectorAgent::apply_neighbor(NodeId destination, NodeId a) {
       // avoid a. Either way, skip.
       continue;
     }
-    // Membership is read from the advertised path itself — the value array
-    // may be absent (cleared by a restart) even though k is on the path.
+    // Membership is read from the advertised path itself — the values may
+    // be absent (retired by a restart) even though k is on the path.
     const bool on_neighbors_path = graph::is_transit_node(advert->path, k);
-    const Cost p_a = lookup_value(advert->transit_values, k, nullptr);
+    const Cost p_a = lookup_value(values, k, nullptr);
     Cost::rep candidate;
     if (a_is_parent && on_neighbors_path) {
       // Case (i): our path is the link ia plus a's path; a k-avoiding path
@@ -214,6 +215,7 @@ bool AvoidanceVectorAgent::apply_neighbor(NodeId destination, NodeId a) {
   FPSS_ASSERT(mine.valid());
   const RouteAdvert* advert = rib().stored(a, j);
   if (advert == nullptr) return false;
+  const bgp::TransitValues values = rib().stored_values(a, j);
   const Cost c_a = rib().neighbor_cost(a);
 
   bool lowered = false;
@@ -229,7 +231,7 @@ bool AvoidanceVectorAgent::apply_neighbor(NodeId destination, NodeId a) {
       // Membership comes from the path itself; the value may be missing
       // (restart) even when k is on the path.
       const bool on_neighbors_path = graph::is_transit_node(advert->path, k);
-      const Cost b_a = lookup_value(advert->transit_values, k, nullptr);
+      const Cost b_a = lookup_value(values, k, nullptr);
       candidate = on_neighbors_path ? c_a + b_a : c_a + advert->cost;
     }
     lowered |= avoidance.lower(k, candidate);

@@ -1,18 +1,41 @@
 #include "pricing/value_row.h"
 
+#include <algorithm>
+
 namespace fpss::pricing {
 
 bool ValueRow::rekey(const bgp::SelectedRoute& route, bool preserve) {
-  std::vector<std::pair<NodeId, Cost>> next;
-  if (route.valid() && route.path.size() > 2) {
-    next.reserve(route.path.size() - 2);
-    for (std::size_t t = 1; t + 1 < route.path.size(); ++t) {
-      const NodeId k = route.path[t];
-      next.emplace_back(k, preserve ? get(k) : Cost::infinity());
+  const std::size_t old_size = entries_.size();
+  const std::size_t size =
+      route.valid() && route.path.size() > 2 ? route.path.size() - 2 : 0;
+  if (!preserve) {
+    // Every entry restarts at +infinity: overwrite in place.
+    bool changed = size != old_size;
+    entries_.resize(size);
+    for (std::size_t t = 0; t < size; ++t) {
+      const std::pair<NodeId, Cost> fresh{route.path[t + 1], Cost::infinity()};
+      changed |= entries_[t] != fresh;
+      entries_[t] = fresh;
     }
+    return changed;
   }
-  const bool changed = next != entries_;
-  entries_ = std::move(next);
+  // A surviving node keeps its value but may sit elsewhere on the old path,
+  // so the new row is staged behind the old one, then moved down. The
+  // capacity sticks: a warm row re-keys without allocating.
+  entries_.resize(old_size + size);
+  const auto old_end =
+      entries_.begin() + static_cast<std::ptrdiff_t>(old_size);
+  for (std::size_t t = 0; t < size; ++t) {
+    const NodeId k = route.path[t + 1];
+    const auto survivor = std::find_if(
+        entries_.begin(), old_end,
+        [k](const std::pair<NodeId, Cost>& e) { return e.first == k; });
+    entries_[old_size + t] = {
+        k, survivor != old_end ? survivor->second : Cost::infinity()};
+  }
+  const bool changed =
+      !std::equal(entries_.begin(), old_end, old_end, entries_.end());
+  entries_.erase(entries_.begin(), old_end);
   return changed;
 }
 
@@ -62,8 +85,7 @@ bool ValueRow::complete() const {
   return true;
 }
 
-Cost lookup_value(const std::vector<std::pair<NodeId, Cost>>& values, NodeId k,
-                  bool* found) {
+Cost lookup_value(bgp::TransitValues values, NodeId k, bool* found) {
   for (const auto& [node, value] : values) {
     if (node == k) {
       if (found != nullptr) *found = true;

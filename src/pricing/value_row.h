@@ -18,10 +18,10 @@ namespace fpss::pricing {
 /// path order; lookups scan linearly (paths are a handful of hops).
 class ValueRow {
  public:
-  /// Re-keys the row to the transit nodes of `route`. Entries for nodes
-  /// still on the path survive if `preserve` (avoidance-vector variant);
-  /// everything else starts at +infinity (Sect. 6.1 initialization).
-  /// Returns true if the row contents changed.
+  /// Re-keys the row, in its own storage, to the transit nodes of `route`.
+  /// Entries for nodes still on the path survive if `preserve`
+  /// (avoidance-vector variant); everything else starts at +infinity
+  /// (Sect. 6.1 initialization). Returns true if the row contents changed.
   bool rekey(const bgp::SelectedRoute& route, bool preserve);
 
   /// Resets every entry to +infinity (the "convergence must start over"
@@ -51,7 +51,6 @@ class ValueRow {
 };
 
 /// Convenience lookup in a received transit_values payload.
-Cost lookup_value(const std::vector<std::pair<NodeId, Cost>>& values,
-                  NodeId k, bool* found);
+Cost lookup_value(bgp::TransitValues values, NodeId k, bool* found);
 
 }  // namespace fpss::pricing

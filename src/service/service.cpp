@@ -23,7 +23,7 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
 RouteService::RouteService(const graph::Graph& g, ServiceConfig config)
     : node_count_(g.node_count()),
       config_(config),
-      session_(g, config.protocol, config.engine, config.update_policy),
+      session_(g, pricing::Protocol::kPriceVector, config.engine),
       store_(g.node_count(), config.shards),
       ledger_(g.node_count()) {
   // Dirty sink-tree tracking powers the incremental exports; enable it
@@ -45,7 +45,7 @@ RouteService::RouteService(const graph::Graph& g,
                            ServiceConfig config)
     : node_count_(g.node_count()),
       config_(config),
-      session_(g, config.protocol, config.engine, config.update_policy),
+      session_(g, pricing::Protocol::kPriceVector, config.engine),
       store_(g.node_count(), config.shards),
       ledger_(g.node_count()) {
   FPSS_EXPECTS(warm != nullptr && warm->node_count() == g.node_count());
@@ -153,7 +153,8 @@ std::size_t RouteService::apply_coalesced(const std::vector<Delta>& batch) {
     // or a redundant op) needs no event at all.
   }
   if (!events.empty()) {
-    const bgp::RunStats stats = session_.apply_events(events, config_.restart);
+    const bgp::RunStats stats = session_.apply_events(
+        events, pricing::RestartPolicy::kRestartBarrier);
     FPSS_ASSERT(stats.converged);
   }
   return events.size();

@@ -72,17 +72,14 @@
 
 namespace fpss::service {
 
+/// The owned session always runs the paper's price-vector protocol with
+/// incremental updates, and every coalesced burst reconverges under the
+/// restart barrier (pricing::RestartPolicy::kRestartBarrier), the policy
+/// that is sound for any event.
 struct ServiceConfig {
-  pricing::Protocol protocol = pricing::Protocol::kPriceVector;
-  bgp::UpdatePolicy update_policy = bgp::UpdatePolicy::kIncremental;
   /// Engine seams (scheduler, compute-phase threads, channel model) for
   /// the owned session.
   bgp::EngineConfig engine;
-  /// How reconvergence restarts price state. The default is the paper's
-  /// always-correct restart barrier; kIncremental is only sound for the
-  /// avoidance-vector protocol under improving events (see
-  /// pricing::RestartPolicy).
-  pricing::RestartPolicy restart = pricing::RestartPolicy::kRestartBarrier;
   /// Shards of the publication store (clamped to [1, node_count]). A
   /// publish stamps a new version only on the shards whose destinations'
   /// sink trees changed, and a replica catch-up fetches only those; 1

@@ -1,17 +1,22 @@
 // Unit tests for the BGP substrate pieces below the agent level: the
 // message size accounting, the dense NodeSet, and the Rib's
-// ingest/reselect/withdraw logic.
+// ingest/reselect/withdraw logic and its sharing of received messages.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "bgp/message.h"
 #include "bgp/node_set.h"
+#include "bgp/plain_agent.h"
 #include "bgp/rib.h"
 
 namespace fpss {
 namespace {
 
+using bgp::MessageRef;
 using bgp::MessageSize;
 using bgp::NodeSet;
+using bgp::PlainBgpAgent;
 using bgp::Rib;
 using bgp::RouteAdvert;
 using bgp::TableMessage;
@@ -29,6 +34,22 @@ RouteAdvert make_advert(NodeId from, graph::Path path,
   advert.cost = total;
   (void)from;
   return advert;
+}
+
+/// A hand-built advert as the Rib stores it: shared, never copied.
+std::shared_ptr<const RouteAdvert> shared_advert(NodeId from, graph::Path path,
+                                                 std::vector<Cost::rep> costs) {
+  return std::make_shared<const RouteAdvert>(
+      make_advert(from, std::move(path), std::move(costs)));
+}
+
+MessageRef make_message(NodeId sender, Cost sender_cost,
+                        std::vector<RouteAdvert> entries) {
+  TableMessage msg;
+  msg.sender = sender;
+  msg.sender_cost = sender_cost;
+  msg.entries = std::move(entries);
+  return std::make_shared<const TableMessage>(std::move(msg));
 }
 
 TEST(MessageSizeTest, CountsWords) {
@@ -68,7 +89,7 @@ TEST(RibTest, SelfRouteAlwaysPresent) {
 TEST(RibTest, IngestAndReselect) {
   Rib rib(0, 4, Cost{1});
   // Neighbor 1 (cost 2) offers a direct route to 3.
-  rib.ingest(1, Cost{2}, make_advert(1, {1, 3}, {2, 0}));
+  rib.ingest(1, Cost{2}, shared_advert(1, {1, 3}, {2, 0}));
   EXPECT_TRUE(rib.reselect(3));
   const auto& route = rib.selected(3);
   EXPECT_EQ(route.path, (graph::Path{0, 1, 3}));
@@ -79,19 +100,19 @@ TEST(RibTest, IngestAndReselect) {
 
 TEST(RibTest, PrefersCheaperThenFewerHopsThenLowerId) {
   Rib rib(0, 6, Cost{0});
-  rib.ingest(1, Cost{5}, make_advert(1, {1, 3}, {5, 0}));
-  rib.ingest(2, Cost{1}, make_advert(2, {2, 4, 3}, {1, 1, 0}));
+  rib.ingest(1, Cost{5}, shared_advert(1, {1, 3}, {5, 0}));
+  rib.ingest(2, Cost{1}, shared_advert(2, {2, 4, 3}, {1, 1, 0}));
   rib.reselect(3);
   // Via 2: transit cost 1(c2)+1(c4)=2 < via 1: 5.
   EXPECT_EQ(rib.selected(3).next_hop, 2u);
 
   // Equal costs: fewer hops wins.
-  rib.ingest(1, Cost{2}, make_advert(1, {1, 3}, {2, 0}));
+  rib.ingest(1, Cost{2}, shared_advert(1, {1, 3}, {2, 0}));
   rib.reselect(3);
   EXPECT_EQ(rib.selected(3).next_hop, 1u);
 
   // Equal cost and hops: lower neighbor id wins.
-  rib.ingest(2, Cost{2}, make_advert(2, {2, 3}, {2, 0}));
+  rib.ingest(2, Cost{2}, shared_advert(2, {2, 3}, {2, 0}));
   rib.reselect(3);
   EXPECT_EQ(rib.selected(3).next_hop, 1u);
 }
@@ -99,27 +120,27 @@ TEST(RibTest, PrefersCheaperThenFewerHopsThenLowerId) {
 TEST(RibTest, LoopPreventionRejectsOwnPath) {
   Rib rib(0, 4, Cost{1});
   // Neighbor 1 offers a path that already contains us.
-  rib.ingest(1, Cost{2}, make_advert(1, {1, 0, 3}, {2, 1, 0}));
+  rib.ingest(1, Cost{2}, shared_advert(1, {1, 0, 3}, {2, 1, 0}));
   EXPECT_FALSE(rib.reselect(3));
   EXPECT_FALSE(rib.selected(3).valid());
 }
 
 TEST(RibTest, WithdrawalRemovesRoute) {
   Rib rib(0, 4, Cost{1});
-  rib.ingest(1, Cost{2}, make_advert(1, {1, 3}, {2, 0}));
+  rib.ingest(1, Cost{2}, shared_advert(1, {1, 3}, {2, 0}));
   rib.reselect(3);
   ASSERT_TRUE(rib.selected(3).valid());
   RouteAdvert withdrawal;
   withdrawal.destination = 3;
-  rib.ingest(1, Cost{2}, withdrawal);
+  rib.ingest(1, Cost{2}, std::make_shared<const RouteAdvert>(withdrawal));
   EXPECT_TRUE(rib.reselect(3));
   EXPECT_FALSE(rib.selected(3).valid());
 }
 
 TEST(RibTest, PurgeNeighborDropsItsRoutes) {
   Rib rib(0, 4, Cost{1});
-  rib.ingest(1, Cost{2}, make_advert(1, {1, 3}, {2, 0}));
-  rib.ingest(1, Cost{2}, make_advert(1, {1, 2}, {2, 0}));
+  rib.ingest(1, Cost{2}, shared_advert(1, {1, 3}, {2, 0}));
+  rib.ingest(1, Cost{2}, shared_advert(1, {1, 2}, {2, 0}));
   rib.reselect(3);
   const auto dropped = rib.purge_neighbor(1);
   EXPECT_EQ(dropped, (std::vector<NodeId>{2, 3}));
@@ -130,12 +151,12 @@ TEST(RibTest, PurgeNeighborDropsItsRoutes) {
 
 TEST(RibTest, NeighborCostChangeReratesRoutes) {
   Rib rib(0, 4, Cost{0});
-  rib.ingest(1, Cost{2}, make_advert(1, {1, 3}, {2, 0}));
-  rib.ingest(2, Cost{3}, make_advert(2, {2, 3}, {3, 0}));
+  rib.ingest(1, Cost{2}, shared_advert(1, {1, 3}, {2, 0}));
+  rib.ingest(2, Cost{3}, shared_advert(2, {2, 3}, {3, 0}));
   rib.reselect(3);
   EXPECT_EQ(rib.selected(3).next_hop, 1u);
   // Neighbor 2 becomes free: note its new cost, plus its refreshed advert.
-  rib.ingest(2, Cost{0}, make_advert(2, {2, 3}, {0, 0}));
+  rib.ingest(2, Cost{0}, shared_advert(2, {2, 3}, {0, 0}));
   EXPECT_TRUE(rib.reselect(3));
   EXPECT_EQ(rib.selected(3).next_hop, 2u);
 }
@@ -144,18 +165,70 @@ TEST(RibTest, ClearStoredValuesKeepsRoutes) {
   Rib rib(0, 4, Cost{0});
   RouteAdvert advert = make_advert(1, {1, 2, 3}, {1, 1, 0});
   advert.transit_values = {{2, Cost{9}}};
-  rib.ingest(1, Cost{1}, advert);
+  const auto held = std::make_shared<const RouteAdvert>(advert);
+  rib.ingest(1, Cost{1}, held);
+  ASSERT_EQ(rib.stored_values(1, 3).size(), 1u);
+  const std::size_t words = rib.adj_rib_in_words();
   rib.clear_stored_values();
   const RouteAdvert* stored = rib.stored(1, 3);
-  ASSERT_NE(stored, nullptr);
-  EXPECT_TRUE(stored->transit_values.empty());
+  ASSERT_EQ(stored, held.get());
+  EXPECT_TRUE(rib.stored_values(1, 3).empty());
+  EXPECT_EQ(rib.adj_rib_in_words(), words - 2);  // the (k, value) pair
   EXPECT_EQ(stored->cost, Cost{1});  // routing fields intact
+  EXPECT_EQ(stored->path, (graph::Path{1, 2, 3}));
+  EXPECT_EQ(stored->transit_values, advert.transit_values);  // never written
+  // A fresh advert for the same (neighbor, destination) counts again.
+  advert.transit_values = {{2, Cost{4}}};
+  rib.ingest(1, Cost{1}, std::make_shared<const RouteAdvert>(advert));
+  const bgp::TransitValues values = rib.stored_values(1, 3);
+  ASSERT_EQ(values.size(), 1u);
+  EXPECT_EQ(values[0], (std::pair<NodeId, Cost>{2, Cost{4}}));
+  EXPECT_EQ(rib.adj_rib_in_words(), words);
+}
+
+TEST(RibOwnershipTest, ReceivePointsIntoTheMessage) {
+  PlainBgpAgent agent(0, 5, Cost{1}, bgp::UpdatePolicy::kIncremental);
+  const MessageRef msg =
+      make_message(1, Cost{2},
+                   {make_advert(1, {1, 3}, {2, 0}),
+                    make_advert(1, {1, 4, 2}, {2, 1, 0})});
+  agent.receive(msg);
+  for (const RouteAdvert& entry : msg->entries)
+    EXPECT_EQ(agent.stored_advert(1, entry.destination), &entry);
+}
+
+TEST(RibOwnershipTest, MessageLivesWhileAnEntryIsStored) {
+  PlainBgpAgent agent(0, 7, Cost{1}, bgp::UpdatePolicy::kIncremental);
+  RouteAdvert withdraw_3;
+  withdraw_3.destination = 3;
+  RouteAdvert withdraw_4;
+  withdraw_4.destination = 4;
+  // Receives `msg` from neighbor 1 and keeps only a weak reference.
+  const auto deliver = [&](std::vector<RouteAdvert> entries) {
+    const MessageRef msg = make_message(1, Cost{2}, std::move(entries));
+    agent.receive(msg);
+    return std::weak_ptr<const TableMessage>(msg);
+  };
+  const auto first = deliver({make_advert(1, {1, 2}, {2, 0}),
+                              make_advert(1, {1, 3}, {2, 0}),
+                              make_advert(1, {1, 4}, {2, 0})});
+  EXPECT_FALSE(first.expired());
+  const auto second = deliver({make_advert(1, {1, 5, 2}, {2, 1, 0})});
+  EXPECT_FALSE(first.expired());  // superseded for 2, still stored for 3, 4
+  deliver({withdraw_3});
+  EXPECT_FALSE(first.expired());  // still stored for 4
+  deliver({withdraw_4});
+  EXPECT_TRUE(first.expired());   // its last entry was withdrawn
+  const auto third = deliver({make_advert(1, {1, 6, 2}, {2, 1, 0})});
+  EXPECT_TRUE(second.expired());  // its only entry was superseded
+  agent.on_link_down(1);
+  EXPECT_TRUE(third.expired());   // purged with the session
 }
 
 TEST(RibTest, StateWordAccounting) {
   Rib rib(0, 4, Cost{1});
   const std::size_t before = rib.selected_words();
-  rib.ingest(1, Cost{2}, make_advert(1, {1, 3}, {2, 0}));
+  rib.ingest(1, Cost{2}, shared_advert(1, {1, 3}, {2, 0}));
   rib.reselect(3);
   EXPECT_GT(rib.selected_words(), before);
   EXPECT_GT(rib.adj_rib_in_words(), 0u);
@@ -163,7 +236,7 @@ TEST(RibTest, StateWordAccounting) {
 
 TEST(RibTest, InstallWritesOnlyOnChange) {
   Rib rib(0, 4, Cost{0});
-  rib.ingest(2, Cost{4}, make_advert(2, {2, 3}, {4, 0}));
+  rib.ingest(2, Cost{4}, shared_advert(2, {2, 3}, {4, 0}));
   const RouteAdvert* winner = rib.stored(2, 3);
   ASSERT_NE(winner, nullptr);
   EXPECT_TRUE(rib.install(3, winner, Cost{4}));
@@ -188,9 +261,9 @@ TEST(RibTest, InstallWritesOnlyOnChange) {
 
 TEST(RibTest, KnownNeighborsAscendingAcrossPurgeAndReturn) {
   Rib rib(0, 6, Cost{0});
-  rib.ingest(4, Cost{1}, make_advert(4, {4, 5}, {1, 0}));
+  rib.ingest(4, Cost{1}, shared_advert(4, {4, 5}, {1, 0}));
   rib.note_sender(2, Cost{3});
-  rib.ingest(5, Cost{2}, make_advert(5, {5}, {2}));
+  rib.ingest(5, Cost{2}, shared_advert(5, {5}, {2}));
   EXPECT_EQ(rib.known_neighbors(), (std::vector<NodeId>{2, 4, 5}));
   EXPECT_EQ(rib.purge_neighbor(4), (std::vector<NodeId>{5}));
   EXPECT_EQ(rib.known_neighbors(), (std::vector<NodeId>{2, 5}));

@@ -120,10 +120,11 @@ TEST(EngineBoundaries, AgentSurvivesDuplicateDelivery) {
   advert.cost = Cost::zero();
   advert.node_costs = {Cost{2}, Cost{0}};
   msg.entries.push_back(advert);
-  agent.receive(msg);
+  const auto shared = std::make_shared<const bgp::TableMessage>(msg);
+  agent.receive(shared);
   auto first = agent.advertise();
   ASSERT_TRUE(first.has_value());
-  agent.receive(msg);  // exact duplicate
+  agent.receive(shared);  // exact duplicate
   const auto second = agent.advertise();
   EXPECT_FALSE(agent.routes_changed_last_compute());
   EXPECT_FALSE(second.has_value());  // nothing new to say

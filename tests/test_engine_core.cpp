@@ -581,6 +581,52 @@ TEST(GoldenBehaviour, AvoidanceVectorStageScheduler) {
                   expected, "threads " + std::to_string(threads));
 }
 
+std::string state_line(const bgp::StateSize& s) {
+  return "selected=" + std::to_string(s.selected_words) +
+         " rib_in=" + std::to_string(s.rib_in_words) +
+         " values=" + std::to_string(s.value_words);
+}
+
+TEST(GoldenBehaviour, PriceVectorStateAccounting) {
+  // E5 and Theorem 2's table-size claim read Network::total_state(). Pin it
+  // after every step of the golden sequence, and once between a restart's
+  // value reset and its refill: the only state in which the stored adverts'
+  // values are stale and must count zero words.
+  const std::vector<std::string> expected = {
+      "selected=34556 rib_in=201036 values=14204",  // cold run
+      "selected=35236 rib_in=206112 values=14884",  // cost change
+      "selected=35244 rib_in=204904 values=14892",  // link removal
+      "selected=35236 rib_in=206112 values=14884",  // link return
+      // After restart_values(), before the refill.
+      "selected=35236 rib_in=149166 values=14884",
+      "selected=35236 rib_in=206112 values=14884",  // refilled
+  };
+  const GoldenInstance& in = golden_instance();
+  const auto barrier = pricing::RestartPolicy::kRestartBarrier;
+  for (const unsigned threads : {1u, 2u}) {
+    Session session(in.g, Protocol::kPriceVector,
+                    EngineConfig::stage(threads));
+    std::vector<std::string> lines;
+    const auto record = [&] {
+      lines.push_back(state_line(session.network().total_state()));
+    };
+    session.run();
+    record();
+    session.change_cost(in.cost_node, in.new_cost, barrier);
+    record();
+    session.remove_link(in.link_u, in.link_v, barrier);
+    record();
+    session.add_link(in.link_u, in.link_v, barrier);
+    record();
+    for (NodeId v = 0; v < in.g.node_count(); ++v)
+      session.agent(v).restart_values();
+    record();
+    session.run();
+    record();
+    EXPECT_EQ(lines, expected) << "threads " << threads;
+  }
+}
+
 TEST(GoldenBehaviour, PriceVectorEventSchedulerWithMrai) {
   const GoldenRun expected = {
       "stages=0 messages=2478 entries=40618 path_words=148056"

@@ -408,6 +408,31 @@ TEST(ValueRow, PreserveKeepsSurvivors) {
   EXPECT_FALSE(row.contains(1));              // dropped
 }
 
+TEST(ValueRow, RekeyReportsChangesAndCarriesSurvivorsBackward) {
+  pricing::ValueRow row;
+  bgp::SelectedRoute route;
+  route.path = {0, 1, 2, 3};
+  route.node_costs = {Cost{0}, Cost{0}, Cost{0}, Cost{0}};
+  row.rekey(route, false);
+  EXPECT_FALSE(row.rekey(route, false));  // same keys, all still unknown
+  row.lower(1, Cost{4});
+  row.lower(2, Cost{5});
+  EXPECT_FALSE(row.rekey(route, true));  // same keys, values kept
+  // Both survivors move one place later, behind a newcomer: re-keying in
+  // place must not overwrite a value before it is carried across.
+  bgp::SelectedRoute reroute;
+  reroute.path = {0, 6, 1, 2, 3};
+  reroute.node_costs = {Cost{0}, Cost{0}, Cost{0}, Cost{0}, Cost{0}};
+  EXPECT_TRUE(row.rekey(reroute, true));
+  EXPECT_EQ(row.entries(),
+            (std::vector<std::pair<NodeId, Cost>>{
+                {6, Cost::infinity()}, {1, Cost{4}}, {2, Cost{5}}}));
+  EXPECT_TRUE(row.rekey(route, false));  // shorter, and every value reset
+  EXPECT_EQ(row.entries(),
+            (std::vector<std::pair<NodeId, Cost>>{{1, Cost::infinity()},
+                                                  {2, Cost::infinity()}}));
+}
+
 TEST(ValueRow, ResetClearsValues) {
   pricing::ValueRow row;
   bgp::SelectedRoute route;

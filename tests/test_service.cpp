@@ -363,9 +363,7 @@ TEST(RouteService, ChargesReachPaymentTotalsOnRepublish) {
 // cost-equals-sum-of-transit-costs identity or the digest.
 TEST(RouteService, ConcurrentReadersNeverObserveTornSnapshots) {
   const graph::Graph g = test::make_instance({"er", 16, 61, 8});
-  ServiceConfig config;
-  config.protocol = pricing::Protocol::kPriceVector;
-  RouteService svc(g, config);
+  RouteService svc(g);
 
   constexpr int kReaders = 4;
   std::atomic<bool> done{false};
