@@ -45,18 +45,15 @@ RouteService make_service(std::size_t n, std::size_t shards) {
 
 std::vector<std::string> encode_full_stream(const RouteService& svc) {
   const auto cut = svc.store().export_cut();
+  std::vector<std::uint32_t> sent(cut.shard_versions.size());
+  for (std::size_t s = 0; s < sent.size(); ++s)
+    sent[s] = static_cast<std::uint32_t>(s);
   std::vector<std::string> chunks;
-  std::vector<std::uint32_t> sent;
-  for (std::size_t s = 0; s < svc.store().shard_count(); ++s) {
-    sent.push_back(static_cast<std::uint32_t>(s));
-    auto shard_chunks = ReplicationCodec::encode_shard(
-        *cut.newest, s, svc.store().shard_size(),
-        static_cast<std::uint32_t>(svc.store().shard_count()),
-        cut.shard_versions[s]);
-    for (auto& c : shard_chunks) chunks.push_back(std::move(c));
-  }
-  chunks.push_back(
-      ReplicationCodec::encode_final(*cut.newest, cut.shard_versions, sent));
+  ReplicationCodec::encode_stream(*cut.newest, cut.shard_versions, sent,
+                                  [&chunks](std::string_view chunk) {
+                                    chunks.emplace_back(chunk);
+                                    return true;
+                                  });
   return chunks;
 }
 

@@ -2,7 +2,7 @@
 // persist, publish, and — above all — query a RouteSnapshot.
 //
 //   * BM_SnapshotExport     — converged session -> flat snapshot arrays;
-//   * BM_SnapshotSaveLoad   — "fpss-snap v2" round trip through disk;
+//   * BM_SnapshotSaveLoad   — "fpss-snap v5" round trip through disk;
 //   * BM_QuerySingle        — one price() through the full service path
 //                             (atomic snapshot acquire + CSR row scan);
 //   * BM_QueryBatch         — the batched API amortizing one acquire over
@@ -21,6 +21,7 @@
 
 #include "bench_common.h"
 #include "pricing/session.h"
+#include "service/checkpoint.h"
 #include "service/service.h"
 #include "service/snapshot.h"
 #include "util/rng.h"

@@ -31,7 +31,7 @@
 // the replica serves its last consistent cut and fails over round-robin.
 // A bare port is shorthand for --host's value (default 127.0.0.1).
 //
-// With --checkpoint-dir the replica warm-starts from a local fpss-snap v4
+// With --checkpoint-dir the replica warm-starts from a local fpss-snap v5
 // checkpoint directory and serves it before the upstream is reachable;
 // blocks whose content matches the local image are adopted instead of
 // re-materialized from the wire.

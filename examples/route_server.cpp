@@ -30,11 +30,12 @@
 // and watch age_ns count the staleness.
 //
 // --shards splits the publication store so a delta burst republishes only
-// the shards it touched. --checkpoint-dir enables fpss-snap v4 incremental
-// checkpointing (base image + patch journal) every N publishes
-// (--checkpoint-every, default 1); on restart the daemon recovers the
-// newest complete checkpoint from that directory and warm-starts from it —
-// no --snapshot needed.
+// the shards it touched. --checkpoint-dir enables incremental
+// checkpointing every N publishes (--checkpoint-every, default 1) into one
+// fpss-snap v5 file, a bootstrap stream plus one appended catch-up stream
+// per checkpoint; on restart the daemon recovers the newest complete
+// stream from that directory and warm-starts from it — no --snapshot
+// needed.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -51,6 +52,7 @@
 #include "net/client.h"
 #include "net/remote_backend.h"
 #include "net/server.h"
+#include "service/checkpoint.h"
 #include "service/service.h"
 #include "service/snapshot.h"
 #include "util/rng.h"
@@ -181,11 +183,11 @@ int run_daemon(std::uint16_t port, std::size_t nodes, unsigned workers,
     warm = std::move(loaded.snapshot);
   } else if (!checkpoint_dir.empty()) {
     // A restarted daemon recovers from its own checkpoint directory: the
-    // base image plus every complete journal record.
+    // bootstrap stream plus every complete catch-up after it.
     auto recovered = service::load_checkpoint(checkpoint_dir);
     if (recovered.ok() && recovered.snapshot->node_count() == g.node_count()) {
-      std::printf("route_server: recovered checkpoint v%llu (+%llu journal "
-                  "records) from %s\n",
+      std::printf("route_server: recovered checkpoint v%llu (+%llu "
+                  "catch-ups) from %s\n",
                   static_cast<unsigned long long>(
                       recovered.snapshot->version()),
                   static_cast<unsigned long long>(recovered.records_applied),

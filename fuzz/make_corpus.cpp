@@ -1,9 +1,9 @@
 // Seed-corpus generator: writes one valid exemplar per fuzz-target input
-// shape into <out_dir>/{wire,snapshot,replication}/. Seeds are *valid*
-// encodings produced by the repo's own encoders — the fuzzer's mutations
-// then explore the boundary around validity, which is where parser bugs
-// live. Re-run after a wire or snapshot format change and commit the
-// refreshed corpus.
+// shape into <out_dir>/{wire,replication}/. Seeds are *valid* encodings
+// produced by the repo's own encoders — the fuzzer's mutations then
+// explore the boundary around validity, which is where parser bugs live.
+// Re-run after a wire or stream format change and commit the refreshed
+// corpus.
 //
 //   make_corpus <corpus_dir>
 #include <cstdio>
@@ -14,6 +14,7 @@
 
 #include "graph/graph.h"
 #include "net/wire.h"
+#include "service/checkpoint.h"
 #include "service/replication.h"
 #include "service/service.h"
 #include "service/snapshot.h"
@@ -26,11 +27,18 @@ bool write_file(const std::filesystem::path& path, std::string_view bytes) {
   return static_cast<bool>(out);
 }
 
-/// A wire seed: the harness' selector byte followed by the payload.
-std::string wire_seed(std::uint8_t selector, std::string_view payload) {
+/// A seed for a harness with a mode selector: the selector byte followed
+/// by the payload.
+std::string with_selector(std::uint8_t selector, std::string_view payload) {
   std::string seed(1, static_cast<char>(selector));
   seed.append(payload);
   return seed;
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 /// The replication harness' framing: 2-byte little-endian length prefixes.
@@ -63,13 +71,12 @@ int main(int argc, char** argv) {
   namespace fs = std::filesystem;
   const fs::path root = argv[1];
   fs::create_directories(root / "wire");
-  fs::create_directories(root / "snapshot");
   fs::create_directories(root / "replication");
 
   using namespace fpss;
 
   // A small real service: 8-node ring with chords, 4 shards — big enough
-  // that the snapshot and replication seeds have multi-shard structure.
+  // that the replication seeds have multi-shard structure.
   graph::Graph g(8);
   for (NodeId v = 0; v < 8; ++v) {
     g.set_cost(v, Cost{static_cast<Cost::rep>(1 + v % 3)});
@@ -80,7 +87,6 @@ int main(int argc, char** argv) {
   service::ServiceConfig config;
   config.shards = 4;
   service::RouteService svc(g, config);
-  const auto snap = svc.snapshot();
 
   bool ok = true;
 
@@ -141,35 +147,42 @@ int main(int argc, char** argv) {
         "publish_notify", "counters"};
     for (std::uint8_t s = 0; s < 12; ++s)
       ok = write_file(root / "wire" / names[s],
-                      wire_seed(s, payloads[s])) &&
+                      with_selector(s, payloads[s])) &&
            ok;
   }
 
-  // --- snapshot seed: a real fpss-snap v4 image -----------------------------
-  {
-    const fs::path path = root / "snapshot" / "valid.fpss-snap";
-    const auto saved = service::save_snapshot(*snap, path.string());
-    ok = saved.ok() && ok;
-  }
-
-  // --- replication seed: a full bootstrap chunk stream ----------------------
+  // --- replication seeds: the harness' first byte picks the mode ---------
+  // Wire mode (0): a full bootstrap chunk stream.
   {
     const auto cut = svc.store().export_cut();
+    std::vector<std::uint32_t> sent(cut.shard_versions.size());
+    for (std::size_t s = 0; s < sent.size(); ++s)
+      sent[s] = static_cast<std::uint32_t>(s);
     std::vector<std::string> chunks;
-    std::vector<std::uint32_t> sent;
-    for (std::size_t s = 0; s < svc.store().shard_count(); ++s) {
-      sent.push_back(static_cast<std::uint32_t>(s));
-      for (std::string& chunk : service::ReplicationCodec::encode_shard(
-               *cut.newest, s, svc.store().shard_size(),
-               static_cast<std::uint32_t>(svc.store().shard_count()),
-               cut.shard_versions[s]))
-        chunks.push_back(std::move(chunk));
-    }
-    chunks.push_back(service::ReplicationCodec::encode_final(
-        *cut.newest, cut.shard_versions, sent));
+    service::ReplicationCodec::encode_stream(
+        *cut.newest, cut.shard_versions, sent, [&chunks](std::string_view c) {
+          chunks.emplace_back(c);
+          return true;
+        });
     ok = write_file(root / "replication" / "bootstrap",
-                    chunk_stream(chunks)) &&
+                    with_selector(0, chunk_stream(chunks))) &&
          ok;
+  }
+  // Disk mode (1): a checkpoint file, a bootstrap plus one catch-up.
+  {
+    const fs::path dir = fs::temp_directory_path() / "fpss_make_corpus";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    service::CheckpointWriter writer({dir.string(), 1, 4u << 20});
+    ok = writer.on_publish(svc.snapshot()).empty() && ok;
+    svc.submit(service::RouteService::Delta::cost_change(3, Cost{9}));
+    svc.drain();
+    ok = writer.on_publish(svc.snapshot()).empty() && ok;
+    ok = writer.stats().checkpoints == 2 && ok;
+    ok = write_file(root / "replication" / "checkpoint",
+                    with_selector(1, read_file(writer.path()))) &&
+         ok;
+    fs::remove_all(dir);
   }
 
   if (!ok) {

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -22,6 +21,7 @@
 #include "net/wire.h"
 #include "service/backend.h"
 #include "service/protocol.h"
+#include "service/replication.h"
 
 namespace fpss::net {
 
@@ -98,8 +98,9 @@ struct SubmitResult {
 };
 
 /// Receives one kSnapshotChunk payload of a fetch, in arrival order (data
-/// chunks then the final chunk); false rejects it and ends the fetch.
-using ChunkSink = std::function<bool(std::string_view payload)>;
+/// chunks then the final chunk); false rejects it and ends the fetch. The
+/// same sink type the server's encode_stream writes into.
+using ChunkSink = service::ReplicationCodec::ChunkSink;
 
 /// One kSnapshotFetch exchange, as seen on the wire. The client validates
 /// framing only; reassembly and content validation are the sink's job

@@ -439,31 +439,23 @@ bool RouteServer::serve_snapshot_fetch(
     if (full || known[s] != cut.shard_versions[s])
       dirty.push_back(static_cast<std::uint32_t>(s));
 
-  for (const std::uint32_t s : dirty) {
-    const std::vector<std::string> chunks = service::ReplicationCodec::
-        encode_shard(*cut.newest, s, cut.shard_size,
-                     static_cast<std::uint32_t>(shard_count),
-                     cut.shard_versions[s]);
-    for (const std::string& chunk : chunks) {
-      if (chunk.size() > config_.limits.max_payload_bytes)
-        return send_error(fd, peer, WireStatus::kOversized,
-                          "shard chunk exceeds the frame payload limit");
-      if (!write_all(fd, encode_frame(FrameType::kSnapshotChunk, chunk),
-                     config_.read_timeout_ms))
-        return false;
-      frames_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  const std::string final_chunk = service::ReplicationCodec::encode_final(
-      *cut.newest, cut.shard_versions, dirty);
-  if (final_chunk.size() > config_.limits.max_payload_bytes)
+  bool oversized = false;
+  const bool streamed = service::ReplicationCodec::encode_stream(
+      *cut.newest, cut.shard_versions, dirty, [&](std::string_view chunk) {
+        if (chunk.size() > config_.limits.max_payload_bytes) {
+          oversized = true;
+          return false;
+        }
+        if (!write_all(fd, encode_frame(FrameType::kSnapshotChunk, chunk),
+                       config_.read_timeout_ms))
+          return false;
+        frames_.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      });
+  if (oversized)
     return send_error(fd, peer, WireStatus::kOversized,
-                      "final chunk exceeds the frame payload limit");
-  if (!write_all(fd, encode_frame(FrameType::kSnapshotChunk, final_chunk),
-                 config_.read_timeout_ms))
-    return false;
-  frames_.fetch_add(1, std::memory_order_relaxed);
-  return !stopping_.load(std::memory_order_relaxed);
+                      "snapshot chunk exceeds the frame payload limit");
+  return streamed && !stopping_.load(std::memory_order_relaxed);
 }
 
 bool RouteServer::serve_subscription(int fd, std::uint64_t since) {

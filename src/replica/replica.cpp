@@ -43,7 +43,7 @@ ReplicaService::ReplicaService(ReplicaConfig config)
                    ? std::vector<net::ClientConfig>{config_.upstream}
                    : config_.upstreams;
   if (!config_.checkpoint_directory.empty()) {
-    const service::CheckpointLoadResult loaded =
+    const service::SnapshotLoadResult loaded =
         service::load_checkpoint(config_.checkpoint_directory);
     if (loaded.ok()) {
       // Serve the disk image at once (a warm replica answers before the

@@ -89,9 +89,9 @@ struct Counters {
   /// Always 0 (a publish does not fan out per shard). Kept because the
   /// counters frame layout is fixed and readers of the frame name it.
   std::uint64_t shard_exports_inflight_max = 0;
-  std::uint64_t checkpoints_written = 0;  ///< bases + patch records
+  std::uint64_t checkpoints_written = 0;  ///< fresh images + catch-ups
   std::uint64_t checkpoint_bytes_written = 0;
-  std::uint64_t journal_patches = 0;  ///< per-destination block patches
+  std::uint64_t journal_patches = 0;  ///< blocks in appended catch-ups
   std::uint64_t journal_compactions = 0;
 };
 

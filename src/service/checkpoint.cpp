@@ -3,124 +3,132 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <numeric>
+#include <span>
 #include <sstream>
 #include <vector>
 
-#include "service/blockio.h"
+#include "service/replication.h"
 #include "util/binio.h"
-#include "util/checksum.h"
 #include "util/contract.h"
 
 namespace fpss::service {
 
-using util::append_i64;
-using util::append_u32;
-using util::append_u64;
-using util::encode_cost;
-
 namespace {
 
-constexpr char kJournalMagic[8] = {'F', 'P', 'S', 'S', 'J', 'R', 'N', '1'};
-constexpr std::uint64_t kJournalVersion = 1;
-constexpr std::size_t kJournalHeaderSize = sizeof(kJournalMagic) + 2 * 8;
-/// Leads every patch record; a truncated tail cannot resynchronize into a
-/// fake record by accident.
-constexpr std::uint32_t kRecordMagic = 0x4a525046;  // "FPRJ" little-endian
+constexpr char kMagic[8] = {'F', 'P', 'S', 'S', 'S', 'N', 'P', '1'};
+// v5: the file is a recorded block stream; older formats fail on this.
+constexpr std::uint64_t kFormatVersion = 5;
+constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 8;
 
-std::uint64_t fnv_bytes(const std::string& bytes) {
-  util::Fnv1a64 fnv;
-  for (const char c : bytes) fnv.byte(static_cast<std::uint8_t>(c));
-  return fnv.digest();
+SnapshotLoadResult load_fail(std::string message) {
+  SnapshotLoadResult result;
+  result.error = std::move(message);
+  return result;
+}
+
+/// Appends one stream of `snap` patching the destinations in `sent`, as
+/// length-prefixed records, in the on-disk geometry: one shard per
+/// destination, every shard at the stream's version.
+void append_stream(std::string& out, const RouteSnapshot& snap,
+                   std::span<const std::uint32_t> sent) {
+  const std::vector<std::uint64_t> versions(snap.node_count(),
+                                            snap.version());
+  ReplicationCodec::encode_stream(snap, versions, sent,
+                                  [&out](std::string_view chunk) {
+                                    util::append_u64(out, chunk.size());
+                                    out.append(chunk);
+                                    return true;
+                                  });
+}
+
+/// Writes `bytes` to `path` (truncating, or appending with
+/// std::ios::app); empty on success, else the reason.
+std::string write_bytes(const std::string& path, const std::string& bytes,
+                        std::ios::openmode mode) {
+  std::ofstream out(path, std::ios::binary | mode);
+  if (!out) return "cannot open '" + path + "' for writing";
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.flush();
+  if (!out) return "write to '" + path + "' failed";
+  return "";
 }
 
 }  // namespace
 
-// Friend of RouteSnapshot: diffs two snapshots by per-block digest, encodes
-// one patch record's payload, and replays a payload onto a prior state.
-struct CheckpointCodec {
-  using Block = RouteSnapshot::DestinationBlock;
+// --- save / load ------------------------------------------------------------
 
-  /// Destinations whose block content changed from `from` to `to`. The CoW
-  /// pipeline shares unchanged blocks, so the common case is one pointer
-  /// compare per destination; a full rebuild falls back to the digest,
-  /// which still keeps equal-content blocks out of the patch.
-  static std::vector<NodeId> changed(const RouteSnapshot& from,
-                                     const RouteSnapshot& to) {
-    std::vector<NodeId> out;
-    for (NodeId j = 0; j < to.n_; ++j) {
-      if (from.blocks_[j] == to.blocks_[j]) continue;
-      if (from.blocks_[j]->digest == to.blocks_[j]->digest) continue;
-      out.push_back(j);
+SnapshotSaveResult save_snapshot(const RouteSnapshot& snapshot,
+                                 const std::string& path) {
+  std::string image(kMagic, sizeof(kMagic));
+  util::append_u64(image, kFormatVersion);
+  std::vector<std::uint32_t> every(snapshot.node_count());
+  std::iota(every.begin(), every.end(), 0u);
+  append_stream(image, snapshot, every);
+  SnapshotSaveResult result;
+  result.error = write_bytes(path, image, std::ios::trunc);
+  if (result.ok()) result.bytes = image.size();
+  return result;
+}
+
+SnapshotLoadResult load_snapshot_bytes(std::string_view bytes) {
+  if (bytes.size() < kHeaderBytes) return load_fail("file too short");
+  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
+    return load_fail("bad magic (not an fpss-snap file)");
+  util::BinReader in{bytes, sizeof(kMagic)};
+  const std::uint64_t format = in.u64();
+  if (format != kFormatVersion)
+    return load_fail("unsupported format version " + std::to_string(format));
+
+  SnapshotLoadResult result;
+  std::shared_ptr<const RouteSnapshot> state;  // newest complete stream
+  ReplicationCodec::Assembler stream;          // the bootstrap first
+  std::string error;
+  while (in.remaining() > 0) {
+    const std::uint64_t len = in.u64();
+    if (in.fail || len > in.remaining()) {
+      error = "record length mismatch";
+      break;
     }
-    return out;
-  }
-
-  // Block encode/parse delegate to BlockCodec (blockio.h) — the same v4
-  // block encoding the replication wire chunks stream, kept in one place.
-
-  /// Payload: provenance + the checksum replay must reproduce, the global
-  /// arrays, then the patched blocks. Self-contained — a record can be
-  /// validated and applied knowing only n (from the base image).
-  static std::string payload(const RouteSnapshot& snap,
-                             const std::vector<NodeId>& patched) {
-    std::string out;
-    append_u64(out, snap.version_);
-    append_u64(out, snap.graph_version_);
-    append_u64(out, snap.published_at_ns_);
-    append_u64(out, snap.checksum_);
-    for (const Cost c : snap.node_cost_) append_i64(out, encode_cost(c));
-    for (const Cost::rep r : snap.owed_) append_i64(out, r);
-    for (const Cost::rep r : snap.settled_) append_i64(out, r);
-    append_u32(out, static_cast<std::uint32_t>(patched.size()));
-    for (const NodeId j : patched) {
-      append_u32(out, j);
-      BlockCodec::append(out, *snap.blocks_[j]);
+    if (!stream.feed(bytes.substr(in.pos, len))) {
+      error = stream.error();
+      break;
     }
-    return out;
-  }
-
-  /// Applies one validated payload onto `state`; null when the payload is
-  /// short, structurally invalid, or its replayed checksum does not
-  /// reproduce the stored one.
-  static std::shared_ptr<const RouteSnapshot> apply(const RouteSnapshot& state,
-                                                    const std::string& bytes) {
-    const std::size_t n = state.n_;
-    util::BinReader in{bytes};
-    auto snap = std::shared_ptr<RouteSnapshot>(new RouteSnapshot);
-    snap->n_ = n;
-    snap->version_ = in.u64();
-    snap->graph_version_ = in.u64();
-    snap->published_at_ns_ = in.u64();
-    const std::uint64_t want = in.u64();
-    snap->node_cost_.reserve(n);
-    for (std::size_t v = 0; v < n; ++v) snap->node_cost_.push_back(in.cost());
-    snap->owed_.reserve(n);
-    for (std::size_t v = 0; v < n; ++v) snap->owed_.push_back(in.i64());
-    snap->settled_.reserve(n);
-    for (std::size_t v = 0; v < n; ++v) snap->settled_.push_back(in.i64());
-    const std::uint32_t patches = in.u32();
-    if (in.fail || patches > n) return nullptr;
-    snap->blocks_ = state.blocks_;
-    for (std::uint32_t p = 0; p < patches; ++p) {
-      const NodeId j = in.u32();
-      if (in.fail || j >= n) return nullptr;
-      auto block = BlockCodec::parse(in, n);
-      if (block == nullptr) return nullptr;
-      snap->blocks_[j] = std::move(block);
+    in.pos += len;
+    if (!stream.finished()) continue;
+    ReplicationCodec::Assembler::Result done = stream.finish();
+    if (!done.ok()) {
+      error = done.error;
+      break;
     }
-    if (in.fail || in.pos != bytes.size()) return nullptr;
-    snap->seal();
-    if (snap->checksum_ != want) return nullptr;
-    return snap;
+    if (state != nullptr) ++result.records_applied;
+    state = std::move(done.snapshot);
+    stream = ReplicationCodec::Assembler(state);  // the next catch-up
   }
-};
+  if (state == nullptr)
+    return load_fail(error.empty() ? stream.finish().error : error);
+  if (!state->self_check()) return load_fail("structural validation failed");
+  result.snapshot = std::move(state);
+  return result;
+}
 
-// --- writer ----------------------------------------------------------------
+SnapshotLoadResult load_snapshot(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return load_fail("cannot open '" + path + "'");
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return load_snapshot_bytes(buffer.str());
+}
+
+SnapshotLoadResult load_checkpoint(const std::string& directory) {
+  return load_snapshot(directory + "/base.fpss-snap");
+}
+
+// --- writer -----------------------------------------------------------------
 
 CheckpointWriter::CheckpointWriter(CheckpointPolicy policy)
     : policy_(std::move(policy)),
-      base_path_(policy_.directory + "/base.fpss-snap"),
-      journal_path_(policy_.directory + "/journal.fpss-jrnl") {}
+      path_(policy_.directory + "/base.fpss-snap") {}
 
 std::string CheckpointWriter::on_publish(
     const std::shared_ptr<const RouteSnapshot>& snap) {
@@ -134,118 +142,56 @@ std::string CheckpointWriter::on_publish(
   publishes_since_checkpoint_ = 0;
   if (last_written_ == nullptr ||
       last_written_->node_count() != snap->node_count())
-    return write_base(snap);
+    return write_fresh(snap);
   if (journal_bytes_ > policy_.max_journal_bytes) {
     ++stats_.compactions;
-    return write_base(snap);
+    return write_fresh(snap);
   }
-  return append_patch(snap);
+  return append_catch_up(snap);
 }
 
-std::string CheckpointWriter::write_base(
+std::string CheckpointWriter::write_fresh(
     const std::shared_ptr<const RouteSnapshot>& snap) {
-  // tmp + rename keeps a complete base on disk at every instant; the
-  // journal is truncated only afterwards, and until it is, its binding to
-  // the *old* base checksum makes it a no-op against the new one.
-  const std::string tmp = base_path_ + ".tmp";
+  // tmp + rename keeps a complete file on disk at every instant: a crash
+  // before the rename leaves the old file, which still loads.
+  last_written_.reset();
+  const std::string tmp = path_ + ".tmp";
   const SnapshotSaveResult saved = save_snapshot(*snap, tmp);
   if (!saved.ok()) return saved.error;
-  if (std::rename(tmp.c_str(), base_path_.c_str()) != 0)
-    return "rename '" + tmp + "' -> '" + base_path_ + "' failed";
-  std::string header;
-  header.append(kJournalMagic, sizeof(kJournalMagic));
-  append_u64(header, kJournalVersion);
-  append_u64(header, snap->checksum());
-  std::ofstream out(journal_path_, std::ios::binary | std::ios::trunc);
-  if (!out) return "cannot open '" + journal_path_ + "' for writing";
-  out.write(header.data(), static_cast<std::streamsize>(header.size()));
-  out.flush();
-  if (!out) return "write to '" + journal_path_ + "' failed";
-  journal_bytes_ = header.size();
+  if (std::rename(tmp.c_str(), path_.c_str()) != 0)
+    return "rename '" + tmp + "' -> '" + path_ + "' failed";
+  journal_bytes_ = 0;
   last_written_ = snap;
   ++stats_.checkpoints;
-  stats_.bytes_written += saved.bytes + header.size();
+  stats_.bytes_written += saved.bytes;
   return "";
 }
 
-std::string CheckpointWriter::append_patch(
+std::string CheckpointWriter::append_catch_up(
     const std::shared_ptr<const RouteSnapshot>& snap) {
-  const std::vector<NodeId> patched =
-      CheckpointCodec::changed(*last_written_, *snap);
-  const std::string payload = CheckpointCodec::payload(*snap, patched);
-  std::string record;
-  append_u32(record, kRecordMagic);
-  append_u64(record, payload.size());
-  append_u64(record, fnv_bytes(payload));
-  record += payload;
-  std::ofstream out(journal_path_, std::ios::binary | std::ios::app);
-  if (!out) return "cannot open '" + journal_path_ + "' for appending";
-  out.write(record.data(), static_cast<std::streamsize>(record.size()));
-  out.flush();
-  if (!out) return "write to '" + journal_path_ + "' failed";
-  journal_bytes_ += record.size();
+  // The changed destinations: one pointer compare each in the common CoW
+  // case; a full rebuild falls back to the digest, which still keeps
+  // equal-content blocks out of the catch-up.
+  std::vector<std::uint32_t> changed;
+  for (NodeId j = 0; j < snap->node_count(); ++j)
+    if (!snap->shares_block_with(*last_written_, j) &&
+        snap->block_digest(j) != last_written_->block_digest(j))
+      changed.push_back(j);
+  std::string records;
+  append_stream(records, *snap, changed);
+  // A write that fails part-way leaves torn bytes at the tail, and an
+  // append after them would never load: forget the diff base so the next
+  // checkpoint rewrites the file whole.
+  last_written_.reset();
+  if (std::string error = write_bytes(path_, records, std::ios::app);
+      !error.empty())
+    return error;
+  journal_bytes_ += records.size();
   last_written_ = snap;
   ++stats_.checkpoints;
-  stats_.bytes_written += record.size();
-  stats_.patches += patched.size();
+  stats_.bytes_written += records.size();
+  stats_.patches += changed.size();
   return "";
-}
-
-// --- load ------------------------------------------------------------------
-
-CheckpointLoadResult load_checkpoint(const std::string& directory) {
-  CheckpointLoadResult result;
-  const SnapshotLoadResult base =
-      load_snapshot(directory + "/base.fpss-snap");
-  if (!base.ok()) {
-    result.error = base.error;
-    return result;
-  }
-  std::shared_ptr<const RouteSnapshot> state = base.snapshot;
-
-  // A missing, short, or mismatched journal is not an error — the base
-  // alone is a complete checkpoint (exactly the crash window between a
-  // compaction's base rename and its journal truncate).
-  std::ifstream in(directory + "/journal.fpss-jrnl", std::ios::binary);
-  if (in) {
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string bytes = buffer.str();
-    if (bytes.size() >= kJournalHeaderSize &&
-        std::memcmp(bytes.data(), kJournalMagic, sizeof(kJournalMagic)) == 0) {
-      util::BinReader header{bytes, sizeof(kJournalMagic)};
-      const std::uint64_t version = header.u64();
-      const std::uint64_t bound_to = header.u64();
-      if (version == kJournalVersion && bound_to == state->checksum()) {
-        std::size_t pos = kJournalHeaderSize;
-        for (;;) {
-          // Each record stands alone: any truncated or corrupt tail ends
-          // the replay at the last complete record.
-          if (bytes.size() - pos < 20) break;
-          util::BinReader rec{bytes, pos};
-          if (rec.u32() != kRecordMagic) break;
-          const std::uint64_t len = rec.u64();
-          const std::uint64_t want = rec.u64();
-          if (bytes.size() - rec.pos < len) break;
-          const std::string payload = bytes.substr(rec.pos, len);
-          if (fnv_bytes(payload) != want) break;
-          auto next = CheckpointCodec::apply(*state, payload);
-          if (next == nullptr) break;
-          state = std::move(next);
-          ++result.records_applied;
-          pos = rec.pos + len;
-        }
-      }
-    }
-  }
-
-  if (!state->self_check()) {
-    result.error = "structural validation failed";
-    result.records_applied = 0;
-    return result;
-  }
-  result.snapshot = std::move(state);
-  return result;
 }
 
 }  // namespace fpss::service

@@ -1,47 +1,91 @@
-// Dirty-aware incremental checkpointing — the persistence half of the
-// "fpss-snap v4" era.
+// Persistence: saved snapshots and incremental checkpoints, both as
+// recorded block streams (service/replication.h) in one file format,
+// "fpss-snap v5":
 //
-// save_snapshot writes the full O(n^2) image on every call; under steady
-// churn that dwarfs the work of the publishes themselves. A v4 checkpoint
-// directory instead holds
+//   file   := magic "FPSSSNP1" | format:u64 = 5 | record*
+//   record := chunk_len:u64 | chunk          (a ReplicationCodec chunk)
 //
-//   base.fpss-snap      a full image (the ordinary save_snapshot format)
-//   journal.fpss-jrnl   header + appended patch records
+// Records form streams, each ending at its final chunk. The first stream
+// is a bootstrap, which covers every destination; each later stream is a
+// catch-up onto the state before it. save_snapshot writes one bootstrap;
+// a checkpoint writer appends catch-ups. Loading feeds every record
+// through ReplicationCodec::Assembler, the same parser a replica runs on
+// the wire, so the disk and the wire cannot disagree on a block.
 //
-// and a periodic checkpoint appends one *patch record* carrying only the
-// destination blocks that changed since the last record — O(dirty), found
-// by digest diff against the last checkpointed snapshot (CoW makes the
-// common case a pointer compare). Each record also carries the global
-// arrays (node costs, payment totals) and the snapshot checksum the replay
-// must reproduce, so every record is self-validating.
+// On-disk geometry: a shard is one destination, and every shard carries
+// the stream's snapshot version. A catch-up therefore carries exactly the
+// blocks that changed, and the loader never reads shard versions back.
 //
-// Journal header binds to the base via the base image's root checksum: a
-// journal whose binding does not match the base on disk is ignored
-// entirely. Together with writing a new base as tmp + rename, that closes
-// every crash window:
-//   - crash mid-record        -> the truncated tail fails its length or
-//                                payload-checksum check; replay stops at
-//                                the last complete record
-//   - crash between new base  -> the old journal's binding mismatches the
-//     and journal truncate       new base; the (already current) base
-//                                alone is served
-// load_checkpoint therefore recovers the newest complete state and can
-// never serve a torn one — the crash-recovery property test truncates the
-// journal at every byte prefix to pin exactly this.
+// No per-record checksum: a stream's final chunk carries the snapshot's
+// root checksum, which folds every content byte (each block's digest, the
+// global arrays, the provenance), and the Assembler accepts a stream only
+// if the reassembled snapshot reproduces it. The framing around the
+// content (lengths, kinds, geometry, shard indices and versions) is
+// cross-checked structurally. A torn or corrupt record therefore ends the
+// load at the newest complete stream; the every-byte-flip and
+// every-prefix tests pin both halves.
 //
-// Compaction: when the journal outgrows CheckpointPolicy::max_journal_bytes
-// the writer folds it into a fresh base (tmp + rename) and truncates the
-// journal to a new bound header. Replay cost is thus bounded alongside
-// journal size.
+// A checkpoint directory holds the one file, base.fpss-snap. The first
+// checkpoint, a node-count change, and a compaction (once the appended
+// catch-ups outgrow CheckpointPolicy::max_journal_bytes) write a fresh
+// image to base.fpss-snap.tmp and rename it over the file; every other
+// checkpoint appends one catch-up stream carrying only the destinations
+// whose blocks changed since the last checkpoint — O(dirty), found by
+// pointer compare first (CoW shares clean blocks), then by digest. The
+// crash windows that remain:
+//   - crash mid-append      -> the torn tail is a short or rejected
+//                              record; the load serves the newest
+//                              complete stream before it
+//   - crash before a rename -> a stale .tmp beside the old file, which
+//                              still loads to its newest complete stream
+//   - failed write          -> the writer forgets its diff base, so the
+//                              next checkpoint is a fresh tmp + rename
+//                              instead of an append after torn bytes
+// A load therefore recovers the newest complete state and never a torn
+// one.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "service/snapshot.h"
 
 namespace fpss::service {
+
+/// Outcome of a save: `error` is empty on success (same convention the
+/// graph::SaveResult uses — failures are runtime conditions with a reason,
+/// not bare booleans).
+struct SnapshotSaveResult {
+  std::string error;
+  std::uint64_t bytes = 0;  ///< file bytes written on success
+  bool ok() const { return error.empty(); }
+};
+
+/// Outcome of a load; mirrors graph::ParseResult.
+struct SnapshotLoadResult {
+  std::shared_ptr<const RouteSnapshot> snapshot;  ///< null on failure
+  std::string error;  ///< e.g. "assembled snapshot checksum mismatch"
+  /// Catch-up streams applied on top of the bootstrap.
+  std::uint64_t records_applied = 0;
+  bool ok() const { return snapshot != nullptr; }
+};
+
+/// Writes `snapshot` as an fpss-snap v5 file holding one bootstrap stream.
+SnapshotSaveResult save_snapshot(const RouteSnapshot& snapshot,
+                                 const std::string& path);
+
+/// Reads an fpss-snap v5 file and returns its newest complete state.
+SnapshotLoadResult load_snapshot(const std::string& path);
+
+/// The in-memory half of load_snapshot() and the only file parser: checks
+/// magic and format, feeds the records through a bootstrap Assembler and
+/// then one catch-up Assembler per later stream, stops at the first short
+/// or rejected record, and self_check()s the newest complete stream. Fails
+/// with the bootstrap's reason if the bootstrap itself is incomplete. This
+/// is everything a hostile file (or fuzz input) can reach.
+SnapshotLoadResult load_snapshot_bytes(std::string_view bytes);
 
 /// When RouteService checkpoints. A default-constructed policy (empty
 /// directory) disables checkpointing entirely.
@@ -50,21 +94,22 @@ struct CheckpointPolicy {
   /// Checkpoint every Nth publish (the first publish always writes the
   /// base). 0 behaves as 1.
   std::uint64_t every_publishes = 1;
-  /// Fold the journal into a new base once it exceeds this many bytes.
+  /// Rewrite the file as a fresh image once the catch-ups appended after
+  /// its bootstrap exceed this many bytes.
   std::uint64_t max_journal_bytes = 4u << 20;
 };
 
 /// The updater-side writer: feed it every published snapshot; it decides
-/// (per the policy) whether to write nothing, append a patch record, or
-/// compact into a new base. Single-threaded like the rest of the publish
-/// path — RouteService calls it from the updater only.
+/// (per the policy) whether to write nothing, append a catch-up stream, or
+/// write a fresh image. Single-threaded like the rest of the publish path
+/// — RouteService calls it from the updater only.
 class CheckpointWriter {
  public:
   struct Stats {
-    std::uint64_t checkpoints = 0;    ///< records + bases written
-    std::uint64_t bytes_written = 0;  ///< total bytes appended to disk
-    std::uint64_t patches = 0;        ///< per-destination block patches
-    std::uint64_t compactions = 0;    ///< journal folds into a new base
+    std::uint64_t checkpoints = 0;    ///< streams written (fresh + appended)
+    std::uint64_t bytes_written = 0;  ///< total bytes written to disk
+    std::uint64_t patches = 0;        ///< destination blocks in catch-ups
+    std::uint64_t compactions = 0;    ///< catch-ups folded into a fresh image
   };
 
   explicit CheckpointWriter(CheckpointPolicy policy);
@@ -76,34 +121,27 @@ class CheckpointWriter {
   std::string on_publish(const std::shared_ptr<const RouteSnapshot>& snap);
 
   const Stats& stats() const { return stats_; }
-  const std::string& base_path() const { return base_path_; }
-  const std::string& journal_path() const { return journal_path_; }
+  /// The checkpoint file, <directory>/base.fpss-snap.
+  const std::string& path() const { return path_; }
 
  private:
-  std::string write_base(const std::shared_ptr<const RouteSnapshot>& snap);
-  std::string append_patch(const std::shared_ptr<const RouteSnapshot>& snap);
+  std::string write_fresh(const std::shared_ptr<const RouteSnapshot>& snap);
+  std::string append_catch_up(
+      const std::shared_ptr<const RouteSnapshot>& snap);
 
   CheckpointPolicy policy_;
-  std::string base_path_;
-  std::string journal_path_;
-  /// The snapshot state the on-disk base+journal currently reproduces —
-  /// the diff base of the next patch record.
+  std::string path_;
+  /// The state the file on disk loads to — the diff base of the next
+  /// catch-up. Null when nothing usable is on disk (before the first
+  /// checkpoint and after any failed write).
   std::shared_ptr<const RouteSnapshot> last_written_;
   std::uint64_t publishes_since_checkpoint_ = 0;
-  std::uint64_t journal_bytes_ = 0;
+  std::uint64_t journal_bytes_ = 0;  ///< catch-up bytes after the bootstrap
   Stats stats_;
 };
 
-/// Recovers the newest complete state from a checkpoint directory: loads
-/// the base image, then replays every complete, checksum-valid journal
-/// record bound to it. `patches_applied` counts replayed records.
-struct CheckpointLoadResult {
-  std::shared_ptr<const RouteSnapshot> snapshot;  ///< null on failure
-  std::string error;
-  std::uint64_t records_applied = 0;
-  bool ok() const { return snapshot != nullptr; }
-};
-
-CheckpointLoadResult load_checkpoint(const std::string& directory);
+/// Recovers the newest complete state from a checkpoint directory: its
+/// base.fpss-snap through load_snapshot().
+SnapshotLoadResult load_checkpoint(const std::string& directory);
 
 }  // namespace fpss::service

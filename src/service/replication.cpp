@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "service/blockio.h"
 #include "service/store.h"
 #include "util/binio.h"
+#include "util/contract.h"
 
 namespace fpss::service {
 
@@ -18,7 +18,10 @@ using util::append_u8;
 using util::BinReader;
 using util::encode_cost;
 
-/// Every data chunk's fixed fields after the kind byte.
+/// Bytes of a data chunk before its first block.
+constexpr std::size_t kDataHeaderBytes = 41;
+
+/// Every data chunk's fixed fields, kind byte first.
 void append_data_header(std::string& out, const RouteSnapshot& snap,
                         std::uint32_t shard_count, std::uint32_t shard,
                         std::uint64_t shard_version, std::uint32_t dest_begin,
@@ -35,49 +38,106 @@ void append_data_header(std::string& out, const RouteSnapshot& snap,
 
 }  // namespace
 
-std::vector<std::string> ReplicationCodec::encode_shard(
-    const RouteSnapshot& snap, std::size_t shard, std::size_t shard_size,
-    std::uint32_t shard_count, std::uint64_t shard_version,
-    std::size_t budget_bytes) {
-  const std::size_t n = snap.node_count();
-  const std::size_t begin = shard * shard_size;
-  const std::size_t end = std::min(n, begin + shard_size);
-  std::vector<std::string> chunks;
-  std::size_t chunk_begin = begin;
-  std::string blocks;
-  const auto flush = [&](std::size_t next) {
-    if (next == chunk_begin) return;
-    std::string out;
-    out.reserve(39 + blocks.size());
-    append_data_header(out, snap, shard_count,
-                       static_cast<std::uint32_t>(shard), shard_version,
-                       static_cast<std::uint32_t>(chunk_begin),
-                       static_cast<std::uint32_t>(next - chunk_begin));
-    out.append(blocks);
-    chunks.push_back(std::move(out));
-    blocks.clear();
-    chunk_begin = next;
-  };
-  for (std::size_t j = begin; j < end; ++j) {
-    // Budget check before appending: a chunk carries at least one block,
-    // so the cap is soft by at most one destination's rows.
-    if (!blocks.empty() &&
-        blocks.size() + BlockCodec::encoded_bytes(*snap.blocks_[j], n) >
-            budget_bytes)
-      flush(j);
-    BlockCodec::append(blocks, *snap.blocks_[j]);
+// --- block encoding ---------------------------------------------------------
+
+void ReplicationCodec::append_block(std::string& out, const Block& block) {
+  for (const NodeId v : block.next_hop) append_u32(out, v);
+  for (const Cost c : block.cost) append_i64(out, encode_cost(c));
+  for (const std::uint64_t o : block.offset) append_u64(out, o);
+  for (const NodeId v : block.transit) append_u32(out, v);
+  for (const Cost c : block.price) append_i64(out, encode_cost(c));
+}
+
+std::size_t ReplicationCodec::block_bytes(const Block& block, std::size_t n) {
+  return 12 * n + 8 * (n + 1) + 12 * block.transit.size();
+}
+
+RouteSnapshot::BlockPtr ReplicationCodec::parse_block(BinReader& in,
+                                                      std::size_t n) {
+  auto block = std::make_shared<Block>();
+  block->next_hop.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) block->next_hop.push_back(in.u32());
+  block->cost.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) block->cost.push_back(in.cost());
+  block->offset.reserve(n + 1);
+  for (std::size_t i = 0; i <= n; ++i) {
+    const std::uint64_t o = in.u64();
+    // Monotone and bounded before the entry arrays are sized from it: a
+    // corrupt offset must not trigger a huge allocation.
+    if (!block->offset.empty() && !in.fail &&
+        (o < block->offset.back() || o > n * n))
+      return nullptr;
+    block->offset.push_back(o);
   }
-  flush(end);
-  return chunks;
+  if (in.fail || block->offset.front() != 0) return nullptr;
+  const std::uint64_t entries = block->offset.back();
+  if (in.remaining() < entries * 12) return nullptr;
+  block->transit.reserve(entries);
+  for (std::uint64_t e = 0; e < entries; ++e) {
+    const NodeId v = in.u32();
+    if (v >= n) return nullptr;
+    block->transit.push_back(v);
+  }
+  block->price.reserve(entries);
+  for (std::uint64_t e = 0; e < entries; ++e) block->price.push_back(in.cost());
+  if (in.fail) return nullptr;
+  block->digest = block->compute_digest();
+  return block;
+}
+
+// --- encoder ----------------------------------------------------------------
+
+bool ReplicationCodec::encode_stream(
+    const RouteSnapshot& snap, std::span<const std::uint64_t> shard_versions,
+    std::span<const std::uint32_t> sent, const ChunkSink& sink) {
+  FPSS_EXPECTS(!shard_versions.empty());
+  const auto shard_count = static_cast<std::uint32_t>(shard_versions.size());
+  const std::size_t shard_size =
+      shard_size_of(snap.node_count(), shard_count);
+  for (const std::uint32_t s : sent) {
+    FPSS_EXPECTS(s < shard_count);
+    if (!encode_shard(snap, s, shard_size, shard_count, shard_versions[s],
+                      sink))
+      return false;
+  }
+  return sink(encode_final(snap, shard_versions, sent));
+}
+
+bool ReplicationCodec::encode_shard(const RouteSnapshot& snap,
+                                    std::uint32_t shard,
+                                    std::size_t shard_size,
+                                    std::uint32_t shard_count,
+                                    std::uint64_t shard_version,
+                                    const ChunkSink& sink) {
+  const std::size_t n = snap.node_count();
+  const std::size_t begin = std::min(n, std::size_t{shard} * shard_size);
+  const std::size_t end = std::min(n, begin + shard_size);
+  for (std::size_t lo = begin; lo < end;) {
+    // A chunk carries at least one block, then more while they fit the
+    // budget, so the cap is soft by at most one destination's rows.
+    std::size_t bytes = block_bytes(*snap.blocks_[lo], n);
+    std::size_t hi = lo + 1;
+    while (hi < end &&
+           bytes + block_bytes(*snap.blocks_[hi], n) <= kChunkBudgetBytes)
+      bytes += block_bytes(*snap.blocks_[hi++], n);
+    std::string chunk;
+    chunk.reserve(kDataHeaderBytes + bytes);
+    append_data_header(chunk, snap, shard_count, shard, shard_version,
+                       static_cast<std::uint32_t>(lo),
+                       static_cast<std::uint32_t>(hi - lo));
+    for (std::size_t j = lo; j < hi; ++j) append_block(chunk, *snap.blocks_[j]);
+    if (!sink(chunk)) return false;
+    lo = hi;
+  }
+  return true;
 }
 
 std::string ReplicationCodec::encode_final(
     const RouteSnapshot& snap, std::span<const std::uint64_t> shard_versions,
-    std::span<const std::uint32_t> shards_sent) {
+    std::span<const std::uint32_t> sent) {
   const std::size_t n = snap.node_count();
   std::string out;
-  out.reserve(53 + 24 * n + 8 * shard_versions.size() +
-              4 * shards_sent.size());
+  out.reserve(53 + 24 * n + 8 * shard_versions.size() + 4 * sent.size());
   append_u8(out, kFinalChunk);
   append_u64(out, snap.version());
   append_u64(out, n);
@@ -90,8 +150,8 @@ std::string ReplicationCodec::encode_final(
   for (NodeId v = 0; v < n; ++v) append_i64(out, snap.payment_owed(v));
   for (NodeId v = 0; v < n; ++v) append_i64(out, snap.payment_settled(v));
   for (const std::uint64_t version : shard_versions) append_u64(out, version);
-  append_u32(out, static_cast<std::uint32_t>(shards_sent.size()));
-  for (const std::uint32_t s : shards_sent) append_u32(out, s);
+  append_u32(out, static_cast<std::uint32_t>(sent.size()));
+  for (const std::uint32_t s : sent) append_u32(out, s);
   return out;
 }
 
@@ -159,7 +219,7 @@ bool ReplicationCodec::Assembler::feed(std::string_view payload) {
     for (std::uint64_t d = 0; d < dest_count; ++d) {
       const NodeId j = static_cast<NodeId>(dest_begin + d);
       if (received_[j] != nullptr) return fail("duplicate destination block");
-      RouteSnapshot::BlockPtr block = BlockCodec::parse(in, n_);
+      RouteSnapshot::BlockPtr block = parse_block(in, n_);
       if (block == nullptr) return fail("malformed destination block");
       // Digest adoption: share the replica's existing block (served base
       // first, then the warm-start donor) whenever the content round-trips

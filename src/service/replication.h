@@ -1,40 +1,45 @@
-// The per-shard snapshot replication codec: what a kSnapshotChunk frame
-// carries and how a replica reassembles a serving-grade RouteSnapshot
-// from a stream of them.
+// The one block stream: what kSnapshotChunk frames carry to a replica,
+// what a saved snapshot or checkpoint file records (service/checkpoint.h),
+// and how either is reassembled into a serving-grade RouteSnapshot.
 //
-// A fetch response is a sequence of chunk payloads (each one travels in
-// its own length/FNV-guarded fpss-wire frame):
+// A stream is a sequence of chunk payloads:
 //
 //   data chunk  := kind:u8(1) | snapshot_version:u64 | n:u64
 //                  | shard_count:u32 | shard_index:u32 | shard_version:u64
 //                  | dest_begin:u32 | dest_count:u32
-//                  | dest_count x block            (fpss-snap v4 encoding)
+//                  | dest_count x block
 //   final chunk := kind:u8(2) | snapshot_version:u64 | n:u64
 //                  | shard_count:u32 | graph_version:u64
 //                  | published_at_ns:u64 | checksum:u64
 //                  | node_cost[n]:i64 | owed[n]:i64 | settled[n]:i64
 //                  | shard_versions[shard_count]:u64
 //                  | sent_count:u32 | sent_count x shard_index:u32
+//   block       := next_hop[n]:u32 | cost[n]:i64 | offset[n+1]:u64
+//                  | transit[entries]:u32 | price[entries]:i64
 //
-// The server sends one or more data chunks per *dirty* shard (a shard
+// (entries = offset[n]; costs as i64 with -1 = +infinity). encode_stream
+// is the one encoder: one or more data chunks per shard it sends (a shard
 // whose destination rows outgrow kChunkBudgetBytes is split across
-// frames) and exactly one final chunk. The final chunk carries the
-// server's full per-shard version vector — the negotiation state the
-// replica echoes back in its next kSnapshotFetch — plus the explicit list
-// of shards this response patched and the root checksum the reassembled
-// snapshot must reproduce.
+// chunks), then exactly one final chunk. The final chunk carries the
+// per-shard version vector — the negotiation state a replica echoes back
+// in its next kSnapshotFetch — plus the explicit list of shards this
+// stream patched and the root checksum the reassembled snapshot must
+// reproduce. The Assembler is the one parser; nothing else decodes a
+// destination block. On the wire each chunk travels in its own
+// length/FNV-guarded fpss-wire frame; on disk in a length-prefixed record.
 //
 // Assembler invariants (the torn-shard guarantees the fuzz tests pin):
 //   * every payload is validated structurally before any block is kept —
 //     a truncated or corrupt chunk poisons the whole assembly;
 //   * finish() fails unless every destination of every announced shard
 //     arrived exactly once and nothing outside those shards arrived;
-//   * the sealed snapshot's checksum must equal the server-declared one —
-//     so a replica either publishes exactly the primary's bytes or
-//     publishes nothing. There is no partial-shard escape hatch.
+//   * the sealed snapshot's checksum must equal the declared one — so a
+//     replica or a loader either gets exactly the encoded snapshot's bytes
+//     or nothing. There is no partial-shard escape hatch.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -44,6 +49,10 @@
 
 #include "service/snapshot.h"
 #include "util/types.h"
+
+namespace fpss::util {
+struct BinReader;
+}
 
 namespace fpss::service {
 
@@ -58,27 +67,26 @@ struct ReplicationCodec {
   /// for max(budget, one block).
   static constexpr std::size_t kChunkBudgetBytes = 256u << 10;
 
-  /// Encodes shard `shard` of `snap` (destinations [shard * shard_size,
-  /// min(n, (shard+1) * shard_size))) as one or more data-chunk payloads.
-  /// `shard_version` is the store's version for that shard (echoed to the
-  /// replica for its next negotiation).
-  static std::vector<std::string> encode_shard(
-      const RouteSnapshot& snap, std::size_t shard, std::size_t shard_size,
-      std::uint32_t shard_count, std::uint64_t shard_version,
-      std::size_t budget_bytes = kChunkBudgetBytes);
+  /// Takes one chunk payload, in stream order; false stops the stream.
+  using ChunkSink = std::function<bool(std::string_view payload)>;
 
-  /// Encodes the terminal payload: globals, the server's shard-version
-  /// vector, and the indices of the shards this response sent.
-  static std::string encode_final(const RouteSnapshot& snap,
-                                  std::span<const std::uint64_t> shard_versions,
-                                  std::span<const std::uint32_t> shards_sent);
+  /// Encodes one stream of `snap` under the shard_versions.size()-shard
+  /// partition (shard_size_of): the data chunks of every shard in `sent`,
+  /// in order, then the final chunk announcing `shard_versions` and
+  /// `sent`. Stops, returning false, as soon as the sink returns false.
+  /// Preconditions: at least one shard, every sent index in range.
+  static bool encode_stream(const RouteSnapshot& snap,
+                            std::span<const std::uint64_t> shard_versions,
+                            std::span<const std::uint32_t> sent,
+                            const ChunkSink& sink);
 
   /// Reassembles a snapshot from fed chunk payloads.
   class Assembler {
    public:
-    /// `base`: the replica's currently served snapshot; clean shards keep
-    /// its blocks (copy-on-write catch-up). Null for a cold bootstrap, in
-    /// which case the response must cover every shard. `adopt`: optional
+    /// `base`: the state this stream catches up (a replica's served
+    /// snapshot, or the previous stream of a file being loaded); clean
+    /// shards keep its blocks (copy-on-write catch-up). Null for a cold
+    /// bootstrap, which must cover every shard. `adopt`: optional
     /// digest-adoption donor (e.g. a checkpoint-loaded snapshot): a parsed
     /// block whose digest matches the donor's is swapped for the donor's
     /// pointer, so a warm bootstrap shares memory with the local image
@@ -140,6 +148,29 @@ struct ReplicationCodec {
     std::vector<RouteSnapshot::BlockPtr> received_;
     std::string error_;
   };
+
+ private:
+  using Block = RouteSnapshot::DestinationBlock;
+
+  /// Emits shard `shard`'s data chunks; false once the sink stops.
+  static bool encode_shard(const RouteSnapshot& snap, std::uint32_t shard,
+                           std::size_t shard_size, std::uint32_t shard_count,
+                           std::uint64_t shard_version,
+                           const ChunkSink& sink);
+  static std::string encode_final(const RouteSnapshot& snap,
+                                  std::span<const std::uint64_t> shard_versions,
+                                  std::span<const std::uint32_t> sent);
+
+  /// Appends one block in serialization order.
+  static void append_block(std::string& out, const Block& block);
+  /// Serialized size of `block` in an n-node snapshot:
+  /// 12n + 8(n + 1) + 12 * entries bytes.
+  static std::size_t block_bytes(const Block& block, std::size_t n);
+  /// Parses and validates one block of an n-node snapshot; null on any
+  /// structural violation. Offsets must be monotone and bounded by n^2 and
+  /// transit ids < n before anything is sized from them.
+  static RouteSnapshot::BlockPtr parse_block(util::BinReader& in,
+                                             std::size_t n);
 };
 
 }  // namespace fpss::service

@@ -11,8 +11,9 @@
 //           ──► dirty_destinations() ──► PublishPipeline::run
 //                 ├─ CoW export of the dirty rows, one publish stamping
 //                 │  only the shards that hold them
-//                 └─ incremental checkpoint (base + patch journal) after
-//                    readers are on the new epoch
+//                 └─ incremental checkpoint (a catch-up stream appended
+//                    to the fpss-snap file) after readers are on the new
+//                    epoch
 //
 // Publication is *incremental* end to end: the session fingerprints each
 // destination's sink tree per converged epoch, the export re-extracts only
@@ -85,8 +86,8 @@ struct ServiceConfig {
   /// sink trees changed, and a replica catch-up fetches only those; 1
   /// makes every change refetch the whole snapshot.
   std::size_t shards = 1;
-  /// Incremental checkpointing (fpss-snap v4 base + patch journal). The
-  /// default (empty directory) disables it.
+  /// Incremental checkpointing (one fpss-snap v5 file: a bootstrap stream
+  /// plus appended catch-ups). The default (empty directory) disables it.
   CheckpointPolicy checkpoint;
 };
 

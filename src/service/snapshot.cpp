@@ -1,9 +1,5 @@
 #include "service/snapshot.h"
 
-#include <cstring>
-#include <fstream>
-#include <sstream>
-
 #include "bgp/rib.h"
 #include "graph/graph.h"
 #include "pricing/pricing_agent.h"
@@ -16,11 +12,8 @@
 
 namespace fpss::service {
 
-// Costs are serialized and checksummed as int64 via util::encode_cost:
-// -1 encodes +infinity (finite costs are non-negative by construction).
-using util::append_i64;
-using util::append_u32;
-using util::append_u64;
+// Costs are checksummed as int64 via util::encode_cost: -1 encodes
+// +infinity (finite costs are non-negative by construction).
 using util::encode_cost;
 
 std::uint64_t RouteSnapshot::DestinationBlock::compute_digest() const {
@@ -278,224 +271,6 @@ bool RouteSnapshot::self_check() const {
     }
   }
   return entries == total_entries_;
-}
-
-// --- binary persistence ----------------------------------------------------
-
-namespace {
-
-constexpr char kMagic[8] = {'F', 'P', 'S', 'S', 'S', 'N', 'P', '1'};
-// v3 switched the header digest to the hierarchical per-destination scheme
-// (see snapshot.h); v4 keeps the payload layout but marks the
-// incremental-checkpoint era — a v4 base may carry a patch-journal sidecar
-// whose header binds to this file's checksum (service/checkpoint.h).
-constexpr std::uint64_t kFormatVersion = 4;
-
-using Reader = util::BinReader;
-
-SnapshotLoadResult load_fail(std::string message) {
-  SnapshotLoadResult result;
-  result.error = std::move(message);
-  return result;
-}
-
-}  // namespace
-
-// Friend of RouteSnapshot: turns the private blocks into the flat,
-// destination-major payload image and back.
-struct SnapshotCodec {
-  static std::string payload(const RouteSnapshot& s) {
-    std::string out;
-    const std::size_t n = s.n_;
-    const std::size_t entries = s.total_entries_;
-    out.reserve(8 * (5 + n + n * n + n * n + 1 + entries + 2 * n) +
-                4 * (n * n + entries));
-    append_u64(out, n);
-    append_u64(out, s.version_);
-    append_u64(out, s.graph_version_);
-    append_u64(out, s.published_at_ns_);
-    append_u64(out, entries);
-    for (Cost c : s.node_cost_) append_i64(out, encode_cost(c));
-    for (const auto& block : s.blocks_)
-      for (NodeId v : block->next_hop) append_u32(out, v);
-    for (const auto& block : s.blocks_)
-      for (Cost c : block->cost) append_i64(out, encode_cost(c));
-    // The global CSR fence: block-local offsets rebased onto one running
-    // entry count, exactly the flat layout v2 wrote.
-    std::uint64_t base = 0;
-    append_u64(out, 0);
-    for (const auto& block : s.blocks_) {
-      for (std::size_t i = 1; i <= n; ++i)
-        append_u64(out, base + block->offset[i]);
-      base += block->transit.size();
-    }
-    for (const auto& block : s.blocks_)
-      for (NodeId v : block->transit) append_u32(out, v);
-    for (const auto& block : s.blocks_)
-      for (Cost c : block->price) append_i64(out, encode_cost(c));
-    for (Cost::rep r : s.owed_) append_i64(out, r);
-    for (Cost::rep r : s.settled_) append_i64(out, r);
-    return out;
-  }
-
-  static SnapshotLoadResult parse(const std::string& payload,
-                                  std::uint64_t stored_checksum) {
-    Reader in{payload};
-    auto snap = std::shared_ptr<RouteSnapshot>(new RouteSnapshot);
-    const std::uint64_t n64 = in.u64();
-    // A snapshot's flat arrays are n*n; cap n so the size math cannot
-    // overflow and a corrupted header cannot trigger a huge allocation.
-    if (n64 > (1u << 20)) return load_fail("implausible node count");
-    const std::size_t n = static_cast<std::size_t>(n64);
-    snap->n_ = n;
-    snap->version_ = in.u64();
-    snap->graph_version_ = in.u64();
-    snap->published_at_ns_ = in.u64();
-    const std::uint64_t entries = in.u64();
-    if (in.fail || entries > payload.size())
-      return load_fail("truncated payload");
-    // Exact payload arithmetic (see SnapshotCodec::payload) before any
-    // reserve(): a corrupted header must not trigger a giant allocation.
-    const std::uint64_t need =
-        48 + 24 * n64 + 20 * n64 * n64 + 12 * entries;
-    if (need != payload.size()) return load_fail("payload size mismatch");
-
-    bool bad_cost = false;
-    const auto read_cost = [&in, &bad_cost] {
-      const std::int64_t raw = in.i64();
-      if (in.fail || raw == util::kInfCostWire) return Cost::infinity();
-      if (raw < 0 || raw > Cost::kMaxFinite) {
-        bad_cost = true;
-        return Cost::infinity();
-      }
-      return Cost{raw};
-    };
-    snap->node_cost_.reserve(n);
-    for (std::size_t v = 0; v < n; ++v)
-      snap->node_cost_.push_back(read_cost());
-
-    std::vector<std::shared_ptr<RouteSnapshot::DestinationBlock>> blocks;
-    blocks.reserve(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      auto block = std::make_shared<RouteSnapshot::DestinationBlock>();
-      block->next_hop.reserve(n);
-      block->cost.reserve(n);
-      block->offset.reserve(n + 1);
-      blocks.push_back(std::move(block));
-    }
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t i = 0; i < n; ++i)
-        blocks[j]->next_hop.push_back(in.u32());
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t i = 0; i < n; ++i)
-        blocks[j]->cost.push_back(read_cost());
-    // Global offsets, validated monotone and in range before the entry
-    // arrays are sliced against them.
-    std::vector<std::uint64_t> offsets;
-    offsets.reserve(n * n + 1);
-    for (std::size_t s = 0; s < n * n + 1; ++s) {
-      const std::uint64_t o = in.u64();
-      if (!offsets.empty() && !in.fail && (o < offsets.back() || o > entries))
-        return load_fail("price offsets not monotone");
-      offsets.push_back(o);
-    }
-    if (!in.fail && (offsets.front() != 0 || offsets.back() != entries))
-      return load_fail("price offsets out of range");
-    std::vector<NodeId> transit;
-    transit.reserve(entries);
-    for (std::uint64_t e = 0; e < entries; ++e) transit.push_back(in.u32());
-    std::vector<Cost> price;
-    price.reserve(entries);
-    for (std::uint64_t e = 0; e < entries; ++e) price.push_back(read_cost());
-    snap->owed_.reserve(n);
-    for (std::size_t v = 0; v < n; ++v) snap->owed_.push_back(in.i64());
-    snap->settled_.reserve(n);
-    for (std::size_t v = 0; v < n; ++v) snap->settled_.push_back(in.i64());
-
-    if (in.fail) return load_fail("truncated payload");
-    if (bad_cost) return load_fail("cost value out of range");
-    if (in.pos != payload.size()) return load_fail("trailing bytes");
-
-    // Slice the flat arrays into per-destination blocks (local offsets).
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint64_t lo = offsets[j * n];
-      const std::uint64_t hi = offsets[(j + 1) * n];
-      for (std::size_t i = 0; i <= n; ++i)
-        blocks[j]->offset.push_back(offsets[j * n + i] - lo);
-      blocks[j]->transit.assign(
-          transit.begin() + static_cast<std::ptrdiff_t>(lo),
-          transit.begin() + static_cast<std::ptrdiff_t>(hi));
-      blocks[j]->price.assign(
-          price.begin() + static_cast<std::ptrdiff_t>(lo),
-          price.begin() + static_cast<std::ptrdiff_t>(hi));
-      blocks[j]->digest = blocks[j]->compute_digest();
-      snap->blocks_.push_back(std::move(blocks[j]));
-    }
-    snap->total_entries_ = entries;
-
-    snap->checksum_ = snap->compute_checksum();
-    if (snap->checksum_ != stored_checksum) {
-      std::ostringstream msg;
-      msg << "checksum mismatch (stored " << stored_checksum << " != computed "
-          << snap->checksum_ << ")";
-      return load_fail(msg.str());
-    }
-    if (!snap->self_check())
-      return load_fail("structural validation failed");
-
-    SnapshotLoadResult result;
-    result.snapshot = std::move(snap);
-    return result;
-  }
-};
-
-SnapshotSaveResult save_snapshot(const RouteSnapshot& snapshot,
-                                 const std::string& path) {
-  SnapshotSaveResult result;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    result.error = "cannot open '" + path + "' for writing";
-    return result;
-  }
-  const std::string payload = SnapshotCodec::payload(snapshot);
-  std::string header;
-  header.append(kMagic, sizeof(kMagic));
-  append_u64(header, kFormatVersion);
-  append_u64(header, payload.size());
-  append_u64(header, snapshot.checksum());
-  out.write(header.data(), static_cast<std::streamsize>(header.size()));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  out.flush();
-  if (!out)
-    result.error = "write to '" + path + "' failed";
-  else
-    result.bytes = header.size() + payload.size();
-  return result;
-}
-
-SnapshotLoadResult load_snapshot_bytes(std::string_view bytes) {
-  constexpr std::size_t kHeaderSize = sizeof(kMagic) + 3 * 8;
-  if (bytes.size() < kHeaderSize) return load_fail("file too short");
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
-    return load_fail("bad magic (not an fpss-snap file)");
-  const std::string image(bytes);
-  Reader header{image, sizeof(kMagic)};
-  const std::uint64_t format = header.u64();
-  if (format != kFormatVersion)
-    return load_fail("unsupported format version " + std::to_string(format));
-  const std::uint64_t payload_size = header.u64();
-  const std::uint64_t stored_checksum = header.u64();
-  if (bytes.size() - kHeaderSize != payload_size)
-    return load_fail("payload length mismatch");
-  return SnapshotCodec::parse(image.substr(kHeaderSize), stored_checksum);
-}
-
-SnapshotLoadResult load_snapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return load_fail("cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return load_snapshot_bytes(buffer.str());
 }
 
 }  // namespace fpss::service

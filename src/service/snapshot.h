@@ -19,22 +19,15 @@
 // (per-block digests folded into the root) for the same reason — an
 // incremental export checksums O(dirty) data, not O(n^2).
 //
-// Snapshots also serialize ("fpss-snap v4", binary header + FNV-1a
-// checksum, the service-layer sibling of graph/io.h's "fpss-graph v1") so
-// a warm restart can serve traffic before the first reconvergence. v3
-// switched the stored digest to the hierarchical per-destination scheme;
-// v4 (payload layout unchanged from v3) marks the incremental-checkpoint
-// era, where a base image may be accompanied by a per-destination patch
-// journal sidecar (see service/checkpoint.h). Older files are rejected
-// with a version error.
+// Snapshots travel as one block stream (service/replication.h), to a
+// replica over the wire and to disk as an "fpss-snap v5" file
+// (service/checkpoint.h), so a warm restart can serve traffic before the
+// first reconvergence.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "graph/path.h"
@@ -139,6 +132,10 @@ class RouteSnapshot {
   /// Adapter for payments::Ledger::record_packets and settle_traffic.
   payments::PriceFn price_fn() const;
 
+  /// Digest of destination j's block — the word the root checksum folds
+  /// for j, so equal digests mean equal rows.
+  std::uint64_t block_digest(NodeId j) const { return blocks_[j]->digest; }
+
   /// True iff destination j's block is the same object in both snapshots —
   /// the observable CoW contract (shared, not merely equal). Blocks are
   /// immutable, so this is how ShardedSnapshotStore::publish finds the
@@ -154,10 +151,7 @@ class RouteSnapshot {
   bool self_check() const;
 
  private:
-  friend struct SnapshotCodec;
-  friend struct CheckpointCodec;   ///< per-block patch journal (checkpoint.cpp)
-  friend struct BlockCodec;        ///< shared v4 block encoding (blockio.h)
-  friend struct ReplicationCodec;  ///< per-shard wire chunks (replication.h)
+  friend struct ReplicationCodec;  ///< the block stream (replication.h)
   friend class PublishPipeline;    ///< adopts warm blocks (pipeline.cpp)
 
   /// Everything destination j's sink tree exports, immutable once built.
@@ -184,10 +178,10 @@ class RouteSnapshot {
   /// Common tail of both exports: payments, entry total, checksum.
   void finish(const payments::Ledger* ledger);
   /// The second half of finish(): entry total + checksum over blocks
-  /// already in place (the checkpoint and replication decoders fill the
-  /// blocks themselves and seal afterwards).
+  /// already in place (the Assembler fills the blocks itself and seals
+  /// afterwards).
   void seal();
-  /// Folds every field into the digest in serialization order.
+  /// Folds every field into the root digest.
   std::uint64_t compute_checksum() const;
 
   std::size_t n_ = 0;
@@ -201,38 +195,5 @@ class RouteSnapshot {
   std::vector<Cost::rep> owed_;          ///< size n
   std::vector<Cost::rep> settled_;       ///< size n
 };
-
-// --- binary persistence ----------------------------------------------------
-
-/// Outcome of a save: `error` is empty on success (same convention the
-/// graph::SaveResult uses — failures are runtime conditions with a reason,
-/// not bare booleans).
-struct SnapshotSaveResult {
-  std::string error;
-  std::uint64_t bytes = 0;  ///< header + payload bytes written on success
-  bool ok() const { return error.empty(); }
-};
-
-/// Outcome of a load; mirrors graph::ParseResult.
-struct SnapshotLoadResult {
-  std::shared_ptr<const RouteSnapshot> snapshot;  ///< null on failure
-  std::string error;  ///< "checksum mismatch (stored .. != computed ..)"
-  bool ok() const { return snapshot != nullptr; }
-};
-
-/// Writes the "fpss-snap v4" binary image: an 8-byte magic, format
-/// version, payload byte count, and content checksum, then the payload.
-SnapshotSaveResult save_snapshot(const RouteSnapshot& snapshot,
-                                 const std::string& path);
-
-/// Reads and validates a saved snapshot: magic/version/length checks,
-/// structural bounds on every array, and the checksum must reproduce.
-SnapshotLoadResult load_snapshot(const std::string& path);
-
-/// The in-memory half of load_snapshot(): validates a complete fpss-snap
-/// image already in memory. This is the attack surface a hostile file (or
-/// fuzz input) exercises — everything after the read(2) — so the fuzz
-/// harness drives exactly this function.
-SnapshotLoadResult load_snapshot_bytes(std::string_view bytes);
 
 }  // namespace fpss::service

@@ -53,7 +53,6 @@ std::size_t ShardedSnapshotStore::publish(
 
 ShardedSnapshotStore::ExportCut ShardedSnapshotStore::export_cut() const {
   ExportCut cut;
-  cut.shard_size = shard_size_;
   cut.shard_versions.resize(shard_count_);  // the copy below reuses it
   util::MutexLock lock(mutex_);
   cut.newest = newest_;

@@ -106,11 +106,10 @@ class ShardedSnapshotStore {
 
   /// One replication cut: `newest` plus the per-shard versions (all 0
   /// before the first publish), read under a single lock so they describe
-  /// the same instant, plus the partition's shard size.
+  /// the same instant.
   struct ExportCut {
     std::shared_ptr<const RouteSnapshot> newest;  ///< null before 1st publish
     std::vector<std::uint64_t> shard_versions;
-    std::size_t shard_size = 1;
   };
   ExportCut export_cut() const FPSS_EXCLUDES(mutex_);
 

@@ -1,17 +1,24 @@
-// Dirty-aware incremental checkpointing (PR 7, "fpss-snap v4"): base image
-// + per-destination patch journal.
+// Persistence as recorded block streams ("fpss-snap v5"): a saved image is
+// one bootstrap stream, and a checkpoint file appends one catch-up stream
+// per checkpoint.
 //
 // The load-bearing properties:
-//   1. base + journal replay reloads *bit-identically* (same root checksum,
-//      same provenance) to a full-image save/load of the same snapshot.
-//   2. A patch record after a k-destination burst costs O(k) bytes, not
+//   1. bootstrap + catch-up replay reloads *bit-identically* (same root
+//      checksum, same provenance) to a full-image save/load of the same
+//      snapshot.
+//   2. A catch-up after a k-destination burst costs O(k) blocks, not
 //      O(n^2) — counter-asserted against the base image size.
-//   3. Crash safety: truncating the journal at EVERY byte prefix recovers
-//      the newest complete state, never a corrupt one (self_check
-//      asserted); a journal whose binding mismatches the base on disk (the
-//      compaction crash window) is ignored entirely.
+//   3. Crash safety: truncating the file at EVERY byte prefix recovers the
+//      newest complete stream, never a corrupt one (self_check asserted);
+//      a compaction that died before its rename leaves the old file
+//      loadable; a failed append never strands the checkpoints after it.
+//   4. No per-record checksum is needed: every single-byte flip of a saved
+//      image is rejected, and a flip in a catch-up only ever falls back to
+//      a state that was written.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -30,14 +37,15 @@ namespace {
 
 using pricing::RestartPolicy;
 using pricing::Session;
-using service::CheckpointLoadResult;
 using service::CheckpointPolicy;
 using service::CheckpointWriter;
 using service::RouteService;
 using service::RouteSnapshot;
 using service::ServiceConfig;
+using service::SnapshotLoadResult;
 using service::load_checkpoint;
 using service::load_snapshot;
+using service::load_snapshot_bytes;
 using service::save_snapshot;
 
 // `count` disjoint `len`-cycles: a cost change inside one component keeps
@@ -81,7 +89,7 @@ std::shared_ptr<const RouteSnapshot> export_now(Session& session) {
                                      session.engine().converged_epochs());
 }
 
-// --- base + journal == full image ------------------------------------------
+// --- bootstrap + catch-ups == full image ------------------------------------
 
 TEST(Checkpoint, BaseAndJournalReloadBitIdenticalToFullImage) {
   const std::string dir = fresh_dir("ckpt_roundtrip");
@@ -94,7 +102,7 @@ TEST(Checkpoint, BaseAndJournalReloadBitIdenticalToFullImage) {
   EXPECT_EQ(writer.stats().checkpoints, 1u);
   EXPECT_EQ(writer.stats().patches, 0u);  // the first write is the base
 
-  // Three single-component bursts, each checkpointed as a patch record.
+  // Three single-component bursts, each checkpointed as a catch-up.
   const NodeId touched[] = {1, 7, 13};
   for (const NodeId v : touched) {
     ASSERT_TRUE(
@@ -106,7 +114,7 @@ TEST(Checkpoint, BaseAndJournalReloadBitIdenticalToFullImage) {
   EXPECT_EQ(writer.stats().checkpoints, 4u);
   EXPECT_GT(writer.stats().patches, 0u);
 
-  const CheckpointLoadResult loaded = load_checkpoint(dir);
+  const SnapshotLoadResult loaded = load_checkpoint(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   EXPECT_EQ(loaded.records_applied, 3u);
   EXPECT_TRUE(loaded.snapshot->self_check());
@@ -139,7 +147,7 @@ TEST(Checkpoint, PatchBytesAreProportionalToDirtyNotToN) {
   const std::uint64_t base_bytes = writer.stats().bytes_written;
   ASSERT_GT(base_bytes, 0u);
 
-  // One-node burst: the patch record carries only the genuinely changed
+  // One-node burst: the catch-up carries only the genuinely changed
   // blocks (digest diff), a quarter of the network at most.
   ASSERT_TRUE(
       session.change_cost(2, Cost{35}, RestartPolicy::kRestartBarrier)
@@ -153,7 +161,7 @@ TEST(Checkpoint, PatchBytesAreProportionalToDirtyNotToN) {
   EXPECT_LE(writer.stats().patches, 6u);  // the touched component only
 }
 
-// --- crash recovery at every journal prefix ---------------------------------
+// --- crash recovery at every file prefix ------------------------------------
 
 TEST(Checkpoint, RecoversNewestCompleteStateAtEveryJournalPrefix) {
   const std::string dir = fresh_dir("ckpt_crash");
@@ -161,13 +169,14 @@ TEST(Checkpoint, RecoversNewestCompleteStateAtEveryJournalPrefix) {
   ASSERT_TRUE(session.run().converged);
 
   CheckpointWriter writer({dir, 1, 4u << 20});
-  // states[r] = the checksum replaying r records must reproduce;
-  // bounds[r] = the journal byte size at which record r is complete.
+  // states[r] = the checksum of the state after r catch-ups;
+  // bounds[r] = the file size at which stream r (0 = bootstrap) is complete.
   std::vector<std::uint64_t> states;
   std::vector<std::uint64_t> bounds;
   auto snap = export_now(session);
   ASSERT_EQ(writer.on_publish(snap), "");
   states.push_back(snap->checksum());
+  bounds.push_back(std::filesystem::file_size(writer.path()));
   const NodeId touched[] = {1, 8};
   for (const NodeId v : touched) {
     ASSERT_TRUE(
@@ -176,25 +185,28 @@ TEST(Checkpoint, RecoversNewestCompleteStateAtEveryJournalPrefix) {
     snap = export_now(session);
     ASSERT_EQ(writer.on_publish(snap), "");
     states.push_back(snap->checksum());
-    bounds.push_back(std::filesystem::file_size(writer.journal_path()));
+    bounds.push_back(std::filesystem::file_size(writer.path()));
   }
 
-  const std::string journal = read_file(writer.journal_path());
-  ASSERT_EQ(journal.size(), bounds.back());
+  const std::string file = read_file(writer.path());
+  ASSERT_EQ(file.size(), bounds.back());
 
-  // Simulated crash at every byte: copy the base, truncate the journal to
-  // each prefix, recover. The recovered state must always be the newest
-  // whose record is complete in the prefix — and always structurally sound.
+  // Simulated crash at every byte: truncate the file to each prefix and
+  // recover. A prefix inside the bootstrap has no complete state and must
+  // fail; any longer one must recover the newest stream complete in it —
+  // and always a structurally sound one.
   const std::string scratch = fresh_dir("ckpt_crash_scratch");
-  std::filesystem::copy_file(writer.base_path(),
-                             scratch + "/base.fpss-snap");
-  for (std::size_t len = 0; len <= journal.size(); ++len) {
-    write_file(scratch + "/journal.fpss-jrnl", journal.substr(0, len));
-    const CheckpointLoadResult loaded = load_checkpoint(scratch);
+  for (std::size_t len = 0; len <= file.size(); ++len) {
+    write_file(scratch + "/base.fpss-snap", file.substr(0, len));
+    const SnapshotLoadResult loaded = load_checkpoint(scratch);
+    if (len < bounds.front()) {
+      ASSERT_FALSE(loaded.ok()) << "len=" << len;
+      continue;
+    }
     ASSERT_TRUE(loaded.ok()) << "len=" << len << ": " << loaded.error;
     std::uint64_t expect_applied = 0;
-    for (const std::uint64_t bound : bounds)
-      if (len >= bound) ++expect_applied;
+    for (std::size_t r = 1; r < bounds.size(); ++r)
+      if (len >= bounds[r]) ++expect_applied;
     ASSERT_EQ(loaded.records_applied, expect_applied) << "len=" << len;
     ASSERT_EQ(loaded.snapshot->checksum(), states[expect_applied])
         << "len=" << len;
@@ -202,8 +214,8 @@ TEST(Checkpoint, RecoversNewestCompleteStateAtEveryJournalPrefix) {
   }
 }
 
-TEST(Checkpoint, JournalBoundToAnotherBaseIsIgnored) {
-  const std::string dir = fresh_dir("ckpt_binding");
+TEST(Checkpoint, CompactionThatDiedBeforeItsRenameLoadsTheOldFile) {
+  const std::string dir = fresh_dir("ckpt_tmp");
   Session session(ring_components(2, 6), pricing::Protocol::kPriceVector);
   ASSERT_TRUE(session.run().converged);
   CheckpointWriter writer({dir, 1, 4u << 20});
@@ -211,23 +223,135 @@ TEST(Checkpoint, JournalBoundToAnotherBaseIsIgnored) {
   ASSERT_TRUE(
       session.change_cost(3, Cost{30}, RestartPolicy::kRestartBarrier)
           .converged);
-  ASSERT_EQ(writer.on_publish(export_now(session)), "");
-  ASSERT_GT(std::filesystem::file_size(writer.journal_path()), 24u);
+  const auto written = export_now(session);
+  ASSERT_EQ(writer.on_publish(written), "");
 
-  // The compaction crash window: a *newer* full base landed (tmp+rename)
-  // but the daemon died before truncating the journal. The stale journal's
-  // binding mismatches and replay must not run — the base alone is served.
+  // The crash window a fresh write leaves: the image of a newer state is
+  // complete in the .tmp, but the daemon died before renaming it over the
+  // file. The .tmp is never read; the old file's newest stream is served.
   ASSERT_TRUE(
       session.change_cost(9, Cost{33}, RestartPolicy::kRestartBarrier)
           .converged);
   const auto newer = export_now(session);
-  ASSERT_TRUE(save_snapshot(*newer, dir + "/base.fpss-snap").ok());
+  ASSERT_TRUE(save_snapshot(*newer, writer.path() + ".tmp").ok());
 
-  const CheckpointLoadResult loaded = load_checkpoint(dir);
+  const SnapshotLoadResult loaded = load_checkpoint(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.error;
-  EXPECT_EQ(loaded.records_applied, 0u);
-  EXPECT_EQ(loaded.snapshot->checksum(), newer->checksum());
+  EXPECT_EQ(loaded.records_applied, 1u);
+  EXPECT_EQ(loaded.snapshot->checksum(), written->checksum());
   EXPECT_TRUE(loaded.snapshot->self_check());
+}
+
+// A disk that fills mid-append leaves torn bytes at the file's tail. An
+// append after them could never load, so the writer must rewrite the file
+// whole at the next checkpoint.
+TEST(Checkpoint, FailedAppendRewritesTheFileAtTheNextCheckpoint) {
+  const std::string dir = fresh_dir("ckpt_torn");
+  Session session(ring_components(2, 6), pricing::Protocol::kPriceVector);
+  ASSERT_TRUE(session.run().converged);
+  CheckpointWriter writer({dir, 1, 4u << 20});
+  ASSERT_EQ(writer.on_publish(export_now(session)), "");
+  ASSERT_TRUE(
+      session.change_cost(1, Cost{30}, RestartPolicy::kRestartBarrier)
+          .converged);
+  ASSERT_EQ(writer.on_publish(export_now(session)), "");
+
+  // The next append may write only 100 more bytes: the file-size limit
+  // makes write(2) fail part-way (EFBIG, with SIGXFSZ ignored).
+  ASSERT_TRUE(
+      session.change_cost(7, Cost{31}, RestartPolicy::kRestartBarrier)
+          .converged);
+  const auto torn = export_now(session);
+  const std::uint64_t before = std::filesystem::file_size(writer.path());
+  rlimit old_limit{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  rlimit capped = old_limit;
+  capped.rlim_cur = before + 100;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  const std::string failed = writer.on_publish(torn);
+  ::setrlimit(RLIMIT_FSIZE, &old_limit);
+  std::signal(SIGXFSZ, old_handler);
+  EXPECT_NE(failed, "");
+  EXPECT_GT(std::filesystem::file_size(writer.path()), before);
+
+  ASSERT_TRUE(
+      session.change_cost(10, Cost{42}, RestartPolicy::kRestartBarrier)
+          .converged);
+  const auto next = export_now(session);
+  ASSERT_EQ(writer.on_publish(next), "");
+
+  const SnapshotLoadResult loaded = load_checkpoint(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  EXPECT_EQ(loaded.snapshot->checksum(), next->checksum());
+  EXPECT_EQ(loaded.snapshot->node_cost(10), Cost{42});
+  EXPECT_TRUE(loaded.snapshot->self_check());
+}
+
+// --- single-byte flips ------------------------------------------------------
+
+constexpr std::uint8_t kFlipMasks[] = {0x01, 0x40, 0xff};
+
+// The property that lets records go without a checksum of their own: the
+// root checksum in the final chunk plus the Assembler's structural checks
+// catch every single-byte change of a saved image.
+TEST(Checkpoint, EverySingleByteFlipOfASavedImageIsRejected) {
+  const std::string dir = fresh_dir("ckpt_flip");
+  Session session(ring_components(2, 4), pricing::Protocol::kPriceVector);
+  ASSERT_TRUE(session.run().converged);
+  const std::string path = dir + "/image.fpss-snap";
+  ASSERT_TRUE(save_snapshot(*export_now(session), path).ok());
+  const std::string image = read_file(path);
+  ASSERT_TRUE(load_snapshot_bytes(image).ok());
+
+  for (std::size_t at = 0; at < image.size(); ++at) {
+    for (const std::uint8_t mask : kFlipMasks) {
+      std::string flipped = image;
+      flipped[at] = static_cast<char>(flipped[at] ^ mask);
+      EXPECT_FALSE(load_snapshot_bytes(flipped).ok())
+          << "byte " << at << " mask " << static_cast<int>(mask);
+    }
+  }
+}
+
+// A flip inside catch-up stream k can cost at most that stream and the
+// ones after it: the load always serves a state that was written, and
+// never one older than stream k - 1's.
+TEST(Checkpoint, EveryByteFlipOfACatchUpRecoversAWrittenState) {
+  const std::string dir = fresh_dir("ckpt_flip_catch_up");
+  Session session(ring_components(2, 4), pricing::Protocol::kPriceVector);
+  ASSERT_TRUE(session.run().converged);
+  CheckpointWriter writer({dir, 1, 4u << 20});
+  std::vector<std::uint64_t> states;
+  std::vector<std::uint64_t> bounds;
+  auto snap = export_now(session);
+  ASSERT_EQ(writer.on_publish(snap), "");
+  states.push_back(snap->checksum());
+  bounds.push_back(std::filesystem::file_size(writer.path()));
+  for (const NodeId v : {NodeId{1}, NodeId{6}}) {
+    ASSERT_TRUE(
+        session.change_cost(v, Cost{27}, RestartPolicy::kRestartBarrier)
+            .converged);
+    snap = export_now(session);
+    ASSERT_EQ(writer.on_publish(snap), "");
+    states.push_back(snap->checksum());
+    bounds.push_back(std::filesystem::file_size(writer.path()));
+  }
+  const std::string file = read_file(writer.path());
+
+  std::uint64_t stream = 1;  // the catch-up holding byte `at`
+  for (std::size_t at = bounds.front(); at < file.size(); ++at) {
+    while (at >= bounds[stream]) ++stream;
+    for (const std::uint8_t mask : kFlipMasks) {
+      std::string flipped = file;
+      flipped[at] = static_cast<char>(flipped[at] ^ mask);
+      const SnapshotLoadResult loaded = load_snapshot_bytes(flipped);
+      ASSERT_TRUE(loaded.ok()) << "byte " << at << ": " << loaded.error;
+      ASSERT_GE(loaded.records_applied, stream - 1) << "byte " << at;
+      ASSERT_EQ(loaded.snapshot->checksum(), states[loaded.records_applied])
+          << "byte " << at << " mask " << static_cast<int>(mask);
+    }
+  }
 }
 
 // --- policy: cadence and compaction -----------------------------------------
@@ -252,7 +376,7 @@ TEST(Checkpoint, EveryPublishesPolicySkipsIntermediatePublishes) {
   // Publishes 2 and 3 were skipped; the 4th wrote one record diffing the
   // base against the *cumulative* state of all three bursts.
   EXPECT_EQ(writer.stats().checkpoints, 2u);
-  const CheckpointLoadResult loaded = load_checkpoint(dir);
+  const SnapshotLoadResult loaded = load_checkpoint(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   EXPECT_EQ(loaded.records_applied, 1u);
   EXPECT_EQ(loaded.snapshot->checksum(), snap->checksum());
@@ -263,16 +387,17 @@ TEST(Checkpoint, CompactionFoldsJournalIntoFreshBase) {
   Session session(ring_components(2, 6), pricing::Protocol::kPriceVector);
   ASSERT_TRUE(session.run().converged);
 
-  // A 64-byte budget: the first patch record overruns it, so the following
-  // checkpoint folds the journal into a new base.
+  // A 64-byte budget: the first catch-up overruns it, so the following
+  // checkpoint folds the file into a fresh image.
   CheckpointWriter writer({dir, 1, 64});
   ASSERT_EQ(writer.on_publish(export_now(session)), "");
+  const std::uint64_t base_bytes = std::filesystem::file_size(writer.path());
   ASSERT_TRUE(
       session.change_cost(1, Cost{25}, RestartPolicy::kRestartBarrier)
           .converged);
   ASSERT_EQ(writer.on_publish(export_now(session)), "");
   EXPECT_EQ(writer.stats().compactions, 0u);
-  ASSERT_GT(std::filesystem::file_size(writer.journal_path()), 64u);
+  ASSERT_GT(std::filesystem::file_size(writer.path()), base_bytes + 64);
 
   ASSERT_TRUE(
       session.change_cost(7, Cost{26}, RestartPolicy::kRestartBarrier)
@@ -280,9 +405,11 @@ TEST(Checkpoint, CompactionFoldsJournalIntoFreshBase) {
   const auto latest = export_now(session);
   ASSERT_EQ(writer.on_publish(latest), "");
   EXPECT_EQ(writer.stats().compactions, 1u);
-  // The journal is back to a bare (rebound) header and replay is empty.
-  EXPECT_EQ(std::filesystem::file_size(writer.journal_path()), 24u);
-  const CheckpointLoadResult loaded = load_checkpoint(dir);
+  // The file is a lone bootstrap again, byte for byte a fresh save of the
+  // latest snapshot, and replay applies no catch-up.
+  ASSERT_TRUE(save_snapshot(*latest, dir + "/fresh.fpss-snap").ok());
+  EXPECT_EQ(read_file(writer.path()), read_file(dir + "/fresh.fpss-snap"));
+  const SnapshotLoadResult loaded = load_checkpoint(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   EXPECT_EQ(loaded.records_applied, 0u);
   EXPECT_EQ(loaded.snapshot->checksum(), latest->checksum());
@@ -313,7 +440,7 @@ TEST(Checkpoint, RouteServiceCheckpointsEveryPublishAndRecovers) {
 
   // A cold daemon recovering from the directory serves the exact state the
   // live daemon last published.
-  const CheckpointLoadResult loaded = load_checkpoint(dir);
+  const SnapshotLoadResult loaded = load_checkpoint(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   EXPECT_EQ(loaded.records_applied, 1u);
   EXPECT_EQ(loaded.snapshot->checksum(), svc.snapshot()->checksum());
@@ -323,8 +450,9 @@ TEST(Checkpoint, RouteServiceCheckpointsEveryPublishAndRecovers) {
 // --- fuzz-derived regressions ----------------------------------------------
 
 // Hand-minimized malformed fpss-snap images, pinned as regressions so the
-// loader rejections the fuzz harness (fuzz/fuzz_snapshot.cpp) relies on
-// cannot silently regress. Each is the smallest image reaching its branch.
+// loader rejections the fuzz harness (fuzz/fuzz_replication.cpp, disk
+// mode) relies on cannot silently regress. Each is the smallest image
+// reaching its branch.
 TEST(Checkpoint, HandMinimizedMalformedSnapshotsAreRejected) {
   const auto u64le = [](std::string& out, std::uint64_t v) {
     for (int i = 0; i < 8; ++i)
@@ -332,35 +460,38 @@ TEST(Checkpoint, HandMinimizedMalformedSnapshotsAreRejected) {
   };
   const std::string magic = "FPSSSNP1";
 
-  // 1. Shorter than the 32-byte header: just the magic.
+  // 1. Shorter than the 16-byte header: just the magic.
   {
-    const auto r = service::load_snapshot_bytes(magic);
+    const auto r = load_snapshot_bytes(magic);
     ASSERT_FALSE(r.ok());
     EXPECT_NE(r.error.find("short"), std::string::npos);
   }
 
-  // 2. Valid magic, stale format version (v3): a complete 32-byte header
-  //    declaring an empty payload.
-  {
-    std::string image = magic;
-    u64le(image, 3);  // format
-    u64le(image, 0);  // payload size
-    u64le(image, 0);  // checksum
-    const auto r = service::load_snapshot_bytes(image);
-    ASSERT_FALSE(r.ok());
-    EXPECT_NE(r.error.find("format"), std::string::npos);
-  }
-
-  // 3. Header lies about the payload length (declares 1 byte, carries 0):
-  //    rejected on the arithmetic check before any payload parse.
+  // 2. Valid magic, the previous format (v4): its complete 32-byte header
+  //    declaring an empty payload. As a file and as a checkpoint directory
+  //    it fails on the version, not on anything missing.
   {
     std::string image = magic;
     u64le(image, 4);  // format
-    u64le(image, 1);  // payload size (lie)
+    u64le(image, 0);  // payload size
     u64le(image, 0);  // checksum
-    const auto r = service::load_snapshot_bytes(image);
+    const auto r = load_snapshot_bytes(image);
     ASSERT_FALSE(r.ok());
-    EXPECT_FALSE(r.error.empty());
+    EXPECT_EQ(r.error, "unsupported format version 4");
+    const std::string dir = fresh_dir("ckpt_v4");
+    write_file(dir + "/base.fpss-snap", image);
+    EXPECT_EQ(load_checkpoint(dir).error, "unsupported format version 4");
+  }
+
+  // 3. A record whose length overruns the file (declares 1 byte, carries
+  //    0): rejected before any chunk is parsed.
+  {
+    std::string image = magic;
+    u64le(image, 5);  // format
+    u64le(image, 1);  // chunk length (lie)
+    const auto r = load_snapshot_bytes(image);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.error.find("length mismatch"), std::string::npos);
   }
 }
 

@@ -25,6 +25,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
+#include "service/checkpoint.h"
 #include "service/protocol.h"
 #include "service/service.h"
 #include "service/snapshot.h"

@@ -55,19 +55,14 @@ RouteService make_service(const test::InstanceSpec& spec, std::size_t shards) {
 /// Encodes the complete replication stream for `cut` (every listed shard's
 /// data chunks, then the final chunk announcing `sent`).
 std::vector<std::string> full_stream(
-    const service::ShardedSnapshotStore& store,
     const service::ShardedSnapshotStore::ExportCut& cut,
     const std::vector<std::uint32_t>& sent) {
   std::vector<std::string> chunks;
-  for (const std::uint32_t s : sent) {
-    auto shard_chunks = ReplicationCodec::encode_shard(
-        *cut.newest, s, store.shard_size(),
-        static_cast<std::uint32_t>(store.shard_count()),
-        cut.shard_versions[s]);
-    for (auto& c : shard_chunks) chunks.push_back(std::move(c));
-  }
-  chunks.push_back(
-      ReplicationCodec::encode_final(*cut.newest, cut.shard_versions, sent));
+  ReplicationCodec::encode_stream(*cut.newest, cut.shard_versions, sent,
+                                  [&chunks](std::string_view chunk) {
+                                    chunks.emplace_back(chunk);
+                                    return true;
+                                  });
   return chunks;
 }
 
@@ -113,7 +108,7 @@ TEST(ReplicationCodec, FullStreamRoundTrip) {
 
   ReplicationCodec::Assembler assembler(nullptr, nullptr);
   for (const std::string& chunk :
-       full_stream(svc.store(), cut, all_shards(svc.store().shard_count())))
+       full_stream(cut, all_shards(svc.store().shard_count())))
     ASSERT_TRUE(assembler.feed(chunk)) << assembler.error();
   const auto result = assembler.finish();
   ASSERT_TRUE(result.ok()) << result.error;
@@ -152,7 +147,7 @@ TEST(ReplicationCodec, DirtyOnlyStreamAppliesOverBase) {
       dirty.push_back(static_cast<std::uint32_t>(s));
 
   ReplicationCodec::Assembler assembler(before.newest, nullptr);
-  for (const std::string& chunk : full_stream(svc.store(), after, dirty))
+  for (const std::string& chunk : full_stream(after, dirty))
     ASSERT_TRUE(assembler.feed(chunk)) << assembler.error();
   const auto result = assembler.finish();
   ASSERT_TRUE(result.ok()) << result.error;
@@ -170,7 +165,7 @@ TEST(ReplicationCodec, IdenticalBlocksAreAdoptedFromBase) {
   // copies are dropped in favor of the resident ones.
   ReplicationCodec::Assembler assembler(cut.newest, nullptr);
   for (const std::string& chunk :
-       full_stream(svc.store(), cut, all_shards(svc.store().shard_count())))
+       full_stream(cut, all_shards(svc.store().shard_count())))
     ASSERT_TRUE(assembler.feed(chunk)) << assembler.error();
   const auto result = assembler.finish();
   ASSERT_TRUE(result.ok()) << result.error;
@@ -186,7 +181,7 @@ TEST(ReplicationCodec, EveryTruncationOfEveryChunkIsRejected) {
   RouteService svc = make_service({"er", 16, 44, 8}, 4);
   const auto cut = svc.store().export_cut();
   const auto chunks =
-      full_stream(svc.store(), cut, all_shards(svc.store().shard_count()));
+      full_stream(cut, all_shards(svc.store().shard_count()));
 
   for (std::size_t c = 0; c < chunks.size(); ++c) {
     for (std::size_t bytes = 0; bytes < chunks[c].size(); ++bytes) {
@@ -209,7 +204,7 @@ TEST(ReplicationCodec, CorruptedBytesNeverAssemble) {
   RouteService svc = make_service({"er", 16, 45, 8}, 4);
   const auto cut = svc.store().export_cut();
   const auto sent = all_shards(svc.store().shard_count());
-  const auto chunks = full_stream(svc.store(), cut, sent);
+  const auto chunks = full_stream(cut, sent);
 
   // Flip one byte at a stride through every chunk: whatever field it
   // lands in (geometry, a cost, a digest-relevant row), the stream must
@@ -233,7 +228,7 @@ TEST(ReplicationCodec, StreamAnomaliesAreRejected) {
   RouteService svc = make_service({"er", 16, 46, 8}, 4);
   const auto cut = svc.store().export_cut();
   const auto sent = all_shards(svc.store().shard_count());
-  const auto chunks = full_stream(svc.store(), cut, sent);
+  const auto chunks = full_stream(cut, sent);
 
   {  // stream with no final chunk
     ReplicationCodec::Assembler assembler(nullptr, nullptr);
@@ -262,7 +257,7 @@ TEST(ReplicationCodec, StreamAnomaliesAreRejected) {
   {  // cold bootstrap whose response does not cover every shard
     ReplicationCodec::Assembler assembler(nullptr, nullptr);
     std::vector<std::uint32_t> partial = {0, 1};
-    for (const std::string& chunk : full_stream(svc.store(), cut, partial))
+    for (const std::string& chunk : full_stream(cut, partial))
       ASSERT_TRUE(assembler.feed(chunk)) << assembler.error();
     EXPECT_FALSE(assembler.finish().ok());
   }
@@ -271,9 +266,7 @@ TEST(ReplicationCodec, StreamAnomaliesAreRejected) {
     for (std::size_t c = 0; c + 1 < chunks.size(); ++c)
       ASSERT_TRUE(assembler.feed(chunks[c]));
     std::vector<std::uint32_t> partial = {0};
-    ASSERT_TRUE(assembler.feed(
-        ReplicationCodec::encode_final(*cut.newest, cut.shard_versions,
-                                       partial)));
+    ASSERT_TRUE(assembler.feed(full_stream(cut, partial).back()));
     EXPECT_FALSE(assembler.finish().ok());
   }
 }
@@ -345,10 +338,7 @@ TEST(ReplicaTransfer, CatchUpFetchesOnlyMovedShards) {
 TEST(ReplicaTransfer, RepeatedChunkStopsTheFetchAtTheSecondCopy) {
   RouteService svc = make_service({"er", 12, 49, 6}, 2);
   const auto cut = svc.store().export_cut();
-  const std::string chunk =
-      ReplicationCodec::encode_shard(*cut.newest, 0, cut.shard_size, 2,
-                                     cut.shard_versions[0])
-          .front();
+  const std::string chunk = full_stream(cut, {0}).front();
 
   const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(listener, 0);

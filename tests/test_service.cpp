@@ -13,6 +13,7 @@
 #include "graphgen/fixtures.h"
 #include "mechanism/vcg.h"
 #include "pricing/session.h"
+#include "service/checkpoint.h"
 #include "service/service.h"
 #include "service/snapshot.h"
 #include "service/store.h"
@@ -166,11 +167,22 @@ TEST(RouteSnapshot, LoadRejectsCorruption) {
     out << mutated;
   };
 
-  // Flip one payload byte: checksum must catch it.
+  // Flip one byte near the end (the final chunk's sent list): the stream
+  // must not assemble.
   std::string flipped = bytes;
   flipped[flipped.size() - 5] =
       static_cast<char>(flipped[flipped.size() - 5] ^ 0x40);
   rewrite(flipped);
+  EXPECT_FALSE(service::load_snapshot(path).ok());
+
+  // Flip the low bit of a cost value — c(1, 0) in the first record, after
+  // the 16-byte file header, the record length, the 41-byte data chunk
+  // header, destination 0's next_hop[n] and cost[0]. The block stays
+  // structurally valid, so only the root checksum can catch it.
+  const std::size_t cost_at = 16 + 8 + 41 + 4 * snap->node_count() + 8;
+  std::string cost_flip = bytes;
+  cost_flip[cost_at] = static_cast<char>(cost_flip[cost_at] ^ 0x01);
+  rewrite(cost_flip);
   EXPECT_NE(service::load_snapshot(path).error.find("checksum mismatch"),
             std::string::npos);
 
