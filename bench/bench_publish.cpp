@@ -1,6 +1,6 @@
-// Publication-path economics (ISSUE 6): what incremental copy-on-write
-// export buys over a full rebuild, as a function of how much of the
-// network actually changed.
+// Publication-path economics: what incremental copy-on-write export buys
+// over a full rebuild, as a function of how much of the network actually
+// changed.
 //
 //   * BM_FullExport          — the baseline: every sink tree re-extracted;
 //   * BM_IncrementalExport   — CoW export over a dirty set of {0, 1, 10,
@@ -10,15 +10,20 @@
 //   * BM_ShardedPublishCycle — the end-to-end service path: one cost
 //                              delta -> reconverge -> dirty diff -> CoW
 //                              export -> per-shard publish;
-//   * BM_PublishSerial /     — PublishPipeline::run's incremental publish
-//     BM_PublishPipelined      without a pool and with the pool widened to
-//                              the hardware width, shards x dirty-fraction
+//   * BM_PublishSerial /     — RouteSnapshot::from_session's incremental
+//     BM_PublishPipelined      export plus the store publish, without a
+//                              pool and with the pool widened to the
+//                              hardware width, shards x dirty-fraction
 //                              sweep (the pool parallelizes the export
-//                              across dirty rows; the store swaps the
-//                              dirty shards in one publish).
+//                              across dirty rows).
+//
+// The synthetic dirty sets are supersets of an empty change set: every
+// re-extracted row is byte-identical to its base row and keeps the base's
+// block, so both publish sweeps report shards_swapped=0 while still timing
+// the same extraction.
 //
 // scripts/bench_baseline.sh runs this binary and records
-// BENCH_publish.json so successive publication PRs have a trajectory.
+// BENCH_publish.json so successive publication changes have a trajectory.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -28,7 +33,6 @@
 #include "bench_common.h"
 #include "bgp/engine.h"
 #include "pricing/session.h"
-#include "service/pipeline.h"
 #include "service/service.h"
 #include "service/snapshot.h"
 #include "service/store.h"
@@ -74,11 +78,12 @@ void BM_IncrementalExport(benchmark::State& state) {
   const std::size_t dirty_count = (g.node_count() * pct + 99) / 100;
   for (NodeId j = 0; j < dirty_count && j < g.node_count(); ++j)
     dirty.push_back(j);
+  const std::optional<std::vector<NodeId>> dirty_opt(std::move(dirty));
 
   service::SnapshotExportStats stats;
   for (auto _ : state) {
-    auto snap = service::RouteSnapshot::from_session_incremental(
-        prev, session, epoch, dirty, nullptr, nullptr, &stats);
+    auto snap = service::RouteSnapshot::from_session(
+        session, epoch, prev, dirty_opt, nullptr, nullptr, &stats);
     benchmark::DoNotOptimize(snap);
   }
   state.counters["rows_rebuilt"] = static_cast<double>(stats.rows_rebuilt);
@@ -137,12 +142,12 @@ BENCHMARK(BM_ShardedPublishCycle)
 
 /// Args: {n, shards, dirty_pct}. One converged session, one fixed dirty
 /// set striped across the destination space (so it spans as many shards as
-/// the fraction allows), published over and over through
-/// PublishPipeline::run — the serial variant with no pool, the pooled
-/// variant with the engine pool widened to the hardware width. The
-/// benchmark names predate the removal of the staged per-shard fan-out;
-/// every committed BM_PublishPipelined row measured this same inline path.
-void publish_pipeline_cycle(benchmark::State& state, bool pooled) {
+/// the fraction allows), exported against the same base and published over
+/// and over — the serial variant with no pool, the pooled variant with the
+/// engine pool widened to the hardware width. The pooled variant's name
+/// predates the removal of the staged per-shard fan-out; every committed
+/// row of it measured this same inline path.
+void export_publish_cycle(benchmark::State& state, bool pooled) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t shards = static_cast<std::size_t>(state.range(1));
   const std::size_t pct = static_cast<std::size_t>(state.range(2));
@@ -164,23 +169,23 @@ void publish_pipeline_cycle(benchmark::State& state, bool pooled) {
 
   service::ShardedSnapshotStore store(n, shards);
   store.publish(prev);
-  service::PipelineStats stats;
+  service::SnapshotExportStats stats;
+  std::size_t swapped = 0;
   for (auto _ : state) {
-    auto snap = service::PublishPipeline::run(store, prev, nullptr, session,
-                                              epoch, dirty_opt, nullptr, pool,
-                                              &stats);
+    auto snap = service::RouteSnapshot::from_session(
+        session, epoch, prev, dirty_opt, nullptr, pool, &stats);
+    swapped = store.publish(snap);
     benchmark::DoNotOptimize(snap);
   }
   state.counters["rows_rebuilt"] = static_cast<double>(stats.rows_rebuilt);
-  state.counters["shards_swapped"] =
-      static_cast<double>(stats.shards_swapped);
+  state.counters["shards_swapped"] = static_cast<double>(swapped);
 }
 
 void BM_PublishSerial(benchmark::State& state) {
-  publish_pipeline_cycle(state, false);
+  export_publish_cycle(state, false);
 }
 void BM_PublishPipelined(benchmark::State& state) {
-  publish_pipeline_cycle(state, true);
+  export_publish_cycle(state, true);
 }
 
 #define FPSS_PUBLISH_SWEEP(bench_name)     \

@@ -82,7 +82,7 @@ void BM_ReplicationAssemble(benchmark::State& state) {
   const auto base = state.range(1) != 0 ? svc.snapshot() : nullptr;
   std::uint64_t adopted = 0;
   for (auto _ : state) {
-    ReplicationCodec::Assembler assembler(base, nullptr);
+    ReplicationCodec::Assembler assembler(base);
     for (const auto& chunk : chunks) assembler.feed(chunk);
     const auto result = assembler.finish();
     if (!result.ok()) state.SkipWithError(result.error.c_str());
@@ -152,7 +152,7 @@ void BM_DirtyCatchUpFetch(benchmark::State& state) {
   }
   // Bootstrap once, then mark the first `stale_shards` slots stale so
   // every iteration replays the identical partial catch-up.
-  ReplicationCodec::Assembler assembler(nullptr, nullptr);
+  ReplicationCodec::Assembler assembler(nullptr);
   const auto booted = client.fetch_snapshot(
       {}, [&](std::string_view chunk) { return assembler.feed(chunk); });
   if (!booted.ok()) {
@@ -171,7 +171,7 @@ void BM_DirtyCatchUpFetch(benchmark::State& state) {
   std::uint64_t bytes = 0;
   std::uint64_t shards = 0;
   for (auto _ : state) {
-    ReplicationCodec::Assembler catch_up(base.snapshot, nullptr);
+    ReplicationCodec::Assembler catch_up(base.snapshot);
     const auto fetched = client.fetch_snapshot(
         known, [&](std::string_view chunk) { return catch_up.feed(chunk); });
     if (!fetched.ok()) state.SkipWithError(fetched.error.message.c_str());

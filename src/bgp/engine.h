@@ -253,7 +253,7 @@ class Engine {
   util::ThreadPool* pool() const { return pool_.get(); }
   /// Widens the compute pool to at least `width` workers (no-op when it is
   /// already that wide, including the width-1 "no pool" case when width <= 1).
-  /// Exists for consumers like the publish pipeline that want more export
+  /// Exists for consumers like a pooled snapshot export that want more
   /// concurrency than the protocol kernels were configured with: the engine's
   /// own phases are width-invariant (deterministic stride partition), so
   /// widening never changes protocol results. Must be called between jobs by

@@ -47,14 +47,13 @@ ReplicaService::ReplicaService(ReplicaConfig config)
         service::load_checkpoint(config_.checkpoint_directory);
     if (loaded.ok()) {
       // Serve the disk image at once (a warm replica answers before the
-      // upstream is reachable) and keep it as the adoption donor so the
-      // first wire sync shares memory with it instead of duplicating.
+      // upstream is reachable). As the served snapshot it is the first
+      // wire sync's base, which shares its blocks wherever digests match.
       auto warm = std::make_shared<ShardedSnapshotStore>(
           loaded.snapshot->node_count(), 1);
       warm->publish(loaded.snapshot);
       util::MutexLock lock(store_mutex_);
       store_ = std::move(warm);
-      adopt_donor_ = loaded.snapshot;
       ++installs_;
     }
   }
@@ -156,20 +155,16 @@ void ReplicaService::sync_loop() {
 
 bool ReplicaService::sync_once(std::uint64_t server_count) {
   std::vector<std::uint64_t> known;
-  std::shared_ptr<ShardedSnapshotStore> store;
-  std::shared_ptr<const RouteSnapshot> adopt;
+  std::shared_ptr<const RouteSnapshot> base;
   {
     util::MutexLock lock(store_mutex_);
     known = synced_versions_;
-    store = store_;
-    adopt = adopt_donor_;
+    if (store_ != nullptr) base = store_->newest();
   }
-  const std::shared_ptr<const RouteSnapshot> base =
-      store == nullptr ? nullptr : store->newest();
 
   // Chunks go straight into the assembler as they arrive, so a fetch holds
   // one frame plus the assembly, and the first chunk it rejects ends it.
-  ReplicationCodec::Assembler assembler(base, adopt);
+  ReplicationCodec::Assembler assembler(std::move(base));
   const net::SnapshotFetchResult fetched = fetch_->fetch_snapshot(
       known, [&assembler](std::string_view chunk) {
         return assembler.feed(chunk);

@@ -20,7 +20,7 @@
 // reassembled snapshot (service::ReplicationCodec::Assembler — checksum
 // verified, torn chunks rejected wholesale, fed chunk by chunk as they
 // arrive) lands in the replica's own ShardedSnapshotStore in one publish,
-// the same single-lock install the primary's pipeline does. The assembler
+// the same single-lock install the primary's publish does. The assembler
 // shares the served blocks of every shard not fetched and adopts fetched
 // blocks whose digest matches, so that publish stamps only the shards
 // whose bytes changed; a downstream replica then refetches only those.
@@ -32,10 +32,12 @@
 // lets a net::RouteServer front it — replicas chain: primary -> replica ->
 // replica, each tier fanning reads out further.
 //
-// Warm start: with a checkpoint directory configured, a loaded base image
-// is served immediately (before the upstream is even reachable) and then
-// used as a digest-adoption donor — wire blocks whose content matches the
-// local image are dropped in favor of the already-resident ones.
+// Warm start: with a checkpoint directory configured, a loaded image is
+// published before the sync thread starts, so it is served immediately
+// (before the upstream is even reachable) and is the first sync's base
+// like any served snapshot — wire blocks whose content matches the local
+// image are dropped in favor of the already-resident ones. Once a sync
+// has replaced it, nothing pins the image.
 //
 // Writes (PR 9): with forwarding enabled, kDeltaSubmit at any tier relays
 // upstream over a dedicated forwarding connection until it reaches the
@@ -201,8 +203,6 @@ class ReplicaService final : public service::Backend {
       FPSS_GUARDED_BY(store_mutex_);
   /// Echoed in the next fetch.
   std::vector<std::uint64_t> synced_versions_ FPSS_GUARDED_BY(store_mutex_);
-  std::shared_ptr<const service::RouteSnapshot> adopt_donor_
-      FPSS_GUARDED_BY(store_mutex_);
 
   mutable util::CondVar ready_cv_;  ///< store_mutex_; signaled per install
   /// Replica-local install tally.

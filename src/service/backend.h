@@ -85,7 +85,7 @@ struct Counters {
   std::uint64_t full_rebuilds = 0;
   std::uint64_t publish_total_ns = 0;  ///< export+publish wall time summed
   std::uint64_t max_publish_ns = 0;
-  // Pipeline + checkpoint counters.
+  // Publish + checkpoint counters.
   /// Always 0 (a publish does not fan out per shard). Kept because the
   /// counters frame layout is fixed and readers of the frame name it.
   std::uint64_t shard_exports_inflight_max = 0;

@@ -169,13 +169,10 @@ std::string CheckpointWriter::write_fresh(
 
 std::string CheckpointWriter::append_catch_up(
     const std::shared_ptr<const RouteSnapshot>& snap) {
-  // The changed destinations: one pointer compare each in the common CoW
-  // case; a full rebuild falls back to the digest, which still keeps
-  // equal-content blocks out of the catch-up.
+  // The changed destinations, by digest: equal digests mean equal rows.
   std::vector<std::uint32_t> changed;
   for (NodeId j = 0; j < snap->node_count(); ++j)
-    if (!snap->shares_block_with(*last_written_, j) &&
-        snap->block_digest(j) != last_written_->block_digest(j))
+    if (snap->block_digest(j) != last_written_->block_digest(j))
       changed.push_back(j);
   std::string records;
   append_stream(records, *snap, changed);

@@ -30,9 +30,8 @@
 // catch-ups outgrow CheckpointPolicy::max_journal_bytes) write a fresh
 // image to base.fpss-snap.tmp and rename it over the file; every other
 // checkpoint appends one catch-up stream carrying only the destinations
-// whose blocks changed since the last checkpoint — O(dirty), found by
-// pointer compare first (CoW shares clean blocks), then by digest. The
-// crash windows that remain:
+// whose block digests changed since the last checkpoint. The crash
+// windows that remain:
 //   - crash mid-append      -> the torn tail is a short or rejected
 //                              record; the load serves the newest
 //                              complete stream before it

@@ -158,9 +158,8 @@ std::string ReplicationCodec::encode_final(
 // --- assembler --------------------------------------------------------------
 
 ReplicationCodec::Assembler::Assembler(
-    std::shared_ptr<const RouteSnapshot> base,
-    std::shared_ptr<const RouteSnapshot> adopt)
-    : base_(std::move(base)), adopt_(std::move(adopt)) {}
+    std::shared_ptr<const RouteSnapshot> base)
+    : base_(std::move(base)) {}
 
 bool ReplicationCodec::Assembler::fail(const std::string& why) {
   poisoned_ = true;
@@ -193,6 +192,11 @@ bool ReplicationCodec::Assembler::feed(std::string_view payload) {
     shard_count_ = shard_count;
     received_.assign(static_cast<std::size_t>(n), nullptr);
     header_bound_ = true;
+    // A base of the wrong geometry cannot donate blocks (the replica's
+    // store predates a server restart that changed the network). Degrade
+    // to the cold-bootstrap rule: if the stream does not cover everything,
+    // finish() fails coverage rather than mixing incompatible blocks.
+    if (base_ != nullptr && base_->node_count() != n_) base_.reset();
   } else if (version != version_ || n != n_ || shard_count != shard_count_) {
     return fail("chunk disagrees with stream header");
   }
@@ -221,16 +225,11 @@ bool ReplicationCodec::Assembler::feed(std::string_view payload) {
       if (received_[j] != nullptr) return fail("duplicate destination block");
       RouteSnapshot::BlockPtr block = parse_block(in, n_);
       if (block == nullptr) return fail("malformed destination block");
-      // Digest adoption: share the replica's existing block (served base
-      // first, then the warm-start donor) whenever the content round-trips
-      // identical — the wire copy is dropped and memory stays shared.
-      if (base_ != nullptr && base_->node_count() == n_ &&
-          base_->blocks_[j]->digest == block->digest) {
+      // Digest adoption: share base's block whenever the content
+      // round-trips identical — the wire copy is dropped and memory stays
+      // shared.
+      if (base_ != nullptr && base_->blocks_[j]->digest == block->digest) {
         block = base_->blocks_[j];
-        ++blocks_adopted_;
-      } else if (adopt_ != nullptr && adopt_->node_count() == n_ &&
-                 adopt_->blocks_[j]->digest == block->digest) {
-        block = adopt_->blocks_[j];
         ++blocks_adopted_;
       }
       received_[j] = std::move(block);
@@ -308,12 +307,6 @@ ReplicationCodec::Assembler::Result ReplicationCodec::Assembler::finish() {
         return reject("block outside the announced shards");
     }
   }
-  // A base of the wrong geometry cannot donate blocks (the replica's
-  // store predates a server restart that changed the network). Degrade to
-  // the cold-bootstrap rule below: if the response did not cover
-  // everything, it fails coverage rather than mixing incompatible blocks.
-  if (base_ != nullptr && base_->node_count() != n_) base_.reset();
-
   auto snap = std::shared_ptr<RouteSnapshot>(new RouteSnapshot);
   snap->n_ = static_cast<std::size_t>(n_);
   snap->version_ = version_;

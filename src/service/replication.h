@@ -85,14 +85,12 @@ struct ReplicationCodec {
    public:
     /// `base`: the state this stream catches up (a replica's served
     /// snapshot, or the previous stream of a file being loaded); clean
-    /// shards keep its blocks (copy-on-write catch-up). Null for a cold
-    /// bootstrap, which must cover every shard. `adopt`: optional
-    /// digest-adoption donor (e.g. a checkpoint-loaded snapshot): a parsed
-    /// block whose digest matches the donor's is swapped for the donor's
-    /// pointer, so a warm bootstrap shares memory with the local image
-    /// exactly like the publish pipeline's warm-start adoption.
-    explicit Assembler(std::shared_ptr<const RouteSnapshot> base = nullptr,
-                       std::shared_ptr<const RouteSnapshot> adopt = nullptr);
+    /// shards keep its blocks (copy-on-write catch-up), and a parsed block
+    /// whose digest equals base's for the same destination is swapped for
+    /// base's pointer — RouteSnapshot::from_session's sharing rule — so the
+    /// store sees that destination unchanged. Null for a cold bootstrap,
+    /// which must cover every shard.
+    explicit Assembler(std::shared_ptr<const RouteSnapshot> base = nullptr);
 
     /// Feeds one chunk payload (in arrival order; the final chunk must be
     /// last). Returns false — and poisons the assembly — on any structural
@@ -108,7 +106,7 @@ struct ReplicationCodec {
       std::vector<std::uint64_t> shard_versions;
       /// Shards this response patched (sorted, unique).
       std::vector<std::uint32_t> shards_sent;
-      std::uint64_t blocks_adopted = 0;  ///< blocks shared via base/adopt digest
+      std::uint64_t blocks_adopted = 0;  ///< blocks shared via base digest
       std::uint64_t shard_count = 0;     ///< server's shard layout
       std::string error;
       bool ok() const { return snapshot != nullptr; }
@@ -125,7 +123,6 @@ struct ReplicationCodec {
     bool fail(const std::string& why);
 
     std::shared_ptr<const RouteSnapshot> base_;
-    std::shared_ptr<const RouteSnapshot> adopt_;
     bool final_seen_ = false;
     bool poisoned_ = false;
     bool header_bound_ = false;  ///< version/n/shard_count latched

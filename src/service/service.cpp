@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "util/clock.h"
@@ -62,13 +63,9 @@ RouteService::RouteService(const graph::Graph& g,
     settled[k] = warm->payment_settled(k);
   }
   ledger_.restore(std::move(owed), std::move(settled));
-  // The warm snapshot is served as is; it is NOT a CoW base for later
-  // exports (its blocks came from disk, not from this session), so
-  // last_published_ stays null and the first real publish rebuilds fully —
-  // but it IS the digest-adoption donor: the pipeline keeps its blocks
-  // wherever the fresh export reproduces them, so only genuinely-changed
-  // shards are stamped on that first publish.
-  warm_base_ = warm;
+  // The warm snapshot is served as is and becomes the first export's base:
+  // that export re-extracts every row (no dirty set reaches back to a disk
+  // image) and keeps the loaded block wherever the digests match.
   store_.publish(std::move(warm));
   updater_ = std::thread([this] { updater_loop(); });
 }
@@ -181,30 +178,30 @@ void RouteService::publish_current() {
   const std::uint64_t version = version_base_ + epoch;
   util::ThreadPool* pool = session_.engine().pool();
 
-  // The incremental paths need a CoW base (a previous export of this
-  // session) and a usable dirty set since that export's epoch; anything
-  // else the pipeline turns into a full build.
+  // The export's base is whatever the store serves: the warm snapshot
+  // before the first export, the previous export after it. A dirty set
+  // exists only since an export of this session.
   std::optional<std::vector<NodeId>> dirty;
-  if (last_published_ != nullptr)
-    dirty = session_.dirty_destinations(last_export_epoch_);
+  if (exported_) dirty = session_.dirty_destinations(last_export_epoch_);
 
-  PipelineStats stats;
+  SnapshotExportStats stats;
   std::shared_ptr<const RouteSnapshot> snap;
+  std::size_t stamped = 0;
   {
     util::MutexLock lock(ledger_mutex_);
-    snap = PublishPipeline::run(store_, last_published_, warm_base_, session_,
-                                version, dirty, &ledger_, pool, &stats);
+    snap = RouteSnapshot::from_session(session_, version, store_.newest(),
+                                       dirty, &ledger_, pool, &stats);
+    stamped = store_.publish(snap);
   }
-  warm_base_ = nullptr;  // adoption is a first-publish-only affair
-
-  last_published_ = snap;
-  last_export_epoch_ = epoch;
   rows_rebuilt_.fetch_add(stats.rows_rebuilt, std::memory_order_relaxed);
   rows_reused_.fetch_add(stats.rows_reused, std::memory_order_relaxed);
-  shards_republished_.fetch_add(stats.shards_swapped,
-                                std::memory_order_relaxed);
-  if (stats.full_rebuild)
+  shards_republished_.fetch_add(stamped, std::memory_order_relaxed);
+  // A full re-extraction is a fallback only once this session has a CoW
+  // base of its own; the warm start's first export is not counted.
+  if (exported_ && stats.full_rebuild)
     full_rebuilds_.fetch_add(1, std::memory_order_relaxed);
+  exported_ = true;
+  last_export_epoch_ = epoch;
   const std::uint64_t ns = elapsed_ns(start);
   publish_total_ns_.fetch_add(ns, std::memory_order_relaxed);
   std::uint64_t seen = max_publish_ns_.load(std::memory_order_relaxed);

@@ -8,22 +8,22 @@
 //
 //   readers ──► ShardedSnapshotStore::acquire() ──► newest snapshot
 //   updater ──► coalesce queued deltas ──► reconverge once per burst
-//           ──► dirty_destinations() ──► PublishPipeline::run
-//                 ├─ CoW export of the dirty rows, one publish stamping
-//                 │  only the shards that hold them
-//                 └─ incremental checkpoint (a catch-up stream appended
-//                    to the fpss-snap file) after readers are on the new
-//                    epoch
+//           ──► dirty_destinations() ──► RouteSnapshot::from_session
+//                 (base = the served snapshot) ──► store publish, which
+//                 stamps only the shards whose blocks changed
+//           ──► incremental checkpoint (a catch-up stream appended to the
+//               fpss-snap file) after readers are on the new epoch
 //
 // Publication is *incremental* end to end: the session fingerprints each
 // destination's sink tree per converged epoch, the export re-extracts only
-// the dirty destinations (copy-on-write against the previous snapshot),
-// and the store stamps a new version only on the shards containing them,
-// so a replica's catch-up fetches only those. A single cost delta
-// costs O(changed sink trees), not O(n^2); the rows_reused /
-// shards_republished counters quantify it. Whenever the dirty set is
-// unknown (first publish, topology generation moved, warm start) the
-// service falls back to a full rebuild — never to a guess.
+// the dirty destinations (copy-on-write against the served snapshot), and
+// the store stamps a new version only on the shards containing them, so a
+// replica's catch-up fetches only those. A single cost delta costs
+// O(changed sink trees), not O(n^2); the rows_reused / shards_republished
+// counters quantify it. Whenever the dirty set is unknown (first export,
+// topology generation moved) every row is re-extracted — never guessed —
+// and a row whose digest matches the served block keeps that block, so
+// the store still stamps only the shards whose bytes changed.
 //
 // Readers never wait on reconvergence: a query acquires the current
 // snapshot (a pointer copy) and serves entirely from flat arrays, so any
@@ -46,7 +46,9 @@
 // convergence is deferred to the updater and happens lazily when the first
 // delta (or republish) arrives. A restarted daemon is thus serving
 // stale-but-sound prices within milliseconds instead of after a full
-// reconvergence.
+// reconvergence. The first export takes the loaded snapshot as its base
+// like any other, so only the shards whose rows moved across the restart
+// are stamped.
 //
 // Traffic accounting (Sect. 6.4) rides along: charge() records per-packet
 // prices into a payments::Ledger at the snapshot's prices, and the totals
@@ -64,7 +66,6 @@
 #include "pricing/session.h"
 #include "service/backend.h"
 #include "service/checkpoint.h"
-#include "service/pipeline.h"
 #include "service/protocol.h"
 #include "service/snapshot.h"
 #include "service/store.h"
@@ -228,24 +229,20 @@ class RouteService final : public Backend {
   /// the first burst.
   bool session_converged_ = false;
   ShardedSnapshotStore store_;
-  /// The snapshot the last *session export* produced, and the converged
-  /// epoch it captured — the copy-on-write base of the next incremental
-  /// export. Touched only by the updater (and the constructor). Null until
-  /// the first export: a warm-started service serves the loaded snapshot
-  /// but never CoWs against it (its blocks came from disk, not from this
-  /// session), so the first real publish is a full build.
-  std::shared_ptr<const RouteSnapshot> last_published_;
+  /// Whether this session has exported yet, and the converged epoch its
+  /// last export captured. The dirty set since that epoch is asked for
+  /// only after a first export: a warm-loaded snapshot came from disk, not
+  /// from this session, so the first export re-extracts every row.
+  /// Touched only by the updater (and the constructor).
+  bool exported_ = false;
   std::uint64_t last_export_epoch_ = 0;
-  /// Warm-start digest-adoption donor: the disk snapshot the store serves
-  /// until the first real publish, which consumes it (the pipeline adopts
-  /// its unchanged blocks so clean shards keep their version), then null.
-  std::shared_ptr<const RouteSnapshot> warm_base_;
   /// Non-null iff config_.checkpoint names a directory. Updater-only.
   std::unique_ptr<CheckpointWriter> checkpoint_;
 
-  /// Held across PublishPipeline::run (the ledger totals are embedded into
-  /// the snapshot mid-export), so charge()/settle() serialize against the
-  /// embed, never against readers. Never nested with queue_mutex_.
+  /// Held across the export and its store publish (the ledger totals are
+  /// embedded into the snapshot mid-export), so charge()/settle()
+  /// serialize against the embed, never against readers. Never nested
+  /// with queue_mutex_.
   mutable util::Mutex ledger_mutex_;
   payments::Ledger ledger_ FPSS_GUARDED_BY(ledger_mutex_);
 

@@ -1,5 +1,7 @@
 #include "service/snapshot.h"
 
+#include <numeric>
+
 #include "bgp/rib.h"
 #include "graph/graph.h"
 #include "pricing/pricing_agent.h"
@@ -59,18 +61,6 @@ RouteSnapshot::BlockPtr RouteSnapshot::extract_destination(
   return block;
 }
 
-void RouteSnapshot::finish(const payments::Ledger* ledger) {
-  if (ledger != nullptr) {
-    FPSS_EXPECTS(ledger->node_count() == n_);
-    owed_ = ledger->owed_all();
-    settled_ = ledger->settled_all();
-  } else {
-    owed_.assign(n_, 0);
-    settled_.assign(n_, 0);
-  }
-  seal();
-}
-
 void RouteSnapshot::seal() {
   total_entries_ = 0;
   for (const BlockPtr& block : blocks_) total_entries_ += block->transit.size();
@@ -79,10 +69,21 @@ void RouteSnapshot::seal() {
 
 std::shared_ptr<const RouteSnapshot> RouteSnapshot::from_session(
     const pricing::Session& session, std::uint64_t version,
-    const payments::Ledger* ledger, util::ThreadPool* pool) {
+    const std::shared_ptr<const RouteSnapshot>& base,
+    const std::optional<std::vector<NodeId>>& dirty,
+    const payments::Ledger* ledger, util::ThreadPool* pool,
+    SnapshotExportStats* stats) {
   FPSS_EXPECTS(session.engine().stats().converged);
   const graph::Graph& g = session.network().topology();
   const std::size_t n = g.node_count();
+  // A base of another node count has no block to lend for any row.
+  const RouteSnapshot* prior =
+      base != nullptr && base->n_ == n ? base.get() : nullptr;
+  // Rows outside `dirty` may be shared unexamined only when base describes
+  // this topology generation; across a graph rewrite the dirty set is not
+  // trusted and every row is re-extracted.
+  const bool incremental = prior != nullptr && dirty.has_value() &&
+                           prior->graph_version_ == g.version();
 
   auto snap = std::shared_ptr<RouteSnapshot>(new RouteSnapshot);
   snap->n_ = n;
@@ -91,77 +92,55 @@ std::shared_ptr<const RouteSnapshot> RouteSnapshot::from_session(
   snap->published_at_ns_ = util::wall_clock_ns();
   snap->node_cost_.reserve(n);
   for (NodeId v = 0; v < n; ++v) snap->node_cost_.push_back(g.cost(v));
-  snap->blocks_.resize(n);
-  const auto build = [&](std::size_t j) {
-    snap->blocks_[j] =
-        extract_destination(session, static_cast<NodeId>(j), n);
-  };
-  if (pool != nullptr && n > 1) {
-    pool->parallel_for(n, build);
-  } else {
-    for (std::size_t j = 0; j < n; ++j) build(j);
-  }
-  snap->finish(ledger);
-  return snap;
-}
 
-std::shared_ptr<const RouteSnapshot> RouteSnapshot::from_session_incremental(
-    const std::shared_ptr<const RouteSnapshot>& prev,
-    const pricing::Session& session, std::uint64_t version,
-    std::span<const NodeId> dirty, const payments::Ledger* ledger,
-    util::ThreadPool* pool, SnapshotExportStats* stats) {
-  FPSS_EXPECTS(session.engine().stats().converged);
-  FPSS_EXPECTS(prev != nullptr);
-  const graph::Graph& g = session.network().topology();
-  const std::size_t n = g.node_count();
-  FPSS_EXPECTS(prev->node_count() == n);
-
-  SnapshotExportStats local;
-  if (prev->graph_version() != g.version()) {
-    // prev's rows describe a different topology generation; per-row sharing
-    // would couple correctness to the dirty set's accuracy across a graph
-    // rewrite, so rebuild everything (the rare, already-expensive case).
-    auto snap = from_session(session, version, ledger, pool);
-    local.rows_rebuilt = n;
-    local.full_rebuild = true;
-    if (stats != nullptr) *stats = local;
-    return snap;
-  }
-
-  auto snap = std::shared_ptr<RouteSnapshot>(new RouteSnapshot);
-  snap->n_ = n;
-  snap->version_ = version;
-  snap->graph_version_ = g.version();
-  snap->published_at_ns_ = util::wall_clock_ns();
-  snap->node_cost_.reserve(n);
-  for (NodeId v = 0; v < n; ++v) snap->node_cost_.push_back(g.cost(v));
-  snap->blocks_ = prev->blocks_;  // share everything, then overwrite dirty
-
-  // Dedup defensively (a union of per-epoch dirty sets may repeat ids) so
-  // the parallel loop owns each slot exactly once.
   std::vector<NodeId> rebuild;
-  rebuild.reserve(dirty.size());
-  std::vector<bool> seen(n, false);
-  for (const NodeId j : dirty) {
-    FPSS_EXPECTS(j < n);
-    if (!seen[j]) {
-      seen[j] = true;
-      rebuild.push_back(j);
+  if (incremental) {
+    snap->blocks_ = prior->blocks_;  // share everything, then overwrite dirty
+    // Dedup defensively (a union of per-epoch dirty sets may repeat ids) so
+    // the parallel loop owns each slot exactly once.
+    rebuild.reserve(dirty->size());
+    std::vector<bool> seen(n, false);
+    for (const NodeId j : *dirty) {
+      FPSS_EXPECTS(j < n);
+      if (!seen[j]) {
+        seen[j] = true;
+        rebuild.push_back(j);
+      }
     }
+  } else {
+    snap->blocks_.resize(n);
+    rebuild.resize(n);
+    std::iota(rebuild.begin(), rebuild.end(), NodeId{0});
   }
   const auto build = [&](std::size_t t) {
-    snap->blocks_[rebuild[t]] = extract_destination(session, rebuild[t], n);
+    const NodeId j = rebuild[t];
+    BlockPtr block = extract_destination(session, j, n);
+    // The one sharing rule: equal digest means equal row, so keep base's
+    // block and the store sees this destination unchanged.
+    if (prior != nullptr && prior->blocks_[j]->digest == block->digest)
+      block = prior->blocks_[j];
+    snap->blocks_[j] = std::move(block);
   };
   if (pool != nullptr && rebuild.size() > 1) {
     pool->parallel_for(rebuild.size(), build);
   } else {
     for (std::size_t t = 0; t < rebuild.size(); ++t) build(t);
   }
-  snap->finish(ledger);
+  if (ledger != nullptr) {
+    FPSS_EXPECTS(ledger->node_count() == n);
+    snap->owed_ = ledger->owed_all();
+    snap->settled_ = ledger->settled_all();
+  } else {
+    snap->owed_.assign(n, 0);
+    snap->settled_.assign(n, 0);
+  }
+  snap->seal();
 
-  local.rows_rebuilt = rebuild.size();
-  local.rows_reused = n - rebuild.size();
-  if (stats != nullptr) *stats = local;
+  if (stats != nullptr) {
+    stats->rows_rebuilt = rebuild.size();
+    stats->rows_reused = n - rebuild.size();
+    stats->full_rebuild = base != nullptr && !incremental;
+  }
   return snap;
 }
 

@@ -13,11 +13,13 @@
 // materialization.
 //
 // Blocks are individually refcounted (shared_ptr) so snapshots can be
-// built *copy-on-write*: from_session_incremental re-extracts only the
-// destinations whose sink tree changed since the previous snapshot and
-// shares every clean block with it. The content checksum is hierarchical
-// (per-block digests folded into the root) for the same reason — an
-// incremental export checksums O(dirty) data, not O(n^2).
+// built *copy-on-write*: from_session re-extracts only the destinations
+// whose sink tree changed since its base snapshot and shares every other
+// block with it. One sharing rule covers every producer: a block whose
+// digest equals the base's block for the same destination *is* the base's
+// block. The content checksum is hierarchical (per-block digests folded
+// into the root) for the same reason — an incremental export checksums
+// O(dirty) data, not O(n^2).
 //
 // Snapshots travel as one block stream (service/replication.h), to a
 // replica over the wire and to disk as an "fpss-snap v5" file
@@ -27,7 +29,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
+#include <optional>
 #include <vector>
 
 #include "graph/path.h"
@@ -46,12 +48,12 @@ class ThreadPool;
 namespace fpss::service {
 
 /// What an export did: how many destination rows (sink trees) it had to
-/// re-extract from the session versus share with the previous snapshot.
+/// re-extract from the session versus share with its base unexamined.
 struct SnapshotExportStats {
   std::size_t rows_rebuilt = 0;  ///< destination rows extracted from session
-  std::size_t rows_reused = 0;   ///< destination rows shared with prev
-  /// The incremental path degraded to a full rebuild (topology generation
-  /// moved, so per-row sharing against prev was not attempted).
+  std::size_t rows_reused = 0;   ///< rows shared with base without extraction
+  /// A base existed, yet every row was extracted (no usable dirty set, or
+  /// the base describes another topology generation or node count).
   bool full_rebuild = false;
 };
 
@@ -61,26 +63,25 @@ class RouteSnapshot {
   /// payment totals of `ledger`. Precondition: the session's engine has
   /// converged (the snapshot of a half-converged network is not a
   /// meaningful good to serve); `version` labels the export — callers use
-  /// bgp::Engine::converged_epochs(). With a `pool`, per-destination
-  /// extraction runs data-parallel (bit-identical at any width).
+  /// bgp::Engine::converged_epochs().
+  ///
+  /// Copy-on-write against `base` (the snapshot being served, or null):
+  /// when `base` has the session's node count and topology generation and
+  /// `dirty` has a value, only the destinations in `dirty` are re-extracted
+  /// and every other block is shared with `base`. The result equals a full
+  /// export provided `dirty` is a superset of the destinations whose sink
+  /// tree changed since `base` — pricing::Session::dirty_destinations
+  /// provides exactly that set. Otherwise every row is re-extracted. Either
+  /// way a re-extracted block whose digest equals `base`'s for the same
+  /// destination is replaced by `base`'s, so unchanged rows stay shared
+  /// however they were found. With a `pool`, extraction runs data-parallel
+  /// across rows (bit-identical at any width). Preconditions: every dirty
+  /// id in range.
   static std::shared_ptr<const RouteSnapshot> from_session(
       const pricing::Session& session, std::uint64_t version,
+      const std::shared_ptr<const RouteSnapshot>& base = nullptr,
+      const std::optional<std::vector<NodeId>>& dirty = std::nullopt,
       const payments::Ledger* ledger = nullptr,
-      util::ThreadPool* pool = nullptr);
-
-  /// Copy-on-write export: re-extracts only the destinations in `dirty`
-  /// and shares `prev`'s blocks for every other destination. The result is
-  /// logically identical to a full from_session export *provided* `dirty`
-  /// is a superset of the destinations whose sink tree actually changed —
-  /// pricing::Session::dirty_destinations provides exactly that set.
-  /// Falls back to a full rebuild (ignoring `dirty`) when the topology
-  /// generation moved, since prev's rows then describe a different graph.
-  /// Preconditions: prev != nullptr, same node count, session converged,
-  /// every dirty id in range.
-  static std::shared_ptr<const RouteSnapshot> from_session_incremental(
-      const std::shared_ptr<const RouteSnapshot>& prev,
-      const pricing::Session& session, std::uint64_t version,
-      std::span<const NodeId> dirty, const payments::Ledger* ledger = nullptr,
       util::ThreadPool* pool = nullptr, SnapshotExportStats* stats = nullptr);
 
   std::size_t node_count() const { return n_; }
@@ -152,7 +153,6 @@ class RouteSnapshot {
 
  private:
   friend struct ReplicationCodec;  ///< the block stream (replication.h)
-  friend class PublishPipeline;    ///< adopts warm blocks (pipeline.cpp)
 
   /// Everything destination j's sink tree exports, immutable once built.
   /// The CSR is local (offset[0] == 0); `digest` folds the arrays once so
@@ -171,14 +171,11 @@ class RouteSnapshot {
 
   RouteSnapshot() = default;
 
-  /// Builds destination j's block from the (converged) session — the one
-  /// extraction path both the full and the incremental export share.
+  /// Builds destination j's block from the (converged) session.
   static BlockPtr extract_destination(const pricing::Session& session,
                                       NodeId j, std::size_t n);
-  /// Common tail of both exports: payments, entry total, checksum.
-  void finish(const payments::Ledger* ledger);
-  /// The second half of finish(): entry total + checksum over blocks
-  /// already in place (the Assembler fills the blocks itself and seals
+  /// Entry total + checksum over blocks and globals already in place (the
+  /// export's tail; the Assembler fills the blocks itself and seals
   /// afterwards).
   void seal();
   /// Folds every field into the root digest.

@@ -52,10 +52,10 @@ inline std::size_t shard_size_of(std::size_t node_count,
 /// destination moved iff its block is not the same object as in the
 /// previous `newest`. That is exact because blocks are immutable (the same
 /// object is the same content, changed content is always a new object) and
-/// every producer shares unchanged rows by pointer: an incremental export
-/// aliases every clean row, warm-start adoption and the replica's
-/// Assembler swap in the resident block wherever digests match, and a full
-/// export makes a new block per row, so every shard moves.
+/// every producer shares unchanged rows by pointer: RouteSnapshot's export
+/// and the replica's Assembler both keep their base's block wherever the
+/// digests match. Only an export without a base makes a new block per row,
+/// so every shard moves.
 ///
 /// Readers get `newest` and nothing else: every reply is answered from the
 /// snapshot whose version it carries.

@@ -1,25 +1,26 @@
-// The publish pipeline: a converged session's export published into the
-// sharded store in one step — a full build (with warm-start digest
-// adoption) when no copy-on-write base is usable, otherwise an incremental
-// export of the dirty rows, whose publish stamps only their shards.
+// The export-and-publish step: a converged session's export
+// (RouteSnapshot::from_session) published into the sharded store, whose
+// publish stamps only the shards whose blocks changed.
 //
 // The load-bearing properties:
-//   1. A pooled incremental publish is *logically identical* to a full
+//   1. A pooled incremental export is *logically identical* to a full
 //      export — same content checksum, same self_check — for any dirty set,
-//      and stamps exactly the shards holding a dirty destination.
-//   2. A warm start adopts the disk image's blocks wherever the digests
-//      match, so only genuinely changed shards are stamped.
+//      and its publish stamps exactly the shards holding a dirty
+//      destination.
+//   2. A warm start's first export, which re-extracts every row against
+//      the disk image, keeps the image's blocks wherever the digests match,
+//      so only genuinely changed shards are stamped.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common.h"
 #include "bgp/engine.h"
 #include "graph/graph.h"
 #include "pricing/session.h"
-#include "service/pipeline.h"
 #include "service/snapshot.h"
 #include "service/store.h"
 #include "util/rng.h"
@@ -30,10 +31,9 @@ namespace {
 
 using pricing::RestartPolicy;
 using pricing::Session;
-using service::PipelineStats;
-using service::PublishPipeline;
 using service::RouteSnapshot;
 using service::ShardedSnapshotStore;
+using service::SnapshotExportStats;
 
 // Two disjoint 6-cycles (same shape as test_publish's fixture): a cost
 // change in one component cannot dirty the other's sink trees, so shard
@@ -65,7 +65,7 @@ TEST(EnginePool, EnsurePoolWidensButNeverShrinks) {
 
 // --- pooled incremental == full -------------------------------------------
 
-TEST(PublishPipeline, PooledExportEqualsFullExport) {
+TEST(Export, PooledExportEqualsFullExport) {
   const std::vector<test::InstanceSpec> specs = {
       {"er", 24, 211, 10},
       {"ba", 24, 212, 8},
@@ -83,15 +83,14 @@ TEST(PublishPipeline, PooledExportEqualsFullExport) {
     ShardedSnapshotStore store(n, 4);
     std::uint64_t prev_epoch = session.engine().converged_epochs();
 
-    // First publish: the full path, every shard swapped.
-    PipelineStats first;
-    std::shared_ptr<const RouteSnapshot> prev = PublishPipeline::run(
-        store, nullptr, nullptr, session, prev_epoch, std::nullopt, nullptr,
-        pool, &first);
+    // First publish: no base, every row extracted, every shard swapped.
+    SnapshotExportStats first;
+    std::shared_ptr<const RouteSnapshot> prev = RouteSnapshot::from_session(
+        session, prev_epoch, nullptr, std::nullopt, nullptr, pool, &first);
     ASSERT_TRUE(prev->self_check());
     EXPECT_FALSE(first.full_rebuild);
     EXPECT_EQ(first.rows_rebuilt, n);
-    EXPECT_EQ(first.shards_swapped, store.shard_count());
+    EXPECT_EQ(store.publish(prev), store.shard_count());
 
     util::Rng rng(spec.seed * 6151);
     for (int round = 0; round < 4; ++round) {
@@ -114,10 +113,11 @@ TEST(PublishPipeline, PooledExportEqualsFullExport) {
       const std::size_t dirty_shards = static_cast<std::size_t>(
           std::count(shard_dirty.begin(), shard_dirty.end(), true));
 
-      PipelineStats stats;
-      const auto snap = PublishPipeline::run(store, prev, nullptr, session,
-                                             epoch, dirty, nullptr, pool,
-                                             &stats);
+      SnapshotExportStats stats;
+      const auto snap = RouteSnapshot::from_session(session, epoch, prev,
+                                                    dirty, nullptr, pool,
+                                                    &stats);
+      const std::size_t swapped = store.publish(snap);
       const auto full = RouteSnapshot::from_session(session, epoch);
 
       // Logically identical to a one-shot export.
@@ -126,7 +126,7 @@ TEST(PublishPipeline, PooledExportEqualsFullExport) {
       EXPECT_FALSE(stats.full_rebuild);
       EXPECT_EQ(stats.rows_rebuilt, dirty->size());
       EXPECT_EQ(stats.rows_reused, n - dirty->size());
-      EXPECT_EQ(stats.shards_swapped, dirty_shards);
+      EXPECT_EQ(swapped, dirty_shards);
       EXPECT_EQ(store.acquire().newest, snap);
       prev = snap;
       prev_epoch = epoch;
@@ -134,9 +134,9 @@ TEST(PublishPipeline, PooledExportEqualsFullExport) {
   }
 }
 
-// --- warm-start digest adoption (the satellite fix) ------------------------
+// --- warm-start digest adoption ---------------------------------------------
 
-TEST(PublishPipeline, WarmStartAdoptionSwapsOnlyGenuinelyChangedShards) {
+TEST(Export, WarmStartAdoptionSwapsOnlyGenuinelyChangedShards) {
   // "Yesterday's" daemon: converge and snapshot.
   graph::Graph g = two_cycles();
   Session before(g, pricing::Protocol::kPriceVector);
@@ -153,18 +153,17 @@ TEST(PublishPipeline, WarmStartAdoptionSwapsOnlyGenuinelyChangedShards) {
   ShardedSnapshotStore store(g.node_count(), 4);  // 3 destinations per shard
   store.publish(warm);
 
-  PipelineStats stats;
-  const auto snap = PublishPipeline::run(
-      store, nullptr, warm, after, warm->version() + 1, std::nullopt, nullptr,
-      after.engine().ensure_pool(2), &stats);
+  const auto snap = RouteSnapshot::from_session(
+      after, warm->version() + 1, warm, std::nullopt, nullptr,
+      after.engine().ensure_pool(2));
+  const std::size_t swapped = store.publish(snap);
 
   // The second component's six sink trees are bit-identical across the
   // restart: their blocks are adopted from the warm image and the two
-  // shards holding them are not stamped (pre-fix, every shard was).
+  // shards holding them are not stamped.
   EXPECT_TRUE(snap->self_check());
-  EXPECT_GE(stats.rows_adopted, 6u);
-  EXPECT_GE(stats.shards_swapped, 1u);
-  EXPECT_LE(stats.shards_swapped, 2u);
+  EXPECT_GE(swapped, 1u);
+  EXPECT_LE(swapped, 2u);
   EXPECT_EQ(store.acquire().newest, snap);
   const auto versions = store.export_cut().shard_versions;
   EXPECT_EQ(versions[2], warm->version());  // destinations 6-8: unchanged
@@ -179,7 +178,7 @@ TEST(PublishPipeline, WarmStartAdoptionSwapsOnlyGenuinelyChangedShards) {
   EXPECT_EQ(snap->node_cost(0), Cost{50});
 }
 
-TEST(PublishPipeline, IdenticalRestartAdoptsEverythingAndSwapsNothing) {
+TEST(Export, IdenticalRestartAdoptsEverythingAndSwapsNothing) {
   graph::Graph g = two_cycles();
   Session before(g, pricing::Protocol::kPriceVector);
   ASSERT_TRUE(before.run().converged);
@@ -191,12 +190,9 @@ TEST(PublishPipeline, IdenticalRestartAdoptsEverythingAndSwapsNothing) {
 
   ShardedSnapshotStore store(g.node_count(), 4);
   store.publish(warm);
-  PipelineStats stats;
-  const auto snap = PublishPipeline::run(store, nullptr, warm, after,
-                                         warm->version() + 1, std::nullopt,
-                                         nullptr, nullptr, &stats);
-  EXPECT_EQ(stats.rows_adopted, g.node_count());
-  EXPECT_EQ(stats.shards_swapped, 0u);
+  const auto snap = RouteSnapshot::from_session(after, warm->version() + 1,
+                                                warm);
+  EXPECT_EQ(store.publish(snap), 0u);
   EXPECT_EQ(store.newest(), snap);
   EXPECT_EQ(store.export_cut().shard_versions,
             std::vector<std::uint64_t>(4, warm->version()));

@@ -12,10 +12,12 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common.h"
+#include "graph/analysis.h"
 #include "graphgen/fixtures.h"
 #include "pricing/session.h"
 #include "service/service.h"
@@ -78,8 +80,8 @@ TEST(IncrementalExport, EqualsFullAcrossRandomizedDeltaSequences) {
       ASSERT_TRUE(dirty.has_value());
 
       SnapshotExportStats stats;
-      const auto incremental = RouteSnapshot::from_session_incremental(
-          prev, session, epoch, *dirty, nullptr, nullptr, &stats);
+      const auto incremental = RouteSnapshot::from_session(
+          session, epoch, prev, dirty, nullptr, nullptr, &stats);
       const auto full = RouteSnapshot::from_session(session, epoch);
 
       EXPECT_TRUE(incremental->self_check());
@@ -117,8 +119,8 @@ TEST(IncrementalExport, NoOpDeltaRebuildsNothing) {
   EXPECT_TRUE(dirty->empty());
 
   SnapshotExportStats stats;
-  const auto next = RouteSnapshot::from_session_incremental(
-      prev, session, epoch, *dirty, nullptr, nullptr, &stats);
+  const auto next = RouteSnapshot::from_session(session, epoch, prev, dirty,
+                                                nullptr, nullptr, &stats);
   EXPECT_EQ(stats.rows_rebuilt, 0u);
   EXPECT_EQ(stats.rows_reused, f.g.node_count());
   EXPECT_FALSE(stats.full_rebuild);
@@ -137,8 +139,9 @@ TEST(IncrementalExport, TopologyChangeFallsBackToFullRebuild) {
   const auto prev = RouteSnapshot::from_session(session, epoch0);
 
   // A link removal moves the graph generation: prev's rows describe a
-  // different topology, so the incremental path must not share any of
-  // them no matter what the dirty set says.
+  // different topology, so the export must not trust the dirty set and
+  // re-extracts every row (rows that come out byte-identical still keep
+  // prev's block).
   ASSERT_TRUE(
       session.remove_link(f.x, f.a, RestartPolicy::kRestartBarrier).converged);
   const std::uint64_t epoch1 = session.engine().converged_epochs();
@@ -146,8 +149,8 @@ TEST(IncrementalExport, TopologyChangeFallsBackToFullRebuild) {
   ASSERT_TRUE(dirty.has_value());
 
   SnapshotExportStats stats;
-  const auto incremental = RouteSnapshot::from_session_incremental(
-      prev, session, epoch1, *dirty, nullptr, nullptr, &stats);
+  const auto incremental = RouteSnapshot::from_session(
+      session, epoch1, prev, dirty, nullptr, nullptr, &stats);
   EXPECT_TRUE(stats.full_rebuild);
   EXPECT_EQ(stats.rows_rebuilt, f.g.node_count());
   EXPECT_EQ(stats.rows_reused, 0u);
@@ -194,8 +197,8 @@ TEST(ShardedStore, PublishSwapsOnlyDirtyShards) {
   ASSERT_FALSE(dirty->empty());
 
   SnapshotExportStats stats;
-  const auto second = RouteSnapshot::from_session_incremental(
-      first, session, epoch1, *dirty, nullptr, nullptr, &stats);
+  const auto second = RouteSnapshot::from_session(
+      session, epoch1, first, dirty, nullptr, nullptr, &stats);
   std::vector<bool> shard_dirty(store.shard_count(), false);
   for (const NodeId j : *dirty) shard_dirty[store.shard_of(j)] = true;
   const std::size_t dirty_shards =
@@ -212,8 +215,8 @@ TEST(ShardedStore, PublishSwapsOnlyDirtyShards) {
 
   // What a republish exports: every block shared with `newest`. No shard
   // is stamped, yet newest, the version and the publish count advance.
-  const auto republished = RouteSnapshot::from_session_incremental(
-      second, session, epoch1 + 1, {}, nullptr, nullptr, nullptr);
+  const auto republished = RouteSnapshot::from_session(
+      session, epoch1 + 1, second, std::vector<NodeId>{});
   for (NodeId j = 0; j < n; ++j)
     ASSERT_TRUE(republished->shares_block_with(*second, j)) << "j=" << j;
   EXPECT_EQ(store.publish(republished), 0u);
@@ -222,8 +225,9 @@ TEST(ShardedStore, PublishSwapsOnlyDirtyShards) {
   EXPECT_EQ(store.publish_count(), 3u);
   EXPECT_EQ(store.export_cut().shard_versions, versions);
 
-  // A full export of the unchanged state makes a new block per row, so
-  // every shard is stamped: block identity decides, not content.
+  // An export without a base makes a new block per row even for the
+  // unchanged state, so every shard is stamped: block identity decides,
+  // not content.
   const auto full = RouteSnapshot::from_session(session, epoch1 + 2);
   EXPECT_EQ(full->content_checksum(), republished->content_checksum());
   EXPECT_EQ(store.publish(full), 4u);
@@ -298,13 +302,73 @@ TEST(RouteServicePublish, SingleDeltaRebuildsOnlyDirtySinkTrees) {
   // just cheap — it is current).
   EXPECT_EQ(svc.snapshot()->node_cost(0), Cost{50});
 
-  // A topology delta degrades to a full rebuild and flags every shard.
+  // A topology delta re-extracts every row, but the second component's
+  // rows come out byte-identical and keep their blocks, so only the first
+  // component's shards are stamped.
   svc.submit(RouteService::Delta::add_link(0, 3));
   svc.drain();
   const auto c2 = svc.counters();
   EXPECT_EQ(c2.full_rebuilds, 1u);
   EXPECT_EQ(c2.rows_rebuilt, c1.rows_rebuilt + 12u);
-  EXPECT_EQ(c2.shards_republished, c1.shards_republished + 4u);
+  EXPECT_GE(c2.shards_republished, c1.shards_republished + 1u);
+  EXPECT_LE(c2.shards_republished, c1.shards_republished + 2u);
+}
+
+// The one sharing rule as a property: after every publish a destination
+// keeps its block exactly when its digest is unchanged, whether the export
+// re-extracted a dirty set (cost change) or every row (link removal).
+TEST(RouteServicePublish, SharingIsExactAcrossTopologyChanges) {
+  const std::vector<test::InstanceSpec> specs = {
+      {"er", 24, 301, 10},
+      {"ba", 24, 302, 8},
+      {"grid", 24, 303, 5},
+  };
+  for (const auto& spec : specs) {
+    SCOPED_TRACE(std::string(spec.family) + " n=" + std::to_string(spec.n));
+    graph::Graph g = test::make_instance(spec);
+    const NodeId n = static_cast<NodeId>(g.node_count());
+    ServiceConfig config;
+    config.shards = 4;
+    RouteService svc(g, config);
+
+    util::Rng rng(spec.seed * 4099);
+    for (int round = 0; round < 8; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      const auto prev = svc.snapshot();
+      if (round % 2 == 0) {
+        const NodeId v = static_cast<NodeId>(rng.below(n));
+        const Cost cost{static_cast<Cost::rep>(
+            1 + rng.below(static_cast<std::uint64_t>(spec.max_cost)))};
+        g.set_cost(v, cost);
+        svc.submit(RouteService::Delta::cost_change(v, cost));
+      } else {
+        // Remove a link whose removal keeps the graph biconnected.
+        const auto edges = g.edges();
+        bool removed = false;
+        for (std::size_t tries = 0; tries < 4 * edges.size() && !removed;
+             ++tries) {
+          const auto [u, v] = edges[rng.below(edges.size())];
+          graph::Graph trial = g;
+          trial.remove_edge(u, v);
+          if (!graph::is_biconnected(trial)) continue;
+          g = std::move(trial);
+          svc.submit(RouteService::Delta::remove_link(u, v));
+          removed = true;
+        }
+        ASSERT_TRUE(removed);
+      }
+      svc.drain();
+      const auto next = svc.snapshot();
+      ASSERT_NE(next, prev);
+      for (NodeId j = 0; j < n; ++j)
+        EXPECT_EQ(next->shares_block_with(*prev, j),
+                  next->block_digest(j) == prev->block_digest(j))
+            << "j=" << j;
+      const RouteService cold(g, config);
+      EXPECT_EQ(next->content_checksum(),
+                cold.snapshot()->content_checksum());
+    }
+  }
 }
 
 // --- concurrent readers over sharded publishes (the TSan hunt) -------------
@@ -360,8 +424,8 @@ TEST(ShardedStore, ConcurrentReadersNeverSeeTornViews) {
     const std::uint64_t epoch = session.engine().converged_epochs();
     const auto dirty = session.dirty_destinations(prev_epoch);
     ASSERT_TRUE(dirty.has_value());
-    const auto next = RouteSnapshot::from_session_incremental(
-        prev, session, epoch, *dirty, nullptr, nullptr, nullptr);
+    const auto next =
+        RouteSnapshot::from_session(session, epoch, prev, dirty);
     store.publish(next);
     prev = next;
     prev_epoch = epoch;

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -106,7 +107,7 @@ TEST(ReplicationCodec, FullStreamRoundTrip) {
   const auto cut = svc.store().export_cut();
   ASSERT_NE(cut.newest, nullptr);
 
-  ReplicationCodec::Assembler assembler(nullptr, nullptr);
+  ReplicationCodec::Assembler assembler(nullptr);
   for (const std::string& chunk :
        full_stream(cut, all_shards(svc.store().shard_count())))
     ASSERT_TRUE(assembler.feed(chunk)) << assembler.error();
@@ -146,7 +147,7 @@ TEST(ReplicationCodec, DirtyOnlyStreamAppliesOverBase) {
     if (after.shard_versions[s] != before.shard_versions[s])
       dirty.push_back(static_cast<std::uint32_t>(s));
 
-  ReplicationCodec::Assembler assembler(before.newest, nullptr);
+  ReplicationCodec::Assembler assembler(before.newest);
   for (const std::string& chunk : full_stream(after, dirty))
     ASSERT_TRUE(assembler.feed(chunk)) << assembler.error();
   const auto result = assembler.finish();
@@ -163,7 +164,7 @@ TEST(ReplicationCodec, IdenticalBlocksAreAdoptedFromBase) {
 
   // A full restream over an identical base adopts every block: the wire
   // copies are dropped in favor of the resident ones.
-  ReplicationCodec::Assembler assembler(cut.newest, nullptr);
+  ReplicationCodec::Assembler assembler(cut.newest);
   for (const std::string& chunk :
        full_stream(cut, all_shards(svc.store().shard_count())))
     ASSERT_TRUE(assembler.feed(chunk)) << assembler.error();
@@ -185,7 +186,7 @@ TEST(ReplicationCodec, EveryTruncationOfEveryChunkIsRejected) {
 
   for (std::size_t c = 0; c < chunks.size(); ++c) {
     for (std::size_t bytes = 0; bytes < chunks[c].size(); ++bytes) {
-      ReplicationCodec::Assembler assembler(nullptr, nullptr);
+      ReplicationCodec::Assembler assembler(nullptr);
       for (std::size_t prior = 0; prior < c; ++prior)
         ASSERT_TRUE(assembler.feed(chunks[prior]));
       // The truncated chunk either fails immediately or poisons the
@@ -213,7 +214,7 @@ TEST(ReplicationCodec, CorruptedBytesNeverAssemble) {
     for (std::size_t at = 0; at < chunks[c].size(); at += 7) {
       std::string mutated = chunks[c];
       mutated[at] = static_cast<char>(mutated[at] ^ 0x2d);
-      ReplicationCodec::Assembler assembler(nullptr, nullptr);
+      ReplicationCodec::Assembler assembler(nullptr);
       bool fed_ok = true;
       for (std::size_t i = 0; i < chunks.size() && fed_ok; ++i)
         fed_ok = assembler.feed(i == c ? std::string_view(mutated)
@@ -231,38 +232,38 @@ TEST(ReplicationCodec, StreamAnomaliesAreRejected) {
   const auto chunks = full_stream(cut, sent);
 
   {  // stream with no final chunk
-    ReplicationCodec::Assembler assembler(nullptr, nullptr);
+    ReplicationCodec::Assembler assembler(nullptr);
     for (std::size_t c = 0; c + 1 < chunks.size(); ++c)
       ASSERT_TRUE(assembler.feed(chunks[c]));
     EXPECT_FALSE(assembler.finish().ok());
   }
   {  // announced shard never arrives
-    ReplicationCodec::Assembler assembler(nullptr, nullptr);
+    ReplicationCodec::Assembler assembler(nullptr);
     for (std::size_t c = 1; c < chunks.size(); ++c)
       assembler.feed(chunks[c]);
     EXPECT_FALSE(assembler.finish().ok());
   }
   {  // duplicate data chunk
-    ReplicationCodec::Assembler assembler(nullptr, nullptr);
+    ReplicationCodec::Assembler assembler(nullptr);
     ASSERT_TRUE(assembler.feed(chunks[0]));
     EXPECT_FALSE(assembler.feed(chunks[0]));
     EXPECT_FALSE(assembler.finish().ok());
   }
   {  // data chunk after the final chunk
-    ReplicationCodec::Assembler assembler(nullptr, nullptr);
+    ReplicationCodec::Assembler assembler(nullptr);
     for (const std::string& chunk : chunks) ASSERT_TRUE(assembler.feed(chunk));
     EXPECT_FALSE(assembler.feed(chunks[0]));
     EXPECT_FALSE(assembler.finish().ok());
   }
   {  // cold bootstrap whose response does not cover every shard
-    ReplicationCodec::Assembler assembler(nullptr, nullptr);
+    ReplicationCodec::Assembler assembler(nullptr);
     std::vector<std::uint32_t> partial = {0, 1};
     for (const std::string& chunk : full_stream(cut, partial))
       ASSERT_TRUE(assembler.feed(chunk)) << assembler.error();
     EXPECT_FALSE(assembler.finish().ok());
   }
   {  // a sent list that disagrees with the data chunks actually streamed
-    ReplicationCodec::Assembler assembler(nullptr, nullptr);
+    ReplicationCodec::Assembler assembler(nullptr);
     for (std::size_t c = 0; c + 1 < chunks.size(); ++c)
       ASSERT_TRUE(assembler.feed(chunks[c]));
     std::vector<std::uint32_t> partial = {0};
@@ -286,7 +287,7 @@ TEST(ReplicaTransfer, CatchUpFetchesOnlyMovedShards) {
   ASSERT_TRUE(client.connect().ok());
 
   // Bootstrap: empty negotiation state elicits every shard.
-  ReplicationCodec::Assembler boot_assembler(nullptr, nullptr);
+  ReplicationCodec::Assembler boot_assembler(nullptr);
   const auto bootstrap = client.fetch_snapshot({}, into(boot_assembler));
   ASSERT_TRUE(bootstrap.ok())
       << bootstrap.error.message << " " << boot_assembler.error();
@@ -309,7 +310,7 @@ TEST(ReplicaTransfer, CatchUpFetchesOnlyMovedShards) {
   // Catch-up with the bootstrap's negotiation state: exactly the moved
   // shards come back, and the transfer is strictly smaller than the
   // bootstrap whenever any shard stayed clean.
-  ReplicationCodec::Assembler delta_assembler(booted.snapshot, nullptr);
+  ReplicationCodec::Assembler delta_assembler(booted.snapshot);
   const auto catch_up =
       client.fetch_snapshot(booted.shard_versions, into(delta_assembler));
   ASSERT_TRUE(catch_up.ok())
@@ -323,7 +324,7 @@ TEST(ReplicaTransfer, CatchUpFetchesOnlyMovedShards) {
   }
 
   // Already caught up: zero data chunks, just the final chunk.
-  ReplicationCodec::Assembler idle_assembler(caught.snapshot, nullptr);
+  ReplicationCodec::Assembler idle_assembler(caught.snapshot);
   const auto idle =
       client.fetch_snapshot(caught.shard_versions, into(idle_assembler));
   ASSERT_TRUE(idle.ok()) << idle.error.message;
@@ -392,7 +393,7 @@ TEST(ReplicaTransfer, RepeatedChunkStopsTheFetchAtTheSecondCopy) {
   config.port = ntohs(addr.sin_port);
   net::RouteClient client(config);
   ASSERT_TRUE(client.connect().ok());
-  ReplicationCodec::Assembler assembler(nullptr, nullptr);
+  ReplicationCodec::Assembler assembler(nullptr);
   const auto fetched = client.fetch_snapshot({}, into(assembler));
   EXPECT_EQ(fetched.error.status, net::ClientStatus::kProtocolError);
   EXPECT_EQ(fetched.chunks, 2u);
@@ -626,6 +627,63 @@ TEST(ReplicaE2E, WarmStartAdoptsMatchingBlocksFromCheckpoint) {
   EXPECT_GT(counters.blocks_adopted, 0u);
   EXPECT_EQ(replica.store()->newest()->content_checksum(),
             primary.snapshot()->content_checksum());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ReplicaE2E, WarmImageIsReleasedOnceSyncedPastIt) {
+  const std::string dir = "replica_release_ckpt";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directory(dir);
+  service::ServiceConfig primary_config;
+  primary_config.shards = 4;
+  primary_config.checkpoint.directory = dir;
+  RouteService primary(test::make_instance({"er", 24, 56, 7}),
+                       primary_config);
+  const NodeId n = static_cast<NodeId>(primary.node_count());
+
+  // Reserve a port nobody listens on yet: bind an ephemeral one, release it.
+  std::uint16_t port = 0;
+  {
+    net::RouteServer probe(primary);
+    ASSERT_TRUE(probe.ok()) << probe.error();
+    port = probe.port();
+  }
+
+  ReplicaConfig config;
+  config.upstream.port = port;
+  config.upstream.connect_attempts = 1;
+  config.upstream.backoff_ms = 1;
+  config.checkpoint_directory = dir;
+  config.resync_backoff_ms = 20;
+  ReplicaService replica(config);
+  ASSERT_TRUE(replica.wait_until_ready(1000));
+  const std::weak_ptr<const RouteSnapshot> image = replica.snapshot();
+  ASSERT_FALSE(image.expired());
+
+  // Move every row past the image, then bring the upstream up.
+  std::vector<RouteService::Delta> deltas;
+  const auto before = primary.snapshot();
+  for (NodeId v = 0; v < n; ++v)
+    deltas.push_back(RouteService::Delta::cost_change(
+        v, Cost{before->node_cost(v).value() + 1}));
+  primary.submit(deltas);
+  primary.drain();
+  net::ServerConfig server_config;
+  server_config.port = port;
+  net::RouteServer server(primary, server_config);
+  ASSERT_TRUE(server.ok()) << server.error();
+  ASSERT_GT(replica.wait_for_publish_beyond(0, 10000), 0u);
+
+  // The sync thread drops its own reference to the image (the fetch's
+  // base) as the sync that replaced it returns.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!image.expired() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE(image.expired()) << "the replica still pins its disk image";
+  EXPECT_EQ(replica.snapshot()->content_checksum(),
+            primary.snapshot()->content_checksum());
+  replica.stop();
   std::filesystem::remove_all(dir);
 }
 
