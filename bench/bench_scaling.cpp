@@ -3,7 +3,8 @@
 //   * per-destination LCP Dijkstra (node costs, canonical tie-break);
 //   * k-avoiding table construction, naive vs subtree engine;
 //   * protocol cold starts under both schedulers (lockstep stages and
-//     discrete-event delivery);
+//     discrete-event delivery), and a barrier reconvergence after one cost
+//     change;
 //   * strategyproofness sweep for one node (whole-mechanism recomputation
 //     per deviation — the cost of auditing incentives centrally).
 #include <benchmark/benchmark.h>
@@ -96,6 +97,32 @@ void BM_ProtocolColdStartEvent(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_ProtocolColdStartEvent)->RangeMultiplier(2)->Range(32, 256)
+    ->Unit(benchmark::kMillisecond);
+
+// The kernel of a perfbench write_churn write: one cost change reconverged
+// under the restart barrier (routes settle, then every price restarts at
+// +infinity and refills). Node 0, a core AS, toggles between its cost and
+// that cost + 5, so the iterations alternate a worsening and an improving
+// event on one warm session.
+void BM_BarrierReconverge(benchmark::State& state) {
+  const auto g = bench::internet_like(
+      static_cast<std::size_t>(state.range(0)), 11002);
+  pricing::Session session(g, pricing::Protocol::kPriceVector);
+  session.run();
+  const Cost costs[2] = {g.cost(0) + Cost{5}, g.cost(0)};
+  std::size_t next = 0;
+  std::uint64_t messages = 0;
+  for (auto _ : state) {
+    messages += session
+                    .change_cost(0, costs[next],
+                                 pricing::RestartPolicy::kRestartBarrier)
+                    .messages;
+    next ^= 1;
+  }
+  state.counters["messages"] = benchmark::Counter(
+      static_cast<double>(messages), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_BarrierReconverge)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
 void BM_DeviationSweepOneNode(benchmark::State& state) {

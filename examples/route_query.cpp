@@ -24,12 +24,12 @@
 // model trades for wait-free reads, made visible.
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include <string>
 #include <vector>
 
+#include "flags.h"
 #include "net/remote_backend.h"
 #include "service/protocol.h"
 
@@ -45,8 +45,10 @@ int usage() {
   return 2;
 }
 
-NodeId parse_node(const char* arg) {
-  return static_cast<NodeId>(std::strtoul(arg, nullptr, 10));
+/// Reports an argument that did not parse, then the usage line.
+int bad_argument(const char* what, const char* value) {
+  std::printf("route_query: bad %s '%s'\n", what, value);
+  return usage();
 }
 
 void print_meta(const service::Reply& reply) {
@@ -124,16 +126,25 @@ int main(int argc, char** argv) {
   int arg = 1;
   for (; arg < argc; ++arg) {
     const std::string flag = argv[arg];
-    if (flag == "--host" && arg + 1 < argc)
+    if (flag == "--host" && arg + 1 < argc) {
       config.host = argv[++arg];
-    else if (flag == "--port" && arg + 1 < argc)
-      config.port = static_cast<std::uint16_t>(std::atoi(argv[++arg]));
-    else
+    } else if (flag == "--port" && arg + 1 < argc) {
+      if (!examples::parse_number(argv[++arg], config.port, std::uint16_t{1}))
+        return bad_argument("--port", argv[arg]);
+    } else {
       break;
+    }
   }
   if (arg >= argc || config.port == 0) return usage();
   const std::string command = argv[arg++];
   const int operands = argc - arg;
+  // Every operand is a node id; parse them before connecting.
+  std::vector<NodeId> node;
+  for (int o = arg; o < argc; ++o) {
+    node.emplace_back();
+    if (!examples::parse_number(argv[o], node.back()))
+      return bad_argument("node", argv[o]);
+  }
 
   net::RemoteQueryBackend client(config);
   if (const auto err = client.connect(); !err.ok()) {
@@ -145,38 +156,38 @@ int main(int argc, char** argv) {
   service::Request request;
   if (command == "cost" && operands == 2) {
     request.kind = service::RequestKind::kCost;
-    request.i = parse_node(argv[arg]);
-    request.j = parse_node(argv[arg + 1]);
+    request.i = node[0];
+    request.j = node[1];
     return run_request(client, request);
   }
   if (command == "price" && operands == 3) {
     request.kind = service::RequestKind::kPrice;
-    request.k = parse_node(argv[arg]);
-    request.i = parse_node(argv[arg + 1]);
-    request.j = parse_node(argv[arg + 2]);
+    request.k = node[0];
+    request.i = node[1];
+    request.j = node[2];
     return run_request(client, request);
   }
   if (command == "pair" && operands == 2) {
     request.kind = service::RequestKind::kPairPayment;
-    request.i = parse_node(argv[arg]);
-    request.j = parse_node(argv[arg + 1]);
+    request.i = node[0];
+    request.j = node[1];
     return run_request(client, request);
   }
   if (command == "nexthop" && operands == 2) {
     request.kind = service::RequestKind::kNextHop;
-    request.i = parse_node(argv[arg]);
-    request.j = parse_node(argv[arg + 1]);
+    request.i = node[0];
+    request.j = node[1];
     return run_request(client, request);
   }
   if (command == "path" && operands == 2) {
     request.kind = service::RequestKind::kPath;
-    request.i = parse_node(argv[arg]);
-    request.j = parse_node(argv[arg + 1]);
+    request.i = node[0];
+    request.j = node[1];
     return run_request(client, request);
   }
   if (command == "payment" && operands == 1) {
     request.kind = service::RequestKind::kPayment;
-    request.k = parse_node(argv[arg]);
+    request.k = node[0];
     return run_request(client, request);
   }
   if (command == "counters" && operands == 0) {

@@ -37,7 +37,6 @@
 // re-materialized from the wire.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include <atomic>
@@ -46,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "flags.h"
 #include "graphgen/costs.h"
 #include "graphgen/random.h"
 #include "net/remote_backend.h"
@@ -57,6 +57,25 @@
 namespace {
 
 using namespace fpss;
+
+int usage() {
+  std::printf(
+      "usage: route_replica [nodes] [cycles]\n"
+      "       route_replica --connect HOST:PORT[,HOST:PORT...] [--host H]\n"
+      "                     [--listen PORT] [--workers W]\n"
+      "                     [--checkpoint-dir DIR] [--forward-deltas 0|1]\n");
+  return 2;
+}
+
+/// Reports an argument that did not parse, then the usage line.
+int bad_argument(const char* what, const char* value) {
+  std::printf("route_replica: bad %s '%s'\n", what, value);
+  return usage();
+}
+
+/// The smallest network make_network builds: a tiered graph needs a core
+/// of three, and the core is nodes / 12 + 2.
+constexpr std::size_t kMinNodes = 12;
 
 // Same seeded generator as route_server: a replica daemon pointed at a
 // route_server of the same --nodes sees the identical network.
@@ -153,8 +172,9 @@ std::vector<net::ClientConfig> parse_connect(const std::string& spec,
         colon == std::string::npos ? entry : entry.substr(colon + 1);
     upstream.host =
         colon == std::string::npos ? default_host : entry.substr(0, colon);
-    upstream.port = static_cast<std::uint16_t>(std::atoi(port_text.c_str()));
-    if (upstream.host.empty() || upstream.port == 0) return {};
+    if (upstream.host.empty() ||
+        !examples::parse_number(port_text, upstream.port, std::uint16_t{1}))
+      return {};
     upstreams.push_back(std::move(upstream));
     if (comma == std::string::npos) break;
     start = comma + 1;
@@ -227,51 +247,48 @@ int main(int argc, char** argv) {
 
   // --- daemon mode ---------------------------------------------------------
   if (argc > 1 && std::strcmp(argv[1], "--connect") == 0) {
-    if (argc < 3) {
-      std::printf(
-          "usage: route_replica --connect HOST:PORT[,HOST:PORT...] "
-          "[--host H] [--listen PORT] [--workers W] "
-          "[--checkpoint-dir DIR] [--forward-deltas 0|1]\n");
-      return 2;
-    }
+    if (argc < 3) return usage();
     const std::string connect_spec = argv[2];
     std::string default_host = "127.0.0.1";
     std::uint16_t listen_port = 0;
     unsigned workers = 4;
     std::string checkpoint_dir;
-    bool forward_deltas = true;
-    for (int arg = 3; arg < argc; ++arg) {
+    int forward_deltas = 1;
+    // Every flag takes a value.
+    int arg = 3;
+    for (; arg + 1 < argc; arg += 2) {
       const std::string flag = argv[arg];
-      if (flag == "--host" && arg + 1 < argc)
-        default_host = argv[++arg];
-      else if (flag == "--listen" && arg + 1 < argc)
-        listen_port = static_cast<std::uint16_t>(std::atoi(argv[++arg]));
-      else if (flag == "--workers" && arg + 1 < argc)
-        workers = static_cast<unsigned>(std::atoi(argv[++arg]));
-      else if (flag == "--checkpoint-dir" && arg + 1 < argc)
-        checkpoint_dir = argv[++arg];
-      else if (flag == "--forward-deltas" && arg + 1 < argc)
-        forward_deltas = std::atoi(argv[++arg]) != 0;
-      else {
-        std::printf("unknown flag %s\n", flag.c_str());
-        return 2;
-      }
+      const char* const value = argv[arg + 1];
+      bool ok = true;
+      if (flag == "--host")
+        default_host = value;
+      else if (flag == "--listen")
+        ok = examples::parse_number(value, listen_port);
+      else if (flag == "--workers")
+        ok = examples::parse_number(value, workers, 1u);
+      else if (flag == "--checkpoint-dir")
+        checkpoint_dir = value;
+      else if (flag == "--forward-deltas")
+        ok = examples::parse_number(value, forward_deltas, 0, 1);
+      else
+        return bad_argument("flag", flag.c_str());
+      if (!ok) return bad_argument(flag.c_str(), value);
     }
+    if (arg < argc) return bad_argument("flag", argv[arg]);
     std::vector<net::ClientConfig> upstreams =
         parse_connect(connect_spec, default_host);
-    if (upstreams.empty()) {
-      std::printf("bad --connect list '%s'\n", connect_spec.c_str());
-      return 2;
-    }
+    if (upstreams.empty()) return bad_argument("--connect list", argv[2]);
     return run_daemon(std::move(upstreams), listen_port, workers,
-                      checkpoint_dir, forward_deltas);
+                      checkpoint_dir, forward_deltas != 0);
   }
 
   // --- self-test mode ------------------------------------------------------
-  const std::size_t nodes =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 48;
-  const std::size_t cycles =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 3;
+  std::size_t nodes = 48;
+  std::size_t cycles = 3;
+  if (argc > 3 || (argc > 1 && !examples::parse_number(argv[1], nodes,
+                                                        kMinNodes)) ||
+      (argc > 2 && !examples::parse_number(argv[2], cycles)))
+    return usage();
 
   const graph::Graph g = make_network(nodes);
   service::ServiceConfig svc_config;

@@ -38,7 +38,6 @@
 // needed.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include <atomic>
@@ -47,6 +46,7 @@
 #include <thread>
 #include <vector>
 
+#include "flags.h"
 #include "graphgen/costs.h"
 #include "graphgen/random.h"
 #include "net/client.h"
@@ -64,6 +64,25 @@ using namespace fpss;
 // The generator is seeded, so every run (and every restart of the daemon)
 // over the same node count sees the identical network — which is what
 // makes --snapshot warm starts sound.
+/// The smallest network make_network builds: a tiered graph needs a core
+/// of three, and the core is nodes / 12 + 2.
+constexpr std::size_t kMinNodes = 12;
+
+int usage() {
+  std::printf(
+      "usage: route_server [nodes] [readers] [cycles]\n"
+      "       route_server --listen [port] [--nodes N] [--workers W]\n"
+      "                    [--snapshot file.bin] [--shards K]\n"
+      "                    [--checkpoint-dir DIR] [--checkpoint-every N]\n");
+  return 2;
+}
+
+/// Reports an argument that did not parse, then the usage line.
+int bad_argument(const char* what, const char* value) {
+  std::printf("route_server: bad %s '%s'\n", what, value);
+  return usage();
+}
+
 graph::Graph make_network(std::size_t nodes) {
   util::Rng rng(4202);
   graphgen::TieredParams params;
@@ -258,38 +277,46 @@ int main(int argc, char** argv) {
     std::string checkpoint_dir;
     std::uint64_t checkpoint_every = 1;
     int arg = 2;
-    if (arg < argc && argv[arg][0] != '-')
-      port = static_cast<std::uint16_t>(std::atoi(argv[arg++]));
-    for (; arg < argc; ++arg) {
-      const std::string flag = argv[arg];
-      if (flag == "--nodes" && arg + 1 < argc)
-        nodes = static_cast<std::size_t>(std::atoi(argv[++arg]));
-      else if (flag == "--workers" && arg + 1 < argc)
-        workers = static_cast<unsigned>(std::atoi(argv[++arg]));
-      else if (flag == "--snapshot" && arg + 1 < argc)
-        snapshot_file = argv[++arg];
-      else if (flag == "--shards" && arg + 1 < argc)
-        shards = static_cast<std::size_t>(std::atoi(argv[++arg]));
-      else if (flag == "--checkpoint-dir" && arg + 1 < argc)
-        checkpoint_dir = argv[++arg];
-      else if (flag == "--checkpoint-every" && arg + 1 < argc)
-        checkpoint_every = static_cast<std::uint64_t>(std::atoll(argv[++arg]));
-      else {
-        std::printf("unknown flag %s\n", flag.c_str());
-        return 2;
-      }
+    if (arg < argc && argv[arg][0] != '-') {
+      if (!examples::parse_number(argv[arg], port))
+        return bad_argument("port", argv[arg]);
+      ++arg;
     }
+    // Every flag takes a value.
+    for (; arg + 1 < argc; arg += 2) {
+      const std::string flag = argv[arg];
+      const char* const value = argv[arg + 1];
+      bool ok = true;
+      if (flag == "--nodes")
+        ok = examples::parse_number(value, nodes, kMinNodes);
+      else if (flag == "--workers")
+        ok = examples::parse_number(value, workers, 1u);
+      else if (flag == "--snapshot")
+        snapshot_file = value;
+      else if (flag == "--shards")
+        ok = examples::parse_number(value, shards, std::size_t{1});
+      else if (flag == "--checkpoint-dir")
+        checkpoint_dir = value;
+      else if (flag == "--checkpoint-every")
+        ok = examples::parse_number(value, checkpoint_every, std::uint64_t{1});
+      else
+        return bad_argument("flag", flag.c_str());
+      if (!ok) return bad_argument(flag.c_str(), value);
+    }
+    if (arg < argc) return bad_argument("flag", argv[arg]);
     return run_daemon(port, nodes, workers, snapshot_file, shards,
                       checkpoint_dir, checkpoint_every);
   }
 
   // --- self-test mode ------------------------------------------------------
-  const std::size_t nodes =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 60;
-  const std::size_t readers =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 4;
-  const std::size_t cycles =
-      argc > 3 ? static_cast<std::size_t>(std::atoi(argv[3])) : 3;
+  std::size_t nodes = 60;
+  std::size_t readers = 4;
+  std::size_t cycles = 3;
+  if (argc > 4 || (argc > 1 && !examples::parse_number(argv[1], nodes,
+                                                        kMinNodes)) ||
+      (argc > 2 && !examples::parse_number(argv[2], readers)) ||
+      (argc > 3 && !examples::parse_number(argv[3], cycles)))
+    return usage();
 
   const graph::Graph g = make_network(nodes);
   service::RouteService svc(g);

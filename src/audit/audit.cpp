@@ -1,6 +1,8 @@
 #include "audit/audit.h"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <sstream>
 
 #include "util/contract.h"
@@ -24,7 +26,7 @@ using bgp::SelectedRoute;
 
 /// Declared cost of `node` according to a path+node_costs pair, or
 /// infinity if the node is not on the path.
-Cost cost_on_path(const graph::Path& path, const std::vector<Cost>& costs,
+Cost cost_on_path(std::span<const NodeId> path, std::span<const Cost> costs,
                   NodeId node) {
   for (std::size_t t = 0; t < path.size(); ++t)
     if (path[t] == node) return costs[t];
@@ -49,8 +51,8 @@ std::vector<Violation> audit_network(const pricing::Session& session) {
     const Cost c_i = session.network().topology().cost(i);
     for (NodeId a : me.heard_neighbors()) {
       for (NodeId j = 0; j < n; ++j) {
-        const RouteAdvert* advert = me.stored_advert(a, j);
-        if (advert == nullptr || advert->is_withdrawal()) continue;
+        const std::optional<RouteAdvert> advert = me.stored_advert(a, j);
+        if (!advert.has_value()) continue;
 
         // (A) The path cost must equal the sum of the advertised transit
         // node costs — every recipient can re-add it.
@@ -85,7 +87,7 @@ std::vector<Violation> audit_network(const pricing::Session& session) {
         }
 
         // Price checks per advertised transit value still in force.
-        for (const auto& [k, price] : me.stored_values(a, j)) {
+        for (const auto& [k, price] : advert->transit_values) {
           if (price.is_infinite()) continue;  // still unknown: no claim made
 
           // (B) Theorem 1 floor: p^k >= c_k.

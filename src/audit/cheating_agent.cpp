@@ -18,25 +18,25 @@ CheatingAgent::CheatingAgent(NodeId self, std::size_t node_count,
     : PriceVectorAgent(self, node_count, declared_cost, policy),
       mode_(mode) {}
 
-void CheatingAgent::decorate(bgp::RouteAdvert& advert) {
-  PriceVectorAgent::decorate(advert);  // honest payload first
+void CheatingAgent::decorate(bgp::TableMessage::Draft entry) {
+  // The entry already carries the honest payload; corrupt it on the wire.
   switch (mode_) {
     case CheatMode::kHonest:
       break;
     case CheatMode::kDeflatePrices:
-      for (auto& [node, value] : advert.transit_values) {
+      for (auto& [node, value] : entry.transit_values) {
         (void)node;
         value = Cost::zero();
       }
       break;
     case CheatMode::kInflatePrices:
-      for (auto& [node, value] : advert.transit_values) {
+      for (auto& [node, value] : entry.transit_values) {
         (void)node;
         if (value.is_finite()) value = Cost{value.value() * 3 + 7};
       }
       break;
     case CheatMode::kPadPathCost:
-      if (advert.cost.is_finite()) advert.cost = advert.cost + Cost{5};
+      if (entry.cost.is_finite()) entry.cost = entry.cost + Cost{5};
       break;
   }
 }

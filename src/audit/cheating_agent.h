@@ -32,7 +32,7 @@ class CheatingAgent : public pricing::PriceVectorAgent {
                 bgp::UpdatePolicy policy, CheatMode mode);
 
  protected:
-  void decorate(bgp::RouteAdvert& advert) override;
+  void decorate(bgp::TableMessage::Draft entry) override;
 
  private:
   CheatMode mode_;

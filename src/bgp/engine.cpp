@@ -215,7 +215,7 @@ RunStats StageScheduler::run(Stage max_stages) {
       if (!agent.filters_exports()) {
         // Identity export: all neighbors share one immutable payload
         // instead of a deep copy of the full table per neighbor.
-        if (!out->entries.empty()) {
+        if (!out->empty()) {
           const auto shared =
               std::make_shared<const TableMessage>(std::move(*out));
           const MessageSize size = measure(*shared);
@@ -225,7 +225,7 @@ RunStats StageScheduler::run(Stage max_stages) {
       } else {
         for (std::size_t i = 0; i < neighbors.size(); ++i) {
           TableMessage filtered = agent.export_filter(neighbors[i], *out);
-          if (filtered.entries.empty()) continue;
+          if (filtered.empty()) continue;
           const MessageSize size = measure(filtered);
           deliver(neighbors[i], base + i,
                   std::make_shared<const TableMessage>(std::move(filtered)),
@@ -387,7 +387,7 @@ void EventScheduler::flood(NodeId sender, TableMessage&& out) {
   const std::size_t base = eng_.links_.base(sender);
   if (!agent.filters_exports()) {
     // Identity export: all neighbors share one immutable payload.
-    if (out.entries.empty()) return;
+    if (out.empty()) return;
     const auto shared = std::make_shared<const TableMessage>(std::move(out));
     const MessageSize size = measure(*shared);
     for (std::size_t i = 0; i < neighbors.size(); ++i)
@@ -395,7 +395,7 @@ void EventScheduler::flood(NodeId sender, TableMessage&& out) {
   } else {
     for (std::size_t i = 0; i < neighbors.size(); ++i) {
       TableMessage filtered = agent.export_filter(neighbors[i], out);
-      if (filtered.entries.empty()) continue;
+      if (filtered.empty()) continue;
       const MessageSize size = measure(filtered);
       send(sender, neighbors[i], base + i,
            std::make_shared<const TableMessage>(std::move(filtered)), size);

@@ -1,6 +1,7 @@
 #include "bgp/hop_count_agent.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace fpss::bgp {
 
@@ -12,14 +13,12 @@ bool HopCountBgpAgent::reselect_destination(NodeId destination) {
   std::uint32_t best_hops = 0;
   Cost best_cost = Cost::infinity();
   NodeId best_neighbor = kInvalidNode;
-  const RouteAdvert* best_advert = nullptr;
+  std::optional<RouteAdvert> best_advert;
 
   for (NodeId a : rib().known_neighbors()) {
-    const RouteAdvert* advert = rib().stored(a, destination);
-    if (advert == nullptr) continue;
-    if (std::find(advert->path.begin(), advert->path.end(), id()) !=
-        advert->path.end())
-      continue;
+    const std::optional<RouteAdvert> advert = rib().stored(a, destination);
+    if (!advert.has_value()) continue;
+    if (std::ranges::find(advert->path, id()) != advert->path.end()) continue;
     const auto hops = static_cast<std::uint32_t>(advert->path.size());
     const Cost step =
         (a == destination) ? Cost::zero() : rib().neighbor_cost(a);

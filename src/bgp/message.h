@@ -9,57 +9,54 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "graph/path.h"
 #include "util/cost.h"
 #include "util/types.h"
 
 namespace fpss::bgp {
 
-/// One routing-table entry as advertised to a neighbor.
+/// One transit value of the pricing extension: (transit node k, value).
+using TransitValue = std::pair<NodeId, Cost>;
+
+/// A read-only view of an advert's transit values.
+using TransitValues = std::span<const TransitValue>;
+
+/// One routing-table entry as advertised to a neighbor: a view into the
+/// arrays of the TableMessage it belongs to (TableMessage::entry), valid as
+/// long as that message is.
 struct RouteAdvert {
   NodeId destination = kInvalidNode;
 
   /// Full AS path, sender first, destination last. Empty = withdrawal
   /// (the sender lost its route to this destination).
-  graph::Path path;
+  std::span<const NodeId> path;
 
   /// c(sender, destination): total transit cost of `path`.
   Cost cost = Cost::infinity();
 
   /// Declared per-node costs aligned with `path` (node_costs[t] is the
   /// declared cost of path[t]). This floods every on-path cost hop by hop.
-  std::vector<Cost> node_costs;
+  std::span<const Cost> node_costs;
 
   /// The pricing extension's payload: for each *transit* node k of `path`,
   /// the sender's current estimate — p^k_{sender,dest} under the price
   /// protocol of Fig. 3, or Cost(P_k(c;sender,dest)) under the
   /// avoidance-vector variant. Entries may be infinite (still unknown).
-  std::vector<std::pair<NodeId, Cost>> transit_values;
+  TransitValues transit_values;
 
   bool is_withdrawal() const { return path.empty(); }
+
+  static RouteAdvert withdrawal(NodeId destination) {
+    RouteAdvert advert;
+    advert.destination = destination;
+    return advert;
+  }
 };
-
-/// A read-only view of an advert's transit_values.
-using TransitValues = std::span<const std::pair<NodeId, Cost>>;
-
-/// One routing update: the sender's changed (or full) table plus its own
-/// declared transit cost.
-struct TableMessage {
-  NodeId sender = kInvalidNode;
-  Cost sender_cost;  ///< declared c_sender, piggybacked on every exchange
-  std::vector<RouteAdvert> entries;
-};
-
-/// A sent message is shared and immutable: when an agent's export filter is
-/// the identity (Agent::filters_exports() == false) every neighbor receives
-/// the same refcounted payload, and a receiver's Adj-RIB-In keeps pointing
-/// into it (Rib::ingest) instead of copying the entries out.
-using MessageRef = std::shared_ptr<const TableMessage>;
 
 /// Size accounting for the E5 communication-overhead experiment, in
 /// abstract "words" (one word per AS number or cost value).
@@ -75,6 +72,71 @@ struct MessageSize {
   MessageSize& operator+=(const MessageSize& other);
   MessageSize& operator-=(const MessageSize& other);
 };
+
+/// One routing update: the sender's changed (or full) table plus its own
+/// declared transit cost.
+///
+/// The entries live in four flat arrays: one record per entry (destination,
+/// cost and where its slices end), then every entry's path nodes, node
+/// costs and transit values back to back. Filling a message after
+/// reserve()-ing the exact totals costs a fixed number of allocations,
+/// whatever its entry count.
+class TableMessage {
+ public:
+  /// The fields of the entry add() just appended that may still be
+  /// rewritten (an extension's decorate hook does). Valid until the next
+  /// add(); once sent, the message is shared as const.
+  struct Draft {
+    Cost& cost;
+    std::span<TransitValue> transit_values;
+  };
+
+  TableMessage() = default;
+  TableMessage(NodeId sender, Cost sender_cost)
+      : sender_(sender), sender_cost_(sender_cost) {}
+
+  NodeId sender() const { return sender_; }
+  /// The sender's declared c_sender, piggybacked on every exchange.
+  Cost sender_cost() const { return sender_cost_; }
+
+  std::size_t size() const { return records_.size(); }
+  bool empty() const { return records_.empty(); }
+
+  /// Entry `e`, in the order it was added. Precondition: e < size().
+  RouteAdvert entry(std::size_t e) const;
+
+  /// Makes room for `entries` more entries holding `path_nodes` path nodes
+  /// and `values` transit values between them.
+  void reserve(std::size_t entries, std::size_t path_nodes,
+               std::size_t values);
+
+  /// Appends a copy of `advert` (a withdrawal if its path is empty).
+  Draft add(const RouteAdvert& advert);
+
+  friend MessageSize measure(const TableMessage& msg);
+
+ private:
+  /// One entry: its slices run from the previous record's ends to these.
+  struct Record {
+    NodeId destination;
+    std::uint32_t path_end;    ///< into path_nodes_ and node_costs_
+    std::uint32_t values_end;  ///< into values_
+    Cost cost;
+  };
+
+  NodeId sender_ = kInvalidNode;
+  Cost sender_cost_;
+  std::vector<Record> records_;
+  std::vector<NodeId> path_nodes_;
+  std::vector<Cost> node_costs_;  ///< aligned with path_nodes_
+  std::vector<TransitValue> values_;
+};
+
+/// A sent message is shared and immutable: when an agent's export filter is
+/// the identity (Agent::filters_exports() == false) every neighbor receives
+/// the same refcounted payload, and a receiver's Adj-RIB-In keeps pointing
+/// into it (Rib::ingest) instead of copying the entries out.
+using MessageRef = std::shared_ptr<const TableMessage>;
 
 MessageSize measure(const TableMessage& msg);
 

@@ -18,22 +18,24 @@ void PlainBgpAgent::bootstrap() {
 }
 
 void PlainBgpAgent::receive(const MessageRef& msg) {
-  const NodeId sender = msg->sender;
+  const NodeId sender = msg->sender();
   FPSS_EXPECTS(sender != id());
-  // A changed declared cost at the sender re-rates every route through it.
-  if (!rib_.heard_from(sender) ||
-      rib_.neighbor_cost(sender) != msg->sender_cost) {
-    const bool was_known = rib_.heard_from(sender);
-    rib_.note_sender(sender, msg->sender_cost);
+  // A known sender's new declared cost re-rates every route through it. A
+  // first contact re-rates nothing: no route from it is stored yet.
+  if (!rib_.heard_from(sender)) {
+    rib_.note_sender(sender, msg->sender_cost());
+  } else if (rib_.neighbor_cost(sender) != msg->sender_cost()) {
+    rib_.note_sender(sender, msg->sender_cost());
     mark_all_pending();
-    if (was_known) note_sender_cost_change(sender);
+    note_sender_cost_change(sender);
   }
-  for (const RouteAdvert& advert : msg->entries) {
-    // Shares ownership of the message: the Rib keeps a pointer to the
-    // entry, not a copy.
-    rib_.ingest(sender, msg->sender_cost, {msg, &advert});
-    pending_reselect_.insert(advert.destination);
-    note_refreshed(sender, advert.destination);
+  for (std::size_t e = 0; e < msg->size(); ++e) {
+    // The Rib shares the message and keeps the entry's index, not a copy.
+    // Selection reads only a stored route's path, cost and node costs, so
+    // a destination needs reselecting only when one of those changed.
+    const NodeId destination = msg->entry(e).destination;
+    if (rib_.ingest(msg, e)) pending_reselect_.insert(destination);
+    note_refreshed(sender, destination);
   }
 }
 
@@ -52,32 +54,23 @@ std::optional<TableMessage> PlainBgpAgent::advertise() {
 
   if (dirty_.empty()) return std::nullopt;
 
-  TableMessage msg;
-  msg.sender = id();
-  msg.sender_cost = rib_.declared_cost();
+  // Every destination with a route, or whose route was announced and is
+  // now gone (a withdrawal). Worst-case BGP of footnote 6 resends the whole
+  // table on any change; incremental BGP sends the dirty destinations.
+  entries_.clear();
+  const auto consider = [&](NodeId j) {
+    const bool valid = rib_.selected(j).valid();
+    if (valid || announced_[j] != 0) entries_.push_back(j);
+    announced_[j] = valid ? 1 : 0;
+  };
   if (policy_ == UpdatePolicy::kFullTable) {
-    // Worst-case BGP of footnote 6: any change resends the whole table.
-    msg.entries.reserve(rib_.node_count());
-    for (NodeId j = 0; j < rib_.node_count(); ++j) {
-      const bool valid = rib_.selected(j).valid();
-      if (valid || announced_[j] != 0) {
-        msg.entries.push_back(build_entry(j));  // invalid: a withdrawal
-        announced_[j] = valid ? 1 : 0;
-      }
-    }
+    for (NodeId j = 0; j < rib_.node_count(); ++j) consider(j);
   } else {
-    msg.entries.reserve(dirty_.size());
-    for (NodeId j : dirty_.sorted()) {
-      const bool valid = rib_.selected(j).valid();
-      if (valid || announced_[j] != 0) {
-        msg.entries.push_back(build_entry(j));
-        announced_[j] = valid ? 1 : 0;
-      }
-    }
+    for (NodeId j : dirty_.sorted()) consider(j);
   }
   dirty_.clear();
-  if (msg.entries.empty()) return std::nullopt;
-  return msg;
+  if (entries_.empty()) return std::nullopt;
+  return build_message();
 }
 
 void PlainBgpAgent::on_link_down(NodeId neighbor) {
@@ -116,17 +109,27 @@ void PlainBgpAgent::request_full_readvertisement() {
 
 void PlainBgpAgent::mark_all_pending() { pending_reselect_.insert_all(); }
 
-RouteAdvert PlainBgpAgent::build_entry(NodeId destination) {
-  RouteAdvert advert;
-  advert.destination = destination;
-  const SelectedRoute& route = rib_.selected(destination);
-  if (route.valid()) {
-    advert.path = route.path;
-    advert.cost = route.cost;
-    advert.node_costs = route.node_costs;
-    decorate(advert);
+TableMessage PlainBgpAgent::build_message() {
+  std::size_t path_nodes = 0;
+  std::size_t values = 0;
+  for (NodeId j : entries_) {
+    const SelectedRoute& route = rib_.selected(j);
+    if (!route.valid()) continue;  // a withdrawal
+    path_nodes += route.path.size();
+    values += advert_values(j).size();
   }
-  return advert;
+  TableMessage msg(id(), rib_.declared_cost());
+  msg.reserve(entries_.size(), path_nodes, values);
+  for (NodeId j : entries_) {
+    const SelectedRoute& route = rib_.selected(j);
+    if (!route.valid()) {
+      msg.add(RouteAdvert::withdrawal(j));
+      continue;
+    }
+    decorate(msg.add(
+        {j, route.path, route.cost, route.node_costs, advert_values(j)}));
+  }
+  return msg;
 }
 
 }  // namespace fpss::bgp

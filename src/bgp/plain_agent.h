@@ -47,14 +47,12 @@ class PlainBgpAgent : public Agent {
   }
 
   /// Read-only introspection for monitoring/auditing: the latest advert
-  /// heard from `neighbor` about `destination` (nullptr if none), its
-  /// transit values as they still count (see Rib::stored_values), and the
+  /// heard from `neighbor` about `destination` (nullopt if none), with its
+  /// transit values as they still count (see Rib::stored), and the
   /// neighbors heard from so far.
-  const RouteAdvert* stored_advert(NodeId neighbor, NodeId destination) const {
+  std::optional<RouteAdvert> stored_advert(NodeId neighbor,
+                                           NodeId destination) const {
     return rib_.stored(neighbor, destination);
-  }
-  TransitValues stored_values(NodeId neighbor, NodeId destination) const {
-    return rib_.stored_values(neighbor, destination);
   }
   std::vector<NodeId> heard_neighbors() const {
     return rib_.known_neighbors();
@@ -81,9 +79,19 @@ class PlainBgpAgent : public Agent {
     return false;
   }
 
-  /// Called while building an advert entry so extensions can attach their
-  /// transit_values payload.
-  virtual void decorate(RouteAdvert& advert) { (void)advert; }
+  /// The transit_values payload extensions attach to the advert for
+  /// `destination` (a valid route). The entry copies it; the span only has
+  /// to outlive the copy.
+  virtual TransitValues advert_values(NodeId destination) const {
+    (void)destination;
+    return {};
+  }
+
+  /// Called on each route entry right after it is built into the outgoing
+  /// message, which is still writable: an extension may rewrite the
+  /// entry's cost and transit values here (the deviant agents of the audit
+  /// experiments corrupt their wire this way).
+  virtual void decorate(TableMessage::Draft entry) { (void)entry; }
 
   /// Extension state footprint.
   virtual std::size_t extension_words() const { return 0; }
@@ -113,7 +121,8 @@ class PlainBgpAgent : public Agent {
 
  private:
   void mark_all_pending();
-  RouteAdvert build_entry(NodeId destination);
+  /// The message advertising `entries_`, sized exactly before it is filled.
+  TableMessage build_message();
 
   Rib rib_;
   UpdatePolicy policy_;
@@ -121,6 +130,7 @@ class PlainBgpAgent : public Agent {
   NodeSet dirty_;                        ///< dests needing (re)advertisement
   std::vector<std::uint8_t> announced_;  ///< by dest: 1 iff route advertised
   std::vector<NodeId> changed_;          ///< advertise() scratch
+  std::vector<NodeId> entries_;          ///< advertise() scratch
   bool routes_changed_ = false;
   bool values_changed_ = false;
 };

@@ -1,6 +1,7 @@
 #include "bgp/rib.h"
 
 #include <algorithm>
+#include <span>
 
 #include "routing/route.h"
 #include "util/contract.h"
@@ -40,20 +41,38 @@ std::uint32_t Rib::hear(NodeId neighbor, Cost cost) {
   return nb.slot;
 }
 
-void Rib::ingest(NodeId neighbor, Cost neighbor_cost,
-                 std::shared_ptr<const RouteAdvert> advert) {
+bool Rib::ingest(const MessageRef& msg, std::size_t e) {
+  const NodeId neighbor = msg->sender();
   FPSS_EXPECTS(neighbor < node_count() && neighbor != self_);
-  FPSS_EXPECTS(advert != nullptr && advert->destination < node_count());
-  Cell& held = cell(hear(neighbor, neighbor_cost), advert->destination);
-  if (advert->is_withdrawal()) {
-    held.advert.reset();
-    return;
+  const RouteAdvert fresh = msg->entry(e);
+  FPSS_EXPECTS(fresh.destination < node_count());
+  Cell& held = cell(hear(neighbor, msg->sender_cost()), fresh.destination);
+  if (fresh.is_withdrawal()) {
+    if (held.message == nullptr) return false;
+    held.message.reset();
+    return true;
   }
-  FPSS_EXPECTS(advert->path.front() == neighbor);
-  FPSS_EXPECTS(advert->path.back() == advert->destination);
-  FPSS_EXPECTS(advert->node_costs.size() == advert->path.size());
-  held.advert = std::move(advert);
+  FPSS_EXPECTS(fresh.path.front() == neighbor);
+  FPSS_EXPECTS(fresh.path.back() == fresh.destination);
+  bool changed = true;
+  if (held.message != nullptr) {
+    const RouteAdvert old = held.message->entry(held.entry);
+    changed = old.cost != fresh.cost ||
+              !std::ranges::equal(old.path, fresh.path) ||
+              !std::ranges::equal(old.node_costs, fresh.node_costs);
+  }
+  held.message = msg;
+  held.entry = static_cast<std::uint32_t>(e);
   held.values_generation = values_generation_;
+  return changed;
+}
+
+void Rib::clear_stored_values() {
+  if (++values_generation_ != kRetired) return;
+  // The counter wrapped: a cell stamped long ago could match a new
+  // generation, so retire every cell by hand and start over.
+  for (Cell& held : rib_in_) held.values_generation = kRetired;
+  values_generation_ = 0;
 }
 
 std::vector<NodeId> Rib::purge_neighbor(NodeId neighbor) {
@@ -62,8 +81,8 @@ std::vector<NodeId> Rib::purge_neighbor(NodeId neighbor) {
   Neighbor& nb = neighbors_[neighbor];
   for (NodeId j = 0; j < node_count(); ++j) {
     Cell& held = cell(nb.slot, j);
-    if (held.advert == nullptr) continue;
-    held.advert.reset();
+    if (held.message == nullptr) continue;
+    held.message.reset();
     dropped.push_back(j);
   }
   nb.heard = false;
@@ -76,18 +95,17 @@ bool Rib::reselect(NodeId destination) {
   if (destination == self_) return false;
 
   routing::RouteRank best = routing::no_route();
-  const RouteAdvert* best_advert = nullptr;
+  std::optional<RouteAdvert> best_advert;
   for (NodeId neighbor : heard_) {
     const Neighbor& nb = neighbors_[neighbor];
-    const RouteAdvert* advert = cell(nb.slot, destination).advert.get();
-    if (advert == nullptr) continue;
+    const Cell& held = cell(nb.slot, destination);
+    if (held.message == nullptr) continue;
+    const RouteAdvert advert = held.message->entry(held.entry);
     // Path-vector loop prevention: never use a route already through us.
-    if (std::find(advert->path.begin(), advert->path.end(), self_) !=
-        advert->path.end())
-      continue;
+    if (std::ranges::find(advert.path, self_) != advert.path.end()) continue;
     const Cost step = (neighbor == destination) ? Cost::zero() : nb.cost;
     const routing::RouteRank rank{
-        advert->cost + step, static_cast<std::uint32_t>(advert->path.size()),
+        advert.cost + step, static_cast<std::uint32_t>(advert.path.size()),
         neighbor};
     if (rank < best) {
       best = rank;
@@ -97,10 +115,11 @@ bool Rib::reselect(NodeId destination) {
   return install(destination, best_advert, best.cost);
 }
 
-bool Rib::install(NodeId destination, const RouteAdvert* winner, Cost cost) {
+bool Rib::install(NodeId destination, const std::optional<RouteAdvert>& winner,
+                  Cost cost) {
   FPSS_EXPECTS(destination < node_count() && destination != self_);
   SelectedRoute& current = selected_[destination];
-  if (winner == nullptr) {
+  if (!winner.has_value()) {
     // A route-less selection only ever comes from here, so its cost and
     // node costs are already the defaults.
     if (!current.valid()) return false;
@@ -110,8 +129,8 @@ bool Rib::install(NodeId destination, const RouteAdvert* winner, Cost cost) {
     current.next_hop = kInvalidNode;
     return true;
   }
-  const graph::Path& tail = winner->path;
-  const std::vector<Cost>& tail_costs = winner->node_costs;
+  const std::span<const NodeId> tail = winner->path;
+  const std::span<const Cost> tail_costs = winner->node_costs;
   const bool same =
       current.cost == cost && current.path.size() == tail.size() + 1 &&
       current.node_costs.size() == tail_costs.size() + 1 &&
@@ -142,20 +161,17 @@ const Rib::Cell* Rib::find(NodeId neighbor, NodeId destination) const {
   return slot == kNoSlot ? nullptr : &cell(slot, destination);
 }
 
-TransitValues Rib::values(const Cell& held) const {
-  if (held.advert == nullptr || held.values_generation != values_generation_)
-    return {};
-  return held.advert->transit_values;
+RouteAdvert Rib::advert(const Cell& held) const {
+  RouteAdvert advert = held.message->entry(held.entry);
+  if (held.values_generation != values_generation_) advert.transit_values = {};
+  return advert;
 }
 
-const RouteAdvert* Rib::stored(NodeId neighbor, NodeId destination) const {
+std::optional<RouteAdvert> Rib::stored(NodeId neighbor,
+                                       NodeId destination) const {
   const Cell* held = find(neighbor, destination);
-  return held == nullptr ? nullptr : held->advert.get();
-}
-
-TransitValues Rib::stored_values(NodeId neighbor, NodeId destination) const {
-  const Cell* held = find(neighbor, destination);
-  return held == nullptr ? TransitValues{} : values(*held);
+  if (held == nullptr || held->message == nullptr) return std::nullopt;
+  return advert(*held);
 }
 
 void Rib::note_sender(NodeId neighbor, Cost neighbor_cost) {
@@ -181,10 +197,11 @@ std::size_t Rib::selected_words() const {
 std::size_t Rib::adj_rib_in_words() const {
   std::size_t words = 0;
   for (const Cell& held : rib_in_) {
-    if (held.advert == nullptr) continue;
+    if (held.message == nullptr) continue;
     // Retired values count zero, as if the barrier had erased them.
-    words += held.advert->path.size() + held.advert->node_costs.size() + 1 +
-             2 * values(held).size();
+    const RouteAdvert stored = advert(held);
+    words += stored.path.size() + stored.node_costs.size() + 1 +
+             2 * stored.transit_values.size();
   }
   return words;
 }

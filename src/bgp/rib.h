@@ -5,7 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "bgp/message.h"
@@ -36,9 +36,9 @@ struct SelectedRoute {
 /// first time it is heard and kept across session teardowns), and neighbor
 /// costs sit in an array indexed by node id. A cell does not copy the
 /// advert: it shares ownership of the immutable message the advert arrived
-/// in and points at the entry, so storing one costs a reference count. A
-/// stored advert is never written; the restart barrier retires its values
-/// by generation instead (clear_stored_values).
+/// in and records the entry's index, so storing one costs a reference
+/// count. A stored advert is never written; the restart barrier retires its
+/// values by generation instead (clear_stored_values).
 class Rib {
  public:
   Rib(NodeId self, std::size_t node_count, Cost declared_cost);
@@ -48,13 +48,14 @@ class Rib {
   Cost declared_cost() const { return declared_cost_; }
   void set_declared_cost(Cost c);
 
-  /// Stores the latest advert heard from `neighbor` about
-  /// `advert->destination` (a withdrawal empties the cell). Also records
-  /// the neighbor's declared cost. The cell keeps `advert` alive; callers
-  /// pass an entry of the received message through shared_ptr's aliasing
-  /// constructor, so the message lives while any of its entries is stored.
-  void ingest(NodeId neighbor, Cost neighbor_cost,
-              std::shared_ptr<const RouteAdvert> advert);
+  /// Stores entry `e` of `msg` as the latest advert heard from its sender
+  /// about the entry's destination (a withdrawal empties the cell), and
+  /// records the sender's declared cost. The cell shares `msg`, so the
+  /// message lives while any of its entries is stored. Returns true iff the
+  /// stored route changed: its path, cost or node costs differ from the
+  /// cell's, a route landed in an empty cell, or a withdrawal emptied a
+  /// full one. Transit values alone never count.
+  bool ingest(const MessageRef& msg, std::size_t e);
 
   /// Forgets everything heard from `neighbor` (session teardown). Returns
   /// the destinations whose stored advert was dropped.
@@ -62,34 +63,32 @@ class Rib {
 
   /// Retires the pricing payload of every stored advert (restart barrier:
   /// price state must refill from post-restart messages only). The adverts
-  /// stay as they are; stored_values() reads a cell stored before the call
-  /// as empty until a fresh advert replaces it.
-  void clear_stored_values() { ++values_generation_; }
+  /// stay as they are; stored() reads the values of a cell stored before
+  /// the call as empty until a fresh advert replaces it.
+  void clear_stored_values();
 
   /// Recomputes the selected route for `destination` from the current
   /// Adj-RIB-In. Returns true iff the selection (path or cost) changed.
   bool reselect(NodeId destination);
 
-  /// Makes `winner` (a stored advert, or nullptr for "no route") the
+  /// Makes `winner` (a stored advert, or nullopt for "no route") the
   /// selection for `destination`: the route is this router followed by
   /// `winner->path`, with transit cost `cost`. Compares with the current
   /// selection in place and writes only when path, cost or node costs
   /// differ. Returns true iff the selection changed. Every route selector
   /// (the canonical rule here, and the policy overrides of agents) ends in
   /// this call. Precondition: destination != self.
-  bool install(NodeId destination, const RouteAdvert* winner, Cost cost);
+  bool install(NodeId destination, const std::optional<RouteAdvert>& winner,
+               Cost cost);
 
   const SelectedRoute& selected(NodeId destination) const;
 
-  /// The neighbor's advert stored for (neighbor, destination), if any.
-  /// Read its transit values through stored_values(), never directly. The
-  /// pointer (and the view below) stays valid until the cell changes: the
-  /// next ingest for the pair or purge of the neighbor.
-  const RouteAdvert* stored(NodeId neighbor, NodeId destination) const;
-
-  /// The stored advert's transit values; empty if nothing is stored or the
-  /// advert was stored before the last clear_stored_values().
-  TransitValues stored_values(NodeId neighbor, NodeId destination) const;
+  /// The neighbor's advert stored for (neighbor, destination), if any: a
+  /// view into the message it arrived in. Its transit values read as empty
+  /// if it was stored before the last clear_stored_values(). The view stays
+  /// valid until the cell changes: the next ingest for the pair or purge of
+  /// the neighbor.
+  std::optional<RouteAdvert> stored(NodeId neighbor, NodeId destination) const;
 
   /// Neighbors we have heard from, ascending. The list is maintained in
   /// place: the reference stays valid for the Rib's lifetime, but its
@@ -123,12 +122,18 @@ class Rib {
     bool heard = false;            ///< session up and heard from
   };
 
-  /// One Adj-RIB-In cell: a stored advert, pointing into its message.
+  /// A cell generation no live generation equals: clear_stored_values()
+  /// stamps it on every cell when the counter wraps.
+  static constexpr std::uint32_t kRetired = ~std::uint32_t{0};
+
+  /// One Adj-RIB-In cell: a stored advert, as an entry of its message.
   struct Cell {
-    std::shared_ptr<const RouteAdvert> advert;  ///< null = nothing stored
+    MessageRef message;  ///< null = nothing stored
+    std::uint32_t entry = 0;
     /// values_generation_ when stored; older cells' values read as empty.
-    std::uint64_t values_generation = 0;
+    std::uint32_t values_generation = 0;
   };
+  static_assert(sizeof(Cell) <= 24, "a cell is one pointer pair and two ids");
 
   /// Marks `neighbor` heard at `cost`, giving it a row on first contact.
   /// Returns the neighbor's row.
@@ -142,7 +147,9 @@ class Rib {
   /// The cell for (neighbor, destination); nullptr if the neighbor never
   /// had a row or an id is out of range.
   const Cell* find(NodeId neighbor, NodeId destination) const;
-  TransitValues values(const Cell& held) const;
+  /// The cell's advert, values retired if stored before the last bump.
+  /// Precondition: the cell is full.
+  RouteAdvert advert(const Cell& held) const;
 
   NodeId self_;
   Cost declared_cost_;
@@ -152,7 +159,7 @@ class Rib {
   /// Row-major by (slot, destination). A stored advert is never a
   /// withdrawal.
   std::vector<Cell> rib_in_;
-  std::uint64_t values_generation_ = 0;
+  std::uint32_t values_generation_ = 0;  ///< never kRetired
 };
 
 }  // namespace fpss::bgp

@@ -32,7 +32,7 @@ bool is_simple_path(const Graph& g, const Path& path, NodeId src, NodeId dst) {
          is_walk(g, path) && is_simple(path);
 }
 
-bool is_transit_node(const Path& path, NodeId k) {
+bool is_transit_node(std::span<const NodeId> path, NodeId k) {
   for (std::size_t i = 1; i + 1 < path.size(); ++i)
     if (path[i] == k) return true;
   return false;

@@ -4,6 +4,7 @@
 // (I_i(c;i,j) = I_j(c;i,j) = 0).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,7 +31,7 @@ bool is_simple(const Path& path);
 bool is_simple_path(const Graph& g, const Path& path, NodeId src, NodeId dst);
 
 /// True if node k appears strictly between the endpoints.
-bool is_transit_node(const Path& path, NodeId k);
+bool is_transit_node(std::span<const NodeId> path, NodeId k);
 
 /// "0-3-1-2" rendering.
 std::string path_to_string(const Path& path);

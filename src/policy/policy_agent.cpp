@@ -1,6 +1,7 @@
 #include "policy/policy_agent.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "routing/route.h"
 #include "util/contract.h"
@@ -34,12 +35,12 @@ bool PolicyBgpAgent::reselect_destination(NodeId destination) {
 
   int best_class = 3;
   routing::RouteRank best = routing::no_route();
-  const bgp::RouteAdvert* best_advert = nullptr;
+  std::optional<bgp::RouteAdvert> best_advert;
   for (NodeId a : rib().known_neighbors()) {
-    const bgp::RouteAdvert* advert = rib().stored(a, destination);
-    if (advert == nullptr) continue;
-    if (std::find(advert->path.begin(), advert->path.end(), id()) !=
-        advert->path.end())
+    const std::optional<bgp::RouteAdvert> advert =
+        rib().stored(a, destination);
+    if (!advert.has_value()) continue;
+    if (std::ranges::find(advert->path, id()) != advert->path.end())
       continue;  // loop prevention
     if (!relationships_->knows(id(), a)) continue;
     const int cls = class_rank(relationships_->rel(id(), a));
@@ -76,21 +77,18 @@ bool PolicyBgpAgent::exportable(NodeId destination, NodeId to_neighbor) const {
 
 bgp::TableMessage PolicyBgpAgent::export_filter(NodeId neighbor,
                                                 const bgp::TableMessage& msg) {
-  bgp::TableMessage out;
-  out.sender = msg.sender;
-  out.sender_cost = msg.sender_cost;
+  bgp::TableMessage out(msg.sender(), msg.sender_cost());
   std::set<NodeId>& sent = exported_[neighbor];
-  for (const bgp::RouteAdvert& advert : msg.entries) {
+  for (std::size_t e = 0; e < msg.size(); ++e) {
+    const bgp::RouteAdvert advert = msg.entry(e);
     const NodeId j = advert.destination;
     const bool can_export = !advert.is_withdrawal() && exportable(j, neighbor);
     if (can_export) {
-      out.entries.push_back(advert);
+      out.add(advert);
       sent.insert(j);
     } else if (sent.erase(j) > 0) {
       // Previously exported, now forbidden (or withdrawn): withdraw it.
-      bgp::RouteAdvert withdrawal;
-      withdrawal.destination = j;
-      out.entries.push_back(std::move(withdrawal));
+      out.add(bgp::RouteAdvert::withdrawal(j));
     }
   }
   return out;

@@ -1,6 +1,7 @@
 #include "pricing/pricing_agent.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/contract.h"
 
@@ -73,8 +74,8 @@ bool PricingAgent::update_extension(const std::vector<NodeId>& changed,
   return lowered;
 }
 
-void PricingAgent::decorate(RouteAdvert& advert) {
-  advert.transit_values = rows_[advert.destination].entries();
+bgp::TransitValues PricingAgent::advert_values(NodeId destination) const {
+  return rows_[destination].entries();
 }
 
 std::size_t PricingAgent::extension_words() const {
@@ -122,9 +123,9 @@ bool PriceVectorAgent::apply_neighbor(NodeId destination, NodeId a) {
   if (prices.empty()) return false;  // no transit nodes on our path
   const SelectedRoute& mine = rib().selected(j);
   FPSS_ASSERT(mine.valid());
-  const RouteAdvert* advert = rib().stored(a, j);
-  if (advert == nullptr) return false;
-  const bgp::TransitValues values = rib().stored_values(a, j);
+  const std::optional<RouteAdvert> advert = rib().stored(a, j);
+  if (!advert.has_value()) return false;
+  const bgp::TransitValues values = advert->transit_values;
 
   const Cost c_a = rib().neighbor_cost(a);
   const Cost c_i = rib().declared_cost();
@@ -213,9 +214,9 @@ bool AvoidanceVectorAgent::apply_neighbor(NodeId destination, NodeId a) {
   if (avoidance.empty()) return false;
   const SelectedRoute& mine = rib().selected(j);
   FPSS_ASSERT(mine.valid());
-  const RouteAdvert* advert = rib().stored(a, j);
-  if (advert == nullptr) return false;
-  const bgp::TransitValues values = rib().stored_values(a, j);
+  const std::optional<RouteAdvert> advert = rib().stored(a, j);
+  if (!advert.has_value()) return false;
+  const bgp::TransitValues values = advert->transit_values;
   const Cost c_a = rib().neighbor_cost(a);
 
   bool lowered = false;

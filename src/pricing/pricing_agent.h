@@ -54,7 +54,7 @@ class PricingAgent : public bgp::PlainBgpAgent {
   // PlainBgpAgent extension hooks.
   bool update_extension(const std::vector<NodeId>& changed,
                         bgp::NodeSet& readvertise) override;
-  void decorate(bgp::RouteAdvert& advert) override;
+  bgp::TransitValues advert_values(NodeId destination) const override;
   std::size_t extension_words() const override;
   void note_refreshed(NodeId sender, NodeId destination) override;
   void note_sender_cost_change(NodeId sender) override;

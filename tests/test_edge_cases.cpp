@@ -111,15 +111,10 @@ TEST(EngineBoundaries, AgentSurvivesDuplicateDelivery) {
   g.add_edge(0, 2);
   bgp::PlainBgpAgent agent(0, 3, Cost{1}, bgp::UpdatePolicy::kIncremental);
   agent.bootstrap();
-  bgp::TableMessage msg;
-  msg.sender = 1;
-  msg.sender_cost = Cost{2};
-  bgp::RouteAdvert advert;
-  advert.destination = 2;
-  advert.path = {1, 2};
-  advert.cost = Cost::zero();
-  advert.node_costs = {Cost{2}, Cost{0}};
-  msg.entries.push_back(advert);
+  bgp::TableMessage msg(1, Cost{2});
+  const graph::Path path = {1, 2};
+  const std::vector<Cost> node_costs = {Cost{2}, Cost{0}};
+  msg.add({2, path, Cost::zero(), node_costs, {}});
   const auto shared = std::make_shared<const bgp::TableMessage>(msg);
   agent.receive(shared);
   auto first = agent.advertise();

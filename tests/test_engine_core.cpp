@@ -472,19 +472,26 @@ std::string golden_line(const bgp::RunStats& s, std::uint64_t digest) {
 /// One line per step: cold run, cost change, link removal, link return.
 using GoldenRun = std::vector<std::string>;
 
-GoldenRun golden_session_run(Protocol protocol, const EngineConfig& config) {
+/// Drives `session` through the golden sequence under the restart barrier
+/// and returns one line per step, made by `line(stats)`.
+template <typename Line>
+GoldenRun golden_session_steps(Session& session, const Line& line) {
   const GoldenInstance& in = golden_instance();
-  Session session(in.g, protocol, config);
-  GoldenRun lines;
-  const auto record = [&](const bgp::RunStats& stats) {
-    lines.push_back(golden_line(stats, route_digest(session.network())));
-  };
   const auto barrier = pricing::RestartPolicy::kRestartBarrier;
-  record(session.run());
-  record(session.change_cost(in.cost_node, in.new_cost, barrier));
-  record(session.remove_link(in.link_u, in.link_v, barrier));
-  record(session.add_link(in.link_u, in.link_v, barrier));
+  GoldenRun lines;
+  lines.push_back(line(session.run()));
+  lines.push_back(
+      line(session.change_cost(in.cost_node, in.new_cost, barrier)));
+  lines.push_back(line(session.remove_link(in.link_u, in.link_v, barrier)));
+  lines.push_back(line(session.add_link(in.link_u, in.link_v, barrier)));
   return lines;
+}
+
+GoldenRun golden_session_run(Protocol protocol, const EngineConfig& config) {
+  Session session(golden_instance().g, protocol, config);
+  return golden_session_steps(session, [&](const bgp::RunStats& stats) {
+    return golden_line(stats, route_digest(session.network()));
+  });
 }
 
 GoldenRun golden_agent_run(const bgp::AgentFactory& factory) {
@@ -625,6 +632,38 @@ TEST(GoldenBehaviour, PriceVectorStateAccounting) {
     record();
     EXPECT_EQ(lines, expected) << "threads " << threads;
   }
+}
+
+TEST(GoldenBehaviour, PriceVectorFullTables) {
+  // The pricing agents' full-table branch of advertise(): every activation
+  // that changes anything resends the whole table, values included
+  // (footnote 6's worst case). Each line adds Network::total_state().
+  const GoldenRun expected = {
+      "stages=8 messages=1613 entries=59657 path_words=193515"
+      " cost_words=254785 value_words=151628 max_link=7 route_stage=6"
+      " value_stage=7 end=8 route_t=6 value_t=7 lost=0 converged=1"
+      " digest=ea1cb556a9b5bb20 selected=34556 rib_in=201036 values=14204",
+      "stages=11 messages=1439 entries=92096 path_words=328163"
+      " cost_words=421698 value_words=290820 max_link=10 route_stage=13"
+      " value_stage=18 end=19 route_t=13 value_t=18 lost=0 converged=1"
+      " digest=a7cf596416a0aa77 selected=35236 rib_in=206112 values=14884",
+      "stages=10 messages=949 entries=60736 path_words=218188"
+      " cost_words=279873 value_words=195330 max_link=14 route_stage=23"
+      " value_stage=28 end=29 route_t=23 value_t=28 lost=0 converged=1"
+      " digest=72b4e220a3744e7a selected=35244 rib_in=204904 values=14892",
+      "stages=11 messages=1022 entries=65408 path_words=234962"
+      " cost_words=301392 value_words=210336 max_link=19 route_stage=34"
+      " value_stage=39 end=40 route_t=34 value_t=39 lost=0 converged=1"
+      " digest=a7cf596416a0aa77 selected=35236 rib_in=206112 values=14884",
+  };
+  Session session(golden_instance().g, Protocol::kPriceVector,
+                  EngineConfig::stage(1), bgp::UpdatePolicy::kFullTable);
+  const auto line = [&](const bgp::RunStats& stats) {
+    const bgp::Network& net = session.network();
+    return golden_line(stats, route_digest(net)) + " " +
+           state_line(net.total_state());
+  };
+  expect_golden(golden_session_steps(session, line), expected, "full tables");
 }
 
 TEST(GoldenBehaviour, PriceVectorEventSchedulerWithMrai) {

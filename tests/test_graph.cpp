@@ -103,10 +103,10 @@ TEST(Path, SimplePathValidation) {
 }
 
 TEST(Path, TransitNodeMembership) {
-  EXPECT_TRUE(graph::is_transit_node({0, 1, 2}, 1));
-  EXPECT_FALSE(graph::is_transit_node({0, 1, 2}, 0));
-  EXPECT_FALSE(graph::is_transit_node({0, 1, 2}, 2));
-  EXPECT_FALSE(graph::is_transit_node({0, 2}, 1));
+  EXPECT_TRUE(graph::is_transit_node(graph::Path{0, 1, 2}, 1));
+  EXPECT_FALSE(graph::is_transit_node(graph::Path{0, 1, 2}, 0));
+  EXPECT_FALSE(graph::is_transit_node(graph::Path{0, 1, 2}, 2));
+  EXPECT_FALSE(graph::is_transit_node(graph::Path{0, 2}, 1));
 }
 
 TEST(Path, Rendering) {
