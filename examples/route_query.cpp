@@ -8,9 +8,10 @@
 //   nexthop i j     first hop of the served LCP
 //   path i j        the full served LCP
 //   payment k       node k's accumulated payment total
-//   counters        the server's service counters (a replica daemon also
-//                   reports its replication health: syncs, bytes, lag,
-//                   chain hop, forwarding tallies)
+//   counters        the server's counters frame, one `section.name value`
+//                   row per field: service, server, each peer, and on a
+//                   replica daemon its replication health (syncs, bytes,
+//                   lag, chain hop, forwarding tallies)
 //   drain           wait for the updater to drain; prints the version
 //   republish       submit a republish delta (forces a fresh publish)
 //
@@ -31,6 +32,7 @@
 
 #include "flags.h"
 #include "net/remote_backend.h"
+#include "net/wire.h"
 #include "service/protocol.h"
 
 namespace {
@@ -196,59 +198,7 @@ int main(int argc, char** argv) {
       std::printf("counters failed: %s\n", result.error.message.c_str());
       return 1;
     }
-    const auto& c = result.counters;
-    std::printf("queries %" PRIu64 "  batches %" PRIu64 "  publishes %" PRIu64
-                "\n",
-                c.queries, c.batches, c.publishes);
-    std::printf("deltas applied %" PRIu64 "  coalesced %" PRIu64
-                "  charges %" PRIu64 "\n",
-                c.deltas_applied, c.deltas_coalesced, c.charges);
-    std::printf("max batch %.3f ms  max served staleness %.3f ms\n",
-                static_cast<double>(c.max_batch_ns) / 1e6,
-                static_cast<double>(c.max_staleness_ns) / 1e6);
-    std::printf("snapshot rows rebuilt %" PRIu64 "  reused %" PRIu64
-                "  shards republished %" PRIu64 "  full rebuilds %" PRIu64
-                "\n",
-                c.rows_rebuilt, c.rows_reused, c.shards_republished,
-                c.full_rebuilds);
-    std::printf("publish latency mean %.3f ms  max %.3f ms\n",
-                c.publishes > 0 ? static_cast<double>(c.publish_total_ns) /
-                                      static_cast<double>(c.publishes) / 1e6
-                                : 0.0,
-                static_cast<double>(c.max_publish_ns) / 1e6);
-    std::printf("checkpoints %" PRIu64 "  checkpoint bytes %" PRIu64
-                "  journal patches %" PRIu64 "  compactions %" PRIu64 "\n",
-                c.checkpoints_written, c.checkpoint_bytes_written,
-                c.journal_patches, c.journal_compactions);
-    if (result.has_replica) {
-      const auto& r = result.replica;
-      std::printf("replica: hop %" PRIu64 "  full syncs %" PRIu64
-                  "  delta syncs %" PRIu64 "  resyncs %" PRIu64
-                  "  sync lag %.3f ms\n",
-                  r.hop_count, r.full_syncs, r.delta_syncs, r.resyncs,
-                  static_cast<double>(r.sync_lag_ns) / 1e6);
-      std::printf("  shards fetched %" PRIu64 "  chunks %" PRIu64
-                  "  bytes %" PRIu64 "  blocks adopted %" PRIu64 "\n",
-                  r.shards_fetched, r.chunks_fetched, r.bytes_fetched,
-                  r.blocks_adopted);
-      std::printf("  notifies received %" PRIu64 "  coalesced %" PRIu64
-                  "  upstream disconnects %" PRIu64 "\n",
-                  r.notifies_received, r.notifies_coalesced,
-                  r.upstream_disconnects);
-      std::printf("  deltas forwarded %" PRIu64 "  forward retries %" PRIu64
-                  "  forward rejected %" PRIu64 "\n",
-                  r.deltas_forwarded, r.forward_retries, r.forward_rejected);
-    }
-    const auto& s = result.server;
-    std::printf("server: connections %" PRIu64 "  frames %" PRIu64
-                "  rejected %" PRIu64 "  timeouts %" PRIu64 "\n",
-                s.connections, s.frames, s.rejected_frames, s.timeouts);
-    for (const auto& peer : s.peers) {
-      std::printf("  peer %-15s  conns %" PRIu64 "  queries %" PRIu64
-                  "  batches %" PRIu64 "  rejected %" PRIu64 "\n",
-                  peer.peer.c_str(), peer.connections, peer.queries,
-                  peer.batches, peer.rejected_frames);
-    }
+    std::printf("%s", net::counters_table(result.frame).to_text().c_str());
     return 0;
   }
   if (command == "drain" && operands == 0) {

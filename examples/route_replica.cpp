@@ -90,33 +90,6 @@ graph::Graph make_network(std::size_t nodes) {
   return g;
 }
 
-void print_replication_counters(const net::ReplicaCounters& c) {
-  std::printf(
-      "replica sync: %llu full + %llu delta syncs, %llu shards "
-      "(%llu chunks, %llu bytes), %llu blocks adopted\n",
-      static_cast<unsigned long long>(c.full_syncs),
-      static_cast<unsigned long long>(c.delta_syncs),
-      static_cast<unsigned long long>(c.shards_fetched),
-      static_cast<unsigned long long>(c.chunks_fetched),
-      static_cast<unsigned long long>(c.bytes_fetched),
-      static_cast<unsigned long long>(c.blocks_adopted));
-  std::printf(
-      "replica notify: %llu received (%llu coalesced), %llu resyncs, "
-      "last sync lag %.3f ms\n",
-      static_cast<unsigned long long>(c.notifies_received),
-      static_cast<unsigned long long>(c.notifies_coalesced),
-      static_cast<unsigned long long>(c.resyncs),
-      static_cast<double>(c.sync_lag_ns) / 1e6);
-  std::printf(
-      "replica chain: hop %llu, %llu upstream disconnects; forwarding: "
-      "%llu deltas, %llu retries, %llu rejected\n",
-      static_cast<unsigned long long>(c.hop_count),
-      static_cast<unsigned long long>(c.upstream_disconnects),
-      static_cast<unsigned long long>(c.deltas_forwarded),
-      static_cast<unsigned long long>(c.forward_retries),
-      static_cast<unsigned long long>(c.forward_rejected));
-}
-
 /// Queries both daemons with the same randomized batch (every request
 /// kind, including out-of-range nodes) and compares every answer.
 bool compare_answers(net::RemoteQueryBackend& primary,
@@ -236,7 +209,8 @@ int run_daemon(std::vector<net::ClientConfig> upstreams,
   std::printf("\nroute_replica: draining...\n");
   server.stop();
   replica.stop();
-  print_replication_counters(replica.replication_counters());
+  std::printf("%s\n",
+              net::counters_table(server.counters_frame()).to_text().c_str());
   return 0;
 }
 
@@ -389,8 +363,11 @@ int main(int argc, char** argv) {
   // The counters frame a monitoring client sees carries the replication
   // section too — fetch it over the wire from the replica's server.
   const auto remote_counters = replica_backend.counters();
-  const bool counters_ok = remote_counters.ok() && remote_counters.has_replica;
-  if (counters_ok) print_replication_counters(remote_counters.replica);
+  const bool counters_ok =
+      remote_counters.ok() && remote_counters.frame.has_replica;
+  if (counters_ok)
+    std::printf("%s\n",
+                net::counters_table(remote_counters.frame).to_text().c_str());
 
   replica_server.stop();
   replica.stop();

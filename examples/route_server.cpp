@@ -171,6 +171,8 @@ bool loopback_check(service::RouteService& svc) {
     }
   std::printf("loopback: %zu remote answers bit-identical to local query()\n",
               local.size());
+  std::printf("%s\n",
+              net::counters_table(server.counters_frame()).to_text().c_str());
   return true;
 }
 
@@ -250,15 +252,8 @@ int run_daemon(std::uint16_t port, std::size_t nodes, unsigned workers,
 
   std::printf("\nroute_server: draining...\n");
   server.stop();
-  const auto stats = server.stats();
-  std::printf("served %llu frames (%llu query batches) over %llu "
-              "connections; %llu rejected, %llu timeouts\n",
-              static_cast<unsigned long long>(stats.frames),
-              static_cast<unsigned long long>(stats.batches),
-              static_cast<unsigned long long>(stats.connections),
-              static_cast<unsigned long long>(stats.rejected_frames),
-              static_cast<unsigned long long>(stats.timeouts));
-  std::printf("%s\n", svc.counters_table().to_text().c_str());
+  std::printf("%s\n",
+              net::counters_table(server.counters_frame()).to_text().c_str());
   return 0;
 }
 
@@ -395,8 +390,6 @@ int main(int argc, char** argv) {
 
   // --- remote front end ---------------------------------------------------
   const bool remote_ok = loopback_check(svc);
-
-  std::printf("%s\n", svc.counters_table().to_text().c_str());
 
   const bool ok = torn_reads == 0 && identical && total_reads > 0 && remote_ok;
   std::printf(ok ? "route_server: OK\n" : "route_server: FAILED\n");

@@ -124,8 +124,16 @@ int main(int argc, char** argv) {
     PublishNotify notify;
     notify.snapshot_version = 1;
     notify.publish_count = 1;
-    const std::string counters =
-        encode_counters(svc.counters(), ServerCounters{});
+    // Two peers and a replica section, so the seed reaches every decoder
+    // branch of the counters frame.
+    CountersFrame frame;
+    frame.service = svc.counters();
+    frame.peers.push_back({"127.0.0.1", 2, 40, 5, 1});
+    frame.peers.push_back({"(other)", 1, 0, 0, 3});
+    frame.has_replica = true;
+    frame.replica.full_syncs = 1;
+    frame.replica.hop_count = 1;
+    const std::string counters = encode_counters(frame);
 
     const std::string payloads[12] = {
         encode_frame(FrameType::kHello, encode_hello(hello)),

@@ -315,17 +315,11 @@ CountersResult RouteClient::counters() {
   std::string payload;
   result.error = receive_frame(FrameType::kCountersReply, payload);
   if (!result.error.ok()) return result;
-  CountersFrame frame;
-  if (!decode_counters(payload, frame)) {
+  if (!decode_counters(payload, result.frame)) {
     close();
     result.error =
         make_error(ClientStatus::kProtocolError, "bad counters payload");
-    return result;
   }
-  result.counters = frame.service;
-  result.server = std::move(frame.server);
-  result.replica = frame.replica;
-  result.has_replica = frame.has_replica;
   return result;
 }
 

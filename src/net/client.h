@@ -71,12 +71,7 @@ struct QueryResult {
 
 struct CountersResult {
   ClientError error;
-  service::Counters counters;
-  /// The daemon's own frame totals and per-peer breakdown.
-  ServerCounters server;
-  /// Replication counters; meaningful iff has_replica (replica daemons).
-  ReplicaCounters replica;
-  bool has_replica = false;
+  CountersFrame frame;
   bool ok() const { return error.ok(); }
 };
 

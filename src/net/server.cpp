@@ -176,32 +176,32 @@ void RouteServer::stop() {
   pending_.clear();
 }
 
-RouteServer::Stats RouteServer::stats() const {
-  Stats s;
-  s.connections = connections_.load(std::memory_order_relaxed);
-  s.frames = frames_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.rejected_frames = rejected_frames_.load(std::memory_order_relaxed);
-  s.timeouts = timeouts_.load(std::memory_order_relaxed);
+ServerCounters RouteServer::stats() const { return counters_.read(); }
+
+std::vector<PeerCounters> RouteServer::peer_stats() const {
   util::MutexLock lock(peers_mutex_);
-  s.peers.reserve(peers_.size());
-  for (const auto& [peer, tally] : peers_) {
-    PeerCounters counters;
-    counters.peer = peer;
-    counters.connections = tally.connections;
-    counters.queries = tally.queries;
-    counters.batches = tally.batches;
-    counters.rejected_frames = tally.rejected_frames;
-    s.peers.push_back(std::move(counters));
-  }
-  return s;
+  std::vector<PeerCounters> peers;
+  peers.reserve(peers_.size());
+  for (const auto& entry : peers_) peers.push_back(entry.second);
+  return peers;
 }
 
-RouteServer::PeerTally& RouteServer::peer_tally(const std::string& peer) {
-  const auto found = peers_.find(peer);
-  if (found != peers_.end()) return found->second;
-  if (peers_.size() >= kMaxPeers) return peers_["(other)"];
-  return peers_[peer];
+CountersFrame RouteServer::counters_frame() const {
+  CountersFrame frame;
+  frame.service = backend_.counters();
+  frame.server = stats();
+  frame.peers = peer_stats();
+  frame.has_replica = backend_.replica_counters(frame.replica);
+  return frame;
+}
+
+PeerCounters& RouteServer::peer_counters(const std::string& peer) {
+  auto found = peers_.find(peer);
+  if (found == peers_.end()) {
+    const std::string key = peers_.size() < kMaxPeers ? peer : "(other)";
+    found = peers_.try_emplace(key, PeerCounters{key}).first;
+  }
+  return found->second;
 }
 
 void RouteServer::accept_loop() {
@@ -211,7 +211,7 @@ void RouteServer::accept_loop() {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       break;  // listener shut down (or unrecoverable)
     }
-    connections_.fetch_add(1, std::memory_order_relaxed);
+    counters_.add(&ServerCounters::connections);
     {
       util::MutexLock lock(queue_mutex_);
       pending_.push_back(fd);
@@ -252,7 +252,7 @@ void RouteServer::serve_connection(int fd) {
   }
   {
     util::MutexLock lock(peers_mutex_);
-    peer_tally(peer).connections += 1;
+    peer_counters(peer).connections += 1;
   }
   while (serve_frame(fd, peer)) {
   }
@@ -261,10 +261,10 @@ void RouteServer::serve_connection(int fd) {
 
 bool RouteServer::send_error(int fd, const std::string& peer, WireStatus code,
                              const std::string& message) {
-  rejected_frames_.fetch_add(1, std::memory_order_relaxed);
+  counters_.add(&ServerCounters::rejected_frames);
   {
     util::MutexLock lock(peers_mutex_);
-    peer_tally(peer).rejected_frames += 1;
+    peer_counters(peer).rejected_frames += 1;
   }
   const std::string frame =
       encode_frame(FrameType::kError, encode_error({code, message}));
@@ -283,7 +283,7 @@ bool RouteServer::serve_frame(int fd, const std::string& peer) {
     case IoResult::kStopped:  // shutdown while idle between frames
       return false;
     case IoResult::kTimeout:
-      timeouts_.fetch_add(1, std::memory_order_relaxed);
+      counters_.add(&ServerCounters::timeouts);
       return false;
     case IoResult::kError:
       return false;
@@ -300,7 +300,7 @@ bool RouteServer::serve_frame(int fd, const std::string& peer) {
       case IoResult::kOk:
         break;
       case IoResult::kTimeout:
-        timeouts_.fetch_add(1, std::memory_order_relaxed);
+        counters_.add(&ServerCounters::timeouts);
         return false;
       default:
         return false;
@@ -339,24 +339,20 @@ bool RouteServer::serve_frame(int fd, const std::string& peer) {
       if (!batch.ok()) return send_error(fd, peer, batch.status, batch.error);
       const std::vector<service::Reply> replies = backend_.query(
           std::span<const service::Request>(batch.requests));
-      batches_.fetch_add(1, std::memory_order_relaxed);
+      counters_.add(&ServerCounters::batches);
       {
         util::MutexLock lock(peers_mutex_);
-        PeerTally& tally = peer_tally(peer);
-        tally.queries += batch.requests.size();
-        tally.batches += 1;
+        PeerCounters& counters = peer_counters(peer);
+        counters.queries += batch.requests.size();
+        counters.batches += 1;
       }
       reply_frame =
           encode_frame(FrameType::kReplyBatch, encode_replies(replies));
       break;
     }
     case FrameType::kCountersFetch: {
-      ReplicaCounters replica;
-      const bool is_replica = backend_.replica_counters(replica);
-      reply_frame = encode_frame(
-          FrameType::kCountersReply,
-          encode_counters(backend_.counters(), stats(),
-                          is_replica ? &replica : nullptr));
+      reply_frame = encode_frame(FrameType::kCountersReply,
+                                 encode_counters(counters_frame()));
       break;
     }
     case FrameType::kDeltaSubmit: {
@@ -395,7 +391,7 @@ bool RouteServer::serve_frame(int fd, const std::string& peer) {
     case FrameType::kSnapshotFetch: {
       const ShardVersionsResult fetch = decode_shard_versions(payload);
       if (!fetch.ok()) return send_error(fd, peer, fetch.status, fetch.error);
-      frames_.fetch_add(1, std::memory_order_relaxed);
+      counters_.add(&ServerCounters::frames);
       return serve_snapshot_fetch(fd, peer, fetch.versions);
     }
     case FrameType::kSubscribe: {
@@ -403,7 +399,7 @@ bool RouteServer::serve_frame(int fd, const std::string& peer) {
       if (!decode_u64(payload, since))
         return send_error(fd, peer, WireStatus::kMalformed,
                           "bad subscribe payload");
-      frames_.fetch_add(1, std::memory_order_relaxed);
+      counters_.add(&ServerCounters::frames);
       return serve_subscription(fd, since);
     }
     default:
@@ -414,7 +410,7 @@ bool RouteServer::serve_frame(int fd, const std::string& peer) {
   }
 
   if (!write_all(fd, reply_frame, config_.read_timeout_ms)) return false;
-  frames_.fetch_add(1, std::memory_order_relaxed);
+  counters_.add(&ServerCounters::frames);
   // Stop taking new frames once shutdown began; the reply above completes
   // the in-flight exchange.
   return !stopping_.load(std::memory_order_relaxed);
@@ -449,7 +445,7 @@ bool RouteServer::serve_snapshot_fetch(
         if (!write_all(fd, encode_frame(FrameType::kSnapshotChunk, chunk),
                        config_.read_timeout_ms))
           return false;
-        frames_.fetch_add(1, std::memory_order_relaxed);
+        counters_.add(&ServerCounters::frames);
         return true;
       });
   if (oversized)
@@ -492,7 +488,7 @@ bool RouteServer::serve_subscription(int fd, std::uint64_t since) {
                                     encode_publish_notify(notify)),
                    config_.read_timeout_ms))
       return false;
-    frames_.fetch_add(1, std::memory_order_relaxed);
+    counters_.add(&ServerCounters::frames);
     last = count;
     first = false;
   }

@@ -37,6 +37,7 @@
 
 #include "net/wire.h"
 #include "service/backend.h"
+#include "util/counters.h"
 #include "util/mutex.h"
 
 namespace fpss::net {
@@ -57,12 +58,6 @@ struct ServerConfig {
 
 class RouteServer {
  public:
-  /// Monotone totals across all connections plus the per-peer breakdown,
-  /// for the daemon's own report and the counters frame. The wire type
-  /// (net::ServerCounters) *is* the stats type — what stats() returns is
-  /// exactly what a remote `route_query counters` shows.
-  using Stats = ServerCounters;
-
   /// Binds and starts serving immediately. Check ok() — constructors
   /// cannot return the bind error, and a daemon that silently isn't
   /// listening is worse than one that reports why. The backend must
@@ -79,24 +74,24 @@ class RouteServer {
   /// The bound port (the resolved one when config.port was 0).
   std::uint16_t port() const { return port_; }
 
-  Stats stats() const;
+  /// Monotone totals across all connections.
+  ServerCounters stats() const;
+  /// The per-peer breakdown, sorted by peer address.
+  std::vector<PeerCounters> peer_stats() const;
+  /// What a kCountersFetch to this server returns: the backend's counters
+  /// (and replica section), stats() and peer_stats().
+  CountersFrame counters_frame() const;
 
   /// Graceful shutdown: stop accepting, serve out in-flight frames, join
   /// every thread. Idempotent; the destructor calls it.
   void stop();
 
  private:
-  /// Per-peer tallies live behind peers_mutex_ (written per served frame,
-  /// read by stats()); keyed by the peer's textual address. Bounded: once
-  /// kMaxPeers distinct addresses exist, further ones account under
+  /// Per-peer counters live behind peers_mutex_ (written per served frame,
+  /// read by peer_stats()); keyed by the peer's textual address. Bounded:
+  /// once kMaxPeers distinct addresses exist, further ones account under
   /// "(other)" — a scanner cycling source addresses must not grow server
   /// memory without bound.
-  struct PeerTally {
-    std::uint64_t connections = 0;
-    std::uint64_t queries = 0;
-    std::uint64_t batches = 0;
-    std::uint64_t rejected_frames = 0;
-  };
   static constexpr std::size_t kMaxPeers = 256;
 
   void accept_loop();
@@ -116,9 +111,9 @@ class RouteServer {
   bool serve_subscription(int fd, std::uint64_t since);
   bool send_error(int fd, const std::string& peer, WireStatus code,
                   const std::string& message);
-  /// The tally this peer accounts under (the overflow bucket when the
+  /// The counters this peer accounts under (the overflow bucket when the
   /// table is full).
-  PeerTally& peer_tally(const std::string& peer)
+  PeerCounters& peer_counters(const std::string& peer)
       FPSS_REQUIRES(peers_mutex_);
 
   service::Backend& backend_;
@@ -135,15 +130,10 @@ class RouteServer {
   /// Accepted fds awaiting a worker.
   std::deque<int> pending_ FPSS_GUARDED_BY(queue_mutex_);
 
-  // Stats: relaxed atomics, written by any worker.
-  std::atomic<std::uint64_t> connections_{0};
-  std::atomic<std::uint64_t> frames_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> rejected_frames_{0};
-  std::atomic<std::uint64_t> timeouts_{0};
+  util::LiveCounters<ServerCounters> counters_;  ///< written by any worker
 
   mutable util::Mutex peers_mutex_;
-  std::map<std::string, PeerTally> peers_ FPSS_GUARDED_BY(peers_mutex_);
+  std::map<std::string, PeerCounters> peers_ FPSS_GUARDED_BY(peers_mutex_);
 
   std::vector<std::thread> workers_;
   std::thread acceptor_;

@@ -142,9 +142,7 @@ bool decode_hello_ack(std::string_view payload, HelloAck& out) {
   out.node_count = in.u64();
   out.snapshot_version = in.u64();
   out.max_batch = in.u32();
-  // hop_count is a later addition: a payload ending after max_batch came
-  // from a pre-chaining encoder and decodes as hop 0 (a primary).
-  out.hop_count = in.remaining() > 0 ? in.u32() : 0;
+  out.hop_count = in.u32();
   return !in.fail && in.pos == payload.size();
 }
 
@@ -187,10 +185,7 @@ std::string encode_delta_ack(const DeltaAck& ack) {
 bool decode_delta_ack(std::string_view payload, DeltaAck& out) {
   BinReader in{payload};
   out.accepted = in.u64();
-  // publish_count is a later addition: a pre-ack encoder sent only the
-  // accepted count, which decodes with publish_count 0 (no read-your-write
-  // promise can be made from it).
-  out.publish_count = in.remaining() > 0 ? in.u64() : 0;
+  out.publish_count = in.u64();
   return !in.fail && in.pos == payload.size();
 }
 
@@ -448,105 +443,60 @@ bool decode_publish_notify(std::string_view payload, PublishNotify& out) {
 }
 
 namespace {
+
 /// A peer address is a dotted quad (or "(other)"); anything longer is a
 /// lying frame.
 constexpr std::uint32_t kMaxPeerAddrBytes = 64;
+/// The smallest peer entry: an empty address's length prefix plus the
+/// counters.
+constexpr std::size_t kMinPeerBytes = 4 + 8 * PeerCounters::fields().size();
+
+template <typename T>
+void append_fields(std::string& out, const T& record) {
+  for (const util::CounterField<T>& field : T::fields())
+    append_u64(out, record.*field.member);
+}
+
+template <typename T>
+void read_fields(BinReader& in, T& record) {
+  for (const util::CounterField<T>& field : T::fields())
+    record.*field.member = in.u64();
+}
+
+/// One `<prefix><name>  value` row per field of `record`.
+template <typename T>
+void add_rows(util::Table& table, const std::string& prefix,
+              const T& record) {
+  for (const util::CounterField<T>& field : T::fields())
+    table.add(prefix + field.name, record.*field.member);
+}
+
 }  // namespace
 
-std::string encode_counters(const service::Counters& counters,
-                            const ServerCounters& server,
-                            const ReplicaCounters* replica) {
+std::string encode_counters(const CountersFrame& frame) {
   std::string out;
-  out.reserve((20 + 5 + 10) * 8 + 5 +
-              server.peers.size() * (4 + 16 + 4 * 8));
-  append_u64(out, counters.queries);
-  append_u64(out, counters.batches);
-  append_u64(out, counters.total_ns);
-  append_u64(out, counters.max_batch_ns);
-  append_u64(out, counters.max_staleness_ns);
-  append_u64(out, counters.publishes);
-  append_u64(out, counters.deltas_applied);
-  append_u64(out, counters.deltas_coalesced);
-  append_u64(out, counters.charges);
-  append_u64(out, counters.rows_rebuilt);
-  append_u64(out, counters.rows_reused);
-  append_u64(out, counters.shards_republished);
-  append_u64(out, counters.full_rebuilds);
-  append_u64(out, counters.publish_total_ns);
-  append_u64(out, counters.max_publish_ns);
-  append_u64(out, counters.shard_exports_inflight_max);
-  append_u64(out, counters.checkpoints_written);
-  append_u64(out, counters.checkpoint_bytes_written);
-  append_u64(out, counters.journal_patches);
-  append_u64(out, counters.journal_compactions);
-  append_u64(out, server.connections);
-  append_u64(out, server.frames);
-  append_u64(out, server.batches);
-  append_u64(out, server.rejected_frames);
-  append_u64(out, server.timeouts);
-  append_u32(out, static_cast<std::uint32_t>(server.peers.size()));
-  for (const PeerCounters& peer : server.peers) {
+  append_fields(out, frame.service);
+  append_fields(out, frame.server);
+  append_u32(out, static_cast<std::uint32_t>(frame.peers.size()));
+  for (const PeerCounters& peer : frame.peers) {
     append_u32(out, static_cast<std::uint32_t>(peer.peer.size()));
     out.append(peer.peer);
-    append_u64(out, peer.connections);
-    append_u64(out, peer.queries);
-    append_u64(out, peer.batches);
-    append_u64(out, peer.rejected_frames);
+    append_fields(out, peer);
   }
-  append_u8(out, replica != nullptr ? 1 : 0);
-  if (replica != nullptr) {
-    append_u64(out, replica->full_syncs);
-    append_u64(out, replica->delta_syncs);
-    append_u64(out, replica->shards_fetched);
-    append_u64(out, replica->chunks_fetched);
-    append_u64(out, replica->bytes_fetched);
-    append_u64(out, replica->blocks_adopted);
-    append_u64(out, replica->notifies_received);
-    append_u64(out, replica->notifies_coalesced);
-    append_u64(out, replica->resyncs);
-    append_u64(out, replica->sync_lag_ns);
-    append_u64(out, replica->hop_count);
-    append_u64(out, replica->upstream_disconnects);
-    append_u64(out, replica->deltas_forwarded);
-    append_u64(out, replica->forward_retries);
-    append_u64(out, replica->forward_rejected);
-  }
+  append_u8(out, frame.has_replica ? 1 : 0);
+  if (frame.has_replica) append_fields(out, frame.replica);
   return out;
 }
 
 bool decode_counters(std::string_view payload, CountersFrame& out) {
   BinReader in{payload};
-  out.service.queries = in.u64();
-  out.service.batches = in.u64();
-  out.service.total_ns = in.u64();
-  out.service.max_batch_ns = in.u64();
-  out.service.max_staleness_ns = in.u64();
-  out.service.publishes = in.u64();
-  out.service.deltas_applied = in.u64();
-  out.service.deltas_coalesced = in.u64();
-  out.service.charges = in.u64();
-  out.service.rows_rebuilt = in.u64();
-  out.service.rows_reused = in.u64();
-  out.service.shards_republished = in.u64();
-  out.service.full_rebuilds = in.u64();
-  out.service.publish_total_ns = in.u64();
-  out.service.max_publish_ns = in.u64();
-  out.service.shard_exports_inflight_max = in.u64();
-  out.service.checkpoints_written = in.u64();
-  out.service.checkpoint_bytes_written = in.u64();
-  out.service.journal_patches = in.u64();
-  out.service.journal_compactions = in.u64();
-  out.server.connections = in.u64();
-  out.server.frames = in.u64();
-  out.server.batches = in.u64();
-  out.server.rejected_frames = in.u64();
-  out.server.timeouts = in.u64();
+  read_fields(in, out.service);
+  read_fields(in, out.server);
   const std::uint32_t peer_count = in.u32();
-  // Every peer entry is at least 36 bytes; a lying count cannot force a
-  // large allocation past this bound.
-  if (in.fail || peer_count > in.remaining() / 36) return false;
-  out.server.peers.clear();
-  out.server.peers.reserve(peer_count);
+  // A lying count cannot force a large allocation past this bound.
+  if (in.fail || peer_count > in.remaining() / kMinPeerBytes) return false;
+  out.peers.clear();
+  out.peers.reserve(peer_count);
   for (std::uint32_t p = 0; p < peer_count; ++p) {
     PeerCounters peer;
     const std::uint32_t addr_len = in.u32();
@@ -554,46 +504,25 @@ bool decode_counters(std::string_view payload, CountersFrame& out) {
       return false;
     peer.peer.assign(payload.substr(in.pos, addr_len));
     in.pos += addr_len;
-    peer.connections = in.u64();
-    peer.queries = in.u64();
-    peer.batches = in.u64();
-    peer.rejected_frames = in.u64();
-    if (in.fail) return false;
-    out.server.peers.push_back(std::move(peer));
+    read_fields(in, peer);
+    out.peers.push_back(std::move(peer));
   }
-  if (in.fail) return false;
-  // The replica section is a later addition: a payload that ends after the
-  // peers decodes as replica-less, so older encoders stay readable.
-  out.has_replica = false;
-  out.replica = ReplicaCounters{};
-  if (in.remaining() == 0) return true;
   const std::uint8_t present = in.u8();
-  if (present == 0) return !in.fail && in.pos == payload.size();
-  if (present != 1) return false;
-  out.replica.full_syncs = in.u64();
-  out.replica.delta_syncs = in.u64();
-  out.replica.shards_fetched = in.u64();
-  out.replica.chunks_fetched = in.u64();
-  out.replica.bytes_fetched = in.u64();
-  out.replica.blocks_adopted = in.u64();
-  out.replica.notifies_received = in.u64();
-  out.replica.notifies_coalesced = in.u64();
-  out.replica.resyncs = in.u64();
-  out.replica.sync_lag_ns = in.u64();
-  if (in.fail) return false;
-  // The chain/forwarding fields are a later addition: a payload that ends
-  // after sync_lag_ns came from a pre-chaining encoder and decodes with
-  // all five zero.
-  if (in.remaining() > 0) {
-    out.replica.hop_count = in.u64();
-    out.replica.upstream_disconnects = in.u64();
-    out.replica.deltas_forwarded = in.u64();
-    out.replica.forward_retries = in.u64();
-    out.replica.forward_rejected = in.u64();
-  }
-  if (in.fail || in.pos != payload.size()) return false;
-  out.has_replica = true;
-  return true;
+  if (present > 1) return false;
+  out.has_replica = present == 1;
+  out.replica = ReplicaCounters{};
+  if (out.has_replica) read_fields(in, out.replica);
+  return !in.fail && in.pos == payload.size();
+}
+
+util::Table counters_table(const CountersFrame& frame) {
+  util::Table table({"counter", "value"});
+  add_rows(table, "service.", frame.service);
+  add_rows(table, "server.", frame.server);
+  for (const PeerCounters& peer : frame.peers)
+    add_rows(table, "peer[" + peer.peer + "].", peer);
+  if (frame.has_replica) add_rows(table, "replica.", frame.replica);
+  return table;
 }
 
 }  // namespace fpss::net

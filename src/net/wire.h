@@ -17,7 +17,7 @@
 // Frame types (tags are wire-reserved; append, never renumber):
 //   kHello(0x01)         -> kHelloAck(0x02)      version negotiation
 //   kQueryBatch(0x10)    -> kReplyBatch(0x11)    the data path
-//   kCountersFetch(0x20) -> kCountersReply(0x21) service counters
+//   kCountersFetch(0x20) -> kCountersReply(0x21) the counters frame
 //   kDeltaSubmit(0x30)   -> kDeltaAck(0x31)      remote topology deltas
 //   kDrain(0x40)         -> kDrainReply(0x41)    publish barrier
 //   kSnapshotFetch(0x50) -> kSnapshotChunk(0x51)* per-shard snapshot sync
@@ -39,6 +39,8 @@
 
 #include "service/backend.h"
 #include "service/protocol.h"
+#include "util/counters.h"
+#include "util/table.h"
 
 namespace fpss::net {
 
@@ -130,8 +132,7 @@ struct HelloAck {
   std::uint64_t snapshot_version = 0;
   std::uint32_t max_batch = 0;  ///< server's request-batch capacity
   /// Chain depth of the answering backend: 0 on a primary, upstream's
-  /// hop + 1 on a replica. Appended in PR 9; a pre-chaining encoder's
-  /// shorter payload decodes with hop_count = 0.
+  /// hop + 1 on a replica.
   std::uint32_t hop_count = 0;
 };
 
@@ -156,8 +157,7 @@ bool decode_u64(std::string_view payload, std::uint64_t& out);
 /// on a forwarding chain every tier relays the primary's post-drain count
 /// unchanged, so a caller at any depth can wait_for_publish_beyond
 /// (publish_count - 1) against its local replica and then read its own
-/// write. A pre-ack encoder sent only the accepted count; that 8-byte
-/// payload decodes with publish_count = 0 (no read-your-write guarantee).
+/// write.
 struct DeltaAck {
   std::uint64_t accepted = 0;
   std::uint64_t publish_count = 0;
@@ -254,48 +254,70 @@ struct PeerCounters {
   std::uint64_t queries = 0;          ///< individual requests answered
   std::uint64_t batches = 0;          ///< query batches served
   std::uint64_t rejected_frames = 0;  ///< typed kError rejections sent
-};
 
-/// net::RouteServer's own accounting: frame-level totals plus the
-/// per-peer breakdown. Lives here (not in server.h) because the counters
-/// frame carries it and server.h already includes wire.h.
+  /// Frame order; see util/counters.h.
+  static constexpr auto fields() {
+    return std::to_array<util::CounterField<PeerCounters>>({
+        {"connections", &PeerCounters::connections},
+        {"queries", &PeerCounters::queries},
+        {"batches", &PeerCounters::batches},
+        {"rejected_frames", &PeerCounters::rejected_frames},
+    });
+  }
+};
+static_assert(util::counters_complete<PeerCounters>(sizeof(std::string)));
+
+/// net::RouteServer's own frame-level totals. Lives here (not in
+/// server.h) because the counters frame carries it and server.h already
+/// includes wire.h.
 struct ServerCounters {
   std::uint64_t connections = 0;
   std::uint64_t frames = 0;           ///< well-formed frames served
   std::uint64_t batches = 0;          ///< query batches answered
   std::uint64_t rejected_frames = 0;  ///< header/payload validation failures
   std::uint64_t timeouts = 0;         ///< connections dropped mid-frame
-  std::vector<PeerCounters> peers;    ///< sorted by peer address
+
+  /// Frame order; see util/counters.h.
+  static constexpr auto fields() {
+    return std::to_array<util::CounterField<ServerCounters>>({
+        {"connections", &ServerCounters::connections},
+        {"frames", &ServerCounters::frames},
+        {"batches", &ServerCounters::batches},
+        {"rejected_frames", &ServerCounters::rejected_frames},
+        {"timeouts", &ServerCounters::timeouts},
+    });
+  }
 };
+static_assert(util::counters_complete<ServerCounters>());
 
 /// The replica section of the counters frame (defined with the backend
 /// interface, which serves it).
 using ReplicaCounters = service::ReplicaCounters;
 
-/// What a kCountersReply carries: the service's counters plus the serving
-/// daemon's own frame/peer accounting, plus (from a replica daemon) the
-/// replication counters.
+/// What a kCountersReply carries: the service's counters, the serving
+/// daemon's own frame totals and per-peer breakdown, and (from a replica
+/// daemon) the replication counters.
 struct CountersFrame {
   service::Counters service;
   ServerCounters server;
+  std::vector<PeerCounters> peers;  ///< sorted by peer address
   ReplicaCounters replica;
   bool has_replica = false;
 };
 
-/// Counters payload: the service::Counters fields as u64 in
-/// declaration order (queries .. charges, the PR 6 publication counters
-/// rows_rebuilt .. max_publish_ns, then the PR 7 pipeline/checkpoint
-/// counters shard_exports_inflight_max .. journal_compactions — new
-/// service fields are appended to the section, never reordered), followed
-/// by the server totals (5 u64), the per-peer section (count:u32, then
-/// per peer addr_len:u32 addr bytes + 4 u64), and the replica section
-/// (presence:u8, then the ReplicaCounters fields as u64 in declaration
-/// order when present). The replica section may be absent entirely —
-/// pre-replication encoders stop after the peers — and decoders accept
-/// that.
-std::string encode_counters(const service::Counters& counters,
-                            const ServerCounters& server = {},
-                            const ReplicaCounters* replica = nullptr);
+/// Counters payload. Each record is its fields() table in order, one u64
+/// per field:
+///
+///   service | server | peer_count:u32 (addr_len:u32 addr peer)*
+///   | presence:u8 (0 or 1) | replica (iff presence is 1)
+///
+/// The decoder accepts exactly what the encoder writes: every truncation,
+/// trailing byte or presence value above 1 is rejected.
+std::string encode_counters(const CountersFrame& frame);
 bool decode_counters(std::string_view payload, CountersFrame& out);
+
+/// The frame as rows of `section.name  value`, one per field: sections
+/// service, server, peer[<address>] per peer, and replica when present.
+util::Table counters_table(const CountersFrame& frame);
 
 }  // namespace fpss::net

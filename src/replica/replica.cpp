@@ -99,8 +99,8 @@ void ReplicaService::sync_loop() {
     const std::size_t target = current_upstream_index();
     const auto fail_over = [&](bool established) {
       if (established) {
-        resyncs_.fetch_add(1, std::memory_order_relaxed);
-        upstream_disconnects_.fetch_add(1, std::memory_order_relaxed);
+        sync_counters_.add(&net::ReplicaCounters::resyncs);
+        sync_counters_.add(&net::ReplicaCounters::upstream_disconnects);
       }
       fetch_.reset();
       notify_.reset();
@@ -123,9 +123,9 @@ void ReplicaService::sync_loop() {
       fail_over(false);
       continue;
     }
-    notifies_received_.fetch_add(1, std::memory_order_relaxed);
-    notifies_coalesced_.fetch_add(sub.notify.coalesced,
-                                  std::memory_order_relaxed);
+    sync_counters_.add(&net::ReplicaCounters::notifies_received);
+    sync_counters_.add(&net::ReplicaCounters::notifies_coalesced,
+                       sub.notify.coalesced);
     last_server_count = sub.notify.publish_count;
     if (!sync_once(last_server_count)) {
       fail_over(ever_synced);
@@ -141,9 +141,9 @@ void ReplicaService::sync_loop() {
           notify_->await_notify(config_.notify_wait_ms);
       if (pushed.error.status == net::ClientStatus::kTimeout) continue;
       if (!pushed.ok()) break;  // connection lost; resync
-      notifies_received_.fetch_add(1, std::memory_order_relaxed);
-      notifies_coalesced_.fetch_add(pushed.notify.coalesced,
-                                    std::memory_order_relaxed);
+      sync_counters_.add(&net::ReplicaCounters::notifies_received);
+      sync_counters_.add(&net::ReplicaCounters::notifies_coalesced,
+                         pushed.notify.coalesced);
       last_server_count =
           std::max(last_server_count, pushed.notify.publish_count);
       if (!sync_once(last_server_count)) break;
@@ -169,8 +169,8 @@ bool ReplicaService::sync_once(std::uint64_t server_count) {
       known, [&assembler](std::string_view chunk) {
         return assembler.feed(chunk);
       });
-  chunks_fetched_.fetch_add(fetched.chunks, std::memory_order_relaxed);
-  bytes_fetched_.fetch_add(fetched.bytes, std::memory_order_relaxed);
+  sync_counters_.add(&net::ReplicaCounters::chunks_fetched, fetched.chunks);
+  sync_counters_.add(&net::ReplicaCounters::bytes_fetched, fetched.bytes);
   if (!fetched.ok() && assembler.error().empty()) return false;
 
   ReplicationCodec::Assembler::Result result = assembler.finish();
@@ -183,18 +183,17 @@ bool ReplicaService::sync_once(std::uint64_t server_count) {
     return false;
   }
 
-  shards_fetched_.fetch_add(result.shards_sent.size(),
-                            std::memory_order_relaxed);
-  blocks_adopted_.fetch_add(result.blocks_adopted, std::memory_order_relaxed);
-  if (known.size() == result.shard_versions.size()) {
-    delta_syncs_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    full_syncs_.fetch_add(1, std::memory_order_relaxed);
-  }
+  sync_counters_.add(&net::ReplicaCounters::shards_fetched,
+                     result.shards_sent.size());
+  sync_counters_.add(&net::ReplicaCounters::blocks_adopted,
+                     result.blocks_adopted);
+  sync_counters_.add(known.size() == result.shard_versions.size()
+                         ? &net::ReplicaCounters::delta_syncs
+                         : &net::ReplicaCounters::full_syncs);
   install(result, server_count);
-  sync_lag_ns_.store(util::age_from(result.snapshot->published_at_ns(),
-                                    util::wall_clock_ns()),
-                     std::memory_order_relaxed);
+  sync_counters_.set(&net::ReplicaCounters::sync_lag_ns,
+                     util::age_from(result.snapshot->published_at_ns(),
+                                    util::wall_clock_ns()));
   return true;
 }
 
@@ -308,12 +307,11 @@ std::uint64_t ReplicaService::publish_count() const {
 
 std::vector<service::Reply> ReplicaService::query(
     std::span<const service::Request> batch) const {
-  return reads_.query(store().get(), batch);
+  return service::answer_batch(store().get(), batch, read_counters_);
 }
 
 service::Counters ReplicaService::counters() const {
-  service::Counters c;
-  reads_.fill(c);
+  service::Counters c = read_counters_.read();
   {
     // Local installs, not the chain-wide clock: "how many times did this
     // tier's store move" is the serving-health question counters answer.
@@ -324,23 +322,8 @@ service::Counters ReplicaService::counters() const {
 }
 
 net::ReplicaCounters ReplicaService::replication_counters() const {
-  net::ReplicaCounters c;
-  c.full_syncs = full_syncs_.load(std::memory_order_relaxed);
-  c.delta_syncs = delta_syncs_.load(std::memory_order_relaxed);
-  c.shards_fetched = shards_fetched_.load(std::memory_order_relaxed);
-  c.chunks_fetched = chunks_fetched_.load(std::memory_order_relaxed);
-  c.bytes_fetched = bytes_fetched_.load(std::memory_order_relaxed);
-  c.blocks_adopted = blocks_adopted_.load(std::memory_order_relaxed);
-  c.notifies_received = notifies_received_.load(std::memory_order_relaxed);
-  c.notifies_coalesced = notifies_coalesced_.load(std::memory_order_relaxed);
-  c.resyncs = resyncs_.load(std::memory_order_relaxed);
-  c.sync_lag_ns = sync_lag_ns_.load(std::memory_order_relaxed);
+  net::ReplicaCounters c = sync_counters_.read();
   c.hop_count = hop_.load(std::memory_order_relaxed);
-  c.upstream_disconnects =
-      upstream_disconnects_.load(std::memory_order_relaxed);
-  c.deltas_forwarded = deltas_forwarded_.load(std::memory_order_relaxed);
-  c.forward_retries = forward_retries_.load(std::memory_order_relaxed);
-  c.forward_rejected = forward_rejected_.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -359,7 +342,7 @@ service::SubmitAck ReplicaService::submit_deltas(
   if (forward_inflight_.fetch_add(1, std::memory_order_acq_rel) >=
       config_.forward_inflight_limit) {
     forward_inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    forward_rejected_.fetch_add(1, std::memory_order_relaxed);
+    sync_counters_.add(&net::ReplicaCounters::forward_rejected);
     return refusal(Status::kOverloaded);
   }
 
@@ -383,14 +366,14 @@ service::SubmitAck ReplicaService::submit_deltas(
       if (!forward_->connect().ok()) {
         forward_.reset();
         note_upstream_failure(target);
-        forward_retries_.fetch_add(1, std::memory_order_relaxed);
+        sync_counters_.add(&net::ReplicaCounters::forward_retries);
         continue;
       }
     }
     const net::SubmitResult relayed = forward_->submit_deltas(deltas);
     if (relayed.ok()) {
-      deltas_forwarded_.fetch_add(relayed.accepted,
-                                  std::memory_order_relaxed);
+      sync_counters_.add(&net::ReplicaCounters::deltas_forwarded,
+                         relayed.accepted);
       outcome = {};
       outcome.accepted = relayed.accepted;
       outcome.publish_count = relayed.publish_count;
@@ -406,7 +389,7 @@ service::SubmitAck ReplicaService::submit_deltas(
     }
     forward_.reset();
     note_upstream_failure(target);
-    forward_retries_.fetch_add(1, std::memory_order_relaxed);
+    sync_counters_.add(&net::ReplicaCounters::forward_retries);
   }
   forward_inflight_.fetch_sub(1, std::memory_order_acq_rel);
   return outcome;

@@ -68,6 +68,7 @@
 #include "service/protocol.h"
 #include "service/replication.h"
 #include "service/store.h"
+#include "util/counters.h"
 #include "util/mutex.h"
 
 namespace fpss::replica {
@@ -233,25 +234,11 @@ class ReplicaService final : public service::Backend {
   std::atomic<bool> stop_{false};
   bool stopped_ = false;  ///< stop() completed (caller thread only)
 
-  service::ReadPath reads_;
-  // Sync-side counters (sync thread writes, any thread reads).
-  std::atomic<std::uint64_t> full_syncs_{0};
-  std::atomic<std::uint64_t> delta_syncs_{0};
-  std::atomic<std::uint64_t> shards_fetched_{0};
-  std::atomic<std::uint64_t> chunks_fetched_{0};
-  std::atomic<std::uint64_t> bytes_fetched_{0};
-  std::atomic<std::uint64_t> blocks_adopted_{0};
-  std::atomic<std::uint64_t> notifies_received_{0};
-  std::atomic<std::uint64_t> notifies_coalesced_{0};
-  std::atomic<std::uint64_t> resyncs_{0};
-  std::atomic<std::uint64_t> sync_lag_ns_{0};
-  /// Established (subscribed) upstream sessions lost — the events where
-  /// the replica degrades to its last cut until a reconnect succeeds.
-  std::atomic<std::uint64_t> upstream_disconnects_{0};
-  // Forwarding counters (any server worker writes).
-  std::atomic<std::uint64_t> deltas_forwarded_{0};
-  std::atomic<std::uint64_t> forward_retries_{0};
-  std::atomic<std::uint64_t> forward_rejected_{0};
+  /// The read side (any reader) and the sync and forwarding side (the
+  /// sync thread and every forwarding writer). `publishes` is filled from
+  /// installs_ and `hop_count` from hop_ instead.
+  mutable util::LiveCounters<service::Counters> read_counters_;
+  util::LiveCounters<net::ReplicaCounters> sync_counters_;
 
   std::thread sync_;  ///< last member: joined before state tears down
 };

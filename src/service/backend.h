@@ -14,7 +14,6 @@
 // nothing calls a local and a remote backend through one pointer.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -26,6 +25,7 @@
 #include "service/snapshot.h"
 #include "service/store.h"
 #include "util/cost.h"
+#include "util/counters.h"
 #include "util/types.h"
 
 namespace fpss::service {
@@ -56,8 +56,8 @@ struct Delta {
   static Delta republish() { return {}; }
 };
 
-/// Aggregate serving counters (monotone except the gauges; relaxed-atomic
-/// maintained). A replica fills the read side and `publishes` only.
+/// Aggregate serving counters (monotone except the gauges; kept in a
+/// util::LiveCounters). A replica fills the read side and `publishes` only.
 struct Counters {
   std::uint64_t queries = 0;   ///< individual query answers produced
   std::uint64_t batches = 0;   ///< query()/single-read calls served
@@ -86,14 +86,41 @@ struct Counters {
   std::uint64_t publish_total_ns = 0;  ///< export+publish wall time summed
   std::uint64_t max_publish_ns = 0;
   // Publish + checkpoint counters.
-  /// Always 0 (a publish does not fan out per shard). Kept because the
-  /// counters frame layout is fixed and readers of the frame name it.
+  /// Always 0 (a publish does not fan out per shard). Kept because
+  /// perfbench reads the field by name.
   std::uint64_t shard_exports_inflight_max = 0;
   std::uint64_t checkpoints_written = 0;  ///< fresh images + catch-ups
   std::uint64_t checkpoint_bytes_written = 0;
   std::uint64_t journal_patches = 0;  ///< blocks in appended catch-ups
   std::uint64_t journal_compactions = 0;
+
+  /// Frame order; see util/counters.h.
+  static constexpr auto fields() {
+    return std::to_array<util::CounterField<Counters>>({
+        {"queries", &Counters::queries},
+        {"batches", &Counters::batches},
+        {"total_ns", &Counters::total_ns},
+        {"max_batch_ns", &Counters::max_batch_ns},
+        {"max_staleness_ns", &Counters::max_staleness_ns},
+        {"publishes", &Counters::publishes},
+        {"deltas_applied", &Counters::deltas_applied},
+        {"deltas_coalesced", &Counters::deltas_coalesced},
+        {"charges", &Counters::charges},
+        {"rows_rebuilt", &Counters::rows_rebuilt},
+        {"rows_reused", &Counters::rows_reused},
+        {"shards_republished", &Counters::shards_republished},
+        {"full_rebuilds", &Counters::full_rebuilds},
+        {"publish_total_ns", &Counters::publish_total_ns},
+        {"max_publish_ns", &Counters::max_publish_ns},
+        {"shard_exports_inflight_max", &Counters::shard_exports_inflight_max},
+        {"checkpoints_written", &Counters::checkpoints_written},
+        {"checkpoint_bytes_written", &Counters::checkpoint_bytes_written},
+        {"journal_patches", &Counters::journal_patches},
+        {"journal_compactions", &Counters::journal_compactions},
+    });
+  }
 };
+static_assert(util::counters_complete<Counters>());
 
 /// A replica's sync-side accounting, served locally and over the wire next
 /// to the serving counters (absent on a primary).
@@ -113,8 +140,6 @@ struct ReplicaCounters {
   /// The stamp is the *primary's* publish time, so on a chain each tier's
   /// lag already compounds every upstream hop's lag.
   std::uint64_t sync_lag_ns = 0;
-  // Chain / forwarding fields (appended on the wire; a shorter
-  // pre-chaining payload decodes with all five zero).
   std::uint64_t hop_count = 0;  ///< chain depth (1 = directly on the primary)
   /// Established upstream sessions lost (the degraded-to-last-cut events).
   std::uint64_t upstream_disconnects = 0;
@@ -122,7 +147,29 @@ struct ReplicaCounters {
   std::uint64_t forward_retries = 0;   ///< forwarding attempts that failed
   /// Writes rejected locally by the bounded in-flight gate (kOverloaded).
   std::uint64_t forward_rejected = 0;
+
+  /// Frame order; see util/counters.h.
+  static constexpr auto fields() {
+    return std::to_array<util::CounterField<ReplicaCounters>>({
+        {"full_syncs", &ReplicaCounters::full_syncs},
+        {"delta_syncs", &ReplicaCounters::delta_syncs},
+        {"shards_fetched", &ReplicaCounters::shards_fetched},
+        {"chunks_fetched", &ReplicaCounters::chunks_fetched},
+        {"bytes_fetched", &ReplicaCounters::bytes_fetched},
+        {"blocks_adopted", &ReplicaCounters::blocks_adopted},
+        {"notifies_received", &ReplicaCounters::notifies_received},
+        {"notifies_coalesced", &ReplicaCounters::notifies_coalesced},
+        {"resyncs", &ReplicaCounters::resyncs},
+        {"sync_lag_ns", &ReplicaCounters::sync_lag_ns},
+        {"hop_count", &ReplicaCounters::hop_count},
+        {"upstream_disconnects", &ReplicaCounters::upstream_disconnects},
+        {"deltas_forwarded", &ReplicaCounters::deltas_forwarded},
+        {"forward_retries", &ReplicaCounters::forward_retries},
+        {"forward_rejected", &ReplicaCounters::forward_rejected},
+    });
+  }
 };
+static_assert(util::counters_complete<ReplicaCounters>());
 
 /// The result of a write, from any backend or over the wire. On kOk,
 /// `publish_count` is the primary's publish clock after the write was
@@ -194,32 +241,19 @@ class Backend {
                                                 int timeout_ms) const = 0;
 };
 
-/// The read path both backends share: the batch evaluator and the five
-/// read counters it keeps (relaxed atomics, written from any reader).
-class ReadPath {
- public:
-  using Clock = std::chrono::steady_clock;
+/// The read path both backends share. Answers `batch` from one acquired
+/// `newest` of `store`: every reply carries that snapshot's version and
+/// publish stamp and one shared answer-time clock reading. A null or empty
+/// store (nothing served yet) answers kBadNode throughout. Records the
+/// batch into `counters` (record_batch).
+std::vector<Reply> answer_batch(const ShardedSnapshotStore* store,
+                                std::span<const Request> batch,
+                                util::LiveCounters<Counters>& counters);
 
-  /// Answers `batch` from one acquired `newest` of `store`: every reply
-  /// carries that snapshot's version and publish stamp and one shared
-  /// answer-time clock reading. A null or empty store (nothing served yet)
-  /// answers kBadNode throughout. Records the batch's latency and
-  /// staleness.
-  std::vector<Reply> query(const ShardedSnapshotStore* store,
-                           std::span<const Request> batch) const;
-  /// Records one batch of `queries` answers begun at `start`, served from
-  /// a snapshot `age_ns` old.
-  void record(std::uint64_t queries, std::uint64_t age_ns,
-              Clock::time_point start) const;
-  /// Copies the read counters (queries .. max_staleness_ns) into `out`.
-  void fill(Counters& out) const;
-
- private:
-  mutable std::atomic<std::uint64_t> queries_{0};
-  mutable std::atomic<std::uint64_t> batches_{0};
-  mutable std::atomic<std::uint64_t> total_ns_{0};
-  mutable std::atomic<std::uint64_t> max_batch_ns_{0};
-  mutable std::atomic<std::uint64_t> max_staleness_ns_{0};
-};
+/// Records one batch of `queries` answers begun at `start`, served from a
+/// snapshot `age_ns` old, into the five read counters.
+void record_batch(util::LiveCounters<Counters>& counters,
+                  std::uint64_t queries, std::uint64_t age_ns,
+                  std::chrono::steady_clock::time_point start);
 
 }  // namespace fpss::service

@@ -100,13 +100,12 @@ void RouteService::updater_loop() {
       session_converged_ = true;
     }
     const std::size_t applied = apply_coalesced(batch);
-    deltas_applied_.fetch_add(batch.size(), std::memory_order_relaxed);
+    counters_.add(&Counters::deltas_applied, batch.size());
     // Each burst costs one reconvergence + publish; everything beyond the
     // applied events rode along for free.
     const std::size_t effective = applied == 0 ? 1 : applied;
     if (batch.size() > effective)
-      deltas_coalesced_.fetch_add(batch.size() - effective,
-                                  std::memory_order_relaxed);
+      counters_.add(&Counters::deltas_coalesced, batch.size() - effective);
     publish_current();
   }
 }
@@ -193,32 +192,27 @@ void RouteService::publish_current() {
                                        dirty, &ledger_, pool, &stats);
     stamped = store_.publish(snap);
   }
-  rows_rebuilt_.fetch_add(stats.rows_rebuilt, std::memory_order_relaxed);
-  rows_reused_.fetch_add(stats.rows_reused, std::memory_order_relaxed);
-  shards_republished_.fetch_add(stamped, std::memory_order_relaxed);
+  counters_.add(&Counters::rows_rebuilt, stats.rows_rebuilt);
+  counters_.add(&Counters::rows_reused, stats.rows_reused);
+  counters_.add(&Counters::shards_republished, stamped);
   // A full re-extraction is a fallback only once this session has a CoW
   // base of its own; the warm start's first export is not counted.
-  if (exported_ && stats.full_rebuild)
-    full_rebuilds_.fetch_add(1, std::memory_order_relaxed);
+  if (exported_ && stats.full_rebuild) counters_.add(&Counters::full_rebuilds);
   exported_ = true;
   last_export_epoch_ = epoch;
   const std::uint64_t ns = elapsed_ns(start);
-  publish_total_ns_.fetch_add(ns, std::memory_order_relaxed);
-  std::uint64_t seen = max_publish_ns_.load(std::memory_order_relaxed);
-  while (ns > seen && !max_publish_ns_.compare_exchange_weak(
-                          seen, ns, std::memory_order_relaxed)) {
-  }
+  counters_.add(&Counters::publish_total_ns, ns);
+  counters_.raise(&Counters::max_publish_ns, ns);
 
   // Persistence rides after the readers are already on the new epoch: a
   // slow or broken disk delays the next checkpoint, never a publish.
   if (checkpoint_ != nullptr) {
     checkpoint_->on_publish(snap);
     const CheckpointWriter::Stats& cs = checkpoint_->stats();
-    checkpoints_written_.store(cs.checkpoints, std::memory_order_relaxed);
-    checkpoint_bytes_written_.store(cs.bytes_written,
-                                    std::memory_order_relaxed);
-    journal_patches_.store(cs.patches, std::memory_order_relaxed);
-    journal_compactions_.store(cs.compactions, std::memory_order_relaxed);
+    counters_.set(&Counters::checkpoints_written, cs.checkpoints);
+    counters_.set(&Counters::checkpoint_bytes_written, cs.bytes_written);
+    counters_.set(&Counters::journal_patches, cs.patches);
+    counters_.set(&Counters::journal_compactions, cs.compactions);
   }
   {
     // Notify under the queue mutex so a waiter cannot check the publish
@@ -235,90 +229,47 @@ namespace {
 /// One raw-convention read (the single-read conveniences) against the
 /// newest snapshot, accounted as a batch of one.
 template <typename Read>
-auto read_one(const ShardedSnapshotStore& store, const ReadPath& reads,
-              Read read) {
-  const auto start = ReadPath::Clock::now();
+auto read_one(const ShardedSnapshotStore& store,
+              util::LiveCounters<Counters>& counters, Read read) {
+  const auto start = std::chrono::steady_clock::now();
   const std::shared_ptr<const RouteSnapshot> snap = store.newest();
   const std::uint64_t age_ns =
       util::age_from(snap->published_at_ns(), util::wall_clock_ns());
   auto value = read(*snap);
-  reads.record(1, age_ns, start);
+  record_batch(counters, 1, age_ns, start);
   return value;
 }
 
 }  // namespace
 
 std::vector<Reply> RouteService::query(std::span<const Request> batch) const {
-  return reads_.query(&store_, batch);
+  return answer_batch(&store_, batch, counters_);
 }
 
 Cost RouteService::price(NodeId k, NodeId i, NodeId j) const {
-  return read_one(store_, reads_,
+  return read_one(store_, counters_,
                   [&](const RouteSnapshot& s) { return s.price(k, i, j); });
 }
 
 Cost RouteService::cost(NodeId i, NodeId j) const {
-  return read_one(store_, reads_,
+  return read_one(store_, counters_,
                   [&](const RouteSnapshot& s) { return s.cost(i, j); });
 }
 
 graph::Path RouteService::path(NodeId i, NodeId j) const {
-  return read_one(store_, reads_,
+  return read_one(store_, counters_,
                   [&](const RouteSnapshot& s) { return s.path(i, j); });
 }
 
 Cost::rep RouteService::payment(NodeId k) const {
-  return read_one(store_, reads_,
+  return read_one(store_, counters_,
                   [&](const RouteSnapshot& s) { return s.payment_total(k); });
 }
 
 RouteService::Counters RouteService::counters() const {
-  Counters c;
-  reads_.fill(c);
+  Counters c = counters_.read();
   c.publishes = store_.publish_count();
-  c.deltas_applied = deltas_applied_.load(std::memory_order_relaxed);
-  c.deltas_coalesced = deltas_coalesced_.load(std::memory_order_relaxed);
-  c.charges = charges_.load(std::memory_order_relaxed);
-  c.rows_rebuilt = rows_rebuilt_.load(std::memory_order_relaxed);
-  c.rows_reused = rows_reused_.load(std::memory_order_relaxed);
-  c.shards_republished = shards_republished_.load(std::memory_order_relaxed);
-  c.full_rebuilds = full_rebuilds_.load(std::memory_order_relaxed);
-  c.publish_total_ns = publish_total_ns_.load(std::memory_order_relaxed);
-  c.max_publish_ns = max_publish_ns_.load(std::memory_order_relaxed);
-  c.checkpoints_written = checkpoints_written_.load(std::memory_order_relaxed);
-  c.checkpoint_bytes_written =
-      checkpoint_bytes_written_.load(std::memory_order_relaxed);
-  c.journal_patches = journal_patches_.load(std::memory_order_relaxed);
-  c.journal_compactions =
-      journal_compactions_.load(std::memory_order_relaxed);
   return c;
-}
-
-util::Table RouteService::counters_table() const {
-  const Counters c = counters();
-  util::Table t({"counter", "value"});
-  t.add("queries answered", c.queries);
-  t.add("query batches", c.batches);
-  t.add("mean batch latency (ns)",
-        c.batches == 0 ? 0 : c.total_ns / c.batches);
-  t.add("max batch latency (ns)", c.max_batch_ns);
-  t.add("max served staleness (ns)", c.max_staleness_ns);
-  t.add("snapshots published", c.publishes);
-  t.add("deltas applied", c.deltas_applied);
-  t.add("deltas coalesced", c.deltas_coalesced);
-  t.add("traffic charges recorded", c.charges);
-  t.add("snapshot rows rebuilt", c.rows_rebuilt);
-  t.add("snapshot rows reused", c.rows_reused);
-  t.add("shards republished", c.shards_republished);
-  t.add("full-rebuild fallbacks", c.full_rebuilds);
-  t.add("mean publish latency (ns)",
-        c.publishes == 0 ? 0 : c.publish_total_ns / c.publishes);
-  t.add("max publish latency (ns)", c.max_publish_ns);
-  t.add("checkpoints written", c.checkpoints_written);
-  t.add("checkpoint bytes written", c.checkpoint_bytes_written);
-  t.add("journal patches", c.journal_patches);
-  t.add("journal compactions", c.journal_compactions);
-  return t;
 }
 
 // --- traffic accounting ----------------------------------------------------
@@ -334,7 +285,7 @@ void RouteService::charge(NodeId i, NodeId j, std::uint64_t packets) {
     util::MutexLock lock(ledger_mutex_);
     ledger_.record_packets(p, snap->price_fn(), packets);
   }
-  charges_.fetch_add(1, std::memory_order_relaxed);
+  counters_.add(&Counters::charges);
 }
 
 void RouteService::settle() {

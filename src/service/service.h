@@ -55,7 +55,6 @@
 // are embedded into the next published snapshot.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -69,8 +68,8 @@
 #include "service/protocol.h"
 #include "service/snapshot.h"
 #include "service/store.h"
+#include "util/counters.h"
 #include "util/mutex.h"
-#include "util/table.h"
 
 namespace fpss::service {
 
@@ -143,9 +142,6 @@ class RouteService final : public Backend {
   Cost::rep payment(NodeId k) const;
 
   Counters counters() const override;
-  /// The counters as a stats-ready table (label/value rows), for the
-  /// bench/example reports.
-  util::Table counters_table() const;
 
   // --- traffic accounting -------------------------------------------------
 
@@ -256,22 +252,10 @@ class RouteService final : public Backend {
   bool stop_ FPSS_GUARDED_BY(queue_mutex_) = false;
   bool updater_busy_ FPSS_GUARDED_BY(queue_mutex_) = false;
 
-  ReadPath reads_;
-  std::atomic<std::uint64_t> deltas_applied_{0};
-  std::atomic<std::uint64_t> deltas_coalesced_{0};
-  std::atomic<std::uint64_t> charges_{0};
-  // Publish-side counters: written only by the updater (and the
-  // constructor's first publish), read concurrently by counters().
-  std::atomic<std::uint64_t> rows_rebuilt_{0};
-  std::atomic<std::uint64_t> rows_reused_{0};
-  std::atomic<std::uint64_t> shards_republished_{0};
-  std::atomic<std::uint64_t> full_rebuilds_{0};
-  std::atomic<std::uint64_t> publish_total_ns_{0};
-  std::atomic<std::uint64_t> max_publish_ns_{0};
-  std::atomic<std::uint64_t> checkpoints_written_{0};
-  std::atomic<std::uint64_t> checkpoint_bytes_written_{0};
-  std::atomic<std::uint64_t> journal_patches_{0};
-  std::atomic<std::uint64_t> journal_compactions_{0};
+  /// Bumped by every reader (the read counters), the updater and the
+  /// constructor's first publish (delta and publish counters) and
+  /// charge(). `publishes` is read from the store instead.
+  mutable util::LiveCounters<Counters> counters_;
 
   std::thread updater_;  ///< last member: joined before state tears down
 };

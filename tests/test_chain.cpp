@@ -225,16 +225,16 @@ TEST(ChainE2E, HopCountAndSyncLagCompoundDownTheChain) {
   // bit-identical snapshot preserves — includes the mid tier's.
   const auto mid_counters = to_mid.counters();
   ASSERT_TRUE(mid_counters.ok());
-  ASSERT_TRUE(mid_counters.has_replica);
-  EXPECT_EQ(mid_counters.replica.hop_count, 1u);
-  EXPECT_GT(mid_counters.replica.sync_lag_ns, 0u);
+  ASSERT_TRUE(mid_counters.frame.has_replica);
+  EXPECT_EQ(mid_counters.frame.replica.hop_count, 1u);
+  EXPECT_GT(mid_counters.frame.replica.sync_lag_ns, 0u);
 
   const auto leaf_counters = leaf_backend.counters();
   ASSERT_TRUE(leaf_counters.ok());
-  ASSERT_TRUE(leaf_counters.has_replica);
-  EXPECT_EQ(leaf_counters.replica.hop_count, 2u);
-  EXPECT_GE(leaf_counters.replica.sync_lag_ns,
-            mid_counters.replica.sync_lag_ns);
+  ASSERT_TRUE(leaf_counters.frame.has_replica);
+  EXPECT_EQ(leaf_counters.frame.replica.hop_count, 2u);
+  EXPECT_GE(leaf_counters.frame.replica.sync_lag_ns,
+            mid_counters.frame.replica.sync_lag_ns);
 }
 
 // --- failover ----------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "service/protocol.h"
 #include "service/service.h"
 #include "service/snapshot.h"
+#include "util/checksum.h"
 #include "util/rng.h"
 
 namespace fpss {
@@ -147,36 +149,23 @@ TEST(Wire, ControlPayloadRoundTrips) {
   EXPECT_EQ(ack2.snapshot_version, 9u);
   EXPECT_EQ(ack2.max_batch, 4096u);
   EXPECT_EQ(ack2.hop_count, 3u);
-  // A pre-chaining encoder's ack ends after max_batch; it must decode
-  // with hop 0, and every other truncation must be rejected.
-  ASSERT_TRUE(
-      net::decode_hello_ack(ack_payload.substr(0, ack_payload.size() - 4),
-                            ack2));
-  EXPECT_EQ(ack2.hop_count, 0u);
-  EXPECT_EQ(ack2.max_batch, 4096u);
-  for (std::size_t cut = 0; cut < ack_payload.size(); ++cut) {
-    if (cut == ack_payload.size() - 4) continue;
+  // Every truncation is rejected: each decoder accepts exactly what its
+  // encoder writes.
+  for (std::size_t cut = 0; cut < ack_payload.size(); ++cut)
     EXPECT_FALSE(net::decode_hello_ack(ack_payload.substr(0, cut), ack2))
         << "hello-ack prefix " << cut << " accepted";
-  }
 
-  // Delta acks: both fields round-trip, and the legacy accepted-only
-  // payload decodes with publish_count 0.
   net::DeltaAck delta_ack{7, 42};
   net::DeltaAck delta_ack2;
   const std::string delta_ack_payload = net::encode_delta_ack(delta_ack);
   ASSERT_TRUE(net::decode_delta_ack(delta_ack_payload, delta_ack2));
   EXPECT_EQ(delta_ack2.accepted, 7u);
   EXPECT_EQ(delta_ack2.publish_count, 42u);
-  ASSERT_TRUE(net::decode_delta_ack(net::encode_u64(7), delta_ack2));
-  EXPECT_EQ(delta_ack2.accepted, 7u);
-  EXPECT_EQ(delta_ack2.publish_count, 0u);
-  for (std::size_t cut = 0; cut < delta_ack_payload.size(); ++cut) {
-    if (cut == 8) continue;
+  EXPECT_FALSE(net::decode_delta_ack(net::encode_u64(7), delta_ack2));
+  for (std::size_t cut = 0; cut < delta_ack_payload.size(); ++cut)
     EXPECT_FALSE(
         net::decode_delta_ack(delta_ack_payload.substr(0, cut), delta_ack2))
         << "delta-ack prefix " << cut << " accepted";
-  }
 
   net::ErrorFrame error{net::WireStatus::kOversized, "too big"};
   net::ErrorFrame error2;
@@ -187,70 +176,98 @@ TEST(Wire, ControlPayloadRoundTrips) {
   std::uint64_t value = 0;
   ASSERT_TRUE(net::decode_u64(net::encode_u64(77), value));
   EXPECT_EQ(value, 77u);
+}
 
-  RouteService::Counters counters;
-  counters.queries = 1;
-  counters.batches = 2;
-  counters.total_ns = 3;
-  counters.max_batch_ns = 4;
-  counters.max_staleness_ns = 5;
-  counters.publishes = 6;
-  counters.deltas_applied = 7;
-  counters.deltas_coalesced = 8;
-  counters.charges = 9;
-  counters.rows_rebuilt = 10;
-  counters.rows_reused = 11;
-  counters.shards_republished = 12;
-  counters.full_rebuilds = 13;
-  counters.publish_total_ns = 14;
-  counters.max_publish_ns = 15;
-  counters.shard_exports_inflight_max = 16;
-  counters.checkpoints_written = 17;
-  counters.checkpoint_bytes_written = 18;
-  counters.journal_patches = 19;
-  counters.journal_compactions = 30;
-  net::ServerCounters server;
-  server.connections = 20;
-  server.frames = 21;
-  server.batches = 22;
-  server.rejected_frames = 23;
-  server.timeouts = 24;
-  server.peers.push_back({"127.0.0.1", 2, 40, 5, 1});
-  server.peers.push_back({"(other)", 1, 0, 0, 3});
+namespace {
+
+/// Applies `visit(value)` to every field of `frame`, in frame order,
+/// through the fields() tables.
+template <typename Visit>
+void for_each_field(net::CountersFrame& frame, Visit visit) {
+  const auto walk = [&visit]<typename T>(T& record) {
+    for (const util::CounterField<T>& field : T::fields())
+      visit(record.*field.member);
+  };
+  walk(frame.service);
+  walk(frame.server);
+  for (net::PeerCounters& peer : frame.peers) walk(peer);
+  if (frame.has_replica) walk(frame.replica);
+}
+
+/// A frame whose every declared field holds a distinct value, 1000 up, in
+/// frame order: service, server, two peers, replica.
+net::CountersFrame numbered_frame() {
   net::CountersFrame frame;
-  ASSERT_TRUE(
-      net::decode_counters(net::encode_counters(counters, server), frame));
-  EXPECT_EQ(frame.service.queries, 1u);
-  EXPECT_EQ(frame.service.max_staleness_ns, 5u);
-  EXPECT_EQ(frame.service.deltas_coalesced, 8u);
-  EXPECT_EQ(frame.service.charges, 9u);
-  EXPECT_EQ(frame.service.rows_rebuilt, 10u);
-  EXPECT_EQ(frame.service.rows_reused, 11u);
-  EXPECT_EQ(frame.service.shards_republished, 12u);
-  EXPECT_EQ(frame.service.full_rebuilds, 13u);
-  EXPECT_EQ(frame.service.publish_total_ns, 14u);
-  EXPECT_EQ(frame.service.max_publish_ns, 15u);
-  EXPECT_EQ(frame.service.shard_exports_inflight_max, 16u);
-  EXPECT_EQ(frame.service.checkpoints_written, 17u);
-  EXPECT_EQ(frame.service.checkpoint_bytes_written, 18u);
-  EXPECT_EQ(frame.service.journal_patches, 19u);
-  EXPECT_EQ(frame.service.journal_compactions, 30u);
-  EXPECT_EQ(frame.server.connections, 20u);
-  EXPECT_EQ(frame.server.timeouts, 24u);
-  ASSERT_EQ(frame.server.peers.size(), 2u);
-  EXPECT_EQ(frame.server.peers[0].peer, "127.0.0.1");
-  EXPECT_EQ(frame.server.peers[0].queries, 40u);
-  EXPECT_EQ(frame.server.peers[0].rejected_frames, 1u);
-  EXPECT_EQ(frame.server.peers[1].peer, "(other)");
-  EXPECT_EQ(frame.server.peers[1].connections, 1u);
+  frame.peers.push_back({"127.0.0.1"});
+  frame.peers.push_back({"(other)"});
+  frame.has_replica = true;
+  std::uint64_t next = 1000;
+  for_each_field(frame, [&next](std::uint64_t& value) { value = next++; });
+  return frame;
+}
 
-  // A default ServerCounters (the single-process / no-daemon case) still
-  // round-trips: empty peer table, zeroed totals.
-  net::CountersFrame bare;
-  ASSERT_TRUE(net::decode_counters(net::encode_counters(counters), bare));
-  EXPECT_EQ(bare.service.rows_reused, 11u);
-  EXPECT_EQ(bare.server.frames, 0u);
-  EXPECT_TRUE(bare.server.peers.empty());
+std::uint64_t fnv_digest(const std::string& bytes) {
+  util::Fnv1a64 fnv;
+  for (const char c : bytes) fnv.byte(static_cast<std::uint8_t>(c));
+  return fnv.digest();
+}
+
+}  // namespace
+
+TEST(Wire, CountersFrameRoundTripsEveryDeclaredField) {
+  net::CountersFrame with = numbered_frame();
+  net::CountersFrame without = with;
+  without.has_replica = false;
+  for (net::CountersFrame* sent : {&with, &without}) {
+    SCOPED_TRACE(sent->has_replica ? "with replica" : "without replica");
+    const std::string payload = net::encode_counters(*sent);
+    net::CountersFrame got;
+    ASSERT_TRUE(net::decode_counters(payload, got));
+    ASSERT_EQ(got.has_replica, sent->has_replica);
+    ASSERT_EQ(got.peers.size(), sent->peers.size());
+    for (std::size_t p = 0; p < got.peers.size(); ++p)
+      EXPECT_EQ(got.peers[p].peer, sent->peers[p].peer);
+    std::vector<std::uint64_t> sent_values, got_values;
+    for_each_field(*sent, [&](std::uint64_t& v) { sent_values.push_back(v); });
+    for_each_field(got, [&](std::uint64_t& v) { got_values.push_back(v); });
+    EXPECT_EQ(got_values, sent_values);
+    EXPECT_EQ(sent_values.size(),
+              20u + 5u + 2u * 4u + (sent->has_replica ? 15u : 0u));
+
+    for (std::size_t cut = 0; cut < payload.size(); ++cut)
+      EXPECT_FALSE(net::decode_counters(payload.substr(0, cut), got))
+          << "counters prefix " << cut << " accepted";
+    EXPECT_FALSE(net::decode_counters(payload + '\0', got));
+  }
+
+  // The payload bytes are pinned: reordering, dropping or adding a table
+  // entry changes every tool's view of the frame.
+  EXPECT_EQ(fnv_digest(net::encode_counters(with)), 0x8baca36c48423bbcULL);
+  EXPECT_EQ(fnv_digest(net::encode_counters(without)), 0x1d7da2c20ecb197bULL);
+
+  // A presence byte other than 0 or 1 is rejected.
+  std::string bad_presence = net::encode_counters(without);
+  bad_presence.back() = 2;
+  net::CountersFrame got;
+  EXPECT_FALSE(net::decode_counters(bad_presence, got));
+}
+
+TEST(Wire, CountersTableHasOneRowPerDeclaredField) {
+  net::CountersFrame frame = numbered_frame();
+  for (const bool replica : {true, false}) {
+    frame.has_replica = replica;
+    const util::Table table = net::counters_table(frame);
+    ASSERT_EQ(table.row_count(), 20u + 5u + 2u * 4u + (replica ? 15u : 0u));
+    std::set<std::string> names;
+    for (const auto& row : table.rows()) names.insert(row[0]);
+    EXPECT_EQ(names.size(), table.row_count()) << "duplicate row names";
+  }
+  const util::Table table = net::counters_table(frame);
+  EXPECT_EQ(table.rows().front(),
+            (std::vector<std::string>{"service.queries", "1000"}));
+  EXPECT_EQ(table.rows().back(),
+            (std::vector<std::string>{"peer[(other)].rejected_frames",
+                                      "1032"}));
 }
 
 // --- rejection: truncation, corruption, bounds -----------------------------
@@ -458,14 +475,14 @@ TEST(RouteServerNet, RemoteDeltasCountersAndDrain) {
 
   const auto counters = loop.client->counters();
   ASSERT_TRUE(counters.ok());
-  EXPECT_EQ(counters.counters.deltas_applied, 1u);
-  EXPECT_GE(counters.counters.publishes, 2u);
+  EXPECT_EQ(counters.frame.service.deltas_applied, 1u);
+  EXPECT_GE(counters.frame.service.publishes, 2u);
 
   // The same reply carries the daemon's per-peer accounting: everything
   // above came from this one loopback client.
-  EXPECT_GE(counters.server.connections, 1u);
-  ASSERT_EQ(counters.server.peers.size(), 1u);
-  const net::PeerCounters& peer = counters.server.peers.front();
+  EXPECT_GE(counters.frame.server.connections, 1u);
+  ASSERT_EQ(counters.frame.peers.size(), 1u);
+  const net::PeerCounters& peer = counters.frame.peers.front();
   EXPECT_EQ(peer.peer, "127.0.0.1");
   EXPECT_GE(peer.connections, 1u);
   EXPECT_EQ(peer.batches, 1u);
@@ -626,72 +643,6 @@ TEST(Wire, ReplicationControlPayloadRoundTrips) {
     EXPECT_FALSE(
         net::decode_publish_notify(notify_payload.substr(0, cut), notify2))
         << "notify prefix " << cut << " accepted";
-}
-
-TEST(Wire, CountersFrameCarriesOptionalReplicaSection) {
-  RouteService::Counters counters;
-  counters.queries = 5;
-  net::ServerCounters server;
-  server.frames = 6;
-  net::ReplicaCounters replica;
-  replica.full_syncs = 1;
-  replica.delta_syncs = 2;
-  replica.shards_fetched = 3;
-  replica.chunks_fetched = 4;
-  replica.bytes_fetched = 5;
-  replica.blocks_adopted = 6;
-  replica.notifies_received = 7;
-  replica.notifies_coalesced = 8;
-  replica.resyncs = 9;
-  replica.sync_lag_ns = 10;
-  replica.hop_count = 2;
-  replica.upstream_disconnects = 11;
-  replica.deltas_forwarded = 12;
-  replica.forward_retries = 13;
-  replica.forward_rejected = 14;
-
-  net::CountersFrame with;
-  ASSERT_TRUE(net::decode_counters(
-      net::encode_counters(counters, server, &replica), with));
-  ASSERT_TRUE(with.has_replica);
-  EXPECT_EQ(with.replica.full_syncs, 1u);
-  EXPECT_EQ(with.replica.delta_syncs, 2u);
-  EXPECT_EQ(with.replica.shards_fetched, 3u);
-  EXPECT_EQ(with.replica.bytes_fetched, 5u);
-  EXPECT_EQ(with.replica.blocks_adopted, 6u);
-  EXPECT_EQ(with.replica.notifies_coalesced, 8u);
-  EXPECT_EQ(with.replica.sync_lag_ns, 10u);
-  EXPECT_EQ(with.replica.hop_count, 2u);
-  EXPECT_EQ(with.replica.upstream_disconnects, 11u);
-  EXPECT_EQ(with.replica.deltas_forwarded, 12u);
-  EXPECT_EQ(with.replica.forward_retries, 13u);
-  EXPECT_EQ(with.replica.forward_rejected, 14u);
-
-  // A primary's frame (no replica section) still decodes, as does one
-  // with the presence byte explicitly zero — and a truncated replica
-  // section is rejected rather than half-read. One cut is legitimate:
-  // ending exactly after sync_lag_ns is the pre-chaining encoder's
-  // format, which must decode with the chain fields zeroed.
-  net::CountersFrame without;
-  ASSERT_TRUE(
-      net::decode_counters(net::encode_counters(counters, server), without));
-  EXPECT_FALSE(without.has_replica);
-  const std::string full = net::encode_counters(counters, server, &replica);
-  const std::string bare = net::encode_counters(counters, server);
-  const std::size_t legacy_end = bare.size() + 10 * 8;  // presence + 10 u64s
-  for (std::size_t cut = bare.size() + 1; cut < full.size(); ++cut) {
-    net::CountersFrame torn;
-    if (cut == legacy_end) {
-      ASSERT_TRUE(net::decode_counters(full.substr(0, cut), torn));
-      EXPECT_TRUE(torn.has_replica);
-      EXPECT_EQ(torn.replica.sync_lag_ns, 10u);
-      EXPECT_EQ(torn.replica.hop_count, 0u);
-      EXPECT_EQ(torn.replica.deltas_forwarded, 0u);
-      continue;
-    }
-    EXPECT_FALSE(net::decode_counters(full.substr(0, cut), torn))
-        << "replica-section prefix " << cut << " accepted";
-  }
 }
 
 // A well-formed frame of the wrong type must surface as kUnexpectedFrame

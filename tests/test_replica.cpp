@@ -709,10 +709,10 @@ TEST(ReplicaE2E, ReplicaCountersTravelTheWire) {
 
   const auto result = client.counters();
   ASSERT_TRUE(result.ok()) << result.error.message;
-  ASSERT_TRUE(result.has_replica);
-  EXPECT_GE(result.replica.full_syncs, 1u);
-  EXPECT_GE(result.replica.shards_fetched, 2u);
-  EXPECT_GT(result.replica.bytes_fetched, 0u);
+  ASSERT_TRUE(result.frame.has_replica);
+  EXPECT_GE(result.frame.replica.full_syncs, 1u);
+  EXPECT_GE(result.frame.replica.shards_fetched, 2u);
+  EXPECT_GT(result.frame.replica.bytes_fetched, 0u);
 
   // The primary's own counters frame carries no replica section.
   net::ClientConfig to_primary;
@@ -721,7 +721,7 @@ TEST(ReplicaE2E, ReplicaCountersTravelTheWire) {
   ASSERT_TRUE(primary_client.connect().ok());
   const auto primary_counters = primary_client.counters();
   ASSERT_TRUE(primary_counters.ok());
-  EXPECT_FALSE(primary_counters.has_replica);
+  EXPECT_FALSE(primary_counters.frame.has_replica);
 
   // A read-only front refuses deltas with a typed rejection.
   const auto submit = client.submit_deltas(

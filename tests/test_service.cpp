@@ -336,8 +336,6 @@ TEST(RouteService, BatchedQueriesShareOneEpochAndCount) {
   EXPECT_EQ(counters.batches, 1u);
   EXPECT_GT(counters.total_ns, 0u);
   EXPECT_GE(counters.max_batch_ns, counters.total_ns / counters.batches);
-  const util::Table t = svc.counters_table();
-  EXPECT_EQ(t.row_count(), 19u);
 }
 
 TEST(RouteService, ChargesReachPaymentTotalsOnRepublish) {

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <thread>
+#include <vector>
+
 #include "util/cost.h"
+#include "util/counters.h"
 #include "util/rng.h"
 #include "util/summary.h"
 #include "util/table.h"
@@ -175,6 +181,79 @@ TEST(Table, MarkdownShape) {
   const std::string md = t.to_markdown();
   EXPECT_NE(md.find("| h1 | h2 |"), std::string::npos);
   EXPECT_NE(md.find("|---|---|"), std::string::npos);
+}
+
+struct Tally {
+  std::uint64_t sum = 0;
+  std::uint64_t max = 0;
+  std::uint64_t last = 0;
+  static constexpr auto fields() {
+    return std::to_array<util::CounterField<Tally>>({
+        {"sum", &Tally::sum},
+        {"max", &Tally::max},
+        {"last", &Tally::last},
+    });
+  }
+};
+static_assert(util::counters_complete<Tally>());
+
+// Each way a table can fail to list its record exactly once.
+struct MissingField {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  static constexpr auto fields() {
+    return std::to_array<util::CounterField<MissingField>>({
+        {"a", &MissingField::a},
+    });
+  }
+};
+static_assert(!util::counters_complete<MissingField>());
+struct RepeatedMember {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  static constexpr auto fields() {
+    return std::to_array<util::CounterField<RepeatedMember>>({
+        {"a", &RepeatedMember::a},
+        {"b", &RepeatedMember::a},
+    });
+  }
+};
+static_assert(!util::counters_complete<RepeatedMember>());
+struct RepeatedName {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  static constexpr auto fields() {
+    return std::to_array<util::CounterField<RepeatedName>>({
+        {"a", &RepeatedName::a},
+        {"a", &RepeatedName::b},
+    });
+  }
+};
+static_assert(!util::counters_complete<RepeatedName>());
+
+TEST(LiveCounters, ConcurrentAddsAndRaisesAreExact) {
+  constexpr std::uint64_t kThreads = 4;
+  constexpr std::uint64_t kCalls = 100000;
+  util::LiveCounters<Tally> live;
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&live, t] {
+      for (std::uint64_t i = 1; i <= kCalls; ++i) {
+        live.add(&Tally::sum, i);
+        live.raise(&Tally::max, i * kThreads + t);
+      }
+    });
+  for (std::thread& thread : threads) thread.join();
+  Tally got = live.read();
+  EXPECT_EQ(got.sum, kThreads * kCalls * (kCalls + 1) / 2);
+  EXPECT_EQ(got.max, kCalls * kThreads + kThreads - 1);
+  EXPECT_EQ(got.last, 0u);
+
+  live.raise(&Tally::max, 1);  // a maximum never falls
+  live.set(&Tally::last, 7);
+  got = live.read();
+  EXPECT_EQ(got.max, kCalls * kThreads + kThreads - 1);
+  EXPECT_EQ(got.last, 7u);
 }
 
 TEST(FormatDouble, TrimsZeros) {
