@@ -2,10 +2,11 @@
 //
 //   * BM_ChainPropagation    — a publish at the primary until it is
 //                              visible at the leaf of a depth-1..4 chain
-//                              (notify -> dirty fetch -> install, once per
-//                              tier). The per-depth growth IS the
-//                              staleness compounding the hop-aware
-//                              counters report; leaf_sync_lag_ns is the
+//                              (parked fetch answered -> dirty stream
+//                              -> install, once per tier). The
+//                              per-depth growth IS the staleness
+//                              compounding the hop-aware counters
+//                              report; leaf_sync_lag_ns is the
 //                              replica's own last measurement of it.
 //   * BM_ChainForwardedWrite — the full write story at depth: a delta
 //                              submitted at the leaf forwards hop by hop

@@ -120,7 +120,7 @@ void BM_BootstrapFetch(benchmark::State& state) {
   const net::ChunkSink discard = [](std::string_view) { return true; };
   std::uint64_t bytes = 0;
   for (auto _ : state) {
-    const auto fetched = client.fetch_snapshot({}, discard);
+    const auto fetched = client.fetch_snapshot({}, {}, discard);
     if (!fetched.ok()) state.SkipWithError(fetched.error.message.c_str());
     bytes += fetched.bytes;
     benchmark::DoNotOptimize(fetched);
@@ -154,7 +154,7 @@ void BM_DirtyCatchUpFetch(benchmark::State& state) {
   // every iteration replays the identical partial catch-up.
   ReplicationCodec::Assembler assembler(nullptr);
   const auto booted = client.fetch_snapshot(
-      {}, [&](std::string_view chunk) { return assembler.feed(chunk); });
+      {}, {}, [&](std::string_view chunk) { return assembler.feed(chunk); });
   if (!booted.ok()) {
     state.SkipWithError(booted.error.message.c_str());
     return;
@@ -172,8 +172,10 @@ void BM_DirtyCatchUpFetch(benchmark::State& state) {
   std::uint64_t shards = 0;
   for (auto _ : state) {
     ReplicationCodec::Assembler catch_up(base.snapshot);
-    const auto fetched = client.fetch_snapshot(
-        known, [&](std::string_view chunk) { return catch_up.feed(chunk); });
+    const auto fetched =
+        client.fetch_snapshot({}, known, [&](std::string_view chunk) {
+          return catch_up.feed(chunk);
+        });
     if (!fetched.ok()) state.SkipWithError(fetched.error.message.c_str());
     const auto result = catch_up.finish();
     if (!result.ok()) state.SkipWithError(result.error.c_str());

@@ -4,13 +4,12 @@
 // Self-test mode (default) wires up
 //
 //   RouteService ── RouteServer ──(fpss-wire)── ReplicaService ── RouteServer
-//      (primary)      :ephemeral     snapshot        (replica)     :ephemeral
-//                                 sync + notify +
+//      (primary)      :ephemeral   parked sync +     (replica)     :ephemeral
 //                                 delta forwarding
 //
 // then churns the primary through several re-convergence cycles and, after
-// each one, waits for the replica to catch up *push-driven* (no polling —
-// every sync is caused by a kPublishNotify) and checks a batch of queries
+// each one, waits for the replica to catch up (its parked fetch is
+// answered by the publish itself) and checks a batch of queries
 // through both servers for bit-identical answers, both over the wire
 // through net::RemoteQueryBackend; the final cycle
 // exercises the write path end to end: a delta submitted at the *replica*
@@ -188,9 +187,6 @@ int run_daemon(std::vector<net::ClientConfig> upstreams,
   net::ServerConfig server_config;
   server_config.port = listen_port;
   server_config.workers = workers;
-  // A forwarding tier is a full-service address; only a read-only tier
-  // refuses the frame type outright.
-  server_config.allow_deltas = forward_deltas;
   net::RouteServer server(replica, server_config);
   if (!server.ok()) {
     std::printf("route_replica: %s\n", server.error().c_str());
@@ -272,11 +268,7 @@ int main(int argc, char** argv) {
               g.node_count(), g.edge_count(),
               static_cast<unsigned long long>(primary.version()));
 
-  // Size the primary's worker pool for the pinned subscription worker plus
-  // the fetch + forwarding channels plus interactive queries.
-  net::ServerConfig primary_config;
-  primary_config.workers = 5;
-  net::RouteServer primary_server(primary, primary_config);
+  net::RouteServer primary_server(primary);
   if (!primary_server.ok()) {
     std::printf("primary server: %s\n", primary_server.error().c_str());
     return 1;
@@ -294,10 +286,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(replica.snapshot()->version()),
               replica.hop_count());
 
-  net::ServerConfig replica_server_config;
-  replica_server_config.workers = 3;
-  replica_server_config.allow_deltas = true;  // forwarded upstream
-  net::RouteServer replica_server(replica, replica_server_config);
+  net::RouteServer replica_server(replica);
   if (!replica_server.ok()) {
     std::printf("replica server: %s\n", replica_server.error().c_str());
     return 1;
@@ -318,7 +307,7 @@ int main(int argc, char** argv) {
                                    static_cast<NodeId>(nodes), 11);
 
   // Churn: each cycle perturbs a couple of node costs, republishes, and
-  // waits for the *push* to propagate — the replica never polls.
+  // waits for the replica's parked fetch to carry it over.
   for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
     const NodeId node = static_cast<NodeId>(1 + cycle % (nodes - 1));
     primary.submit({service::RouteService::Delta::cost_change(

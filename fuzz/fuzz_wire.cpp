@@ -1,4 +1,4 @@
-// Fuzz target: every fpss-wire v1 decoder that faces untrusted socket
+// Fuzz target: every fpss-wire v2 decoder that faces untrusted socket
 // bytes. The first input byte selects the decoder; the rest is the
 // payload. The contract under test is the server/client robustness
 // promise: any byte string is either decoded or rejected with a typed
@@ -15,7 +15,7 @@ using namespace fpss::net;
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   if (size == 0) return 0;
-  const std::uint8_t selector = data[0] % 12;
+  const std::uint8_t selector = data[0] % 13;
   const std::string_view payload(reinterpret_cast<const char*>(data + 1),
                                  size - 1);
   const WireLimits limits;  // the defaults every server/client starts from
@@ -66,7 +66,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       decode_deltas(payload, limits.max_batch);
       break;
     case 9:
-      decode_shard_versions(payload);
+      decode_fetch(payload);
       break;
     case 10: {
       PublishNotify out;
@@ -76,6 +76,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     case 11: {
       CountersFrame out;
       decode_counters(payload, out);
+      break;
+    }
+    case 12: {
+      Await out;
+      decode_await(payload, out);
       break;
     }
     default:

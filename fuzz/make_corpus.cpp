@@ -120,6 +120,7 @@ int main(int argc, char** argv) {
         service::RouteService::Delta::add_link(1, 6),
         service::RouteService::Delta::republish(),
     };
+    const Await await{1, 200};
     const std::vector<std::uint64_t> versions = {1, 1, 1, 1};
     PublishNotify notify;
     notify.snapshot_version = 1;
@@ -135,7 +136,7 @@ int main(int argc, char** argv) {
     frame.replica.hop_count = 1;
     const std::string counters = encode_counters(frame);
 
-    const std::string payloads[12] = {
+    const std::string payloads[13] = {
         encode_frame(FrameType::kHello, encode_hello(hello)),
         encode_hello(hello),
         encode_hello_ack(ack),
@@ -145,15 +146,16 @@ int main(int argc, char** argv) {
         encode_requests(requests),
         encode_replies(replies),
         encode_deltas(deltas),
-        encode_shard_versions(versions),
+        encode_fetch(await, versions),
         encode_publish_notify(notify),
         counters,
+        encode_await(await),
     };
-    static const char* names[12] = {
-        "frame",    "hello",  "hello_ack", "error",          "u64",
-        "delta_ack", "requests", "replies",  "deltas",         "shard_versions",
-        "publish_notify", "counters"};
-    for (std::uint8_t s = 0; s < 12; ++s)
+    static const char* names[13] = {
+        "frame",     "hello",    "hello_ack", "error",  "u64",
+        "delta_ack", "requests", "replies",   "deltas", "fetch",
+        "publish_notify", "counters", "await"};
+    for (std::uint8_t s = 0; s < 13; ++s)
       ok = write_file(root / "wire" / names[s],
                       with_selector(s, payloads[s])) &&
            ok;

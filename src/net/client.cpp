@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -12,71 +11,12 @@
 #include <cstring>
 #include <thread>
 
+#include "net/socket_io.h"
 #include "service/replication.h"
 
 namespace fpss::net {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-int next_slice_ms(Clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        deadline - Clock::now())
-                        .count();
-  if (left <= 0) return 0;
-  return static_cast<int>(left < 100 ? left : 100);
-}
-
-enum class IoResult { kOk, kClosed, kTimeout, kError };
-
-IoResult read_exact(int fd, char* buffer, std::size_t want, int timeout_ms) {
-  std::size_t got = 0;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (got < want) {
-    pollfd pfd{fd, POLLIN, 0};
-    const int slice = next_slice_ms(deadline);
-    if (slice == 0) return IoResult::kTimeout;
-    const int ready = ::poll(&pfd, 1, slice);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return IoResult::kError;
-    }
-    if (ready == 0) continue;
-    const ssize_t n = ::recv(fd, buffer + got, want - got, 0);
-    if (n == 0) return IoResult::kClosed;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return IoResult::kError;
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return IoResult::kOk;
-}
-
-bool write_all(int fd, std::string_view bytes, int timeout_ms) {
-  std::size_t sent = 0;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (sent < bytes.size()) {
-    pollfd pfd{fd, POLLOUT, 0};
-    const int slice = next_slice_ms(deadline);
-    if (slice == 0) return false;
-    const int ready = ::poll(&pfd, 1, slice);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (ready == 0) continue;
-    const ssize_t n =
-        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 ClientError make_error(ClientStatus status, std::string message) {
   ClientError e;
@@ -121,7 +61,6 @@ void RouteClient::close() {
     fd_ = -1;
   }
   outstanding_ = 0;
-  subscribed_ = false;
 }
 
 ClientError RouteClient::dial_once() {
@@ -196,11 +135,8 @@ ClientError RouteClient::handshake() {
 ClientError RouteClient::send_frame(FrameType type, std::string_view payload) {
   if (!connected())
     return make_error(ClientStatus::kNotConnected, "send before connect()");
-  if (subscribed_ && type != FrameType::kSubscribe)
-    return make_error(ClientStatus::kUnexpectedFrame,
-                      "connection is subscribed; only await_notify() is valid");
   const std::string frame = encode_frame(type, payload);
-  if (!write_all(fd_, frame, config_.io_timeout_ms)) {
+  if (!write_all(fd_, frame, kIoTimeoutMs)) {
     close();
     return make_error(ClientStatus::kTimeout, "frame send timed out");
   }
@@ -212,8 +148,7 @@ ClientError RouteClient::receive_frame(FrameType expected,
   if (!connected())
     return make_error(ClientStatus::kNotConnected, "receive before connect()");
   char header_bytes[kFrameHeaderBytes];
-  switch (read_exact(fd_, header_bytes, kFrameHeaderBytes,
-                     config_.io_timeout_ms)) {
+  switch (read_exact(fd_, header_bytes, kFrameHeaderBytes, kIoTimeoutMs)) {
     case IoResult::kOk:
       break;
     case IoResult::kTimeout:
@@ -223,6 +158,7 @@ ClientError RouteClient::receive_frame(FrameType expected,
       close();
       return make_error(ClientStatus::kConnectionLost,
                         "server closed the connection");
+    case IoResult::kStopped:  // no stop flag is passed
     case IoResult::kError:
       close();
       return make_error(ClientStatus::kConnectionLost,
@@ -236,8 +172,8 @@ ClientError RouteClient::receive_frame(FrameType expected,
   }
   payload.assign(head.header.payload_bytes, '\0');
   if (head.header.payload_bytes > 0) {
-    const IoResult io = read_exact(fd_, payload.data(), payload.size(),
-                                   config_.io_timeout_ms);
+    const IoResult io =
+        read_exact(fd_, payload.data(), payload.size(), kIoTimeoutMs);
     if (io != IoResult::kOk) {
       close();
       return make_error(io == IoResult::kTimeout ? ClientStatus::kTimeout
@@ -358,18 +294,32 @@ U64Result RouteClient::drain() {
   return result;
 }
 
+ClientError RouteClient::receive_notify(PublishNotify& out) {
+  std::string payload;
+  ClientError err = receive_frame(FrameType::kPublishNotify, payload);
+  if (err.ok() && !decode_publish_notify(payload, out)) {
+    close();
+    err = make_error(ClientStatus::kProtocolError,
+                     "bad publish notify payload");
+  }
+  return err;
+}
+
 SnapshotFetchResult RouteClient::fetch_snapshot(
-    std::span<const std::uint64_t> known_shard_versions,
+    const Await& await, std::span<const std::uint64_t> known,
     const ChunkSink& sink) {
   SnapshotFetchResult result;
-  result.error = send_frame(FrameType::kSnapshotFetch,
-                            encode_shard_versions(known_shard_versions));
+  result.error =
+      send_frame(FrameType::kSnapshotFetch, encode_fetch(await, known));
+  if (result.error.ok()) result.error = receive_notify(result.notify);
   if (!result.error.ok()) return result;
-  // The response streams until a final chunk (kind byte 2). The sink
-  // bounds it: a replica's Assembler accepts each destination once, so a
-  // server repeating or inventing chunks is cut off at the first bad one.
+  result.streamed = result.notify.publish_count > await.since;
+  if (!result.streamed) return result;
+  // The stream runs until a final chunk (kind byte 2). The sink bounds
+  // it: a replica's Assembler accepts each destination once, so a server
+  // repeating or inventing chunks is cut off at the first bad one.
+  std::string payload;
   for (;;) {
-    std::string payload;
     result.error = receive_frame(FrameType::kSnapshotChunk, payload);
     if (!result.error.ok()) return result;
     ++result.chunks;
@@ -386,59 +336,10 @@ SnapshotFetchResult RouteClient::fetch_snapshot(
   }
 }
 
-NotifyResult RouteClient::subscribe(std::uint64_t since) {
+NotifyResult RouteClient::await_publish(const Await& await) {
   NotifyResult result;
-  result.error = send_frame(FrameType::kSubscribe, encode_u64(since));
-  if (!result.error.ok()) return result;
-  // The ack is the first notify, pushed immediately.
-  std::string payload;
-  result.error = receive_frame(FrameType::kPublishNotify, payload);
-  if (!result.error.ok()) return result;
-  if (!decode_publish_notify(payload, result.notify)) {
-    close();
-    result.error =
-        make_error(ClientStatus::kProtocolError, "bad publish notify payload");
-    return result;
-  }
-  subscribed_ = true;
-  return result;
-}
-
-NotifyResult RouteClient::await_notify(int wait_ms) {
-  NotifyResult result;
-  if (!connected()) {
-    result.error =
-        make_error(ClientStatus::kNotConnected, "await before connect()");
-    return result;
-  }
-  if (!subscribed_) {
-    result.error = make_error(ClientStatus::kUnexpectedFrame,
-                              "await_notify() without a subscription");
-    return result;
-  }
-  // Pre-poll before touching receive_frame: a quiet wire is the normal
-  // case and must not close the subscription the way a mid-frame timeout
-  // would.
-  pollfd pfd{fd_, POLLIN, 0};
-  const int ready = ::poll(&pfd, 1, wait_ms < 0 ? 0 : wait_ms);
-  if (ready == 0) {
-    result.error = make_error(ClientStatus::kTimeout, "no notify yet");
-    return result;
-  }
-  if (ready < 0) {
-    close();
-    result.error = make_error(ClientStatus::kConnectionLost,
-                              std::string("poll: ") + std::strerror(errno));
-    return result;
-  }
-  std::string payload;
-  result.error = receive_frame(FrameType::kPublishNotify, payload);
-  if (!result.error.ok()) return result;
-  if (!decode_publish_notify(payload, result.notify)) {
-    close();
-    result.error =
-        make_error(ClientStatus::kProtocolError, "bad publish notify payload");
-  }
+  result.error = send_frame(FrameType::kAwaitPublish, encode_await(await));
+  if (result.error.ok()) result.error = receive_notify(result.notify);
   return result;
 }
 

@@ -1,11 +1,13 @@
-// net::RouteClient: the typed client side of fpss-wire v1.
+// net::RouteClient: the typed client side of fpss-wire v2.
 //
 // connect() dials with retry-and-backoff and runs the Hello/HelloAck
 // exchange, after which the server's node count and snapshot version are
 // known. query() is the blocking convenience; send()/receive() expose the
 // same exchange split in two so a caller can pipeline several batches on
 // one connection (the server answers frames strictly in order, so replies
-// come back FIFO).
+// come back FIFO). Every operation is one request and its reply, parked
+// ones included (await_publish, fetch_snapshot), so any operation may
+// follow any other on the same connection.
 //
 // Errors are values, not exceptions: every operation fills a result whose
 // ClientStatus says what layer failed (connect, I/O timeout, protocol,
@@ -32,8 +34,6 @@ struct ClientConfig {
   unsigned connect_attempts = 3;
   /// Backoff before attempt k is backoff_ms << (k-1), capped at 1s.
   int backoff_ms = 50;
-  /// Per-frame I/O deadline (reads and writes).
-  int io_timeout_ms = 5000;
   WireLimits limits;
 };
 
@@ -102,6 +102,8 @@ using ChunkSink = service::ReplicationCodec::ChunkSink;
 /// (service::ReplicationCodec::Assembler::feed for a replica).
 struct SnapshotFetchResult {
   ClientError error;
+  PublishNotify notify;      ///< the server's state when the park ended
+  bool streamed = false;     ///< notify's count passed `since`; chunks followed
   std::uint64_t chunks = 0;  ///< kSnapshotChunk frames received
   std::uint64_t bytes = 0;   ///< total chunk payload bytes received
   bool ok() const { return error.ok(); }
@@ -153,27 +155,21 @@ class RouteClient {
   /// Blocks until the server's updater has drained; value = served version.
   U64Result drain();
 
-  /// Per-shard snapshot transfer: sends the shard versions this side
-  /// already holds (empty = full bootstrap) and passes each streamed chunk
-  /// payload to `sink` as it arrives, through the final chunk. Nothing is
-  /// buffered beyond one frame. The first chunk `sink` rejects stops the
-  /// fetch with kProtocolError and closes the connection unread.
-  SnapshotFetchResult fetch_snapshot(
-      std::span<const std::uint64_t> known_shard_versions,
-      const ChunkSink& sink);
+  /// Parked per-shard snapshot transfer: the server holds the request as
+  /// `await` says, then replies with a notify. Only if the notify's count
+  /// passed `await.since` does the stream follow; each chunk payload goes
+  /// to `sink` as it arrives, through the final chunk. `known` is the
+  /// shard versions this side already holds (empty = full bootstrap).
+  /// Nothing is buffered beyond one frame. The first chunk `sink` rejects
+  /// stops the fetch with kProtocolError and closes the connection unread.
+  SnapshotFetchResult fetch_snapshot(const Await& await,
+                                     std::span<const std::uint64_t> known,
+                                     const ChunkSink& sink);
 
-  /// Converts this connection into a notify stream: after a successful
-  /// subscribe the only valid operation is await_notify() (request/reply
-  /// calls fail with kUnexpectedFrame before touching the socket). The
-  /// result carries the immediate ack notify — the server's current state,
-  /// whose `coalesced` tells a re-subscriber how much it missed beyond
-  /// `since` (its last-seen publish count).
-  NotifyResult subscribe(std::uint64_t since);
-  /// Waits up to `wait_ms` for the next push. A quiet period returns
-  /// kTimeout with the connection *intact* — unlike every other timeout,
-  /// silence is the expected steady state of a subscription.
-  NotifyResult await_notify(int wait_ms);
-  bool subscribed() const { return subscribed_; }
+  /// Parked publish wait: the reply comes once the server's publish count
+  /// exceeds `await.since` or min(wait_ms, kMaxParkMs) has passed, and
+  /// carries the count either way.
+  NotifyResult await_publish(const Await& await);
 
  private:
   ClientError dial_once();
@@ -183,6 +179,8 @@ class RouteClient {
   /// Reads one frame, decoding a kError frame into kServerError. On any
   /// failure the connection is closed (a desynced stream is unusable).
   ClientError receive_frame(FrameType expected, std::string& payload);
+  /// receive_frame for a kPublishNotify, decoded into `out`.
+  ClientError receive_notify(PublishNotify& out);
 
   ClientConfig config_;
   int fd_ = -1;
@@ -191,7 +189,6 @@ class RouteClient {
   std::uint32_t server_max_batch_ = 0;
   std::uint32_t hop_count_ = 0;
   std::size_t outstanding_ = 0;
-  bool subscribed_ = false;
 };
 
 }  // namespace fpss::net

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
+#include <utility>
 
 namespace fpss::net {
 
@@ -20,9 +21,7 @@ std::string describe(const ClientError& error) {
 }  // namespace
 
 RemoteQueryBackend::RemoteQueryBackend(ClientConfig config)
-    : config_(config), data_(config) {}
-
-RemoteQueryBackend::~RemoteQueryBackend() = default;
+    : data_(std::move(config)) {}
 
 ClientError RemoteQueryBackend::ensure_data() {
   if (data_.connected()) return {};
@@ -97,42 +96,22 @@ std::uint64_t RemoteQueryBackend::wait_for_publish_beyond(std::uint64_t count,
                                                           int timeout_ms) {
   using Clock = std::chrono::steady_clock;
   const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
+  std::uint64_t seen = 0;
   for (;;) {
-    if (notify_ == nullptr || !notify_->connected()) {
-      notify_ = std::make_unique<RouteClient>(config_);
-      if (!notify_->connect().ok()) {
-        notify_.reset();
-        break;
-      }
-      // Subscribing from the last count we saw makes the ack report what
-      // was missed; the ack itself carries the current clock.
-      const auto sub = notify_->subscribe(notify_count_);
-      if (!sub.ok()) {
-        notify_.reset();
-        break;
-      }
-      if (sub.notify.publish_count > notify_count_)
-        notify_count_ = sub.notify.publish_count;
-    }
-    if (notify_count_ > count) break;
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    if (remaining.count() <= 0) break;
-    // Bounded slices keep the wait responsive to the deadline; a quiet
-    // slice returns kTimeout with the subscription intact.
-    const int wait_ms =
-        static_cast<int>(std::min<long long>(remaining.count(), 100));
-    const auto push = notify_->await_notify(wait_ms);
-    if (push.ok()) {
-      if (push.notify.publish_count > notify_count_)
-        notify_count_ = push.notify.publish_count;
-    } else if (push.error.status != ClientStatus::kTimeout) {
-      // Connection died; the loop re-dials (the deadline bounds retries —
-      // connect() itself fails fast when the server is gone).
-      notify_.reset();
-    }
+    const long long left =
+        std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
+                                                              Clock::now())
+            .count();
+    // A lost connection re-dials here; the deadline bounds the retries,
+    // and connect() itself fails fast when the server is gone.
+    if (!ensure_data().ok()) break;
+    const NotifyResult reply = data_.await_publish(
+        {count, static_cast<std::uint32_t>(
+                    std::clamp<long long>(left, 0, kMaxParkMs))});
+    if (reply.ok()) seen = reply.notify.publish_count;
+    if (seen > count || left <= 0) break;
   }
-  return notify_count_;
+  return seen;
 }
 
 }  // namespace fpss::net

@@ -2,17 +2,16 @@
 // front) speaking the same query/write/wait vocabulary as the in-process
 // service::Backend, with every failure reported as a value.
 //
-// Wraps two RouteClient connections to the same address: a request/reply
-// data connection (queries, writes, counters, drain) and a lazily-dialed
-// subscription connection that turns wait_for_publish_beyond into the
-// wire's push channel — a kSubscribe stream whose notify clock is the
-// server's publish count. Both reconnect on demand, so a client pointed at
-// a replica front keeps working across the replica's own upstream
-// failovers (the replica's publish clock survives them).
+// Wraps one RouteClient connection: queries, writes, counters and drain
+// are plain request/reply, and wait_for_publish_beyond is a run of parked
+// kAwaitPublish requests (each at most kMaxParkMs) on the same
+// connection, whose clock is the server's publish count. The connection
+// re-dials on demand, so a client pointed at a replica front keeps
+// working across the replica's own upstream failovers (the replica's
+// publish clock survives them).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 
 #include "net/client.h"
@@ -23,7 +22,6 @@ namespace fpss::net {
 class RemoteQueryBackend {
  public:
   explicit RemoteQueryBackend(ClientConfig config);
-  ~RemoteQueryBackend();
 
   /// Dials the data connection eagerly (every operation also dials on
   /// demand; this exists so tools can surface a connect failure early).
@@ -37,7 +35,8 @@ class RemoteQueryBackend {
   /// The full counters frame: service + server + replica sections.
   CountersResult counters();
   /// Blocks until the server's publish clock exceeds `count` or the
-  /// timeout elapses; returns the clock at return.
+  /// timeout elapses; returns the clock the last reply carried (0 when
+  /// the server could not be reached).
   std::uint64_t wait_for_publish_beyond(std::uint64_t count, int timeout_ms);
   /// Publish barrier on the server; value = served version.
   U64Result drain();
@@ -48,12 +47,7 @@ class RemoteQueryBackend {
  private:
   ClientError ensure_data();
 
-  ClientConfig config_;
   RouteClient data_;
-  /// Subscription connection; null until the first publish wait. Its
-  /// notify clock (the server's publish count) persists across calls.
-  std::unique_ptr<RouteClient> notify_;
-  std::uint64_t notify_count_ = 0;
 };
 
 }  // namespace fpss::net

@@ -3,98 +3,18 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 
+#include "net/socket_io.h"
 #include "service/replication.h"
 
 namespace fpss::net {
-
-namespace {
-
-enum class IoResult {
-  kOk,
-  kClosed,   ///< orderly EOF before the first byte
-  kTimeout,  ///< deadline expired mid-read
-  kStopped,  ///< server shutdown while idle between frames
-  kError,    ///< socket error
-};
-
-using Clock = std::chrono::steady_clock;
-
-/// Remaining budget in ms, clipped to the 100ms poll slice that keeps
-/// shutdown responsive.
-int next_slice_ms(Clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        deadline - Clock::now())
-                        .count();
-  if (left <= 0) return 0;
-  return static_cast<int>(left < 100 ? left : 100);
-}
-
-/// Reads exactly `want` bytes. While still at byte zero the stop flag
-/// aborts the wait (the worker is idle between frames); once a frame has
-/// started arriving only the deadline can abort it — that is what lets a
-/// graceful shutdown finish in-flight frames.
-IoResult read_exact(int fd, char* buffer, std::size_t want, int timeout_ms,
-                    const std::atomic<bool>& stopping) {
-  std::size_t got = 0;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (got < want) {
-    if (got == 0 && stopping.load(std::memory_order_relaxed))
-      return IoResult::kStopped;
-    pollfd pfd{fd, POLLIN, 0};
-    const int slice = next_slice_ms(deadline);
-    if (slice == 0) return IoResult::kTimeout;
-    const int ready = ::poll(&pfd, 1, slice);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return IoResult::kError;
-    }
-    if (ready == 0) continue;  // slice elapsed; re-check flags
-    const ssize_t n = ::recv(fd, buffer + got, want - got, 0);
-    if (n == 0) return got == 0 ? IoResult::kClosed : IoResult::kError;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return IoResult::kError;
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return IoResult::kOk;
-}
-
-/// Writes the whole buffer or gives up at the deadline (a peer that never
-/// reads must not pin a worker).
-bool write_all(int fd, std::string_view bytes, int timeout_ms) {
-  std::size_t sent = 0;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (sent < bytes.size()) {
-    pollfd pfd{fd, POLLOUT, 0};
-    const int slice = next_slice_ms(deadline);
-    if (slice == 0) return false;
-    const int ready = ::poll(&pfd, 1, slice);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (ready == 0) continue;
-    const ssize_t n =
-        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 RouteServer::RouteServer(service::Backend& backend, ServerConfig config)
     : backend_(backend), config_(std::move(config)) {
@@ -268,15 +188,15 @@ bool RouteServer::send_error(int fd, const std::string& peer, WireStatus code,
   }
   const std::string frame =
       encode_frame(FrameType::kError, encode_error({code, message}));
-  write_all(fd, frame, config_.read_timeout_ms);
+  write_all(fd, frame, kIoTimeoutMs);
   return false;  // protocol errors always close the connection
 }
 
 bool RouteServer::serve_frame(int fd, const std::string& peer) {
   // 1. Header: fixed 20 bytes, validated before the payload is allocated.
   char header_bytes[kFrameHeaderBytes];
-  switch (read_exact(fd, header_bytes, kFrameHeaderBytes,
-                     config_.read_timeout_ms, stopping_)) {
+  switch (read_exact(fd, header_bytes, kFrameHeaderBytes, kIoTimeoutMs,
+                     &stopping_)) {
     case IoResult::kOk:
       break;
     case IoResult::kClosed:   // peer finished; normal end of connection
@@ -295,8 +215,8 @@ bool RouteServer::serve_frame(int fd, const std::string& peer) {
   // 2. Payload: size is now known-bounded, so allocating is safe.
   std::string payload(head.header.payload_bytes, '\0');
   if (head.header.payload_bytes > 0) {
-    switch (read_exact(fd, payload.data(), payload.size(),
-                       config_.read_timeout_ms, stopping_)) {
+    switch (read_exact(fd, payload.data(), payload.size(), kIoTimeoutMs,
+                       &stopping_)) {
       case IoResult::kOk:
         break;
       case IoResult::kTimeout:
@@ -356,9 +276,6 @@ bool RouteServer::serve_frame(int fd, const std::string& peer) {
       break;
     }
     case FrameType::kDeltaSubmit: {
-      if (!config_.allow_deltas)
-        return send_error(fd, peer, WireStatus::kBadFrameType,
-                          "delta submission disabled on this server");
       const DeltasResult deltas =
           decode_deltas(payload, config_.limits.max_batch);
       if (!deltas.ok()) return send_error(fd, peer, deltas.status, deltas.error);
@@ -389,18 +306,18 @@ bool RouteServer::serve_frame(int fd, const std::string& peer) {
       break;
     }
     case FrameType::kSnapshotFetch: {
-      const ShardVersionsResult fetch = decode_shard_versions(payload);
+      const FetchResult fetch = decode_fetch(payload);
       if (!fetch.ok()) return send_error(fd, peer, fetch.status, fetch.error);
-      counters_.add(&ServerCounters::frames);
-      return serve_snapshot_fetch(fd, peer, fetch.versions);
+      return serve_snapshot_fetch(fd, peer, fetch);
     }
-    case FrameType::kSubscribe: {
-      std::uint64_t since = 0;
-      if (!decode_u64(payload, since))
+    case FrameType::kAwaitPublish: {
+      Await await;
+      if (!decode_await(payload, await))
         return send_error(fd, peer, WireStatus::kMalformed,
-                          "bad subscribe payload");
-      counters_.add(&ServerCounters::frames);
-      return serve_subscription(fd, since);
+                          "bad await payload");
+      reply_frame = encode_frame(FrameType::kPublishNotify,
+                                 encode_publish_notify(park(await)));
+      break;
     }
     default:
       // Server-to-client types (HelloAck, ReplyBatch, ...) and kError are
@@ -409,26 +326,57 @@ bool RouteServer::serve_frame(int fd, const std::string& peer) {
                         "frame type not valid as a request");
   }
 
-  if (!write_all(fd, reply_frame, config_.read_timeout_ms)) return false;
+  if (!write_all(fd, reply_frame, kIoTimeoutMs)) return false;
   counters_.add(&ServerCounters::frames);
   // Stop taking new frames once shutdown began; the reply above completes
   // the in-flight exchange.
   return !stopping_.load(std::memory_order_relaxed);
 }
 
-bool RouteServer::serve_snapshot_fetch(
-    int fd, const std::string& peer,
-    const std::vector<std::uint64_t>& known) {
-  // The cut pins the snapshot it streams, so a replica backend swapping its
-  // store mid-transfer cannot pull the data out from under the stream.
+PublishNotify RouteServer::park(const Await& await) const {
+  const auto deadline =
+      Clock::now() +
+      std::chrono::milliseconds(std::min(await.wait_ms, kMaxParkMs));
+  std::uint64_t count = backend_.publish_count();
+  // Slices of at most 100 ms, so stop() releases a parked request quickly.
+  while (count <= await.since && !stopping_.load(std::memory_order_relaxed)) {
+    const int slice = next_slice_ms(deadline);
+    if (slice == 0) break;
+    count = backend_.wait_for_publish_beyond(await.since, slice);
+  }
+  // Version and stamp from one snapshot read, taken after the count: two
+  // separate reads could straddle a publish and pair one snapshot's
+  // version with another's stamp.
+  const auto snap = backend_.snapshot();
+  PublishNotify notify;
+  notify.snapshot_version = snap == nullptr ? 0 : snap->version();
+  notify.published_at_ns = snap == nullptr ? 0 : snap->published_at_ns();
+  notify.publish_count = count;
+  return notify;
+}
+
+bool RouteServer::serve_snapshot_fetch(int fd, const std::string& peer,
+                                       const FetchResult& fetch) {
+  const PublishNotify notify = park(fetch.await);
+  if (!write_all(fd, encode_frame(FrameType::kPublishNotify,
+                                  encode_publish_notify(notify)),
+                 kIoTimeoutMs))
+    return false;
+  counters_.add(&ServerCounters::frames);
+  if (notify.publish_count <= fetch.await.since)
+    return !stopping_.load(std::memory_order_relaxed);
+
+  // The count was read before this cut, so the cut is at least as new as
+  // the notify says, and a count above `since` (>= 0) means something was
+  // published. The cut pins the snapshot it streams, so a replica backend
+  // swapping its store mid-transfer cannot pull the data out from under
+  // the stream.
   const service::ShardedSnapshotStore::ExportCut cut = backend_.export_cut();
-  if (cut.newest == nullptr)
-    return send_error(fd, peer, WireStatus::kShuttingDown,
-                      "no snapshot published yet");
   const std::size_t shard_count = cut.shard_versions.size();
   // The dirty set: shards whose version moved since the replica's last
   // sync. A version vector of the wrong length (including the empty one a
   // bootstrap sends) cannot be compared per shard, so everything is dirty.
+  const std::vector<std::uint64_t>& known = fetch.versions;
   const bool full = known.size() != shard_count;
   std::vector<std::uint32_t> dirty;
   for (std::size_t s = 0; s < shard_count; ++s)
@@ -443,7 +391,7 @@ bool RouteServer::serve_snapshot_fetch(
           return false;
         }
         if (!write_all(fd, encode_frame(FrameType::kSnapshotChunk, chunk),
-                       config_.read_timeout_ms))
+                       kIoTimeoutMs))
           return false;
         counters_.add(&ServerCounters::frames);
         return true;
@@ -452,47 +400,6 @@ bool RouteServer::serve_snapshot_fetch(
     return send_error(fd, peer, WireStatus::kOversized,
                       "snapshot chunk exceeds the frame payload limit");
   return streamed && !stopping_.load(std::memory_order_relaxed);
-}
-
-bool RouteServer::serve_subscription(int fd, std::uint64_t since) {
-  // The connection is now a push channel: this worker is pinned to it
-  // until the peer closes, a write fails, or the server stops. The notify
-  // "queue" is depth one by construction — each iteration reads the
-  // backend's *current* publish count and version, so a subscriber slower
-  // than the publish rate receives one notify describing the latest state
-  // with `coalesced` counting everything it skipped, never a backlog.
-  std::uint64_t last = since;
-  bool first = true;
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    // Liveness check: a subscribed peer sends nothing, so any readable
-    // byte is either EOF (normal teardown) or a protocol violation; both
-    // end the subscription.
-    pollfd pfd{fd, POLLIN, 0};
-    if (::poll(&pfd, 1, 0) > 0) return false;
-    // The first notify is the subscription ack: sent immediately, telling
-    // a late or re-connecting subscriber how far behind `since` it is.
-    const std::uint64_t count =
-        first ? backend_.publish_count()
-              : backend_.wait_for_publish_beyond(last, 100);
-    if (!first && count <= last) continue;  // slice elapsed; re-check peer
-    // Version and stamp from one snapshot read: two separate reads could
-    // straddle a publish and pair one snapshot's version with another's
-    // stamp.
-    const auto snap = backend_.snapshot();
-    PublishNotify notify;
-    notify.snapshot_version = snap == nullptr ? 0 : snap->version();
-    notify.published_at_ns = snap == nullptr ? 0 : snap->published_at_ns();
-    notify.publish_count = count;
-    notify.coalesced = count > last + 1 ? count - last - 1 : 0;
-    if (!write_all(fd, encode_frame(FrameType::kPublishNotify,
-                                    encode_publish_notify(notify)),
-                   config_.read_timeout_ms))
-      return false;
-    counters_.add(&ServerCounters::frames);
-    last = count;
-    first = false;
-  }
-  return false;
 }
 
 }  // namespace fpss::net

@@ -1,5 +1,5 @@
 // net::RouteServer: the blocking TCP front end that turns a RouteService
-// into a daemon speaking fpss-wire v1.
+// into a daemon speaking fpss-wire v2.
 //
 // Shape: one accept thread plus a small worker pool. Accepted connections
 // are queued; each worker serves one connection at a time, frame by frame
@@ -19,12 +19,13 @@
 //     frame they are serving (in-flight batches drain), then join.
 //
 // The server fronts a service::Backend (service/backend.h) — a local
-// RouteService or a ReplicaService, both implementing it directly. Two
-// frame types stream instead of request/reply: kSnapshotFetch elicits a
-// burst of kSnapshotChunk frames (the per-shard replication transfer),
-// and kSubscribe converts the connection into a push channel that holds
-// its worker and emits kPublishNotify frames until either side closes —
-// size the worker pool for one pinned worker per subscribed replica.
+// RouteService or a ReplicaService, both implementing it directly. Every
+// frame it writes answers a request. Two requests are parked (see
+// wire.h): kAwaitPublish and kSnapshotFetch hold their worker until the
+// backend publishes past the request's clock, the request's wait (at most
+// kMaxParkMs) runs out, or stop() — which therefore returns within one
+// 100 ms slice of a parked request. A fetch whose notify moved past the
+// clock continues with the per-shard catch-up stream.
 #pragma once
 
 #include <atomic>
@@ -48,12 +49,7 @@ struct ServerConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral (read back via port())
   unsigned workers = 4;
-  /// How long a worker waits for the rest of a frame before giving up on
-  /// the connection.
-  int read_timeout_ms = 5000;
   WireLimits limits;
-  /// Accept kDeltaSubmit frames (a pure read replica would say no).
-  bool allow_deltas = true;
 };
 
 class RouteServer {
@@ -101,14 +97,16 @@ class RouteServer {
   /// close (EOF, timeout, protocol error, shutdown). `peer` is the
   /// connection's accounting key.
   bool serve_frame(int fd, const std::string& peer);
-  /// Streams the per-shard snapshot transfer for one kSnapshotFetch:
-  /// data chunks for every shard whose version differs from `known`, then
-  /// the final chunk. Returns false (close) on any write failure.
+  /// Holds a parked request until the backend's publish count exceeds
+  /// `await.since`, min(wait_ms, kMaxParkMs) passes, or the server stops.
+  /// The notify is built from one count read and then one snapshot read.
+  PublishNotify park(const Await& await) const;
+  /// Answers one kSnapshotFetch: parks, writes the notify, and, if its
+  /// count passed `since`, streams data chunks for every shard whose
+  /// version differs from the request's, then the final chunk. Returns
+  /// false (close) on any write failure.
   bool serve_snapshot_fetch(int fd, const std::string& peer,
-                            const std::vector<std::uint64_t>& known);
-  /// The push loop a kSubscribe converts the connection into; returns only
-  /// when the peer closes, a write fails, or the server stops.
-  bool serve_subscription(int fd, std::uint64_t since);
+                            const FetchResult& fetch);
   bool send_error(int fd, const std::string& peer, WireStatus code,
                   const std::string& message);
   /// The counters this peer accounts under (the overflow bucket when the

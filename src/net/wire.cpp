@@ -35,7 +35,7 @@ bool known_frame_type(std::uint8_t tag) {
     case FrameType::kDrainReply:
     case FrameType::kSnapshotFetch:
     case FrameType::kSnapshotChunk:
-    case FrameType::kSubscribe:
+    case FrameType::kAwaitPublish:
     case FrameType::kPublishNotify:
     case FrameType::kError:
       return true;
@@ -403,20 +403,42 @@ DeltasResult decode_deltas(std::string_view payload, std::uint32_t max_batch) {
 
 // --- replication payloads --------------------------------------------------
 
-std::string encode_shard_versions(std::span<const std::uint64_t> versions) {
+std::string encode_await(const Await& await) {
   std::string out;
-  out.reserve(4 + 8 * versions.size());
+  append_u64(out, await.since);
+  append_u32(out, await.wait_ms);
+  return out;
+}
+
+namespace {
+void read_await(BinReader& in, Await& out) {
+  out.since = in.u64();
+  out.wait_ms = in.u32();
+}
+}  // namespace
+
+bool decode_await(std::string_view payload, Await& out) {
+  BinReader in{payload};
+  read_await(in, out);
+  return !in.fail && in.pos == payload.size();
+}
+
+std::string encode_fetch(const Await& await,
+                         std::span<const std::uint64_t> versions) {
+  std::string out = encode_await(await);
+  out.reserve(out.size() + 4 + 8 * versions.size());
   append_u32(out, static_cast<std::uint32_t>(versions.size()));
   for (const std::uint64_t v : versions) append_u64(out, v);
   return out;
 }
 
-ShardVersionsResult decode_shard_versions(std::string_view payload) {
-  ShardVersionsResult result;
+FetchResult decode_fetch(std::string_view payload) {
+  FetchResult result;
   BinReader in{payload};
+  read_await(in, result.await);
   const std::uint32_t count = in.u32();
   if (in.fail || in.remaining() != 8 * std::size_t{count}) {
-    result.error = "shard-version vector size mismatch";
+    result.error = "snapshot fetch size mismatch";
     return result;
   }
   result.versions.reserve(count);
@@ -429,7 +451,6 @@ std::string encode_publish_notify(const PublishNotify& notify) {
   append_u64(out, notify.snapshot_version);
   append_u64(out, notify.published_at_ns);
   append_u64(out, notify.publish_count);
-  append_u64(out, notify.coalesced);
   return out;
 }
 
@@ -438,7 +459,6 @@ bool decode_publish_notify(std::string_view payload, PublishNotify& out) {
   out.snapshot_version = in.u64();
   out.published_at_ns = in.u64();
   out.publish_count = in.u64();
-  out.coalesced = in.u64();
   return !in.fail && in.pos == payload.size();
 }
 

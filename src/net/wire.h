@@ -1,4 +1,4 @@
-// "fpss-wire v1": the length-prefixed binary framing that carries
+// "fpss-wire v2": the length-prefixed binary framing that carries
 // Query/Answer batches and control traffic between net::RouteClient and
 // net::RouteServer.
 //
@@ -20,15 +20,20 @@
 //   kCountersFetch(0x20) -> kCountersReply(0x21) the counters frame
 //   kDeltaSubmit(0x30)   -> kDeltaAck(0x31)      remote topology deltas
 //   kDrain(0x40)         -> kDrainReply(0x41)    publish barrier
-//   kSnapshotFetch(0x50) -> kSnapshotChunk(0x51)* per-shard snapshot sync
-//   kSubscribe(0x60)     -> kPublishNotify(0x61)* push-based epoch updates
+//   kSnapshotFetch(0x50) -> kPublishNotify(0x61) kSnapshotChunk(0x51)*
+//                                                parked per-shard sync
+//   kAwaitPublish(0x60)  -> kPublishNotify(0x61) parked publish wait
 //   any                  -> kError(0x7f)         typed rejection
 //
-// (* = streamed: one kSnapshotFetch elicits a burst of kSnapshotChunk
-// frames — data chunks for each dirty shard, then a final chunk (see
-// service/replication.h); one kSubscribe converts the connection into a
-// notify stream that pushes a kPublishNotify whenever the served epoch
-// advances, coalescing bursts to the latest version.)
+// Every exchange is one request and its reply: the server never writes a
+// frame it was not asked for. kAwaitPublish and kSnapshotFetch are
+// *parked*: the server holds the reply until its publish count exceeds
+// the request's `since` or min(wait_ms, kMaxParkMs) has passed, then
+// answers with one kPublishNotify describing its current state. A fetch
+// whose notify count passed `since` continues with the catch-up stream
+// (* = data chunks for each dirty shard, then a final chunk; see
+// service/replication.h). A waiter that stops asking costs nothing; one
+// that falls behind gets the newest state, never a backlog.
 #pragma once
 
 #include <cstdint>
@@ -44,10 +49,16 @@
 
 namespace fpss::net {
 
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;
 // "FPW1" read as little-endian u32.
 inline constexpr std::uint32_t kWireMagic = 0x31575046u;
 inline constexpr std::size_t kFrameHeaderBytes = 20;
+/// Per-frame I/O deadline both ends use for reads and writes.
+inline constexpr int kIoTimeoutMs = 5000;
+/// The longest a server parks a kAwaitPublish or kSnapshotFetch. Shorter
+/// than the I/O deadline, so a parked reply is never taken for a dead peer.
+inline constexpr std::uint32_t kMaxParkMs = 1000;
+static_assert(kMaxParkMs < kIoTimeoutMs);
 
 enum class FrameType : std::uint8_t {
   kHello = 0x01,
@@ -62,7 +73,7 @@ enum class FrameType : std::uint8_t {
   kDrainReply = 0x41,
   kSnapshotFetch = 0x50,
   kSnapshotChunk = 0x51,
-  kSubscribe = 0x60,
+  kAwaitPublish = 0x60,
   kPublishNotify = 0x61,
   kError = 0x7f,
 };
@@ -212,33 +223,45 @@ DeltasResult decode_deltas(std::string_view payload, std::uint32_t max_batch);
 
 // --- replication payloads --------------------------------------------------
 
-/// kSnapshotFetch: the replica's negotiation state — the per-shard
-/// versions it currently serves (from its last sync's final chunk). An
-/// empty vector requests a full bootstrap; a vector whose length does not
-/// match the server's shard layout is treated the same way. The server
-/// streams back data chunks only for shards whose version moved, then the
-/// final chunk. Payload: count:u32 then count x version:u64.
-std::string encode_shard_versions(std::span<const std::uint64_t> versions);
+/// The head of a parked request (kAwaitPublish, and kSnapshotFetch
+/// before its versions): answer once the publish count exceeds `since`,
+/// or after min(wait_ms, kMaxParkMs). `wait_ms` = 0 answers at once.
+/// Payload: since:u64 | wait_ms:u32.
+struct Await {
+  std::uint64_t since = 0;
+  std::uint32_t wait_ms = 0;
+};
 
-struct ShardVersionsResult {
+std::string encode_await(const Await& await);
+bool decode_await(std::string_view payload, Await& out);
+
+/// kSnapshotFetch: the park head, then the replica's negotiation state —
+/// the per-shard versions it currently serves (from its last sync's final
+/// chunk). An empty vector requests a full bootstrap; a vector whose
+/// length does not match the server's shard layout is treated the same
+/// way. Once its notify's count passed `since`, the server streams data
+/// chunks only for shards whose version moved, then the final chunk.
+/// Payload: since:u64 | wait_ms:u32 | count:u32 | count x version:u64.
+std::string encode_fetch(const Await& await,
+                         std::span<const std::uint64_t> versions);
+
+struct FetchResult {
+  Await await;
   std::vector<std::uint64_t> versions;
   WireStatus status = WireStatus::kMalformed;
   std::string error;
   bool ok() const { return error.empty(); }
 };
-ShardVersionsResult decode_shard_versions(std::string_view payload);
+FetchResult decode_fetch(std::string_view payload);
 
-/// kPublishNotify: the push half of a subscription. `publish_count` is the
-/// server's cumulative publish tally at send time and the high-water mark
-/// the subscriber acknowledges implicitly; `coalesced` counts the
-/// publishes this notify collapsed beyond the first (a subscriber slower
-/// than the publish rate sees the latest state with coalesced > 0, never
-/// a backlog of stale notifies).
+/// kPublishNotify: the reply to a parked request. `publish_count` is the
+/// server's cumulative publish tally, read before the snapshot whose
+/// version and stamp the notify carries (one snapshot read, so the pair
+/// always belongs to one published snapshot).
 struct PublishNotify {
   std::uint64_t snapshot_version = 0;
   std::uint64_t published_at_ns = 0;
   std::uint64_t publish_count = 0;
-  std::uint64_t coalesced = 0;
 };
 
 std::string encode_publish_notify(const PublishNotify& notify);

@@ -17,6 +17,11 @@ using service::ShardedSnapshotStore;
 
 namespace {
 
+/// How long a parked fetch waits before the upstream answers with an
+/// unchanged clock: the latency ceiling for noticing stop(), not for
+/// syncs — a publish answers the fetch at once.
+constexpr std::uint32_t kSyncSliceMs = 200;
+
 /// A write this tier refuses, with the text the server relays to the peer.
 service::SubmitAck refusal(service::SubmitAck::Status status) {
   service::SubmitAck ack;
@@ -67,8 +72,6 @@ void ReplicaService::stop() {
   stopped_ = true;
   stop_.store(true, std::memory_order_relaxed);
   if (sync_.joinable()) sync_.join();
-  fetch_.reset();
-  notify_.reset();
   util::MutexLock lock(forward_mutex_);
   forward_.reset();
 }
@@ -89,7 +92,7 @@ void ReplicaService::note_upstream_failure(std::size_t index) {
 // --- sync loop --------------------------------------------------------------
 
 void ReplicaService::sync_loop() {
-  std::uint64_t last_server_count = 0;
+  std::uint64_t last = 0;
   bool ever_synced = false;
   while (!stop_.load(std::memory_order_relaxed)) {
     // Dial whichever upstream the shared cursor points at; every failure
@@ -97,63 +100,29 @@ void ReplicaService::sync_loop() {
     // off, so a dead primary degrades this tier to its last cut while the
     // loop hunts for a live upstream.
     const std::size_t target = current_upstream_index();
-    const auto fail_over = [&](bool established) {
-      if (established) {
+    net::RouteClient upstream(upstreams_[target]);
+    if (upstream.connect().ok()) {
+      hop_.store(upstream.server_hop_count() + 1, std::memory_order_relaxed);
+      bool first = true;
+      while (!stop_.load(std::memory_order_relaxed) &&
+             sync_once(upstream, first, last)) {
+        first = false;
+        ever_synced = true;
+      }
+      if (stop_.load(std::memory_order_relaxed)) return;
+      if (ever_synced) {
         sync_counters_.add(&net::ReplicaCounters::resyncs);
         sync_counters_.add(&net::ReplicaCounters::upstream_disconnects);
       }
-      fetch_.reset();
-      notify_.reset();
-      note_upstream_failure(target);
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(config_.resync_backoff_ms));
-    };
-    fetch_ = std::make_unique<net::RouteClient>(upstreams_[target]);
-    notify_ = std::make_unique<net::RouteClient>(upstreams_[target]);
-    // (Re)establish both channels. Subscribe *before* the catch-up fetch:
-    // any publish that lands after the fetch is then covered by a pending
-    // notify, so there is no window a version can slip through unseen.
-    if (!notify_->connect().ok() || !fetch_->connect().ok()) {
-      fail_over(false);
-      continue;
     }
-    hop_.store(notify_->server_hop_count() + 1, std::memory_order_relaxed);
-    const net::NotifyResult sub = notify_->subscribe(last_server_count);
-    if (!sub.ok()) {
-      fail_over(false);
-      continue;
-    }
-    sync_counters_.add(&net::ReplicaCounters::notifies_received);
-    sync_counters_.add(&net::ReplicaCounters::notifies_coalesced,
-                       sub.notify.coalesced);
-    last_server_count = sub.notify.publish_count;
-    if (!sync_once(last_server_count)) {
-      fail_over(ever_synced);
-      continue;
-    }
-    ever_synced = true;
-
-    // Steady state: push-driven only. Every pull below is caused by a
-    // kPublishNotify; the timeout branch exists solely to re-check the
-    // stop flag.
-    while (!stop_.load(std::memory_order_relaxed)) {
-      const net::NotifyResult pushed =
-          notify_->await_notify(config_.notify_wait_ms);
-      if (pushed.error.status == net::ClientStatus::kTimeout) continue;
-      if (!pushed.ok()) break;  // connection lost; resync
-      sync_counters_.add(&net::ReplicaCounters::notifies_received);
-      sync_counters_.add(&net::ReplicaCounters::notifies_coalesced,
-                         pushed.notify.coalesced);
-      last_server_count =
-          std::max(last_server_count, pushed.notify.publish_count);
-      if (!sync_once(last_server_count)) break;
-    }
-    if (stop_.load(std::memory_order_relaxed)) return;
-    fail_over(true);
+    note_upstream_failure(target);
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(config_.resync_backoff_ms));
   }
 }
 
-bool ReplicaService::sync_once(std::uint64_t server_count) {
+bool ReplicaService::sync_once(net::RouteClient& upstream, bool first,
+                               std::uint64_t& last) {
   std::vector<std::uint64_t> known;
   std::shared_ptr<const RouteSnapshot> base;
   {
@@ -165,12 +134,25 @@ bool ReplicaService::sync_once(std::uint64_t server_count) {
   // Chunks go straight into the assembler as they arrive, so a fetch holds
   // one frame plus the assembly, and the first chunk it rejects ends it.
   ReplicationCodec::Assembler assembler(std::move(base));
-  const net::SnapshotFetchResult fetched = fetch_->fetch_snapshot(
-      known, [&assembler](std::string_view chunk) {
+  const net::Await await =
+      first ? net::Await{} : net::Await{last, kSyncSliceMs};
+  const net::SnapshotFetchResult fetched = upstream.fetch_snapshot(
+      await, known, [&assembler](std::string_view chunk) {
         return assembler.feed(chunk);
       });
   sync_counters_.add(&net::ReplicaCounters::chunks_fetched, fetched.chunks);
   sync_counters_.add(&net::ReplicaCounters::bytes_fetched, fetched.bytes);
+  if (!fetched.ok() && !fetched.streamed) return false;  // no notify
+
+  // The publishes this notify skipped past the last one this replica saw:
+  // a replica slower than the publish rate syncs to the newest state,
+  // never through a backlog.
+  const std::uint64_t count = fetched.notify.publish_count;
+  const std::uint64_t skipped = count > last + 1 ? count - last - 1 : 0;
+  last = first ? count : std::max(last, count);
+  if (!fetched.streamed) return true;  // the park ran out; ask again
+  sync_counters_.add(&net::ReplicaCounters::notifies_received);
+  sync_counters_.add(&net::ReplicaCounters::notifies_coalesced, skipped);
   if (!fetched.ok() && assembler.error().empty()) return false;
 
   ReplicationCodec::Assembler::Result result = assembler.finish();
@@ -190,10 +172,13 @@ bool ReplicaService::sync_once(std::uint64_t server_count) {
   sync_counters_.add(known.size() == result.shard_versions.size()
                          ? &net::ReplicaCounters::delta_syncs
                          : &net::ReplicaCounters::full_syncs);
-  install(result, server_count);
+  // The lag is taken before install() wakes the tiers below: a child that
+  // syncs this snapshot from us measures later, so its lag is never below
+  // ours.
   sync_counters_.set(&net::ReplicaCounters::sync_lag_ns,
                      util::age_from(result.snapshot->published_at_ns(),
                                     util::wall_clock_ns()));
+  install(result, last);
   return true;
 }
 
@@ -228,8 +213,9 @@ void ReplicaService::install(
   } else if (result.shards_sent.empty() &&
              store_->version() == snap->version() &&
              store_->newest()->checksum() == snap->checksum()) {
-    // Nothing moved at all (e.g. the notify raced a sync that already
-    // caught up); adopt the negotiation state and skip the publish.
+    // Nothing moved at all (e.g. a failover's first fetch found the new
+    // upstream serving this very cut); adopt the negotiation state and
+    // skip the publish.
     synced_versions_ = result.shard_versions;
     return;
   } else {

@@ -2,28 +2,32 @@
 // fpss-wire instead of from a local pricing session — and whose writes
 // are forwarded back up the same wire.
 //
-// A replica owns three upstream connections and one background sync
+// A replica owns two upstream connections and one background sync
 // thread:
 //
-//   fetch channel   ──► kSnapshotFetch(known shard versions)
-//                       ◄── kSnapshotChunk* (dirty shards + final chunk)
-//   notify channel  ──► kSubscribe(last publish count)
-//                       ◄── kPublishNotify pushes (coalesced under bursts)
+//   sync channel    ──► kSnapshotFetch(since, wait, known shard versions)
+//                       ◄── kPublishNotify, then, once the count passed
+//                           `since`, kSnapshotChunk* (dirty shards + final)
 //   forward channel ──► kDeltaSubmit (writes relayed toward the primary)
 //                       ◄── kDeltaAck (accepted + primary publish clock)
 //
-// The sync loop bootstraps with a full fetch (every shard), subscribes,
-// and thereafter fetches only on a push — no polling. Each catch-up sends
-// the shard-version vector from its previous sync's final chunk, so the
-// primary streams exactly the shards whose version moved: a replica N
-// publishes behind transfers O(dirty shards), not O(all shards). The
-// reassembled snapshot (service::ReplicationCodec::Assembler — checksum
-// verified, torn chunks rejected wholesale, fed chunk by chunk as they
-// arrive) lands in the replica's own ShardedSnapshotStore in one publish,
-// the same single-lock install the primary's publish does. The assembler
-// shares the served blocks of every shard not fetched and adopts fetched
-// blocks whose digest matches, so that publish stamps only the shards
-// whose bytes changed; a downstream replica then refetches only those.
+// The sync loop keeps one fetch parked at its upstream, which answers once
+// it publishes past the replica's clock — so every sync is caused by a
+// publish, and there is no separate notify round trip. A parked fetch
+// that runs out (a 200 ms slice, which is what bounds stop()) is simply
+// sent again. A connection's first fetch does not park, so a bootstrap or
+// a failover catches up at once to whatever that upstream serves. Each
+// fetch sends the shard-version vector from its previous sync's final
+// chunk, so the upstream streams exactly the shards whose version moved:
+// a replica N publishes behind transfers O(dirty shards), not O(all
+// shards). The reassembled snapshot (service::ReplicationCodec::Assembler
+// — checksum verified, torn chunks rejected wholesale, fed chunk by chunk
+// as they arrive) lands in the replica's own ShardedSnapshotStore in one
+// publish, the same single-lock install the primary's publish does. The
+// assembler shares the served blocks of every shard not fetched and
+// adopts fetched blocks whose digest matches, so that publish stamps only
+// the shards whose bytes changed; a downstream replica then refetches
+// only those.
 //
 // Reads go through the same service::Request/Reply surface a primary
 // serves, so a query answered by a replica is bit-identical to the
@@ -83,15 +87,11 @@ struct ReplicaConfig {
   /// Warm-start checkpoint directory (see service::CheckpointPolicy).
   /// Empty disables the warm bootstrap.
   std::string checkpoint_directory;
-  /// How long one await_notify slice blocks before the loop re-checks the
-  /// stop flag. Latency ceiling for noticing shutdown, not for syncs —
-  /// notifies wake the wait immediately.
-  int notify_wait_ms = 200;
   /// Backoff between reconnect attempts after the upstream drops.
   int resync_backoff_ms = 100;
   /// Relay kDeltaSubmit to the upstream (false = read-only tier: submit
-  /// reports kReadOnly and the fronting server should also set
-  /// ServerConfig::allow_deltas = false).
+  /// reports kReadOnly, which a fronting server relays as a kBadFrameType
+  /// rejection).
   bool forward_deltas = true;
   /// Forwarding retry budget: total attempts across the fallback list
   /// before a write fails kUnavailable (1 = no retry).
@@ -126,8 +126,9 @@ class ReplicaService final : public service::Backend {
   std::uint64_t wait_for_version_beyond(std::uint64_t version, int timeout_ms)
       const FPSS_EXCLUDES(store_mutex_);
 
-  /// Stops the sync loop and closes the upstream connections. Idempotent;
-  /// the destructor calls it. Reads keep working on the last synced state.
+  /// Stops the sync loop and closes the upstream connections, within one
+  /// parked fetch's slice. Idempotent; the destructor calls it. Reads keep
+  /// working on the last synced state.
   void stop();
 
   net::ReplicaCounters replication_counters() const;
@@ -171,13 +172,14 @@ class ReplicaService final : public service::Backend {
       const override FPSS_EXCLUDES(store_mutex_);
 
  private:
-  /// One sync: fetch (full or dirty-only), reassemble, publish.
-  /// `server_count` is the upstream publish count this sync covers
-  /// (the notify that caused it); the chain-wide clock is raised to it
-  /// atomically with the install. Returns false when the connection
-  /// failed or a chunk was rejected (triggers a resync; nothing partial is
-  /// ever published, and a rejection also drops the negotiation state).
-  bool sync_once(std::uint64_t server_count);
+  /// One fetch on `upstream`: a connection's `first` answers at once,
+  /// later ones park until the upstream publishes past `last`. A notify
+  /// assigns `last` on the first fetch and raises it afterwards. A
+  /// streamed reply is reassembled (full or dirty-only) and installed
+  /// under `last`. Returns false when the connection failed or a chunk was
+  /// rejected (triggers a resync; nothing partial is ever published, and a
+  /// rejection also drops the negotiation state).
+  bool sync_once(net::RouteClient& upstream, bool first, std::uint64_t& last);
   void sync_loop();
   /// Publishes an assembled snapshot into the store (a fresh store for a
   /// bootstrap or layout change) and raises the chain-wide clock to
@@ -215,10 +217,6 @@ class ReplicaService final : public service::Backend {
   // Shared reconnect cursor into upstreams_.
   mutable util::Mutex upstream_mutex_;
   std::size_t upstream_index_ FPSS_GUARDED_BY(upstream_mutex_) = 0;
-
-  // Upstream connections: sync-thread-only, re-created per failover cycle.
-  std::unique_ptr<net::RouteClient> fetch_;
-  std::unique_ptr<net::RouteClient> notify_;
 
   // Forwarding path: forward_mutex_ serializes the relay; the in-flight
   // gate counts waiters + the holder and rejects the excess unblocked.

@@ -131,12 +131,13 @@ struct ReplicaCounters {
   std::uint64_t chunks_fetched = 0; ///< kSnapshotChunk frames received
   std::uint64_t bytes_fetched = 0;  ///< chunk payload bytes received
   std::uint64_t blocks_adopted = 0; ///< wire blocks swapped for local ones
-  std::uint64_t notifies_received = 0;
-  /// Publishes learned about only through a notify's coalesced tally —
-  /// bursts the push path collapsed instead of queueing.
+  std::uint64_t notifies_received = 0;  ///< streamed fetch replies
+  /// Publishes a streamed fetch reply skipped past the last count this
+  /// replica saw — bursts the parked fetch collapsed instead of queueing.
   std::uint64_t notifies_coalesced = 0;
   std::uint64_t resyncs = 0;        ///< upstream reconnects after a loss
-  /// Gauge: at the last sync, now - the adopted snapshot's publish stamp.
+  /// Gauge: at the last sync, now - the adopted snapshot's publish stamp,
+  /// taken just before the install makes the snapshot visible downstream.
   /// The stamp is the *primary's* publish time, so on a chain each tier's
   /// lag already compounds every upstream hop's lag.
   std::uint64_t sync_lag_ns = 0;
@@ -207,7 +208,7 @@ class Backend {
   /// stamp and node count of the served state all come from this one read,
   /// so they always describe the same snapshot.
   virtual std::shared_ptr<const RouteSnapshot> snapshot() const = 0;
-  /// Cumulative publishes — the clock that write acks, subscriptions and
+  /// Cumulative publishes — the clock that write acks, parked requests and
   /// read-your-write waits run on.
   virtual std::uint64_t publish_count() const = 0;
   /// Chain depth the hello ack advertises: 0 on a primary, upstream's hop
@@ -223,8 +224,7 @@ class Backend {
   }
 
   /// Applies (or forwards) deltas and returns once they are published.
-  /// The server additionally gates the frame type on
-  /// ServerConfig::allow_deltas.
+  /// kReadOnly reaches a remote writer as a kBadFrameType rejection.
   virtual SubmitAck submit_deltas(std::span<const Delta> deltas) = 0;
   /// Publish barrier; returns the served version afterwards.
   virtual std::uint64_t drain() = 0;
@@ -234,9 +234,8 @@ class Backend {
   /// valid however the backend's store changes while a transfer runs.
   virtual ShardedSnapshotStore::ExportCut export_cut() const = 0;
   /// Blocks until publish_count() exceeds `count` or `timeout_ms` elapses;
-  /// returns the publish count at return. The subscription pusher calls
-  /// this in bounded slices so it can interleave connection-liveness
-  /// checks.
+  /// returns the publish count at return. The server parks kAwaitPublish
+  /// and kSnapshotFetch on this in 100 ms slices, so stop() releases them.
   virtual std::uint64_t wait_for_publish_beyond(std::uint64_t count,
                                                 int timeout_ms) const = 0;
 };

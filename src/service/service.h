@@ -184,10 +184,9 @@ class RouteService final : public Backend {
   void wait_for_publishes(std::uint64_t count) const
       FPSS_EXCLUDES(queue_mutex_);
 
-  /// Bounded-wait variant for push loops: blocks until publish_count()
-  /// exceeds `count` or `timeout_ms` elapses, and returns the current
-  /// publish count either way. A subscription pusher polls this in slices
-  /// so it can also observe connection teardown between publishes.
+  /// Bounded-wait variant for parked requests: blocks until
+  /// publish_count() exceeds `count` or `timeout_ms` elapses, and returns
+  /// the current publish count either way.
   std::uint64_t wait_for_publish_beyond(std::uint64_t count, int timeout_ms)
       const override FPSS_EXCLUDES(queue_mutex_);
 

@@ -72,15 +72,12 @@ net::ClientConfig to_port(std::uint16_t port) {
 }
 
 /// primary -> mid replica -> leaf replica, each tier fronted by its own
-/// RouteServer with forwarding enabled. Worker pools are sized for the
-/// pinned connections: each downstream replica holds three (fetch,
-/// notify, forward) on its upstream's front, plus test clients.
+/// RouteServer with forwarding enabled. The default four workers fit a
+/// downstream replica's two connections (sync, forward) plus test clients.
 struct Chain {
   explicit Chain(const test::InstanceSpec& spec, std::size_t shards)
       : primary(make_service(spec, shards)) {
-    net::ServerConfig front_config;
-    front_config.workers = 6;
-    primary_front = std::make_unique<net::RouteServer>(primary, front_config);
+    primary_front = std::make_unique<net::RouteServer>(primary);
     if (!primary_front->ok()) return;
 
     ReplicaConfig mid_config;
@@ -88,7 +85,7 @@ struct Chain {
     mid = std::make_unique<ReplicaService>(mid_config);
     if (!mid->wait_until_ready(10000)) return;
     mid->wait_for_version_beyond(primary.version() - 1, 10000);
-    mid_front = std::make_unique<net::RouteServer>(*mid, front_config);
+    mid_front = std::make_unique<net::RouteServer>(*mid);
     if (!mid_front->ok()) return;
 
     ReplicaConfig leaf_config;
@@ -96,7 +93,7 @@ struct Chain {
     leaf = std::make_unique<ReplicaService>(leaf_config);
     if (!leaf->wait_until_ready(10000)) return;
     leaf->wait_for_version_beyond(primary.version() - 1, 10000);
-    leaf_front = std::make_unique<net::RouteServer>(*leaf, front_config);
+    leaf_front = std::make_unique<net::RouteServer>(*leaf);
     ready = leaf_front->ok();
   }
 
@@ -305,6 +302,8 @@ TEST(ChainFailover, PrimaryKillMidChurnDegradesThenRecovers) {
 
   const auto batch = random_batch(n, 96);
   const auto before_kill = replica.query(batch);
+  const std::uint64_t coalesced_before =
+      replica.replication_counters().notifies_coalesced;
 
   // Kill the primary's front mid-churn. The service itself survives (its
   // state is the durable thing a restarted daemon would reload).
@@ -330,8 +329,9 @@ TEST(ChainFailover, PrimaryKillMidChurnDegradesThenRecovers) {
   server = std::make_unique<net::RouteServer>(primary, server_config);
   ASSERT_TRUE(server->ok()) << server->error();
 
-  // Recovery: the resubscribe's immediate notify carries the missed
-  // publishes, and one sync catches the replica up.
+  // Recovery: the new connection's first fetch answers at once, and one
+  // sync catches the replica up past all three missed publishes — two of
+  // them coalesced into it.
   ASSERT_GE(replica.wait_for_version_beyond(primary.version() - 1, 15000),
             primary.version());
   EXPECT_EQ(replica.store()->newest()->checksum(),
@@ -340,6 +340,7 @@ TEST(ChainFailover, PrimaryKillMidChurnDegradesThenRecovers) {
   const auto counters = replica.replication_counters();
   EXPECT_GE(counters.upstream_disconnects, 1u);
   EXPECT_GE(counters.resyncs, 1u);
+  EXPECT_EQ(counters.notifies_coalesced - coalesced_before, 2u);
 
   // The forwarding path recovered too (its pre-kill connection is dead;
   // the retry loop re-dials through the shared cursor).

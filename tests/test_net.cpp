@@ -617,28 +617,45 @@ TEST(RouteClientNet, TypedErrors) {
 }
 
 TEST(Wire, ReplicationControlPayloadRoundTrips) {
-  // Shard-version vectors (the kSnapshotFetch negotiation payload).
+  // The park head: all of a kAwaitPublish payload.
+  const net::Await await{41, 250};
+  const std::string await_payload = net::encode_await(await);
+  net::Await await2;
+  ASSERT_TRUE(net::decode_await(await_payload, await2));
+  EXPECT_EQ(await2.since, 41u);
+  EXPECT_EQ(await2.wait_ms, 250u);
+  EXPECT_FALSE(net::decode_await(await_payload + '\0', await2));
+  for (std::size_t cut = 0; cut < await_payload.size(); ++cut)
+    EXPECT_FALSE(net::decode_await(await_payload.substr(0, cut), await2))
+        << "await prefix " << cut << " accepted";
+
+  // Snapshot fetches: the park head, then the shard-version vector (the
+  // negotiation state).
   const std::vector<std::uint64_t> versions = {3, 0, 7, 7, 12};
-  const std::string payload = net::encode_shard_versions(versions);
-  const auto decoded = net::decode_shard_versions(payload);
+  const std::string payload = net::encode_fetch(await, versions);
+  const auto decoded = net::decode_fetch(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.error;
+  EXPECT_EQ(decoded.await.since, 41u);
+  EXPECT_EQ(decoded.await.wait_ms, 250u);
   EXPECT_EQ(decoded.versions, versions);
-  const auto empty = net::decode_shard_versions(net::encode_shard_versions({}));
+  const auto empty = net::decode_fetch(net::encode_fetch({}, {}));
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty.versions.empty());
+  EXPECT_FALSE(net::decode_fetch(payload + '\0').ok());
   for (std::size_t cut = 0; cut < payload.size(); ++cut)
-    EXPECT_FALSE(net::decode_shard_versions(payload.substr(0, cut)).ok())
-        << "shard-versions prefix " << cut << " accepted";
+    EXPECT_FALSE(net::decode_fetch(payload.substr(0, cut)).ok())
+        << "fetch prefix " << cut << " accepted";
 
   // Publish notifies.
-  net::PublishNotify notify{9, 12345, 17, 4};
+  net::PublishNotify notify{9, 12345, 17};
   net::PublishNotify notify2;
   const std::string notify_payload = net::encode_publish_notify(notify);
+  EXPECT_EQ(notify_payload.size(), 24u);
   ASSERT_TRUE(net::decode_publish_notify(notify_payload, notify2));
   EXPECT_EQ(notify2.snapshot_version, 9u);
   EXPECT_EQ(notify2.published_at_ns, 12345u);
   EXPECT_EQ(notify2.publish_count, 17u);
-  EXPECT_EQ(notify2.coalesced, 4u);
+  EXPECT_FALSE(net::decode_publish_notify(notify_payload + '\0', notify2));
   for (std::size_t cut = 0; cut < notify_payload.size(); ++cut)
     EXPECT_FALSE(
         net::decode_publish_notify(notify_payload.substr(0, cut), notify2))
@@ -742,6 +759,33 @@ TEST(RouteServerNet, GracefulStopDrainsAndRefusesNewWork) {
   EXPECT_FALSE(late.connect().ok());
 }
 
+// A parked request holds its worker for up to kMaxParkMs; stop() must not
+// wait that out. The park ends within one 100 ms slice and the request
+// still gets its reply: the unchanged clock.
+TEST(RouteServerNet, StopReleasesAParkedAwait) {
+  const auto f = graphgen::fig1();
+  RouteService svc(f.g);
+  Loopback loop(svc);
+  const std::uint64_t count = svc.publish_count();
+
+  std::atomic<bool> answered{false};
+  net::NotifyResult reply;
+  std::thread waiter([&] {
+    reply = loop.client->await_publish({count, net::kMaxParkMs});
+    answered.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_FALSE(answered.load()) << "the await was not parked";
+
+  const auto start = std::chrono::steady_clock::now();
+  loop.server.stop();
+  const auto took = std::chrono::steady_clock::now() - start;
+  waiter.join();
+  EXPECT_LT(took, std::chrono::milliseconds(500));
+  ASSERT_TRUE(reply.ok()) << reply.error.message;
+  EXPECT_EQ(reply.notify.publish_count, count);
+}
+
 // The hunt for torn notify metadata: under delta churn, every
 // kPublishNotify's (version, stamp) pair must belong to one snapshot the
 // primary actually published. Reading the two in separate calls lets a
@@ -751,41 +795,40 @@ TEST(RouteServerNet, NotifyVersionAndStampComeFromOnePublishedSnapshot) {
   const graph::Graph g = test::make_instance({"er", 12, 74, 6});
   const NodeId n = static_cast<NodeId>(g.node_count());
   RouteService svc(g);
-  constexpr std::size_t kSubscribers = 6;
+  constexpr std::size_t kWaiters = 6;
   net::ServerConfig server_config;
-  server_config.workers = kSubscribers + 1;
+  server_config.workers = kWaiters + 1;
   net::RouteServer server(svc, server_config);
   ASSERT_TRUE(server.ok()) << server.error();
   net::ClientConfig config;
   config.port = server.port();
 
   std::atomic<bool> done{false};
-  std::atomic<std::size_t> subscribed{0};
+  std::atomic<std::size_t> started{0};
   // Readers hammering the store, as serving readers do: their lock traffic
-  // is what stretches a pusher's gap between two separate reads.
+  // is what stretches a parked request's gap between two separate reads.
   std::vector<std::thread> threads;
   for (int r = 0; r < 2; ++r)
     threads.emplace_back([&] {
       while (!done.load(std::memory_order_relaxed)) svc.snapshot();
     });
-  std::vector<std::vector<net::PublishNotify>> notifies(kSubscribers);
-  for (std::size_t s = 0; s < kSubscribers; ++s)
+  // Each waiter loops parked awaits, each from the count its last reply
+  // carried: the first answers at once, every later one on a publish.
+  std::vector<std::vector<net::PublishNotify>> notifies(kWaiters);
+  for (std::size_t s = 0; s < kWaiters; ++s)
     threads.emplace_back([&, s] {
       net::RouteClient client(config);
-      net::NotifyResult ack;
-      if (client.connect().ok()) ack = client.subscribe(0);
-      subscribed.fetch_add(1);
-      if (!client.subscribed()) return;
-      notifies[s].push_back(ack.notify);
-      while (!done.load(std::memory_order_relaxed)) {
-        const auto pushed = client.await_notify(20);
-        if (pushed.ok())
-          notifies[s].push_back(pushed.notify);
-        else if (pushed.error.status != net::ClientStatus::kTimeout)
-          return;
+      const bool connected = client.connect().ok();
+      started.fetch_add(1);
+      std::uint64_t since = 0;
+      while (connected && !done.load(std::memory_order_relaxed)) {
+        const auto reply = client.await_publish({since, 20});
+        if (!reply.ok()) return;
+        notifies[s].push_back(reply.notify);
+        since = reply.notify.publish_count;
       }
     });
-  while (subscribed.load() < kSubscribers)
+  while (started.load() < kWaiters)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
   // Every snapshot the primary publishes, by version: this thread is the
@@ -817,7 +860,7 @@ TEST(RouteServerNet, NotifyVersionAndStampComeFromOnePublishedSnapshot) {
       EXPECT_EQ(notify.published_at_ns, found->second)
           << "version " << notify.snapshot_version;
     }
-  EXPECT_GT(total, kSubscribers);
+  EXPECT_GT(total, kWaiters);
 }
 
 // --- warm start ------------------------------------------------------------

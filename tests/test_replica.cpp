@@ -1,11 +1,12 @@
 // The read-replica subsystem: ReplicationCodec stream fidelity (round
 // trips, every-prefix truncation fuzz, stream anomalies), the O(dirty)
 // per-shard transfer property pinned deterministically through a raw
-// client fetch, push-based subscription semantics (ack coalescing, the
-// subscribed-connection guard), warm starts from a local checkpoint with
-// digest adoption, and primary/replica end-to-end equality across
-// randomized delta bursts — including the torn-view reader hunt the CI
-// TSan job leans on.
+// client fetch, parked-request semantics (a fetch streams only once the
+// clock passes, an await answers at once, on a publish or when its wait
+// runs out), the upstream connection budget, warm starts from a local
+// checkpoint with digest adoption, and primary/replica end-to-end
+// equality across randomized delta bursts — including the torn-view
+// reader hunt the CI TSan job leans on.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -25,6 +26,7 @@
 
 #include "common.h"
 #include "net/client.h"
+#include "net/remote_backend.h"
 #include "net/server.h"
 #include "net/wire.h"
 #include "replica/replica.h"
@@ -274,9 +276,9 @@ TEST(ReplicationCodec, StreamAnomaliesAreRejected) {
 
 // --- the O(dirty) transfer property -----------------------------------------
 
-// Pinned deterministically through a raw client fetch (no subscription
-// timing in the loop): a fetch that presents up-to-date versions for all
-// but the moved shards receives exactly the moved shards back.
+// Pinned deterministically through a raw client fetch (no parking in the
+// loop): a fetch that presents up-to-date versions for all but the moved
+// shards receives exactly the moved shards back.
 TEST(ReplicaTransfer, CatchUpFetchesOnlyMovedShards) {
   RouteService svc = make_service({"er", 48, 47, 10}, 8);
   net::RouteServer server(svc);
@@ -288,7 +290,7 @@ TEST(ReplicaTransfer, CatchUpFetchesOnlyMovedShards) {
 
   // Bootstrap: empty negotiation state elicits every shard.
   ReplicationCodec::Assembler boot_assembler(nullptr);
-  const auto bootstrap = client.fetch_snapshot({}, into(boot_assembler));
+  const auto bootstrap = client.fetch_snapshot({}, {}, into(boot_assembler));
   ASSERT_TRUE(bootstrap.ok())
       << bootstrap.error.message << " " << boot_assembler.error();
   const auto booted = boot_assembler.finish();
@@ -312,7 +314,7 @@ TEST(ReplicaTransfer, CatchUpFetchesOnlyMovedShards) {
   // bootstrap whenever any shard stayed clean.
   ReplicationCodec::Assembler delta_assembler(booted.snapshot);
   const auto catch_up =
-      client.fetch_snapshot(booted.shard_versions, into(delta_assembler));
+      client.fetch_snapshot({}, booted.shard_versions, into(delta_assembler));
   ASSERT_TRUE(catch_up.ok())
       << catch_up.error.message << " " << delta_assembler.error();
   const auto caught = delta_assembler.finish();
@@ -326,7 +328,7 @@ TEST(ReplicaTransfer, CatchUpFetchesOnlyMovedShards) {
   // Already caught up: zero data chunks, just the final chunk.
   ReplicationCodec::Assembler idle_assembler(caught.snapshot);
   const auto idle =
-      client.fetch_snapshot(caught.shard_versions, into(idle_assembler));
+      client.fetch_snapshot({}, caught.shard_versions, into(idle_assembler));
   ASSERT_TRUE(idle.ok()) << idle.error.message;
   EXPECT_EQ(idle.chunks, 1u);
   EXPECT_TRUE(idle_assembler.finish().ok());
@@ -380,9 +382,14 @@ TEST(ReplicaTransfer, RepeatedChunkStopsTheFetchAtTheSecondCopy) {
     ack.node_count = 12;
     ack.snapshot_version = 1;
     ack.max_batch = 64;
+    net::PublishNotify notify;
+    notify.snapshot_version = 1;
+    notify.publish_count = 1;
     if (read_frame() &&  // kHello
         write_frame(net::FrameType::kHelloAck, net::encode_hello_ack(ack)) &&
-        read_frame()) {  // kSnapshotFetch
+        read_frame() &&  // kSnapshotFetch
+        write_frame(net::FrameType::kPublishNotify,
+                    net::encode_publish_notify(notify))) {
       for (int copy = 0; copy < kCopies; ++copy)
         if (!write_frame(net::FrameType::kSnapshotChunk, chunk)) break;
     }
@@ -394,7 +401,7 @@ TEST(ReplicaTransfer, RepeatedChunkStopsTheFetchAtTheSecondCopy) {
   net::RouteClient client(config);
   ASSERT_TRUE(client.connect().ok());
   ReplicationCodec::Assembler assembler(nullptr);
-  const auto fetched = client.fetch_snapshot({}, into(assembler));
+  const auto fetched = client.fetch_snapshot({}, {}, into(assembler));
   EXPECT_EQ(fetched.error.status, net::ClientStatus::kProtocolError);
   EXPECT_EQ(fetched.chunks, 2u);
   EXPECT_EQ(fetched.bytes, 2 * chunk.size());
@@ -406,9 +413,68 @@ TEST(ReplicaTransfer, RepeatedChunkStopsTheFetchAtTheSecondCopy) {
   ::close(listener);
 }
 
-// --- subscription semantics --------------------------------------------------
+// A parked fetch answers with a notify, and streams only once the count
+// it reports passed the request's clock.
+TEST(ReplicaTransfer, ParkedFetchStreamsOnlyOnceTheClockPasses) {
+  RouteService svc = make_service({"er", 32, 52, 9}, 4);
+  net::RouteServer server(svc);
+  ASSERT_TRUE(server.ok()) << server.error();
+  net::ClientConfig config;
+  config.port = server.port();
+  net::RouteClient client(config);
+  ASSERT_TRUE(client.connect().ok());
 
-TEST(ReplicaSubscribe, LateSubscriberAckCoalescesMissedPublishes) {
+  ReplicationCodec::Assembler boot_assembler(nullptr);
+  const auto bootstrap = client.fetch_snapshot({}, {}, into(boot_assembler));
+  ASSERT_TRUE(bootstrap.ok()) << bootstrap.error.message;
+  ASSERT_TRUE(bootstrap.streamed);
+  const auto booted = boot_assembler.finish();
+  ASSERT_TRUE(booted.ok()) << booted.error;
+  const std::uint64_t count = bootstrap.notify.publish_count;
+  EXPECT_EQ(count, svc.publish_count());
+
+  // Quiet: a fetch at the current count answers after its wait with the
+  // unchanged count and no stream, and the connection stays usable.
+  ReplicationCodec::Assembler quiet_assembler(booted.snapshot);
+  const auto quiet = client.fetch_snapshot({count, 50}, booted.shard_versions,
+                                           into(quiet_assembler));
+  ASSERT_TRUE(quiet.ok()) << quiet.error.message;
+  EXPECT_FALSE(quiet.streamed);
+  EXPECT_EQ(quiet.chunks, 0u);
+  EXPECT_EQ(quiet.notify.publish_count, count);
+  EXPECT_TRUE(client.connected());
+
+  // Parked: a delta submitted while the fetch waits answers it, and the
+  // stream carries exactly the shards that delta moved.
+  const auto before = svc.store().export_cut();
+  std::thread writer([&svc, &before] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    svc.submit({RouteService::Delta::cost_change(
+        5, Cost{before.newest->node_cost(5).value() + 1})});
+    svc.drain();
+  });
+  ReplicationCodec::Assembler parked_assembler(booted.snapshot);
+  const auto parked =
+      client.fetch_snapshot({count, net::kMaxParkMs}, booted.shard_versions,
+                            into(parked_assembler));
+  writer.join();
+  ASSERT_TRUE(parked.ok()) << parked.error.message;
+  ASSERT_TRUE(parked.streamed);
+  EXPECT_GT(parked.notify.publish_count, count);
+  const auto caught = parked_assembler.finish();
+  ASSERT_TRUE(caught.ok()) << caught.error;
+  const auto after = svc.store().export_cut();
+  std::size_t moved = 0;
+  for (std::size_t s = 0; s < after.shard_versions.size(); ++s)
+    if (after.shard_versions[s] != before.shard_versions[s]) ++moved;
+  ASSERT_GT(moved, 0u);
+  EXPECT_EQ(caught.shards_sent.size(), moved);
+  EXPECT_EQ(caught.snapshot->checksum(), after.newest->checksum());
+}
+
+// --- parked awaits ----------------------------------------------------------
+
+TEST(ReplicaAwait, AnswersAtOnceParksWhileQuietAndWakesOnPublish) {
   RouteService svc = make_service({"er", 24, 48, 9}, 4);
   for (int burst = 0; burst < 3; ++burst) {
     svc.submit({RouteService::Delta::cost_change(
@@ -425,43 +491,31 @@ TEST(ReplicaSubscribe, LateSubscriberAckCoalescesMissedPublishes) {
   net::RouteClient client(config);
   ASSERT_TRUE(client.connect().ok());
 
-  // A subscriber that last saw publish 0 gets one ack carrying the
-  // current state and the whole gap as `coalesced` — never a backlog.
-  const auto ack = client.subscribe(0);
-  ASSERT_TRUE(ack.ok()) << ack.error.message;
-  EXPECT_EQ(ack.notify.publish_count, publishes);
-  EXPECT_EQ(ack.notify.coalesced, publishes - 1);
-  EXPECT_EQ(ack.notify.snapshot_version, svc.version());
-  EXPECT_TRUE(client.subscribed());
+  // A waiter that last saw publish 0 gets one reply carrying the current
+  // state at once — never a backlog.
+  const auto now = client.await_publish({0, net::kMaxParkMs});
+  ASSERT_TRUE(now.ok()) << now.error.message;
+  EXPECT_EQ(now.notify.publish_count, publishes);
+  EXPECT_EQ(now.notify.snapshot_version, svc.version());
 
-  // Quiet period: timeout with the connection intact.
-  const auto quiet = client.await_notify(50);
-  EXPECT_EQ(quiet.error.status, net::ClientStatus::kTimeout);
-  EXPECT_TRUE(client.connected());
+  // Quiet period: the park runs out with the count unchanged, and the
+  // same connection then answers a query.
+  const auto quiet = client.await_publish({publishes, 50});
+  ASSERT_TRUE(quiet.ok()) << quiet.error.message;
+  EXPECT_EQ(quiet.notify.publish_count, publishes);
+  const auto answered = client.query(random_batch(24, 3, 2));
+  ASSERT_TRUE(answered.ok()) << answered.error.message;
 
-  // A publish wakes the subscription.
-  svc.submit({RouteService::Delta::cost_change(2, Cost{5})});
-  svc.drain();
-  const auto pushed = client.await_notify(5000);
-  ASSERT_TRUE(pushed.ok()) << pushed.error.message;
-  EXPECT_GT(pushed.notify.publish_count, publishes);
-}
-
-TEST(ReplicaSubscribe, SubscribedConnectionRejectsRequestReply) {
-  RouteService svc = make_service({"er", 16, 49, 6}, 2);
-  net::RouteServer server(svc);
-  ASSERT_TRUE(server.ok()) << server.error();
-  net::ClientConfig config;
-  config.port = server.port();
-  net::RouteClient client(config);
-  ASSERT_TRUE(client.connect().ok());
-  ASSERT_TRUE(client.subscribe(0).ok());
-
-  // The conversation got out of step by construction: a subscribed
-  // connection only speaks kPublishNotify. The guard fires client-side,
-  // before any bytes hit the socket.
-  const auto result = client.query(random_batch(16, 3, 2));
-  EXPECT_EQ(result.error.status, net::ClientStatus::kUnexpectedFrame);
+  // A publish answers a parked await.
+  std::thread writer([&svc] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    svc.submit({RouteService::Delta::cost_change(2, Cost{5})});
+    svc.drain();
+  });
+  const auto woken = client.await_publish({publishes, net::kMaxParkMs});
+  writer.join();
+  ASSERT_TRUE(woken.ok()) << woken.error.message;
+  EXPECT_GT(woken.notify.publish_count, publishes);
 }
 
 // --- replica end to end ------------------------------------------------------
@@ -694,13 +748,12 @@ TEST(ReplicaE2E, ReplicaCountersTravelTheWire) {
 
   ReplicaConfig config;
   config.upstream.port = primary_server.port();
+  config.forward_deltas = false;
   ReplicaService replica(config);
   ASSERT_TRUE(replica.wait_until_ready(10000));
   replica.wait_for_version_beyond(0, 10000);
 
-  net::ServerConfig front_config;
-  front_config.allow_deltas = false;
-  net::RouteServer front(replica, front_config);
+  net::RouteServer front(replica);
   ASSERT_TRUE(front.ok()) << front.error();
   net::ClientConfig client_config;
   client_config.port = front.port();
@@ -727,6 +780,53 @@ TEST(ReplicaE2E, ReplicaCountersTravelTheWire) {
   const auto submit = client.submit_deltas(
       std::vector<RouteService::Delta>{RouteService::Delta::republish()});
   EXPECT_FALSE(submit.ok());
+}
+
+// Every exchange is one request and its reply, so a replica syncs over one
+// upstream connection and forwards writes over one more, and a remote
+// client needs one connection for queries and waits alike.
+TEST(ReplicaE2E, UpstreamConnectionBudget) {
+  RouteService primary = make_service({"er", 20, 57, 6}, 2);
+  const std::vector<RouteService::Delta> write{
+      RouteService::Delta::cost_change(0, Cost{4})};
+
+  {  // A forwarding replica after one forwarded write.
+    net::RouteServer front(primary);
+    ASSERT_TRUE(front.ok()) << front.error();
+    ReplicaConfig config;
+    config.upstream.port = front.port();
+    ReplicaService replica(config);
+    ASSERT_TRUE(replica.wait_until_ready(10000));
+    const auto ack = replica.submit_deltas(write);
+    ASSERT_TRUE(ack.ok()) << ack.error;
+    ASSERT_GE(replica.wait_for_publish_beyond(ack.publish_count - 1, 10000),
+              ack.publish_count);
+    EXPECT_EQ(front.stats().connections, 2u);
+  }
+  {  // A read-only replica.
+    net::RouteServer front(primary);
+    ASSERT_TRUE(front.ok()) << front.error();
+    ReplicaConfig config;
+    config.upstream.port = front.port();
+    config.forward_deltas = false;
+    ReplicaService replica(config);
+    ASSERT_TRUE(replica.wait_until_ready(10000));
+    EXPECT_EQ(replica.submit_deltas(write).status,
+              service::SubmitAck::Status::kReadOnly);
+    EXPECT_EQ(front.stats().connections, 1u);
+  }
+  {  // A remote client after one query and one wait.
+    net::RouteServer front(primary);
+    ASSERT_TRUE(front.ok()) << front.error();
+    net::ClientConfig config;
+    config.port = front.port();
+    net::RemoteQueryBackend backend(config);
+    const auto answered = backend.query_batch(random_batch(20, 58, 4));
+    ASSERT_TRUE(answered.ok()) << answered.error;
+    EXPECT_EQ(backend.wait_for_publish_beyond(0, 10000),
+              primary.publish_count());
+    EXPECT_EQ(front.stats().connections, 1u);
+  }
 }
 
 // --- torn-view hunt (the TSan job runs this suite) ---------------------------
