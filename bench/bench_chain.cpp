@@ -59,7 +59,8 @@ struct Chain {
       config.upstream.port = fronts.back()->port();
       tiers.push_back(std::make_unique<ReplicaService>(config));
       if (!tiers.back()->wait_until_ready(10000)) return;
-      tiers.back()->wait_for_version_beyond(primary.version() - 1, 10000);
+      tiers.back()->wait_for_publish_beyond(primary.publish_count() - 1,
+                                            10000);
       if (d + 1 < depth) {
         fronts.push_back(
             std::make_unique<net::RouteServer>(*tiers.back(), front_config));

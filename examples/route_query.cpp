@@ -217,15 +217,15 @@ int main(int argc, char** argv) {
       std::printf("submit failed: %s\n", submitted.error.c_str());
       return 1;
     }
-    // The ack already carries the post-publish clock — on a forwarding
-    // replica that is the *primary's* clock, so print the local served
+    // The ack carries the primary's post-publish version; a forwarding
+    // replica's front may not serve it yet, so print the local served
     // version separately.
     const auto drained = client.drain();
     if (!drained.ok()) {
       std::printf("drain failed: %s\n", drained.error.message.c_str());
       return 1;
     }
-    std::printf("republished (publish %" PRIu64 "); serving snapshot v%" PRIu64
+    std::printf("republished (ack v%" PRIu64 "); serving snapshot v%" PRIu64
                 "\n",
                 submitted.publish_count, drained.value);
     return 0;

@@ -13,8 +13,8 @@
 // through both servers for bit-identical answers, both over the wire
 // through net::RemoteQueryBackend; the final cycle
 // exercises the write path end to end: a delta submitted at the *replica*
-// front is forwarded to the primary, whose ack's publish count then lets
-// the submitter read its own write back through the replica.
+// front is forwarded to the primary, whose ack's version then lets the
+// submitter read its own write back through the replica.
 //
 //   $ ./route_replica [nodes] [cycles]
 //
@@ -266,7 +266,7 @@ int main(int argc, char** argv) {
   service::RouteService primary(g, svc_config);
   std::printf("primary: %zu nodes, %zu edges, serving v%llu (4 shards)\n",
               g.node_count(), g.edge_count(),
-              static_cast<unsigned long long>(primary.version()));
+              static_cast<unsigned long long>(primary.publish_count()));
 
   net::RouteServer primary_server(primary);
   if (!primary_server.ok()) {
@@ -278,7 +278,7 @@ int main(int argc, char** argv) {
   replica_config.upstream.port = primary_server.port();
   replica::ReplicaService replica(replica_config);
   if (!replica.wait_until_ready(10000) ||
-      replica.wait_for_version_beyond(0, 10000) < primary.version()) {
+      replica.wait_for_publish_beyond(0, 10000) < primary.publish_count()) {
     std::printf("replica: bootstrap sync did not complete\n");
     return 1;
   }
@@ -316,7 +316,7 @@ int main(int argc, char** argv) {
                         0, Cost{static_cast<Cost::rep>(1 + cycle % 3)})});
     const std::uint64_t version = primary.drain();
     const std::uint64_t caught_up =
-        replica.wait_for_version_beyond(version - 1, 10000);
+        replica.wait_for_publish_beyond(version - 1, 10000);
     const bool equal = caught_up >= version &&
                        compare_answers(primary_backend, replica_backend,
                                        static_cast<NodeId>(nodes), 101 + cycle);
@@ -328,8 +328,8 @@ int main(int argc, char** argv) {
   }
 
   // Forwarded write round-trip: submit at the *replica* front, let the
-  // forwarder relay it to the primary, then use the ack's publish count to
-  // read the write back through the replica — the read-your-write
+  // forwarder relay it to the primary, then use the ack's version to read
+  // the write back through the replica — the read-your-write
   // contract, exercised over two wire hops.
   const service::Delta write = service::Delta::cost_change(0, Cost{5});
   const auto forwarded = replica_backend.submit_deltas({&write, 1});
@@ -342,8 +342,7 @@ int main(int argc, char** argv) {
     forward_ok = seen >= forwarded.publish_count &&
                  compare_answers(primary_backend, replica_backend,
                                  static_cast<NodeId>(nodes), 4242);
-    std::printf("forwarded write: ack publish %llu, replica clock %llu, "
-                "answers %s\n",
+    std::printf("forwarded write: ack v%llu, replica v%llu, answers %s\n",
                 static_cast<unsigned long long>(forwarded.publish_count),
                 static_cast<unsigned long long>(seen),
                 forward_ok ? "bit-identical" : "DIVERGED");

@@ -18,16 +18,16 @@
 //
 //   $ ./route_server [nodes] [readers] [cycles]
 //
-// Daemon mode serves fpss-wire v1 until SIGINT/SIGTERM:
+// Daemon mode serves fpss-wire v3 until SIGINT/SIGTERM:
 //
 //   $ ./route_server --listen [port] [--nodes N] [--workers W]
 //                    [--snapshot file.bin] [--shards K]
 //                    [--checkpoint-dir DIR] [--checkpoint-every N]
 //
 // With --snapshot the daemon warm-starts: the saved snapshot (from a
-// previous run over the same deterministic topology) is served as epoch 0
-// immediately, before any convergence has run — query it with route_query
-// and watch age_ns count the staleness.
+// previous run over the same deterministic topology) is served under its
+// own version immediately, before any convergence has run — query it
+// with route_query and watch age_ns count the staleness.
 //
 // --shards splits the publication store so a delta burst republishes only
 // the shards it touched. --checkpoint-dir enables incremental
@@ -240,7 +240,7 @@ int run_daemon(std::uint16_t port, std::size_t nodes, unsigned workers,
               g.node_count(), g.edge_count(),
               snapshot_file.empty() ? "serving snapshot"
                                     : "warm-started at snapshot",
-              static_cast<unsigned long long>(svc.version()));
+              static_cast<unsigned long long>(svc.publish_count()));
   std::printf("route_server: listening on %s:%u (%u workers); "
               "Ctrl-C to stop\n",
               config.host.c_str(), server.port(), config.workers);
@@ -317,7 +317,7 @@ int main(int argc, char** argv) {
   service::RouteService svc(g);
   std::printf("route_server: %zu nodes, %zu edges; serving snapshot v%llu\n",
               g.node_count(), g.edge_count(),
-              static_cast<unsigned long long>(svc.version()));
+              static_cast<unsigned long long>(svc.publish_count()));
 
   // --- readers on, churn in the background -------------------------------
   std::atomic<bool> stop{false};

@@ -5,6 +5,14 @@
 // Re-run after a wire or stream format change and commit the refreshed
 // corpus.
 //
+// The wire/ seeds are the same bytes on every run: every clock reading
+// they would carry (reply stamps and ages, the counters frame) is pinned
+// to a fixed value, so `diff -r` against the committed wire/ seeds shows
+// exactly what a format change moved (CI runs that check). The two
+// replication/ seeds are not: they embed the service's wall-clock publish
+// stamp, which their root checksum covers, so they differ on every run
+// and are refreshed only when the block stream format changes.
+//
 //   make_corpus <corpus_dir>
 #include <cstdio>
 #include <filesystem>
@@ -114,7 +122,11 @@ int main(int argc, char** argv) {
       r.kind = service::RequestKind::kPath;
       requests.push_back(r);
     }
-    const std::vector<service::Reply> replies = svc.query(requests);
+    std::vector<service::Reply> replies = svc.query(requests);
+    for (service::Reply& reply : replies) {
+      reply.published_at_ns = 1'700'000'000'000'000'000;
+      reply.age_ns = 1500;
+    }
     const std::vector<service::RouteService::Delta> deltas = {
         service::RouteService::Delta::cost_change(2, Cost{7}),
         service::RouteService::Delta::add_link(1, 6),
@@ -124,11 +136,17 @@ int main(int argc, char** argv) {
     const std::vector<std::uint64_t> versions = {1, 1, 1, 1};
     PublishNotify notify;
     notify.snapshot_version = 1;
-    notify.publish_count = 1;
+    notify.published_at_ns = 1'700'000'000'000'000'000;
     // Two peers and a replica section, so the seed reaches every decoder
-    // branch of the counters frame.
+    // branch of the counters frame; fixed values, not the service's
+    // timing counters.
     CountersFrame frame;
-    frame.service = svc.counters();
+    frame.service.queries = 40;
+    frame.service.batches = 5;
+    frame.service.total_ns = 90'000;
+    frame.service.publishes = 2;
+    frame.service.rows_rebuilt = 8;
+    frame.server = {3, 12, 5, 1, 0};
     frame.peers.push_back({"127.0.0.1", 2, 40, 5, 1});
     frame.peers.push_back({"(other)", 1, 0, 0, 3});
     frame.has_replica = true;

@@ -313,7 +313,7 @@ SnapshotFetchResult RouteClient::fetch_snapshot(
       send_frame(FrameType::kSnapshotFetch, encode_fetch(await, known));
   if (result.error.ok()) result.error = receive_notify(result.notify);
   if (!result.error.ok()) return result;
-  result.streamed = result.notify.publish_count > await.since;
+  result.streamed = fetch_streams(result.notify, await.since);
   if (!result.streamed) return result;
   // The stream runs until a final chunk (kind byte 2). The sink bounds
   // it: a replica's Assembler accepts each destination once, so a server

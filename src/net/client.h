@@ -1,4 +1,4 @@
-// net::RouteClient: the typed client side of fpss-wire v2.
+// net::RouteClient: the typed client side of fpss-wire v3.
 //
 // connect() dials with retry-and-backoff and runs the Hello/HelloAck
 // exchange, after which the server's node count and snapshot version are
@@ -81,10 +81,10 @@ struct U64Result {
   bool ok() const { return error.ok(); }
 };
 
-/// Write acknowledgment. `publish_count` is the primary's publish clock
-/// after the write published (relayed unchanged through forwarding
-/// replicas); wait_for_publish_beyond(publish_count - 1) against any tier
-/// then guarantees reading your own write.
+/// Write acknowledgment. `publish_count` is the primary's version after
+/// the write published (relayed unchanged through forwarding replicas);
+/// wait_for_publish_beyond(publish_count - 1) against any tier then
+/// guarantees reading your own write.
 struct SubmitResult {
   ClientError error;
   std::uint64_t accepted = 0;
@@ -103,7 +103,7 @@ using ChunkSink = service::ReplicationCodec::ChunkSink;
 struct SnapshotFetchResult {
   ClientError error;
   PublishNotify notify;      ///< the server's state when the park ended
-  bool streamed = false;     ///< notify's count passed `since`; chunks followed
+  bool streamed = false;     ///< fetch_streams(notify, since); chunks followed
   std::uint64_t chunks = 0;  ///< kSnapshotChunk frames received
   std::uint64_t bytes = 0;   ///< total chunk payload bytes received
   bool ok() const { return error.ok(); }
@@ -156,8 +156,9 @@ class RouteClient {
   U64Result drain();
 
   /// Parked per-shard snapshot transfer: the server holds the request as
-  /// `await` says, then replies with a notify. Only if the notify's count
-  /// passed `await.since` does the stream follow; each chunk payload goes
+  /// `await` says, then replies with a notify. Only if the notify names a
+  /// served version other than `await.since` (fetch_streams) does the
+  /// stream follow; each chunk payload goes
   /// to `sink` as it arrives, through the final chunk. `known` is the
   /// shard versions this side already holds (empty = full bootstrap).
   /// Nothing is buffered beyond one frame. The first chunk `sink` rejects
@@ -166,9 +167,9 @@ class RouteClient {
                                      std::span<const std::uint64_t> known,
                                      const ChunkSink& sink);
 
-  /// Parked publish wait: the reply comes once the server's publish count
+  /// Parked publish wait: the reply comes once the server's served version
   /// exceeds `await.since` or min(wait_ms, kMaxParkMs) has passed, and
-  /// carries the count either way.
+  /// carries the version either way.
   NotifyResult await_publish(const Await& await);
 
  private:

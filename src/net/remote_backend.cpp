@@ -108,7 +108,7 @@ std::uint64_t RemoteQueryBackend::wait_for_publish_beyond(std::uint64_t count,
     const NotifyResult reply = data_.await_publish(
         {count, static_cast<std::uint32_t>(
                     std::clamp<long long>(left, 0, kMaxParkMs))});
-    if (reply.ok()) seen = reply.notify.publish_count;
+    if (reply.ok()) seen = reply.notify.snapshot_version;
     if (seen > count || left <= 0) break;
   }
   return seen;

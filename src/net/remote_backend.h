@@ -5,10 +5,10 @@
 // Wraps one RouteClient connection: queries, writes, counters and drain
 // are plain request/reply, and wait_for_publish_beyond is a run of parked
 // kAwaitPublish requests (each at most kMaxParkMs) on the same
-// connection, whose clock is the server's publish count. The connection
+// connection, whose clock is the server's served version. The connection
 // re-dials on demand, so a client pointed at a replica front keeps
-// working across the replica's own upstream failovers (the replica's
-// publish clock survives them).
+// working across the replica's own upstream failovers (the replica keeps
+// serving, and so keeps its version, through them).
 #pragma once
 
 #include <cstdint>
@@ -34,8 +34,8 @@ class RemoteQueryBackend {
   service::SubmitAck submit_deltas(std::span<const service::Delta> deltas);
   /// The full counters frame: service + server + replica sections.
   CountersResult counters();
-  /// Blocks until the server's publish clock exceeds `count` or the
-  /// timeout elapses; returns the clock the last reply carried (0 when
+  /// Blocks until the server's served version exceeds `count` or the
+  /// timeout elapses; returns the version the last reply carried (0 when
   /// the server could not be reached).
   std::uint64_t wait_for_publish_beyond(std::uint64_t count, int timeout_ms);
   /// Publish barrier on the server; value = served version.

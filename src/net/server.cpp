@@ -16,6 +16,22 @@
 
 namespace fpss::net {
 
+namespace {
+
+/// The notify describing `snap`, the snapshot a backend serves (zeros
+/// before its first publish): version and stamp from one read, never two
+/// that could straddle a publish.
+PublishNotify notify_of(const service::RouteSnapshot* snap) {
+  PublishNotify notify;
+  if (snap != nullptr) {
+    notify.snapshot_version = snap->version();
+    notify.published_at_ns = snap->published_at_ns();
+  }
+  return notify;
+}
+
+}  // namespace
+
 RouteServer::RouteServer(service::Backend& backend, ServerConfig config)
     : backend_(backend), config_(std::move(config)) {
   if (config_.workers == 0) config_.workers = 1;
@@ -315,8 +331,10 @@ bool RouteServer::serve_frame(int fd, const std::string& peer) {
       if (!decode_await(payload, await))
         return send_error(fd, peer, WireStatus::kMalformed,
                           "bad await payload");
-      reply_frame = encode_frame(FrameType::kPublishNotify,
-                                 encode_publish_notify(park(await)));
+      park(await);
+      reply_frame = encode_frame(
+          FrameType::kPublishNotify,
+          encode_publish_notify(notify_of(backend_.snapshot().get())));
       break;
     }
     default:
@@ -333,45 +351,35 @@ bool RouteServer::serve_frame(int fd, const std::string& peer) {
   return !stopping_.load(std::memory_order_relaxed);
 }
 
-PublishNotify RouteServer::park(const Await& await) const {
+void RouteServer::park(const Await& await) const {
   const auto deadline =
       Clock::now() +
       std::chrono::milliseconds(std::min(await.wait_ms, kMaxParkMs));
-  std::uint64_t count = backend_.publish_count();
   // Slices of at most 100 ms, so stop() releases a parked request quickly.
-  while (count <= await.since && !stopping_.load(std::memory_order_relaxed)) {
+  while (!stopping_.load(std::memory_order_relaxed)) {
     const int slice = next_slice_ms(deadline);
-    if (slice == 0) break;
-    count = backend_.wait_for_publish_beyond(await.since, slice);
+    if (slice == 0 ||
+        backend_.wait_for_publish_beyond(await.since, slice) > await.since)
+      break;
   }
-  // Version and stamp from one snapshot read, taken after the count: two
-  // separate reads could straddle a publish and pair one snapshot's
-  // version with another's stamp.
-  const auto snap = backend_.snapshot();
-  PublishNotify notify;
-  notify.snapshot_version = snap == nullptr ? 0 : snap->version();
-  notify.published_at_ns = snap == nullptr ? 0 : snap->published_at_ns();
-  notify.publish_count = count;
-  return notify;
 }
 
 bool RouteServer::serve_snapshot_fetch(int fd, const std::string& peer,
                                        const FetchResult& fetch) {
-  const PublishNotify notify = park(fetch.await);
+  park(fetch.await);
+  // One cut answers the fetch: the notify and the stream describe the same
+  // snapshot. The cut pins it, so a replica backend swapping its store
+  // mid-transfer cannot pull the data out from under the stream.
+  const service::ShardedSnapshotStore::ExportCut cut = backend_.export_cut();
+  const PublishNotify notify = notify_of(cut.newest.get());
   if (!write_all(fd, encode_frame(FrameType::kPublishNotify,
                                   encode_publish_notify(notify)),
                  kIoTimeoutMs))
     return false;
   counters_.add(&ServerCounters::frames);
-  if (notify.publish_count <= fetch.await.since)
+  if (!fetch_streams(notify, fetch.await.since))
     return !stopping_.load(std::memory_order_relaxed);
 
-  // The count was read before this cut, so the cut is at least as new as
-  // the notify says, and a count above `since` (>= 0) means something was
-  // published. The cut pins the snapshot it streams, so a replica backend
-  // swapping its store mid-transfer cannot pull the data out from under
-  // the stream.
-  const service::ShardedSnapshotStore::ExportCut cut = backend_.export_cut();
   const std::size_t shard_count = cut.shard_versions.size();
   // The dirty set: shards whose version moved since the replica's last
   // sync. A version vector of the wrong length (including the empty one a

@@ -1,5 +1,5 @@
 // net::RouteServer: the blocking TCP front end that turns a RouteService
-// into a daemon speaking fpss-wire v2.
+// into a daemon speaking fpss-wire v3.
 //
 // Shape: one accept thread plus a small worker pool. Accepted connections
 // are queued; each worker serves one connection at a time, frame by frame
@@ -22,10 +22,12 @@
 // RouteService or a ReplicaService, both implementing it directly. Every
 // frame it writes answers a request. Two requests are parked (see
 // wire.h): kAwaitPublish and kSnapshotFetch hold their worker until the
-// backend publishes past the request's clock, the request's wait (at most
-// kMaxParkMs) runs out, or stop() — which therefore returns within one
-// 100 ms slice of a parked request. A fetch whose notify moved past the
-// clock continues with the per-shard catch-up stream.
+// backend's served version passes the request's clock, the request's wait
+// (at most kMaxParkMs) runs out, or stop() — which therefore returns
+// within one 100 ms slice of a parked request. Each is then answered from
+// one read of the served snapshot (a fetch: one export cut), and a fetch
+// whose notify names another version than the request's continues with
+// the per-shard catch-up stream.
 #pragma once
 
 #include <atomic>
@@ -97,14 +99,13 @@ class RouteServer {
   /// close (EOF, timeout, protocol error, shutdown). `peer` is the
   /// connection's accounting key.
   bool serve_frame(int fd, const std::string& peer);
-  /// Holds a parked request until the backend's publish count exceeds
+  /// Holds a parked request until the backend's served version exceeds
   /// `await.since`, min(wait_ms, kMaxParkMs) passes, or the server stops.
-  /// The notify is built from one count read and then one snapshot read.
-  PublishNotify park(const Await& await) const;
-  /// Answers one kSnapshotFetch: parks, writes the notify, and, if its
-  /// count passed `since`, streams data chunks for every shard whose
-  /// version differs from the request's, then the final chunk. Returns
-  /// false (close) on any write failure.
+  void park(const Await& await) const;
+  /// Answers one kSnapshotFetch: parks, reads one export cut, writes its
+  /// notify, and, if fetch_streams, streams data chunks for every shard
+  /// whose version differs from the request's, then the final chunk.
+  /// Returns false (close) on any write failure.
   bool serve_snapshot_fetch(int fd, const std::string& peer,
                             const FetchResult& fetch);
   bool send_error(int fd, const std::string& peer, WireStatus code,

@@ -450,7 +450,6 @@ std::string encode_publish_notify(const PublishNotify& notify) {
   std::string out;
   append_u64(out, notify.snapshot_version);
   append_u64(out, notify.published_at_ns);
-  append_u64(out, notify.publish_count);
   return out;
 }
 
@@ -458,7 +457,6 @@ bool decode_publish_notify(std::string_view payload, PublishNotify& out) {
   BinReader in{payload};
   out.snapshot_version = in.u64();
   out.published_at_ns = in.u64();
-  out.publish_count = in.u64();
   return !in.fail && in.pos == payload.size();
 }
 

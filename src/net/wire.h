@@ -1,4 +1,4 @@
-// "fpss-wire v2": the length-prefixed binary framing that carries
+// "fpss-wire v3": the length-prefixed binary framing that carries
 // Query/Answer batches and control traffic between net::RouteClient and
 // net::RouteServer.
 //
@@ -26,14 +26,17 @@
 //   any                  -> kError(0x7f)         typed rejection
 //
 // Every exchange is one request and its reply: the server never writes a
-// frame it was not asked for. kAwaitPublish and kSnapshotFetch are
-// *parked*: the server holds the reply until its publish count exceeds
-// the request's `since` or min(wait_ms, kMaxParkMs) has passed, then
-// answers with one kPublishNotify describing its current state. A fetch
-// whose notify count passed `since` continues with the catch-up stream
-// (* = data chunks for each dirty shard, then a final chunk; see
-// service/replication.h). A waiter that stops asking costs nothing; one
-// that falls behind gets the newest state, never a backlog.
+// frame it was not asked for. The one clock is the served snapshot's
+// version, which moves on every publish. kAwaitPublish and kSnapshotFetch
+// are *parked*: the server holds the reply until its version exceeds the
+// request's `since` or min(wait_ms, kMaxParkMs) has passed, then answers
+// with one kPublishNotify describing the snapshot it serves. A fetch
+// whose notify names a served version other than `since` continues with
+// the catch-up stream (* = data chunks for each dirty shard, then a final
+// chunk; see service/replication.h), so an upstream whose version went
+// back (a restarted primary) still reaches the replica at the end of a
+// park. A waiter that stops asking costs nothing; one that falls behind
+// gets the newest state, never a backlog.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +52,7 @@
 
 namespace fpss::net {
 
-inline constexpr std::uint8_t kWireVersion = 2;
+inline constexpr std::uint8_t kWireVersion = 3;
 // "FPW1" read as little-endian u32.
 inline constexpr std::uint32_t kWireMagic = 0x31575046u;
 inline constexpr std::size_t kFrameHeaderBytes = 20;
@@ -164,9 +167,9 @@ std::string encode_u64(std::uint64_t value);
 bool decode_u64(std::string_view payload, std::uint64_t& out);
 
 /// kDeltaAck: the write acknowledgment. `publish_count` is the accepting
-/// backend's publish clock *after* the write was applied and published —
-/// on a forwarding chain every tier relays the primary's post-drain count
-/// unchanged, so a caller at any depth can wait_for_publish_beyond
+/// backend's served version *after* the write was applied and published —
+/// on a forwarding chain every tier relays the primary's post-drain
+/// version unchanged, so a caller at any depth can wait_for_publish_beyond
 /// (publish_count - 1) against its local replica and then read its own
 /// write.
 struct DeltaAck {
@@ -224,7 +227,7 @@ DeltasResult decode_deltas(std::string_view payload, std::uint32_t max_batch);
 // --- replication payloads --------------------------------------------------
 
 /// The head of a parked request (kAwaitPublish, and kSnapshotFetch
-/// before its versions): answer once the publish count exceeds `since`,
+/// before its versions): answer once the served version exceeds `since`,
 /// or after min(wait_ms, kMaxParkMs). `wait_ms` = 0 answers at once.
 /// Payload: since:u64 | wait_ms:u32.
 struct Await {
@@ -239,7 +242,7 @@ bool decode_await(std::string_view payload, Await& out);
 /// the per-shard versions it currently serves (from its last sync's final
 /// chunk). An empty vector requests a full bootstrap; a vector whose
 /// length does not match the server's shard layout is treated the same
-/// way. Once its notify's count passed `since`, the server streams data
+/// way. If the notify streams (fetch_streams), the server sends data
 /// chunks only for shards whose version moved, then the final chunk.
 /// Payload: since:u64 | wait_ms:u32 | count:u32 | count x version:u64.
 std::string encode_fetch(const Await& await,
@@ -254,18 +257,23 @@ struct FetchResult {
 };
 FetchResult decode_fetch(std::string_view payload);
 
-/// kPublishNotify: the reply to a parked request. `publish_count` is the
-/// server's cumulative publish tally, read before the snapshot whose
-/// version and stamp the notify carries (one snapshot read, so the pair
-/// always belongs to one published snapshot).
+/// kPublishNotify: the reply to a parked request — the version and
+/// publish stamp of the snapshot the server serves, both from one read,
+/// or zeros before its first publish. The version is the clock.
+/// Payload: snapshot_version:u64 | published_at_ns:u64.
 struct PublishNotify {
   std::uint64_t snapshot_version = 0;
   std::uint64_t published_at_ns = 0;
-  std::uint64_t publish_count = 0;
 };
 
 std::string encode_publish_notify(const PublishNotify& notify);
 bool decode_publish_notify(std::string_view payload, PublishNotify& out);
+
+/// Whether the catch-up stream follows a fetch's notify: the server serves
+/// a snapshot, and not the version the fetch named as `since`.
+inline bool fetch_streams(const PublishNotify& notify, std::uint64_t since) {
+  return notify.snapshot_version != 0 && notify.snapshot_version != since;
+}
 
 /// One peer's (client address's) accumulated server-side accounting —
 /// the ROADMAP's per-client counters. `peer` is the textual remote

@@ -59,7 +59,7 @@ ReplicaService::ReplicaService(ReplicaConfig config)
       warm->publish(loaded.snapshot);
       util::MutexLock lock(store_mutex_);
       store_ = std::move(warm);
-      ++installs_;
+      read_counters_.add(&service::Counters::publishes);
     }
   }
   sync_ = std::thread([this] { sync_loop(); });
@@ -92,7 +92,6 @@ void ReplicaService::note_upstream_failure(std::size_t index) {
 // --- sync loop --------------------------------------------------------------
 
 void ReplicaService::sync_loop() {
-  std::uint64_t last = 0;
   bool ever_synced = false;
   while (!stop_.load(std::memory_order_relaxed)) {
     // Dial whichever upstream the shared cursor points at; every failure
@@ -105,7 +104,7 @@ void ReplicaService::sync_loop() {
       hop_.store(upstream.server_hop_count() + 1, std::memory_order_relaxed);
       bool first = true;
       while (!stop_.load(std::memory_order_relaxed) &&
-             sync_once(upstream, first, last)) {
+             sync_once(upstream, first)) {
         first = false;
         ever_synced = true;
       }
@@ -121,8 +120,7 @@ void ReplicaService::sync_loop() {
   }
 }
 
-bool ReplicaService::sync_once(net::RouteClient& upstream, bool first,
-                               std::uint64_t& last) {
+bool ReplicaService::sync_once(net::RouteClient& upstream, bool first) {
   std::vector<std::uint64_t> known;
   std::shared_ptr<const RouteSnapshot> base;
   {
@@ -130,12 +128,14 @@ bool ReplicaService::sync_once(net::RouteClient& upstream, bool first,
     known = synced_versions_;
     if (store_ != nullptr) base = store_->newest();
   }
+  // The replica's clock is the version it serves (a warm image's included).
+  const std::uint64_t served = base == nullptr ? 0 : base->version();
 
   // Chunks go straight into the assembler as they arrive, so a fetch holds
   // one frame plus the assembly, and the first chunk it rejects ends it.
   ReplicationCodec::Assembler assembler(std::move(base));
   const net::Await await =
-      first ? net::Await{} : net::Await{last, kSyncSliceMs};
+      first ? net::Await{} : net::Await{served, kSyncSliceMs};
   const net::SnapshotFetchResult fetched = upstream.fetch_snapshot(
       await, known, [&assembler](std::string_view chunk) {
         return assembler.feed(chunk);
@@ -143,16 +143,15 @@ bool ReplicaService::sync_once(net::RouteClient& upstream, bool first,
   sync_counters_.add(&net::ReplicaCounters::chunks_fetched, fetched.chunks);
   sync_counters_.add(&net::ReplicaCounters::bytes_fetched, fetched.bytes);
   if (!fetched.ok() && !fetched.streamed) return false;  // no notify
-
-  // The publishes this notify skipped past the last one this replica saw:
-  // a replica slower than the publish rate syncs to the newest state,
-  // never through a backlog.
-  const std::uint64_t count = fetched.notify.publish_count;
-  const std::uint64_t skipped = count > last + 1 ? count - last - 1 : 0;
-  last = first ? count : std::max(last, count);
   if (!fetched.streamed) return true;  // the park ran out; ask again
+
+  // The publishes this notify skipped past the served version: a replica
+  // slower than the publish rate syncs to the newest state, never through
+  // a backlog.
+  const std::uint64_t version = fetched.notify.snapshot_version;
   sync_counters_.add(&net::ReplicaCounters::notifies_received);
-  sync_counters_.add(&net::ReplicaCounters::notifies_coalesced, skipped);
+  sync_counters_.add(&net::ReplicaCounters::notifies_coalesced,
+                     version > served + 1 ? version - served - 1 : 0);
   if (!fetched.ok() && assembler.error().empty()) return false;
 
   ReplicationCodec::Assembler::Result result = assembler.finish();
@@ -178,24 +177,14 @@ bool ReplicaService::sync_once(net::RouteClient& upstream, bool first,
   sync_counters_.set(&net::ReplicaCounters::sync_lag_ns,
                      util::age_from(result.snapshot->published_at_ns(),
                                     util::wall_clock_ns()));
-  install(result, last);
+  install(result);
   return true;
 }
 
 void ReplicaService::install(
-    const ReplicationCodec::Assembler::Result& result,
-    std::uint64_t server_count) {
+    const ReplicationCodec::Assembler::Result& result) {
   const std::shared_ptr<const RouteSnapshot>& snap = result.snapshot;
   util::MutexLock lock(store_mutex_);
-  // Raise the chain-wide clock in the same critical section that makes
-  // the synced state readable: a waiter woken by this install must not
-  // be able to read a publish_count() older than what it sees served.
-  // (Notified here, not only at the end — the nothing-moved branch below
-  // returns early but clock waiters still need the wake-up.)
-  if (server_count > synced_publish_count_) {
-    synced_publish_count_ = server_count;
-    ready_cv_.notify_all();
-  }
   const bool rebuild =
       store_ == nullptr ||
       store_->shard_count() != result.shard_count ||
@@ -215,7 +204,8 @@ void ReplicaService::install(
              store_->newest()->checksum() == snap->checksum()) {
     // Nothing moved at all (e.g. a failover's first fetch found the new
     // upstream serving this very cut); adopt the negotiation state and
-    // skip the publish.
+    // skip the publish. The served version did not move, so no waiter
+    // needs waking.
     synced_versions_ = result.shard_versions;
     return;
   } else {
@@ -225,7 +215,7 @@ void ReplicaService::install(
     store_->publish(snap);
   }
   synced_versions_ = result.shard_versions;
-  ++installs_;
+  read_counters_.add(&service::Counters::publishes);
   ready_cv_.notify_all();
 }
 
@@ -241,26 +231,15 @@ bool ReplicaService::wait_until_ready(int timeout_ms) const {
   return store_ != nullptr;
 }
 
-std::uint64_t ReplicaService::wait_for_version_beyond(std::uint64_t version,
-                                                      int timeout_ms) const {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  util::MutexLock lock(store_mutex_);
-  while (store_ == nullptr || store_->version() <= version)
-    if (ready_cv_.wait_until(lock, deadline) == std::cv_status::timeout)
-      break;
-  return store_ == nullptr ? 0 : store_->version();
-}
-
 std::uint64_t ReplicaService::wait_for_publish_beyond(std::uint64_t count,
                                                       int timeout_ms) const {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   util::MutexLock lock(store_mutex_);
-  while (synced_publish_count_ <= count)
+  while (store_ == nullptr || store_->version() <= count)
     if (ready_cv_.wait_until(lock, deadline) == std::cv_status::timeout)
       break;
-  return synced_publish_count_;
+  return store_ == nullptr ? 0 : store_->version();
 }
 
 // --- read side --------------------------------------------------------------
@@ -286,25 +265,13 @@ ShardedSnapshotStore::ExportCut ReplicaService::export_cut() const {
                            : served->export_cut();
 }
 
-std::uint64_t ReplicaService::publish_count() const {
-  util::MutexLock lock(store_mutex_);
-  return synced_publish_count_;
-}
-
 std::vector<service::Reply> ReplicaService::query(
     std::span<const service::Request> batch) const {
   return service::answer_batch(store().get(), batch, read_counters_);
 }
 
 service::Counters ReplicaService::counters() const {
-  service::Counters c = read_counters_.read();
-  {
-    // Local installs, not the chain-wide clock: "how many times did this
-    // tier's store move" is the serving-health question counters answer.
-    util::MutexLock lock(store_mutex_);
-    c.publishes = installs_;
-  }
-  return c;
+  return read_counters_.read();
 }
 
 net::ReplicaCounters ReplicaService::replication_counters() const {
@@ -379,11 +346,6 @@ service::SubmitAck ReplicaService::submit_deltas(
   }
   forward_inflight_.fetch_sub(1, std::memory_order_acq_rel);
   return outcome;
-}
-
-std::uint64_t ReplicaService::drain() {
-  const auto snap = snapshot();
-  return snap == nullptr ? 0 : snap->version();
 }
 
 }  // namespace fpss::replica

@@ -6,15 +6,18 @@
 // thread:
 //
 //   sync channel    ──► kSnapshotFetch(since, wait, known shard versions)
-//                       ◄── kPublishNotify, then, once the count passed
+//                       ◄── kPublishNotify, then, if its version is not
 //                           `since`, kSnapshotChunk* (dirty shards + final)
 //   forward channel ──► kDeltaSubmit (writes relayed toward the primary)
-//                       ◄── kDeltaAck (accepted + primary publish clock)
+//                       ◄── kDeltaAck (accepted + the primary's version)
 //
-// The sync loop keeps one fetch parked at its upstream, which answers once
-// it publishes past the replica's clock — so every sync is caused by a
-// publish, and there is no separate notify round trip. A parked fetch
-// that runs out (a 200 ms slice, which is what bounds stop()) is simply
+// The replica's clock is the version it serves, which is the primary's
+// version of the same snapshot. The sync loop keeps one fetch parked at
+// its upstream with that version, and the upstream answers once it
+// publishes past it — so every sync is caused by a publish, and there is
+// no separate notify round trip. A parked fetch that runs out (a 200 ms
+// slice, which is what bounds stop()) streams only if the upstream serves
+// another version (one below ours after it restarted), and is otherwise
 // sent again. A connection's first fetch does not park, so a bootstrap or
 // a failover catches up at once to whatever that upstream serves. Each
 // fetch sends the shard-version vector from its previous sync's final
@@ -38,15 +41,16 @@
 //
 // Warm start: with a checkpoint directory configured, a loaded image is
 // published before the sync thread starts, so it is served immediately
-// (before the upstream is even reachable) and is the first sync's base
-// like any served snapshot — wire blocks whose content matches the local
-// image are dropped in favor of the already-resident ones. Once a sync
-// has replaced it, nothing pins the image.
+// (before the upstream is even reachable), downstream too, under its own
+// version, and is the first sync's base like any served snapshot — wire
+// blocks whose content matches the local image are dropped in favor of
+// the already-resident ones. Once a sync has replaced it, nothing pins
+// the image.
 //
 // Writes (PR 9): with forwarding enabled, kDeltaSubmit at any tier relays
 // upstream over a dedicated forwarding connection until it reaches the
-// primary, whose ack (accepted count + post-publish clock) rides back down
-// unchanged. The forwarding path is bounded on every axis: a concurrent
+// primary, whose ack (accepted count + post-publish version) rides back
+// down unchanged. The forwarding path is bounded on every axis: a concurrent
 // in-flight gate rejects excess writers with kOverloaded before they
 // queue, and a retry budget with exponential backoff bounds how long one
 // write can chase a dead upstream before kUnavailable.
@@ -121,11 +125,6 @@ class ReplicaService final : public service::Backend {
   /// load) or `timeout_ms` elapses; true when ready.
   bool wait_until_ready(int timeout_ms) const FPSS_EXCLUDES(store_mutex_);
 
-  /// Blocks until the served version exceeds `version` or `timeout_ms`
-  /// elapses; returns the served version either way.
-  std::uint64_t wait_for_version_beyond(std::uint64_t version, int timeout_ms)
-      const FPSS_EXCLUDES(store_mutex_);
-
   /// Stops the sync loop and closes the upstream connections, within one
   /// parked fetch's slice. Idempotent; the destructor calls it. Reads keep
   /// working on the last synced state.
@@ -144,11 +143,6 @@ class ReplicaService final : public service::Backend {
 
   std::shared_ptr<const service::RouteSnapshot> snapshot() const override
       FPSS_EXCLUDES(store_mutex_);
-  /// The chain-wide publish clock: the *upstream's* publish count as of
-  /// this replica's last completed sync (not a local install tally). Every
-  /// tier reports the same clock the primary advances, which is what makes
-  /// a primary ack's publish count meaningful at any depth.
-  std::uint64_t publish_count() const override;
   std::vector<service::Reply> query(
       std::span<const service::Request> batch) const override;
   service::Counters counters() const override;
@@ -164,28 +158,27 @@ class ReplicaService final : public service::Backend {
   service::SubmitAck submit_deltas(
       std::span<const service::Delta> deltas) override;
   /// No local updater to drain; returns the served version.
-  std::uint64_t drain() override;
+  std::uint64_t drain() override { return publish_count(); }
   /// What lets a downstream replica sync from this one; empty before the
   /// first sync, exactly like an unpublished primary.
   service::ShardedSnapshotStore::ExportCut export_cut() const override;
+  /// Blocks until the served version exceeds `count` or `timeout_ms`
+  /// elapses; returns the served version either way.
   std::uint64_t wait_for_publish_beyond(std::uint64_t count, int timeout_ms)
       const override FPSS_EXCLUDES(store_mutex_);
 
  private:
   /// One fetch on `upstream`: a connection's `first` answers at once,
-  /// later ones park until the upstream publishes past `last`. A notify
-  /// assigns `last` on the first fetch and raises it afterwards. A
-  /// streamed reply is reassembled (full or dirty-only) and installed
-  /// under `last`. Returns false when the connection failed or a chunk was
+  /// later ones park until the upstream publishes past the served
+  /// version. A streamed reply is reassembled (full or dirty-only) and
+  /// installed. Returns false when the connection failed or a chunk was
   /// rejected (triggers a resync; nothing partial is ever published, and a
   /// rejection also drops the negotiation state).
-  bool sync_once(net::RouteClient& upstream, bool first, std::uint64_t& last);
+  bool sync_once(net::RouteClient& upstream, bool first);
   void sync_loop();
   /// Publishes an assembled snapshot into the store (a fresh store for a
-  /// bootstrap or layout change) and raises the chain-wide clock to
-  /// `server_count` under the same lock.
-  void install(const service::ReplicationCodec::Assembler::Result& result,
-               std::uint64_t server_count);
+  /// bootstrap, layout change or version regression).
+  void install(const service::ReplicationCodec::Assembler::Result& result);
 
   // Shared reconnect state machine (sync loop + forwarder).
   std::size_t current_upstream_index() const;
@@ -208,11 +201,6 @@ class ReplicaService final : public service::Backend {
   std::vector<std::uint64_t> synced_versions_ FPSS_GUARDED_BY(store_mutex_);
 
   mutable util::CondVar ready_cv_;  ///< store_mutex_; signaled per install
-  /// Replica-local install tally.
-  std::uint64_t installs_ FPSS_GUARDED_BY(store_mutex_) = 0;
-  /// Upstream publish count at the last completed sync — what
-  /// publish_count()/wait_for_publish_beyond report.
-  std::uint64_t synced_publish_count_ FPSS_GUARDED_BY(store_mutex_) = 0;
 
   // Shared reconnect cursor into upstreams_.
   mutable util::Mutex upstream_mutex_;
@@ -232,9 +220,9 @@ class ReplicaService final : public service::Backend {
   std::atomic<bool> stop_{false};
   bool stopped_ = false;  ///< stop() completed (caller thread only)
 
-  /// The read side (any reader) and the sync and forwarding side (the
-  /// sync thread and every forwarding writer). `publishes` is filled from
-  /// installs_ and `hop_count` from hop_ instead.
+  /// The read side (any reader, plus `publishes`, bumped per install) and
+  /// the sync and forwarding side (the sync thread and every forwarding
+  /// writer; `hop_count` is filled from hop_ instead).
   mutable util::LiveCounters<service::Counters> read_counters_;
   util::LiveCounters<net::ReplicaCounters> sync_counters_;
 

@@ -66,7 +66,7 @@ struct Counters {
   /// Worst snapshot age ever observed by a read (gauge, monotone max):
   /// answer-time wall clock minus the served snapshot's publish stamp.
   std::uint64_t max_staleness_ns = 0;
-  std::uint64_t publishes = 0;
+  std::uint64_t publishes = 0;  ///< this process's publishes (or installs)
   std::uint64_t deltas_applied = 0;
   /// Deltas that needed no reconvergence of their own because the
   /// updater coalesced them into another delta of the same burst
@@ -173,8 +173,8 @@ struct ReplicaCounters {
 static_assert(util::counters_complete<ReplicaCounters>());
 
 /// The result of a write, from any backend or over the wire. On kOk,
-/// `publish_count` is the primary's publish clock after the write was
-/// published — relayed unchanged by every forwarding tier, so
+/// `publish_count` is the version the primary published the write under
+/// — relayed unchanged by every forwarding tier, so
 /// wait_for_publish_beyond(publish_count - 1) against the backend the
 /// write entered then reads it, at any depth.
 struct SubmitAck {
@@ -208,9 +208,14 @@ class Backend {
   /// stamp and node count of the served state all come from this one read,
   /// so they always describe the same snapshot.
   virtual std::shared_ptr<const RouteSnapshot> snapshot() const = 0;
-  /// Cumulative publishes — the clock that write acks, parked requests and
-  /// read-your-write waits run on.
-  virtual std::uint64_t publish_count() const = 0;
+  /// The served snapshot's version (0 before the first) — the one clock
+  /// that write acks, parked requests and read-your-write waits run on. A
+  /// primary gives every publish the next version, and a replica's clock
+  /// is the version it mirrors.
+  std::uint64_t publish_count() const {
+    const auto snap = snapshot();
+    return snap == nullptr ? 0 : snap->version();
+  }
   /// Chain depth the hello ack advertises: 0 on a primary, upstream's hop
   /// + 1 on a replica.
   virtual std::uint32_t hop_count() const { return 0; }
@@ -234,7 +239,7 @@ class Backend {
   /// valid however the backend's store changes while a transfer runs.
   virtual ShardedSnapshotStore::ExportCut export_cut() const = 0;
   /// Blocks until publish_count() exceeds `count` or `timeout_ms` elapses;
-  /// returns the publish count at return. The server parks kAwaitPublish
+  /// returns publish_count() at return. The server parks kAwaitPublish
   /// and kSnapshotFetch on this in 100 ms slices, so stop() releases them.
   virtual std::uint64_t wait_for_publish_beyond(std::uint64_t count,
                                                 int timeout_ms) const = 0;

@@ -1,5 +1,6 @@
 #include "service/service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <optional>
@@ -17,6 +18,18 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
+}
+
+/// The largest cost a delta may declare in an n-node network. A path has
+/// at most n - 2 transit nodes, so with every declared cost at most c a
+/// path cost (k-avoiding or not) is at most (n - 2)c, a price
+/// p^k_ij = c_k + d^{-k}(i,j) - d(i,j) at most (n - 1)c, the protocol's
+/// candidate sums (a price plus two costs) at most (n + 1)c, and a pair
+/// payment, a sum of at most n - 2 prices, below n^2 c. With
+/// c <= kMaxFinite / n^2 none of them leaves Cost's finite range.
+Cost max_delta_cost(std::size_t n) {
+  const auto n2 = static_cast<Cost::rep>(std::max<std::size_t>(n * n, 1));
+  return Cost{Cost::kMaxFinite / n2};
 }
 
 }  // namespace
@@ -54,9 +67,8 @@ RouteService::RouteService(const graph::Graph& g,
   if (!config_.checkpoint.directory.empty())
     checkpoint_ = std::make_unique<CheckpointWriter>(config_.checkpoint);
   // Serve the saved epoch immediately; convergence is deferred to the
-  // updater and happens when the first burst arrives. Future publishes
-  // must outnumber the warm version, so it becomes the version base.
-  version_base_ = warm->version();
+  // updater and happens when the first burst arrives. Publishing the image
+  // under its own version continues its clock.
   std::vector<Cost::rep> owed(node_count_), settled(node_count_);
   for (NodeId k = 0; k < node_count_; ++k) {
     owed[k] = warm->payment_owed(k);
@@ -67,6 +79,7 @@ RouteService::RouteService(const graph::Graph& g,
   // that export re-extracts every row (no dirty set reaches back to a disk
   // image) and keeps the loaded block wherever the digests match.
   store_.publish(std::move(warm));
+  counters_.add(&Counters::publishes);
   updater_ = std::thread([this] { updater_loop(); });
 }
 
@@ -159,7 +172,7 @@ std::size_t RouteService::apply_coalesced(const std::vector<Delta>& batch) {
 bool RouteService::delta_in_range(const Delta& delta) const {
   switch (delta.kind) {
     case Delta::Kind::kCostChange:
-      return delta.u < node_count_;
+      return delta.u < node_count_ && delta.cost <= max_delta_cost(node_count_);
     case Delta::Kind::kAddLink:
     case Delta::Kind::kRemoveLink:
       return delta.u < node_count_ && delta.v < node_count_ &&
@@ -174,7 +187,7 @@ void RouteService::publish_current() {
   FPSS_ASSERT(session_.engine().stats().converged);
   const auto start = std::chrono::steady_clock::now();
   const std::uint64_t epoch = session_.engine().converged_epochs();
-  const std::uint64_t version = version_base_ + epoch;
+  const std::uint64_t version = store_.version() + 1;
   util::ThreadPool* pool = session_.engine().pool();
 
   // The export's base is whatever the store serves: the warm snapshot
@@ -192,6 +205,7 @@ void RouteService::publish_current() {
                                        dirty, &ledger_, pool, &stats);
     stamped = store_.publish(snap);
   }
+  counters_.add(&Counters::publishes);
   counters_.add(&Counters::rows_rebuilt, stats.rows_rebuilt);
   counters_.add(&Counters::rows_reused, stats.rows_reused);
   counters_.add(&Counters::shards_republished, stamped);
@@ -215,8 +229,8 @@ void RouteService::publish_current() {
     counters_.set(&Counters::journal_compactions, cs.compactions);
   }
   {
-    // Notify under the queue mutex so a waiter cannot check the publish
-    // count and block between our publish and our notify.
+    // Notify under the queue mutex so a waiter cannot check the served
+    // version and block between our publish and our notify.
     util::MutexLock lock(queue_mutex_);
   }
   publish_cv_.notify_all();
@@ -267,9 +281,7 @@ Cost::rep RouteService::payment(NodeId k) const {
 }
 
 RouteService::Counters RouteService::counters() const {
-  Counters c = counters_.read();
-  c.publishes = store_.publish_count();
-  return c;
+  return counters_.read();
 }
 
 // --- traffic accounting ----------------------------------------------------
@@ -321,20 +333,15 @@ SubmitAck RouteService::submit_deltas(std::span<const Delta> deltas) {
   return ack;
 }
 
-void RouteService::wait_for_publishes(std::uint64_t count) const {
-  util::MutexLock lock(queue_mutex_);
-  while (store_.publish_count() < count) publish_cv_.wait(lock);
-}
-
 std::uint64_t RouteService::wait_for_publish_beyond(std::uint64_t count,
                                                     int timeout_ms) const {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   util::MutexLock lock(queue_mutex_);
-  while (store_.publish_count() <= count)
+  while (store_.version() <= count)
     if (publish_cv_.wait_until(lock, deadline) == std::cv_status::timeout)
       break;
-  return store_.publish_count();
+  return store_.version();
 }
 
 std::uint64_t RouteService::drain() {

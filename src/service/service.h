@@ -41,14 +41,19 @@
 // RouteService implements service::Backend (backend.h) directly, so a
 // net::RouteServer fronts it with no adapter.
 //
+// Versions: every publish takes the served version + 1, so a cold start
+// publishes version 1 and each later publish (a republish included) the
+// next one. The version is the service's one clock: write acks, parked
+// requests and read-your-write waits all compare it.
+//
 // A warm start (the snapshot-taking constructor) publishes a previously
-// saved snapshot as epoch 0 and serves it immediately; the session's first
-// convergence is deferred to the updater and happens lazily when the first
-// delta (or republish) arrives. A restarted daemon is thus serving
-// stale-but-sound prices within milliseconds instead of after a full
-// reconvergence. The first export takes the loaded snapshot as its base
-// like any other, so only the shards whose rows moved across the restart
-// are stamped.
+// saved snapshot under its own version and serves it immediately, so the
+// clock continues from the image; the session's first convergence is
+// deferred to the updater and happens lazily when the first delta (or
+// republish) arrives. A restarted daemon is thus serving stale-but-sound
+// prices within milliseconds instead of after a full reconvergence. The
+// first export takes the loaded snapshot as its base like any other, so
+// only the shards whose rows moved across the restart are stamped.
 //
 // Traffic accounting (Sect. 6.4) rides along: charge() records per-packet
 // prices into a payments::Ledger at the snapshot's prices, and the totals
@@ -97,17 +102,18 @@ class RouteService final : public Backend {
   using Counters = service::Counters;
 
   /// Converges the initial network on the calling thread, publishes
-  /// snapshot #1, then starts the background updater.
+  /// version 1, then starts the background updater.
   explicit RouteService(const graph::Graph& g, ServiceConfig config = {});
 
   /// Warm start: publishes `warm` (a previously saved snapshot of the same
-  /// network, typically from load_snapshot()) immediately as epoch 0 and
-  /// returns without converging. The first submitted delta (or republish)
-  /// triggers the session's initial convergence on the updater thread;
-  /// until then readers are served the warm snapshot, whose age_ns makes
-  /// the staleness visible. Payment totals embedded in `warm` seed the
-  /// ledger, so accounting survives a daemon restart. Precondition:
-  /// warm != nullptr and warm->node_count() == g.node_count().
+  /// network, typically from load_snapshot()) immediately under its own
+  /// version and returns without converging. The first submitted delta
+  /// (or republish) triggers the session's initial convergence on the
+  /// updater thread; until then readers are served the warm snapshot,
+  /// whose age_ns makes the staleness visible. Payment totals embedded in
+  /// `warm` seed the ledger, so accounting survives a daemon restart.
+  /// Precondition: warm != nullptr and warm->node_count() ==
+  /// g.node_count().
   RouteService(const graph::Graph& g,
                std::shared_ptr<const RouteSnapshot> warm,
                ServiceConfig config = {});
@@ -158,35 +164,24 @@ class RouteService final : public Backend {
   // --- update side ---------------------------------------------------------
 
   /// Enqueues deltas for the updater; returns the number accepted (deltas
-  /// naming out-of-range nodes are rejected — a remote peer must not be
-  /// able to crash the daemon). All deltas accepted in one call are
-  /// applied before the resulting publish; the updater coalesces each
-  /// drained burst (last-writer-wins per node/link) into one
-  /// reconvergence.
+  /// naming out-of-range nodes, or declaring a cost above kMaxFinite / n^2,
+  /// under which no path cost, price or payment can overflow, are rejected
+  /// — a remote peer must not be able to crash the daemon). All deltas
+  /// accepted in one call are applied before the resulting publish; the
+  /// updater coalesces each drained burst (last-writer-wins per node/link)
+  /// into one reconvergence.
   std::size_t submit(Delta delta);
   std::size_t submit(const std::vector<Delta>& deltas)
       FPSS_EXCLUDES(queue_mutex_);
   /// Submit-then-drain: returns once the accepted deltas are published, so
-  /// the ack carries the post-publish clock (the wire write contract).
+  /// the ack carries the post-publish version (the wire write contract).
   /// Local callers that want bursts coalesced use submit() instead.
   SubmitAck submit_deltas(std::span<const Delta> deltas) override;
 
-  std::uint64_t publish_count() const override {
-    return store_.publish_count();
-  }
-  /// Version of the served (newest) snapshot — what every reply in a
-  /// batch reports.
-  std::uint64_t version() const { return store_.version(); }
   std::size_t shard_count() const { return store_.shard_count(); }
 
-  /// Blocks until at least `count` publishes have happened (use
-  /// publish_count() + 1 before a submit to await its effect).
-  void wait_for_publishes(std::uint64_t count) const
-      FPSS_EXCLUDES(queue_mutex_);
-
-  /// Bounded-wait variant for parked requests: blocks until
-  /// publish_count() exceeds `count` or `timeout_ms` elapses, and returns
-  /// the current publish count either way.
+  /// Blocks until the served version exceeds `count` or `timeout_ms`
+  /// elapses, and returns the served version either way.
   std::uint64_t wait_for_publish_beyond(std::uint64_t count, int timeout_ms)
       const override FPSS_EXCLUDES(queue_mutex_);
 
@@ -215,10 +210,6 @@ class RouteService final : public Backend {
   /// convergence, before the updater exists) and then by the updater
   /// thread — never by readers.
   pricing::Session session_;
-  /// Published versions are version_base_ + converged_epochs(): zero for a
-  /// cold start, the warm snapshot's version for a warm start (so versions
-  /// keep increasing across a restart).
-  std::uint64_t version_base_ = 0;
   /// False until the session's first convergence has run. Always true for
   /// a cold start; for a warm start the updater flips it before applying
   /// the first burst.
@@ -242,8 +233,8 @@ class RouteService final : public Backend {
   payments::Ledger ledger_ FPSS_GUARDED_BY(ledger_mutex_);
 
   /// Lock order: queue_mutex_ before store_.mutex_ — the publish waiters
-  /// call store_.publish_count() while holding queue_mutex_. The reverse
-  /// nesting never happens (the store calls nothing of ours).
+  /// call store_.version() while holding queue_mutex_. The reverse nesting
+  /// never happens (the store calls nothing of ours).
   mutable util::Mutex queue_mutex_;
   util::CondVar queue_cv_;           ///< wakes the updater
   mutable util::CondVar publish_cv_;  ///< wakes drain()/waiters
@@ -252,8 +243,8 @@ class RouteService final : public Backend {
   bool updater_busy_ FPSS_GUARDED_BY(queue_mutex_) = false;
 
   /// Bumped by every reader (the read counters), the updater and the
-  /// constructor's first publish (delta and publish counters) and
-  /// charge(). `publishes` is read from the store instead.
+  /// constructors' first publish (delta and publish counters) and
+  /// charge().
   mutable util::LiveCounters<Counters> counters_;
 
   std::thread updater_;  ///< last member: joined before state tears down

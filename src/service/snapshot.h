@@ -62,8 +62,9 @@ class RouteSnapshot {
   /// Exports the current routes/prices of `session` plus (optionally) the
   /// payment totals of `ledger`. Precondition: the session's engine has
   /// converged (the snapshot of a half-converged network is not a
-  /// meaningful good to serve); `version` labels the export — callers use
-  /// bgp::Engine::converged_epochs().
+  /// meaningful good to serve); `version` labels the export — RouteService
+  /// passes its served version + 1, so every publish takes the next one
+  /// whether or not the session converged a new epoch.
   ///
   /// Copy-on-write against `base` (the snapshot being served, or null):
   /// when `base` has the session's node count and topology generation and
@@ -85,7 +86,7 @@ class RouteSnapshot {
       util::ThreadPool* pool = nullptr, SnapshotExportStats* stats = nullptr);
 
   std::size_t node_count() const { return n_; }
-  /// Converged-epoch label assigned at export.
+  /// Publish label assigned at export (see from_session).
   std::uint64_t version() const { return version_; }
   /// Graph::version() of the topology the snapshot was taken from.
   std::uint64_t graph_version() const { return graph_version_; }

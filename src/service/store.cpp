@@ -47,7 +47,6 @@ std::size_t ShardedSnapshotStore::publish(
     ++stamped;
   }
   newest_ = std::move(snapshot);
-  ++publishes_;
   return stamped;
 }
 

@@ -93,12 +93,8 @@ class ShardedSnapshotStore {
   std::size_t publish(std::shared_ptr<const RouteSnapshot> snapshot)
       FPSS_EXCLUDES(mutex_);
 
-  std::uint64_t publish_count() const FPSS_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    return publishes_;
-  }
-
-  /// The newest snapshot's version; 0 before the first publish.
+  /// The newest snapshot's version (0 before the first publish): the one
+  /// clock every backend's waits and acks run on.
   std::uint64_t version() const {
     const auto snap = newest();
     return snap == nullptr ? 0 : snap->version();
@@ -120,7 +116,6 @@ class ShardedSnapshotStore {
   mutable util::Mutex mutex_;
   std::shared_ptr<const RouteSnapshot> newest_ FPSS_GUARDED_BY(mutex_);
   std::vector<std::uint64_t> shard_versions_ FPSS_GUARDED_BY(mutex_);
-  std::uint64_t publishes_ FPSS_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace fpss::service

@@ -2,6 +2,9 @@
 // convenience assertions.
 #pragma once
 
+#include <chrono>
+#include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "graph/analysis.h"
@@ -75,6 +78,21 @@ inline std::vector<InstanceSpec> standard_instances() {
       {"er", 48, 21, 1000000}, {"tiered", 48, 22, 7}, {"ba", 48, 23, 15},
       {"grid", 36, 24, 11},    {"ring", 17, 25, 5},
   };
+}
+
+/// Polls every 5 ms until `backend` (anything with snapshot()) serves a
+/// snapshot whose checksum is `want`; false once `timeout_ms` passed.
+template <typename Backend>
+bool serves_within(const Backend& backend, std::uint64_t want,
+                   int timeout_ms) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  for (;;) {
+    const auto snap = backend.snapshot();
+    if (snap != nullptr && snap->checksum() == want) return true;
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
 }
 
 }  // namespace fpss::test

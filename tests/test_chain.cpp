@@ -1,15 +1,17 @@
 // The writable replica mesh: a primary fronted by a chain of forwarding
 // replicas, exercised end to end over real sockets. Pins the PR 9
 // contracts — a delta submitted at the deepest tier relays hop by hop to
-// the primary and the ack's publish clock makes read-your-write work at
+// the primary and the ack's version makes read-your-write work at
 // any depth; hop counts and sync lag compound down the chain; the
 // fallback list and the shared reconnect cursor survive a primary kill
-// mid-churn; and the forwarding path's back-pressure is a typed refusal,
-// never a growing queue. The CI TSan job runs this suite: every tier is
-// its own thread pile (sync loop + server workers + test writers).
+// mid-churn; a restarted primary, warm or cold, reaches every tier; and
+// the forwarding path's back-pressure is a typed refusal, never a growing
+// queue. The CI TSan job runs this suite: every tier is its own thread
+// pile (sync loop + server workers + test writers).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "net/server.h"
 #include "replica/replica.h"
 #include "service/backend.h"
+#include "service/checkpoint.h"
 #include "service/protocol.h"
 #include "service/service.h"
 #include "util/rng.h"
@@ -84,7 +87,7 @@ struct Chain {
     mid_config.upstream.port = primary_front->port();
     mid = std::make_unique<ReplicaService>(mid_config);
     if (!mid->wait_until_ready(10000)) return;
-    mid->wait_for_version_beyond(primary.version() - 1, 10000);
+    mid->wait_for_publish_beyond(primary.publish_count() - 1, 10000);
     mid_front = std::make_unique<net::RouteServer>(*mid);
     if (!mid_front->ok()) return;
 
@@ -92,7 +95,7 @@ struct Chain {
     leaf_config.upstream.port = mid_front->port();
     leaf = std::make_unique<ReplicaService>(leaf_config);
     if (!leaf->wait_until_ready(10000)) return;
-    leaf->wait_for_version_beyond(primary.version() - 1, 10000);
+    leaf->wait_for_publish_beyond(primary.publish_count() - 1, 10000);
     leaf_front = std::make_unique<net::RouteServer>(*leaf);
     ready = leaf_front->ok();
   }
@@ -142,7 +145,7 @@ TEST(ChainE2E, LeafSubmitsRoundTripBitIdentical) {
     mirror.drain();
 
     // Read-your-write at the tier the write entered: wait until the
-    // leaf's chain-wide clock reaches the primary's ack.
+    // leaf serves the version the primary acked.
     ASSERT_GE(leaf_backend.wait_for_publish_beyond(ack.publish_count - 1,
                                                    10000),
               ack.publish_count)
@@ -253,8 +256,9 @@ TEST(ChainFailover, FallbackListSkipsDeadUpstream) {
   config.resync_backoff_ms = 10;
   ReplicaService replica(config);
   ASSERT_TRUE(replica.wait_until_ready(10000));
-  ASSERT_GE(replica.wait_for_version_beyond(primary.version() - 1, 10000),
-            primary.version());
+  ASSERT_GE(
+      replica.wait_for_publish_beyond(primary.publish_count() - 1, 10000),
+      primary.publish_count());
 
   // A write entering this replica forwards through the live entry.
   const auto ack = replica.submit_deltas(std::vector<RouteService::Delta>{
@@ -289,8 +293,9 @@ TEST(ChainFailover, PrimaryKillMidChurnDegradesThenRecovers) {
   config.resync_backoff_ms = 20;
   ReplicaService replica(config);
   ASSERT_TRUE(replica.wait_until_ready(10000));
-  ASSERT_GE(replica.wait_for_version_beyond(primary.version() - 1, 10000),
-            primary.version());
+  ASSERT_GE(
+      replica.wait_for_publish_beyond(primary.publish_count() - 1, 10000),
+      primary.publish_count());
 
   // Pre-kill churn, including a forwarded write (so the forwarding
   // connection exists and must also fail over).
@@ -332,8 +337,9 @@ TEST(ChainFailover, PrimaryKillMidChurnDegradesThenRecovers) {
   // Recovery: the new connection's first fetch answers at once, and one
   // sync catches the replica up past all three missed publishes — two of
   // them coalesced into it.
-  ASSERT_GE(replica.wait_for_version_beyond(primary.version() - 1, 15000),
-            primary.version());
+  ASSERT_GE(
+      replica.wait_for_publish_beyond(primary.publish_count() - 1, 15000),
+      primary.publish_count());
   EXPECT_EQ(replica.store()->newest()->checksum(),
             primary.snapshot()->checksum());
 
@@ -356,6 +362,108 @@ TEST(ChainFailover, PrimaryKillMidChurnDegradesThenRecovers) {
     EXPECT_TRUE(service::same_answer(from_primary[q], recovered[q])) << q;
 }
 
+/// primary -> mid -> leaf; five writes; then the primary's front and
+/// service go down, a new primary comes up on the same port — warm from
+/// its checkpoint or cold — and takes one write. Both tiers must serve the
+/// new primary's state within 5 s, the leaf included, whose connection to
+/// the mid never dropped. Then a write entering the mid must be readable
+/// there once the wait on its ack returns.
+void restart_primary_above_chain(bool warm) {
+  const std::string dir = "chain_restart_ckpt";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directory(dir);
+  graph::Graph g = test::make_instance({"er", 24, 99, 8});
+  const NodeId n = static_cast<NodeId>(g.node_count());
+  service::ServiceConfig primary_config;
+  primary_config.shards = 2;
+  primary_config.checkpoint.directory = dir;
+
+  auto primary = std::make_unique<RouteService>(g, primary_config);
+  auto primary_front = std::make_unique<net::RouteServer>(*primary);
+  ASSERT_TRUE(primary_front->ok()) << primary_front->error();
+  const std::uint16_t port = primary_front->port();
+
+  ReplicaConfig mid_config;
+  mid_config.upstream.port = port;
+  mid_config.upstream.connect_attempts = 1;
+  mid_config.upstream.backoff_ms = 1;
+  mid_config.resync_backoff_ms = 20;
+  ReplicaService mid(mid_config);
+  ASSERT_TRUE(mid.wait_until_ready(10000));
+  net::RouteServer mid_front(mid);
+  ASSERT_TRUE(mid_front.ok()) << mid_front.error();
+  ReplicaConfig leaf_config;
+  leaf_config.upstream.port = mid_front.port();
+  ReplicaService leaf(leaf_config);
+  ASSERT_TRUE(leaf.wait_until_ready(10000));
+
+  util::Rng rng(99);
+  const auto next_write = [&] {
+    const auto v = static_cast<NodeId>(rng.below(n));
+    const Cost c{g.cost(v).value() + 1 +
+                 static_cast<Cost::rep>(rng.below(5))};
+    g.set_cost(v, c);
+    return std::vector<RouteService::Delta>{
+        RouteService::Delta::cost_change(v, c)};
+  };
+  for (int write = 0; write < 5; ++write) {
+    const auto ack = primary->submit_deltas(next_write());
+    ASSERT_TRUE(ack.ok()) << ack.error;
+  }
+  const std::uint64_t old_checksum = primary->snapshot()->checksum();
+  ASSERT_TRUE(test::serves_within(mid, old_checksum, 10000));
+  ASSERT_TRUE(test::serves_within(leaf, old_checksum, 10000));
+
+  // Restart. Warm: the checkpoint holds the last publish, and the new
+  // process serves it before its first convergence. Cold: the new process
+  // converges the current network and starts its versions over.
+  primary_front.reset();
+  primary.reset();
+  if (warm) {
+    auto loaded = service::load_checkpoint(dir);
+    ASSERT_TRUE(loaded.ok()) << loaded.error;
+    primary = std::make_unique<RouteService>(g, std::move(loaded.snapshot),
+                                             primary_config);
+  } else {
+    primary = std::make_unique<RouteService>(g, primary_config);
+  }
+  net::ServerConfig front_config;
+  front_config.port = port;
+  primary_front = std::make_unique<net::RouteServer>(*primary, front_config);
+  ASSERT_TRUE(primary_front->ok()) << primary_front->error();
+
+  ASSERT_TRUE(primary->submit_deltas(next_write()).ok());
+  const std::uint64_t restarted = primary->snapshot()->checksum();
+  EXPECT_TRUE(test::serves_within(mid, restarted, 5000));
+  EXPECT_TRUE(test::serves_within(leaf, restarted, 5000))
+      << "the leaf still serves the pre-restart cut";
+
+  // Read-your-own-write at the mid, on the ack's clock alone.
+  net::RemoteQueryBackend at_mid(to_port(mid_front.port()));
+  const auto ack = at_mid.submit_deltas(next_write());
+  ASSERT_TRUE(ack.ok()) << ack.error;
+  ASSERT_GE(at_mid.wait_for_publish_beyond(ack.publish_count - 1, 10000),
+            ack.publish_count);
+  EXPECT_EQ(mid.snapshot()->checksum(), primary->snapshot()->checksum());
+
+  leaf.stop();
+  mid.stop();
+  std::filesystem::remove_all(dir);
+}
+
+// A warm primary continues the clock of the image it serves, so both
+// tiers pick up its first write at once.
+TEST(ChainFailover, WarmRestartedPrimaryReachesEveryTier) {
+  restart_primary_above_chain(true);
+}
+
+// A cold primary starts its versions over below what the tiers serve; the
+// leaf's parked fetch streams the mid's lower version once its park runs
+// out, because a fetch streams any version other than its `since`.
+TEST(ChainFailover, ColdRestartedPrimaryReachesEveryTier) {
+  restart_primary_above_chain(false);
+}
+
 // --- back-pressure -----------------------------------------------------------
 
 TEST(ChainBackpressure, InflightLimitZeroRejectsTypedOverTheWire) {
@@ -368,7 +476,7 @@ TEST(ChainBackpressure, InflightLimitZeroRejectsTypedOverTheWire) {
   config.forward_inflight_limit = 0;  // the deterministic reject-everything
   ReplicaService replica(config);
   ASSERT_TRUE(replica.wait_until_ready(10000));
-  replica.wait_for_version_beyond(0, 10000);
+  replica.wait_for_publish_beyond(0, 10000);
   const std::uint64_t clock_before = replica.publish_count();
 
   net::RouteServer front(replica);

@@ -384,7 +384,7 @@ TEST(RouteServerNet, LoopbackAnswersBitIdenticalToLocalQuery) {
   Loopback loop(svc);
 
   EXPECT_EQ(loop.client->server_node_count(), g.node_count());
-  EXPECT_EQ(loop.client->server_snapshot_version(), svc.version());
+  EXPECT_EQ(loop.client->server_snapshot_version(), svc.publish_count());
 
   // Every kind, every status: valid pairs, self-pairs, bad nodes, and an
   // unknown kind tag.
@@ -410,7 +410,7 @@ TEST(RouteServerNet, LoopbackAnswersBitIdenticalToLocalQuery) {
   for (std::size_t q = 0; q < local.size(); ++q) {
     EXPECT_TRUE(service::same_answer(remote.replies[q], local[q]))
         << "answer " << q << " diverged";
-    EXPECT_EQ(remote.replies[q].snapshot_version, svc.version());
+    EXPECT_EQ(remote.replies[q].snapshot_version, svc.publish_count());
   }
   EXPECT_EQ(remote.replies[batch.size() - 3].status, Status::kBadNode);
   EXPECT_EQ(remote.replies[batch.size() - 1].status, Status::kBadKind);
@@ -453,13 +453,13 @@ TEST(RouteServerNet, RemoteDeltasCountersAndDrain) {
   const auto accepted = loop.client->submit_deltas(deltas);
   ASSERT_TRUE(accepted.ok()) << accepted.error.message;
   EXPECT_EQ(accepted.accepted, 1u);
-  // The ack's publish clock is post-drain: the write is already published.
+  // The ack's version is post-drain: the write is already published.
   EXPECT_EQ(accepted.publish_count, svc.publish_count());
   EXPECT_GE(accepted.publish_count, 2u);
 
   const auto drained = loop.client->drain();
   ASSERT_TRUE(drained.ok());
-  EXPECT_EQ(drained.value, svc.version());
+  EXPECT_EQ(drained.value, svc.publish_count());
   graph::Graph mutated = f.g;
   mutated.set_cost(f.b, Cost{3});
   const mechanism::VcgMechanism mech(mutated);
@@ -488,6 +488,58 @@ TEST(RouteServerNet, RemoteDeltasCountersAndDrain) {
   EXPECT_EQ(peer.batches, 1u);
   EXPECT_EQ(peer.queries, probe.size());
   EXPECT_EQ(peer.rejected_frames, 0u);
+}
+
+// A declared cost above kMaxFinite / n^2 could carry a price or a pair
+// payment out of Cost's finite range, so the service refuses it like an
+// out-of-range node: the frame is acked with nothing accepted instead of
+// aborting the updater, and the same connection is served on. Every node
+// at the bound itself converges to finite answers.
+TEST(RouteServerNet, OversizedCostDeltaIsRefusedAndServingGoesOn) {
+  const graph::Graph g = test::make_instance({"er", 12, 76, 6});
+  const NodeId n = static_cast<NodeId>(g.node_count());
+  RouteService svc(g);
+  Loopback loop(svc);
+  const std::uint64_t version = svc.publish_count();
+
+  const auto refused =
+      loop.client->submit_deltas(std::vector<RouteService::Delta>{
+          RouteService::Delta::cost_change(3, Cost{Cost::kMaxFinite})});
+  ASSERT_TRUE(refused.ok()) << refused.error.message;
+  EXPECT_EQ(refused.accepted, 0u);
+  EXPECT_EQ(svc.publish_count(), version);
+  const std::vector<Request> probe{
+      {RequestKind::kPairPayment, kInvalidNode, 0, static_cast<NodeId>(n - 1)},
+      {RequestKind::kPrice, 3, 0, static_cast<NodeId>(n - 1)}};
+  const auto answered = loop.client->query(probe);
+  ASSERT_TRUE(answered.ok()) << answered.error.message;
+  ASSERT_EQ(answered.replies.size(), probe.size());
+  const auto local = svc.query(probe);
+  for (std::size_t q = 0; q < probe.size(); ++q)
+    EXPECT_TRUE(service::same_answer(answered.replies[q], local[q])) << q;
+
+  const Cost bound{Cost::kMaxFinite / (static_cast<Cost::rep>(n) * n)};
+  std::vector<RouteService::Delta> at_bound;
+  for (NodeId v = 0; v < n; ++v)
+    at_bound.push_back(RouteService::Delta::cost_change(v, bound));
+  const auto accepted = loop.client->submit_deltas(at_bound);
+  ASSERT_TRUE(accepted.ok()) << accepted.error.message;
+  EXPECT_EQ(accepted.accepted, n);
+  const auto above =
+      loop.client->submit_deltas(std::vector<RouteService::Delta>{
+          RouteService::Delta::cost_change(0, Cost{bound.value() + 1})});
+  ASSERT_TRUE(above.ok()) << above.error.message;
+  EXPECT_EQ(above.accepted, 0u);
+
+  std::vector<Request> payments;
+  for (NodeId j = 1; j < n; ++j)
+    payments.push_back({RequestKind::kPairPayment, kInvalidNode, 0, j});
+  const auto paid = loop.client->query(payments);
+  ASSERT_TRUE(paid.ok()) << paid.error.message;
+  for (const service::Reply& reply : paid.replies) {
+    EXPECT_EQ(reply.status, service::Status::kOk);
+    EXPECT_TRUE(reply.value.is_finite());
+  }
 }
 
 TEST(RouteServerNet, MalformedAndOversizedFramesAreRejectedWithoutCrash) {
@@ -556,7 +608,7 @@ TEST(RouteServerNet, MalformedAndOversizedFramesAreRejectedWithoutCrash) {
     const int fd = dial();
     std::string frame = net::encode_frame(net::FrameType::kHello,
                                           net::encode_hello({}));
-    frame[4] = 3;
+    frame[4] = static_cast<char>(net::kWireVersion + 1);
     send_all(fd, frame);
     expect_error(fd, net::WireStatus::kUnsupportedVersion);
     ::close(fd);
@@ -647,14 +699,13 @@ TEST(Wire, ReplicationControlPayloadRoundTrips) {
         << "fetch prefix " << cut << " accepted";
 
   // Publish notifies.
-  net::PublishNotify notify{9, 12345, 17};
+  net::PublishNotify notify{9, 12345};
   net::PublishNotify notify2;
   const std::string notify_payload = net::encode_publish_notify(notify);
-  EXPECT_EQ(notify_payload.size(), 24u);
+  EXPECT_EQ(notify_payload.size(), 16u);
   ASSERT_TRUE(net::decode_publish_notify(notify_payload, notify2));
   EXPECT_EQ(notify2.snapshot_version, 9u);
   EXPECT_EQ(notify2.published_at_ns, 12345u);
-  EXPECT_EQ(notify2.publish_count, 17u);
   EXPECT_FALSE(net::decode_publish_notify(notify_payload + '\0', notify2));
   for (std::size_t cut = 0; cut < notify_payload.size(); ++cut)
     EXPECT_FALSE(
@@ -783,7 +834,7 @@ TEST(RouteServerNet, StopReleasesAParkedAwait) {
   waiter.join();
   EXPECT_LT(took, std::chrono::milliseconds(500));
   ASSERT_TRUE(reply.ok()) << reply.error.message;
-  EXPECT_EQ(reply.notify.publish_count, count);
+  EXPECT_EQ(reply.notify.snapshot_version, count);
 }
 
 // The hunt for torn notify metadata: under delta churn, every
@@ -812,7 +863,7 @@ TEST(RouteServerNet, NotifyVersionAndStampComeFromOnePublishedSnapshot) {
     threads.emplace_back([&] {
       while (!done.load(std::memory_order_relaxed)) svc.snapshot();
     });
-  // Each waiter loops parked awaits, each from the count its last reply
+  // Each waiter loops parked awaits, each from the version its last reply
   // carried: the first answers at once, every later one on a publish.
   std::vector<std::vector<net::PublishNotify>> notifies(kWaiters);
   for (std::size_t s = 0; s < kWaiters; ++s)
@@ -825,7 +876,7 @@ TEST(RouteServerNet, NotifyVersionAndStampComeFromOnePublishedSnapshot) {
         const auto reply = client.await_publish({since, 20});
         if (!reply.ok()) return;
         notifies[s].push_back(reply.notify);
-        since = reply.notify.publish_count;
+        since = reply.notify.snapshot_version;
       }
     });
   while (started.load() < kWaiters)
@@ -880,7 +931,7 @@ TEST(RouteServiceWarm, WarmStartServesSavedEpochThenReconverges) {
 
   RouteService warm(g, std::move(loaded.snapshot));
   // Epoch 0: the saved snapshot itself, served before any convergence.
-  EXPECT_EQ(warm.version(), saved_snapshot->version());
+  EXPECT_EQ(warm.publish_count(), saved_snapshot->version());
   EXPECT_EQ(warm.snapshot()->published_at_ns(),
             saved_snapshot->published_at_ns());
   EXPECT_EQ(warm.snapshot()->checksum(), saved_snapshot->checksum());
@@ -909,7 +960,8 @@ TEST(RouteServiceWarm, WarmStartServesSavedEpochThenReconverges) {
   warm.submit(RouteService::Delta::cost_change(2, Cost{55}));
   cold.drain();
   const auto warm_version = warm.drain();
-  EXPECT_GT(warm_version, saved_snapshot->version());
+  // The first publish continues the image's clock.
+  EXPECT_EQ(warm_version, saved_snapshot->version() + 1);
 
   const auto snap_cold = cold.snapshot();
   const auto snap_warm = warm.snapshot();

@@ -384,7 +384,6 @@ TEST(ReplicaTransfer, RepeatedChunkStopsTheFetchAtTheSecondCopy) {
     ack.max_batch = 64;
     net::PublishNotify notify;
     notify.snapshot_version = 1;
-    notify.publish_count = 1;
     if (read_frame() &&  // kHello
         write_frame(net::FrameType::kHelloAck, net::encode_hello_ack(ack)) &&
         read_frame() &&  // kSnapshotFetch
@@ -413,7 +412,7 @@ TEST(ReplicaTransfer, RepeatedChunkStopsTheFetchAtTheSecondCopy) {
   ::close(listener);
 }
 
-// A parked fetch answers with a notify, and streams only once the count
+// A parked fetch answers with a notify, and streams only once the version
 // it reports passed the request's clock.
 TEST(ReplicaTransfer, ParkedFetchStreamsOnlyOnceTheClockPasses) {
   RouteService svc = make_service({"er", 32, 52, 9}, 4);
@@ -430,18 +429,18 @@ TEST(ReplicaTransfer, ParkedFetchStreamsOnlyOnceTheClockPasses) {
   ASSERT_TRUE(bootstrap.streamed);
   const auto booted = boot_assembler.finish();
   ASSERT_TRUE(booted.ok()) << booted.error;
-  const std::uint64_t count = bootstrap.notify.publish_count;
+  const std::uint64_t count = bootstrap.notify.snapshot_version;
   EXPECT_EQ(count, svc.publish_count());
 
-  // Quiet: a fetch at the current count answers after its wait with the
-  // unchanged count and no stream, and the connection stays usable.
+  // Quiet: a fetch at the current version answers after its wait with the
+  // unchanged version and no stream, and the connection stays usable.
   ReplicationCodec::Assembler quiet_assembler(booted.snapshot);
   const auto quiet = client.fetch_snapshot({count, 50}, booted.shard_versions,
                                            into(quiet_assembler));
   ASSERT_TRUE(quiet.ok()) << quiet.error.message;
   EXPECT_FALSE(quiet.streamed);
   EXPECT_EQ(quiet.chunks, 0u);
-  EXPECT_EQ(quiet.notify.publish_count, count);
+  EXPECT_EQ(quiet.notify.snapshot_version, count);
   EXPECT_TRUE(client.connected());
 
   // Parked: a delta submitted while the fetch waits answers it, and the
@@ -460,7 +459,7 @@ TEST(ReplicaTransfer, ParkedFetchStreamsOnlyOnceTheClockPasses) {
   writer.join();
   ASSERT_TRUE(parked.ok()) << parked.error.message;
   ASSERT_TRUE(parked.streamed);
-  EXPECT_GT(parked.notify.publish_count, count);
+  EXPECT_GT(parked.notify.snapshot_version, count);
   const auto caught = parked_assembler.finish();
   ASSERT_TRUE(caught.ok()) << caught.error;
   const auto after = svc.store().export_cut();
@@ -481,7 +480,7 @@ TEST(ReplicaAwait, AnswersAtOnceParksWhileQuietAndWakesOnPublish) {
         static_cast<NodeId>(1 + burst), Cost{2 + burst})});
     svc.drain();
   }
-  const std::uint64_t publishes = svc.store().publish_count();
+  const std::uint64_t publishes = svc.publish_count();
   ASSERT_GE(publishes, 4u);
 
   net::RouteServer server(svc);
@@ -495,14 +494,14 @@ TEST(ReplicaAwait, AnswersAtOnceParksWhileQuietAndWakesOnPublish) {
   // state at once — never a backlog.
   const auto now = client.await_publish({0, net::kMaxParkMs});
   ASSERT_TRUE(now.ok()) << now.error.message;
-  EXPECT_EQ(now.notify.publish_count, publishes);
-  EXPECT_EQ(now.notify.snapshot_version, svc.version());
+  EXPECT_EQ(now.notify.snapshot_version, publishes);
+  EXPECT_EQ(now.notify.published_at_ns, svc.snapshot()->published_at_ns());
 
-  // Quiet period: the park runs out with the count unchanged, and the
+  // Quiet period: the park runs out with the version unchanged, and the
   // same connection then answers a query.
   const auto quiet = client.await_publish({publishes, 50});
   ASSERT_TRUE(quiet.ok()) << quiet.error.message;
-  EXPECT_EQ(quiet.notify.publish_count, publishes);
+  EXPECT_EQ(quiet.notify.snapshot_version, publishes);
   const auto answered = client.query(random_batch(24, 3, 2));
   ASSERT_TRUE(answered.ok()) << answered.error.message;
 
@@ -515,7 +514,7 @@ TEST(ReplicaAwait, AnswersAtOnceParksWhileQuietAndWakesOnPublish) {
   const auto woken = client.await_publish({publishes, net::kMaxParkMs});
   writer.join();
   ASSERT_TRUE(woken.ok()) << woken.error.message;
-  EXPECT_GT(woken.notify.publish_count, publishes);
+  EXPECT_GT(woken.notify.snapshot_version, publishes);
 }
 
 // --- replica end to end ------------------------------------------------------
@@ -532,7 +531,7 @@ TEST(ReplicaE2E, BitIdenticalAcrossRandomizedDeltaBurstsOnTwoFamilies) {
     config.upstream.port = server.port();
     ReplicaService replica(config);
     ASSERT_TRUE(replica.wait_until_ready(10000));
-    replica.wait_for_version_beyond(primary.version() - 1, 10000);
+    replica.wait_for_publish_beyond(primary.publish_count() - 1, 10000);
 
     util::Rng rng(spec.seed);
     for (int burst = 0; burst < 5; ++burst) {
@@ -544,7 +543,7 @@ TEST(ReplicaE2E, BitIdenticalAcrossRandomizedDeltaBurstsOnTwoFamilies) {
             Cost{static_cast<Cost::rep>(1 + rng.below(9))}));
       primary.submit(deltas);
       const std::uint64_t version = primary.drain();
-      ASSERT_GE(replica.wait_for_version_beyond(version - 1, 10000), version)
+      ASSERT_GE(replica.wait_for_publish_beyond(version - 1, 10000), version)
           << spec.family << " burst " << burst;
 
       // Bit-identical content and bit-identical answers.
@@ -585,14 +584,13 @@ TEST(ReplicaE2E, RepublishSyncsGlobalsWithoutFetchingAnyShard) {
   config.upstream.port = server.port();
   ReplicaService replica(config);
   ASSERT_TRUE(replica.wait_until_ready(10000));
-  replica.wait_for_version_beyond(primary.version() - 1, 10000);
+  replica.wait_for_publish_beyond(primary.publish_count() - 1, 10000);
   const auto before = replica.replication_counters();
 
   // Payment-only churn: totals move, no sink tree does. The replica must
   // pick up the new globals notify-driven while fetching zero shards.
-  // A republish may keep the served version, so the catch-up is awaited
-  // on the publish clock (the upstream's count at the last completed
-  // sync), not the version.
+  // A republish takes the next version like any publish, so the catch-up
+  // is awaited on the served version.
   const std::uint64_t installs = replica.publish_count();
   primary.charge(0, static_cast<NodeId>(n - 1), 500);
   primary.settle();
@@ -670,11 +668,11 @@ TEST(ReplicaE2E, WarmStartAdoptsMatchingBlocksFromCheckpoint) {
   config.checkpoint_directory = dir;
   ReplicaService replica(config);
   ASSERT_TRUE(replica.wait_until_ready(10000));
-  // The publish clock is chain-wide (the upstream's count as of the last
-  // completed sync), so it stays 0 while only the checkpoint is served
-  // and crosses 0 exactly when the wire sync lands — version alone can't
-  // distinguish the two (the fresh primary converges to the same epoch).
-  ASSERT_GT(replica.wait_for_publish_beyond(0, 10000), 0u);
+  // The warm replica serves the image under its own version (the fresh
+  // primary's too), so the wire sync is seen by the checksum, which
+  // covers the primary's publish stamp.
+  ASSERT_TRUE(
+      test::serves_within(replica, primary.snapshot()->checksum(), 10000));
 
   const auto counters = replica.replication_counters();
   EXPECT_GE(counters.full_syncs, 1u);
@@ -726,7 +724,8 @@ TEST(ReplicaE2E, WarmImageIsReleasedOnceSyncedPastIt) {
   server_config.port = port;
   net::RouteServer server(primary, server_config);
   ASSERT_TRUE(server.ok()) << server.error();
-  ASSERT_GT(replica.wait_for_publish_beyond(0, 10000), 0u);
+  ASSERT_TRUE(
+      test::serves_within(replica, primary.snapshot()->checksum(), 10000));
 
   // The sync thread drops its own reference to the image (the fetch's
   // base) as the sync that replaced it returns.
@@ -751,7 +750,7 @@ TEST(ReplicaE2E, ReplicaCountersTravelTheWire) {
   config.forward_deltas = false;
   ReplicaService replica(config);
   ASSERT_TRUE(replica.wait_until_ready(10000));
-  replica.wait_for_version_beyond(0, 10000);
+  replica.wait_for_publish_beyond(0, 10000);
 
   net::RouteServer front(replica);
   ASSERT_TRUE(front.ok()) << front.error();
@@ -841,7 +840,7 @@ TEST(ReplicaTsan, ReadersNeverObserveATornViewDuringSyncChurn) {
   config.upstream.port = server.port();
   ReplicaService replica(config);
   ASSERT_TRUE(replica.wait_until_ready(10000));
-  replica.wait_for_version_beyond(0, 10000);
+  replica.wait_for_publish_beyond(0, 10000);
 
   // Readers hammer the replica's store mid-sync, checking the invariant
   // that only holds inside one consistent snapshot: a stored route's cost
@@ -876,7 +875,7 @@ TEST(ReplicaTsan, ReadersNeverObserveATornViewDuringSyncChurn) {
         static_cast<NodeId>(rng.below(n)),
         Cost{static_cast<Cost::rep>(1 + rng.below(9))})});
     const std::uint64_t version = primary.drain();
-    ASSERT_GE(replica.wait_for_version_beyond(version - 1, 10000), version);
+    ASSERT_GE(replica.wait_for_publish_beyond(version - 1, 10000), version);
   }
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : readers) t.join();

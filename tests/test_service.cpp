@@ -217,7 +217,6 @@ TEST(SnapshotStore, PublishesAtomicallyAndKeepsOldEpochsAlive) {
       session, session.engine().converged_epochs());
   EXPECT_EQ(store.publish(v1), 1u);
   EXPECT_EQ(store.version(), 1u);
-  EXPECT_EQ(store.publish_count(), 1u);
 
   const auto held = store.newest();  // a reader holding epoch 1
   session.change_cost(f.d, Cost{7}, pricing::RestartPolicy::kRestartBarrier);
@@ -229,7 +228,6 @@ TEST(SnapshotStore, PublishesAtomicallyAndKeepsOldEpochsAlive) {
   EXPECT_EQ(store.export_cut().shard_versions,
             std::vector<std::uint64_t>{v2->version()});
   EXPECT_GT(store.version(), 1u);
-  EXPECT_EQ(store.publish_count(), 2u);
 
   // The held epoch still answers consistently even though it was displaced.
   EXPECT_EQ(held->version(), 1u);
@@ -265,14 +263,14 @@ TEST(RouteService, ServesConvergedStateImmediately) {
 TEST(RouteService, BackgroundDeltasReachReadersWithMechanismExactness) {
   const graph::Graph g = test::make_instance({"er", 20, 51, 10});
   RouteService svc(g);
-  const std::uint64_t v1 = svc.version();
+  const std::uint64_t v1 = svc.publish_count();
 
   // Cost change + a link removal (biconnected input: stays connected).
   const auto edge = g.edges().front();
   svc.submit({RouteService::Delta::cost_change(3, Cost{42}),
               RouteService::Delta::remove_link(edge.first, edge.second)});
   svc.drain();
-  EXPECT_GT(svc.version(), v1);
+  EXPECT_GT(svc.publish_count(), v1);
   EXPECT_EQ(svc.counters().deltas_applied, 2u);
 
   graph::Graph mutated = g;
@@ -347,7 +345,7 @@ TEST(RouteService, ChargesReachPaymentTotalsOnRepublish) {
   // Totals are embedded at publish time: force one and wait.
   const std::uint64_t target = svc.publish_count() + 1;
   svc.submit(RouteService::Delta::republish());
-  svc.wait_for_publishes(target);
+  ASSERT_GE(svc.wait_for_publish_beyond(target - 1, 10000), target);
 
   EXPECT_EQ(svc.payment(f.d), 100 * 3 + 10 * 9);
   EXPECT_EQ(svc.payment(f.b), 100 * 4);
@@ -359,7 +357,7 @@ TEST(RouteService, ChargesReachPaymentTotalsOnRepublish) {
   // settle() moves owed into settled; totals are preserved.
   svc.settle();
   svc.submit(RouteService::Delta::republish());
-  svc.wait_for_publishes(target + 1);
+  ASSERT_GE(svc.wait_for_publish_beyond(target, 10000), target + 1);
   EXPECT_EQ(svc.snapshot()->payment_settled(f.d), 390);
   EXPECT_EQ(svc.snapshot()->payment_owed(f.d), 0);
   EXPECT_EQ(svc.payment(f.d), 390);
