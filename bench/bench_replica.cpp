@@ -20,6 +20,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "bench_common.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "service/backend.h"
 #include "service/replication.h"
 #include "service/service.h"
 #include "service/store.h"
@@ -49,13 +51,51 @@ std::vector<std::string> encode_full_stream(const RouteService& svc) {
   for (std::size_t s = 0; s < sent.size(); ++s)
     sent[s] = static_cast<std::uint32_t>(s);
   std::vector<std::string> chunks;
-  ReplicationCodec::encode_stream(*cut.newest, cut.shard_versions, sent,
-                                  [&chunks](std::string_view chunk) {
-                                    chunks.emplace_back(chunk);
-                                    return true;
-                                  });
+  ReplicationCodec::encode_stream(
+      *cut.newest, static_cast<std::uint32_t>(sent.size()), sent,
+      [&chunks](std::string_view chunk) {
+        chunks.emplace_back(chunk);
+        return true;
+      });
   return chunks;
 }
+
+/// Serves `inner` but reports its first `stale` shards as changed by a
+/// publish after the served one, so a fetch from the served version
+/// replays the identical `stale`-shard catch-up every time.
+class StaleShards final : public service::Backend {
+ public:
+  StaleShards(service::Backend& inner, std::size_t stale)
+      : inner_(inner), stale_(stale) {}
+
+  std::shared_ptr<const service::RouteSnapshot> snapshot() const override {
+    return inner_.snapshot();
+  }
+  std::vector<service::Reply> query(
+      std::span<const service::Request> batch) const override {
+    return inner_.query(batch);
+  }
+  service::Counters counters() const override { return inner_.counters(); }
+  service::SubmitAck submit_deltas(
+      std::span<const service::Delta> deltas) override {
+    return inner_.submit_deltas(deltas);
+  }
+  std::uint64_t drain() override { return inner_.drain(); }
+  service::ShardedSnapshotStore::ExportCut export_cut() const override {
+    service::ShardedSnapshotStore::ExportCut cut = inner_.export_cut();
+    for (std::size_t s = 0; s < stale_; ++s)
+      cut.shard_versions[s] = cut.newest->version() + 1;
+    return cut;
+  }
+  std::uint64_t wait_for_publish_beyond(std::uint64_t count,
+                                        int timeout_ms) const override {
+    return inner_.wait_for_publish_beyond(count, timeout_ms);
+  }
+
+ private:
+  service::Backend& inner_;
+  std::size_t stale_;
+};
 
 /// Args: {n}. Encoding every shard of one snapshot into wire chunks.
 void BM_ReplicationEncode(benchmark::State& state) {
@@ -99,8 +139,8 @@ BENCHMARK(BM_ReplicationAssemble)
     ->Args({128, 1})
     ->Unit(benchmark::kMicrosecond);
 
-/// Args: {n}. The full bootstrap a cold replica performs: empty
-/// negotiation state, every shard over a real loopback socket.
+/// Args: {n}. The full bootstrap a cold replica performs: `since` = 0,
+/// every shard over a real loopback socket.
 void BM_BootstrapFetch(benchmark::State& state) {
   RouteService svc =
       make_service(static_cast<std::size_t>(state.range(0)), 8);
@@ -120,7 +160,7 @@ void BM_BootstrapFetch(benchmark::State& state) {
   const net::ChunkSink discard = [](std::string_view) { return true; };
   std::uint64_t bytes = 0;
   for (auto _ : state) {
-    const auto fetched = client.fetch_snapshot({}, {}, discard);
+    const auto fetched = client.fetch_snapshot({}, discard);
     if (!fetched.ok()) state.SkipWithError(fetched.error.message.c_str());
     bytes += fetched.bytes;
     benchmark::DoNotOptimize(fetched);
@@ -131,14 +171,15 @@ void BM_BootstrapFetch(benchmark::State& state) {
 BENCHMARK(BM_BootstrapFetch)->Arg(64)->Arg(128)->Unit(
     benchmark::kMicrosecond);
 
-/// Args: {n, stale_shards}. Catch-up by a replica whose negotiation state
-/// is stale for exactly `stale_shards` of the 8 shards: only those travel.
-/// wire_bytes against BM_BootstrapFetch at the same n is the O(dirty)
-/// headline — 1/8 of the shards costs ~1/8 of the bytes.
+/// Args: {n, stale_shards}. Catch-up by a replica for which exactly
+/// `stale_shards` of the 8 shards moved after the version it serves: only
+/// those travel. wire_bytes against BM_BootstrapFetch at the same n is the
+/// O(dirty) headline — 1/8 of the shards costs ~1/8 of the bytes.
 void BM_DirtyCatchUpFetch(benchmark::State& state) {
   RouteService svc =
       make_service(static_cast<std::size_t>(state.range(0)), 8);
-  net::RouteServer server(svc);
+  StaleShards stale(svc, static_cast<std::size_t>(state.range(1)));
+  net::RouteServer server(stale);
   if (!server.ok()) {
     state.SkipWithError(server.error().c_str());
     return;
@@ -150,11 +191,11 @@ void BM_DirtyCatchUpFetch(benchmark::State& state) {
     state.SkipWithError("connect failed");
     return;
   }
-  // Bootstrap once, then mark the first `stale_shards` slots stale so
-  // every iteration replays the identical partial catch-up.
+  // Bootstrap once; every iteration then replays the identical partial
+  // catch-up from the bootstrap's version, unparked so it always streams.
   ReplicationCodec::Assembler assembler(nullptr);
   const auto booted = client.fetch_snapshot(
-      {}, {}, [&](std::string_view chunk) { return assembler.feed(chunk); });
+      {}, [&](std::string_view chunk) { return assembler.feed(chunk); });
   if (!booted.ok()) {
     state.SkipWithError(booted.error.message.c_str());
     return;
@@ -164,16 +205,14 @@ void BM_DirtyCatchUpFetch(benchmark::State& state) {
     state.SkipWithError(base.error.c_str());
     return;
   }
-  std::vector<std::uint64_t> known = base.shard_versions;
-  for (std::int64_t s = 0; s < state.range(1); ++s)
-    known[static_cast<std::size_t>(s)] = 0;
+  const net::Await since_base{base.snapshot->version(), 0};
 
   std::uint64_t bytes = 0;
   std::uint64_t shards = 0;
   for (auto _ : state) {
     ReplicationCodec::Assembler catch_up(base.snapshot);
     const auto fetched =
-        client.fetch_snapshot({}, known, [&](std::string_view chunk) {
+        client.fetch_snapshot(since_base, [&](std::string_view chunk) {
           return catch_up.feed(chunk);
         });
     if (!fetched.ok()) state.SkipWithError(fetched.error.message.c_str());

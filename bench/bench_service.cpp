@@ -2,7 +2,7 @@
 // persist, publish, and — above all — query a RouteSnapshot.
 //
 //   * BM_SnapshotExport     — converged session -> flat snapshot arrays;
-//   * BM_SnapshotSaveLoad   — "fpss-snap v5" round trip through disk;
+//   * BM_SnapshotSaveLoad   — "fpss-snap v6" round trip through disk;
 //   * BM_QuerySingle        — one price() through the full service path
 //                             (atomic snapshot acquire + CSR row scan);
 //   * BM_QueryBatch         — the batched API amortizing one acquire over

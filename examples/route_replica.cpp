@@ -8,8 +8,9 @@
 //                                 delta forwarding
 //
 // then churns the primary through several re-convergence cycles and, after
-// each one, waits for the replica to catch up (its parked fetch is
-// answered by the publish itself) and checks a batch of queries
+// each one, waits for the replica to catch up (its parked fetch, whose
+// `since` is the version it serves, is answered by the publish itself
+// with the shards that moved) and checks a batch of queries
 // through both servers for bit-identical answers, both over the wire
 // through net::RemoteQueryBackend; the final cycle
 // exercises the write path end to end: a delta submitted at the *replica*
@@ -30,10 +31,12 @@
 // the replica serves its last consistent cut and fails over round-robin.
 // A bare port is shorthand for --host's value (default 127.0.0.1).
 //
-// With --checkpoint-dir the replica warm-starts from a local fpss-snap v5
-// checkpoint directory and serves it before the upstream is reachable;
-// blocks whose content matches the local image are adopted instead of
-// re-materialized from the wire.
+// With --checkpoint-dir the replica warm-starts from a local fpss-snap v6
+// checkpoint directory and serves it before the upstream is reachable.
+// The image's version is its first fetch's `since`, so an upstream still
+// serving it sends no shard, and blocks of moved shards whose content
+// matches the local image are adopted instead of re-materialized from the
+// wire.
 #include <csignal>
 #include <cstdio>
 #include <cstring>

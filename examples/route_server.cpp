@@ -18,7 +18,7 @@
 //
 //   $ ./route_server [nodes] [readers] [cycles]
 //
-// Daemon mode serves fpss-wire v3 until SIGINT/SIGTERM:
+// Daemon mode serves fpss-wire v4 until SIGINT/SIGTERM:
 //
 //   $ ./route_server --listen [port] [--nodes N] [--workers W]
 //                    [--snapshot file.bin] [--shards K]
@@ -32,7 +32,7 @@
 // --shards splits the publication store so a delta burst republishes only
 // the shards it touched. --checkpoint-dir enables incremental
 // checkpointing every N publishes (--checkpoint-every, default 1) into one
-// fpss-snap v5 file, a bootstrap stream plus one appended catch-up stream
+// fpss-snap v6 file, a bootstrap stream plus one appended catch-up stream
 // per checkpoint; on restart the daemon recovers the newest complete
 // stream from that directory and warm-starts from it — no --snapshot
 // needed.

@@ -1,4 +1,4 @@
-// Fuzz target: every fpss-wire v2 decoder that faces untrusted socket
+// Fuzz target: every fpss-wire decoder that faces untrusted socket
 // bytes. The first input byte selects the decoder; the rest is the
 // payload. The contract under test is the server/client robustness
 // promise: any byte string is either decoded or rejected with a typed
@@ -65,9 +65,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     case 8:
       decode_deltas(payload, limits.max_batch);
       break;
-    case 9:
-      decode_fetch(payload);
+    case 9: {
+      // A kSnapshotFetch payload: the same Await a kAwaitPublish carries.
+      Await out;
+      decode_await(payload, out);
       break;
+    }
     case 10: {
       PublishNotify out;
       decode_publish_notify(payload, out);

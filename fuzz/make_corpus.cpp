@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
         service::RouteService::Delta::republish(),
     };
     const Await await{1, 200};
-    const std::vector<std::uint64_t> versions = {1, 1, 1, 1};
+    const Await fetch{1, 0};  // a connection's first fetch: unparked
     PublishNotify notify;
     notify.snapshot_version = 1;
     notify.published_at_ns = 1'700'000'000'000'000'000;
@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
         encode_requests(requests),
         encode_replies(replies),
         encode_deltas(deltas),
-        encode_fetch(await, versions),
+        encode_await(fetch),
         encode_publish_notify(notify),
         counters,
         encode_await(await),
@@ -188,7 +188,8 @@ int main(int argc, char** argv) {
       sent[s] = static_cast<std::uint32_t>(s);
     std::vector<std::string> chunks;
     service::ReplicationCodec::encode_stream(
-        *cut.newest, cut.shard_versions, sent, [&chunks](std::string_view c) {
+        *cut.newest, static_cast<std::uint32_t>(sent.size()), sent,
+        [&chunks](std::string_view c) {
           chunks.emplace_back(c);
           return true;
         });

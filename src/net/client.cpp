@@ -91,6 +91,10 @@ ClientError RouteClient::dial_once() {
 }
 
 ClientError RouteClient::connect() {
+  // A connection the server closed while it sat idle (its idle deadline,
+  // or a restart) is re-dialed: nothing was sent on it, so nothing is lost.
+  // One with replies outstanding is left for receive() to fail.
+  if (connected() && outstanding_ == 0 && peer_closed(fd_)) close();
   if (connected()) return {};
   ClientError last;
   int backoff = config_.backoff_ms;
@@ -228,11 +232,11 @@ QueryResult RouteClient::receive() {
         make_error(ClientStatus::kProtocolError, "receive() with no batch outstanding");
     return result;
   }
+  // Counted down before the read: a failed read closes the connection,
+  // which zeroes the count, and the pipeline is gone either way.
+  --outstanding_;
   std::string payload;
   result.error = receive_frame(FrameType::kReplyBatch, payload);
-  // Counted down even on failure: the connection is closed and the
-  // pipeline is gone either way.
-  --outstanding_;
   if (!result.error.ok()) return result;
   RepliesResult replies = decode_replies(payload, config_.limits);
   if (!replies.ok()) {
@@ -305,15 +309,13 @@ ClientError RouteClient::receive_notify(PublishNotify& out) {
   return err;
 }
 
-SnapshotFetchResult RouteClient::fetch_snapshot(
-    const Await& await, std::span<const std::uint64_t> known,
-    const ChunkSink& sink) {
+SnapshotFetchResult RouteClient::fetch_snapshot(const Await& await,
+                                                const ChunkSink& sink) {
   SnapshotFetchResult result;
-  result.error =
-      send_frame(FrameType::kSnapshotFetch, encode_fetch(await, known));
+  result.error = send_frame(FrameType::kSnapshotFetch, encode_await(await));
   if (result.error.ok()) result.error = receive_notify(result.notify);
   if (!result.error.ok()) return result;
-  result.streamed = fetch_streams(result.notify, await.since);
+  result.streamed = fetch_streams(result.notify, await);
   if (!result.streamed) return result;
   // The stream runs until a final chunk (kind byte 2). The sink bounds
   // it: a replica's Assembler accepts each destination once, so a server

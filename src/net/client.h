@@ -1,11 +1,13 @@
-// net::RouteClient: the typed client side of fpss-wire v3.
+// net::RouteClient: the typed client side of fpss-wire v4.
 //
 // connect() dials with retry-and-backoff and runs the Hello/HelloAck
 // exchange, after which the server's node count and snapshot version are
-// known. query() is the blocking convenience; send()/receive() expose the
-// same exchange split in two so a caller can pipeline several batches on
-// one connection (the server answers frames strictly in order, so replies
-// come back FIFO). Every operation is one request and its reply, parked
+// known. Calling it again is how a long-lived caller reuses a connection:
+// it returns at once while the connection is live, and re-dials one the
+// server closed while it sat idle. query() is the blocking convenience;
+// send()/receive() expose the same exchange split in two so a caller can
+// pipeline several batches on one connection (the server answers frames
+// strictly in order, so replies come back FIFO). Every operation is one request and its reply, parked
 // ones included (await_publish, fetch_snapshot), so any operation may
 // follow any other on the same connection.
 //
@@ -103,7 +105,7 @@ using ChunkSink = service::ReplicationCodec::ChunkSink;
 struct SnapshotFetchResult {
   ClientError error;
   PublishNotify notify;      ///< the server's state when the park ended
-  bool streamed = false;     ///< fetch_streams(notify, since); chunks followed
+  bool streamed = false;     ///< fetch_streams(notify, await); chunks followed
   std::uint64_t chunks = 0;  ///< kSnapshotChunk frames received
   std::uint64_t bytes = 0;   ///< total chunk payload bytes received
   bool ok() const { return error.ok(); }
@@ -124,7 +126,11 @@ class RouteClient {
   RouteClient& operator=(const RouteClient&) = delete;
 
   /// Dials (with backoff across attempts) and performs the hello
-  /// handshake. Idempotent once connected.
+  /// handshake. Returns at once while connected, unless the server has
+  /// closed the connection (its socket reads EOF) and no reply is
+  /// outstanding on it: that connection is closed and re-dialed. Nothing
+  /// was sent on it, so no request is lost; a request that fails after it
+  /// was sent still fails.
   ClientError connect();
   bool connected() const { return fd_ >= 0; }
   void close();
@@ -156,15 +162,14 @@ class RouteClient {
   U64Result drain();
 
   /// Parked per-shard snapshot transfer: the server holds the request as
-  /// `await` says, then replies with a notify. Only if the notify names a
-  /// served version other than `await.since` (fetch_streams) does the
-  /// stream follow; each chunk payload goes
-  /// to `sink` as it arrives, through the final chunk. `known` is the
-  /// shard versions this side already holds (empty = full bootstrap).
-  /// Nothing is buffered beyond one frame. The first chunk `sink` rejects
-  /// stops the fetch with kProtocolError and closes the connection unread.
+  /// `await` says, then replies with a notify. If fetch_streams(notify,
+  /// await) holds (the fetch was not parked, or the notify names a served
+  /// version other than `await.since`), the stream follows: the shards
+  /// that moved after `await.since` (every shard when it is 0), then the
+  /// final chunk, each payload going to `sink` as it arrives. Nothing is
+  /// buffered beyond one frame. The first chunk `sink` rejects stops the
+  /// fetch with kProtocolError and closes the connection unread.
   SnapshotFetchResult fetch_snapshot(const Await& await,
-                                     std::span<const std::uint64_t> known,
                                      const ChunkSink& sink);
 
   /// Parked publish wait: the reply comes once the server's served version

@@ -23,17 +23,12 @@ std::string describe(const ClientError& error) {
 RemoteQueryBackend::RemoteQueryBackend(ClientConfig config)
     : data_(std::move(config)) {}
 
-ClientError RemoteQueryBackend::ensure_data() {
-  if (data_.connected()) return {};
-  return data_.connect();
-}
-
-ClientError RemoteQueryBackend::connect() { return ensure_data(); }
+ClientError RemoteQueryBackend::connect() { return data_.connect(); }
 
 service::QueryOutcome RemoteQueryBackend::query_batch(
     std::span<const service::Request> batch) {
   service::QueryOutcome outcome;
-  if (const auto err = ensure_data(); !err.ok()) {
+  if (const auto err = connect(); !err.ok()) {
     outcome.error = describe(err);
     return outcome;
   }
@@ -50,7 +45,7 @@ service::SubmitAck RemoteQueryBackend::submit_deltas(
     std::span<const service::Delta> deltas) {
   using Status = service::SubmitAck::Status;
   service::SubmitAck ack;
-  ClientError err = ensure_data();
+  ClientError err = connect();
   if (err.ok()) {
     const SubmitResult result = data_.submit_deltas(deltas);
     ack.accepted = result.accepted;
@@ -71,7 +66,7 @@ service::SubmitAck RemoteQueryBackend::submit_deltas(
 }
 
 CountersResult RemoteQueryBackend::counters() {
-  if (const auto err = ensure_data(); !err.ok()) {
+  if (const auto err = connect(); !err.ok()) {
     CountersResult result;
     result.error = err;
     return result;
@@ -80,7 +75,7 @@ CountersResult RemoteQueryBackend::counters() {
 }
 
 U64Result RemoteQueryBackend::drain() {
-  if (const auto err = ensure_data(); !err.ok()) {
+  if (const auto err = connect(); !err.ok()) {
     U64Result result;
     result.error = err;
     return result;
@@ -104,7 +99,7 @@ std::uint64_t RemoteQueryBackend::wait_for_publish_beyond(std::uint64_t count,
             .count();
     // A lost connection re-dials here; the deadline bounds the retries,
     // and connect() itself fails fast when the server is gone.
-    if (!ensure_data().ok()) break;
+    if (!connect().ok()) break;
     const NotifyResult reply = data_.await_publish(
         {count, static_cast<std::uint32_t>(
                     std::clamp<long long>(left, 0, kMaxParkMs))});

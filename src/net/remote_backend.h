@@ -5,10 +5,12 @@
 // Wraps one RouteClient connection: queries, writes, counters and drain
 // are plain request/reply, and wait_for_publish_beyond is a run of parked
 // kAwaitPublish requests (each at most kMaxParkMs) on the same
-// connection, whose clock is the server's served version. The connection
-// re-dials on demand, so a client pointed at a replica front keeps
-// working across the replica's own upstream failovers (the replica keeps
-// serving, and so keeps its version, through them).
+// connection, whose clock is the server's served version. Every operation
+// goes through RouteClient::connect(), which re-dials a connection that
+// failed or that the server closed while it sat idle, so a client pointed
+// at a replica front keeps working across the replica's own upstream
+// failovers (the replica keeps serving, and so keeps its version, through
+// them) and across the front's idle deadline or restart.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +25,9 @@ class RemoteQueryBackend {
  public:
   explicit RemoteQueryBackend(ClientConfig config);
 
-  /// Dials the data connection eagerly (every operation also dials on
-  /// demand; this exists so tools can surface a connect failure early).
+  /// Dials the data connection, or re-dials one the server closed (see
+  /// RouteClient::connect()). Every operation calls it first; tools call
+  /// it to surface a connect failure early.
   ClientError connect();
 
   service::QueryOutcome query_batch(std::span<const service::Request> batch);
@@ -45,8 +48,6 @@ class RemoteQueryBackend {
   std::uint32_t server_hop_count() const;
 
  private:
-  ClientError ensure_data();
-
   RouteClient data_;
 };
 

@@ -321,16 +321,14 @@ bool RouteServer::serve_frame(int fd, const std::string& peer) {
           encode_frame(FrameType::kDrainReply, encode_u64(backend_.drain()));
       break;
     }
-    case FrameType::kSnapshotFetch: {
-      const FetchResult fetch = decode_fetch(payload);
-      if (!fetch.ok()) return send_error(fd, peer, fetch.status, fetch.error);
-      return serve_snapshot_fetch(fd, peer, fetch);
-    }
+    case FrameType::kSnapshotFetch:
     case FrameType::kAwaitPublish: {
       Await await;
       if (!decode_await(payload, await))
         return send_error(fd, peer, WireStatus::kMalformed,
                           "bad await payload");
+      if (head.header.type == FrameType::kSnapshotFetch)
+        return serve_snapshot_fetch(fd, peer, await);
       park(await);
       reply_frame = encode_frame(
           FrameType::kPublishNotify,
@@ -365,8 +363,8 @@ void RouteServer::park(const Await& await) const {
 }
 
 bool RouteServer::serve_snapshot_fetch(int fd, const std::string& peer,
-                                       const FetchResult& fetch) {
-  park(fetch.await);
+                                       const Await& await) {
+  park(await);
   // One cut answers the fetch: the notify and the stream describe the same
   // snapshot. The cut pins it, so a replica backend swapping its store
   // mid-transfer cannot pull the data out from under the stream.
@@ -377,23 +375,25 @@ bool RouteServer::serve_snapshot_fetch(int fd, const std::string& peer,
                  kIoTimeoutMs))
     return false;
   counters_.add(&ServerCounters::frames);
-  if (!fetch_streams(notify, fetch.await.since))
+  if (!fetch_streams(notify, await))
     return !stopping_.load(std::memory_order_relaxed);
 
-  const std::size_t shard_count = cut.shard_versions.size();
-  // The dirty set: shards whose version moved since the replica's last
-  // sync. A version vector of the wrong length (including the empty one a
-  // bootstrap sends) cannot be compared per shard, so everything is dirty.
-  const std::vector<std::uint64_t>& known = fetch.versions;
-  const bool full = known.size() != shard_count;
+  // The dirty set: shards a publish after `since` changed. A shard's
+  // version is the publish that last changed it, so the requester, which
+  // serves `since`, holds every other shard already. With nothing served
+  // (0) or a clock ahead of ours (our versions went back) every shard is
+  // dirty.
+  const std::uint64_t since = await.since;
+  const bool full = since == 0 || since > notify.snapshot_version;
   std::vector<std::uint32_t> dirty;
-  for (std::size_t s = 0; s < shard_count; ++s)
-    if (full || known[s] != cut.shard_versions[s])
+  for (std::size_t s = 0; s < cut.shard_versions.size(); ++s)
+    if (full || cut.shard_versions[s] > since)
       dirty.push_back(static_cast<std::uint32_t>(s));
 
   bool oversized = false;
   const bool streamed = service::ReplicationCodec::encode_stream(
-      *cut.newest, cut.shard_versions, dirty, [&](std::string_view chunk) {
+      *cut.newest, static_cast<std::uint32_t>(cut.shard_versions.size()),
+      dirty, [&](std::string_view chunk) {
         if (chunk.size() > config_.limits.max_payload_bytes) {
           oversized = true;
           return false;

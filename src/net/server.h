@@ -1,5 +1,5 @@
 // net::RouteServer: the blocking TCP front end that turns a RouteService
-// into a daemon speaking fpss-wire v3.
+// into a daemon speaking fpss-wire v4.
 //
 // Shape: one accept thread plus a small worker pool. Accepted connections
 // are queued; each worker serves one connection at a time, frame by frame
@@ -26,8 +26,9 @@
 // (at most kMaxParkMs) runs out, or stop() — which therefore returns
 // within one 100 ms slice of a parked request. Each is then answered from
 // one read of the served snapshot (a fetch: one export cut), and a fetch
-// whose notify names another version than the request's continues with
-// the per-shard catch-up stream.
+// that streams (fetch_streams: it was not parked, or the served version is
+// not its `since`) continues with the catch-up stream of the shards that
+// moved after `since`.
 #pragma once
 
 #include <atomic>
@@ -104,10 +105,11 @@ class RouteServer {
   void park(const Await& await) const;
   /// Answers one kSnapshotFetch: parks, reads one export cut, writes its
   /// notify, and, if fetch_streams, streams data chunks for every shard
-  /// whose version differs from the request's, then the final chunk.
-  /// Returns false (close) on any write failure.
+  /// whose version is above `await.since` (every shard when it is 0 or
+  /// above the served version), then the final chunk. Returns false
+  /// (close) on any write failure.
   bool serve_snapshot_fetch(int fd, const std::string& peer,
-                            const FetchResult& fetch);
+                            const Await& await);
   bool send_error(int fd, const std::string& peer, WireStatus code,
                   const std::string& message);
   /// The counters this peer accounts under (the overflow bucket when the

@@ -67,4 +67,13 @@ bool write_all(int fd, std::string_view bytes, int timeout_ms) {
   return true;
 }
 
+bool peer_closed(int fd) {
+  pollfd pfd{fd, POLLIN, 0};
+  if (::poll(&pfd, 1, 0) <= 0) return false;  // nothing pending: live
+  char byte;
+  const ssize_t n = ::recv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+  return n == 0 ||
+         (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR);
+}
+
 }  // namespace fpss::net

@@ -34,4 +34,8 @@ IoResult read_exact(int fd, char* buffer, std::size_t want, int timeout_ms,
 /// reads must not pin a thread).
 bool write_all(int fd, std::string_view bytes, int timeout_ms);
 
+/// True when the peer has closed `fd`: it is readable and a peek reads
+/// EOF, or it is in error. Does not block, and consumes nothing.
+bool peer_closed(int fd);
+
 }  // namespace fpss::net

@@ -410,40 +410,11 @@ std::string encode_await(const Await& await) {
   return out;
 }
 
-namespace {
-void read_await(BinReader& in, Await& out) {
-  out.since = in.u64();
-  out.wait_ms = in.u32();
-}
-}  // namespace
-
 bool decode_await(std::string_view payload, Await& out) {
   BinReader in{payload};
-  read_await(in, out);
+  out.since = in.u64();
+  out.wait_ms = in.u32();
   return !in.fail && in.pos == payload.size();
-}
-
-std::string encode_fetch(const Await& await,
-                         std::span<const std::uint64_t> versions) {
-  std::string out = encode_await(await);
-  out.reserve(out.size() + 4 + 8 * versions.size());
-  append_u32(out, static_cast<std::uint32_t>(versions.size()));
-  for (const std::uint64_t v : versions) append_u64(out, v);
-  return out;
-}
-
-FetchResult decode_fetch(std::string_view payload) {
-  FetchResult result;
-  BinReader in{payload};
-  read_await(in, result.await);
-  const std::uint32_t count = in.u32();
-  if (in.fail || in.remaining() != 8 * std::size_t{count}) {
-    result.error = "snapshot fetch size mismatch";
-    return result;
-  }
-  result.versions.reserve(count);
-  for (std::uint32_t s = 0; s < count; ++s) result.versions.push_back(in.u64());
-  return result;
 }
 
 std::string encode_publish_notify(const PublishNotify& notify) {

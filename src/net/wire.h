@@ -1,4 +1,4 @@
-// "fpss-wire v3": the length-prefixed binary framing that carries
+// "fpss-wire v4": the length-prefixed binary framing that carries
 // Query/Answer batches and control traffic between net::RouteClient and
 // net::RouteServer.
 //
@@ -28,15 +28,19 @@
 // Every exchange is one request and its reply: the server never writes a
 // frame it was not asked for. The one clock is the served snapshot's
 // version, which moves on every publish. kAwaitPublish and kSnapshotFetch
-// are *parked*: the server holds the reply until its version exceeds the
-// request's `since` or min(wait_ms, kMaxParkMs) has passed, then answers
-// with one kPublishNotify describing the snapshot it serves. A fetch
-// whose notify names a served version other than `since` continues with
-// the catch-up stream (* = data chunks for each dirty shard, then a final
-// chunk; see service/replication.h), so an upstream whose version went
-// back (a restarted primary) still reaches the replica at the end of a
-// park. A waiter that stops asking costs nothing; one that falls behind
-// gets the newest state, never a backlog.
+// carry the same payload, an Await, and are *parked*: the server holds
+// the reply until its version exceeds the request's `since` or
+// min(wait_ms, kMaxParkMs) has passed, then answers with one
+// kPublishNotify describing the snapshot it serves. A fetch continues
+// with the catch-up stream (* = data chunks for each shard that moved
+// since `since`, then a final chunk; see service/replication.h) when
+// fetch_streams says so: always for an unparked fetch, so a replica
+// reconnecting to an upstream that serves its version with other content
+// is caught by the final chunk's checksum at once; otherwise whenever the
+// served version is not `since`, so an upstream whose version went back
+// (a restarted primary) still reaches the replica at the end of a park.
+// A waiter that stops asking costs nothing; one that falls behind gets
+// the newest state, never a backlog.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +56,7 @@
 
 namespace fpss::net {
 
-inline constexpr std::uint8_t kWireVersion = 3;
+inline constexpr std::uint8_t kWireVersion = 4;
 // "FPW1" read as little-endian u32.
 inline constexpr std::uint32_t kWireMagic = 0x31575046u;
 inline constexpr std::size_t kFrameHeaderBytes = 20;
@@ -226,9 +230,15 @@ DeltasResult decode_deltas(std::string_view payload, std::uint32_t max_batch);
 
 // --- replication payloads --------------------------------------------------
 
-/// The head of a parked request (kAwaitPublish, and kSnapshotFetch
-/// before its versions): answer once the served version exceeds `since`,
-/// or after min(wait_ms, kMaxParkMs). `wait_ms` = 0 answers at once.
+/// The payload of a parked request, kAwaitPublish or kSnapshotFetch:
+/// answer once the served version exceeds `since`, or after
+/// min(wait_ms, kMaxParkMs). `wait_ms` = 0 answers at once.
+///
+/// For a fetch, `since` is also the whole sync state: the version the
+/// requester serves, 0 for none. If the notify streams (fetch_streams),
+/// the server sends the data chunks of every shard whose version is above
+/// `since` (every shard when `since` is 0 or above the served version),
+/// then the final chunk.
 /// Payload: since:u64 | wait_ms:u32.
 struct Await {
   std::uint64_t since = 0;
@@ -237,25 +247,6 @@ struct Await {
 
 std::string encode_await(const Await& await);
 bool decode_await(std::string_view payload, Await& out);
-
-/// kSnapshotFetch: the park head, then the replica's negotiation state —
-/// the per-shard versions it currently serves (from its last sync's final
-/// chunk). An empty vector requests a full bootstrap; a vector whose
-/// length does not match the server's shard layout is treated the same
-/// way. If the notify streams (fetch_streams), the server sends data
-/// chunks only for shards whose version moved, then the final chunk.
-/// Payload: since:u64 | wait_ms:u32 | count:u32 | count x version:u64.
-std::string encode_fetch(const Await& await,
-                         std::span<const std::uint64_t> versions);
-
-struct FetchResult {
-  Await await;
-  std::vector<std::uint64_t> versions;
-  WireStatus status = WireStatus::kMalformed;
-  std::string error;
-  bool ok() const { return error.empty(); }
-};
-FetchResult decode_fetch(std::string_view payload);
 
 /// kPublishNotify: the reply to a parked request — the version and
 /// publish stamp of the snapshot the server serves, both from one read,
@@ -270,9 +261,12 @@ std::string encode_publish_notify(const PublishNotify& notify);
 bool decode_publish_notify(std::string_view payload, PublishNotify& out);
 
 /// Whether the catch-up stream follows a fetch's notify: the server serves
-/// a snapshot, and not the version the fetch named as `since`.
-inline bool fetch_streams(const PublishNotify& notify, std::uint64_t since) {
-  return notify.snapshot_version != 0 && notify.snapshot_version != since;
+/// a snapshot, and the fetch was not parked (a connection's first, which
+/// must check the requester's content against the served checksum) or the
+/// served version is not the fetch's `since`.
+inline bool fetch_streams(const PublishNotify& notify, const Await& await) {
+  return notify.snapshot_version != 0 &&
+         (await.wait_ms == 0 || notify.snapshot_version != await.since);
 }
 
 /// One peer's (client address's) accumulated server-side accounting —

@@ -121,23 +121,20 @@ void ReplicaService::sync_loop() {
 }
 
 bool ReplicaService::sync_once(net::RouteClient& upstream, bool first) {
-  std::vector<std::uint64_t> known;
-  std::shared_ptr<const RouteSnapshot> base;
-  {
-    util::MutexLock lock(store_mutex_);
-    known = synced_versions_;
-    if (store_ != nullptr) base = store_->newest();
-  }
-  // The replica's clock is the version it serves (a warm image's included).
+  std::shared_ptr<const RouteSnapshot> base = snapshot();
+  // The replica's clock is the version it serves (a warm image's included),
+  // and as the fetch's `since` it is all the upstream needs to pick the
+  // shards that moved. After a rejected stream the fetch asks for every
+  // shard instead.
   const std::uint64_t served = base == nullptr ? 0 : base->version();
+  const std::uint64_t since = bootstrap_ ? 0 : served;
 
   // Chunks go straight into the assembler as they arrive, so a fetch holds
   // one frame plus the assembly, and the first chunk it rejects ends it.
   ReplicationCodec::Assembler assembler(std::move(base));
-  const net::Await await =
-      first ? net::Await{} : net::Await{served, kSyncSliceMs};
+  const net::Await await{since, first ? 0 : kSyncSliceMs};
   const net::SnapshotFetchResult fetched = upstream.fetch_snapshot(
-      await, known, [&assembler](std::string_view chunk) {
+      await, [&assembler](std::string_view chunk) {
         return assembler.feed(chunk);
       });
   sync_counters_.add(&net::ReplicaCounters::chunks_fetched, fetched.chunks);
@@ -155,22 +152,19 @@ bool ReplicaService::sync_once(net::RouteClient& upstream, bool first) {
   if (!fetched.ok() && assembler.error().empty()) return false;
 
   ReplicationCodec::Assembler::Result result = assembler.finish();
-  if (!result.ok()) {
-    // A torn, rejected or inconsistent stream publishes nothing. Drop the
-    // negotiation state so the retry is a full bootstrap — the safe
-    // answer to a server whose layout (or identity) changed under us.
-    util::MutexLock lock(store_mutex_);
-    synced_versions_.clear();
-    return false;
-  }
+  // A torn, rejected or inconsistent stream publishes nothing, and the
+  // retry asks for every shard: the safe answer to an upstream whose
+  // content at our version is not ours (another lineage, or a layout
+  // change).
+  bootstrap_ = !result.ok();
+  if (!result.ok()) return false;
 
   sync_counters_.add(&net::ReplicaCounters::shards_fetched,
                      result.shards_sent.size());
   sync_counters_.add(&net::ReplicaCounters::blocks_adopted,
                      result.blocks_adopted);
-  sync_counters_.add(known.size() == result.shard_versions.size()
-                         ? &net::ReplicaCounters::delta_syncs
-                         : &net::ReplicaCounters::full_syncs);
+  sync_counters_.add(since == 0 ? &net::ReplicaCounters::full_syncs
+                                : &net::ReplicaCounters::delta_syncs);
   // The lag is taken before install() wakes the tiers below: a child that
   // syncs this snapshot from us measures later, so its lag is never below
   // ours.
@@ -202,11 +196,9 @@ void ReplicaService::install(
   } else if (result.shards_sent.empty() &&
              store_->version() == snap->version() &&
              store_->newest()->checksum() == snap->checksum()) {
-    // Nothing moved at all (e.g. a failover's first fetch found the new
-    // upstream serving this very cut); adopt the negotiation state and
-    // skip the publish. The served version did not move, so no waiter
-    // needs waking.
-    synced_versions_ = result.shard_versions;
+    // Nothing moved at all (a connection's first fetch found the upstream
+    // serving this very cut): skip the publish. The served version did
+    // not move, so no waiter needs waking.
     return;
   } else {
     // Catch-up: one publish. The assembler shared the served blocks of
@@ -214,7 +206,6 @@ void ReplicaService::install(
     // not change, so the store stamps only the shards that really moved.
     store_->publish(snap);
   }
-  synced_versions_ = result.shard_versions;
   read_counters_.add(&service::Counters::publishes);
   ready_cv_.notify_all();
 }
@@ -312,16 +303,17 @@ service::SubmitAck ReplicaService::submit_deltas(
     // Follow the shared cursor: a failover observed by the sync loop (or a
     // previous write) redirects this connection too.
     const std::size_t target = current_upstream_index();
-    if (forward_ == nullptr || !forward_->connected() ||
-        forward_upstream_index_ != target) {
+    if (forward_ == nullptr || forward_upstream_index_ != target) {
       forward_ = std::make_unique<net::RouteClient>(upstreams_[target]);
       forward_upstream_index_ = target;
-      if (!forward_->connect().ok()) {
-        forward_.reset();
-        note_upstream_failure(target);
-        sync_counters_.add(&net::ReplicaCounters::forward_retries);
-        continue;
-      }
+    }
+    // Dials a new connection, or re-dials one the upstream closed while
+    // it sat idle; a live one is reused as is.
+    if (!forward_->connect().ok()) {
+      forward_.reset();
+      note_upstream_failure(target);
+      sync_counters_.add(&net::ReplicaCounters::forward_retries);
+      continue;
     }
     const net::SubmitResult relayed = forward_->submit_deltas(deltas);
     if (relayed.ok()) {

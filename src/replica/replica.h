@@ -5,25 +5,31 @@
 // A replica owns two upstream connections and one background sync
 // thread:
 //
-//   sync channel    ──► kSnapshotFetch(since, wait, known shard versions)
-//                       ◄── kPublishNotify, then, if its version is not
-//                           `since`, kSnapshotChunk* (dirty shards + final)
+//   sync channel    ──► kSnapshotFetch(since, wait)
+//                       ◄── kPublishNotify, then, if fetch_streams,
+//                           kSnapshotChunk* (moved shards + final)
 //   forward channel ──► kDeltaSubmit (writes relayed toward the primary)
 //                       ◄── kDeltaAck (accepted + the primary's version)
 //
 // The replica's clock is the version it serves, which is the primary's
-// version of the same snapshot. The sync loop keeps one fetch parked at
-// its upstream with that version, and the upstream answers once it
-// publishes past it — so every sync is caused by a publish, and there is
-// no separate notify round trip. A parked fetch that runs out (a 200 ms
+// version of the same snapshot, and it is the whole sync state: each
+// fetch sends it as `since`, and the upstream streams exactly the shards
+// a publish after `since` changed, so a replica N publishes behind
+// transfers O(dirty shards), not O(all shards). The sync loop keeps one
+// fetch parked at its upstream, and the upstream answers once it
+// publishes past `since` — so every sync is caused by a publish, and there
+// is no separate notify round trip. A parked fetch that runs out (a 200 ms
 // slice, which is what bounds stop()) streams only if the upstream serves
 // another version (one below ours after it restarted), and is otherwise
-// sent again. A connection's first fetch does not park, so a bootstrap or
-// a failover catches up at once to whatever that upstream serves. Each
-// fetch sends the shard-version vector from its previous sync's final
-// chunk, so the upstream streams exactly the shards whose version moved:
-// a replica N publishes behind transfers O(dirty shards), not O(all
-// shards). The reassembled snapshot (service::ReplicationCodec::Assembler
+// sent again. Two rules keep that state honest:
+//   * A connection's first fetch does not park, and always streams, at
+//     least its final chunk: a bootstrap, a failover or a warm start
+//     catches up at once to whatever that upstream serves, and an
+//     upstream serving our version with other content fails the final
+//     chunk's checksum at once.
+//   * A stream the assembler rejects makes the next fetch a bootstrap
+//     (`since` = 0), which streams every shard.
+// The reassembled snapshot (service::ReplicationCodec::Assembler
 // — checksum verified, torn chunks rejected wholesale, fed chunk by chunk
 // as they arrive) lands in the replica's own ShardedSnapshotStore in one
 // publish, the same single-lock install the primary's publish does. The
@@ -42,10 +48,11 @@
 // Warm start: with a checkpoint directory configured, a loaded image is
 // published before the sync thread starts, so it is served immediately
 // (before the upstream is even reachable), downstream too, under its own
-// version, and is the first sync's base like any served snapshot — wire
-// blocks whose content matches the local image are dropped in favor of
-// the already-resident ones. Once a sync has replaced it, nothing pins
-// the image.
+// version, and is the first sync's base like any served snapshot: its
+// version is the first fetch's `since`, so an upstream still serving it
+// sends the final chunk alone, and wire blocks whose content matches the
+// local image are dropped in favor of the already-resident ones. Once a
+// sync has replaced it, nothing pins the image.
 //
 // Writes (PR 9): with forwarding enabled, kDeltaSubmit at any tier relays
 // upstream over a dedicated forwarding connection until it reaches the
@@ -171,9 +178,9 @@ class ReplicaService final : public service::Backend {
   /// One fetch on `upstream`: a connection's `first` answers at once,
   /// later ones park until the upstream publishes past the served
   /// version. A streamed reply is reassembled (full or dirty-only) and
-  /// installed. Returns false when the connection failed or a chunk was
+  /// installed. Returns false when the connection failed or the stream was
   /// rejected (triggers a resync; nothing partial is ever published, and a
-  /// rejection also drops the negotiation state).
+  /// rejection makes the next fetch a bootstrap).
   bool sync_once(net::RouteClient& upstream, bool first);
   void sync_loop();
   /// Publishes an assembled snapshot into the store (a fresh store for a
@@ -189,16 +196,16 @@ class ReplicaService final : public service::Backend {
   ReplicaConfig config_;
   std::vector<net::ClientConfig> upstreams_;  ///< resolved fallback list
 
-  /// The served store plus the negotiation state from the last final
-  /// chunk. The store pointer itself is swapped on layout changes, so
+  /// The served store. The pointer itself is swapped on layout changes, so
   /// readers copy it under the mutex (the store's own lock then provides
   /// the usual RCU cut). Independent of upstream_mutex_/forward_mutex_ —
   /// no replica path nests two of the three.
   mutable util::Mutex store_mutex_;
   std::shared_ptr<service::ShardedSnapshotStore> store_
       FPSS_GUARDED_BY(store_mutex_);
-  /// Echoed in the next fetch.
-  std::vector<std::uint64_t> synced_versions_ FPSS_GUARDED_BY(store_mutex_);
+  /// The last stream was rejected, so the next fetch sends `since` = 0.
+  /// Touched by the sync thread only.
+  bool bootstrap_ = false;
 
   mutable util::CondVar ready_cv_;  ///< store_mutex_; signaled per install
 

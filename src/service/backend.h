@@ -125,8 +125,8 @@ static_assert(util::counters_complete<Counters>());
 /// A replica's sync-side accounting, served locally and over the wire next
 /// to the serving counters (absent on a primary).
 struct ReplicaCounters {
-  std::uint64_t full_syncs = 0;     ///< bootstraps fetching every shard
-  std::uint64_t delta_syncs = 0;    ///< catch-ups fetching only dirty shards
+  std::uint64_t full_syncs = 0;     ///< syncs fetched with `since` = 0
+  std::uint64_t delta_syncs = 0;    ///< syncs fetched from a served version
   std::uint64_t shards_fetched = 0; ///< shard payloads received, cumulative
   std::uint64_t chunks_fetched = 0; ///< kSnapshotChunk frames received
   std::uint64_t bytes_fetched = 0;  ///< chunk payload bytes received

@@ -17,8 +17,9 @@ namespace fpss::service {
 namespace {
 
 constexpr char kMagic[8] = {'F', 'P', 'S', 'S', 'S', 'N', 'P', '1'};
-// v5: the file is a recorded block stream; older formats fail on this.
-constexpr std::uint64_t kFormatVersion = 5;
+// v6: the file is a recorded block stream whose chunks carry no shard
+// versions; older formats fail on this.
+constexpr std::uint64_t kFormatVersion = 6;
 constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 8;
 
 SnapshotLoadResult load_fail(std::string message) {
@@ -29,17 +30,16 @@ SnapshotLoadResult load_fail(std::string message) {
 
 /// Appends one stream of `snap` patching the destinations in `sent`, as
 /// length-prefixed records, in the on-disk geometry: one shard per
-/// destination, every shard at the stream's version.
+/// destination.
 void append_stream(std::string& out, const RouteSnapshot& snap,
                    std::span<const std::uint32_t> sent) {
-  const std::vector<std::uint64_t> versions(snap.node_count(),
-                                            snap.version());
-  ReplicationCodec::encode_stream(snap, versions, sent,
-                                  [&out](std::string_view chunk) {
-                                    util::append_u64(out, chunk.size());
-                                    out.append(chunk);
-                                    return true;
-                                  });
+  ReplicationCodec::encode_stream(
+      snap, static_cast<std::uint32_t>(snap.node_count()), sent,
+      [&out](std::string_view chunk) {
+        util::append_u64(out, chunk.size());
+        out.append(chunk);
+        return true;
+      });
 }
 
 /// Writes `bytes` to `path` (truncating, or appending with

@@ -1,8 +1,8 @@
 // Persistence: saved snapshots and incremental checkpoints, both as
 // recorded block streams (service/replication.h) in one file format,
-// "fpss-snap v5":
+// "fpss-snap v6":
 //
-//   file   := magic "FPSSSNP1" | format:u64 = 5 | record*
+//   file   := magic "FPSSSNP1" | format:u64 = 6 | record*
 //   record := chunk_len:u64 | chunk          (a ReplicationCodec chunk)
 //
 // Records form streams, each ending at its final chunk. The first stream
@@ -12,15 +12,15 @@
 // through ReplicationCodec::Assembler, the same parser a replica runs on
 // the wire, so the disk and the wire cannot disagree on a block.
 //
-// On-disk geometry: a shard is one destination, and every shard carries
-// the stream's snapshot version. A catch-up therefore carries exactly the
-// blocks that changed, and the loader never reads shard versions back.
+// On-disk geometry: a shard is one destination, so a catch-up carries
+// exactly the blocks that changed. Every chunk carries only the stream's
+// snapshot version; no per-shard version is written or read back.
 //
 // No per-record checksum: a stream's final chunk carries the snapshot's
 // root checksum, which folds every content byte (each block's digest, the
 // global arrays, the provenance), and the Assembler accepts a stream only
 // if the reassembled snapshot reproduces it. The framing around the
-// content (lengths, kinds, geometry, shard indices and versions) is
+// content (lengths, kinds, versions, geometry, shard indices) is
 // cross-checked structurally. A torn or corrupt record therefore ends the
 // load at the newest complete stream; the every-byte-flip and
 // every-prefix tests pin both halves.
@@ -71,11 +71,11 @@ struct SnapshotLoadResult {
   bool ok() const { return snapshot != nullptr; }
 };
 
-/// Writes `snapshot` as an fpss-snap v5 file holding one bootstrap stream.
+/// Writes `snapshot` as an fpss-snap v6 file holding one bootstrap stream.
 SnapshotSaveResult save_snapshot(const RouteSnapshot& snapshot,
                                  const std::string& path);
 
-/// Reads an fpss-snap v5 file and returns its newest complete state.
+/// Reads an fpss-snap v6 file and returns its newest complete state.
 SnapshotLoadResult load_snapshot(const std::string& path);
 
 /// The in-memory half of load_snapshot() and the only file parser: checks

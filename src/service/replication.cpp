@@ -19,19 +19,17 @@ using util::BinReader;
 using util::encode_cost;
 
 /// Bytes of a data chunk before its first block.
-constexpr std::size_t kDataHeaderBytes = 41;
+constexpr std::size_t kDataHeaderBytes = 33;
 
 /// Every data chunk's fixed fields, kind byte first.
 void append_data_header(std::string& out, const RouteSnapshot& snap,
                         std::uint32_t shard_count, std::uint32_t shard,
-                        std::uint64_t shard_version, std::uint32_t dest_begin,
-                        std::uint32_t dest_count) {
+                        std::uint32_t dest_begin, std::uint32_t dest_count) {
   append_u8(out, ReplicationCodec::kDataChunk);
   append_u64(out, snap.version());
   append_u64(out, snap.node_count());
   append_u32(out, shard_count);
   append_u32(out, shard);
-  append_u64(out, shard_version);
   append_u32(out, dest_begin);
   append_u32(out, dest_count);
 }
@@ -87,27 +85,24 @@ RouteSnapshot::BlockPtr ReplicationCodec::parse_block(BinReader& in,
 
 // --- encoder ----------------------------------------------------------------
 
-bool ReplicationCodec::encode_stream(
-    const RouteSnapshot& snap, std::span<const std::uint64_t> shard_versions,
-    std::span<const std::uint32_t> sent, const ChunkSink& sink) {
-  FPSS_EXPECTS(!shard_versions.empty());
-  const auto shard_count = static_cast<std::uint32_t>(shard_versions.size());
+bool ReplicationCodec::encode_stream(const RouteSnapshot& snap,
+                                     std::uint32_t shard_count,
+                                     std::span<const std::uint32_t> sent,
+                                     const ChunkSink& sink) {
+  FPSS_EXPECTS(shard_count > 0);
   const std::size_t shard_size =
       shard_size_of(snap.node_count(), shard_count);
   for (const std::uint32_t s : sent) {
     FPSS_EXPECTS(s < shard_count);
-    if (!encode_shard(snap, s, shard_size, shard_count, shard_versions[s],
-                      sink))
-      return false;
+    if (!encode_shard(snap, s, shard_size, shard_count, sink)) return false;
   }
-  return sink(encode_final(snap, shard_versions, sent));
+  return sink(encode_final(snap, shard_count, sent));
 }
 
 bool ReplicationCodec::encode_shard(const RouteSnapshot& snap,
                                     std::uint32_t shard,
                                     std::size_t shard_size,
                                     std::uint32_t shard_count,
-                                    std::uint64_t shard_version,
                                     const ChunkSink& sink) {
   const std::size_t n = snap.node_count();
   const std::size_t begin = std::min(n, std::size_t{shard} * shard_size);
@@ -122,7 +117,7 @@ bool ReplicationCodec::encode_shard(const RouteSnapshot& snap,
       bytes += block_bytes(*snap.blocks_[hi++], n);
     std::string chunk;
     chunk.reserve(kDataHeaderBytes + bytes);
-    append_data_header(chunk, snap, shard_count, shard, shard_version,
+    append_data_header(chunk, snap, shard_count, shard,
                        static_cast<std::uint32_t>(lo),
                        static_cast<std::uint32_t>(hi - lo));
     for (std::size_t j = lo; j < hi; ++j) append_block(chunk, *snap.blocks_[j]);
@@ -133,15 +128,15 @@ bool ReplicationCodec::encode_shard(const RouteSnapshot& snap,
 }
 
 std::string ReplicationCodec::encode_final(
-    const RouteSnapshot& snap, std::span<const std::uint64_t> shard_versions,
+    const RouteSnapshot& snap, std::uint32_t shard_count,
     std::span<const std::uint32_t> sent) {
   const std::size_t n = snap.node_count();
   std::string out;
-  out.reserve(53 + 24 * n + 8 * shard_versions.size() + 4 * sent.size());
+  out.reserve(53 + 24 * n + 4 * sent.size());
   append_u8(out, kFinalChunk);
   append_u64(out, snap.version());
   append_u64(out, n);
-  append_u32(out, static_cast<std::uint32_t>(shard_versions.size()));
+  append_u32(out, shard_count);
   append_u64(out, snap.graph_version());
   append_u64(out, snap.published_at_ns());
   append_u64(out, snap.checksum());
@@ -149,7 +144,6 @@ std::string ReplicationCodec::encode_final(
     append_i64(out, encode_cost(snap.node_cost(v)));
   for (NodeId v = 0; v < n; ++v) append_i64(out, snap.payment_owed(v));
   for (NodeId v = 0; v < n; ++v) append_i64(out, snap.payment_settled(v));
-  for (const std::uint64_t version : shard_versions) append_u64(out, version);
   append_u32(out, static_cast<std::uint32_t>(sent.size()));
   for (const std::uint32_t s : sent) append_u32(out, s);
   return out;
@@ -203,7 +197,6 @@ bool ReplicationCodec::Assembler::feed(std::string_view payload) {
 
   if (kind == kDataChunk) {
     const std::uint32_t shard = in.u32();
-    const std::uint64_t shard_version = in.u64();
     const std::uint64_t dest_begin = in.u32();
     const std::uint64_t dest_count = in.u32();
     if (in.fail) return fail("truncated data chunk header");
@@ -219,7 +212,6 @@ bool ReplicationCodec::Assembler::feed(std::string_view payload) {
     // parser into large allocations past this bound.
     if (in.remaining() < dest_count * (20 * n_ + 8))
       return fail("data chunk shorter than its block count");
-    shard_version_seen_.emplace_back(shard, shard_version);
     for (std::uint64_t d = 0; d < dest_count; ++d) {
       const NodeId j = static_cast<NodeId>(dest_begin + d);
       if (received_[j] != nullptr) return fail("duplicate destination block");
@@ -243,9 +235,9 @@ bool ReplicationCodec::Assembler::feed(std::string_view payload) {
     graph_version_ = in.u64();
     published_at_ns_ = in.u64();
     want_checksum_ = in.u64();
-    // Exact-size arithmetic before any reserve: globals + shard versions
-    // + the sent list's count field must all fit.
-    if (in.fail || in.remaining() < 24 * n_ + 8 * shard_count_ + 4)
+    // Exact-size arithmetic before any reserve: the globals and the sent
+    // list's count field must both fit.
+    if (in.fail || in.remaining() < 24 * n_ + 4)
       return fail("truncated final chunk");
     node_cost_.reserve(n_);
     for (std::uint64_t v = 0; v < n_; ++v) node_cost_.push_back(in.cost());
@@ -253,9 +245,6 @@ bool ReplicationCodec::Assembler::feed(std::string_view payload) {
     for (std::uint64_t v = 0; v < n_; ++v) owed_.push_back(in.i64());
     settled_.reserve(n_);
     for (std::uint64_t v = 0; v < n_; ++v) settled_.push_back(in.i64());
-    shard_versions_.reserve(shard_count_);
-    for (std::uint64_t s = 0; s < shard_count_; ++s)
-      shard_versions_.push_back(in.u64());
     const std::uint32_t sent = in.u32();
     if (in.fail || sent > shard_count_ || in.remaining() != 4 * sent)
       return fail("final chunk size mismatch");
@@ -288,12 +277,6 @@ ReplicationCodec::Assembler::Result ReplicationCodec::Assembler::finish() {
     return result;
   };
   if (!final_seen_) return reject("stream ended before the final chunk");
-  // Each data chunk's announced slot version must agree with the final
-  // vector — a response stitched from two different cuts is rejected.
-  for (const auto& [shard, version] : shard_version_seen_)
-    if (shard_versions_[shard] != version)
-      return reject("data chunk version disagrees with final vector");
-
   const std::size_t shard_size = shard_size_of(n_, shard_count_);
   std::vector<bool> sent(shard_count_, false);
   for (const std::uint32_t s : shards_sent_) sent[s] = true;
@@ -329,7 +312,6 @@ ReplicationCodec::Assembler::Result ReplicationCodec::Assembler::finish() {
   if (snap->checksum() != want_checksum_)
     return reject("assembled snapshot checksum mismatch");
   result.snapshot = std::move(snap);
-  result.shard_versions = shard_versions_;
   result.shards_sent = shards_sent_;
   result.blocks_adopted = blocks_adopted_;
   result.shard_count = shard_count_;

@@ -5,14 +5,13 @@
 // A stream is a sequence of chunk payloads:
 //
 //   data chunk  := kind:u8(1) | snapshot_version:u64 | n:u64
-//                  | shard_count:u32 | shard_index:u32 | shard_version:u64
+//                  | shard_count:u32 | shard_index:u32
 //                  | dest_begin:u32 | dest_count:u32
 //                  | dest_count x block
 //   final chunk := kind:u8(2) | snapshot_version:u64 | n:u64
 //                  | shard_count:u32 | graph_version:u64
 //                  | published_at_ns:u64 | checksum:u64
 //                  | node_cost[n]:i64 | owed[n]:i64 | settled[n]:i64
-//                  | shard_versions[shard_count]:u64
 //                  | sent_count:u32 | sent_count x shard_index:u32
 //   block       := next_hop[n]:u32 | cost[n]:i64 | offset[n+1]:u64
 //                  | transit[entries]:u32 | price[entries]:i64
@@ -20,10 +19,11 @@
 // (entries = offset[n]; costs as i64 with -1 = +infinity). encode_stream
 // is the one encoder: one or more data chunks per shard it sends (a shard
 // whose destination rows outgrow kChunkBudgetBytes is split across
-// chunks), then exactly one final chunk. The final chunk carries the
-// per-shard version vector — the negotiation state a replica echoes back
-// in its next kSnapshotFetch — plus the explicit list of shards this
-// stream patched and the root checksum the reassembled snapshot must
+// chunks), then exactly one final chunk. Every chunk names the one
+// snapshot version the stream carries; which shards it sends is the
+// sender's business (a server picks them from the requester's `since`,
+// see net/wire.h). The final chunk carries the explicit list of shards
+// this stream patched and the root checksum the reassembled snapshot must
 // reproduce. The Assembler is the one parser; nothing else decodes a
 // destination block. On the wire each chunk travels in its own
 // length/FNV-guarded fpss-wire frame; on disk in a length-prefixed record.
@@ -31,6 +31,8 @@
 // Assembler invariants (the torn-shard guarantees the fuzz tests pin):
 //   * every payload is validated structurally before any block is kept —
 //     a truncated or corrupt chunk poisons the whole assembly;
+//   * every chunk must agree with the first on version, node count and
+//     shard count, so a stream stitched from two snapshots is rejected;
 //   * finish() fails unless every destination of every announced shard
 //     arrived exactly once and nothing outside those shards arrived;
 //   * the sealed snapshot's checksum must equal the declared one — so a
@@ -44,7 +46,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "service/snapshot.h"
@@ -70,13 +71,13 @@ struct ReplicationCodec {
   /// Takes one chunk payload, in stream order; false stops the stream.
   using ChunkSink = std::function<bool(std::string_view payload)>;
 
-  /// Encodes one stream of `snap` under the shard_versions.size()-shard
-  /// partition (shard_size_of): the data chunks of every shard in `sent`,
-  /// in order, then the final chunk announcing `shard_versions` and
-  /// `sent`. Stops, returning false, as soon as the sink returns false.
-  /// Preconditions: at least one shard, every sent index in range.
+  /// Encodes one stream of `snap` under the `shard_count`-shard partition
+  /// (shard_size_of): the data chunks of every shard in `sent`, in order,
+  /// then the final chunk announcing `sent`. Stops, returning false, as
+  /// soon as the sink returns false. Preconditions: at least one shard,
+  /// every sent index in range.
   static bool encode_stream(const RouteSnapshot& snap,
-                            std::span<const std::uint64_t> shard_versions,
+                            std::uint32_t shard_count,
                             std::span<const std::uint32_t> sent,
                             const ChunkSink& sink);
 
@@ -102,8 +103,6 @@ struct ReplicationCodec {
 
     struct Result {
       std::shared_ptr<const RouteSnapshot> snapshot;  ///< null on failure
-      /// The server's per-shard versions (what the next fetch should send).
-      std::vector<std::uint64_t> shard_versions;
       /// Shards this response patched (sorted, unique).
       std::vector<std::uint32_t> shards_sent;
       std::uint64_t blocks_adopted = 0;  ///< blocks shared via base digest
@@ -136,11 +135,7 @@ struct ReplicationCodec {
     std::vector<Cost> node_cost_;
     std::vector<Cost::rep> owed_;
     std::vector<Cost::rep> settled_;
-    std::vector<std::uint64_t> shard_versions_;
     std::vector<std::uint32_t> shards_sent_;
-    /// (shard, version) pairs announced by data chunks — cross-checked
-    /// against the final chunk's vector in finish().
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> shard_version_seen_;
     /// Parsed blocks by destination; null = not received.
     std::vector<RouteSnapshot::BlockPtr> received_;
     std::string error_;
@@ -152,10 +147,9 @@ struct ReplicationCodec {
   /// Emits shard `shard`'s data chunks; false once the sink stops.
   static bool encode_shard(const RouteSnapshot& snap, std::uint32_t shard,
                            std::size_t shard_size, std::uint32_t shard_count,
-                           std::uint64_t shard_version,
                            const ChunkSink& sink);
   static std::string encode_final(const RouteSnapshot& snap,
-                                  std::span<const std::uint64_t> shard_versions,
+                                  std::uint32_t shard_count,
                                   std::span<const std::uint32_t> sent);
 
   /// Appends one block in serialization order.

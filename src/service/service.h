@@ -91,7 +91,7 @@ struct ServiceConfig {
   /// sink trees changed, and a replica catch-up fetches only those; 1
   /// makes every change refetch the whole snapshot.
   std::size_t shards = 1;
-  /// Incremental checkpointing (one fpss-snap v5 file: a bootstrap stream
+  /// Incremental checkpointing (one fpss-snap v6 file: a bootstrap stream
   /// plus appended catch-ups). The default (empty directory) disables it.
   CheckpointPolicy checkpoint;
 };

@@ -22,7 +22,7 @@
 // O(dirty) data, not O(n^2).
 //
 // Snapshots travel as one block stream (service/replication.h), to a
-// replica over the wire and to disk as an "fpss-snap v5" file
+// replica over the wire and to disk as an "fpss-snap v6" file
 // (service/checkpoint.h), so a warm restart can serve traffic before the
 // first reconvergence.
 #pragma once

@@ -45,8 +45,9 @@ inline std::size_t shard_size_of(std::size_t node_count,
 /// The k-shard publication point: one snapshot (`newest`) plus one version
 /// per shard of destinations (shard_of(j) = j / shard_size()). A shard's
 /// version is the version of the publish that last *changed* one of its
-/// destinations, which is what a replica's fetch negotiates on: a catch-up
-/// transfers only the shards whose version moved.
+/// destinations, which is what a replica's fetch is answered by: a
+/// catch-up from `since` transfers only the shards whose version is above
+/// it.
 ///
 /// publish() finds the moved shards itself, by block identity: a
 /// destination moved iff its block is not the same object as in the

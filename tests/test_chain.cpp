@@ -362,6 +362,88 @@ TEST(ChainFailover, PrimaryKillMidChurnDegradesThenRecovers) {
     EXPECT_TRUE(service::same_answer(from_primary[q], recovered[q])) << q;
 }
 
+// Two primaries on one topology with different costs, both cold at
+// version 1. A replica synced from the first fails over to the second,
+// which never publishes again. The first fetch on the new connection is
+// unparked, so it streams although the versions match; its checksum
+// rejects the first's blocks, and the bootstrap that follows brings the
+// second's content.
+TEST(ChainFailover, FailoverToSameVersionOtherContentConverges) {
+  graph::Graph g = test::make_instance({"er", 24, 100, 8});
+  service::ServiceConfig service_config;
+  service_config.shards = 2;
+  RouteService first(g, service_config);
+  g.set_cost(0, Cost{g.cost(0).value() + 5});
+  RouteService second(g, service_config);
+  ASSERT_EQ(first.publish_count(), 1u);
+  ASSERT_EQ(second.publish_count(), 1u);
+  bool blocks_differ = false;
+  for (NodeId j = 0; j < g.node_count(); ++j)
+    blocks_differ |= first.snapshot()->block_digest(j) !=
+                     second.snapshot()->block_digest(j);
+  ASSERT_TRUE(blocks_differ);
+
+  auto first_front = std::make_unique<net::RouteServer>(first);
+  ASSERT_TRUE(first_front->ok()) << first_front->error();
+  net::RouteServer second_front(second);
+  ASSERT_TRUE(second_front.ok()) << second_front.error();
+  ReplicaConfig config;
+  config.upstreams = {to_port(first_front->port()),
+                      to_port(second_front.port())};
+  for (net::ClientConfig& upstream : config.upstreams) {
+    upstream.connect_attempts = 1;
+    upstream.backoff_ms = 1;
+  }
+  config.resync_backoff_ms = 20;
+  ReplicaService replica(config);
+  ASSERT_TRUE(
+      test::serves_within(replica, first.snapshot()->checksum(), 10000));
+
+  first_front.reset();
+  EXPECT_TRUE(
+      test::serves_within(replica, second.snapshot()->checksum(), 5000))
+      << "still serves the first upstream's content";
+  replica.stop();
+}
+
+// The server drops a connection that sends nothing for kIoTimeoutMs, and
+// a front that restarts drops them all; a request sent on such a
+// connection would fail. connect() re-dials it first instead, so a
+// forwarded write needs no retry and a remote query succeeds. A restart
+// on the same port stands in for the idle deadline here.
+TEST(ChainFailover, ConnectionsClosedWhileIdleAreRedialed) {
+  RouteService primary = make_service({"er", 20, 101, 6}, 2);
+  const NodeId n = static_cast<NodeId>(primary.node_count());
+  net::ServerConfig server_config;
+  auto front = std::make_unique<net::RouteServer>(primary, server_config);
+  ASSERT_TRUE(front->ok()) << front->error();
+  server_config.port = front->port();
+
+  ReplicaConfig config;
+  config.upstream = to_port(server_config.port);
+  ReplicaService replica(config);
+  ASSERT_TRUE(replica.wait_until_ready(10000));
+  const auto written = replica.submit_deltas(std::vector<RouteService::Delta>{
+      RouteService::Delta::cost_change(0, Cost{4})});
+  ASSERT_TRUE(written.ok()) << written.error;
+  net::RemoteQueryBackend backend(to_port(server_config.port));
+  const auto batch = random_batch(n, 102, 4);
+  ASSERT_TRUE(backend.query_batch(batch).ok());
+
+  front.reset();  // stop() closes the idle forwarding and query connections
+  front = std::make_unique<net::RouteServer>(primary, server_config);
+  ASSERT_TRUE(front->ok()) << front->error();
+
+  const std::uint64_t retries = replica.replication_counters().forward_retries;
+  const auto ack = replica.submit_deltas(std::vector<RouteService::Delta>{
+      RouteService::Delta::cost_change(1, Cost{5})});
+  ASSERT_TRUE(ack.ok()) << ack.error;
+  EXPECT_EQ(replica.replication_counters().forward_retries, retries);
+  const auto answered = backend.query_batch(batch);
+  EXPECT_TRUE(answered.ok()) << answered.error;
+  replica.stop();
+}
+
 /// primary -> mid -> leaf; five writes; then the primary's front and
 /// service go down, a new primary comes up on the same port — warm from
 /// its checkpoint or cold — and takes one write. Both tiers must serve the

@@ -1,4 +1,4 @@
-// Persistence as recorded block streams ("fpss-snap v5"): a saved image is
+// Persistence as recorded block streams ("fpss-snap v6"): a saved image is
 // one bootstrap stream, and a checkpoint file appends one catch-up stream
 // per checkpoint.
 //
@@ -483,11 +483,21 @@ TEST(Checkpoint, HandMinimizedMalformedSnapshotsAreRejected) {
     EXPECT_EQ(load_checkpoint(dir).error, "unsupported format version 4");
   }
 
-  // 3. A record whose length overruns the file (declares 1 byte, carries
-  //    0): rejected before any chunk is parsed.
+  // 3. Valid magic, the previous format (v5, whose chunks carried shard
+  //    versions): it fails on the version before any record is read.
   {
     std::string image = magic;
     u64le(image, 5);  // format
+    u64le(image, 1);  // a record length
+    EXPECT_EQ(load_snapshot_bytes(image).error,
+              "unsupported format version 5");
+  }
+
+  // 4. A record whose length overruns the file (declares 1 byte, carries
+  //    0): rejected before any chunk is parsed.
+  {
+    std::string image = magic;
+    u64le(image, 6);  // format
     u64le(image, 1);  // chunk length (lie)
     const auto r = load_snapshot_bytes(image);
     ASSERT_FALSE(r.ok());

@@ -669,7 +669,7 @@ TEST(RouteClientNet, TypedErrors) {
 }
 
 TEST(Wire, ReplicationControlPayloadRoundTrips) {
-  // The park head: all of a kAwaitPublish payload.
+  // The park head: all of a kAwaitPublish or kSnapshotFetch payload.
   const net::Await await{41, 250};
   const std::string await_payload = net::encode_await(await);
   net::Await await2;
@@ -680,23 +680,6 @@ TEST(Wire, ReplicationControlPayloadRoundTrips) {
   for (std::size_t cut = 0; cut < await_payload.size(); ++cut)
     EXPECT_FALSE(net::decode_await(await_payload.substr(0, cut), await2))
         << "await prefix " << cut << " accepted";
-
-  // Snapshot fetches: the park head, then the shard-version vector (the
-  // negotiation state).
-  const std::vector<std::uint64_t> versions = {3, 0, 7, 7, 12};
-  const std::string payload = net::encode_fetch(await, versions);
-  const auto decoded = net::decode_fetch(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.error;
-  EXPECT_EQ(decoded.await.since, 41u);
-  EXPECT_EQ(decoded.await.wait_ms, 250u);
-  EXPECT_EQ(decoded.versions, versions);
-  const auto empty = net::decode_fetch(net::encode_fetch({}, {}));
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty.versions.empty());
-  EXPECT_FALSE(net::decode_fetch(payload + '\0').ok());
-  for (std::size_t cut = 0; cut < payload.size(); ++cut)
-    EXPECT_FALSE(net::decode_fetch(payload.substr(0, cut)).ok())
-        << "fetch prefix " << cut << " accepted";
 
   // Publish notifies.
   net::PublishNotify notify{9, 12345};
@@ -808,6 +791,41 @@ TEST(RouteServerNet, GracefulStopDrainsAndRefusesNewWork) {
   config.connect_attempts = 1;
   net::RouteClient late(config);
   EXPECT_FALSE(late.connect().ok());
+}
+
+// A read that fails closes the connection with nothing left outstanding
+// on it, so the next connect() starts a clean pipeline and every query
+// gets its own batch's replies, not an earlier batch's.
+TEST(RouteClientNet, FailedReadLeavesNothingOutstanding) {
+  RouteService svc(test::make_instance({"er", 12, 75, 6}));
+  net::ServerConfig server_config;
+  auto server = std::make_unique<net::RouteServer>(svc, server_config);
+  ASSERT_TRUE(server->ok()) << server->error();
+  net::ClientConfig config;
+  config.port = server->port();
+  net::RouteClient client(config);
+  ASSERT_TRUE(client.connect().ok());
+  const auto batch_of = [](std::size_t size) {
+    return std::vector<Request>(size,
+                                {RequestKind::kCost, kInvalidNode, 0, 1});
+  };
+  ASSERT_TRUE(client.query(batch_of(2)).ok());
+
+  // The server goes away under the idle connection: the next request is
+  // sent, and its read fails.
+  server.reset();
+  EXPECT_FALSE(client.query(batch_of(3)).ok());
+  EXPECT_EQ(client.outstanding(), 0u);
+
+  server_config.port = config.port;
+  server = std::make_unique<net::RouteServer>(svc, server_config);
+  ASSERT_TRUE(server->ok()) << server->error();
+  ASSERT_TRUE(client.connect().ok());
+  for (const std::size_t size : {std::size_t{6}, std::size_t{4}}) {
+    const auto answered = client.query(batch_of(size));
+    ASSERT_TRUE(answered.ok()) << answered.error.message;
+    EXPECT_EQ(answered.replies.size(), size);
+  }
 }
 
 // A parked request holds its worker for up to kMaxParkMs; stop() must not

@@ -61,11 +61,12 @@ std::vector<std::string> full_stream(
     const service::ShardedSnapshotStore::ExportCut& cut,
     const std::vector<std::uint32_t>& sent) {
   std::vector<std::string> chunks;
-  ReplicationCodec::encode_stream(*cut.newest, cut.shard_versions, sent,
-                                  [&chunks](std::string_view chunk) {
-                                    chunks.emplace_back(chunk);
-                                    return true;
-                                  });
+  ReplicationCodec::encode_stream(
+      *cut.newest, static_cast<std::uint32_t>(cut.shard_versions.size()),
+      sent, [&chunks](std::string_view chunk) {
+        chunks.emplace_back(chunk);
+        return true;
+      });
   return chunks;
 }
 
@@ -120,7 +121,7 @@ TEST(ReplicationCodec, FullStreamRoundTrip) {
   EXPECT_EQ(result.snapshot->checksum(), cut.newest->checksum());
   EXPECT_EQ(result.snapshot->content_checksum(),
             cut.newest->content_checksum());
-  EXPECT_EQ(result.shard_versions, cut.shard_versions);
+  EXPECT_EQ(result.shard_count, cut.shard_versions.size());
   EXPECT_TRUE(result.snapshot->self_check());
 
   // Every answer evaluated against the reassembled snapshot is the answer
@@ -143,10 +144,11 @@ TEST(ReplicationCodec, DirtyOnlyStreamAppliesOverBase) {
   const auto after = svc.store().export_cut();
   ASSERT_GT(after.newest->version(), before.newest->version());
 
-  // What a caught-up replica would request: only the moved shards.
+  // What a server sends a replica serving `before`: the shards a later
+  // publish moved.
   std::vector<std::uint32_t> dirty;
   for (std::size_t s = 0; s < after.shard_versions.size(); ++s)
-    if (after.shard_versions[s] != before.shard_versions[s])
+    if (after.shard_versions[s] > before.newest->version())
       dirty.push_back(static_cast<std::uint32_t>(s));
 
   ReplicationCodec::Assembler assembler(before.newest);
@@ -272,13 +274,24 @@ TEST(ReplicationCodec, StreamAnomaliesAreRejected) {
     ASSERT_TRUE(assembler.feed(full_stream(cut, partial).back()));
     EXPECT_FALSE(assembler.finish().ok());
   }
+  {  // a stream stitched from two snapshots: every chunk names its version
+    svc.submit({RouteService::Delta::cost_change(
+        2, Cost{cut.newest->node_cost(2).value() + 1})});
+    svc.drain();
+    const auto later = full_stream(svc.store().export_cut(), sent);
+    ReplicationCodec::Assembler assembler(nullptr);
+    ASSERT_TRUE(assembler.feed(chunks[0]));
+    EXPECT_FALSE(assembler.feed(later[1]));
+    EXPECT_EQ(assembler.error(), "chunk disagrees with stream header");
+    EXPECT_FALSE(assembler.finish().ok());
+  }
 }
 
 // --- the O(dirty) transfer property -----------------------------------------
 
 // Pinned deterministically through a raw client fetch (no parking in the
-// loop): a fetch that presents up-to-date versions for all but the moved
-// shards receives exactly the moved shards back.
+// loop): a fetch whose `since` is the bootstrap's version receives exactly
+// the shards a later publish moved.
 TEST(ReplicaTransfer, CatchUpFetchesOnlyMovedShards) {
   RouteService svc = make_service({"er", 48, 47, 10}, 8);
   net::RouteServer server(svc);
@@ -288,9 +301,9 @@ TEST(ReplicaTransfer, CatchUpFetchesOnlyMovedShards) {
   net::RouteClient client(config);
   ASSERT_TRUE(client.connect().ok());
 
-  // Bootstrap: empty negotiation state elicits every shard.
+  // Bootstrap: `since` = 0 elicits every shard.
   ReplicationCodec::Assembler boot_assembler(nullptr);
-  const auto bootstrap = client.fetch_snapshot({}, {}, into(boot_assembler));
+  const auto bootstrap = client.fetch_snapshot({}, into(boot_assembler));
   ASSERT_TRUE(bootstrap.ok())
       << bootstrap.error.message << " " << boot_assembler.error();
   const auto booted = boot_assembler.finish();
@@ -309,12 +322,12 @@ TEST(ReplicaTransfer, CatchUpFetchesOnlyMovedShards) {
     if (after.shard_versions[s] != before.shard_versions[s]) ++moved;
   ASSERT_GT(moved, 0u);
 
-  // Catch-up with the bootstrap's negotiation state: exactly the moved
-  // shards come back, and the transfer is strictly smaller than the
-  // bootstrap whenever any shard stayed clean.
+  // Catch-up from the bootstrap's version: exactly the moved shards come
+  // back, and the transfer is strictly smaller than the bootstrap whenever
+  // any shard stayed clean.
   ReplicationCodec::Assembler delta_assembler(booted.snapshot);
-  const auto catch_up =
-      client.fetch_snapshot({}, booted.shard_versions, into(delta_assembler));
+  const auto catch_up = client.fetch_snapshot(
+      {booted.snapshot->version(), 0}, into(delta_assembler));
   ASSERT_TRUE(catch_up.ok())
       << catch_up.error.message << " " << delta_assembler.error();
   const auto caught = delta_assembler.finish();
@@ -325,10 +338,11 @@ TEST(ReplicaTransfer, CatchUpFetchesOnlyMovedShards) {
     EXPECT_LT(catch_up.bytes, bootstrap.bytes);
   }
 
-  // Already caught up: zero data chunks, just the final chunk.
+  // Already caught up: an unparked fetch still streams, but zero data
+  // chunks, just the final chunk.
   ReplicationCodec::Assembler idle_assembler(caught.snapshot);
-  const auto idle =
-      client.fetch_snapshot({}, caught.shard_versions, into(idle_assembler));
+  const auto idle = client.fetch_snapshot({caught.snapshot->version(), 0},
+                                          into(idle_assembler));
   ASSERT_TRUE(idle.ok()) << idle.error.message;
   EXPECT_EQ(idle.chunks, 1u);
   EXPECT_TRUE(idle_assembler.finish().ok());
@@ -400,7 +414,7 @@ TEST(ReplicaTransfer, RepeatedChunkStopsTheFetchAtTheSecondCopy) {
   net::RouteClient client(config);
   ASSERT_TRUE(client.connect().ok());
   ReplicationCodec::Assembler assembler(nullptr);
-  const auto fetched = client.fetch_snapshot({}, {}, into(assembler));
+  const auto fetched = client.fetch_snapshot({}, into(assembler));
   EXPECT_EQ(fetched.error.status, net::ClientStatus::kProtocolError);
   EXPECT_EQ(fetched.chunks, 2u);
   EXPECT_EQ(fetched.bytes, 2 * chunk.size());
@@ -424,7 +438,7 @@ TEST(ReplicaTransfer, ParkedFetchStreamsOnlyOnceTheClockPasses) {
   ASSERT_TRUE(client.connect().ok());
 
   ReplicationCodec::Assembler boot_assembler(nullptr);
-  const auto bootstrap = client.fetch_snapshot({}, {}, into(boot_assembler));
+  const auto bootstrap = client.fetch_snapshot({}, into(boot_assembler));
   ASSERT_TRUE(bootstrap.ok()) << bootstrap.error.message;
   ASSERT_TRUE(bootstrap.streamed);
   const auto booted = boot_assembler.finish();
@@ -435,8 +449,7 @@ TEST(ReplicaTransfer, ParkedFetchStreamsOnlyOnceTheClockPasses) {
   // Quiet: a fetch at the current version answers after its wait with the
   // unchanged version and no stream, and the connection stays usable.
   ReplicationCodec::Assembler quiet_assembler(booted.snapshot);
-  const auto quiet = client.fetch_snapshot({count, 50}, booted.shard_versions,
-                                           into(quiet_assembler));
+  const auto quiet = client.fetch_snapshot({count, 50}, into(quiet_assembler));
   ASSERT_TRUE(quiet.ok()) << quiet.error.message;
   EXPECT_FALSE(quiet.streamed);
   EXPECT_EQ(quiet.chunks, 0u);
@@ -453,9 +466,8 @@ TEST(ReplicaTransfer, ParkedFetchStreamsOnlyOnceTheClockPasses) {
     svc.drain();
   });
   ReplicationCodec::Assembler parked_assembler(booted.snapshot);
-  const auto parked =
-      client.fetch_snapshot({count, net::kMaxParkMs}, booted.shard_versions,
-                            into(parked_assembler));
+  const auto parked = client.fetch_snapshot({count, net::kMaxParkMs},
+                                            into(parked_assembler));
   writer.join();
   ASSERT_TRUE(parked.ok()) << parked.error.message;
   ASSERT_TRUE(parked.streamed);
@@ -645,6 +657,12 @@ TEST(ReplicaE2E, WarmStartServesCheckpointBeforeUpstreamIsReachable) {
   std::filesystem::remove_all(dir);
 }
 
+// A warm replica's clock is its image's version, so its first sync is a
+// catch-up like any other. The fresh primary converges the same
+// deterministic topology to the image's blocks and publishes them under
+// the image's version, so only the final chunk travels: the replica then
+// serves the primary's snapshot, publish stamp included, built from the
+// image's own blocks.
 TEST(ReplicaE2E, WarmStartAdoptsMatchingBlocksFromCheckpoint) {
   const std::string dir = "replica_adopt_ckpt";
   std::filesystem::remove_all(dir);
@@ -655,30 +673,44 @@ TEST(ReplicaE2E, WarmStartAdoptsMatchingBlocksFromCheckpoint) {
     config.checkpoint.directory = dir;
     RouteService writer(test::make_instance(spec), config);
   }
-
-  // Same deterministic topology, fresh primary: the converged blocks are
-  // content-identical to the checkpointed image, so the warm replica's
-  // first full sync adopts instead of materializing wire copies.
   RouteService primary = make_service(spec, 4);
-  net::RouteServer server(primary);
-  ASSERT_TRUE(server.ok()) << server.error();
 
+  // The replica starts before its upstream listens, so the image is read
+  // back before any sync can replace it.
+  std::uint16_t port = 0;
+  {
+    net::RouteServer probe(primary);
+    ASSERT_TRUE(probe.ok()) << probe.error();
+    port = probe.port();
+  }
   ReplicaConfig config;
-  config.upstream.port = server.port();
+  config.upstream.port = port;
+  config.upstream.connect_attempts = 1;
+  config.upstream.backoff_ms = 1;
   config.checkpoint_directory = dir;
+  config.resync_backoff_ms = 20;
   ReplicaService replica(config);
-  ASSERT_TRUE(replica.wait_until_ready(10000));
-  // The warm replica serves the image under its own version (the fresh
-  // primary's too), so the wire sync is seen by the checksum, which
-  // covers the primary's publish stamp.
+  ASSERT_TRUE(replica.wait_until_ready(1000));
+  const auto image = replica.snapshot();
+  ASSERT_EQ(image->version(), primary.snapshot()->version());
+  // Only the publish stamps differ, so the checksum shows the sync.
+  ASSERT_NE(image->checksum(), primary.snapshot()->checksum());
+
+  net::ServerConfig server_config;
+  server_config.port = port;
+  net::RouteServer server(primary, server_config);
+  ASSERT_TRUE(server.ok()) << server.error();
   ASSERT_TRUE(
       test::serves_within(replica, primary.snapshot()->checksum(), 10000));
 
   const auto counters = replica.replication_counters();
-  EXPECT_GE(counters.full_syncs, 1u);
-  EXPECT_GT(counters.blocks_adopted, 0u);
-  EXPECT_EQ(replica.store()->newest()->content_checksum(),
-            primary.snapshot()->content_checksum());
+  EXPECT_EQ(counters.full_syncs, 0u);
+  EXPECT_EQ(counters.delta_syncs, 1u);
+  EXPECT_EQ(counters.shards_fetched, 0u);
+  const auto served = replica.snapshot();
+  for (NodeId j = 0; j < served->node_count(); ++j)
+    EXPECT_TRUE(served->shares_block_with(*image, j)) << "destination " << j;
+  replica.stop();
   std::filesystem::remove_all(dir);
 }
 
