@@ -6,6 +6,8 @@
 // monotone convergence, not synchrony, and these tests hold it to that.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "policy/relationships.h"
 #include "pricing/session.h"
 #include "pricing/verify.h"
+#include "service/snapshot.h"
 #include "util/checksum.h"
 
 namespace fpss {
@@ -664,6 +667,60 @@ TEST(GoldenBehaviour, PriceVectorFullTables) {
            state_line(net.total_state());
   };
   expect_golden(golden_session_steps(session, line), expected, "full tables");
+}
+
+/// The dirty set as a line fragment of ascending runs ("0-3,5,8-9").
+std::string dirty_field(const std::optional<std::vector<NodeId>>& dirty) {
+  if (!dirty.has_value()) return "unknown";
+  if (dirty->empty()) return "none";
+  std::ostringstream out;
+  for (std::size_t r = 0; r < dirty->size();) {
+    std::size_t end = r + 1;  // one past the run starting at r
+    while (end < dirty->size() && (*dirty)[end] == (*dirty)[end - 1] + 1)
+      ++end;
+    out << (r == 0 ? "" : ",") << (*dirty)[r];
+    if (end - r > 1) out << "-" << (*dirty)[end - 1];
+    r = end;
+  }
+  return out.str();
+}
+
+TEST(GoldenBehaviour, ServiceExport) {
+  // The serving layer's view of the golden sequence: after each step, the
+  // destinations Session::dirty_destinations reports since the previous
+  // export, and the content checksum of the export built from them (cold,
+  // then copy-on-write over the previous export). The checksum folds every
+  // block digest, so this pins the bytes of every exported row, which
+  // fpss-snap files and replication streams carry as they are.
+  const GoldenRun expected = {
+      "dirty=0-63 content=b6efe7f877f160ad",
+      "dirty=0-3,5-63 content=275562909b98ddc5",
+      "dirty=0-1,5,8-11,13,15,17-18,20,22-23,25,27,29-38,41,43-46,49-54,56,58,"
+      "61,63 content=6689cce18be71f85",
+      "dirty=0-1,5,8-11,13,15,17-18,20,22-23,25,27,29-38,41,43-46,49-54,56,58,"
+      "61,63 content=d7a3a11781252207",
+  };
+  const GoldenInstance& in = golden_instance();
+  for (const unsigned threads : {1u, 2u}) {
+    Session session(in.g, Protocol::kPriceVector,
+                    EngineConfig::stage(threads));
+    session.track_dirty_destinations(true);
+    std::shared_ptr<const service::RouteSnapshot> served;
+    std::uint64_t exported_epoch = 0;
+    const auto line = [&](const bgp::RunStats&) {
+      const auto dirty = session.dirty_destinations(exported_epoch);
+      served = service::RouteSnapshot::from_session(
+          session, session.engine().converged_epochs(), served, dirty,
+          nullptr, session.engine().pool());
+      exported_epoch = session.engine().converged_epochs();
+      std::ostringstream out;
+      out << "dirty=" << dirty_field(dirty)
+          << " content=" << std::hex << served->content_checksum();
+      return out.str();
+    };
+    expect_golden(golden_session_steps(session, line), expected,
+                  "threads " + std::to_string(threads));
+  }
 }
 
 TEST(GoldenBehaviour, PriceVectorEventSchedulerWithMrai) {
