@@ -58,9 +58,12 @@ int main() {
     session.run();
     // Snapshot final routes before the event.
     std::vector<graph::Path> before;
-    for (NodeId i = 0; i < g.node_count(); ++i)
-      for (NodeId j = 0; j < g.node_count(); ++j)
-        before.push_back(i == j ? graph::Path{} : session.route(i, j).path);
+    for (NodeId i = 0; i < g.node_count(); ++i) {
+      for (NodeId j = 0; j < g.node_count(); ++j) {
+        const bgp::RoutePath& path = session.route(i, j).path;
+        before.emplace_back(path.begin(), path.end());
+      }
+    }
 
     bgp::StageSeries series;
     session.engine().set_trace(&series);

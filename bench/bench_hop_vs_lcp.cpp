@@ -49,11 +49,13 @@ int main() {
           if (i == j) continue;
           ++pairs;
           const auto& hop_route = agent.selected(j);
-          const Cost hop_cost = graph::transit_cost(g, hop_route.path);
+          const graph::Path hop_path(hop_route.path.begin(),
+                                     hop_route.path.end());
+          const Cost hop_cost = graph::transit_cost(g, hop_path);
           v_hop += hop_cost.value();
           v_lcp += lcp.cost(i, j).value();
           lcp_never_worse &= hop_cost >= lcp.cost(i, j);
-          off_lcp += hop_route.path != lcp.path(i, j);
+          off_lcp += hop_path != lcp.path(i, j);
         }
       }
       gap_exists |= v_hop > v_lcp;

@@ -7,7 +7,16 @@
 //     change;
 //   * strategyproofness sweep for one node (whole-mechanism recomputation
 //     per deviation — the cost of auditing incentives centrally).
+//
+// The protocol benchmarks also report `allocs`, heap allocations per
+// iteration, counted by the replacement operator new below. The count is
+// exact and repeats run to run, so it shows an allocation change the
+// timings are too noisy to.
 #include <benchmark/benchmark.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "bench_common.h"
 #include "mechanism/strategyproof.h"
@@ -18,7 +27,35 @@
 
 namespace {
 
+std::atomic<std::uint64_t> allocations{0};
+
+}  // namespace
+
+// GCC pairs the inlined free() below with the new-expression that made
+// the block and reports a mismatch; the pair is this file's own.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+#pragma GCC diagnostic pop
+
+namespace {
+
 using namespace fpss;
+
+/// Reports the heap allocations made since `before` as `allocs` per
+/// iteration.
+void report_allocs(benchmark::State& state, std::uint64_t before) {
+  state.counters["allocs"] = benchmark::Counter(
+      static_cast<double>(allocations.load(std::memory_order_relaxed) -
+                          before),
+      benchmark::Counter::kAvgIterations);
+}
 
 void BM_SinkTree(benchmark::State& state) {
   const auto g = bench::power_law(static_cast<std::size_t>(state.range(0)),
@@ -55,10 +92,12 @@ BENCHMARK(BM_AvoidanceSubtree)->RangeMultiplier(2)->Range(64, 512)
 void BM_ProtocolColdStart(benchmark::State& state) {
   const auto g = bench::internet_like(
       static_cast<std::size_t>(state.range(0)), 11002);
+  const std::uint64_t before = allocations.load(std::memory_order_relaxed);
   for (auto _ : state) {
     pricing::Session session(g, pricing::Protocol::kPriceVector);
     benchmark::DoNotOptimize(session.run());
   }
+  report_allocs(state, before);
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_ProtocolColdStart)->RangeMultiplier(2)->Range(32, 256)
@@ -103,22 +142,26 @@ BENCHMARK(BM_ProtocolColdStartEvent)->RangeMultiplier(2)->Range(32, 256)
 // under the restart barrier (routes settle, then every price restarts at
 // +infinity and refills). Node 0, a core AS, toggles between its cost and
 // that cost + 5, so the iterations alternate a worsening and an improving
-// event on one warm session.
+// event on one warm session. They run in such pairs, after one untimed
+// pair has grown every buffer, so the per-iteration counts repeat exactly.
 void BM_BarrierReconverge(benchmark::State& state) {
   const auto g = bench::internet_like(
       static_cast<std::size_t>(state.range(0)), 11002);
   pricing::Session session(g, pricing::Protocol::kPriceVector);
   session.run();
-  const Cost costs[2] = {g.cost(0) + Cost{5}, g.cost(0)};
-  std::size_t next = 0;
+  const auto toggle = [&] {
+    std::uint64_t sent = 0;
+    for (const Cost cost : {g.cost(0) + Cost{5}, g.cost(0)})
+      sent += session
+                  .change_cost(0, cost, pricing::RestartPolicy::kRestartBarrier)
+                  .messages;
+    return sent;
+  };
+  toggle();
   std::uint64_t messages = 0;
-  for (auto _ : state) {
-    messages += session
-                    .change_cost(0, costs[next],
-                                 pricing::RestartPolicy::kRestartBarrier)
-                    .messages;
-    next ^= 1;
-  }
+  const std::uint64_t before = allocations.load(std::memory_order_relaxed);
+  while (state.KeepRunningBatch(2)) messages += toggle();
+  report_allocs(state, before);
   state.counters["messages"] = benchmark::Counter(
       static_cast<double>(messages), benchmark::Counter::kAvgIterations);
 }

@@ -6,20 +6,6 @@
 
 namespace fpss::bgp {
 
-RouteAdvert TableMessage::entry(std::size_t e) const {
-  FPSS_EXPECTS(e < records_.size());
-  const Record& record = records_[e];
-  const std::size_t path_begin = e == 0 ? 0 : records_[e - 1].path_end;
-  const std::size_t values_begin = e == 0 ? 0 : records_[e - 1].values_end;
-  const std::size_t hops = record.path_end - path_begin;
-  return {record.destination,
-          std::span<const NodeId>(path_nodes_).subspan(path_begin, hops),
-          record.cost,
-          std::span<const Cost>(node_costs_).subspan(path_begin, hops),
-          TransitValues(values_).subspan(values_begin,
-                                         record.values_end - values_begin)};
-}
-
 void TableMessage::reserve(std::size_t entries, std::size_t path_nodes,
                            std::size_t values) {
   records_.reserve(records_.size() + entries);

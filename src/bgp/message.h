@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/contract.h"
 #include "util/cost.h"
 #include "util/types.h"
 
@@ -103,7 +104,18 @@ class TableMessage {
   bool empty() const { return records_.empty(); }
 
   /// Entry `e`, in the order it was added. Precondition: e < size().
-  RouteAdvert entry(std::size_t e) const;
+  /// Defined here: every receive, selection and price update reads its
+  /// entries through this call.
+  RouteAdvert entry(std::size_t e) const {
+    FPSS_EXPECTS(e < records_.size());
+    const Record& record = records_[e];
+    const std::size_t path_begin = e == 0 ? 0 : records_[e - 1].path_end;
+    const std::size_t values_begin = e == 0 ? 0 : records_[e - 1].values_end;
+    const std::size_t hops = record.path_end - path_begin;
+    return {record.destination, {path_nodes_.data() + path_begin, hops},
+            record.cost, {node_costs_.data() + path_begin, hops},
+            {values_.data() + values_begin, record.values_end - values_begin}};
+  }
 
   /// Makes room for `entries` more entries holding `path_nodes` path nodes
   /// and `values` transit values between them.

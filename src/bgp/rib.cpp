@@ -101,16 +101,17 @@ bool Rib::reselect(NodeId destination) {
     const Cell& held = cell(nb.slot, destination);
     if (held.message == nullptr) continue;
     const RouteAdvert advert = held.message->entry(held.entry);
-    // Path-vector loop prevention: never use a route already through us.
-    if (std::ranges::find(advert.path, self_) != advert.path.end()) continue;
     const Cost step = (neighbor == destination) ? Cost::zero() : nb.cost;
     const routing::RouteRank rank{
         advert.cost + step, static_cast<std::uint32_t>(advert.path.size()),
         neighbor};
-    if (rank < best) {
-      best = rank;
-      best_advert = advert;
-    }
+    // Only a candidate that would win needs the path-vector loop check
+    // (never use a route already through us): dropping one that ranks
+    // below the best so far cannot change the winner.
+    if (!(rank < best)) continue;
+    if (std::ranges::find(advert.path, self_) != advert.path.end()) continue;
+    best = rank;
+    best_advert = advert;
   }
   return install(destination, best_advert, best.cost);
 }
@@ -140,19 +141,16 @@ bool Rib::install(NodeId destination, const std::optional<RouteAdvert>& winner,
       std::equal(tail_costs.begin(), tail_costs.end(),
                  current.node_costs.begin() + 1);
   if (same) return false;
-  current.path.assign(1, self_);
-  current.path.insert(current.path.end(), tail.begin(), tail.end());
+  // Overwrite in place: this router, then the winner's path.
+  current.path.resize(tail.size() + 1);
+  current.path[0] = self_;
+  std::ranges::copy(tail, current.path.begin() + 1);
   current.cost = cost;
-  current.node_costs.assign(1, declared_cost_);
-  current.node_costs.insert(current.node_costs.end(), tail_costs.begin(),
-                            tail_costs.end());
+  current.node_costs.resize(tail_costs.size() + 1);
+  current.node_costs[0] = declared_cost_;
+  std::ranges::copy(tail_costs, current.node_costs.begin() + 1);
   current.next_hop = tail.front();
   return true;
-}
-
-const SelectedRoute& Rib::selected(NodeId destination) const {
-  FPSS_EXPECTS(destination < node_count());
-  return selected_[destination];
 }
 
 const Rib::Cell* Rib::find(NodeId neighbor, NodeId destination) const {

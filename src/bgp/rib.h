@@ -10,16 +10,28 @@
 
 #include "bgp/message.h"
 #include "graph/path.h"
+#include "util/contract.h"
 #include "util/cost.h"
+#include "util/inline_vector.h"
 #include "util/types.h"
 
 namespace fpss::bgp {
 
+/// Path nodes a selected route holds inline. The longest selected path in
+/// the served graphs (perfbench's `internet_like` at n = 24, 64 and 128)
+/// has 6 nodes, bar 2 of the 16,384 pairs at n = 128; a longer route moves
+/// its path and node costs to the heap.
+inline constexpr std::size_t kInlinePathNodes = 6;
+
+/// A selected route's path nodes, or their declared costs.
+using RoutePath = util::InlineVector<NodeId, kInlinePathNodes>;
+using RouteNodeCosts = util::InlineVector<Cost, kInlinePathNodes>;
+
 /// The route a router currently uses toward one destination.
 struct SelectedRoute {
-  graph::Path path;              ///< self first, destination last; empty = none
-  Cost cost = Cost::infinity(); ///< transit cost of `path`
-  std::vector<Cost> node_costs;  ///< declared costs aligned with `path`
+  RoutePath path;                ///< self first, destination last; empty = none
+  Cost cost = Cost::infinity();  ///< transit cost of `path`
+  RouteNodeCosts node_costs;     ///< declared costs aligned with `path`
   NodeId next_hop = kInvalidNode;
 
   bool valid() const { return !path.empty(); }
@@ -81,7 +93,10 @@ class Rib {
   bool install(NodeId destination, const std::optional<RouteAdvert>& winner,
                Cost cost);
 
-  const SelectedRoute& selected(NodeId destination) const;
+  const SelectedRoute& selected(NodeId destination) const {
+    FPSS_EXPECTS(destination < node_count());
+    return selected_[destination];
+  }
 
   /// The neighbor's advert stored for (neighbor, destination), if any: a
   /// view into the message it arrived in. Its transit values read as empty

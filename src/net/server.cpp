@@ -118,7 +118,10 @@ std::vector<PeerCounters> RouteServer::peer_stats() const {
   util::MutexLock lock(peers_mutex_);
   std::vector<PeerCounters> peers;
   peers.reserve(peers_.size());
-  for (const auto& entry : peers_) peers.push_back(entry.second);
+  for (const auto& [address, tally] : peers_) {
+    peers.push_back(tally.read());
+    peers.back().peer = address;
+  }
   return peers;
 }
 
@@ -131,12 +134,11 @@ CountersFrame RouteServer::counters_frame() const {
   return frame;
 }
 
-PeerCounters& RouteServer::peer_counters(const std::string& peer) {
+RouteServer::PeerTally& RouteServer::peer_tally(const std::string& peer) {
   auto found = peers_.find(peer);
-  if (found == peers_.end()) {
-    const std::string key = peers_.size() < kMaxPeers ? peer : "(other)";
-    found = peers_.try_emplace(key, PeerCounters{key}).first;
-  }
+  if (found == peers_.end())
+    found = peers_.try_emplace(peers_.size() < kMaxPeers ? peer : "(other)")
+                .first;
   return found->second;
 }
 
@@ -186,29 +188,28 @@ void RouteServer::serve_connection(int fd) {
       ::inet_ntop(AF_INET, &remote.sin_addr, addr, sizeof(addr)) != nullptr) {
     peer = addr;
   }
+  PeerTally* tally = nullptr;
   {
     util::MutexLock lock(peers_mutex_);
-    peer_counters(peer).connections += 1;
+    tally = &peer_tally(peer);
   }
-  while (serve_frame(fd, peer)) {
+  tally->add(&PeerCounters::connections);
+  while (serve_frame(fd, *tally)) {
   }
   ::close(fd);
 }
 
-bool RouteServer::send_error(int fd, const std::string& peer, WireStatus code,
+bool RouteServer::send_error(int fd, PeerTally& peer, WireStatus code,
                              const std::string& message) {
   counters_.add(&ServerCounters::rejected_frames);
-  {
-    util::MutexLock lock(peers_mutex_);
-    peer_counters(peer).rejected_frames += 1;
-  }
+  peer.add(&PeerCounters::rejected_frames);
   const std::string frame =
       encode_frame(FrameType::kError, encode_error({code, message}));
   write_all(fd, frame, kIoTimeoutMs);
   return false;  // protocol errors always close the connection
 }
 
-bool RouteServer::serve_frame(int fd, const std::string& peer) {
+bool RouteServer::serve_frame(int fd, PeerTally& peer) {
   // 1. Header: fixed 20 bytes, validated before the payload is allocated.
   char header_bytes[kFrameHeaderBytes];
   switch (read_exact(fd, header_bytes, kFrameHeaderBytes, kIoTimeoutMs,
@@ -276,12 +277,8 @@ bool RouteServer::serve_frame(int fd, const std::string& peer) {
       const std::vector<service::Reply> replies = backend_.query(
           std::span<const service::Request>(batch.requests));
       counters_.add(&ServerCounters::batches);
-      {
-        util::MutexLock lock(peers_mutex_);
-        PeerCounters& counters = peer_counters(peer);
-        counters.queries += batch.requests.size();
-        counters.batches += 1;
-      }
+      peer.add(&PeerCounters::queries, batch.requests.size());
+      peer.add(&PeerCounters::batches);
       reply_frame =
           encode_frame(FrameType::kReplyBatch, encode_replies(replies));
       break;
@@ -362,7 +359,7 @@ void RouteServer::park(const Await& await) const {
   }
 }
 
-bool RouteServer::serve_snapshot_fetch(int fd, const std::string& peer,
+bool RouteServer::serve_snapshot_fetch(int fd, PeerTally& peer,
                                        const Await& await) {
   park(await);
   // One cut answers the fetch: the notify and the stream describe the same

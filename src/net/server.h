@@ -86,9 +86,11 @@ class RouteServer {
   void stop();
 
  private:
-  /// Per-peer counters live behind peers_mutex_ (written per served frame,
-  /// read by peer_stats()); keyed by the peer's textual address. Bounded:
-  /// once kMaxPeers distinct addresses exist, further ones account under
+  /// One peer's live tallies; its address is the key it is stored under.
+  using PeerTally = util::LiveCounters<PeerCounters, sizeof(std::string)>;
+
+  /// Per-peer tallies, keyed by the peer's textual address. Bounded: once
+  /// kMaxPeers distinct addresses exist, further ones account under
   /// "(other)" — a scanner cycling source addresses must not grow server
   /// memory without bound.
   static constexpr std::size_t kMaxPeers = 256;
@@ -97,9 +99,9 @@ class RouteServer {
   void worker_loop();
   void serve_connection(int fd);
   /// One request/reply exchange; returns false when the connection should
-  /// close (EOF, timeout, protocol error, shutdown). `peer` is the
-  /// connection's accounting key.
-  bool serve_frame(int fd, const std::string& peer);
+  /// close (EOF, timeout, protocol error, shutdown). `peer` is the tally
+  /// the connection accounts under.
+  bool serve_frame(int fd, PeerTally& peer);
   /// Holds a parked request until the backend's served version exceeds
   /// `await.since`, min(wait_ms, kMaxParkMs) passes, or the server stops.
   void park(const Await& await) const;
@@ -108,14 +110,12 @@ class RouteServer {
   /// whose version is above `await.since` (every shard when it is 0 or
   /// above the served version), then the final chunk. Returns false
   /// (close) on any write failure.
-  bool serve_snapshot_fetch(int fd, const std::string& peer,
-                            const Await& await);
-  bool send_error(int fd, const std::string& peer, WireStatus code,
+  bool serve_snapshot_fetch(int fd, PeerTally& peer, const Await& await);
+  bool send_error(int fd, PeerTally& peer, WireStatus code,
                   const std::string& message);
-  /// The counters this peer accounts under (the overflow bucket when the
+  /// The tally this peer accounts under (the overflow bucket when the
   /// table is full).
-  PeerCounters& peer_counters(const std::string& peer)
-      FPSS_REQUIRES(peers_mutex_);
+  PeerTally& peer_tally(const std::string& peer) FPSS_REQUIRES(peers_mutex_);
 
   service::Backend& backend_;
   ServerConfig config_;
@@ -133,8 +133,11 @@ class RouteServer {
 
   util::LiveCounters<ServerCounters> counters_;  ///< written by any worker
 
+  /// Guards the table, not the tallies: a map node is never erased or
+  /// moved, so a connection resolves its tally once, under the lock, and
+  /// bumps it with relaxed atomics for every frame after.
   mutable util::Mutex peers_mutex_;
-  std::map<std::string, PeerCounters> peers_ FPSS_GUARDED_BY(peers_mutex_);
+  std::map<std::string, PeerTally> peers_ FPSS_GUARDED_BY(peers_mutex_);
 
   std::vector<std::thread> workers_;
   std::thread acceptor_;

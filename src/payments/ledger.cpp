@@ -7,8 +7,8 @@ namespace fpss::payments {
 Ledger::Ledger(std::size_t node_count)
     : owed_(node_count, 0), settled_(node_count, 0) {}
 
-void Ledger::record_packets(const graph::Path& path, const PriceFn& price,
-                            std::uint64_t packets) {
+void Ledger::record_packets(std::span<const NodeId> path,
+                            const PriceFn& price, std::uint64_t packets) {
   FPSS_EXPECTS(path.size() >= 2);
   const NodeId i = path.front();
   const NodeId j = path.back();

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -32,7 +33,7 @@ class Ledger {
 
   /// Charges `packets` packets traveling the given i -> j path: each
   /// transit node's counter grows by packets * p^k_ij.
-  void record_packets(const graph::Path& path, const PriceFn& price,
+  void record_packets(std::span<const NodeId> path, const PriceFn& price,
                       std::uint64_t packets);
 
   /// Amount accrued to k since the last settlement.

@@ -24,8 +24,8 @@ PolicyRun run_policy_routing(const graph::Graph& g,
         run.complete = false;
         continue;
       }
-      run.valley_free &= relationships.is_valley_free(route.path);
-      run.paths[i][j] = route.path;
+      run.paths[i][j].assign(route.path.begin(), route.path.end());
+      run.valley_free &= relationships.is_valley_free(run.paths[i][j]);
     }
   }
   return run;

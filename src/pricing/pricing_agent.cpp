@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 
 #include "util/contract.h"
 
@@ -63,11 +64,14 @@ bool PricingAgent::update_extension(const std::vector<NodeId>& changed,
   const std::vector<NodeId>& neighbors = rib().known_neighbors();
   for (NodeId j : recompute_all_.sorted())
     for (NodeId a : neighbors) apply(j, a);
-  std::sort(fresh_.begin(), fresh_.end());
-  fresh_.erase(std::unique(fresh_.begin(), fresh_.end()), fresh_.end());
+  if (!fresh_ascending_) {
+    std::sort(fresh_.begin(), fresh_.end());
+    fresh_.erase(std::unique(fresh_.begin(), fresh_.end()), fresh_.end());
+  }
   for (const auto& [a, j] : fresh_)
     if (!recompute_all_.contains(j)) apply(j, a);
   fresh_.clear();
+  fresh_ascending_ = true;
   recompute_all_.clear();
 
   if (lowered) last_value_change_ = activations_;
@@ -85,7 +89,10 @@ std::size_t PricingAgent::extension_words() const {
 }
 
 void PricingAgent::note_refreshed(NodeId sender, NodeId destination) {
-  fresh_.emplace_back(sender, destination);
+  const std::pair<NodeId, NodeId> refreshed{sender, destination};
+  fresh_ascending_ =
+      fresh_ascending_ && (fresh_.empty() || fresh_.back() < refreshed);
+  fresh_.push_back(refreshed);
 }
 
 void PricingAgent::note_sender_cost_change(NodeId sender) {
@@ -109,6 +116,30 @@ const ValueRow& PricingAgent::row(NodeId destination) const {
 // ---------------------------------------------------------------------------
 // PriceVectorAgent — Fig. 3
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// Position of `k` among the transit nodes of `path` (1 .. size - 2), or 0
+/// if it is not one. Position `guess` is checked first; a miss scans.
+std::size_t transit_index(std::span<const NodeId> path, NodeId k,
+                          std::size_t guess) {
+  if (guess > 0 && guess + 1 < path.size() && path[guess] == k) return guess;
+  for (std::size_t s = 1; s + 1 < path.size(); ++s)
+    if (path[s] == k) return s;
+  return 0;
+}
+
+/// An advert's value for `k`, found at path position `at`. An advert's
+/// values are keyed by its path's transit nodes in order, so the entry at
+/// at - 1 is checked first; a miss (values retired or keyed otherwise)
+/// falls back to the search.
+Cost transit_value(bgp::TransitValues values, std::size_t at, NodeId k) {
+  if (at <= values.size() && values[at - 1].first == k)
+    return values[at - 1].second;
+  return lookup_value(values, k, nullptr);
+}
+
+}  // namespace
 
 Cost PriceVectorAgent::price(NodeId destination, NodeId transit) const {
   const SelectedRoute& route = rib().selected(destination);
@@ -149,24 +180,27 @@ bool PriceVectorAgent::apply_neighbor(NodeId destination, NodeId a) {
       continue;
     }
     // Membership is read from the advertised path itself — the values may
-    // be absent (retired by a restart) even though k is on the path.
-    const bool on_neighbors_path = graph::is_transit_node(advert->path, k);
-    const Cost p_a = lookup_value(values, k, nullptr);
+    // be absent (retired by a restart) even though k is on the path. Our
+    // node t sits one place earlier on a parent's path (ours without us)
+    // and one later on a child's (a, then ours).
+    const std::size_t guess = a_is_parent ? t - 1 : a_is_child ? t + 1 : 0;
+    const std::size_t at = transit_index(advert->path, k, guess);
     Cost::rep candidate;
-    if (a_is_parent && on_neighbors_path) {
-      // Case (i): our path is the link ia plus a's path; a k-avoiding path
-      // from a extends to one from us at the same price.
+    if (at != 0) {
+      const Cost p_a = transit_value(values, at, k);
       if (p_a.is_infinite()) continue;
-      candidate = p_a.value();
-    } else if (a_is_child && on_neighbors_path) {
-      // Case (ii): we are on a's path; p^k_ij <= p^k_aj + c_i + c_a.
-      if (p_a.is_infinite()) continue;
-      candidate = p_a.value() + c_i.value() + c_a.value();
-    } else if (on_neighbors_path) {
-      // Case (iii): k lies on both paths; shift a's price by the cost
-      // deltas: p^k_ij <= p^k_aj + c_a + c(a,j) - c(i,j).
-      if (p_a.is_infinite()) continue;
-      candidate = p_a.value() + c_a.value() + (advert->cost - mine.cost);
+      if (a_is_parent) {
+        // Case (i): our path is the link ia plus a's path; a k-avoiding
+        // path from a extends to one from us at the same price.
+        candidate = p_a.value();
+      } else if (a_is_child) {
+        // Case (ii): we are on a's path; p^k_ij <= p^k_aj + c_i + c_a.
+        candidate = p_a.value() + c_i.value() + c_a.value();
+      } else {
+        // Case (iii): k lies on both paths; shift a's price by the cost
+        // deltas: p^k_ij <= p^k_aj + c_a + c(a,j) - c(i,j).
+        candidate = p_a.value() + c_a.value() + (advert->cost - mine.cost);
+      }
     } else {
       // Case (iv): a's whole route avoids k; append the link ia to it:
       // p^k_ij <= c_k + c_a + c(a,j) - c(i,j). A neighbor that *is* the
@@ -179,7 +213,7 @@ bool PriceVectorAgent::apply_neighbor(NodeId destination, NodeId a) {
     // push a candidate below zero; they are wiped by the reset that
     // accompanies our next route improvement, so clamping is safe.
     if (candidate < 0) candidate = 0;
-    lowered |= prices.lower(k, Cost{candidate});
+    lowered |= prices.lower_at(t - 1, k, Cost{candidate});
   }
   return lowered;
 }

@@ -65,8 +65,11 @@ class PricingAgent : public bgp::PlainBgpAgent {
  private:
   std::vector<ValueRow> rows_;
   /// (neighbor, destination) adverts refreshed since the last compute, in
-  /// arrival order with repeats; sorted and deduplicated once per compute.
+  /// arrival order, possibly with repeats. The stage scheduler delivers by
+  /// sender and each message by destination, so the list arrives ascending
+  /// and repeat-free; only a list that did not is sorted and deduplicated.
   std::vector<std::pair<NodeId, NodeId>> fresh_;
+  bool fresh_ascending_ = true;  ///< fresh_ strictly ascending so far
   /// Destinations needing re-derivation from every stored advert.
   bgp::NodeSet recompute_all_;
   Stage activations_ = 0;

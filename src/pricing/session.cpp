@@ -100,25 +100,25 @@ void Session::track_dirty_destinations(bool enable) {
   if (enable && engine_->stats().converged) note_converged();
 }
 
-std::uint64_t Session::sink_fingerprint(NodeId j) const {
-  util::Fnv1a64 fnv;
-  const std::size_t n = network_->node_count();
-  for (NodeId i = 0; i < n; ++i) {
-    if (i == j) continue;
-    const PricingAgent& a = agent(i);
-    const bgp::SelectedRoute& route = a.selected(j);
-    if (!route.valid()) {
-      fnv.u32(kInvalidNode);
-      continue;
-    }
-    fnv.u64(route.path.size());
-    for (NodeId v : route.path) fnv.u32(v);
-    fnv.i64(util::encode_cost(route.cost));
-    for (std::size_t h = 1; h + 1 < route.path.size(); ++h)
-      fnv.i64(util::encode_cost(a.price(j, route.path[h])));
+namespace {
+
+/// Folds i's exported route toward j into j's fingerprint: the selected
+/// path nodes, route cost, and p^k_ij for each path intermediate k (an
+/// invalid route folds a sentinel).
+void fold_route(util::Fnv1a64& fnv, const PricingAgent& a, NodeId j) {
+  const bgp::SelectedRoute& route = a.selected(j);
+  if (!route.valid()) {
+    fnv.u32(kInvalidNode);
+    return;
   }
-  return fnv.digest();
+  fnv.u64(route.path.size());
+  for (NodeId v : route.path) fnv.u32(v);
+  fnv.i64(util::encode_cost(route.cost));
+  for (std::size_t h = 1; h + 1 < route.path.size(); ++h)
+    fnv.i64(util::encode_cost(a.price(j, route.path[h])));
 }
+
+}  // namespace
 
 void Session::note_converged() {
   if (!track_dirty_) return;
@@ -132,16 +132,22 @@ void Session::note_converged() {
   }
   const std::size_t n = network_->node_count();
   const std::uint64_t epoch = engine_->converged_epochs();
+  // Destination j's fingerprint folds every source's route toward j in
+  // source order. The walk is agent-major: each stripe of destinations
+  // keeps one running hash per destination and visits every agent once,
+  // reading that agent's routes to the stripe in one pass over its table.
+  // Each hash still takes the same bytes in the same order.
+  std::vector<util::Fnv1a64> folds(n);
+  util::ThreadPool::stripes(
+      engine_->pool(), n, [&](std::size_t first, std::size_t last) {
+        for (NodeId i = 0; i < n; ++i) {
+          const PricingAgent& a = agent(i);
+          for (std::size_t j = first; j < last; ++j)
+            if (j != i) fold_route(folds[j], a, static_cast<NodeId>(j));
+        }
+      });
   std::vector<std::uint64_t> fresh(n);
-  const auto fingerprint = [&](std::size_t j) {
-    fresh[j] = sink_fingerprint(static_cast<NodeId>(j));
-  };
-  util::ThreadPool* pool = engine_->pool();
-  if (pool != nullptr && n > 1) {
-    pool->parallel_for(n, fingerprint);
-  } else {
-    for (std::size_t j = 0; j < n; ++j) fingerprint(j);
-  }
+  for (std::size_t j = 0; j < n; ++j) fresh[j] = folds[j].digest();
 
   DirtyRecord record;
   record.to_epoch = epoch;

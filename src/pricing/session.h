@@ -176,16 +176,15 @@ class Session {
  private:
   bgp::RunStats reconverge(RestartPolicy policy);
 
-  /// Fingerprints + diffs after a converged engine run. Called once per
-  /// public mutation/run — notably *not* between reconverge()'s two
-  /// internal runs, where the restart barrier has every price at +infinity
-  /// and a diff would mark all destinations dirty twice over.
+  /// Fingerprints + diffs after a converged engine run. Destination j's
+  /// fingerprint is an FNV-1a over its exported quantities, folded in
+  /// source order: selected path nodes, route cost, and p^k_ij for each
+  /// path intermediate k (an invalid route folds a sentinel). Equal
+  /// fingerprints <=> equal export rows, modulo 64-bit collision. Called
+  /// once per public mutation/run — notably *not* between reconverge()'s
+  /// two internal runs, where the restart barrier has every price at
+  /// +infinity and a diff would mark all destinations dirty twice over.
   void note_converged();
-  /// FNV-1a over destination j's exported quantities, folded in source
-  /// order: selected path nodes, route cost, and p^k_ij for each path
-  /// intermediate k (an invalid route folds a sentinel). Equal fingerprints
-  /// <=> equal export rows, modulo 64-bit collision.
-  std::uint64_t sink_fingerprint(NodeId j) const;
 
   /// One converged-epoch transition: the destinations that changed between
   /// from_epoch and to_epoch. Records chain contiguously (one record's

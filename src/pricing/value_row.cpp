@@ -20,22 +20,18 @@ bool ValueRow::rekey(const bgp::SelectedRoute& route, bool preserve) {
     return changed;
   }
   // A surviving node keeps its value but may sit elsewhere on the old path,
-  // so the new row is staged behind the old one, then moved down. The
-  // capacity sticks: a warm row re-keys without allocating.
-  entries_.resize(old_size + size);
-  const auto old_end =
-      entries_.begin() + static_cast<std::ptrdiff_t>(old_size);
+  // so the new row is built beside the old one, then copied over it.
+  Entries fresh;
+  fresh.resize(size);
   for (std::size_t t = 0; t < size; ++t) {
     const NodeId k = route.path[t + 1];
-    const auto survivor = std::find_if(
-        entries_.begin(), old_end,
-        [k](const std::pair<NodeId, Cost>& e) { return e.first == k; });
-    entries_[old_size + t] = {
-        k, survivor != old_end ? survivor->second : Cost::infinity()};
+    const auto survivor = std::ranges::find(
+        entries_, k, &std::pair<NodeId, Cost>::first);
+    fresh[t] = {k, survivor != entries_.end() ? survivor->second
+                                              : Cost::infinity()};
   }
-  const bool changed =
-      !std::equal(entries_.begin(), old_end, old_end, entries_.end());
-  entries_.erase(entries_.begin(), old_end);
+  const bool changed = fresh != entries_;
+  entries_ = fresh;
   return changed;
 }
 
@@ -75,6 +71,15 @@ bool ValueRow::lower(NodeId k, Cost candidate) {
     }
   }
   return false;  // k no longer on the path; stale update, ignore
+}
+
+bool ValueRow::lower_at(std::size_t index, NodeId k, Cost candidate) {
+  if (index >= entries_.size() || entries_[index].first != k)
+    return lower(k, candidate);
+  Cost& value = entries_[index].second;
+  if (!(candidate < value)) return false;
+  value = candidate;
+  return true;
 }
 
 bool ValueRow::complete() const {

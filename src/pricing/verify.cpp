@@ -25,8 +25,10 @@ VerifyResult verify_against_centralized(const Session& session,
         ++result.route_mismatches;
         std::ostringstream os;
         os << "route " << i << "->" << j << ": distributed "
-           << (distributed.valid() ? graph::path_to_string(distributed.path)
-                                   : std::string("<none>"))
+           << (distributed.valid()
+                   ? graph::path_to_string(graph::Path(
+                         distributed.path.begin(), distributed.path.end()))
+                   : std::string("<none>"))
            << " vs centralized " << graph::path_to_string(expected);
         note(os.str());
         continue;

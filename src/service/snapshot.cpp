@@ -28,37 +28,48 @@ std::uint64_t RouteSnapshot::DestinationBlock::compute_digest() const {
   return fnv.digest();
 }
 
-RouteSnapshot::BlockPtr RouteSnapshot::extract_destination(
-    const pricing::Session& session, NodeId j, std::size_t n) {
-  auto block = std::make_shared<DestinationBlock>();
-  block->next_hop.assign(n, kInvalidNode);
-  block->cost.assign(n, Cost::infinity());
-  block->offset.reserve(n + 1);
-  block->offset.push_back(0);
-  for (NodeId i = 0; i < n; ++i) {
-    if (i == j) {
-      block->cost[i] = Cost::zero();
-      block->offset.push_back(block->transit.size());
-      continue;
-    }
-    // One agent lookup per source, not one per CSR entry: the selected
-    // route and every price on it come from the same agent.
-    const pricing::PricingAgent& agent = session.agent(i);
-    const bgp::SelectedRoute& route = agent.selected(j);
-    if (route.valid()) {
-      block->cost[i] = route.cost;
-      block->next_hop[i] = route.next_hop;
-      // The row holds the path intermediates in order; p^k_ij for each.
-      for (std::size_t h = 1; h + 1 < route.path.size(); ++h) {
-        const NodeId k = route.path[h];
-        block->transit.push_back(k);
-        block->price.push_back(agent.price(j, k));
-      }
-    }
-    block->offset.push_back(block->transit.size());
+std::vector<RouteSnapshot::BlockPtr> RouteSnapshot::extract_destinations(
+    const pricing::Session& session, std::span<const NodeId> destinations,
+    std::size_t n) {
+  std::vector<std::shared_ptr<DestinationBlock>> blocks(destinations.size());
+  for (auto& block : blocks) {
+    block = std::make_shared<DestinationBlock>();
+    block->next_hop.assign(n, kInvalidNode);
+    block->cost.assign(n, Cost::infinity());
+    block->offset.reserve(n + 1);
+    block->offset.push_back(0);
   }
-  block->digest = block->compute_digest();
-  return block;
+  // Agent-major: every block grows by one source at a time, in source
+  // order, so it ends up with the arrays a column-wise walk would build,
+  // while each agent's routes to all of `destinations` are read in one pass
+  // over its table.
+  for (NodeId i = 0; i < n; ++i) {
+    const pricing::PricingAgent& agent = session.agent(i);
+    for (std::size_t t = 0; t < destinations.size(); ++t) {
+      const NodeId j = destinations[t];
+      DestinationBlock& block = *blocks[t];
+      if (i == j) {
+        block.cost[i] = Cost::zero();
+      } else if (const bgp::SelectedRoute& route = agent.selected(j);
+                 route.valid()) {
+        block.cost[i] = route.cost;
+        block.next_hop[i] = route.next_hop;
+        // The row holds the path intermediates in order; p^k_ij for each.
+        for (std::size_t h = 1; h + 1 < route.path.size(); ++h) {
+          const NodeId k = route.path[h];
+          block.transit.push_back(k);
+          block.price.push_back(agent.price(j, k));
+        }
+      }
+      block.offset.push_back(block.transit.size());
+    }
+  }
+  std::vector<BlockPtr> out(blocks.size());
+  for (std::size_t t = 0; t < blocks.size(); ++t) {
+    blocks[t]->digest = blocks[t]->compute_digest();
+    out[t] = std::move(blocks[t]);
+  }
+  return out;
 }
 
 void RouteSnapshot::seal() {
@@ -112,20 +123,22 @@ std::shared_ptr<const RouteSnapshot> RouteSnapshot::from_session(
     rebuild.resize(n);
     std::iota(rebuild.begin(), rebuild.end(), NodeId{0});
   }
-  const auto build = [&](std::size_t t) {
-    const NodeId j = rebuild[t];
-    BlockPtr block = extract_destination(session, j, n);
-    // The one sharing rule: equal digest means equal row, so keep base's
-    // block and the store sees this destination unchanged.
-    if (prior != nullptr && prior->blocks_[j]->digest == block->digest)
-      block = prior->blocks_[j];
-    snap->blocks_[j] = std::move(block);
-  };
-  if (pool != nullptr && rebuild.size() > 1) {
-    pool->parallel_for(rebuild.size(), build);
-  } else {
-    for (std::size_t t = 0; t < rebuild.size(); ++t) build(t);
-  }
+  // One stripe of the rebuild list per pool worker.
+  util::ThreadPool::stripes(
+      pool, rebuild.size(), [&](std::size_t first, std::size_t last) {
+        const std::span<const NodeId> stripe(rebuild.data() + first,
+                                             last - first);
+        std::vector<BlockPtr> blocks = extract_destinations(session, stripe, n);
+        for (std::size_t t = 0; t < stripe.size(); ++t) {
+          const NodeId j = stripe[t];
+          // The one sharing rule: equal digest means equal row, so keep
+          // base's block and the store sees this destination unchanged.
+          if (prior != nullptr &&
+              prior->blocks_[j]->digest == blocks[t]->digest)
+            blocks[t] = prior->blocks_[j];
+          snap->blocks_[j] = std::move(blocks[t]);
+        }
+      });
   if (ledger != nullptr) {
     FPSS_EXPECTS(ledger->node_count() == n);
     snap->owed_ = ledger->owed_all();

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/path.h"
@@ -172,9 +173,11 @@ class RouteSnapshot {
 
   RouteSnapshot() = default;
 
-  /// Builds destination j's block from the (converged) session.
-  static BlockPtr extract_destination(const pricing::Session& session,
-                                      NodeId j, std::size_t n);
+  /// Builds the blocks of `destinations` from the (converged) session,
+  /// digests included, in the order given.
+  static std::vector<BlockPtr> extract_destinations(
+      const pricing::Session& session, std::span<const NodeId> destinations,
+      std::size_t n);
   /// Entry total + checksum over blocks and globals already in place (the
   /// export's tail; the Assembler fills the blocks itself and seals
   /// afterwards).

@@ -42,10 +42,12 @@ constexpr bool counters_complete(std::size_t key_bytes = 0) {
 /// A T whose fields are touched only through std::atomic_ref: relaxed
 /// adds, stores and monotone maxima from any thread, and a field-by-field
 /// read() for reports. Each field is atomic on its own; read() is not a
-/// cut across fields.
-template <typename T>
+/// cut across fields. A record with a non-counter key (a peer's address)
+/// passes the key's size as `KeyBytes`: the live copy leaves the key
+/// default, and so does read(); the owner keeps the key beside it.
+template <typename T, std::size_t KeyBytes = 0>
 class LiveCounters {
-  static_assert(counters_complete<T>());
+  static_assert(counters_complete<T>(KeyBytes));
 
  public:
   using Field = std::uint64_t T::*;

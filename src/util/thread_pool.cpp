@@ -26,6 +26,20 @@ unsigned ThreadPool::hardware_threads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+void ThreadPool::stripes(
+    ThreadPool* pool, std::size_t count,
+    const std::function<void(std::size_t, std::size_t)>& fn) {
+  const std::size_t width =
+      pool == nullptr ? 1 : std::min<std::size_t>(pool->width(), count);
+  if (width <= 1) {
+    if (count > 0) fn(0, count);
+    return;
+  }
+  pool->parallel_for(width, [&](std::size_t w) {
+    fn(w * count / width, (w + 1) * count / width);
+  });
+}
+
 void ThreadPool::run_stride(unsigned worker,
                             const std::function<void(std::size_t)>& fn,
                             std::size_t count) const {

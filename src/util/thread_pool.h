@@ -48,6 +48,13 @@ class ThreadPool {
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
 
+  /// Splits [0, count) into one contiguous stripe per worker and runs
+  /// fn(first, last) on each, stripe w on worker w; with no pool, one
+  /// stripe covers everything. For walks that keep per-index state across
+  /// a long outer loop: each index is visited by one stripe only.
+  static void stripes(ThreadPool* pool, std::size_t count,
+                      const std::function<void(std::size_t, std::size_t)>& fn);
+
   /// std::thread::hardware_concurrency with a floor of 1.
   static unsigned hardware_threads();
 

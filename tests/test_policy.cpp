@@ -193,7 +193,8 @@ TEST(PolicyRouting, StaysValleyFreeAfterLinkFailure) {
       if (i == j) continue;
       const auto& route = agent.selected(j);
       if (route.valid()) {
-        EXPECT_TRUE(rel.is_valley_free(route.path))
+        EXPECT_TRUE(rel.is_valley_free(
+            graph::Path(route.path.begin(), route.path.end())))
             << i << "->" << j << " violates valley-freeness after churn";
       }
     }
