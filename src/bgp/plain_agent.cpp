@@ -21,7 +21,9 @@ void PlainBgpAgent::receive(const MessageRef& msg) {
   const NodeId sender = msg->sender();
   FPSS_EXPECTS(sender != id());
   // A known sender's new declared cost re-rates every route through it. A
-  // first contact re-rates nothing: no route from it is stored yet.
+  // first contact re-rates nothing: no route from it is stored yet. Either
+  // way the sender is noted at the message's cost once, before any entry
+  // is ingested (Rib::ingest's precondition).
   if (!rib_.heard_from(sender)) {
     rib_.note_sender(sender, msg->sender_cost());
   } else if (rib_.neighbor_cost(sender) != msg->sender_cost()) {

@@ -26,27 +26,14 @@ void Rib::set_declared_cost(Cost c) {
   selected_[self_].node_costs = {c};  // keep the trivial self-route in sync
 }
 
-std::uint32_t Rib::hear(NodeId neighbor, Cost cost) {
-  Neighbor& nb = neighbors_[neighbor];
-  nb.cost = cost;
-  if (!nb.heard) {
-    nb.heard = true;
-    heard_.insert(std::upper_bound(heard_.begin(), heard_.end(), neighbor),
-                  neighbor);
-    if (nb.slot == kNoSlot) {
-      nb.slot = static_cast<std::uint32_t>(rib_in_.size() / node_count());
-      rib_in_.resize(rib_in_.size() + node_count());
-    }
-  }
-  return nb.slot;
-}
-
 bool Rib::ingest(const MessageRef& msg, std::size_t e) {
   const NodeId neighbor = msg->sender();
-  FPSS_EXPECTS(neighbor < node_count() && neighbor != self_);
+  FPSS_EXPECTS(heard_from(neighbor) && neighbor != self_);
+  const Neighbor& nb = neighbors_[neighbor];
+  FPSS_EXPECTS(nb.cost == msg->sender_cost());
   const RouteAdvert fresh = msg->entry(e);
   FPSS_EXPECTS(fresh.destination < node_count());
-  Cell& held = cell(hear(neighbor, msg->sender_cost()), fresh.destination);
+  Cell& held = cell(nb.slot, fresh.destination);
   if (fresh.is_withdrawal()) {
     if (held.message == nullptr) return false;
     held.message.reset();
@@ -175,7 +162,16 @@ std::optional<RouteAdvert> Rib::stored(NodeId neighbor,
 void Rib::note_sender(NodeId neighbor, Cost neighbor_cost) {
   FPSS_EXPECTS(neighbor < node_count() && neighbor != self_);
   FPSS_EXPECTS(neighbor_cost.is_finite());
-  hear(neighbor, neighbor_cost);
+  Neighbor& nb = neighbors_[neighbor];
+  nb.cost = neighbor_cost;
+  if (nb.heard) return;
+  nb.heard = true;
+  heard_.insert(std::upper_bound(heard_.begin(), heard_.end(), neighbor),
+                neighbor);
+  if (nb.slot == kNoSlot) {
+    nb.slot = static_cast<std::uint32_t>(rib_in_.size() / node_count());
+    rib_in_.resize(rib_in_.size() + node_count());
+  }
 }
 
 Cost Rib::neighbor_cost(NodeId neighbor) const {

@@ -61,12 +61,13 @@ class Rib {
   void set_declared_cost(Cost c);
 
   /// Stores entry `e` of `msg` as the latest advert heard from its sender
-  /// about the entry's destination (a withdrawal empties the cell), and
-  /// records the sender's declared cost. The cell shares `msg`, so the
-  /// message lives while any of its entries is stored. Returns true iff the
-  /// stored route changed: its path, cost or node costs differ from the
-  /// cell's, a route landed in an empty cell, or a withdrawal emptied a
-  /// full one. Transit values alone never count.
+  /// about the entry's destination (a withdrawal empties the cell). The
+  /// cell shares `msg`, so the message lives while any of its entries is
+  /// stored. Returns true iff the stored route changed: its path, cost or
+  /// node costs differ from the cell's, a route landed in an empty cell, or
+  /// a withdrawal emptied a full one. Transit values alone never count.
+  /// Precondition: the sender was noted (note_sender) at the message's
+  /// declared cost, once per message rather than once per entry.
   bool ingest(const MessageRef& msg, std::size_t e);
 
   /// Forgets everything heard from `neighbor` (session teardown). Returns
@@ -107,12 +108,13 @@ class Rib {
 
   /// Neighbors we have heard from, ascending. The list is maintained in
   /// place: the reference stays valid for the Rib's lifetime, but its
-  /// contents change on the next ingest, note_sender or purge_neighbor
-  /// that adds or drops a neighbor, so do not iterate it across those.
+  /// contents change on the next note_sender or purge_neighbor that adds
+  /// or drops a neighbor, so do not iterate it across those.
   const std::vector<NodeId>& known_neighbors() const { return heard_; }
 
-  /// Records `neighbor`'s declared cost without any route advert (every
-  /// message carries the sender's cost, even a pure price refresh).
+  /// Records `neighbor`'s declared cost (every message carries the
+  /// sender's cost, even a pure price refresh), marking it heard and
+  /// giving it an Adj-RIB-In row on first contact.
   void note_sender(NodeId neighbor, Cost neighbor_cost);
 
   bool heard_from(NodeId neighbor) const {
@@ -150,9 +152,6 @@ class Rib {
   };
   static_assert(sizeof(Cell) <= 24, "a cell is one pointer pair and two ids");
 
-  /// Marks `neighbor` heard at `cost`, giving it a row on first contact.
-  /// Returns the neighbor's row.
-  std::uint32_t hear(NodeId neighbor, Cost cost);
   Cell& cell(std::uint32_t slot, NodeId destination) {
     return rib_in_[slot * node_count() + destination];
   }

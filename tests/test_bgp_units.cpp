@@ -67,8 +67,10 @@ MessageRef make_message(NodeId sender, Cost sender_cost,
   return std::make_shared<const TableMessage>(std::move(msg));
 }
 
-/// Delivers `entry` to `rib` as a one-entry message from `sender`.
+/// Delivers `entry` to `rib` as a one-entry message from `sender`, noting
+/// the sender first as PlainBgpAgent::receive does once per message.
 bool ingest(Rib& rib, NodeId sender, Cost sender_cost, const Entry& entry) {
+  rib.note_sender(sender, sender_cost);
   return rib.ingest(make_message(sender, sender_cost, {entry}), 0);
 }
 
@@ -212,6 +214,7 @@ TEST(RibTest, ClearStoredValuesKeepsRoutes) {
   Rib rib(0, 4, Cost{0});
   const MessageRef msg = make_message(
       1, Cost{1}, {route({1, 2, 3}, {1, 1, 0}, {{2, Cost{9}}})});
+  rib.note_sender(1, Cost{1});
   rib.ingest(msg, 0);
   ASSERT_EQ(rib.stored(1, 3)->transit_values.size(), 1u);
   const std::size_t words = rib.adj_rib_in_words();
