@@ -167,14 +167,14 @@ void export_publish_cycle(benchmark::State& state, bool pooled) {
     dirty.push_back(static_cast<NodeId>(i * n / count));
   const std::optional<std::vector<NodeId>> dirty_opt(dirty);
 
-  service::ShardedSnapshotStore store(n, shards);
-  store.publish(prev);
+  service::ShardedSnapshotStore store;
+  store.publish(prev, shards);
   service::SnapshotExportStats stats;
   std::size_t swapped = 0;
   for (auto _ : state) {
     auto snap = service::RouteSnapshot::from_session(
         session, epoch, prev, dirty_opt, nullptr, pool, &stats);
-    swapped = store.publish(snap);
+    swapped = store.publish(snap, shards);
     benchmark::DoNotOptimize(snap);
   }
   state.counters["rows_rebuilt"] = static_cast<double>(stats.rows_rebuilt);

@@ -7,9 +7,10 @@
 // server closed while it sat idle. query() is the blocking convenience;
 // send()/receive() expose the same exchange split in two so a caller can
 // pipeline several batches on one connection (the server answers frames
-// strictly in order, so replies come back FIFO). Every operation is one request and its reply, parked
-// ones included (await_publish, fetch_snapshot), so any operation may
-// follow any other on the same connection.
+// strictly in order, so replies come back FIFO). Every operation is one
+// request and its reply, parked ones included (await_publish,
+// fetch_snapshot), so any operation may follow any other on the same
+// connection.
 //
 // Errors are values, not exceptions: every operation fills a result whose
 // ClientStatus says what layer failed (connect, I/O timeout, protocol,

@@ -363,8 +363,8 @@ bool RouteServer::serve_snapshot_fetch(int fd, PeerTally& peer,
                                        const Await& await) {
   park(await);
   // One cut answers the fetch: the notify and the stream describe the same
-  // snapshot. The cut pins it, so a replica backend swapping its store
-  // mid-transfer cannot pull the data out from under the stream.
+  // snapshot. The cut holds it, so a publish mid-transfer cannot pull the
+  // data out from under the stream.
   const service::ShardedSnapshotStore::ExportCut cut = backend_.export_cut();
   const PublishNotify notify = notify_of(cut.newest.get());
   if (!write_all(fd, encode_frame(FrameType::kPublishNotify,

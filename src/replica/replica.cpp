@@ -13,7 +13,6 @@ namespace fpss::replica {
 
 using service::ReplicationCodec;
 using service::RouteSnapshot;
-using service::ShardedSnapshotStore;
 
 namespace {
 
@@ -54,11 +53,7 @@ ReplicaService::ReplicaService(ReplicaConfig config)
       // Serve the disk image at once (a warm replica answers before the
       // upstream is reachable). As the served snapshot it is the first
       // wire sync's base, which shares its blocks wherever digests match.
-      auto warm = std::make_shared<ShardedSnapshotStore>(
-          loaded.snapshot->node_count(), 1);
-      warm->publish(loaded.snapshot);
-      util::MutexLock lock(store_mutex_);
-      store_ = std::move(warm);
+      store_.publish(loaded.snapshot, 1);
       read_counters_.add(&service::Counters::publishes);
     }
   }
@@ -178,87 +173,29 @@ bool ReplicaService::sync_once(net::RouteClient& upstream, bool first) {
 void ReplicaService::install(
     const ReplicationCodec::Assembler::Result& result) {
   const std::shared_ptr<const RouteSnapshot>& snap = result.snapshot;
-  util::MutexLock lock(store_mutex_);
-  const bool rebuild =
-      store_ == nullptr ||
-      store_->shard_count() != result.shard_count ||
-      store_->newest() == nullptr ||
-      store_->newest()->node_count() != snap->node_count() ||
-      store_->version() > snap->version();
-  if (rebuild) {
-    // Bootstrap, layout change, or upstream version regression (a primary
-    // restarted from an older checkpoint): start a fresh store shaped
-    // like the server's; its first publish stamps every shard.
-    auto fresh = std::make_shared<ShardedSnapshotStore>(snap->node_count(),
-                                                        result.shard_count);
-    fresh->publish(snap);
-    store_ = std::move(fresh);
-  } else if (result.shards_sent.empty() &&
-             store_->version() == snap->version() &&
-             store_->newest()->checksum() == snap->checksum()) {
-    // Nothing moved at all (a connection's first fetch found the upstream
-    // serving this very cut): skip the publish. The served version did
-    // not move, so no waiter needs waking.
+  const std::shared_ptr<const RouteSnapshot> served = store_.newest();
+  // Nothing moved at all (a connection's first fetch found the upstream
+  // serving this very cut, in this layout): skip the publish. The served
+  // version did not move, so no waiter needs waking.
+  if (result.shards_sent.empty() && served != nullptr &&
+      served->version() == snap->version() &&
+      served->checksum() == snap->checksum() &&
+      store_.shard_count() == result.shard_count)
     return;
-  } else {
-    // Catch-up: one publish. The assembler shared the served blocks of
-    // every shard not fetched and adopted fetched blocks whose bytes did
-    // not change, so the store stamps only the shards that really moved.
-    store_->publish(snap);
-  }
+  // One publish. The assembler shared the served blocks of every shard not
+  // fetched and adopted fetched blocks whose bytes did not change, so the
+  // store stamps only the shards that really moved. A bootstrap, a layout
+  // or node-count change, or an upstream version regression (a primary
+  // restarted from an older checkpoint) re-bases it, stamping every shard.
+  store_.publish(snap, result.shard_count);
   read_counters_.add(&service::Counters::publishes);
-  ready_cv_.notify_all();
-}
-
-// --- waiting ----------------------------------------------------------------
-
-bool ReplicaService::wait_until_ready(int timeout_ms) const {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  util::MutexLock lock(store_mutex_);
-  while (store_ == nullptr)
-    if (ready_cv_.wait_until(lock, deadline) == std::cv_status::timeout)
-      break;
-  return store_ != nullptr;
-}
-
-std::uint64_t ReplicaService::wait_for_publish_beyond(std::uint64_t count,
-                                                      int timeout_ms) const {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  util::MutexLock lock(store_mutex_);
-  while (store_ == nullptr || store_->version() <= count)
-    if (ready_cv_.wait_until(lock, deadline) == std::cv_status::timeout)
-      break;
-  return store_ == nullptr ? 0 : store_->version();
 }
 
 // --- read side --------------------------------------------------------------
 
-std::shared_ptr<const service::ShardedSnapshotStore> ReplicaService::store()
-    const {
-  // An owning copy, not store_.get(): a layout-changing install swaps
-  // store_ under the mutex, and if this replica's copy was the last
-  // reference the store would be destroyed while the caller still reads
-  // it. The shared_ptr pins the displaced store until the caller is done.
-  util::MutexLock lock(store_mutex_);
-  return store_;
-}
-
-std::shared_ptr<const RouteSnapshot> ReplicaService::snapshot() const {
-  const auto served = store();
-  return served == nullptr ? nullptr : served->newest();
-}
-
-ShardedSnapshotStore::ExportCut ReplicaService::export_cut() const {
-  const auto served = store();
-  return served == nullptr ? ShardedSnapshotStore::ExportCut{}
-                           : served->export_cut();
-}
-
 std::vector<service::Reply> ReplicaService::query(
     std::span<const service::Request> batch) const {
-  return service::answer_batch(store().get(), batch, read_counters_);
+  return service::answer_batch(store_, batch, read_counters_);
 }
 
 service::Counters ReplicaService::counters() const {

@@ -32,11 +32,14 @@
 // The reassembled snapshot (service::ReplicationCodec::Assembler
 // — checksum verified, torn chunks rejected wholesale, fed chunk by chunk
 // as they arrive) lands in the replica's own ShardedSnapshotStore in one
-// publish, the same single-lock install the primary's publish does. The
-// assembler shares the served blocks of every shard not fetched and
-// adopts fetched blocks whose digest matches, so that publish stamps only
-// the shards whose bytes changed; a downstream replica then refetches
-// only those.
+// publish, the same single-lock install the primary's publish does, named
+// with the upstream stream's shard layout. The assembler shares the served
+// blocks of every shard not fetched and adopts fetched blocks whose digest
+// matches, so that publish stamps only the shards whose bytes changed; a
+// downstream replica then refetches only those. The replica keeps that
+// one store for its whole life: a bootstrap, an upstream re-shard or a
+// version regression re-bases it in place (stamping every shard), and
+// every wait on the served version blocks on the store.
 //
 // Reads go through the same service::Request/Reply surface a primary
 // serves, so a query answered by a replica is bit-identical to the
@@ -129,8 +132,11 @@ class ReplicaService final : public service::Backend {
   ReplicaService& operator=(const ReplicaService&) = delete;
 
   /// Blocks until a snapshot is being served (first sync or checkpoint
-  /// load) or `timeout_ms` elapses; true when ready.
-  bool wait_until_ready(int timeout_ms) const FPSS_EXCLUDES(store_mutex_);
+  /// load), that is the store serves a version above 0, or `timeout_ms`
+  /// elapses; true when ready.
+  bool wait_until_ready(int timeout_ms) const {
+    return store_.wait_for_version_beyond(0, timeout_ms) > 0;
+  }
 
   /// Stops the sync loop and closes the upstream connections, within one
   /// parked fetch's slice. Idempotent; the destructor calls it. Reads keep
@@ -139,17 +145,15 @@ class ReplicaService final : public service::Backend {
 
   net::ReplicaCounters replication_counters() const;
 
-  /// The replica's own store (null before the first sync or checkpoint
-  /// load). An *owning* copy: a concurrent layout-changing install may swap
-  /// store_ and drop the last internal reference, so handing out the raw
-  /// pointer would let the store die under the caller.
-  std::shared_ptr<const service::ShardedSnapshotStore> store() const
-      FPSS_EXCLUDES(store_mutex_);
+  /// The replica's own store, never null and valid for the replica's life
+  /// (empty before the first sync or checkpoint load).
+  const service::ShardedSnapshotStore* store() const { return &store_; }
 
   // --- service::Backend ----------------------------------------------------
 
-  std::shared_ptr<const service::RouteSnapshot> snapshot() const override
-      FPSS_EXCLUDES(store_mutex_);
+  std::shared_ptr<const service::RouteSnapshot> snapshot() const override {
+    return store_.newest();
+  }
   std::vector<service::Reply> query(
       std::span<const service::Request> batch) const override;
   service::Counters counters() const override;
@@ -168,11 +172,15 @@ class ReplicaService final : public service::Backend {
   std::uint64_t drain() override { return publish_count(); }
   /// What lets a downstream replica sync from this one; empty before the
   /// first sync, exactly like an unpublished primary.
-  service::ShardedSnapshotStore::ExportCut export_cut() const override;
+  service::ShardedSnapshotStore::ExportCut export_cut() const override {
+    return store_.export_cut();
+  }
   /// Blocks until the served version exceeds `count` or `timeout_ms`
   /// elapses; returns the served version either way.
-  std::uint64_t wait_for_publish_beyond(std::uint64_t count, int timeout_ms)
-      const override FPSS_EXCLUDES(store_mutex_);
+  std::uint64_t wait_for_publish_beyond(std::uint64_t count,
+                                        int timeout_ms) const override {
+    return store_.wait_for_version_beyond(count, timeout_ms);
+  }
 
  private:
   /// One fetch on `upstream`: a connection's `first` answers at once,
@@ -183,8 +191,9 @@ class ReplicaService final : public service::Backend {
   /// rejection makes the next fetch a bootstrap).
   bool sync_once(net::RouteClient& upstream, bool first);
   void sync_loop();
-  /// Publishes an assembled snapshot into the store (a fresh store for a
-  /// bootstrap, layout change or version regression).
+  /// Publishes an assembled snapshot into the store in the stream's layout
+  /// (the store re-bases itself on a bootstrap, layout change or version
+  /// regression).
   void install(const service::ReplicationCodec::Assembler::Result& result);
 
   // Shared reconnect state machine (sync loop + forwarder).
@@ -196,20 +205,15 @@ class ReplicaService final : public service::Backend {
   ReplicaConfig config_;
   std::vector<net::ClientConfig> upstreams_;  ///< resolved fallback list
 
-  /// The served store. The pointer itself is swapped on layout changes, so
-  /// readers copy it under the mutex (the store's own lock then provides
-  /// the usual RCU cut). Independent of upstream_mutex_/forward_mutex_ —
-  /// no replica path nests two of the three.
-  mutable util::Mutex store_mutex_;
-  std::shared_ptr<service::ShardedSnapshotStore> store_
-      FPSS_GUARDED_BY(store_mutex_);
+  /// The served store, published by the constructor (a warm image) and
+  /// then by the sync thread only.
+  service::ShardedSnapshotStore store_;
   /// The last stream was rejected, so the next fetch sends `since` = 0.
   /// Touched by the sync thread only.
   bool bootstrap_ = false;
 
-  mutable util::CondVar ready_cv_;  ///< store_mutex_; signaled per install
-
-  // Shared reconnect cursor into upstreams_.
+  // Shared reconnect cursor into upstreams_. The forwarder takes it while
+  // holding forward_mutex_; nothing takes forward_mutex_ under it.
   mutable util::Mutex upstream_mutex_;
   std::size_t upstream_index_ FPSS_GUARDED_BY(upstream_mutex_) = 0;
 

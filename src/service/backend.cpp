@@ -4,12 +4,11 @@
 
 namespace fpss::service {
 
-std::vector<Reply> answer_batch(const ShardedSnapshotStore* store,
+std::vector<Reply> answer_batch(const ShardedSnapshotStore& store,
                                 std::span<const Request> batch,
                                 util::LiveCounters<Counters>& counters) {
   const auto start = std::chrono::steady_clock::now();
-  const ShardedSnapshotStore::View view =
-      store == nullptr ? ShardedSnapshotStore::View{} : store->acquire();
+  const ShardedSnapshotStore::View view = store.acquire();
   std::vector<Reply> replies;
   if (view.empty()) {
     // Nothing served yet: every node is out of range of the (empty)

@@ -8,6 +8,8 @@
 // implementers in the library layering (service -> net -> replica), so the
 // value types it speaks live here at namespace scope; RouteService::Delta,
 // RouteService::Counters and net::ReplicaCounters are aliases of them.
+// Each implementer serves from one ShardedSnapshotStore it keeps for its
+// whole life: reads, export cuts and version waits are the store's.
 //
 // A remote daemon is reached through net::RemoteQueryBackend, a concrete
 // client with the same query/write/wait vocabulary but no base class:
@@ -234,23 +236,25 @@ class Backend {
   /// Publish barrier; returns the served version afterwards.
   virtual std::uint64_t drain() = 0;
 
-  /// One replication cut for kSnapshotFetch (newest == null before the
-  /// first publish). The cut pins the snapshot it streams, so it stays
-  /// valid however the backend's store changes while a transfer runs.
+  /// One replication cut of the backend's store for kSnapshotFetch (newest
+  /// == null before the first publish). The cut holds the snapshot it
+  /// streams, so publishes during a transfer do not change what it sends.
   virtual ShardedSnapshotStore::ExportCut export_cut() const = 0;
   /// Blocks until publish_count() exceeds `count` or `timeout_ms` elapses;
-  /// returns publish_count() at return. The server parks kAwaitPublish
-  /// and kSnapshotFetch on this in 100 ms slices, so stop() releases them.
+  /// returns publish_count() at return. Both backends wait on their
+  /// store's clock (ShardedSnapshotStore::wait_for_version_beyond). The
+  /// server parks kAwaitPublish and kSnapshotFetch on this in 100 ms
+  /// slices, so stop() releases them.
   virtual std::uint64_t wait_for_publish_beyond(std::uint64_t count,
                                                 int timeout_ms) const = 0;
 };
 
 /// The read path both backends share. Answers `batch` from one acquired
 /// `newest` of `store`: every reply carries that snapshot's version and
-/// publish stamp and one shared answer-time clock reading. A null or empty
-/// store (nothing served yet) answers kBadNode throughout. Records the
-/// batch into `counters` (record_batch).
-std::vector<Reply> answer_batch(const ShardedSnapshotStore* store,
+/// publish stamp and one shared answer-time clock reading. An empty store
+/// (nothing served yet) answers kBadNode throughout. Records the batch
+/// into `counters` (record_batch).
+std::vector<Reply> answer_batch(const ShardedSnapshotStore& store,
                                 std::span<const Request> batch,
                                 util::LiveCounters<Counters>& counters);
 

@@ -38,7 +38,6 @@ RouteService::RouteService(const graph::Graph& g, ServiceConfig config)
     : node_count_(g.node_count()),
       config_(config),
       session_(g, pricing::Protocol::kPriceVector, config.engine),
-      store_(g.node_count(), config.shards),
       ledger_(g.node_count()) {
   // Dirty sink-tree tracking powers the incremental exports; enable it
   // before the first convergence so that run doubles as the baseline.
@@ -60,7 +59,6 @@ RouteService::RouteService(const graph::Graph& g,
     : node_count_(g.node_count()),
       config_(config),
       session_(g, pricing::Protocol::kPriceVector, config.engine),
-      store_(g.node_count(), config.shards),
       ledger_(g.node_count()) {
   FPSS_EXPECTS(warm != nullptr && warm->node_count() == g.node_count());
   session_.track_dirty_destinations(true);
@@ -78,7 +76,7 @@ RouteService::RouteService(const graph::Graph& g,
   // The warm snapshot is served as is and becomes the first export's base:
   // that export re-extracts every row (no dirty set reaches back to a disk
   // image) and keeps the loaded block wherever the digests match.
-  store_.publish(std::move(warm));
+  store_.publish(std::move(warm), config_.shards);
   counters_.add(&Counters::publishes);
   updater_ = std::thread([this] { updater_loop(); });
 }
@@ -203,7 +201,7 @@ void RouteService::publish_current() {
     util::MutexLock lock(ledger_mutex_);
     snap = RouteSnapshot::from_session(session_, version, store_.newest(),
                                        dirty, &ledger_, pool, &stats);
-    stamped = store_.publish(snap);
+    stamped = store_.publish(snap, config_.shards);
   }
   counters_.add(&Counters::publishes);
   counters_.add(&Counters::rows_rebuilt, stats.rows_rebuilt);
@@ -218,8 +216,9 @@ void RouteService::publish_current() {
   counters_.add(&Counters::publish_total_ns, ns);
   counters_.raise(&Counters::max_publish_ns, ns);
 
-  // Persistence rides after the readers are already on the new epoch: a
-  // slow or broken disk delays the next checkpoint, never a publish.
+  // Persistence rides after the readers and version waiters are already
+  // on the new epoch: a slow or broken disk delays the next checkpoint and
+  // drain(), never a publish.
   if (checkpoint_ != nullptr) {
     checkpoint_->on_publish(snap);
     const CheckpointWriter::Stats& cs = checkpoint_->stats();
@@ -228,12 +227,6 @@ void RouteService::publish_current() {
     counters_.set(&Counters::journal_patches, cs.patches);
     counters_.set(&Counters::journal_compactions, cs.compactions);
   }
-  {
-    // Notify under the queue mutex so a waiter cannot check the served
-    // version and block between our publish and our notify.
-    util::MutexLock lock(queue_mutex_);
-  }
-  publish_cv_.notify_all();
 }
 
 // --- read side -------------------------------------------------------------
@@ -257,7 +250,7 @@ auto read_one(const ShardedSnapshotStore& store,
 }  // namespace
 
 std::vector<Reply> RouteService::query(std::span<const Request> batch) const {
-  return answer_batch(&store_, batch, counters_);
+  return answer_batch(store_, batch, counters_);
 }
 
 Cost RouteService::price(NodeId k, NodeId i, NodeId j) const {
@@ -333,20 +326,11 @@ SubmitAck RouteService::submit_deltas(std::span<const Delta> deltas) {
   return ack;
 }
 
-std::uint64_t RouteService::wait_for_publish_beyond(std::uint64_t count,
-                                                    int timeout_ms) const {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  util::MutexLock lock(queue_mutex_);
-  while (store_.version() <= count)
-    if (publish_cv_.wait_until(lock, deadline) == std::cv_status::timeout)
-      break;
-  return store_.version();
-}
-
 std::uint64_t RouteService::drain() {
-  util::MutexLock lock(queue_mutex_);
-  while (!queue_.empty() || updater_busy_) publish_cv_.wait(lock);
+  {
+    util::MutexLock lock(queue_mutex_);
+    while (!queue_.empty() || updater_busy_) publish_cv_.wait(lock);
+  }
   return store_.version();
 }
 

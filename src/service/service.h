@@ -10,9 +10,11 @@
 //   updater ──► coalesce queued deltas ──► reconverge once per burst
 //           ──► dirty_destinations() ──► RouteSnapshot::from_session
 //                 (base = the served snapshot) ──► store publish, which
-//                 stamps only the shards whose blocks changed
+//                 stamps only the shards whose blocks changed and wakes
+//                 every version waiter
 //           ──► incremental checkpoint (a catch-up stream appended to the
 //               fpss-snap file) after readers are on the new epoch
+//           ──► drain() returns
 //
 // Publication is *incremental* end to end: the session fingerprints each
 // destination's sink tree per converged epoch, the export re-extracts only
@@ -44,7 +46,8 @@
 // Versions: every publish takes the served version + 1, so a cold start
 // publishes version 1 and each later publish (a republish included) the
 // next one. The version is the service's one clock: write acks, parked
-// requests and read-your-write waits all compare it.
+// requests and read-your-write waits all compare it, and every wait on it
+// blocks on the store (ShardedSnapshotStore::wait_for_version_beyond).
 //
 // A warm start (the snapshot-taking constructor) publishes a previously
 // saved snapshot under its own version and serves it immediately, so the
@@ -86,10 +89,11 @@ struct ServiceConfig {
   /// Engine seams (scheduler, compute-phase threads, channel model) for
   /// the owned session.
   bgp::EngineConfig engine;
-  /// Shards of the publication store (clamped to [1, node_count]). A
-  /// publish stamps a new version only on the shards whose destinations'
-  /// sink trees changed, and a replica catch-up fetches only those; 1
-  /// makes every change refetch the whole snapshot.
+  /// Shards of the publication store: the layout every publish names
+  /// (clamped to [1, node_count]). A publish stamps a new version only on
+  /// the shards whose destinations' sink trees changed, and a replica
+  /// catch-up fetches only those; 1 makes every change refetch the whole
+  /// snapshot.
   std::size_t shards = 1;
   /// Incremental checkpointing (one fpss-snap v6 file: a bootstrap stream
   /// plus appended catch-ups). The default (empty directory) disables it.
@@ -178,12 +182,13 @@ class RouteService final : public Backend {
   /// Local callers that want bursts coalesced use submit() instead.
   SubmitAck submit_deltas(std::span<const Delta> deltas) override;
 
-  std::size_t shard_count() const { return store_.shard_count(); }
-
   /// Blocks until the served version exceeds `count` or `timeout_ms`
-  /// elapses, and returns the served version either way.
-  std::uint64_t wait_for_publish_beyond(std::uint64_t count, int timeout_ms)
-      const override FPSS_EXCLUDES(queue_mutex_);
+  /// elapses, and returns the served version either way. It wakes at the
+  /// store publish, before the checkpoint append that drain() waits for.
+  std::uint64_t wait_for_publish_beyond(std::uint64_t count,
+                                        int timeout_ms) const override {
+    return store_.wait_for_version_beyond(count, timeout_ms);
+  }
 
   /// The sharded publication store readers acquire from.
   const ShardedSnapshotStore& store() const { return store_; }
@@ -192,7 +197,7 @@ class RouteService final : public Backend {
   }
 
   /// Blocks until the delta queue is empty and everything submitted so far
-  /// has been published; returns the served version.
+  /// has been published and checkpointed; returns the served version.
   std::uint64_t drain() override FPSS_EXCLUDES(queue_mutex_);
 
  private:
@@ -202,7 +207,7 @@ class RouteService final : public Backend {
   std::size_t apply_coalesced(const std::vector<Delta>& batch);
   bool delta_in_range(const Delta& delta) const;
   /// Builds a snapshot from the (converged) session and publishes it.
-  void publish_current() FPSS_EXCLUDES(ledger_mutex_, queue_mutex_);
+  void publish_current() FPSS_EXCLUDES(ledger_mutex_);
 
   std::size_t node_count_;
   ServiceConfig config_;
@@ -232,12 +237,10 @@ class RouteService final : public Backend {
   mutable util::Mutex ledger_mutex_;
   payments::Ledger ledger_ FPSS_GUARDED_BY(ledger_mutex_);
 
-  /// Lock order: queue_mutex_ before store_.mutex_ — the publish waiters
-  /// call store_.version() while holding queue_mutex_. The reverse nesting
-  /// never happens (the store calls nothing of ours).
-  mutable util::Mutex queue_mutex_;
-  util::CondVar queue_cv_;           ///< wakes the updater
-  mutable util::CondVar publish_cv_;  ///< wakes drain()/waiters
+  /// Never nested with the store's mutex or ledger_mutex_.
+  util::Mutex queue_mutex_;
+  util::CondVar queue_cv_;    ///< wakes the updater
+  util::CondVar publish_cv_;  ///< wakes drain()
   std::vector<Delta> queue_ FPSS_GUARDED_BY(queue_mutex_);
   bool stop_ FPSS_GUARDED_BY(queue_mutex_) = false;
   bool updater_busy_ FPSS_GUARDED_BY(queue_mutex_) = false;

@@ -1,5 +1,6 @@
 #include "service/store.h"
 
+#include <chrono>
 #include <utility>
 
 #include "util/contract.h"
@@ -8,55 +9,68 @@ namespace fpss::service {
 
 namespace {
 
-std::size_t clamp_shards(std::size_t node_count, std::size_t shard_count) {
-  const std::size_t n = node_count == 0 ? 1 : node_count;
-  if (shard_count == 0) return 1;
-  return shard_count < n ? shard_count : n;
+std::uint64_t version_of(const std::shared_ptr<const RouteSnapshot>& snap) {
+  return snap == nullptr ? 0 : snap->version();
 }
 
 }  // namespace
 
-ShardedSnapshotStore::ShardedSnapshotStore(std::size_t node_count,
-                                           std::size_t shard_count)
-    : node_count_(node_count),
-      shard_count_(clamp_shards(node_count, shard_count)),
-      shard_size_(shard_size_of(node_count, shard_count_)),
-      shard_versions_(shard_count_, 0) {}
-
 std::size_t ShardedSnapshotStore::publish(
-    std::shared_ptr<const RouteSnapshot> snapshot) {
+    std::shared_ptr<const RouteSnapshot> snapshot, std::size_t shard_count) {
   FPSS_EXPECTS(snapshot != nullptr);
-  FPSS_EXPECTS(snapshot->node_count() == node_count_);
-  // The diff runs outside the lock: the store's one publisher is the only
-  // writer of newest_, so `prev` is still current at the swap (asserted
-  // there). `prev` also keeps the displaced snapshot alive until after the
-  // lock is released, so its reclamation stays off the critical section.
-  const std::shared_ptr<const RouteSnapshot> prev = newest();
-  std::vector<bool> moved(shard_count_, prev == nullptr);
-  if (prev != nullptr)
-    for (NodeId j = 0; j < node_count_; ++j)
-      if (!snapshot->shares_block_with(*prev, j)) moved[shard_of(j)] = true;
+  const std::size_t n = snapshot->node_count();
+  const std::size_t shards =
+      std::clamp<std::size_t>(shard_count, 1, std::max<std::size_t>(n, 1));
   const std::uint64_t version = snapshot->version();
-  std::size_t stamped = 0;
-  util::MutexLock lock(mutex_);
-  FPSS_ASSERT(newest_ == prev);
-  FPSS_ASSERT(prev == nullptr || prev->version() <= version);
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    if (!moved[s]) continue;
-    shard_versions_[s] = version;
-    ++stamped;
+  // The diff runs outside the lock: the store's one publisher is the only
+  // writer of newest_ and the layout, so `prev` is still current at the
+  // swap (asserted there). `prev` also keeps the displaced snapshot alive
+  // until after the lock is released, so its reclamation stays off the
+  // critical section.
+  std::shared_ptr<const RouteSnapshot> prev;
+  bool rebase = false;
+  {
+    util::MutexLock lock(mutex_);
+    prev = newest_;
+    rebase = prev == nullptr || shard_versions_.size() != shards ||
+             prev->node_count() != n || prev->version() > version;
   }
-  newest_ = std::move(snapshot);
+  std::vector<bool> moved(shards, rebase);
+  if (!rebase) {
+    const std::size_t size = shard_size_of(n, shards);
+    for (NodeId j = 0; j < n; ++j)
+      if (!snapshot->shares_block_with(*prev, j)) moved[j / size] = true;
+  }
+  std::size_t stamped = 0;
+  {
+    util::MutexLock lock(mutex_);
+    FPSS_ASSERT(newest_ == prev);
+    shard_versions_.resize(shards);
+    for (std::size_t s = 0; s < shards; ++s) {
+      if (!moved[s]) continue;
+      shard_versions_[s] = version;
+      ++stamped;
+    }
+    newest_ = std::move(snapshot);
+  }
+  published_cv_.notify_all();
   return stamped;
 }
 
-ShardedSnapshotStore::ExportCut ShardedSnapshotStore::export_cut() const {
-  ExportCut cut;
-  cut.shard_versions.resize(shard_count_);  // the copy below reuses it
+std::uint64_t ShardedSnapshotStore::wait_for_version_beyond(
+    std::uint64_t count, int timeout_ms) const {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
   util::MutexLock lock(mutex_);
-  cut.newest = newest_;
-  cut.shard_versions = shard_versions_;
-  return cut;
+  while (version_of(newest_) <= count)
+    if (published_cv_.wait_until(lock, deadline) == std::cv_status::timeout)
+      break;
+  return version_of(newest_);
+}
+
+ShardedSnapshotStore::ExportCut ShardedSnapshotStore::export_cut() const {
+  util::MutexLock lock(mutex_);
+  return ExportCut{newest_, shard_versions_};
 }
 
 }  // namespace fpss::service

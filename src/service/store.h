@@ -1,6 +1,7 @@
-// The publication point between the one updater (who re-converges the
-// network and builds fresh RouteSnapshots) and any number of reader
-// threads serving queries.
+// The publication point between a backend's one publisher (a primary's
+// updater, which re-converges the network and builds fresh RouteSnapshots,
+// or a replica's sync thread) and any number of reader threads serving
+// queries.
 //
 // RCU/epoch style: a snapshot is immutable once built, so publication is a
 // single pointer swap and a read is a single pointer copy — readers never
@@ -42,12 +43,15 @@ inline std::size_t shard_size_of(std::size_t node_count,
          shard_count;
 }
 
-/// The k-shard publication point: one snapshot (`newest`) plus one version
-/// per shard of destinations (shard_of(j) = j / shard_size()). A shard's
+/// A backend's one publication point, kept for the backend's whole life:
+/// one snapshot (`newest`) plus one version per shard of destinations, in
+/// the layout the producer names on each publish (shard_size_of). A shard's
 /// version is the version of the publish that last *changed* one of its
 /// destinations, which is what a replica's fetch is answered by: a
 /// catch-up from `since` transfers only the shards whose version is above
-/// it.
+/// it. The served version is the one clock every backend's waits, acks
+/// and parked requests run on, and wait_for_version_beyond is the one
+/// in-process wait on it.
 ///
 /// publish() finds the moved shards itself, by block identity: a
 /// destination moved iff its block is not the same object as in the
@@ -59,17 +63,15 @@ inline std::size_t shard_size_of(std::size_t node_count,
 /// so every shard moves.
 ///
 /// Readers get `newest` and nothing else: every reply is answered from the
-/// snapshot whose version it carries.
+/// snapshot whose version it carries. The store is empty (version 0, no
+/// layout) until its first publish.
 class ShardedSnapshotStore {
  public:
-  /// Partitions `node_count` destinations into `shard_count` contiguous
-  /// shards. shard_count is clamped to [1, max(1, node_count)]; with one
-  /// shard every publish that changes anything stamps the one version.
-  ShardedSnapshotStore(std::size_t node_count, std::size_t shard_count);
-
-  std::size_t shard_count() const { return shard_count_; }
-  std::size_t shard_size() const { return shard_size_; }
-  std::size_t shard_of(NodeId j) const { return j / shard_size_; }
+  /// The layout of the last publish (0 before the first).
+  std::size_t shard_count() const FPSS_EXCLUDES(mutex_) {
+    util::MutexLock lock(mutex_);
+    return shard_versions_.size();
+  }
 
   /// The served snapshot, alive as long as the caller holds it.
   struct View {
@@ -86,22 +88,31 @@ class ShardedSnapshotStore {
     return newest_;
   }
 
-  /// Publishes `snapshot` as `newest` and stamps its version onto every
-  /// shard holding a destination whose block differs from the previous
-  /// newest's (every shard on the first publish). Returns the number of
-  /// shards stamped. Preconditions: snapshot non-null with this store's
-  /// node count, version non-decreasing, and one publisher per store.
-  std::size_t publish(std::shared_ptr<const RouteSnapshot> snapshot)
-      FPSS_EXCLUDES(mutex_);
+  /// Publishes `snapshot` as `newest` in the producer's layout of
+  /// `shard_count` shards, clamped to [1, max(1, n)], and wakes every
+  /// waiter. Stamps its version onto every shard holding a destination
+  /// whose block differs from the previous newest's. It re-bases instead,
+  /// stamping every shard, on the first publish and on a publish whose
+  /// layout or node count differs from the previous one or whose version
+  /// is lower (an upstream that restarted from an older image). Returns
+  /// the number of shards stamped. Preconditions: snapshot non-null, and
+  /// one publisher per store.
+  std::size_t publish(std::shared_ptr<const RouteSnapshot> snapshot,
+                      std::size_t shard_count) FPSS_EXCLUDES(mutex_);
 
-  /// The newest snapshot's version (0 before the first publish): the one
-  /// clock every backend's waits and acks run on.
+  /// The newest snapshot's version (0 before the first publish).
   std::uint64_t version() const {
     const auto snap = newest();
     return snap == nullptr ? 0 : snap->version();
   }
 
-  /// One replication cut: `newest` plus the per-shard versions (all 0
+  /// Blocks until the served version exceeds `count` or `timeout_ms`
+  /// elapses, and returns the served version either way.
+  std::uint64_t wait_for_version_beyond(std::uint64_t count,
+                                        int timeout_ms) const
+      FPSS_EXCLUDES(mutex_);
+
+  /// One replication cut: `newest` plus the per-shard versions (none
   /// before the first publish), read under a single lock so they describe
   /// the same instant.
   struct ExportCut {
@@ -111,11 +122,10 @@ class ShardedSnapshotStore {
   ExportCut export_cut() const FPSS_EXCLUDES(mutex_);
 
  private:
-  const std::size_t node_count_;
-  const std::size_t shard_count_;
-  const std::size_t shard_size_;
   mutable util::Mutex mutex_;
+  mutable util::CondVar published_cv_;  ///< mutex_; signaled per publish
   std::shared_ptr<const RouteSnapshot> newest_ FPSS_GUARDED_BY(mutex_);
+  /// One per shard of the last publish's layout.
   std::vector<std::uint64_t> shard_versions_ FPSS_GUARDED_BY(mutex_);
 };
 

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common.h"
@@ -403,6 +404,54 @@ TEST(ChainFailover, FailoverToSameVersionOtherContentConverges) {
   EXPECT_TRUE(
       test::serves_within(replica, second.snapshot()->checksum(), 5000))
       << "still serves the first upstream's content";
+  replica.stop();
+}
+
+// A replica keeps one store for its life. Failing over to an upstream
+// with another shard layout (2 -> 4) and a later version re-bases that
+// store in place, so a handle taken before the failover serves the new
+// upstream's cut in its layout, and a waiter blocked on the old version
+// wakes with the new one.
+TEST(ChainFailover, StoreHandleSurvivesAnUpstreamReshard) {
+  graph::Graph g = test::make_instance({"er", 24, 102, 8});
+  service::ServiceConfig service_config;
+  service_config.shards = 2;
+  RouteService first(g, service_config);
+  g.set_cost(0, Cost{g.cost(0).value() + 5});
+  service_config.shards = 4;
+  RouteService second(g, service_config);
+  second.submit(RouteService::Delta::republish());
+  ASSERT_EQ(second.drain(), 2u);
+  ASSERT_NE(first.snapshot()->content_checksum(),
+            second.snapshot()->content_checksum());
+
+  auto first_front = std::make_unique<net::RouteServer>(first);
+  ASSERT_TRUE(first_front->ok()) << first_front->error();
+  net::RouteServer second_front(second);
+  ASSERT_TRUE(second_front.ok()) << second_front.error();
+  ReplicaConfig config;
+  config.upstreams = {to_port(first_front->port()),
+                      to_port(second_front.port())};
+  for (net::ClientConfig& upstream : config.upstreams) {
+    upstream.connect_attempts = 1;
+    upstream.backoff_ms = 1;
+  }
+  config.resync_backoff_ms = 20;
+  ReplicaService replica(config);
+  ASSERT_TRUE(
+      test::serves_within(replica, first.snapshot()->checksum(), 10000));
+  const auto held = replica.store();
+  ASSERT_EQ(held->export_cut().shard_versions.size(), 2u);
+
+  std::uint64_t woke_at = 0;
+  std::thread waiter(
+      [&] { woke_at = replica.wait_for_publish_beyond(1, 5000); });
+  first_front.reset();
+  waiter.join();
+  EXPECT_EQ(woke_at, 2u);
+  EXPECT_EQ(held->newest()->checksum(), second.snapshot()->checksum())
+      << "the held store still serves the first upstream's cut";
+  EXPECT_EQ(held->export_cut().shard_versions.size(), 4u);
   replica.stop();
 }
 

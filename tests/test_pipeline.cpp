@@ -80,7 +80,8 @@ TEST(Export, PooledExportEqualsFullExport) {
     ASSERT_TRUE(session.run().converged);
     util::ThreadPool* pool = session.engine().ensure_pool(3);
 
-    ShardedSnapshotStore store(n, 4);
+    ShardedSnapshotStore store;
+    const std::size_t shard_size = service::shard_size_of(n, 4);
     std::uint64_t prev_epoch = session.engine().converged_epochs();
 
     // First publish: no base, every row extracted, every shard swapped.
@@ -90,7 +91,7 @@ TEST(Export, PooledExportEqualsFullExport) {
     ASSERT_TRUE(prev->self_check());
     EXPECT_FALSE(first.full_rebuild);
     EXPECT_EQ(first.rows_rebuilt, n);
-    EXPECT_EQ(store.publish(prev), store.shard_count());
+    EXPECT_EQ(store.publish(prev, 4), 4u);
 
     util::Rng rng(spec.seed * 6151);
     for (int round = 0; round < 4; ++round) {
@@ -109,7 +110,7 @@ TEST(Export, PooledExportEqualsFullExport) {
       ASSERT_TRUE(dirty.has_value());
 
       std::vector<bool> shard_dirty(store.shard_count(), false);
-      for (const NodeId j : *dirty) shard_dirty[store.shard_of(j)] = true;
+      for (const NodeId j : *dirty) shard_dirty[j / shard_size] = true;
       const std::size_t dirty_shards = static_cast<std::size_t>(
           std::count(shard_dirty.begin(), shard_dirty.end(), true));
 
@@ -117,7 +118,7 @@ TEST(Export, PooledExportEqualsFullExport) {
       const auto snap = RouteSnapshot::from_session(session, epoch, prev,
                                                     dirty, nullptr, pool,
                                                     &stats);
-      const std::size_t swapped = store.publish(snap);
+      const std::size_t swapped = store.publish(snap, 4);
       const auto full = RouteSnapshot::from_session(session, epoch);
 
       // Logically identical to a one-shot export.
@@ -150,13 +151,13 @@ TEST(Export, WarmStartAdoptionSwapsOnlyGenuinelyChangedShards) {
   Session after(g2, pricing::Protocol::kPriceVector);
   ASSERT_TRUE(after.run().converged);
 
-  ShardedSnapshotStore store(g.node_count(), 4);  // 3 destinations per shard
-  store.publish(warm);
+  ShardedSnapshotStore store;
+  store.publish(warm, 4);  // 3 destinations per shard
 
   const auto snap = RouteSnapshot::from_session(
       after, warm->version() + 1, warm, std::nullopt, nullptr,
       after.engine().ensure_pool(2));
-  const std::size_t swapped = store.publish(snap);
+  const std::size_t swapped = store.publish(snap, 4);
 
   // The second component's six sink trees are bit-identical across the
   // restart: their blocks are adopted from the warm image and the two
@@ -188,11 +189,11 @@ TEST(Export, IdenticalRestartAdoptsEverythingAndSwapsNothing) {
   Session after(two_cycles(), pricing::Protocol::kPriceVector);
   ASSERT_TRUE(after.run().converged);
 
-  ShardedSnapshotStore store(g.node_count(), 4);
-  store.publish(warm);
+  ShardedSnapshotStore store;
+  store.publish(warm, 4);
   const auto snap = RouteSnapshot::from_session(after, warm->version() + 1,
                                                 warm);
-  EXPECT_EQ(store.publish(snap), 0u);
+  EXPECT_EQ(store.publish(snap, 4), 0u);
   EXPECT_EQ(store.newest(), snap);
   EXPECT_EQ(store.export_cut().shard_versions,
             std::vector<std::uint64_t>(4, warm->version()));

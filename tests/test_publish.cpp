@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -171,17 +172,17 @@ TEST(ShardedStore, PublishSwapsOnlyDirtyShards) {
   const std::uint64_t epoch0 = session.engine().converged_epochs();
   const auto first = RouteSnapshot::from_session(session, epoch0);
 
-  ShardedSnapshotStore store(n, 4);
-  ASSERT_EQ(store.shard_count(), 4u);
-  EXPECT_EQ(store.shard_size(), 5u);
+  ShardedSnapshotStore store;
+  const std::size_t shard_size = service::shard_size_of(n, 4);
+  EXPECT_EQ(shard_size, 5u);
   EXPECT_TRUE(store.acquire().empty());
   EXPECT_EQ(store.version(), 0u);
 
-  EXPECT_EQ(store.export_cut().shard_versions,
-            std::vector<std::uint64_t>(4, 0));
+  EXPECT_TRUE(store.export_cut().shard_versions.empty());
 
   // The first publish stamps every shard.
-  EXPECT_EQ(store.publish(first), 4u);
+  EXPECT_EQ(store.publish(first, 4), 4u);
+  ASSERT_EQ(store.shard_count(), 4u);
   EXPECT_EQ(store.version(), epoch0);
   EXPECT_EQ(store.export_cut().shard_versions,
             std::vector<std::uint64_t>(4, epoch0));
@@ -200,12 +201,12 @@ TEST(ShardedStore, PublishSwapsOnlyDirtyShards) {
   const auto second = RouteSnapshot::from_session(
       session, epoch1, first, dirty, nullptr, nullptr, &stats);
   std::vector<bool> shard_dirty(store.shard_count(), false);
-  for (const NodeId j : *dirty) shard_dirty[store.shard_of(j)] = true;
+  for (const NodeId j : *dirty) shard_dirty[j / shard_size] = true;
   const std::size_t dirty_shards =
       static_cast<std::size_t>(
           std::count(shard_dirty.begin(), shard_dirty.end(), true));
 
-  EXPECT_EQ(store.publish(second), dirty_shards);
+  EXPECT_EQ(store.publish(second, 4), dirty_shards);
   EXPECT_EQ(store.version(), epoch1);
   EXPECT_EQ(store.acquire().newest, second);
   const auto versions = store.export_cut().shard_versions;
@@ -218,7 +219,7 @@ TEST(ShardedStore, PublishSwapsOnlyDirtyShards) {
       session, epoch1 + 1, second, std::vector<NodeId>{});
   for (NodeId j = 0; j < n; ++j)
     ASSERT_TRUE(republished->shares_block_with(*second, j)) << "j=" << j;
-  EXPECT_EQ(store.publish(republished), 0u);
+  EXPECT_EQ(store.publish(republished, 4), 0u);
   EXPECT_EQ(store.acquire().newest, republished);
   EXPECT_EQ(store.version(), epoch1 + 1);
   EXPECT_EQ(store.export_cut().shard_versions, versions);
@@ -228,27 +229,82 @@ TEST(ShardedStore, PublishSwapsOnlyDirtyShards) {
   // not content.
   const auto full = RouteSnapshot::from_session(session, epoch1 + 2);
   EXPECT_EQ(full->content_checksum(), republished->content_checksum());
-  EXPECT_EQ(store.publish(full), 4u);
+  EXPECT_EQ(store.publish(full, 4), 4u);
   EXPECT_EQ(store.export_cut().shard_versions,
             std::vector<std::uint64_t>(4, epoch1 + 2));
 }
 
-TEST(ShardedStoreDeathTest, PublishOfAnotherNodeCountFailsTheContract) {
+// The store is never replaced: a publish that changes the layout or the
+// node count, or goes back in version, re-bases it in place.
+TEST(ShardedStore, RebasesOnLayoutNodeCountOrLowerVersion) {
+  Session session(test::make_instance({"er", 12, 556, 8}),
+                  pricing::Protocol::kPriceVector);
+  ASSERT_TRUE(session.run().converged);
+  // Exports of one converged state that share every block with `base`.
+  const auto base = RouteSnapshot::from_session(session, 5);
+  const auto at = [&](std::uint64_t version) {
+    return RouteSnapshot::from_session(session, version, base,
+                                       std::vector<NodeId>{});
+  };
+  const auto stamped_all = [](const ShardedSnapshotStore& s,
+                              std::uint64_t version) {
+    return s.export_cut().shard_versions ==
+           std::vector<std::uint64_t>(s.shard_count(), version);
+  };
+
+  ShardedSnapshotStore store;
+  EXPECT_EQ(store.publish(base, 3), 3u);   // the first publish
+  EXPECT_EQ(store.publish(at(6), 3), 0u);  // same layout, shared blocks
+  EXPECT_TRUE(stamped_all(store, 5));
+  EXPECT_EQ(store.publish(at(7), 4), 4u);  // another layout
+  EXPECT_TRUE(stamped_all(store, 7));
+  EXPECT_EQ(store.publish(at(2), 4), 4u);  // a lower version
+  EXPECT_TRUE(stamped_all(store, 2));
+  EXPECT_EQ(store.version(), 2u);
+
+  const auto f = graphgen::fig1();  // 6 nodes
+  Session small(f.g, pricing::Protocol::kPriceVector);
+  ASSERT_TRUE(small.run().converged);
+  const auto other = RouteSnapshot::from_session(small, 3);
+  EXPECT_EQ(store.publish(other, 4), 4u);  // another node count
+  EXPECT_TRUE(stamped_all(store, 3));
+
+  // Layouts clamp to [1, n], so a layout beyond n compares as n.
+  const auto other_again =
+      RouteSnapshot::from_session(small, 4, other, std::vector<NodeId>{});
+  EXPECT_EQ(store.publish(other_again, 0), 1u);
+  EXPECT_EQ(store.shard_count(), 1u);
+  EXPECT_EQ(store.publish(at(8), 999), 12u);
+  EXPECT_EQ(store.shard_count(), 12u);
+  EXPECT_EQ(store.publish(at(9), 999), 0u);
+  EXPECT_TRUE(stamped_all(store, 8));
+}
+
+TEST(ShardedStore, WaitBlocksUntilAPublishPassesTheCount) {
   const auto f = graphgen::fig1();
   Session session(f.g, pricing::Protocol::kPriceVector);
   ASSERT_TRUE(session.run().converged);
-  const auto snap = RouteSnapshot::from_session(
-      session, session.engine().converged_epochs());
-  ShardedSnapshotStore store(f.g.node_count() + 1, 2);
-  EXPECT_DEATH(store.publish(snap), "precondition");
-}
+  const auto v1 = RouteSnapshot::from_session(session, 1);
+  const auto v2 = RouteSnapshot::from_session(session, 2);
+  ShardedSnapshotStore store;
 
-TEST(ShardedStore, ShardCountIsClamped) {
-  const ShardedSnapshotStore tiny(4, 999);
-  EXPECT_LE(tiny.shard_count(), 4u);
-  const ShardedSnapshotStore zero(7, 0);
-  EXPECT_EQ(zero.shard_count(), 1u);
-  EXPECT_EQ(zero.shard_of(6), 0u);
+  // An empty store serves version 0 and times out.
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(store.wait_for_version_beyond(0, 30), 0u);
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(30));
+
+  // Version 1 does not pass 1; the waiter sleeps through it and wakes at 2.
+  std::thread publisher([&] {
+    store.publish(v1, 1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    store.publish(v2, 1);
+  });
+  EXPECT_EQ(store.wait_for_version_beyond(1, 10000), 2u);
+  publisher.join();
+
+  // At timeout the served version comes back.
+  EXPECT_EQ(store.wait_for_version_beyond(2, 20), 2u);
 }
 
 // --- RouteService acceptance ----------------------------------------------
@@ -270,7 +326,7 @@ TEST(RouteServicePublish, SingleDeltaRebuildsOnlyDirtySinkTrees) {
   ServiceConfig config;
   config.shards = 4;  // destinations 0-2, 3-5, 6-8, 9-11
   RouteService svc(two_cycles(), config);
-  ASSERT_EQ(svc.shard_count(), 4u);
+  ASSERT_EQ(svc.store().shard_count(), 4u);
 
   // The unavoidable first build: everything rebuilt, every shard swapped.
   const auto c0 = svc.counters();
@@ -382,8 +438,8 @@ TEST(ShardedStore, ConcurrentReadersNeverSeeTornViews) {
   std::shared_ptr<const RouteSnapshot> prev =
       RouteSnapshot::from_session(session, prev_epoch);
 
-  ShardedSnapshotStore store(n, 6);
-  store.publish(prev);
+  ShardedSnapshotStore store;
+  store.publish(prev, 6);
 
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> views_checked{0};
@@ -424,7 +480,7 @@ TEST(ShardedStore, ConcurrentReadersNeverSeeTornViews) {
     ASSERT_TRUE(dirty.has_value());
     const auto next =
         RouteSnapshot::from_session(session, epoch, prev, dirty);
-    store.publish(next);
+    store.publish(next, 6);
     prev = next;
     prev_epoch = epoch;
   }

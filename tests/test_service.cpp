@@ -207,22 +207,21 @@ TEST(SnapshotStore, PublishesAtomicallyAndKeepsOldEpochsAlive) {
   ASSERT_TRUE(session.run().converged);
 
   // One shard: every publish is a whole-store pointer swap.
-  ShardedSnapshotStore store(f.g.node_count(), 1);
-  EXPECT_EQ(store.export_cut().shard_versions,
-            std::vector<std::uint64_t>{0});
+  ShardedSnapshotStore store;
+  EXPECT_TRUE(store.export_cut().shard_versions.empty());
   EXPECT_EQ(store.newest(), nullptr);
   EXPECT_EQ(store.version(), 0u);
 
   const auto v1 = RouteSnapshot::from_session(
       session, session.engine().converged_epochs());
-  EXPECT_EQ(store.publish(v1), 1u);
+  EXPECT_EQ(store.publish(v1, 1), 1u);
   EXPECT_EQ(store.version(), 1u);
 
   const auto held = store.newest();  // a reader holding epoch 1
   session.change_cost(f.d, Cost{7}, pricing::RestartPolicy::kRestartBarrier);
   const auto v2 = RouteSnapshot::from_session(
       session, session.engine().converged_epochs());
-  EXPECT_EQ(store.publish(v2), 1u);
+  EXPECT_EQ(store.publish(v2, 1), 1u);
   const auto view = store.acquire();
   EXPECT_EQ(view.newest, v2);
   EXPECT_EQ(store.export_cut().shard_versions,
