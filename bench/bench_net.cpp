@@ -6,13 +6,20 @@
 //                              client's hot path, path vectors included);
 //   * BM_WireFrameOverhead   — header encode + validate round trip;
 //   * BM_LoopbackQueryBatch  — full socket round trip against a live
-//                              RouteServer on loopback, batch of 256 — the
-//                              number to hold against BM_QueryBatch in
-//                              bench_service (the delta is the wire).
+//                              RouteServer on loopback, batches of 16
+//                              (perfbench's) and 256 — the number to hold
+//                              against BM_QueryBatch in bench_service (the
+//                              delta is the wire);
 //   * BM_LoopbackPipelined   — same bytes with 4 batches in flight,
 //                              measuring what pipelining buys back.
+//
+// The loopback rows are timed by the wall clock (UseRealTime): a read that
+// spins (net/socket_io.h) burns the calling thread's CPU while the round
+// trip gets shorter, so CPU time, and items_per_second derived from it,
+// would report the opposite of what a client sees.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "bench_common.h"
@@ -83,7 +90,8 @@ void BM_LoopbackQueryBatch(benchmark::State& state) {
     state.SkipWithError("loopback setup failed");
     return;
   }
-  const auto batch = make_batch(svc.node_count(), 256);
+  const auto batch_size = static_cast<std::size_t>(state.range(0));
+  const auto batch = make_batch(svc.node_count(), batch_size);
   for (auto _ : state) {
     auto result = client.query(batch);
     if (!result.ok()) {
@@ -92,9 +100,14 @@ void BM_LoopbackQueryBatch(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(result);
   }
-  state.SetItemsProcessed(state.iterations() * 256);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch_size));
 }
-BENCHMARK(BM_LoopbackQueryBatch)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_LoopbackQueryBatch)
+    ->Arg(16)
+    ->Arg(256)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_LoopbackPipelined(benchmark::State& state) {
   service::RouteService svc(bench::internet_like(128, 14004));
@@ -106,7 +119,8 @@ void BM_LoopbackPipelined(benchmark::State& state) {
     state.SkipWithError("loopback setup failed");
     return;
   }
-  const auto batch = make_batch(svc.node_count(), 256);
+  const auto batch_size = static_cast<std::size_t>(state.range(0));
+  const auto batch = make_batch(svc.node_count(), batch_size);
   constexpr int kInFlight = 4;
   for (auto _ : state) {
     for (int b = 0; b < kInFlight; ++b)
@@ -123,9 +137,14 @@ void BM_LoopbackPipelined(benchmark::State& state) {
       benchmark::DoNotOptimize(result);
     }
   }
-  state.SetItemsProcessed(state.iterations() * 256 * kInFlight);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch_size) * kInFlight);
 }
-BENCHMARK(BM_LoopbackPipelined)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_LoopbackPipelined)
+    ->Arg(16)
+    ->Arg(256)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

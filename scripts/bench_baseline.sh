@@ -17,6 +17,9 @@
 #   BENCH_chain.json    — bench_chain (chained mesh: publish propagation to
 #                         the leaf and leaf-submitted forwarded writes at
 #                         depth 1-4)
+#   BENCH_net.json      — bench_net (transport: wire codec costs, loopback
+#                         round trips by the wall clock, single and
+#                         pipelined)
 #
 # Each output is the merged JSON of its binaries. Its "context" carries
 # Google Benchmark's host fields plus this repository's own: build_type
@@ -24,7 +27,7 @@
 # nproc and git_commit. (Google Benchmark's library_build_type describes
 # the benchmark library, not this code.) Usage:
 #
-#   scripts/bench_baseline.sh [scaling.json] [service.json] [publish.json] [replica.json] [chain.json]
+#   scripts/bench_baseline.sh [scaling.json] [service.json] [publish.json] [replica.json] [chain.json] [net.json]
 #
 # Environment:
 #   BUILD_DIR       build tree holding the bench binaries (default: build)
@@ -38,6 +41,7 @@ SERVICE_OUT=${2:-BENCH_service.json}
 PUBLISH_OUT=${3:-BENCH_publish.json}
 REPLICA_OUT=${4:-BENCH_replica.json}
 CHAIN_OUT=${5:-BENCH_chain.json}
+NET_OUT=${6:-BENCH_net.json}
 FILTER=${BENCH_FILTER:-.}
 
 # Refuse to record baselines from anything but a plain Release build tree:
@@ -70,7 +74,7 @@ export FPSS_CXX_COMPILER_ID=$(compiler_field CMAKE_CXX_COMPILER_ID)
 export FPSS_CXX_COMPILER_VERSION=$(compiler_field CMAKE_CXX_COMPILER_VERSION)
 export FPSS_NPROC=$(nproc)
 
-for bin in bench_scaling bench_parallel bench_service bench_publish bench_replica bench_chain; do
+for bin in bench_scaling bench_parallel bench_service bench_publish bench_replica bench_chain bench_net; do
   if [[ ! -x "$BUILD_DIR/bench/$bin" ]]; then
     echo "error: $BUILD_DIR/bench/$bin not built (cmake --build $BUILD_DIR)" >&2
     exit 1
@@ -80,7 +84,7 @@ done
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
-for bin in bench_scaling bench_parallel bench_service bench_publish bench_replica bench_chain; do
+for bin in bench_scaling bench_parallel bench_service bench_publish bench_replica bench_chain bench_net; do
   echo "== $bin" >&2
   "$BUILD_DIR/bench/$bin" \
     --benchmark_filter="$FILTER" \
@@ -130,3 +134,4 @@ merge "$SERVICE_OUT" bench_service
 merge "$PUBLISH_OUT" bench_publish
 merge "$REPLICA_OUT" bench_replica
 merge "$CHAIN_OUT" bench_chain
+merge "$NET_OUT" bench_net

@@ -61,6 +61,7 @@ void RouteClient::close() {
     fd_ = -1;
   }
   outstanding_ = 0;
+  spin_ = false;
 }
 
 ClientError RouteClient::dial_once() {
@@ -152,7 +153,8 @@ ClientError RouteClient::receive_frame(FrameType expected,
   if (!connected())
     return make_error(ClientStatus::kNotConnected, "receive before connect()");
   char header_bytes[kFrameHeaderBytes];
-  switch (read_exact(fd_, header_bytes, kFrameHeaderBytes, kIoTimeoutMs)) {
+  switch (read_exact(fd_, header_bytes, kFrameHeaderBytes, kIoTimeoutMs,
+                     &spin_)) {
     case IoResult::kOk:
       break;
     case IoResult::kTimeout:

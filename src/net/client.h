@@ -196,6 +196,9 @@ class RouteClient {
   std::uint32_t server_max_batch_ = 0;
   std::uint32_t hop_count_ = 0;
   std::size_t outstanding_ = 0;
+  /// The connection's wait history for read_exact: whether its last reply
+  /// began arriving within kSpinWindow. False on a fresh connection.
+  bool spin_ = false;
 };
 
 }  // namespace fpss::net

@@ -194,7 +194,8 @@ void RouteServer::serve_connection(int fd) {
     tally = &peer_tally(peer);
   }
   tally->add(&PeerCounters::connections);
-  while (serve_frame(fd, *tally)) {
+  bool spin = false;  // the connection's wait history (net/socket_io.h)
+  while (serve_frame(fd, *tally, spin)) {
   }
   ::close(fd);
 }
@@ -209,10 +210,10 @@ bool RouteServer::send_error(int fd, PeerTally& peer, WireStatus code,
   return false;  // protocol errors always close the connection
 }
 
-bool RouteServer::serve_frame(int fd, PeerTally& peer) {
+bool RouteServer::serve_frame(int fd, PeerTally& peer, bool& spin) {
   // 1. Header: fixed 20 bytes, validated before the payload is allocated.
   char header_bytes[kFrameHeaderBytes];
-  switch (read_exact(fd, header_bytes, kFrameHeaderBytes, kIoTimeoutMs,
+  switch (read_exact(fd, header_bytes, kFrameHeaderBytes, kIoTimeoutMs, &spin,
                      &stopping_)) {
     case IoResult::kOk:
       break;
@@ -233,7 +234,7 @@ bool RouteServer::serve_frame(int fd, PeerTally& peer) {
   std::string payload(head.header.payload_bytes, '\0');
   if (head.header.payload_bytes > 0) {
     switch (read_exact(fd, payload.data(), payload.size(), kIoTimeoutMs,
-                       &stopping_)) {
+                       nullptr, &stopping_)) {
       case IoResult::kOk:
         break;
       case IoResult::kTimeout:

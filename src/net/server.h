@@ -14,7 +14,9 @@
 //   * oversized batches and undecodable payloads get a typed kError frame
 //     and the connection is closed;
 //   * per-connection reads time out (poll with a deadline), so a stalled
-//     peer cannot pin a worker forever;
+//     peer cannot pin a worker forever; a connection whose requests follow
+//     its replies within net/socket_io.h's spin window is read by spinning
+//     briefly instead of sleeping in poll;
 //   * stop() is graceful: the listener closes first, workers finish the
 //     frame they are serving (in-flight batches drain), then join.
 //
@@ -100,8 +102,9 @@ class RouteServer {
   void serve_connection(int fd);
   /// One request/reply exchange; returns false when the connection should
   /// close (EOF, timeout, protocol error, shutdown). `peer` is the tally
-  /// the connection accounts under.
-  bool serve_frame(int fd, PeerTally& peer);
+  /// the connection accounts under, and `spin` its wait history for
+  /// read_exact.
+  bool serve_frame(int fd, PeerTally& peer, bool& spin);
   /// Holds a parked request until the backend's served version exceeds
   /// `await.since`, min(wait_ms, kMaxParkMs) passes, or the server stops.
   void park(const Await& await) const;

@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 
 #include <cerrno>
+#include <thread>
 
 namespace fpss::net {
 
@@ -16,29 +17,36 @@ int next_slice_ms(Clock::time_point deadline) {
 }
 
 IoResult read_exact(int fd, char* buffer, std::size_t want, int timeout_ms,
-                    const std::atomic<bool>* stopping) {
+                    bool* spin, const std::atomic<bool>* stopping) {
   std::size_t got = 0;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
+  const auto start = Clock::now();
+  const auto deadline = start + std::chrono::milliseconds(timeout_ms);
+  const auto spin_until = spin != nullptr && *spin ? start + kSpinWindow : start;
   while (got < want) {
     if (got == 0 && stopping != nullptr &&
         stopping->load(std::memory_order_relaxed))
       return IoResult::kStopped;
+    const ssize_t n = ::recv(fd, buffer + got, want - got, MSG_DONTWAIT);
+    if (n > 0) {
+      if (got == 0 && spin != nullptr)
+        *spin = spins_after(Clock::now() - start);
+      got += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n == 0) return got == 0 ? IoResult::kClosed : IoResult::kError;
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return IoResult::kError;
+    if (Clock::now() < spin_until) {
+      // Nothing queued yet: retry, but let any runnable thread have this
+      // processor first, so the spin never holds up other work.
+      std::this_thread::yield();
+      continue;
+    }
     pollfd pfd{fd, POLLIN, 0};
     const int slice = next_slice_ms(deadline);
     if (slice == 0) return IoResult::kTimeout;
-    const int ready = ::poll(&pfd, 1, slice);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return IoResult::kError;
-    }
-    if (ready == 0) continue;  // slice elapsed; re-check flags
-    const ssize_t n = ::recv(fd, buffer + got, want - got, 0);
-    if (n == 0) return got == 0 ? IoResult::kClosed : IoResult::kError;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return IoResult::kError;
-    }
-    got += static_cast<std::size_t>(n);
+    // A slice that elapses loops back to re-check the stop flag.
+    if (::poll(&pfd, 1, slice) < 0 && errno != EINTR) return IoResult::kError;
   }
   return IoResult::kOk;
 }
@@ -47,22 +55,19 @@ bool write_all(int fd, std::string_view bytes, int timeout_ms) {
   std::size_t sent = 0;
   const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
   while (sent < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n >= 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
+    // The socket buffer is full: wait for room or the deadline.
     pollfd pfd{fd, POLLOUT, 0};
     const int slice = next_slice_ms(deadline);
     if (slice == 0) return false;
-    const int ready = ::poll(&pfd, 1, slice);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (ready == 0) continue;
-    const ssize_t n =
-        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
+    if (::poll(&pfd, 1, slice) < 0 && errno != EINTR) return false;
   }
   return true;
 }

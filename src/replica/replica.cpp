@@ -89,33 +89,36 @@ void ReplicaService::note_upstream_failure(std::size_t index) {
 void ReplicaService::sync_loop() {
   bool ever_synced = false;
   while (!stop_.load(std::memory_order_relaxed)) {
-    // Dial whichever upstream the shared cursor points at; every failure
-    // below advances it (round-robin over the fallback list) and backs
-    // off, so a dead primary degrades this tier to its last cut while the
-    // loop hunts for a live upstream.
+    // Dial whichever upstream the shared cursor points at; a failed dial
+    // or a lost connection advances it (round-robin over the fallback
+    // list) and backs off, so a dead primary degrades this tier to its
+    // last cut while the loop hunts for a live upstream. A rejected stream
+    // came from a live upstream: the loop backs off and re-dials the same
+    // one, whose next fetch is a bootstrap.
     const std::size_t target = current_upstream_index();
     net::RouteClient upstream(upstreams_[target]);
+    SyncOutcome outcome = SyncOutcome::kLost;
     if (upstream.connect().ok()) {
       hop_.store(upstream.server_hop_count() + 1, std::memory_order_relaxed);
-      bool first = true;
-      while (!stop_.load(std::memory_order_relaxed) &&
-             sync_once(upstream, first)) {
-        first = false;
+      for (bool first = true; !stop_.load(std::memory_order_relaxed);
+           first = false) {
+        outcome = sync_once(upstream, first);
+        if (outcome != SyncOutcome::kSynced) break;
         ever_synced = true;
       }
       if (stop_.load(std::memory_order_relaxed)) return;
-      if (ever_synced) {
-        sync_counters_.add(&net::ReplicaCounters::resyncs);
+      if (ever_synced) sync_counters_.add(&net::ReplicaCounters::resyncs);
+      if (ever_synced && outcome == SyncOutcome::kLost)
         sync_counters_.add(&net::ReplicaCounters::upstream_disconnects);
-      }
     }
-    note_upstream_failure(target);
+    if (outcome == SyncOutcome::kLost) note_upstream_failure(target);
     std::this_thread::sleep_for(
         std::chrono::milliseconds(config_.resync_backoff_ms));
   }
 }
 
-bool ReplicaService::sync_once(net::RouteClient& upstream, bool first) {
+ReplicaService::SyncOutcome ReplicaService::sync_once(
+    net::RouteClient& upstream, bool first) {
   std::shared_ptr<const RouteSnapshot> base = snapshot();
   // The replica's clock is the version it serves (a warm image's included),
   // and as the fetch's `since` it is all the upstream needs to pick the
@@ -134,8 +137,8 @@ bool ReplicaService::sync_once(net::RouteClient& upstream, bool first) {
       });
   sync_counters_.add(&net::ReplicaCounters::chunks_fetched, fetched.chunks);
   sync_counters_.add(&net::ReplicaCounters::bytes_fetched, fetched.bytes);
-  if (!fetched.ok() && !fetched.streamed) return false;  // no notify
-  if (!fetched.streamed) return true;  // the park ran out; ask again
+  if (!fetched.ok() && !fetched.streamed) return SyncOutcome::kLost;
+  if (!fetched.streamed) return SyncOutcome::kSynced;  // the park ran out
 
   // The publishes this notify skipped past the served version: a replica
   // slower than the publish rate syncs to the newest state, never through
@@ -144,7 +147,7 @@ bool ReplicaService::sync_once(net::RouteClient& upstream, bool first) {
   sync_counters_.add(&net::ReplicaCounters::notifies_received);
   sync_counters_.add(&net::ReplicaCounters::notifies_coalesced,
                      version > served + 1 ? version - served - 1 : 0);
-  if (!fetched.ok() && assembler.error().empty()) return false;
+  if (!fetched.ok() && assembler.error().empty()) return SyncOutcome::kLost;
 
   ReplicationCodec::Assembler::Result result = assembler.finish();
   // A torn, rejected or inconsistent stream publishes nothing, and the
@@ -152,7 +155,7 @@ bool ReplicaService::sync_once(net::RouteClient& upstream, bool first) {
   // content at our version is not ours (another lineage, or a layout
   // change).
   bootstrap_ = !result.ok();
-  if (!result.ok()) return false;
+  if (!result.ok()) return SyncOutcome::kRejected;
 
   sync_counters_.add(&net::ReplicaCounters::shards_fetched,
                      result.shards_sent.size());
@@ -167,7 +170,7 @@ bool ReplicaService::sync_once(net::RouteClient& upstream, bool first) {
                      util::age_from(result.snapshot->published_at_ns(),
                                     util::wall_clock_ns()));
   install(result);
-  return true;
+  return SyncOutcome::kSynced;
 }
 
 void ReplicaService::install(

@@ -28,7 +28,9 @@
 //     upstream serving our version with other content fails the final
 //     chunk's checksum at once.
 //   * A stream the assembler rejects makes the next fetch a bootstrap
-//     (`since` = 0), which streams every shard.
+//     (`since` = 0), which streams every shard. The upstream that sent it
+//     is alive, so the replica re-dials that one for the bootstrap: the
+//     shared cursor stays, and no upstream disconnect is counted.
 // The reassembled snapshot (service::ReplicationCodec::Assembler
 // — checksum verified, torn chunks rejected wholesale, fed chunk by chunk
 // as they arrive) lands in the replica's own ShardedSnapshotStore in one
@@ -66,11 +68,12 @@
 // write can chase a dead upstream before kUnavailable.
 //
 // Failover: the sync loop and the forwarder share one upstream cursor over
-// the configured fallback list. Whichever side observes a failure advances
-// the cursor (round-robin, only if it still points at the failed entry, so
-// two observers of one death advance once); the other side follows on its
-// next (re)connect. While no upstream is reachable the replica keeps
-// serving its last consistent cut — degraded, never torn.
+// the configured fallback list. Whichever side observes a failure (a failed
+// dial or a lost connection; a rejected stream is not one) advances the
+// cursor (round-robin, only if it still points at the failed entry, so two
+// observers of one death advance once); the other side follows on its next
+// (re)connect. While no upstream is reachable the replica keeps serving its
+// last consistent cut — degraded, never torn.
 #pragma once
 
 #include <atomic>
@@ -183,13 +186,18 @@ class ReplicaService final : public service::Backend {
   }
 
  private:
+  /// How one fetch ended. Anything but kSynced ends the connection and
+  /// resyncs; nothing partial is ever published.
+  enum class SyncOutcome {
+    kSynced,    ///< installed, or the park ran out; fetch again
+    kLost,      ///< the connection failed: fail over to the next upstream
+    kRejected,  ///< the assembler refused the stream: re-dial, bootstrap
+  };
   /// One fetch on `upstream`: a connection's `first` answers at once,
   /// later ones park until the upstream publishes past the served
   /// version. A streamed reply is reassembled (full or dirty-only) and
-  /// installed. Returns false when the connection failed or the stream was
-  /// rejected (triggers a resync; nothing partial is ever published, and a
-  /// rejection makes the next fetch a bootstrap).
-  bool sync_once(net::RouteClient& upstream, bool first);
+  /// installed; a rejected one makes the next fetch a bootstrap.
+  SyncOutcome sync_once(net::RouteClient& upstream, bool first);
   void sync_loop();
   /// Publishes an assembled snapshot into the store in the stream's layout
   /// (the store re-bases itself on a bootstrap, layout change or version

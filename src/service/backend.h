@@ -137,7 +137,9 @@ struct ReplicaCounters {
   /// Publishes a streamed fetch reply skipped past the last count this
   /// replica saw — bursts the parked fetch collapsed instead of queueing.
   std::uint64_t notifies_coalesced = 0;
-  std::uint64_t resyncs = 0;        ///< upstream reconnects after a loss
+  /// Upstream re-dials after a synced connection ended: lost, or its
+  /// stream rejected (the re-dial then bootstraps from the same upstream).
+  std::uint64_t resyncs = 0;
   /// Gauge: at the last sync, now - the adopted snapshot's publish stamp,
   /// taken just before the install makes the snapshot visible downstream.
   /// The stamp is the *primary's* publish time, so on a chain each tier's

@@ -411,7 +411,10 @@ TEST(ChainFailover, FailoverToSameVersionOtherContentConverges) {
 // with another shard layout (2 -> 4) and a later version re-bases that
 // store in place, so a handle taken before the failover serves the new
 // upstream's cut in its layout, and a waiter blocked on the old version
-// wakes with the new one.
+// wakes with the new one. One upstream died, so one disconnect is counted:
+// the new upstream's first fetch is a catch-up from the old upstream's cut,
+// whose stream the assembler rejects, and that re-dials the same upstream
+// for a bootstrap instead of failing over again.
 TEST(ChainFailover, StoreHandleSurvivesAnUpstreamReshard) {
   graph::Graph g = test::make_instance({"er", 24, 102, 8});
   service::ServiceConfig service_config;
@@ -453,6 +456,10 @@ TEST(ChainFailover, StoreHandleSurvivesAnUpstreamReshard) {
       << "the held store still serves the first upstream's cut";
   EXPECT_EQ(held->export_cut().shard_versions.size(), 4u);
   replica.stop();
+  const auto counters = replica.replication_counters();
+  EXPECT_EQ(counters.upstream_disconnects, 1u);
+  EXPECT_EQ(counters.resyncs, 2u);
+  EXPECT_EQ(counters.full_syncs, 2u);
 }
 
 // The server drops a connection that sends nothing for kIoTimeoutMs, and

@@ -1,8 +1,10 @@
 // The remote front end: fpss-wire codec fidelity (round-trips, truncation
-// and corruption rejection, pre-allocation bounds), client/server loopback
-// equivalence with the in-process query path, warm starts, and delta
-// coalescing — the suite the CI ASan job leans on for the "malformed
-// frames are rejected without allocation or crash" acceptance bar.
+// and corruption rejection, pre-allocation bounds), the socket I/O under
+// both ends (every IoResult, the spin read policy, a write larger than the
+// socket buffer), client/server loopback equivalence with the in-process
+// query path, warm starts, and delta coalescing — the suite the CI ASan
+// job leans on for the "malformed frames are rejected without allocation
+// or crash" acceptance bar.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -13,10 +15,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -25,6 +29,7 @@
 #include "mechanism/vcg.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "net/socket_io.h"
 #include "net/wire.h"
 #include "service/checkpoint.h"
 #include "service/protocol.h"
@@ -1124,6 +1129,172 @@ TEST(Wire, HandMinimizedMalformedHeadersAreRejected) {
     EXPECT_FALSE(
         payload_checksum_ok(r.header, frame.substr(kFrameHeaderBytes)));
   }
+}
+
+// --- socket_io: every IoResult, both sides of the spin window ---------------
+
+/// A connected AF_UNIX stream pair: end 0 reads, end 1 plays the peer.
+class SocketPair {
+ public:
+  SocketPair() { ::socketpair(AF_UNIX, SOCK_STREAM, 0, fd_); }
+  ~SocketPair() {
+    close(0);
+    close(1);
+  }
+  SocketPair(const SocketPair&) = delete;
+  SocketPair& operator=(const SocketPair&) = delete;
+
+  int reader() const { return fd_[0]; }
+  int peer() const { return fd_[1]; }
+  bool send(std::string_view bytes) const {
+    return ::send(fd_[1], bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+  void close(int end) {
+    if (fd_[end] >= 0) ::close(fd_[end]);
+    fd_[end] = -1;
+  }
+
+ private:
+  int fd_[2] = {-1, -1};
+};
+
+/// Runs `peer_action` on a thread `delay` from now, past the spin window.
+std::thread after(std::chrono::milliseconds delay,
+                  std::function<void()> peer_action) {
+  return std::thread([delay, action = std::move(peer_action)] {
+    std::this_thread::sleep_for(delay);
+    action();
+  });
+}
+
+constexpr auto kPastTheWindow = std::chrono::milliseconds(5);
+
+TEST(SocketIo, QueuedBytesReadAtOnceAndStartTheSpin) {
+  SocketPair pair;
+  ASSERT_TRUE(pair.send("abcdef"));
+  char buffer[6];
+  bool spin = false;
+  EXPECT_EQ(net::read_exact(pair.reader(), buffer, sizeof(buffer), 1000, &spin),
+            net::IoResult::kOk);
+  EXPECT_EQ(std::string_view(buffer, sizeof(buffer)), "abcdef");
+  EXPECT_TRUE(spin) << "a first byte that was already queued came in time";
+}
+
+TEST(SocketIo, EofIsClosedAtByteZeroAndAnErrorMidBuffer) {
+  for (const bool spin_on_entry : {true, false}) {
+    for (const std::string_view sent : {std::string_view(), std::string_view("abc")}) {
+      const net::IoResult want =
+          sent.empty() ? net::IoResult::kClosed : net::IoResult::kError;
+      char buffer[8];
+      {  // Inside the window: the EOF is queued before the read starts.
+        SocketPair pair;
+        ASSERT_TRUE(pair.send(sent));
+        pair.close(1);
+        bool spin = spin_on_entry;
+        EXPECT_EQ(net::read_exact(pair.reader(), buffer, sizeof(buffer), 2000,
+                                  &spin),
+                  want)
+            << "queued, " << sent.size() << " bytes, spin " << spin_on_entry;
+      }
+      {  // After it: the bytes and the EOF come once the read polls.
+        SocketPair pair;
+        std::thread peer = after(kPastTheWindow, [&pair, sent] {
+          pair.send(sent);
+          pair.close(1);
+        });
+        bool spin = spin_on_entry;
+        EXPECT_EQ(net::read_exact(pair.reader(), buffer, sizeof(buffer), 2000,
+                                  &spin),
+                  want)
+            << "late, " << sent.size() << " bytes, spin " << spin_on_entry;
+        peer.join();
+      }
+    }
+  }
+}
+
+TEST(SocketIo, StopFlagEndsOnlyAnIdleReadAndTheDeadlineAnyRead) {
+  SocketPair pair;
+  char buffer[4];
+  bool spin = true;
+  std::atomic<bool> stopping{true};
+  EXPECT_EQ(net::read_exact(pair.reader(), buffer, sizeof(buffer), 2000, &spin,
+                            &stopping),
+            net::IoResult::kStopped);
+
+  // Set while the read waits: noticed within one 100 ms poll slice.
+  stopping = false;
+  std::thread stopper = after(std::chrono::milliseconds(20),
+                              [&stopping] { stopping = true; });
+  auto start = net::Clock::now();
+  EXPECT_EQ(net::read_exact(pair.reader(), buffer, sizeof(buffer), 5000, &spin,
+                            &stopping),
+            net::IoResult::kStopped);
+  stopper.join();
+  EXPECT_LT(net::Clock::now() - start, std::chrono::milliseconds(1000));
+
+  // Nothing arrives: the deadline ends the read (next_slice_ms counts
+  // whole milliseconds, so within one of it).
+  start = net::Clock::now();
+  EXPECT_EQ(net::read_exact(pair.reader(), buffer, sizeof(buffer), 30, &spin),
+            net::IoResult::kTimeout);
+  EXPECT_GE(net::Clock::now() - start, std::chrono::milliseconds(29));
+
+  // Once a frame has started arriving the stop flag no longer ends the
+  // read; only the deadline does.
+  stopping = false;
+  ASSERT_TRUE(pair.send("ab"));
+  stopper = after(std::chrono::milliseconds(20),
+                  [&stopping] { stopping = true; });
+  EXPECT_EQ(net::read_exact(pair.reader(), buffer, sizeof(buffer), 200, &spin,
+                            &stopping),
+            net::IoResult::kTimeout);
+  stopper.join();
+}
+
+TEST(SocketIo, WriteDeliversMoreThanTheSocketBuffer) {
+  SocketPair pair;
+  const int small = 4096;
+  ASSERT_EQ(::setsockopt(pair.peer(), SOL_SOCKET, SO_SNDBUF, &small,
+                         sizeof(small)),
+            0);
+  std::string bytes(1 << 20, '\0');
+  for (std::size_t b = 0; b < bytes.size(); ++b)
+    bytes[b] = static_cast<char>(b * 131 + b / 4099);
+  std::string got(bytes.size(), '\0');
+  net::IoResult read = net::IoResult::kError;
+  std::thread reader([&] {
+    read = net::read_exact(pair.reader(), got.data(), got.size(), 5000);
+  });
+  EXPECT_TRUE(net::write_all(pair.peer(), bytes, 5000));
+  reader.join();
+  EXPECT_EQ(read, net::IoResult::kOk);
+  EXPECT_TRUE(got == bytes);
+
+  // A peer that never reads: the write gives up at its deadline.
+  EXPECT_FALSE(net::write_all(pair.peer(), bytes, 30));
+}
+
+TEST(SocketIo, AConnectionWhoseLastWaitPassedTheWindowStopsSpinning) {
+  EXPECT_TRUE(net::spins_after(net::Clock::duration::zero()));
+  EXPECT_TRUE(net::spins_after(net::kSpinWindow));
+  EXPECT_FALSE(net::spins_after(net::kSpinWindow + std::chrono::nanoseconds(1)));
+  EXPECT_FALSE(net::spins_after(kPastTheWindow));
+
+  SocketPair pair;
+  char buffer[4];
+  bool spin = true;
+  std::thread late = after(kPastTheWindow, [&pair] { pair.send("late"); });
+  EXPECT_EQ(net::read_exact(pair.reader(), buffer, sizeof(buffer), 2000, &spin),
+            net::IoResult::kOk);
+  late.join();
+  EXPECT_FALSE(spin) << "a reply past the window must end the spinning";
+
+  ASSERT_TRUE(pair.send("fast"));
+  EXPECT_EQ(net::read_exact(pair.reader(), buffer, sizeof(buffer), 2000, &spin),
+            net::IoResult::kOk);
+  EXPECT_TRUE(spin) << "a reply inside the window must start it again";
 }
 
 }  // namespace

@@ -77,6 +77,58 @@ net::ChunkSink into(ReplicationCodec::Assembler& assembler) {
   };
 }
 
+/// A listening socket on an ephemeral loopback port (written to `port`),
+/// for the raw-socket fake upstreams below; -1 on failure.
+int listen_loopback(std::uint16_t& port) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (listener < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  socklen_t len = sizeof(addr);
+  if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+             sizeof(addr)) != 0 ||
+      ::listen(listener, 4) != 0 ||
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    ::close(listener);
+    return -1;
+  }
+  port = ntohs(addr.sin_port);
+  return listener;
+}
+
+/// A fake upstream's side of the wire: reads one whole frame, its payload
+/// into `payload` when given; false on EOF or a bad header.
+bool read_raw_frame(int fd, std::string* payload = nullptr) {
+  std::string head(net::kFrameHeaderBytes, '\0');
+  if (::recv(fd, head.data(), head.size(), MSG_WAITALL) !=
+      static_cast<ssize_t>(head.size()))
+    return false;
+  const auto header = net::decode_frame_header(head, {});
+  if (!header.ok()) return false;
+  std::string body(header.header.payload_bytes, '\0');
+  if (!body.empty() && ::recv(fd, body.data(), body.size(), MSG_WAITALL) !=
+                           static_cast<ssize_t>(body.size()))
+    return false;
+  if (payload != nullptr) *payload = std::move(body);
+  return true;
+}
+
+bool write_raw_frame(int fd, net::FrameType type, const std::string& payload) {
+  const std::string frame = net::encode_frame(type, payload);
+  return ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) ==
+         static_cast<ssize_t>(frame.size());
+}
+
+/// The hello ack of a fake upstream serving `node_count` nodes.
+net::HelloAck fake_hello_ack(std::uint64_t node_count) {
+  net::HelloAck ack;
+  ack.node_count = node_count;
+  ack.snapshot_version = 1;
+  ack.max_batch = 64;
+  return ack;
+}
+
 std::vector<std::uint32_t> all_shards(std::size_t shard_count) {
   std::vector<std::uint32_t> sent(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s)
@@ -357,60 +409,28 @@ TEST(ReplicaTransfer, RepeatedChunkStopsTheFetchAtTheSecondCopy) {
   const auto cut = svc.store().export_cut();
   const std::string chunk = full_stream(cut, {0}).front();
 
-  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  std::uint16_t port = 0;
+  const int listener = listen_loopback(port);
   ASSERT_GE(listener, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
-                   sizeof(addr)),
-            0);
-  ASSERT_EQ(::listen(listener, 1), 0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
-            0);
 
   constexpr int kCopies = 1000;
   std::thread upstream([listener, &chunk] {
     const int fd = ::accept(listener, nullptr, nullptr);
     if (fd < 0) return;
-    const auto read_frame = [fd] {
-      std::string head(net::kFrameHeaderBytes, '\0');
-      if (::recv(fd, head.data(), head.size(), MSG_WAITALL) !=
-          static_cast<ssize_t>(head.size()))
-        return false;
-      const auto header = net::decode_frame_header(head, {});
-      if (!header.ok()) return false;
-      std::string payload(header.header.payload_bytes, '\0');
-      return payload.empty() ||
-             ::recv(fd, payload.data(), payload.size(), MSG_WAITALL) ==
-                 static_cast<ssize_t>(payload.size());
-    };
-    const auto write_frame = [fd](net::FrameType type,
-                                  const std::string& payload) {
-      const std::string frame = net::encode_frame(type, payload);
-      return ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) ==
-             static_cast<ssize_t>(frame.size());
-    };
-    net::HelloAck ack;
-    ack.node_count = 12;
-    ack.snapshot_version = 1;
-    ack.max_batch = 64;
-    net::PublishNotify notify;
-    notify.snapshot_version = 1;
-    if (read_frame() &&  // kHello
-        write_frame(net::FrameType::kHelloAck, net::encode_hello_ack(ack)) &&
-        read_frame() &&  // kSnapshotFetch
-        write_frame(net::FrameType::kPublishNotify,
-                    net::encode_publish_notify(notify))) {
+    if (read_raw_frame(fd) &&  // kHello
+        write_raw_frame(fd, net::FrameType::kHelloAck,
+                        net::encode_hello_ack(fake_hello_ack(12))) &&
+        read_raw_frame(fd) &&  // kSnapshotFetch
+        write_raw_frame(fd, net::FrameType::kPublishNotify,
+                        net::encode_publish_notify({1, 0}))) {
       for (int copy = 0; copy < kCopies; ++copy)
-        if (!write_frame(net::FrameType::kSnapshotChunk, chunk)) break;
+        if (!write_raw_frame(fd, net::FrameType::kSnapshotChunk, chunk)) break;
     }
     ::close(fd);
   });
 
   net::ClientConfig config;
-  config.port = ntohs(addr.sin_port);
+  config.port = port;
   net::RouteClient client(config);
   ASSERT_TRUE(client.connect().ok());
   ReplicationCodec::Assembler assembler(nullptr);
@@ -424,6 +444,89 @@ TEST(ReplicaTransfer, RepeatedChunkStopsTheFetchAtTheSecondCopy) {
 
   upstream.join();
   ::close(listener);
+}
+
+// A stream the assembler rejects came from a live upstream, so the replica
+// re-dials that upstream for a bootstrap: the shared cursor stays, the
+// next fallback entry is never dialed, and no disconnect is counted.
+TEST(ReplicaTransfer, RejectedStreamRedialsTheSameUpstream) {
+  RouteService svc = make_service({"er", 12, 49, 6}, 2);
+  const auto cut = svc.store().export_cut();
+  const std::vector<std::string> valid = full_stream(cut, all_shards(2));
+  const net::PublishNotify notify{cut.newest->version(),
+                                  cut.newest->published_at_ns()};
+
+  std::uint16_t fake_port = 0;
+  std::uint16_t spare_port = 0;
+  const int fake = listen_loopback(fake_port);
+  const int spare = listen_loopback(spare_port);
+  ASSERT_GE(fake, 0);
+  ASSERT_GE(spare, 0);
+
+  // The fake's first connection repeats a chunk, which the assembler
+  // rejects; its second sends the valid stream and then answers each
+  // parked fetch, unchanged, until the replica hangs up.
+  std::vector<std::uint64_t> first_since;  // per connection
+  std::thread upstream([&] {
+    for (int connection = 0; connection < 2; ++connection) {
+      const int fd = ::accept(fake, nullptr, nullptr);
+      if (fd < 0) return;
+      std::string payload;
+      net::Await await;
+      if (read_raw_frame(fd) &&  // kHello
+          write_raw_frame(fd, net::FrameType::kHelloAck,
+                          net::encode_hello_ack(fake_hello_ack(12))) &&
+          read_raw_frame(fd, &payload) && net::decode_await(payload, await) &&
+          write_raw_frame(fd, net::FrameType::kPublishNotify,
+                          net::encode_publish_notify(notify))) {
+        first_since.push_back(await.since);
+        if (connection == 0) {
+          for (int copy = 0; copy < 2; ++copy)
+            write_raw_frame(fd, net::FrameType::kSnapshotChunk, valid.front());
+        } else {
+          for (const std::string& chunk : valid)
+            write_raw_frame(fd, net::FrameType::kSnapshotChunk, chunk);
+          while (read_raw_frame(fd)) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            write_raw_frame(fd, net::FrameType::kPublishNotify,
+                            net::encode_publish_notify(notify));
+          }
+        }
+      }
+      ::close(fd);
+    }
+  });
+  // The next fallback entry only counts the connections it is offered.
+  std::atomic<int> spare_accepts{0};
+  std::thread spare_listener([&] {
+    for (int fd; (fd = ::accept(spare, nullptr, nullptr)) >= 0;) {
+      ++spare_accepts;
+      ::close(fd);
+    }
+  });
+
+  ReplicaConfig config;
+  config.upstreams.resize(2);
+  config.upstreams[0].port = fake_port;
+  config.upstreams[1].port = spare_port;
+  config.resync_backoff_ms = 10;
+  net::ReplicaCounters counters;
+  {
+    ReplicaService replica(config);
+    EXPECT_TRUE(test::serves_within(replica, cut.newest->checksum(), 10000));
+    replica.stop();
+    counters = replica.replication_counters();
+  }
+  upstream.join();
+  ::shutdown(spare, SHUT_RDWR);  // unblocks the spare listener's accept
+  spare_listener.join();
+  ::close(fake);
+  ::close(spare);
+
+  EXPECT_EQ(first_since, (std::vector<std::uint64_t>{0, 0}));
+  EXPECT_EQ(counters.upstream_disconnects, 0u);
+  EXPECT_EQ(counters.full_syncs, 1u);
+  EXPECT_EQ(spare_accepts.load(), 0) << "the replica failed over";
 }
 
 // A parked fetch answers with a notify, and streams only once the version
