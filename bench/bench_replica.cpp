@@ -60,40 +60,33 @@ std::vector<std::string> encode_full_stream(const RouteService& svc) {
   return chunks;
 }
 
-/// Serves `inner` but reports its first `stale` shards as changed by a
-/// publish after the served one, so a fetch from the served version
-/// replays the identical `stale`-shard catch-up every time.
+/// Serves `inner`'s snapshot, in its layout, from a store of its own, but
+/// reports the first `stale` shards as changed by a publish after the
+/// served one, so a fetch from the served version replays the identical
+/// `stale`-shard catch-up every time. Read-only.
 class StaleShards final : public service::Backend {
  public:
-  StaleShards(service::Backend& inner, std::size_t stale)
-      : inner_(inner), stale_(stale) {}
+  StaleShards(const service::Backend& inner, std::size_t stale)
+      : stale_(stale) {
+    const service::ShardedSnapshotStore::ExportCut cut = inner.export_cut();
+    publish(cut.newest, cut.shard_versions.size());
+  }
 
-  std::shared_ptr<const service::RouteSnapshot> snapshot() const override {
-    return inner_.snapshot();
-  }
-  std::vector<service::Reply> query(
-      std::span<const service::Request> batch) const override {
-    return inner_.query(batch);
-  }
-  service::Counters counters() const override { return inner_.counters(); }
   service::SubmitAck submit_deltas(
-      std::span<const service::Delta> deltas) override {
-    return inner_.submit_deltas(deltas);
+      std::span<const service::Delta> /*deltas*/) override {
+    service::SubmitAck ack;
+    ack.status = service::SubmitAck::Status::kReadOnly;
+    return ack;
   }
-  std::uint64_t drain() override { return inner_.drain(); }
+  std::uint64_t drain() override { return publish_count(); }
   service::ShardedSnapshotStore::ExportCut export_cut() const override {
-    service::ShardedSnapshotStore::ExportCut cut = inner_.export_cut();
+    service::ShardedSnapshotStore::ExportCut cut = Backend::export_cut();
     for (std::size_t s = 0; s < stale_; ++s)
       cut.shard_versions[s] = cut.newest->version() + 1;
     return cut;
   }
-  std::uint64_t wait_for_publish_beyond(std::uint64_t count,
-                                        int timeout_ms) const override {
-    return inner_.wait_for_publish_beyond(count, timeout_ms);
-  }
 
  private:
-  service::Backend& inner_;
   std::size_t stale_;
 };
 

@@ -3,12 +3,14 @@
 //
 //   * BM_SnapshotExport     — converged session -> flat snapshot arrays;
 //   * BM_SnapshotSaveLoad   — "fpss-snap v6" round trip through disk;
-//   * BM_QuerySingle        — one price() through the full service path
-//                             (atomic snapshot acquire + CSR row scan);
-//   * BM_QueryBatch         — the batched API amortizing one acquire over
+//   * BM_QuerySingle        — query() on a batch of one price request: the
+//                             full service read path (snapshot acquire,
+//                             row lookup, reply, batch counters);
+//   * BM_QueryBatch         — the same call amortizing one acquire over
 //                             256 mixed queries;
-//   * BM_QueryConcurrent    — the same read path under benchmark-managed
-//                             reader threads (the throughput headline);
+//   * BM_QueryConcurrent    — query() on a batch of one cost request under
+//                             benchmark-managed reader threads (the
+//                             throughput headline);
 //   * BM_PublishCycle       — a full delta -> reconverge -> publish cycle
 //                             through the background updater.
 //
@@ -72,11 +74,13 @@ void BM_QuerySingle(benchmark::State& state) {
     svc = new service::RouteService(bench::internet_like(128, 13002));
   util::Rng rng(13003);
   const auto n = svc->node_count();
+  service::Request request;
+  request.kind = service::RequestKind::kPrice;
   for (auto _ : state) {
-    const NodeId i = static_cast<NodeId>(rng.below(n));
-    const NodeId j = static_cast<NodeId>(rng.below(n));
-    const NodeId k = static_cast<NodeId>(rng.below(n));
-    benchmark::DoNotOptimize(svc->price(k, i, j));
+    request.i = static_cast<NodeId>(rng.below(n));
+    request.j = static_cast<NodeId>(rng.below(n));
+    request.k = static_cast<NodeId>(rng.below(n));
+    benchmark::DoNotOptimize(svc->query({&request, 1}));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -113,10 +117,12 @@ void BM_QueryConcurrent(benchmark::State& state) {
     svc = new service::RouteService(bench::internet_like(128, 13006));
   util::Rng rng(13007 + static_cast<std::uint64_t>(state.thread_index()));
   const auto n = svc->node_count();
+  service::Request request;
+  request.kind = service::RequestKind::kCost;
   for (auto _ : state) {
-    const NodeId i = static_cast<NodeId>(rng.below(n));
-    const NodeId j = static_cast<NodeId>(rng.below(n));
-    benchmark::DoNotOptimize(svc->cost(i, j));
+    request.i = static_cast<NodeId>(rng.below(n));
+    request.j = static_cast<NodeId>(rng.below(n));
+    benchmark::DoNotOptimize(svc->query({&request, 1}));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

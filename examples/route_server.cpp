@@ -22,7 +22,7 @@
 //
 //   $ ./route_server --listen [port] [--nodes N] [--workers W]
 //                    [--snapshot file.bin] [--shards K]
-//                    [--checkpoint-dir DIR] [--checkpoint-every N]
+//                    [--checkpoint-dir DIR]
 //
 // With --snapshot the daemon warm-starts: the saved snapshot (from a
 // previous run over the same deterministic topology) is served under its
@@ -30,10 +30,10 @@
 // with route_query and watch age_ns count the staleness.
 //
 // --shards splits the publication store so a delta burst republishes only
-// the shards it touched. --checkpoint-dir enables incremental
-// checkpointing every N publishes (--checkpoint-every, default 1) into one
-// fpss-snap v6 file, a bootstrap stream plus one appended catch-up stream
-// per checkpoint; on restart the daemon recovers the newest complete
+// the shards it touched. --checkpoint-dir checkpoints every publish into
+// one fpss-snap v6 file, a bootstrap stream plus one appended catch-up
+// stream per publish, compacted once the catch-ups outgrow the image they
+// follow; on restart the daemon recovers the newest complete
 // stream from that directory and warm-starts from it — no --snapshot
 // needed.
 #include <csignal>
@@ -73,7 +73,7 @@ int usage() {
       "usage: route_server [nodes] [readers] [cycles]\n"
       "       route_server --listen [port] [--nodes N] [--workers W]\n"
       "                    [--snapshot file.bin] [--shards K]\n"
-      "                    [--checkpoint-dir DIR] [--checkpoint-every N]\n");
+      "                    [--checkpoint-dir DIR]\n");
   return 2;
 }
 
@@ -184,8 +184,7 @@ void handle_signal(int) { g_shutdown.store(true, std::memory_order_relaxed); }
 
 int run_daemon(std::uint16_t port, std::size_t nodes, unsigned workers,
                const std::string& snapshot_file, std::size_t shards,
-               const std::string& checkpoint_dir,
-               std::uint64_t checkpoint_every) {
+               const std::string& checkpoint_dir) {
   const graph::Graph g = make_network(nodes);
 
   std::shared_ptr<const service::RouteSnapshot> warm;
@@ -219,8 +218,7 @@ int run_daemon(std::uint16_t port, std::size_t nodes, unsigned workers,
 
   service::ServiceConfig svc_config;
   svc_config.shards = shards;
-  svc_config.checkpoint.directory = checkpoint_dir;
-  svc_config.checkpoint.every_publishes = checkpoint_every;
+  svc_config.checkpoint_directory = checkpoint_dir;
 
   // Warm start serves the saved epoch instantly; cold start converges
   // first (blocking until snapshot v1 exists).
@@ -270,7 +268,6 @@ int main(int argc, char** argv) {
     std::string snapshot_file;
     std::size_t shards = 1;
     std::string checkpoint_dir;
-    std::uint64_t checkpoint_every = 1;
     int arg = 2;
     if (arg < argc && argv[arg][0] != '-') {
       if (!examples::parse_number(argv[arg], port))
@@ -292,15 +289,13 @@ int main(int argc, char** argv) {
         ok = examples::parse_number(value, shards, std::size_t{1});
       else if (flag == "--checkpoint-dir")
         checkpoint_dir = value;
-      else if (flag == "--checkpoint-every")
-        ok = examples::parse_number(value, checkpoint_every, std::uint64_t{1});
       else
         return bad_argument("flag", flag.c_str());
       if (!ok) return bad_argument(flag.c_str(), value);
     }
     if (arg < argc) return bad_argument("flag", argv[arg]);
     return run_daemon(port, nodes, workers, snapshot_file, shards,
-                      checkpoint_dir, checkpoint_every);
+                      checkpoint_dir);
   }
 
   // --- self-test mode ------------------------------------------------------
@@ -363,7 +358,7 @@ int main(int argc, char** argv) {
   Cost::rep collected = 0;
   const auto snap = svc.snapshot();
   for (NodeId k = 0; k < snap->node_count(); ++k)
-    collected += svc.payment(k);
+    collected += snap->payment_total(k);
   std::printf("payments after 1000 packets %u -> %u: %lld collected\n", src,
               dst, static_cast<long long>(collected));
 

@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
     const fs::path dir = fs::temp_directory_path() / "fpss_make_corpus";
     fs::remove_all(dir);
     fs::create_directories(dir);
-    service::CheckpointWriter writer({dir.string(), 1, 4u << 20});
+    service::CheckpointWriter writer(dir.string());
     ok = writer.on_publish(svc.snapshot()).empty() && ok;
     svc.submit(service::RouteService::Delta::cost_change(3, Cost{9}));
     svc.drain();

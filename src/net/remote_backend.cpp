@@ -93,9 +93,9 @@ std::uint64_t RemoteQueryBackend::wait_for_publish_beyond(std::uint64_t count,
   const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
   std::uint64_t seen = 0;
   for (;;) {
+    // Rounded up, like next_slice_ms: the last park runs to the deadline.
     const long long left =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                              Clock::now())
+        std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now())
             .count();
     // A lost connection re-dials here; the deadline bounds the retries,
     // and connect() itself fails fast when the server is gone.

@@ -9,9 +9,10 @@
 namespace fpss::net {
 
 int next_slice_ms(Clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        deadline - Clock::now())
-                        .count();
+  // Rounded up: a budget under 1 ms still waits, so no deadline fires early.
+  const auto left =
+      std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now())
+          .count();
   if (left <= 0) return 0;
   return static_cast<int>(left < 100 ? left : 100);
 }

@@ -47,7 +47,8 @@ enum class IoResult {
   kError,    ///< socket error, or EOF after the first byte
 };
 
-/// Remaining budget in ms, clipped to the 100 ms slice; 0 once expired.
+/// Remaining budget in ms, rounded up and clipped to the 100 ms slice; 0
+/// once expired. A wait of this many ms never ends before the deadline.
 int next_slice_ms(Clock::time_point deadline);
 
 /// Reads exactly `want` bytes. `spin`, when given, is the connection's

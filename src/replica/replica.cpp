@@ -53,8 +53,7 @@ ReplicaService::ReplicaService(ReplicaConfig config)
       // Serve the disk image at once (a warm replica answers before the
       // upstream is reachable). As the served snapshot it is the first
       // wire sync's base, which shares its blocks wherever digests match.
-      store_.publish(loaded.snapshot, 1);
-      read_counters_.add(&service::Counters::publishes);
+      publish(loaded.snapshot, 1);
     }
   }
   sync_ = std::thread([this] { sync_loop(); });
@@ -176,34 +175,24 @@ ReplicaService::SyncOutcome ReplicaService::sync_once(
 void ReplicaService::install(
     const ReplicationCodec::Assembler::Result& result) {
   const std::shared_ptr<const RouteSnapshot>& snap = result.snapshot;
-  const std::shared_ptr<const RouteSnapshot> served = store_.newest();
+  const std::shared_ptr<const RouteSnapshot> served = snapshot();
   // Nothing moved at all (a connection's first fetch found the upstream
   // serving this very cut, in this layout): skip the publish. The served
   // version did not move, so no waiter needs waking.
   if (result.shards_sent.empty() && served != nullptr &&
       served->version() == snap->version() &&
       served->checksum() == snap->checksum() &&
-      store_.shard_count() == result.shard_count)
+      served_store().shard_count() == result.shard_count)
     return;
   // One publish. The assembler shared the served blocks of every shard not
   // fetched and adopted fetched blocks whose bytes did not change, so the
   // store stamps only the shards that really moved. A bootstrap, a layout
   // or node-count change, or an upstream version regression (a primary
   // restarted from an older checkpoint) re-bases it, stamping every shard.
-  store_.publish(snap, result.shard_count);
-  read_counters_.add(&service::Counters::publishes);
+  publish(snap, result.shard_count);
 }
 
-// --- read side --------------------------------------------------------------
-
-std::vector<service::Reply> ReplicaService::query(
-    std::span<const service::Request> batch) const {
-  return service::answer_batch(store_, batch, read_counters_);
-}
-
-service::Counters ReplicaService::counters() const {
-  return read_counters_.read();
-}
+// --- counters and writes --------------------------------------------------
 
 net::ReplicaCounters ReplicaService::replication_counters() const {
   net::ReplicaCounters c = sync_counters_.read();
@@ -244,35 +233,21 @@ service::SubmitAck ReplicaService::submit_deltas(
     // previous write) redirects this connection too.
     const std::size_t target = current_upstream_index();
     if (forward_ == nullptr || forward_upstream_index_ != target) {
-      forward_ = std::make_unique<net::RouteClient>(upstreams_[target]);
+      forward_ = std::make_unique<net::RemoteQueryBackend>(upstreams_[target]);
       forward_upstream_index_ = target;
     }
-    // Dials a new connection, or re-dials one the upstream closed while
-    // it sat idle; a live one is reused as is.
-    if (!forward_->connect().ok()) {
-      forward_.reset();
-      note_upstream_failure(target);
-      sync_counters_.add(&net::ReplicaCounters::forward_retries);
-      continue;
-    }
-    const net::SubmitResult relayed = forward_->submit_deltas(deltas);
-    if (relayed.ok()) {
+    // Dials a new connection, or re-dials one that failed or that the
+    // upstream closed while it sat idle; a live one is reused as is.
+    service::SubmitAck relayed = forward_->submit_deltas(deltas);
+    if (relayed.ok())
       sync_counters_.add(&net::ReplicaCounters::deltas_forwarded,
                          relayed.accepted);
-      outcome = {};
-      outcome.accepted = relayed.accepted;
-      outcome.publish_count = relayed.publish_count;
+    // Upstream back-pressure ends the write too: retrying immediately
+    // would pile on, so the typed refusal goes straight back to the writer.
+    if (relayed.ok() || relayed.status == Status::kOverloaded) {
+      outcome = std::move(relayed);
       break;
     }
-    if (relayed.error.status == net::ClientStatus::kServerError &&
-        relayed.error.wire_status == net::WireStatus::kOverloaded) {
-      // Upstream back-pressure: retrying immediately would pile on; hand
-      // the typed refusal straight back to the writer instead.
-      outcome = refusal(Status::kOverloaded);
-      forward_.reset();  // the server closed the connection after kError
-      break;
-    }
-    forward_.reset();
     note_upstream_failure(target);
     sync_counters_.add(&net::ReplicaCounters::forward_retries);
   }

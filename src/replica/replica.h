@@ -60,12 +60,14 @@
 // sync has replaced it, nothing pins the image.
 //
 // Writes (PR 9): with forwarding enabled, kDeltaSubmit at any tier relays
-// upstream over a dedicated forwarding connection until it reaches the
-// primary, whose ack (accepted count + post-publish version) rides back
-// down unchanged. The forwarding path is bounded on every axis: a concurrent
-// in-flight gate rejects excess writers with kOverloaded before they
-// queue, and a retry budget with exponential backoff bounds how long one
-// write can chase a dead upstream before kUnavailable.
+// upstream over a dedicated forwarding connection (a
+// net::RemoteQueryBackend, which re-dials a dropped connection and maps
+// the upstream's typed refusals to SubmitAck statuses) until it reaches
+// the primary, whose ack (accepted count + post-publish version) rides
+// back down unchanged. The forwarding path is bounded on every axis: a
+// concurrent in-flight gate rejects excess writers with kOverloaded before
+// they queue, and a retry budget with exponential backoff bounds how long
+// one write can chase a dead upstream before kUnavailable.
 //
 // Failover: the sync loop and the forwarder share one upstream cursor over
 // the configured fallback list. Whichever side observes a failure (a failed
@@ -85,8 +87,8 @@
 #include <vector>
 
 #include "net/client.h"
+#include "net/remote_backend.h"
 #include "service/backend.h"
-#include "service/protocol.h"
 #include "service/replication.h"
 #include "service/store.h"
 #include "util/counters.h"
@@ -101,7 +103,7 @@ struct ReplicaConfig {
   /// replica fails over through it round-robin (sync and forwarding share
   /// the cursor). Order is preference order; entry 0 is tried first.
   std::vector<net::ClientConfig> upstreams;
-  /// Warm-start checkpoint directory (see service::CheckpointPolicy).
+  /// Warm-start checkpoint directory (see service::load_checkpoint()).
   /// Empty disables the warm bootstrap.
   std::string checkpoint_directory;
   /// Backoff between reconnect attempts after the upstream drops.
@@ -138,7 +140,7 @@ class ReplicaService final : public service::Backend {
   /// load), that is the store serves a version above 0, or `timeout_ms`
   /// elapses; true when ready.
   bool wait_until_ready(int timeout_ms) const {
-    return store_.wait_for_version_beyond(0, timeout_ms) > 0;
+    return wait_for_publish_beyond(0, timeout_ms) > 0;
   }
 
   /// Stops the sync loop and closes the upstream connections, within one
@@ -150,16 +152,12 @@ class ReplicaService final : public service::Backend {
 
   /// The replica's own store, never null and valid for the replica's life
   /// (empty before the first sync or checkpoint load).
-  const service::ShardedSnapshotStore* store() const { return &store_; }
-
-  // --- service::Backend ----------------------------------------------------
-
-  std::shared_ptr<const service::RouteSnapshot> snapshot() const override {
-    return store_.newest();
+  const service::ShardedSnapshotStore* store() const {
+    return &served_store();
   }
-  std::vector<service::Reply> query(
-      std::span<const service::Request> batch) const override;
-  service::Counters counters() const override;
+
+  // --- service::Backend: what a replica does differently -------------------
+
   bool replica_counters(net::ReplicaCounters& out) const override {
     out = replication_counters();
     return true;
@@ -173,17 +171,6 @@ class ReplicaService final : public service::Backend {
       std::span<const service::Delta> deltas) override;
   /// No local updater to drain; returns the served version.
   std::uint64_t drain() override { return publish_count(); }
-  /// What lets a downstream replica sync from this one; empty before the
-  /// first sync, exactly like an unpublished primary.
-  service::ShardedSnapshotStore::ExportCut export_cut() const override {
-    return store_.export_cut();
-  }
-  /// Blocks until the served version exceeds `count` or `timeout_ms`
-  /// elapses; returns the served version either way.
-  std::uint64_t wait_for_publish_beyond(std::uint64_t count,
-                                        int timeout_ms) const override {
-    return store_.wait_for_version_beyond(count, timeout_ms);
-  }
 
  private:
   /// How one fetch ended. Anything but kSynced ends the connection and
@@ -199,9 +186,9 @@ class ReplicaService final : public service::Backend {
   /// installed; a rejected one makes the next fetch a bootstrap.
   SyncOutcome sync_once(net::RouteClient& upstream, bool first);
   void sync_loop();
-  /// Publishes an assembled snapshot into the store in the stream's layout
-  /// (the store re-bases itself on a bootstrap, layout change or version
-  /// regression).
+  /// Publishes an assembled snapshot in the stream's layout (the store
+  /// re-bases itself on a bootstrap, layout change or version regression).
+  /// Besides the constructor's warm image, the only publisher.
   void install(const service::ReplicationCodec::Assembler::Result& result);
 
   // Shared reconnect state machine (sync loop + forwarder).
@@ -213,9 +200,6 @@ class ReplicaService final : public service::Backend {
   ReplicaConfig config_;
   std::vector<net::ClientConfig> upstreams_;  ///< resolved fallback list
 
-  /// The served store, published by the constructor (a warm image) and
-  /// then by the sync thread only.
-  service::ShardedSnapshotStore store_;
   /// The last stream was rejected, so the next fetch sends `since` = 0.
   /// Touched by the sync thread only.
   bool bootstrap_ = false;
@@ -227,8 +211,10 @@ class ReplicaService final : public service::Backend {
 
   // Forwarding path: forward_mutex_ serializes the relay; the in-flight
   // gate counts waiters + the holder and rejects the excess unblocked.
+  // forward_ is the client for the upstream at forward_upstream_index_.
   util::Mutex forward_mutex_;
-  std::unique_ptr<net::RouteClient> forward_ FPSS_GUARDED_BY(forward_mutex_);
+  std::unique_ptr<net::RemoteQueryBackend> forward_
+      FPSS_GUARDED_BY(forward_mutex_);
   std::size_t forward_upstream_index_ FPSS_GUARDED_BY(forward_mutex_) = 0;
   std::atomic<std::size_t> forward_inflight_{0};
 
@@ -239,10 +225,9 @@ class ReplicaService final : public service::Backend {
   std::atomic<bool> stop_{false};
   bool stopped_ = false;  ///< stop() completed (caller thread only)
 
-  /// The read side (any reader, plus `publishes`, bumped per install) and
-  /// the sync and forwarding side (the sync thread and every forwarding
-  /// writer; `hop_count` is filled from hop_ instead).
-  mutable util::LiveCounters<service::Counters> read_counters_;
+  /// The sync and forwarding side (the sync thread and every forwarding
+  /// writer; `hop_count` is filled from hop_ instead). The serving
+  /// counters are the base's.
   util::LiveCounters<net::ReplicaCounters> sync_counters_;
 
   std::thread sync_;  ///< last member: joined before state tears down

@@ -8,19 +8,23 @@
 // implementers in the library layering (service -> net -> replica), so the
 // value types it speaks live here at namespace scope; RouteService::Delta,
 // RouteService::Counters and net::ReplicaCounters are aliases of them.
-// Each implementer serves from one ShardedSnapshotStore it keeps for its
-// whole life: reads, export cuts and version waits are the store's.
+// The base owns the one ShardedSnapshotStore a backend serves from for
+// its whole life and the serving counters, and defines the read path once:
+// snapshot, query, counters, version waits and the export cut all read
+// that store. An implementer supplies only what differs: how snapshots
+// arrive (through publish(), which also counts them), how writes apply,
+// drain, its chain depth and its replica counters.
 //
 // A remote daemon is reached through net::RemoteQueryBackend, a concrete
 // client with the same query/write/wait vocabulary but no base class:
 // nothing calls a local and a remote backend through one pointer.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "service/protocol.h"
@@ -62,7 +66,7 @@ struct Delta {
 /// util::LiveCounters). A replica fills the read side and `publishes` only.
 struct Counters {
   std::uint64_t queries = 0;   ///< individual query answers produced
-  std::uint64_t batches = 0;   ///< query()/single-read calls served
+  std::uint64_t batches = 0;   ///< query() calls served
   std::uint64_t total_ns = 0;  ///< wall time summed over batches
   std::uint64_t max_batch_ns = 0;
   /// Worst snapshot age ever observed by a read (gauge, monotone max):
@@ -206,26 +210,35 @@ struct QueryOutcome {
 
 class Backend {
  public:
+  Backend() = default;
+  Backend(const Backend&) = delete;
+  Backend& operator=(const Backend&) = delete;
   virtual ~Backend() = default;
 
   /// The newest served snapshot; null before the first. Version, publish
   /// stamp and node count of the served state all come from this one read,
   /// so they always describe the same snapshot.
-  virtual std::shared_ptr<const RouteSnapshot> snapshot() const = 0;
+  std::shared_ptr<const RouteSnapshot> snapshot() const {
+    return store_.newest();
+  }
   /// The served snapshot's version (0 before the first) — the one clock
   /// that write acks, parked requests and read-your-write waits run on. A
   /// primary gives every publish the next version, and a replica's clock
   /// is the version it mirrors.
-  std::uint64_t publish_count() const {
-    const auto snap = snapshot();
-    return snap == nullptr ? 0 : snap->version();
-  }
+  std::uint64_t publish_count() const { return store_.version(); }
   /// Chain depth the hello ack advertises: 0 on a primary, upstream's hop
   /// + 1 on a replica.
   virtual std::uint32_t hop_count() const { return 0; }
 
-  virtual std::vector<Reply> query(std::span<const Request> batch) const = 0;
-  virtual Counters counters() const = 0;
+  /// The one read path. Answers `batch` from one acquired snapshot: every
+  /// reply carries that snapshot's version and publish stamp and one
+  /// shared answer-time clock reading. Before the first publish every
+  /// reply is kBadNode; a malformed request yields kBadNode / kBadKind,
+  /// never undefined behavior. Counts the batch into the five read
+  /// counters (queries, batches, total_ns, max_batch_ns,
+  /// max_staleness_ns).
+  std::vector<Reply> query(std::span<const Request> batch) const;
+  Counters counters() const { return counters_.read(); }
   /// Fills `out` and returns true on a replica; a primary returns false
   /// and the counters frame omits the replica section.
   virtual bool replica_counters(ReplicaCounters& /*out*/) const {
@@ -238,32 +251,40 @@ class Backend {
   /// Publish barrier; returns the served version afterwards.
   virtual std::uint64_t drain() = 0;
 
-  /// One replication cut of the backend's store for kSnapshotFetch (newest
-  /// == null before the first publish). The cut holds the snapshot it
-  /// streams, so publishes during a transfer do not change what it sends.
-  virtual ShardedSnapshotStore::ExportCut export_cut() const = 0;
+  /// One replication cut of the store for kSnapshotFetch (newest == null
+  /// before the first publish). The cut holds the snapshot it streams, so
+  /// publishes during a transfer do not change what it sends.
+  virtual ShardedSnapshotStore::ExportCut export_cut() const {
+    return store_.export_cut();
+  }
   /// Blocks until publish_count() exceeds `count` or `timeout_ms` elapses;
-  /// returns publish_count() at return. Both backends wait on their
-  /// store's clock (ShardedSnapshotStore::wait_for_version_beyond). The
-  /// server parks kAwaitPublish and kSnapshotFetch on this in 100 ms
-  /// slices, so stop() releases them.
-  virtual std::uint64_t wait_for_publish_beyond(std::uint64_t count,
-                                                int timeout_ms) const = 0;
+  /// returns publish_count() at return. The server parks kAwaitPublish and
+  /// kSnapshotFetch on this in 100 ms slices, so stop() releases them.
+  std::uint64_t wait_for_publish_beyond(std::uint64_t count,
+                                        int timeout_ms) const {
+    return store_.wait_for_version_beyond(count, timeout_ms);
+  }
+
+ protected:
+  /// Counts `publishes`, then publishes `snapshot` in a layout of
+  /// `shard_count` shards and wakes every version waiter; returns the
+  /// shards stamped (ShardedSnapshotStore::publish). The one way a
+  /// snapshot is served. Counting first means a waiter that sees the new
+  /// version also sees it counted.
+  std::size_t publish(std::shared_ptr<const RouteSnapshot> snapshot,
+                      std::size_t shard_count) {
+    counters_.add(&Counters::publishes);
+    return store_.publish(std::move(snapshot), shard_count);
+  }
+  const ShardedSnapshotStore& served_store() const { return store_; }
+
+  /// Bumped by every reader (the read counters), by publish(), and by
+  /// whatever else an implementer counts (a primary's update side).
+  mutable util::LiveCounters<Counters> counters_;
+
+ private:
+  /// Kept for the backend's whole life; only publish() writes it.
+  ShardedSnapshotStore store_;
 };
-
-/// The read path both backends share. Answers `batch` from one acquired
-/// `newest` of `store`: every reply carries that snapshot's version and
-/// publish stamp and one shared answer-time clock reading. An empty store
-/// (nothing served yet) answers kBadNode throughout. Records the batch
-/// into `counters` (record_batch).
-std::vector<Reply> answer_batch(const ShardedSnapshotStore& store,
-                                std::span<const Request> batch,
-                                util::LiveCounters<Counters>& counters);
-
-/// Records one batch of `queries` answers begun at `start`, served from a
-/// snapshot `age_ns` old, into the five read counters.
-void record_batch(util::LiveCounters<Counters>& counters,
-                  std::uint64_t queries, std::uint64_t age_ns,
-                  std::chrono::steady_clock::time_point start);
 
 }  // namespace fpss::service

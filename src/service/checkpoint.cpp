@@ -126,24 +126,20 @@ SnapshotLoadResult load_checkpoint(const std::string& directory) {
 
 // --- writer -----------------------------------------------------------------
 
-CheckpointWriter::CheckpointWriter(CheckpointPolicy policy)
-    : policy_(std::move(policy)),
-      path_(policy_.directory + "/base.fpss-snap") {}
+CheckpointWriter::CheckpointWriter(const std::string& directory)
+    : path_(directory + "/base.fpss-snap") {
+  FPSS_EXPECTS(!directory.empty());
+}
 
 std::string CheckpointWriter::on_publish(
     const std::shared_ptr<const RouteSnapshot>& snap) {
   FPSS_EXPECTS(snap != nullptr);
-  if (policy_.directory.empty()) return "";
-  const std::uint64_t every =
-      policy_.every_publishes == 0 ? 1 : policy_.every_publishes;
-  ++publishes_since_checkpoint_;
-  if (last_written_ != nullptr && publishes_since_checkpoint_ < every)
-    return "";
-  publishes_since_checkpoint_ = 0;
   if (last_written_ == nullptr ||
       last_written_->node_count() != snap->node_count())
     return write_fresh(snap);
-  if (journal_bytes_ > policy_.max_journal_bytes) {
+  // The catch-ups outgrew the image they patch: fold them into a fresh
+  // one, so a load never replays more than about two images.
+  if (journal_bytes_ > image_bytes_) {
     ++stats_.compactions;
     return write_fresh(snap);
   }
@@ -160,6 +156,7 @@ std::string CheckpointWriter::write_fresh(
   if (!saved.ok()) return saved.error;
   if (std::rename(tmp.c_str(), path_.c_str()) != 0)
     return "rename '" + tmp + "' -> '" + path_ + "' failed";
+  image_bytes_ = saved.bytes;
   journal_bytes_ = 0;
   last_written_ = snap;
   ++stats_.checkpoints;

@@ -26,12 +26,14 @@
 // every-prefix tests pin both halves.
 //
 // A checkpoint directory holds the one file, base.fpss-snap. The first
-// checkpoint, a node-count change, and a compaction (once the appended
-// catch-ups outgrow CheckpointPolicy::max_journal_bytes) write a fresh
-// image to base.fpss-snap.tmp and rename it over the file; every other
+// checkpoint, a node-count change, and a compaction write a fresh image
+// to base.fpss-snap.tmp and rename it over the file; every other
 // checkpoint appends one catch-up stream carrying only the destinations
-// whose block digests changed since the last checkpoint. The crash
-// windows that remain:
+// whose block digests changed since the last checkpoint. A compaction
+// happens at the first checkpoint after the catch-ups appended since the
+// last fresh image outgrow that image, so the catch-ups a load replays
+// never add up to much more than two images, at any network size. The
+// crash windows that remain:
 //   - crash mid-append      -> the torn tail is a short or rejected
 //                              record; the load serves the newest
 //                              complete stream before it
@@ -86,22 +88,10 @@ SnapshotLoadResult load_snapshot(const std::string& path);
 /// is everything a hostile file (or fuzz input) can reach.
 SnapshotLoadResult load_snapshot_bytes(std::string_view bytes);
 
-/// When RouteService checkpoints. A default-constructed policy (empty
-/// directory) disables checkpointing entirely.
-struct CheckpointPolicy {
-  std::string directory;  ///< checkpoint dir (created by the caller); "" = off
-  /// Checkpoint every Nth publish (the first publish always writes the
-  /// base). 0 behaves as 1.
-  std::uint64_t every_publishes = 1;
-  /// Rewrite the file as a fresh image once the catch-ups appended after
-  /// its bootstrap exceed this many bytes.
-  std::uint64_t max_journal_bytes = 4u << 20;
-};
-
-/// The updater-side writer: feed it every published snapshot; it decides
-/// (per the policy) whether to write nothing, append a catch-up stream, or
-/// write a fresh image. Single-threaded like the rest of the publish path
-/// — RouteService calls it from the updater only.
+/// The updater-side writer: feed it every published snapshot; it appends
+/// a catch-up stream or writes a fresh image (see the file comment).
+/// Single-threaded like the rest of the publish path — RouteService calls
+/// it from the updater only.
 class CheckpointWriter {
  public:
   struct Stats {
@@ -111,12 +101,13 @@ class CheckpointWriter {
     std::uint64_t compactions = 0;    ///< catch-ups folded into a fresh image
   };
 
-  explicit CheckpointWriter(CheckpointPolicy policy);
+  /// Checkpoints into `directory`, which the caller creates. Precondition:
+  /// `directory` is not empty.
+  explicit CheckpointWriter(const std::string& directory);
 
-  /// Records one publish; writes whatever the policy asks for. Returns an
-  /// empty string on success (including "policy says skip") or a reason on
-  /// I/O failure — the service surfaces it via counters but keeps serving;
-  /// a broken disk must not take the read path down.
+  /// Checkpoints one publish. Returns an empty string on success or a
+  /// reason on I/O failure — the service surfaces it via counters but
+  /// keeps serving; a broken disk must not take the read path down.
   std::string on_publish(const std::shared_ptr<const RouteSnapshot>& snap);
 
   const Stats& stats() const { return stats_; }
@@ -128,14 +119,13 @@ class CheckpointWriter {
   std::string append_catch_up(
       const std::shared_ptr<const RouteSnapshot>& snap);
 
-  CheckpointPolicy policy_;
   std::string path_;
   /// The state the file on disk loads to — the diff base of the next
   /// catch-up. Null when nothing usable is on disk (before the first
   /// checkpoint and after any failed write).
   std::shared_ptr<const RouteSnapshot> last_written_;
-  std::uint64_t publishes_since_checkpoint_ = 0;
-  std::uint64_t journal_bytes_ = 0;  ///< catch-up bytes after the bootstrap
+  std::uint64_t image_bytes_ = 0;    ///< the last fresh image's file size
+  std::uint64_t journal_bytes_ = 0;  ///< catch-up bytes appended after it
   Stats stats_;
 };
 

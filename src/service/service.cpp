@@ -6,7 +6,6 @@
 #include <optional>
 #include <utility>
 
-#include "util/clock.h"
 #include "util/contract.h"
 
 namespace fpss::service {
@@ -42,8 +41,9 @@ RouteService::RouteService(const graph::Graph& g, ServiceConfig config)
   // Dirty sink-tree tracking powers the incremental exports; enable it
   // before the first convergence so that run doubles as the baseline.
   session_.track_dirty_destinations(true);
-  if (!config_.checkpoint.directory.empty())
-    checkpoint_ = std::make_unique<CheckpointWriter>(config_.checkpoint);
+  if (!config_.checkpoint_directory.empty())
+    checkpoint_ =
+        std::make_unique<CheckpointWriter>(config_.checkpoint_directory);
   // Initial convergence happens on the constructing thread, before the
   // updater exists — the service never serves a non-converged state.
   const bgp::RunStats stats = session_.run();
@@ -62,8 +62,9 @@ RouteService::RouteService(const graph::Graph& g,
       ledger_(g.node_count()) {
   FPSS_EXPECTS(warm != nullptr && warm->node_count() == g.node_count());
   session_.track_dirty_destinations(true);
-  if (!config_.checkpoint.directory.empty())
-    checkpoint_ = std::make_unique<CheckpointWriter>(config_.checkpoint);
+  if (!config_.checkpoint_directory.empty())
+    checkpoint_ =
+        std::make_unique<CheckpointWriter>(config_.checkpoint_directory);
   // Serve the saved epoch immediately; convergence is deferred to the
   // updater and happens when the first burst arrives. Publishing the image
   // under its own version continues its clock.
@@ -76,8 +77,7 @@ RouteService::RouteService(const graph::Graph& g,
   // The warm snapshot is served as is and becomes the first export's base:
   // that export re-extracts every row (no dirty set reaches back to a disk
   // image) and keeps the loaded block wherever the digests match.
-  store_.publish(std::move(warm), config_.shards);
-  counters_.add(&Counters::publishes);
+  publish(std::move(warm), config_.shards);
   updater_ = std::thread([this] { updater_loop(); });
 }
 
@@ -185,7 +185,7 @@ void RouteService::publish_current() {
   FPSS_ASSERT(session_.engine().stats().converged);
   const auto start = std::chrono::steady_clock::now();
   const std::uint64_t epoch = session_.engine().converged_epochs();
-  const std::uint64_t version = store_.version() + 1;
+  const std::uint64_t version = publish_count() + 1;
   util::ThreadPool* pool = session_.engine().pool();
 
   // The export's base is whatever the store serves: the warm snapshot
@@ -199,11 +199,10 @@ void RouteService::publish_current() {
   std::size_t stamped = 0;
   {
     util::MutexLock lock(ledger_mutex_);
-    snap = RouteSnapshot::from_session(session_, version, store_.newest(),
-                                       dirty, &ledger_, pool, &stats);
-    stamped = store_.publish(snap, config_.shards);
+    snap = RouteSnapshot::from_session(session_, version, snapshot(), dirty,
+                                       &ledger_, pool, &stats);
+    stamped = publish(snap, config_.shards);
   }
-  counters_.add(&Counters::publishes);
   counters_.add(&Counters::rows_rebuilt, stats.rows_rebuilt);
   counters_.add(&Counters::rows_reused, stats.rows_reused);
   counters_.add(&Counters::shards_republished, stamped);
@@ -227,54 +226,6 @@ void RouteService::publish_current() {
     counters_.set(&Counters::journal_patches, cs.patches);
     counters_.set(&Counters::journal_compactions, cs.compactions);
   }
-}
-
-// --- read side -------------------------------------------------------------
-
-namespace {
-
-/// One raw-convention read (the single-read conveniences) against the
-/// newest snapshot, accounted as a batch of one.
-template <typename Read>
-auto read_one(const ShardedSnapshotStore& store,
-              util::LiveCounters<Counters>& counters, Read read) {
-  const auto start = std::chrono::steady_clock::now();
-  const std::shared_ptr<const RouteSnapshot> snap = store.newest();
-  const std::uint64_t age_ns =
-      util::age_from(snap->published_at_ns(), util::wall_clock_ns());
-  auto value = read(*snap);
-  record_batch(counters, 1, age_ns, start);
-  return value;
-}
-
-}  // namespace
-
-std::vector<Reply> RouteService::query(std::span<const Request> batch) const {
-  return answer_batch(store_, batch, counters_);
-}
-
-Cost RouteService::price(NodeId k, NodeId i, NodeId j) const {
-  return read_one(store_, counters_,
-                  [&](const RouteSnapshot& s) { return s.price(k, i, j); });
-}
-
-Cost RouteService::cost(NodeId i, NodeId j) const {
-  return read_one(store_, counters_,
-                  [&](const RouteSnapshot& s) { return s.cost(i, j); });
-}
-
-graph::Path RouteService::path(NodeId i, NodeId j) const {
-  return read_one(store_, counters_,
-                  [&](const RouteSnapshot& s) { return s.path(i, j); });
-}
-
-Cost::rep RouteService::payment(NodeId k) const {
-  return read_one(store_, counters_,
-                  [&](const RouteSnapshot& s) { return s.payment_total(k); });
-}
-
-RouteService::Counters RouteService::counters() const {
-  return counters_.read();
 }
 
 // --- traffic accounting ----------------------------------------------------
@@ -331,7 +282,7 @@ std::uint64_t RouteService::drain() {
     util::MutexLock lock(queue_mutex_);
     while (!queue_.empty() || updater_busy_) publish_cv_.wait(lock);
   }
-  return store_.version();
+  return publish_count();
 }
 
 }  // namespace fpss::service

@@ -3,8 +3,8 @@
 // The mechanism's product — LCP routes and per-packet prices p^k_ij
 // (Theorem 1) — is only useful to an operator if it can be *queried* under
 // load while the network keeps changing. RouteService owns one
-// pricing::Session plus a background updater thread and a
-// ShardedSnapshotStore:
+// pricing::Session plus a background updater thread, and publishes into
+// the ShardedSnapshotStore its service::Backend base serves from:
 //
 //   readers ──► ShardedSnapshotStore::acquire() ──► newest snapshot
 //   updater ──► coalesce queued deltas ──► reconverge once per burst
@@ -29,10 +29,10 @@
 //
 // Readers never wait on reconvergence: a query acquires the current
 // snapshot (a pointer copy) and serves entirely from flat arrays, so any
-// number of threads can call price()/path()/payment() while the updater is
-// mid-reconvergence. Staleness is the price: between a submitted delta and
-// its publish, readers see the previous converged state — never a partial
-// one (the paper's restart semantics make mid-convergence prices
+// number of threads can call query() or read snapshot() while the updater
+// is mid-reconvergence. Staleness is the price: between a submitted delta
+// and its publish, readers see the previous converged state — never a
+// partial one (the paper's restart semantics make mid-convergence prices
 // meaningless, so serving the old epoch is the only sound choice). Every
 // reply therefore carries the snapshot version, its publish timestamp, and
 // its age, and the counters track the worst staleness ever served.
@@ -41,7 +41,9 @@
 // (protocol.h), shared verbatim with the remote front end in src/net — a
 // local query() and a remote route_query return bit-identical answers.
 // RouteService implements service::Backend (backend.h) directly, so a
-// net::RouteServer fronts it with no adapter.
+// net::RouteServer fronts it with no adapter. The base owns the store, the
+// counters and the read path; this class adds how snapshots are made
+// (the updater) and how writes apply.
 //
 // Versions: every publish takes the served version + 1, so a cold start
 // publishes version 1 and each later publish (a republish included) the
@@ -66,6 +68,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -73,10 +76,8 @@
 #include "pricing/session.h"
 #include "service/backend.h"
 #include "service/checkpoint.h"
-#include "service/protocol.h"
 #include "service/snapshot.h"
 #include "service/store.h"
-#include "util/counters.h"
 #include "util/mutex.h"
 
 namespace fpss::service {
@@ -95,9 +96,10 @@ struct ServiceConfig {
   /// catch-up fetches only those; 1 makes every change refetch the whole
   /// snapshot.
   std::size_t shards = 1;
-  /// Incremental checkpointing (one fpss-snap v6 file: a bootstrap stream
-  /// plus appended catch-ups). The default (empty directory) disables it.
-  CheckpointPolicy checkpoint;
+  /// Where every publish is checkpointed (one fpss-snap v6 file: a
+  /// bootstrap stream plus appended catch-ups; see CheckpointWriter). The
+  /// directory must exist; empty disables checkpointing.
+  std::string checkpoint_directory;
 };
 
 class RouteService final : public Backend {
@@ -129,29 +131,9 @@ class RouteService final : public Backend {
 
   std::size_t node_count() const { return node_count_; }
 
-  // --- read side (any thread, wait-free vs. the updater) ------------------
-
-  /// The newest published snapshot — a full image of the latest epoch.
-  /// Hold it to answer any number of queries against one consistent epoch.
-  std::shared_ptr<const RouteSnapshot> snapshot() const override {
-    return store_.newest();
-  }
-
-  /// Answers a batch against one snapshot acquire (all answers share a
-  /// version and a publish stamp) and records batch latency + staleness
-  /// into the counters. Malformed requests yield Status::kBadNode /
-  /// kBadKind replies — never undefined behavior.
-  std::vector<Reply> query(std::span<const Request> batch) const override;
-
-  /// Single-read conveniences; each counts as a batch of one. These keep
-  /// the raw snapshot conventions (infinite cost when unreachable, zero
-  /// price off-path); preconditions as in RouteSnapshot.
-  Cost price(NodeId k, NodeId i, NodeId j) const;
-  Cost cost(NodeId i, NodeId j) const;
-  graph::Path path(NodeId i, NodeId j) const;
-  Cost::rep payment(NodeId k) const;
-
-  Counters counters() const override;
+  // Reads (any thread, wait-free vs. the updater) are the base's: query()
+  // is counted, and snapshot() gives the raw conventions (infinite cost
+  // when unreachable, zero price off-path) of one consistent epoch.
 
   // --- traffic accounting -------------------------------------------------
 
@@ -182,22 +164,13 @@ class RouteService final : public Backend {
   /// Local callers that want bursts coalesced use submit() instead.
   SubmitAck submit_deltas(std::span<const Delta> deltas) override;
 
-  /// Blocks until the served version exceeds `count` or `timeout_ms`
-  /// elapses, and returns the served version either way. It wakes at the
-  /// store publish, before the checkpoint append that drain() waits for.
-  std::uint64_t wait_for_publish_beyond(std::uint64_t count,
-                                        int timeout_ms) const override {
-    return store_.wait_for_version_beyond(count, timeout_ms);
-  }
-
   /// The sharded publication store readers acquire from.
-  const ShardedSnapshotStore& store() const { return store_; }
-  ShardedSnapshotStore::ExportCut export_cut() const override {
-    return store_.export_cut();
-  }
+  const ShardedSnapshotStore& store() const { return served_store(); }
 
   /// Blocks until the delta queue is empty and everything submitted so far
-  /// has been published and checkpointed; returns the served version.
+  /// has been published and checkpointed; returns the served version. (A
+  /// version waiter wakes earlier, at the store publish, before the
+  /// checkpoint append.)
   std::uint64_t drain() override FPSS_EXCLUDES(queue_mutex_);
 
  private:
@@ -219,7 +192,6 @@ class RouteService final : public Backend {
   /// a cold start; for a warm start the updater flips it before applying
   /// the first burst.
   bool session_converged_ = false;
-  ShardedSnapshotStore store_;
   /// Whether this session has exported yet, and the converged epoch its
   /// last export captured. The dirty set since that epoch is asked for
   /// only after a first export: a warm-loaded snapshot came from disk, not
@@ -227,7 +199,7 @@ class RouteService final : public Backend {
   /// Touched only by the updater (and the constructor).
   bool exported_ = false;
   std::uint64_t last_export_epoch_ = 0;
-  /// Non-null iff config_.checkpoint names a directory. Updater-only.
+  /// Non-null iff config_.checkpoint_directory is set. Updater-only.
   std::unique_ptr<CheckpointWriter> checkpoint_;
 
   /// Held across the export and its store publish (the ledger totals are
@@ -244,11 +216,6 @@ class RouteService final : public Backend {
   std::vector<Delta> queue_ FPSS_GUARDED_BY(queue_mutex_);
   bool stop_ FPSS_GUARDED_BY(queue_mutex_) = false;
   bool updater_busy_ FPSS_GUARDED_BY(queue_mutex_) = false;
-
-  /// Bumped by every reader (the read counters), the updater and the
-  /// constructors' first publish (delta and publish counters) and
-  /// charge().
-  mutable util::LiveCounters<Counters> counters_;
 
   std::thread updater_;  ///< last member: joined before state tears down
 };

@@ -514,7 +514,7 @@ void restart_primary_above_chain(bool warm) {
   const NodeId n = static_cast<NodeId>(g.node_count());
   service::ServiceConfig primary_config;
   primary_config.shards = 2;
-  primary_config.checkpoint.directory = dir;
+  primary_config.checkpoint_directory = dir;
 
   auto primary = std::make_unique<RouteService>(g, primary_config);
   auto primary_front = std::make_unique<net::RouteServer>(*primary);

@@ -37,7 +37,6 @@ namespace {
 
 using pricing::RestartPolicy;
 using pricing::Session;
-using service::CheckpointPolicy;
 using service::CheckpointWriter;
 using service::RouteService;
 using service::RouteSnapshot;
@@ -96,7 +95,7 @@ TEST(Checkpoint, BaseAndJournalReloadBitIdenticalToFullImage) {
   Session session(ring_components(4, 6), pricing::Protocol::kPriceVector);
   ASSERT_TRUE(session.run().converged);
 
-  CheckpointWriter writer({dir, 1, 4u << 20});
+  CheckpointWriter writer(dir);
   auto snap = export_now(session);
   ASSERT_EQ(writer.on_publish(snap), "");
   EXPECT_EQ(writer.stats().checkpoints, 1u);
@@ -142,7 +141,7 @@ TEST(Checkpoint, PatchBytesAreProportionalToDirtyNotToN) {
   Session session(ring_components(4, 6), pricing::Protocol::kPriceVector);
   ASSERT_TRUE(session.run().converged);
 
-  CheckpointWriter writer({dir, 1, 4u << 20});
+  CheckpointWriter writer(dir);
   ASSERT_EQ(writer.on_publish(export_now(session)), "");
   const std::uint64_t base_bytes = writer.stats().bytes_written;
   ASSERT_GT(base_bytes, 0u);
@@ -168,7 +167,7 @@ TEST(Checkpoint, RecoversNewestCompleteStateAtEveryJournalPrefix) {
   Session session(ring_components(2, 6), pricing::Protocol::kPriceVector);
   ASSERT_TRUE(session.run().converged);
 
-  CheckpointWriter writer({dir, 1, 4u << 20});
+  CheckpointWriter writer(dir);
   // states[r] = the checksum of the state after r catch-ups;
   // bounds[r] = the file size at which stream r (0 = bootstrap) is complete.
   std::vector<std::uint64_t> states;
@@ -218,7 +217,7 @@ TEST(Checkpoint, CompactionThatDiedBeforeItsRenameLoadsTheOldFile) {
   const std::string dir = fresh_dir("ckpt_tmp");
   Session session(ring_components(2, 6), pricing::Protocol::kPriceVector);
   ASSERT_TRUE(session.run().converged);
-  CheckpointWriter writer({dir, 1, 4u << 20});
+  CheckpointWriter writer(dir);
   ASSERT_EQ(writer.on_publish(export_now(session)), "");
   ASSERT_TRUE(
       session.change_cost(3, Cost{30}, RestartPolicy::kRestartBarrier)
@@ -249,7 +248,7 @@ TEST(Checkpoint, FailedAppendRewritesTheFileAtTheNextCheckpoint) {
   const std::string dir = fresh_dir("ckpt_torn");
   Session session(ring_components(2, 6), pricing::Protocol::kPriceVector);
   ASSERT_TRUE(session.run().converged);
-  CheckpointWriter writer({dir, 1, 4u << 20});
+  CheckpointWriter writer(dir);
   ASSERT_EQ(writer.on_publish(export_now(session)), "");
   ASSERT_TRUE(
       session.change_cost(1, Cost{30}, RestartPolicy::kRestartBarrier)
@@ -321,7 +320,7 @@ TEST(Checkpoint, EveryByteFlipOfACatchUpRecoversAWrittenState) {
   const std::string dir = fresh_dir("ckpt_flip_catch_up");
   Session session(ring_components(2, 4), pricing::Protocol::kPriceVector);
   ASSERT_TRUE(session.run().converged);
-  CheckpointWriter writer({dir, 1, 4u << 20});
+  CheckpointWriter writer(dir);
   std::vector<std::uint64_t> states;
   std::vector<std::uint64_t> bounds;
   auto snap = export_now(session);
@@ -354,55 +353,44 @@ TEST(Checkpoint, EveryByteFlipOfACatchUpRecoversAWrittenState) {
   }
 }
 
-// --- policy: cadence and compaction -----------------------------------------
+// --- compaction -------------------------------------------------------------
 
-TEST(Checkpoint, EveryPublishesPolicySkipsIntermediatePublishes) {
-  const std::string dir = fresh_dir("ckpt_cadence");
-  Session session(ring_components(2, 6), pricing::Protocol::kPriceVector);
-  ASSERT_TRUE(session.run().converged);
-
-  CheckpointWriter writer({dir, 3, 4u << 20});
-  ASSERT_EQ(writer.on_publish(export_now(session)), "");
-  EXPECT_EQ(writer.stats().checkpoints, 1u);  // the base is never skipped
-
-  std::shared_ptr<const RouteSnapshot> snap;
-  for (const NodeId v : {NodeId{1}, NodeId{2}, NodeId{3}}) {
-    ASSERT_TRUE(
-        session.change_cost(v, Cost{20}, RestartPolicy::kRestartBarrier)
-            .converged);
-    snap = export_now(session);
-    ASSERT_EQ(writer.on_publish(snap), "");
-  }
-  // Publishes 2 and 3 were skipped; the 4th wrote one record diffing the
-  // base against the *cumulative* state of all three bursts.
-  EXPECT_EQ(writer.stats().checkpoints, 2u);
-  const SnapshotLoadResult loaded = load_checkpoint(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.error;
-  EXPECT_EQ(loaded.records_applied, 1u);
-  EXPECT_EQ(loaded.snapshot->checksum(), snap->checksum());
-}
-
+// The file is folded into a fresh image at the first checkpoint after the
+// catch-ups appended since the last image outgrow that image.
 TEST(Checkpoint, CompactionFoldsJournalIntoFreshBase) {
   const std::string dir = fresh_dir("ckpt_compact");
   Session session(ring_components(2, 6), pricing::Protocol::kPriceVector);
   ASSERT_TRUE(session.run().converged);
-
-  // A 64-byte budget: the first catch-up overruns it, so the following
-  // checkpoint folds the file into a fresh image.
-  CheckpointWriter writer({dir, 1, 64});
+  CheckpointWriter writer(dir);
   ASSERT_EQ(writer.on_publish(export_now(session)), "");
-  const std::uint64_t base_bytes = std::filesystem::file_size(writer.path());
-  ASSERT_TRUE(
-      session.change_cost(1, Cost{25}, RestartPolicy::kRestartBarrier)
-          .converged);
-  ASSERT_EQ(writer.on_publish(export_now(session)), "");
-  EXPECT_EQ(writer.stats().compactions, 0u);
-  ASSERT_GT(std::filesystem::file_size(writer.path()), base_bytes + 64);
+  const std::uint64_t image_bytes = std::filesystem::file_size(writer.path());
 
+  // Append catch-ups until the journal outgrows the image; none compacts.
+  std::shared_ptr<const RouteSnapshot> latest;
+  Cost::rep cost = 20;
+  while (std::filesystem::file_size(writer.path()) - image_bytes <=
+         image_bytes) {
+    ASSERT_TRUE(session
+                    .change_cost(static_cast<NodeId>(cost % 12), Cost{cost},
+                                 RestartPolicy::kRestartBarrier)
+                    .converged);
+    ++cost;
+    latest = export_now(session);
+    ASSERT_EQ(writer.on_publish(latest), "");
+    ASSERT_EQ(writer.stats().compactions, 0u);
+  }
+  const std::uint64_t appended = writer.stats().checkpoints - 1;
+  ASSERT_GE(appended, 2u);
+  const SnapshotLoadResult journaled = load_checkpoint(dir);
+  ASSERT_TRUE(journaled.ok()) << journaled.error;
+  EXPECT_EQ(journaled.records_applied, appended);
+  EXPECT_EQ(journaled.snapshot->checksum(), latest->checksum());
+
+  // The next checkpoint compacts.
   ASSERT_TRUE(
-      session.change_cost(7, Cost{26}, RestartPolicy::kRestartBarrier)
+      session.change_cost(7, Cost{cost}, RestartPolicy::kRestartBarrier)
           .converged);
-  const auto latest = export_now(session);
+  latest = export_now(session);
   ASSERT_EQ(writer.on_publish(latest), "");
   EXPECT_EQ(writer.stats().compactions, 1u);
   // The file is a lone bootstrap again, byte for byte a fresh save of the
@@ -421,8 +409,7 @@ TEST(Checkpoint, RouteServiceCheckpointsEveryPublishAndRecovers) {
   const std::string dir = fresh_dir("ckpt_service");
   ServiceConfig config;
   config.shards = 2;
-  config.checkpoint.directory = dir;
-  config.checkpoint.every_publishes = 1;
+  config.checkpoint_directory = dir;
   RouteService svc(ring_components(2, 6), config);
 
   // The constructor's first publish wrote the base.

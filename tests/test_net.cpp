@@ -468,8 +468,8 @@ TEST(RouteServerNet, RemoteDeltasCountersAndDrain) {
   graph::Graph mutated = f.g;
   mutated.set_cost(f.b, Cost{3});
   const mechanism::VcgMechanism mech(mutated);
-  EXPECT_EQ(svc.price(f.d, f.x, f.z), mech.price(f.d, f.x, f.z));
-  EXPECT_EQ(svc.cost(f.x, f.z), mech.routes().cost(f.x, f.z));
+  EXPECT_EQ(svc.snapshot()->price(f.d, f.x, f.z), mech.price(f.d, f.x, f.z));
+  EXPECT_EQ(svc.snapshot()->cost(f.x, f.z), mech.routes().cost(f.x, f.z));
 
   // One remote batch so the per-peer query tally below has something to
   // count.
@@ -1003,16 +1003,16 @@ TEST(RouteServiceWarm, WarmStartRestoresPaymentTotals) {
   first.charge(f.x, f.z, 100);
   first.submit(RouteService::Delta::republish());
   first.drain();
-  ASSERT_EQ(first.payment(f.d), 300);
+  ASSERT_EQ(first.snapshot()->payment_total(f.d), 300);
 
   RouteService second(f.g, first.snapshot());
   // The ledger was seeded from the snapshot: totals survive the restart
   // and further charges accumulate on top.
-  EXPECT_EQ(second.payment(f.d), 300);
+  EXPECT_EQ(second.snapshot()->payment_total(f.d), 300);
   second.charge(f.x, f.z, 1);
   second.submit(RouteService::Delta::republish());
   second.drain();
-  EXPECT_EQ(second.payment(f.d), 303);
+  EXPECT_EQ(second.snapshot()->payment_total(f.d), 303);
 }
 
 // --- delta coalescing ------------------------------------------------------
@@ -1071,15 +1071,16 @@ TEST(RouteServiceCoalesce, StalenessGaugeTracksServedAge) {
   const auto f = graphgen::fig1();
   RouteService svc(f.g);
   EXPECT_EQ(svc.counters().max_staleness_ns, 0u);
-  svc.cost(f.x, f.z);
+  const std::vector<Request> batch{
+      {RequestKind::kCost, kInvalidNode, f.x, f.z}};
+  svc.query(batch);
   const auto first = svc.counters().max_staleness_ns;
   EXPECT_GT(first, 0u);  // some nanoseconds passed since the publish
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  svc.cost(f.x, f.z);
+  svc.query(batch);
   EXPECT_GT(svc.counters().max_staleness_ns, first);
 
   // Replies carry the same age the gauge saw.
-  const std::vector<Request> batch{{RequestKind::kCost, kInvalidNode, f.x, f.z}};
   const auto answers = svc.query(batch);
   EXPECT_GT(answers.front().age_ns, 0u);
   EXPECT_EQ(answers.front().published_at_ns,
@@ -1234,12 +1235,15 @@ TEST(SocketIo, StopFlagEndsOnlyAnIdleReadAndTheDeadlineAnyRead) {
   stopper.join();
   EXPECT_LT(net::Clock::now() - start, std::chrono::milliseconds(1000));
 
-  // Nothing arrives: the deadline ends the read (next_slice_ms counts
-  // whole milliseconds, so within one of it).
+  // Nothing arrives: the deadline ends the read, and never before it:
+  // next_slice_ms rounds a part-millisecond budget up, not down to 0.
+  EXPECT_EQ(
+      net::next_slice_ms(net::Clock::now() + std::chrono::microseconds(500)),
+      1);
   start = net::Clock::now();
   EXPECT_EQ(net::read_exact(pair.reader(), buffer, sizeof(buffer), 30, &spin),
             net::IoResult::kTimeout);
-  EXPECT_GE(net::Clock::now() - start, std::chrono::milliseconds(29));
+  EXPECT_GE(net::Clock::now() - start, std::chrono::milliseconds(30));
 
   // Once a frame has started arriving the stop flag no longer ends the
   // read; only the deadline does.

@@ -726,6 +726,61 @@ TEST(ReplicaE2E, RepublishSyncsGlobalsWithoutFetchingAnyShard) {
     EXPECT_TRUE(service::same_answer(from_primary[k], from_replica[k])) << k;
 }
 
+// --- one read path ----------------------------------------------------------
+
+// A primary and a replica serving the same snapshot, both driven through
+// service::Backend&: the one read path answers and counts alike on both.
+TEST(BackendParity, PrimaryAndReplicaShareOneReadPath) {
+  RouteService primary = make_service({"tiered", 24, 53, 8}, 4);
+  const NodeId n = static_cast<NodeId>(primary.node_count());
+  net::RouteServer server(primary);
+  ASSERT_TRUE(server.ok()) << server.error();
+  ReplicaConfig config;
+  config.upstream.port = server.port();
+  ReplicaService replica(config);
+  ASSERT_TRUE(replica.wait_until_ready(10000));
+
+  // Every request kind, then a node out of range.
+  std::vector<Request> batch;
+  for (const RequestKind kind :
+       {RequestKind::kCost, RequestKind::kPrice, RequestKind::kPairPayment,
+        RequestKind::kNextHop, RequestKind::kPath, RequestKind::kPayment})
+    batch.push_back({kind, 2, 1, static_cast<NodeId>(n - 1)});
+  batch.push_back({RequestKind::kCost, kInvalidNode, 0, n});
+
+  std::vector<std::vector<service::Reply>> answers;
+  for (service::Backend* backend :
+       {static_cast<service::Backend*>(&primary),
+        static_cast<service::Backend*>(&replica)}) {
+    const service::Counters before = backend->counters();
+    answers.push_back(backend->query(batch));
+    const service::Counters after = backend->counters();
+    EXPECT_EQ(after.queries - before.queries, batch.size());
+    EXPECT_EQ(after.batches - before.batches, 1u);
+
+    const auto snap = backend->snapshot();
+    ASSERT_NE(snap, nullptr);
+    EXPECT_EQ(backend->publish_count(), snap->version());
+    EXPECT_EQ(backend->wait_for_publish_beyond(0, 0), snap->version());
+    EXPECT_EQ(backend->export_cut().newest, snap);
+    EXPECT_EQ(answers.back().front().snapshot_version, snap->version());
+  }
+  ASSERT_EQ(answers[0].size(), answers[1].size());
+  for (std::size_t q = 0; q < batch.size(); ++q)
+    EXPECT_TRUE(service::same_answer(answers[0][q], answers[1][q])) << q;
+  EXPECT_EQ(answers[1].back().status, service::Status::kBadNode);
+
+  // `publishes` counts what each backend served: the primary's one cold
+  // publish, and the replica's installs, one per synced version.
+  EXPECT_EQ(primary.counters().publishes, 1u);
+  EXPECT_EQ(replica.counters().publishes, 1u);
+  primary.submit(RouteService::Delta::cost_change(2, Cost{9}));
+  const std::uint64_t version = primary.drain();
+  ASSERT_GE(replica.wait_for_publish_beyond(version - 1, 10000), version);
+  EXPECT_EQ(replica.counters().publishes, 2u);
+  EXPECT_EQ(replica.snapshot()->checksum(), primary.snapshot()->checksum());
+}
+
 TEST(ReplicaE2E, WarmStartServesCheckpointBeforeUpstreamIsReachable) {
   const std::string dir = "replica_warm_ckpt";
   std::filesystem::remove_all(dir);
@@ -734,7 +789,7 @@ TEST(ReplicaE2E, WarmStartServesCheckpointBeforeUpstreamIsReachable) {
   {
     service::ServiceConfig config;
     config.shards = 2;
-    config.checkpoint.directory = dir;
+    config.checkpoint_directory = dir;
     RouteService primary(test::make_instance({"er", 24, 53, 7}), config);
     want_checksum = primary.snapshot()->checksum();
   }
@@ -773,7 +828,7 @@ TEST(ReplicaE2E, WarmStartAdoptsMatchingBlocksFromCheckpoint) {
   const test::InstanceSpec spec{"er", 24, 54, 7};
   {
     service::ServiceConfig config;
-    config.checkpoint.directory = dir;
+    config.checkpoint_directory = dir;
     RouteService writer(test::make_instance(spec), config);
   }
   RouteService primary = make_service(spec, 4);
@@ -823,7 +878,7 @@ TEST(ReplicaE2E, WarmImageIsReleasedOnceSyncedPastIt) {
   std::filesystem::create_directory(dir);
   service::ServiceConfig primary_config;
   primary_config.shards = 4;
-  primary_config.checkpoint.directory = dir;
+  primary_config.checkpoint_directory = dir;
   RouteService primary(test::make_instance({"er", 24, 56, 7}),
                        primary_config);
   const NodeId n = static_cast<NodeId>(primary.node_count());
