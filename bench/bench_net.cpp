@@ -1,10 +1,19 @@
 // The remote transport's cost model: what fpss-wire adds on top of the
 // in-process query path.
 //
-//   * BM_WireEncodeRequests  — request batch -> payload bytes;
+//   * BM_WireEncodeRequests  — request batch -> payload bytes (the
+//                              client's send);
+//   * BM_WireEncodeReplies   — typed replies -> payload bytes (the
+//                              server's send, path vectors included);
 //   * BM_WireDecodeReplies   — reply payload -> typed replies (the
 //                              client's hot path, path vectors included);
-//   * BM_WireFrameOverhead   — header encode + validate round trip;
+//   * BM_FrameChecksum       — the XXH64 frame checksum over 212 B (a
+//                              perfbench request), 826 B (its reply) and
+//                              1 MiB (the payload limit), in bytes/s;
+//   * BM_WireFrameOverhead   — the whole frame gate for one payload:
+//                              encode_frame (header + checksum) at the
+//                              sender, header validation and
+//                              payload_checksum_ok at the receiver;
 //   * BM_LoopbackQueryBatch  — full socket round trip against a live
 //                              RouteServer on loopback, batches of 16
 //                              (perfbench's) and 256 — the number to hold
@@ -27,6 +36,7 @@
 #include "net/server.h"
 #include "net/wire.h"
 #include "service/service.h"
+#include "util/checksum.h"
 #include "util/rng.h"
 
 namespace {
@@ -57,6 +67,16 @@ void BM_WireEncodeRequests(benchmark::State& state) {
 }
 BENCHMARK(BM_WireEncodeRequests);
 
+void BM_WireEncodeReplies(benchmark::State& state) {
+  service::RouteService svc(bench::internet_like(128, 14002));
+  const auto replies = svc.query(make_batch(svc.node_count(), 256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::encode_replies(replies));
+  }
+  state.SetItemsProcessed(state.iterations() * 256);
+}
+BENCHMARK(BM_WireEncodeReplies);
+
 void BM_WireDecodeReplies(benchmark::State& state) {
   service::RouteService svc(bench::internet_like(128, 14002));
   const auto batch = make_batch(svc.node_count(), 256);
@@ -68,14 +88,28 @@ void BM_WireDecodeReplies(benchmark::State& state) {
 }
 BENCHMARK(BM_WireDecodeReplies);
 
+void BM_FrameChecksum(benchmark::State& state) {
+  util::Rng rng(14005);
+  std::string payload(static_cast<std::size_t>(state.range(0)), '\0');
+  for (char& byte : payload) byte = static_cast<char>(rng.below(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::xxh64(payload));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FrameChecksum)->Arg(212)->Arg(826)->Arg(1 << 20);
+
 void BM_WireFrameOverhead(benchmark::State& state) {
   const std::string payload = net::encode_requests(make_batch(128, 256));
   for (auto _ : state) {
     const std::string frame =
         net::encode_frame(net::FrameType::kQueryBatch, payload);
+    const std::string_view bytes(frame);
     auto head = net::decode_frame_header(
-        std::string_view(frame).substr(0, net::kFrameHeaderBytes), {});
+        bytes.substr(0, net::kFrameHeaderBytes), {});
     benchmark::DoNotOptimize(head);
+    benchmark::DoNotOptimize(net::payload_checksum_ok(
+        head.header, bytes.substr(net::kFrameHeaderBytes)));
   }
 }
 BENCHMARK(BM_WireFrameOverhead);

@@ -11,7 +11,6 @@
 #include <cstring>
 #include <thread>
 
-#include "net/socket_io.h"
 #include "service/replication.h"
 
 namespace fpss::net {
@@ -62,6 +61,7 @@ void RouteClient::close() {
   }
   outstanding_ = 0;
   spin_ = false;
+  buffered_.clear();
 }
 
 ClientError RouteClient::dial_once() {
@@ -153,8 +153,8 @@ ClientError RouteClient::receive_frame(FrameType expected,
   if (!connected())
     return make_error(ClientStatus::kNotConnected, "receive before connect()");
   char header_bytes[kFrameHeaderBytes];
-  switch (read_exact(fd_, header_bytes, kFrameHeaderBytes, kIoTimeoutMs,
-                     &spin_)) {
+  switch (read_exact(fd_, buffered_, header_bytes, kFrameHeaderBytes,
+                     kIoTimeoutMs, &spin_)) {
     case IoResult::kOk:
       break;
     case IoResult::kTimeout:
@@ -178,8 +178,8 @@ ClientError RouteClient::receive_frame(FrameType expected,
   }
   payload.assign(head.header.payload_bytes, '\0');
   if (head.header.payload_bytes > 0) {
-    const IoResult io =
-        read_exact(fd_, payload.data(), payload.size(), kIoTimeoutMs);
+    const IoResult io = read_exact(fd_, buffered_, payload.data(),
+                                   payload.size(), kIoTimeoutMs);
     if (io != IoResult::kOk) {
       close();
       return make_error(io == IoResult::kTimeout ? ClientStatus::kTimeout

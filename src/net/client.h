@@ -1,4 +1,4 @@
-// net::RouteClient: the typed client side of fpss-wire v4.
+// net::RouteClient: the typed client side of fpss-wire v5.
 //
 // connect() dials with retry-and-backoff and runs the Hello/HelloAck
 // exchange, after which the server's node count and snapshot version are
@@ -10,7 +10,9 @@
 // strictly in order, so replies come back FIFO). Every operation is one
 // request and its reply, parked ones included (await_publish,
 // fetch_snapshot), so any operation may follow any other on the same
-// connection.
+// connection. Replies are read through the connection's fixed receive
+// buffer (net/socket_io.h), so a reply frame, or several pipelined ones,
+// usually costs one recv.
 //
 // Errors are values, not exceptions: every operation fills a result whose
 // ClientStatus says what layer failed (connect, I/O timeout, protocol,
@@ -23,6 +25,7 @@
 #include <string_view>
 #include <vector>
 
+#include "net/socket_io.h"
 #include "net/wire.h"
 #include "service/backend.h"
 #include "service/protocol.h"
@@ -199,6 +202,8 @@ class RouteClient {
   /// The connection's wait history for read_exact: whether its last reply
   /// began arriving within kSpinWindow. False on a fresh connection.
   bool spin_ = false;
+  /// Bytes received ahead of the reply being read; close() clears it.
+  RecvBuffer buffered_;
 };
 
 }  // namespace fpss::net

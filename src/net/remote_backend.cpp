@@ -89,7 +89,6 @@ std::uint32_t RemoteQueryBackend::server_hop_count() const {
 
 std::uint64_t RemoteQueryBackend::wait_for_publish_beyond(std::uint64_t count,
                                                           int timeout_ms) {
-  using Clock = std::chrono::steady_clock;
   const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
   std::uint64_t seen = 0;
   for (;;) {

@@ -194,8 +194,11 @@ void RouteServer::serve_connection(int fd) {
     tally = &peer_tally(peer);
   }
   tally->add(&PeerCounters::connections);
-  bool spin = false;  // the connection's wait history (net/socket_io.h)
-  while (serve_frame(fd, *tally, spin)) {
+  // The connection's read state (net/socket_io.h): its wait history and
+  // the bytes received ahead of the frame being read.
+  bool spin = false;
+  RecvBuffer buffered;
+  while (serve_frame(fd, *tally, spin, buffered)) {
   }
   ::close(fd);
 }
@@ -210,11 +213,12 @@ bool RouteServer::send_error(int fd, PeerTally& peer, WireStatus code,
   return false;  // protocol errors always close the connection
 }
 
-bool RouteServer::serve_frame(int fd, PeerTally& peer, bool& spin) {
+bool RouteServer::serve_frame(int fd, PeerTally& peer, bool& spin,
+                              RecvBuffer& buffered) {
   // 1. Header: fixed 20 bytes, validated before the payload is allocated.
   char header_bytes[kFrameHeaderBytes];
-  switch (read_exact(fd, header_bytes, kFrameHeaderBytes, kIoTimeoutMs, &spin,
-                     &stopping_)) {
+  switch (read_exact(fd, buffered, header_bytes, kFrameHeaderBytes,
+                     kIoTimeoutMs, &spin, &stopping_)) {
     case IoResult::kOk:
       break;
     case IoResult::kClosed:   // peer finished; normal end of connection
@@ -233,8 +237,8 @@ bool RouteServer::serve_frame(int fd, PeerTally& peer, bool& spin) {
   // 2. Payload: size is now known-bounded, so allocating is safe.
   std::string payload(head.header.payload_bytes, '\0');
   if (head.header.payload_bytes > 0) {
-    switch (read_exact(fd, payload.data(), payload.size(), kIoTimeoutMs,
-                       nullptr, &stopping_)) {
+    switch (read_exact(fd, buffered, payload.data(), payload.size(),
+                       kIoTimeoutMs, nullptr, &stopping_)) {
       case IoResult::kOk:
         break;
       case IoResult::kTimeout:

@@ -1,16 +1,19 @@
 // net::RouteServer: the blocking TCP front end that turns a RouteService
-// into a daemon speaking fpss-wire v4.
+// into a daemon speaking fpss-wire v5.
 //
 // Shape: one accept thread plus a small worker pool. Accepted connections
 // are queued; each worker serves one connection at a time, frame by frame
 // (read header -> validate before allocating -> read payload -> checksum
-// -> dispatch), so a request batch is answered by exactly the same
+// -> dispatch), reading through the connection's fixed receive buffer
+// (net/socket_io.h), so a frame and any pipelined behind it usually cost
+// one recv. A request batch is answered by exactly the same
 // service::answer() evaluation a local caller gets — the snapshot store's
 // RCU read path makes the workers just more reader threads.
 //
 // Robustness contract (pinned by test_net.cpp under ASan):
 //   * a frame is rejected from its 20-byte header alone when the magic,
-//     version, type, or length is wrong — the payload is never allocated;
+//     version, type, reserved field or length is wrong — the payload is
+//     never allocated;
 //   * oversized batches and undecodable payloads get a typed kError frame
 //     and the connection is closed;
 //   * per-connection reads time out (poll with a deadline), so a stalled
@@ -47,6 +50,8 @@
 #include "util/mutex.h"
 
 namespace fpss::net {
+
+class RecvBuffer;  // net/socket_io.h
 
 struct ServerConfig {
   /// Address to bind. The default stays on loopback: the protocol has no
@@ -102,9 +107,9 @@ class RouteServer {
   void serve_connection(int fd);
   /// One request/reply exchange; returns false when the connection should
   /// close (EOF, timeout, protocol error, shutdown). `peer` is the tally
-  /// the connection accounts under, and `spin` its wait history for
-  /// read_exact.
-  bool serve_frame(int fd, PeerTally& peer, bool& spin);
+  /// the connection accounts under, and `spin` and `buffered` its read
+  /// state for read_exact.
+  bool serve_frame(int fd, PeerTally& peer, bool& spin, RecvBuffer& buffered);
   /// Holds a parked request until the backend's served version exceeds
   /// `await.since`, min(wait_ms, kMaxParkMs) passes, or the server stops.
   void park(const Await& await) const;

@@ -3,7 +3,9 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstring>
 #include <thread>
 
 namespace fpss::net {
@@ -17,21 +19,43 @@ int next_slice_ms(Clock::time_point deadline) {
   return static_cast<int>(left < 100 ? left : 100);
 }
 
-IoResult read_exact(int fd, char* buffer, std::size_t want, int timeout_ms,
-                    bool* spin, const std::atomic<bool>* stopping) {
-  std::size_t got = 0;
+std::size_t RecvBuffer::take(char* out, std::size_t want) {
+  const std::size_t n = std::min(want, size());
+  std::memcpy(out, bytes_.data() + begin_, n);
+  begin_ += n;
+  return n;
+}
+
+ssize_t RecvBuffer::recv_from(int fd) {
+  const ssize_t n = ::recv(fd, bytes_.data(), kBytes, MSG_DONTWAIT);
+  begin_ = 0;
+  end_ = n > 0 ? static_cast<std::size_t>(n) : 0;
+  return n;
+}
+
+IoResult read_exact(int fd, RecvBuffer& buffered, char* out, std::size_t want,
+                    int timeout_ms, bool* spin,
+                    const std::atomic<bool>* stopping) {
+  const bool spins = spin != nullptr && *spin;
+  std::size_t got = buffered.take(out, want);
+  if (got > 0 && spin != nullptr) *spin = spins_after(Clock::duration::zero());
+  if (got == want) return IoResult::kOk;
+  // The buffer is empty from here on: it held fewer than `want` bytes.
   const auto start = Clock::now();
   const auto deadline = start + std::chrono::milliseconds(timeout_ms);
-  const auto spin_until = spin != nullptr && *spin ? start + kSpinWindow : start;
+  const auto spin_until = spins ? start + kSpinWindow : start;
   while (got < want) {
     if (got == 0 && stopping != nullptr &&
         stopping->load(std::memory_order_relaxed))
       return IoResult::kStopped;
-    const ssize_t n = ::recv(fd, buffer + got, want - got, MSG_DONTWAIT);
+    const bool direct = want - got >= RecvBuffer::kBytes;
+    const ssize_t n = direct ? ::recv(fd, out + got, want - got, MSG_DONTWAIT)
+                             : buffered.recv_from(fd);
     if (n > 0) {
       if (got == 0 && spin != nullptr)
         *spin = spins_after(Clock::now() - start);
-      got += static_cast<std::size_t>(n);
+      got += direct ? static_cast<std::size_t>(n)
+                    : buffered.take(out + got, want - got);
       continue;
     }
     if (n == 0) return got == 0 ? IoResult::kClosed : IoResult::kError;

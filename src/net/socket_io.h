@@ -1,6 +1,15 @@
 // Blocking socket I/O with deadlines, shared by net::RouteServer and
 // net::RouteClient.
 //
+// Receive buffer. Each connection owns a fixed RecvBuffer of kBytes
+// (16 KiB) beside its wait history, and read_exact fills it with one
+// non-blocking recv: a frame's header, its payload and any frames
+// pipelined behind it arrive in one syscall, and later reads take their
+// bytes from the buffer first. A read of at least kBytes goes straight
+// into its destination. The buffer never grows, so what a peer can make a
+// connection hold does not depend on any length it claims, and a header
+// is still validated before its payload is allocated.
+//
 // Read policy. read_exact first tries a non-blocking recv. When no byte
 // is queued and the connection's previous read got its first byte within
 // kSpinWindow, it keeps retrying the non-blocking recv until the window
@@ -19,6 +28,9 @@
 // the socket buffer is full.
 #pragma once
 
+#include <sys/types.h>
+
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -47,20 +59,44 @@ enum class IoResult {
   kError,    ///< socket error, or EOF after the first byte
 };
 
+/// Bytes a connection received but has not read yet (see file comment).
+/// clear() when the connection closes: the bytes belong to it.
+class RecvBuffer {
+ public:
+  static constexpr std::size_t kBytes = 16 * 1024;
+
+  /// Bytes held.
+  std::size_t size() const { return end_ - begin_; }
+  void clear() { begin_ = end_ = 0; }
+
+  /// Moves up to `want` held bytes to `out`; returns how many.
+  std::size_t take(char* out, std::size_t want);
+  /// One non-blocking recv of up to kBytes into the buffer, which must be
+  /// empty; returns what recv returned.
+  ssize_t recv_from(int fd);
+
+ private:
+  std::array<char, kBytes> bytes_{};
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+};
+
 /// Remaining budget in ms, rounded up and clipped to the 100 ms slice; 0
 /// once expired. A wait of this many ms never ends before the deadline.
 int next_slice_ms(Clock::time_point deadline);
 
-/// Reads exactly `want` bytes. `spin`, when given, is the connection's
-/// wait history: on entry it says whether this read spins before it
-/// blocks, and once a first byte arrives it is set to spins_after(the
-/// wait for it). Without it the read never spins. While still at byte
-/// zero a set `stopping` flag aborts the wait (a server worker idle
-/// between frames); once a frame has started arriving only the deadline
-/// can abort it — that is what lets a graceful shutdown finish in-flight
-/// frames.
-IoResult read_exact(int fd, char* buffer, std::size_t want, int timeout_ms,
-                    bool* spin = nullptr,
+/// Reads exactly `want` bytes of the connection `fd` into `out`:
+/// `buffered`, the connection's receive buffer, first, then from the
+/// socket. `spin`, when given, is the connection's wait history: on entry
+/// it says whether this read spins before it blocks, and once a first
+/// byte arrives it is set to spins_after(the wait for it) — no wait for a
+/// byte already buffered. Without it the read never spins. While still at
+/// byte zero a set `stopping` flag aborts the wait (a server worker idle
+/// between frames); once a frame has started arriving, buffered bytes
+/// included, only the deadline can abort it — that is what lets a
+/// graceful shutdown finish in-flight frames.
+IoResult read_exact(int fd, RecvBuffer& buffered, char* out, std::size_t want,
+                    int timeout_ms, bool* spin = nullptr,
                     const std::atomic<bool>* stopping = nullptr);
 
 /// Writes the whole buffer or gives up at the deadline (a peer that never

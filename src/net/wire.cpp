@@ -15,12 +15,6 @@ using util::append_u64;
 using util::append_u8;
 using util::BinReader;
 
-std::uint64_t fnv_of(std::string_view bytes) {
-  util::Fnv1a64 fnv;
-  for (const char c : bytes) fnv.byte(static_cast<std::uint8_t>(c));
-  return fnv.digest();
-}
-
 bool known_frame_type(std::uint8_t tag) {
   switch (static_cast<FrameType>(tag)) {
     case FrameType::kHello:
@@ -60,7 +54,7 @@ std::string encode_frame(FrameType type, std::string_view payload) {
   append_u8(out, static_cast<std::uint8_t>(type));
   append_u16(out, 0);  // reserved
   append_u32(out, static_cast<std::uint32_t>(payload.size()));
-  append_u64(out, fnv_of(payload));
+  append_u64(out, util::xxh64(payload));
   out.append(payload);
   return out;
 }
@@ -90,7 +84,11 @@ HeaderResult decode_frame_header(std::string_view header_bytes,
     result.error = "unknown frame type " + std::to_string(type);
     return result;
   }
-  in.u16();  // reserved
+  // No encoder writes a nonzero reserved field, so no decoder accepts one.
+  if (in.u16() != 0) {
+    result.error = "nonzero reserved header field";
+    return result;
+  }
   const std::uint32_t payload_bytes = in.u32();
   if (payload_bytes > limits.max_payload_bytes) {
     result.status = WireStatus::kOversized;
@@ -107,7 +105,7 @@ HeaderResult decode_frame_header(std::string_view header_bytes,
 
 bool payload_checksum_ok(const FrameHeader& header, std::string_view payload) {
   return payload.size() == header.payload_bytes &&
-         fnv_of(payload) == header.checksum;
+         util::xxh64(payload) == header.checksum;
 }
 
 // --- control payloads ------------------------------------------------------

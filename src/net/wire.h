@@ -1,18 +1,21 @@
-// "fpss-wire v4": the length-prefixed binary framing that carries
+// "fpss-wire v5": the length-prefixed binary framing that carries
 // Query/Answer batches and control traffic between net::RouteClient and
 // net::RouteServer.
 //
 // Every frame reuses the fpss-snap header discipline — magic, version,
-// type, exact payload length, FNV-1a checksum of the payload — and both
-// ends validate the header *before* allocating anything for the payload:
-// a hostile or corrupt peer can be rejected after 20 bytes. Payload
+// type, a reserved field that must be zero, exact payload length, a
+// checksum of the payload — and both ends validate the header *before*
+// allocating anything for the payload: a hostile or corrupt peer can be
+// rejected after 20 bytes. The checksum is XXH64 (seed 0,
+// util/checksum.h), which each end computes once per frame; content
+// digests inside payloads stay FNV-1a. Payload
 // encodings are little-endian via util/binio.h, with Cost traveling as
 // int64 (-1 = +infinity), the same convention the snapshot format fixed,
 // so a decoded Reply is bit-identical to the in-process one.
 //
 //   frame   := header payload
-//   header  := magic:u32 "FPW1" | version:u8 | type:u8 | reserved:u16
-//              | payload_len:u32 | checksum:u64(FNV-1a of payload)
+//   header  := magic:u32 "FPW1" | version:u8 | type:u8 | reserved:u16 (0)
+//              | payload_len:u32 | checksum:u64(XXH64 of payload)
 //
 // Frame types (tags are wire-reserved; append, never renumber):
 //   kHello(0x01)         -> kHelloAck(0x02)      version negotiation
@@ -56,7 +59,7 @@
 
 namespace fpss::net {
 
-inline constexpr std::uint8_t kWireVersion = 4;
+inline constexpr std::uint8_t kWireVersion = 5;
 // "FPW1" read as little-endian u32.
 inline constexpr std::uint32_t kWireMagic = 0x31575046u;
 inline constexpr std::size_t kFrameHeaderBytes = 20;
@@ -87,7 +90,7 @@ enum class FrameType : std::uint8_t {
 
 /// Error-frame codes (wire-reserved tags).
 enum class WireStatus : std::uint8_t {
-  kMalformed = 1,           ///< undecodable payload or checksum mismatch
+  kMalformed = 1,           ///< undecodable header/payload, bad checksum
   kOversized = 2,           ///< frame or batch exceeds the announced limits
   kUnsupportedVersion = 3,  ///< header version != kWireVersion
   kBadFrameType = 4,        ///< unknown or out-of-sequence frame type
@@ -128,13 +131,14 @@ struct HeaderResult {
 /// Builds a complete frame (header + payload).
 std::string encode_frame(FrameType type, std::string_view payload);
 
-/// Validates magic/version/length against `limits`. Exactly
+/// Validates magic/version/type/reserved/length against `limits`. Exactly
 /// kFrameHeaderBytes must be passed; the payload has NOT been read yet —
 /// this is the pre-allocation gate.
 HeaderResult decode_frame_header(std::string_view header_bytes,
                                  const WireLimits& limits);
 
-/// True when the payload's FNV-1a digest matches the header.
+/// True when the payload has the header's length and its XXH64 (seed 0)
+/// matches the header's checksum: the receiver's half of the frame gate.
 bool payload_checksum_ok(const FrameHeader& header, std::string_view payload);
 
 // --- control payloads ------------------------------------------------------

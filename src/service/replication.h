@@ -26,7 +26,8 @@
 // this stream patched and the root checksum the reassembled snapshot must
 // reproduce. The Assembler is the one parser; nothing else decodes a
 // destination block. On the wire each chunk travels in its own
-// length/FNV-guarded fpss-wire frame; on disk in a length-prefixed record.
+// length/XXH64-guarded fpss-wire frame; on disk in a length-prefixed
+// record. Block digests and the root checksum stay FNV-1a.
 //
 // Assembler invariants (the torn-shard guarantees the fuzz tests pin):
 //   * every payload is validated structurally before any block is kept —

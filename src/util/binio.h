@@ -11,6 +11,7 @@
 // Cost bit pattern the in-process path produced.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -19,19 +20,27 @@
 
 namespace fpss::util {
 
+/// Appends the low `N` bytes of `v`, least significant first. The bytes
+/// are built in a local array and appended at once: one capacity check
+/// per value, and the shift loop compiles to a single store.
+template <std::size_t N>
+void append_le(std::string& out, std::uint64_t v) {
+  char bytes[N] = {};
+  for (std::size_t i = 0; i < N; ++i)
+    bytes[i] = static_cast<char>(static_cast<std::uint8_t>(v >> (8 * i)));
+  out.append(bytes, N);
+}
+
 inline void append_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>(static_cast<std::uint8_t>(v >> (8 * i))));
+  append_le<8>(out, v);
 }
 
 inline void append_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>(static_cast<std::uint8_t>(v >> (8 * i))));
+  append_le<4>(out, v);
 }
 
 inline void append_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(static_cast<std::uint8_t>(v)));
-  out.push_back(static_cast<char>(static_cast<std::uint8_t>(v >> 8)));
+  append_le<2>(out, v);
 }
 
 inline void append_u8(std::string& out, std::uint8_t v) {

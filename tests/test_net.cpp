@@ -35,6 +35,7 @@
 #include "service/protocol.h"
 #include "service/service.h"
 #include "service/snapshot.h"
+#include "util/binio.h"
 #include "util/checksum.h"
 #include "util/rng.h"
 
@@ -341,12 +342,82 @@ TEST(Wire, HeaderCorruptionIsTypedAndRejected) {
   std::memcpy(oversized.data() + 8, &huge, sizeof(huge));
   EXPECT_EQ(header_of(oversized).status, net::WireStatus::kOversized);
 
+  // No encoder writes a nonzero reserved field, so none passes the gate,
+  // whichever of its bits is set.
+  for (const std::size_t byte : {std::size_t{6}, std::size_t{7}}) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string reserved = frame;
+      reserved[byte] = static_cast<char>(1 << bit);
+      EXPECT_FALSE(header_of(reserved).ok()) << byte << ":" << bit;
+      EXPECT_EQ(header_of(reserved).status, net::WireStatus::kMalformed);
+    }
+  }
+
   // Corrupted payload fails the checksum.
   const auto head = header_of(frame);
   ASSERT_TRUE(head.ok());
   EXPECT_FALSE(net::payload_checksum_ok(head.header, "abd"));
   EXPECT_FALSE(net::payload_checksum_ok(head.header, "abcd"));
   EXPECT_TRUE(net::payload_checksum_ok(head.header, "abc"));
+}
+
+TEST(Wire, FrameChecksumIsXxh64) {
+  // The published XXH64 seed-0 vectors: the short path, and (39 bytes)
+  // one 32-byte stripe of the four lanes plus a 4-byte and 1-byte tail.
+  EXPECT_EQ(util::xxh64(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(util::xxh64("a"), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(util::xxh64("abc"), 0x44bc2cf5ad770999ULL);
+  EXPECT_EQ(util::xxh64("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ULL);
+
+  for (const std::string_view payload :
+       {std::string_view(), std::string_view("abc"),
+        std::string_view("Nobody inspects the spammish repetition")}) {
+    const std::string frame =
+        net::encode_frame(net::FrameType::kReplyBatch, payload);
+    ASSERT_EQ(frame.size(), net::kFrameHeaderBytes + payload.size());
+    EXPECT_EQ(static_cast<std::uint8_t>(frame[4]), 5u) << "fpss-wire v5";
+    util::BinReader checksum{std::string_view(frame).substr(12, 8)};
+    EXPECT_EQ(checksum.u64(), util::xxh64(payload));
+    EXPECT_EQ(frame.substr(net::kFrameHeaderBytes), payload);
+  }
+}
+
+TEST(Wire, EverySingleBitFlipFailsTheFrameChecksum) {
+  // A reply batch long enough to run the lanes, whose tail after the
+  // 32-byte stripes takes the 8-byte, the 4-byte and the 1-byte steps.
+  std::vector<Reply> replies(5);
+  for (Reply& reply : replies) {
+    reply.value = Cost{7};
+    reply.path = graph::Path{0, 4, 2};
+  }
+  const std::string payload = net::encode_replies(replies);
+  ASSERT_GE(payload.size(), 32u);
+  ASSERT_GE(payload.size() % 32, 13u);
+  ASSERT_GE(payload.size() % 8, 5u);
+  const std::string frame =
+      net::encode_frame(net::FrameType::kReplyBatch, payload);
+  const net::WireLimits limits;
+  const auto head = net::decode_frame_header(
+      std::string_view(frame).substr(0, net::kFrameHeaderBytes), limits);
+  ASSERT_TRUE(head.ok()) << head.error;
+  ASSERT_TRUE(net::payload_checksum_ok(head.header, payload));
+
+  for (std::size_t bit = 0; bit < 8 * payload.size(); ++bit) {
+    std::string flipped = payload;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    EXPECT_FALSE(net::payload_checksum_ok(head.header, flipped))
+        << "payload bit " << bit;
+  }
+  for (std::size_t bit = 0; bit < 64; ++bit) {
+    std::string flipped = frame.substr(0, net::kFrameHeaderBytes);
+    const std::size_t at = 12 + bit / 8;  // the checksum field
+    flipped[at] = static_cast<char>(flipped[at] ^ (1 << (bit % 8)));
+    const auto flipped_head = net::decode_frame_header(flipped, limits);
+    ASSERT_TRUE(flipped_head.ok()) << flipped_head.error;
+    EXPECT_FALSE(net::payload_checksum_ok(flipped_head.header, payload))
+        << "checksum bit " << bit;
+  }
 }
 
 TEST(Wire, LyingBatchCountsAreRejectedBeforeAllocation) {
@@ -637,6 +708,15 @@ TEST(RouteServerNet, MalformedAndOversizedFramesAreRejectedWithoutCrash) {
     expect_error(fd, net::WireStatus::kMalformed);
     ::close(fd);
   }
+  {  // A nonzero reserved header field: malformed from the header alone.
+    const int fd = dial();
+    std::string frame = net::encode_frame(net::FrameType::kHello,
+                                          net::encode_hello({}));
+    frame[7] = '\x01';
+    send_all(fd, frame);
+    expect_error(fd, net::WireStatus::kMalformed);
+    ::close(fd);
+  }
   {  // A reply-only frame type is not a valid request.
     const int fd = dial();
     send_all(fd, net::encode_frame(net::FrameType::kReplyBatch, ""));
@@ -644,7 +724,7 @@ TEST(RouteServerNet, MalformedAndOversizedFramesAreRejectedWithoutCrash) {
     ::close(fd);
   }
 
-  EXPECT_GE(server.stats().rejected_frames, 5u);
+  EXPECT_GE(server.stats().rejected_frames, 6u);
 
   // The server is still healthy: a well-formed client gets answers.
   net::ClientConfig config;
@@ -1147,6 +1227,14 @@ class SocketPair {
 
   int reader() const { return fd_[0]; }
   int peer() const { return fd_[1]; }
+  const net::RecvBuffer& buffered() const { return buffered_; }
+  /// read_exact on the reader end, through its receive buffer.
+  net::IoResult read(char* out, std::size_t want, int timeout_ms,
+                     bool* spin = nullptr,
+                     const std::atomic<bool>* stopping = nullptr) {
+    return net::read_exact(fd_[0], buffered_, out, want, timeout_ms, spin,
+                           stopping);
+  }
   bool send(std::string_view bytes) const {
     return ::send(fd_[1], bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
            static_cast<ssize_t>(bytes.size());
@@ -1158,6 +1246,7 @@ class SocketPair {
 
  private:
   int fd_[2] = {-1, -1};
+  net::RecvBuffer buffered_;
 };
 
 /// Runs `peer_action` on a thread `delay` from now, past the spin window.
@@ -1176,7 +1265,7 @@ TEST(SocketIo, QueuedBytesReadAtOnceAndStartTheSpin) {
   ASSERT_TRUE(pair.send("abcdef"));
   char buffer[6];
   bool spin = false;
-  EXPECT_EQ(net::read_exact(pair.reader(), buffer, sizeof(buffer), 1000, &spin),
+  EXPECT_EQ(pair.read(buffer, sizeof(buffer), 1000, &spin),
             net::IoResult::kOk);
   EXPECT_EQ(std::string_view(buffer, sizeof(buffer)), "abcdef");
   EXPECT_TRUE(spin) << "a first byte that was already queued came in time";
@@ -1193,9 +1282,7 @@ TEST(SocketIo, EofIsClosedAtByteZeroAndAnErrorMidBuffer) {
         ASSERT_TRUE(pair.send(sent));
         pair.close(1);
         bool spin = spin_on_entry;
-        EXPECT_EQ(net::read_exact(pair.reader(), buffer, sizeof(buffer), 2000,
-                                  &spin),
-                  want)
+        EXPECT_EQ(pair.read(buffer, sizeof(buffer), 2000, &spin), want)
             << "queued, " << sent.size() << " bytes, spin " << spin_on_entry;
       }
       {  // After it: the bytes and the EOF come once the read polls.
@@ -1205,9 +1292,7 @@ TEST(SocketIo, EofIsClosedAtByteZeroAndAnErrorMidBuffer) {
           pair.close(1);
         });
         bool spin = spin_on_entry;
-        EXPECT_EQ(net::read_exact(pair.reader(), buffer, sizeof(buffer), 2000,
-                                  &spin),
-                  want)
+        EXPECT_EQ(pair.read(buffer, sizeof(buffer), 2000, &spin), want)
             << "late, " << sent.size() << " bytes, spin " << spin_on_entry;
         peer.join();
       }
@@ -1220,8 +1305,7 @@ TEST(SocketIo, StopFlagEndsOnlyAnIdleReadAndTheDeadlineAnyRead) {
   char buffer[4];
   bool spin = true;
   std::atomic<bool> stopping{true};
-  EXPECT_EQ(net::read_exact(pair.reader(), buffer, sizeof(buffer), 2000, &spin,
-                            &stopping),
+  EXPECT_EQ(pair.read(buffer, sizeof(buffer), 2000, &spin, &stopping),
             net::IoResult::kStopped);
 
   // Set while the read waits: noticed within one 100 ms poll slice.
@@ -1229,8 +1313,7 @@ TEST(SocketIo, StopFlagEndsOnlyAnIdleReadAndTheDeadlineAnyRead) {
   std::thread stopper = after(std::chrono::milliseconds(20),
                               [&stopping] { stopping = true; });
   auto start = net::Clock::now();
-  EXPECT_EQ(net::read_exact(pair.reader(), buffer, sizeof(buffer), 5000, &spin,
-                            &stopping),
+  EXPECT_EQ(pair.read(buffer, sizeof(buffer), 5000, &spin, &stopping),
             net::IoResult::kStopped);
   stopper.join();
   EXPECT_LT(net::Clock::now() - start, std::chrono::milliseconds(1000));
@@ -1241,7 +1324,7 @@ TEST(SocketIo, StopFlagEndsOnlyAnIdleReadAndTheDeadlineAnyRead) {
       net::next_slice_ms(net::Clock::now() + std::chrono::microseconds(500)),
       1);
   start = net::Clock::now();
-  EXPECT_EQ(net::read_exact(pair.reader(), buffer, sizeof(buffer), 30, &spin),
+  EXPECT_EQ(pair.read(buffer, sizeof(buffer), 30, &spin),
             net::IoResult::kTimeout);
   EXPECT_GE(net::Clock::now() - start, std::chrono::milliseconds(30));
 
@@ -1251,8 +1334,7 @@ TEST(SocketIo, StopFlagEndsOnlyAnIdleReadAndTheDeadlineAnyRead) {
   ASSERT_TRUE(pair.send("ab"));
   stopper = after(std::chrono::milliseconds(20),
                   [&stopping] { stopping = true; });
-  EXPECT_EQ(net::read_exact(pair.reader(), buffer, sizeof(buffer), 200, &spin,
-                            &stopping),
+  EXPECT_EQ(pair.read(buffer, sizeof(buffer), 200, &spin, &stopping),
             net::IoResult::kTimeout);
   stopper.join();
 }
@@ -1269,7 +1351,7 @@ TEST(SocketIo, WriteDeliversMoreThanTheSocketBuffer) {
   std::string got(bytes.size(), '\0');
   net::IoResult read = net::IoResult::kError;
   std::thread reader([&] {
-    read = net::read_exact(pair.reader(), got.data(), got.size(), 5000);
+    read = pair.read(got.data(), got.size(), 5000);
   });
   EXPECT_TRUE(net::write_all(pair.peer(), bytes, 5000));
   reader.join();
@@ -1278,6 +1360,86 @@ TEST(SocketIo, WriteDeliversMoreThanTheSocketBuffer) {
 
   // A peer that never reads: the write gives up at its deadline.
   EXPECT_FALSE(net::write_all(pair.peer(), bytes, 30));
+}
+
+TEST(SocketIo, FramesQueuedByOneSendComeBackWholeAndInOrder) {
+  SocketPair pair;
+  const std::vector<std::string> payloads = {
+      "first", std::string(3000, 'x'),
+      net::encode_requests(std::vector<Request>(3))};
+  std::string bytes;
+  for (const std::string& payload : payloads)
+    bytes += net::encode_frame(net::FrameType::kQueryBatch, payload);
+  ASSERT_TRUE(pair.send(bytes));
+  std::size_t consumed = 0;
+  for (std::size_t f = 0; f < payloads.size(); ++f) {
+    char header[net::kFrameHeaderBytes];
+    ASSERT_EQ(pair.read(header, sizeof(header), 1000), net::IoResult::kOk);
+    consumed += sizeof(header);
+    // The first read's one recv brought in all three frames.
+    EXPECT_EQ(pair.buffered().size(), bytes.size() - consumed);
+    const auto head = net::decode_frame_header(
+        std::string_view(header, sizeof(header)), {});
+    ASSERT_TRUE(head.ok()) << head.error;
+    std::string payload(head.header.payload_bytes, '\0');
+    ASSERT_EQ(pair.read(payload.data(), payload.size(), 1000),
+              net::IoResult::kOk);
+    consumed += payload.size();
+    EXPECT_TRUE(net::payload_checksum_ok(head.header, payload));
+    EXPECT_EQ(payload, payloads[f]) << "frame " << f;
+  }
+  EXPECT_EQ(pair.buffered().size(), 0u);
+}
+
+TEST(SocketIo, AReadLargerThanTheBufferArrivesWhole) {
+  // 7 bytes, then a 1 MiB read: its first bytes come from the buffer the
+  // small read filled, the bulk straight from the socket, and the 5 bytes
+  // behind it are read after.
+  std::string bytes(7 + (1u << 20) + 5, '\0');
+  for (std::size_t b = 0; b < bytes.size(); ++b)
+    bytes[b] = static_cast<char>(b * 131 + b / 4099);
+  SocketPair pair;
+  std::thread writer(
+      [&] { EXPECT_TRUE(net::write_all(pair.peer(), bytes, 5000)); });
+  std::string got(bytes.size(), '\0');
+  EXPECT_EQ(pair.read(got.data(), 7, 5000), net::IoResult::kOk);
+  EXPECT_EQ(pair.read(got.data() + 7, 1u << 20, 5000), net::IoResult::kOk);
+  EXPECT_EQ(pair.read(got.data() + 7 + (1u << 20), 5, 5000),
+            net::IoResult::kOk);
+  writer.join();
+  EXPECT_TRUE(got == bytes);
+  EXPECT_EQ(pair.buffered().size(), 0u);
+}
+
+TEST(SocketIo, AReadThatStartsWithBufferedBytesIgnoresTheStopFlag) {
+  SocketPair pair;
+  ASSERT_TRUE(pair.send("abcdef"));
+  char buffer[8];
+  ASSERT_EQ(pair.read(buffer, 2, 1000), net::IoResult::kOk);
+  ASSERT_EQ(pair.buffered().size(), 4u);
+  const std::atomic<bool> stopping{true};
+  // Wholly buffered: read at once.
+  EXPECT_EQ(pair.read(buffer, 1, 1000, nullptr, &stopping),
+            net::IoResult::kOk);
+  EXPECT_EQ(buffer[0], 'c');
+  // Partly buffered: the frame has started, so only the deadline ends it.
+  EXPECT_EQ(pair.read(buffer, 8, 30, nullptr, &stopping),
+            net::IoResult::kTimeout);
+  EXPECT_EQ(std::string_view(buffer, 3), "def");
+  // Nothing buffered: the stop flag ends the wait.
+  EXPECT_EQ(pair.read(buffer, 1, 1000, nullptr, &stopping),
+            net::IoResult::kStopped);
+}
+
+TEST(SocketIo, EofAfterBufferedBytesIsAnErrorNotClosed) {
+  SocketPair pair;
+  ASSERT_TRUE(pair.send("abc"));
+  pair.close(1);
+  char buffer[4];
+  ASSERT_EQ(pair.read(buffer, 1, 1000), net::IoResult::kOk);
+  ASSERT_EQ(pair.buffered().size(), 2u);
+  EXPECT_EQ(pair.read(buffer, 4, 1000), net::IoResult::kError);
+  EXPECT_EQ(pair.read(buffer, 1, 1000), net::IoResult::kClosed);
 }
 
 TEST(SocketIo, AConnectionWhoseLastWaitPassedTheWindowStopsSpinning) {
@@ -1290,13 +1452,13 @@ TEST(SocketIo, AConnectionWhoseLastWaitPassedTheWindowStopsSpinning) {
   char buffer[4];
   bool spin = true;
   std::thread late = after(kPastTheWindow, [&pair] { pair.send("late"); });
-  EXPECT_EQ(net::read_exact(pair.reader(), buffer, sizeof(buffer), 2000, &spin),
+  EXPECT_EQ(pair.read(buffer, sizeof(buffer), 2000, &spin),
             net::IoResult::kOk);
   late.join();
   EXPECT_FALSE(spin) << "a reply past the window must end the spinning";
 
   ASSERT_TRUE(pair.send("fast"));
-  EXPECT_EQ(net::read_exact(pair.reader(), buffer, sizeof(buffer), 2000, &spin),
+  EXPECT_EQ(pair.read(buffer, sizeof(buffer), 2000, &spin),
             net::IoResult::kOk);
   EXPECT_TRUE(spin) << "a reply inside the window must start it again";
 }
